@@ -54,8 +54,16 @@
 // Worker.Frag().Neighbors(li) and hand the packed addresses straight to
 // the channels (Send/AddAddr/Request), replacing two dependent random
 // lookups per edge with a sequential scan; the raw address order equals
-// (worker, local) order, which is what ScatterCombine's presort radix
-// sorts on. The id-based channel APIs remain as thin resolving wrappers
+// (worker, local) order. A fragment also derives, on first use and
+// cached for the life of the view (shared by every job on it, charged
+// to the catalog budget), the scatter plan of Fig. 5: its adjacency
+// transposed and counting-sorted by destination per destination worker.
+// ScatterCombine.UseFragment adopts it zero-copy, a superstep is one
+// gather-reduce over the plan, and the wire carries each destination
+// list once (first scattering superstep) and values only afterwards,
+// with presence bytes in supersteps where some source stayed silent;
+// AddAddr builds the same plan privately for custom edge sets. The
+// id-based channel APIs remain as thin resolving wrappers
 // for dynamic destinations (pointer chases, request targets). Because a
 // fragment plus its channels is the complete per-worker state, workers
 // no longer need any shared mutable structure — the stepping stone to

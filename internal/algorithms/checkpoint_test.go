@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
@@ -142,5 +143,77 @@ func TestCheckpointRestoreRejectsWrongShape(t *testing.T) {
 		Checkpoint: &ckpt.Hook{Store: store, Job: "t", Restore: latest + 7}}
 	if _, err := spec.Run(EngineChannel, "", g, gone, Params{}); err == nil {
 		t.Fatal("expected restore error for a missing checkpoint")
+	}
+}
+
+// keepAll hides the directory store's Pruner so every cut of a run
+// stays restorable.
+type keepAll struct{ ckpt.Store }
+
+// TestCheckpointRestoreAcrossScatterHandshake restores the two jobs
+// that adopt the fragment scatter plan from every cut of the run: the
+// cut at superstep 1 sits before the round that carries the destination
+// lists (replay must rebuild them from the saved frames), the cut at
+// superstep 2 is the first whose record must carry them, and the rest
+// are mid-run. The adopted plan itself is never in the record: the
+// restoring job adopts it again from its fragments.
+func TestCheckpointRestoreAcrossScatterHandshake(t *testing.T) {
+	directed := graph.SocialRMAT(10, 16, 42)
+	for _, tc := range []struct {
+		alg, variant string
+		g            *graph.Graph
+	}{
+		{"pagerank", "scatter", directed},
+		{"sv", "both", graph.Undirectify(directed)},
+	} {
+		t.Run(tc.alg+"/"+tc.variant, func(t *testing.T) {
+			spec, _ := Lookup(tc.alg)
+			part := partition.MustHash(tc.g.NumVertices(), 4)
+			frags := frag.Build(tc.g, part)
+			opts := Options{Part: part, Frags: frags, MaxSupersteps: 1000}
+			params := Params{Iterations: 6}
+			want, err := spec.Run(EngineChannel, tc.variant, tc.g, opts, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := keepAll{ckpt.NewDir(t.TempDir())}
+			saveOpts := opts
+			saveOpts.Checkpoint = &ckpt.Hook{Store: store, Job: "t", Interval: 1}
+			got, err := spec.Run(EngineChannel, tc.variant, tc.g, saveOpts, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "checkpointing on", want, got)
+			latest, err := store.LatestComplete("t", part.NumWorkers())
+			if err != nil || latest < 4 {
+				t.Fatalf("latest complete cut %d, %v", latest, err)
+			}
+			for s := 1; s <= latest; s++ {
+				for w := 0; w < part.NumWorkers(); w++ {
+					data, err := store.Get("t", s, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec, err := ckpt.Decode(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// both jobs register the ScatterCombine first; two
+					// varints per edge was the floor of the old record
+					if blob, edges := len(rec.Channels[0]), frags.Frag(w).NumEdges(); blob >= edges {
+						t.Fatalf("cut %d worker %d: %d bytes of ScatterCombine state for %d edges — the plan leaked into the record", s, w, blob, edges)
+					}
+				}
+				// restore on fresh fragments, as a respawned worker would
+				restOpts := opts
+				restOpts.Frags = frag.Build(tc.g, part)
+				restOpts.Checkpoint = &ckpt.Hook{Store: store, Job: "t", Restore: s}
+				res, err := spec.Run(EngineChannel, tc.variant, tc.g, restOpts, params)
+				if err != nil {
+					t.Fatalf("restore from superstep %d: %v", s, err)
+				}
+				sameResult(t, fmt.Sprintf("restored from superstep %d/%d", s, latest), want, res)
+			}
+		})
 	}
 }

@@ -75,17 +75,12 @@ func PageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, e
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Float64Codec{}, pr) },
 		)
 		msg := channel.NewScatterCombine[float64](w, ser.Float64Codec{}, sumF64)
+		msg.UseFragment(f)
 		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
 		n := float64(w.NumVertices())
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
 				pr[li] = 1.0 / n
-				if li == 0 {
-					msg.Grow(f.NumEdges()) // exact-capacity registration
-				}
-				for _, a := range f.Neighbors(li) {
-					msg.AddAddr(a)
-				}
 			} else {
 				s := agg.Result() / n
 				sum, _ := msg.Message(li)

@@ -70,6 +70,7 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 		var bcastSC *channel.ScatterCombine[uint32]
 		if useScatter {
 			bcastSC = channel.NewScatterCombine[uint32](w, ser.Uint32Codec{}, minU32)
+			bcastSC.UseFragment(f)
 		} else {
 			bcastCM = channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, minU32)
 		}
@@ -114,14 +115,6 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 			step := w.Superstep()
 			if step == 1 {
 				d[li] = id
-				if useScatter {
-					if li == 0 {
-						bcastSC.Grow(f.NumEdges())
-					}
-					for _, a := range f.Neighbors(li) {
-						bcastSC.AddAddr(a)
-					}
-				}
 			}
 			phase := (step - 1) % period
 			switch phase {

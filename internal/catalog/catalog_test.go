@@ -518,3 +518,42 @@ func TestLRUNeverEvictsLiveEntries(t *testing.T) {
 		t.Fatal("CurrentGraph unusable for live entry")
 	}
 }
+
+// A view's scatter plans are derived on first use, charged to the
+// catalog budget exactly once and shared by everyone who asks again —
+// the lifetime of the ScatterCombine pre-calculation is the view's, not
+// a job's.
+func TestScatterPlanChargedOncePerView(t *testing.T) {
+	c := New(4, 0)
+	if err := c.Register(Spec{Name: "d", Gen: "digraph:n=200,m=900,seed=3"}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Get("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := e.View("", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := c.Stats().Bytes
+	var plans int64
+	for w := 0; w < v.Frags.NumWorkers(); w++ {
+		plans += v.Frags.Frag(w).ScatterPlan().Bytes()
+	}
+	if got := c.Stats().Bytes - base; got != plans || plans == 0 {
+		t.Fatalf("catalog charged %d bytes for %d bytes of scatter plans", got, plans)
+	}
+	again, err := e.View("", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < v.Frags.NumWorkers(); w++ {
+		if again.Frags.Frag(w).ScatterPlan() != v.Frags.Frag(w).ScatterPlan() {
+			t.Fatal("a second acquire of the view got a different plan")
+		}
+	}
+	if got := c.Stats().Bytes - base; got != plans {
+		t.Fatalf("plans charged again: %d bytes for %d", got, plans)
+	}
+}

@@ -10,11 +10,11 @@ import (
 // reduced with the combiner, and the global result is readable by every
 // vertex in the next superstep.
 //
-// It is implemented with two exchange rounds, exercising the channel
-// mechanism's multi-round support (again()): round 1 gathers per-worker
-// partials to worker 0, round 2 broadcasts the reduced result.
+// It takes one exchange round: every worker sends its partial to every
+// worker and each reduces what it receives in source-worker order, so
+// all workers compute the same result bit for bit, whatever the
+// combiner's associativity.
 type Aggregator[M any] struct {
-	w       *engine.Worker
 	codec   ser.Codec[M]
 	combine Combiner[M]
 	zero    M
@@ -22,8 +22,7 @@ type Aggregator[M any] struct {
 	curr    M    // partial being accumulated by this worker's vertices
 	currSet bool // any Add this superstep
 	result  M    // global result of the previous superstep
-	round   int
-	// worker 0 only: gathered partials
+	// partials received this superstep, reduced in arrival (= source) order
 	gathered    M
 	gatheredSet bool
 }
@@ -31,7 +30,7 @@ type Aggregator[M any] struct {
 // NewAggregator creates and registers an Aggregator channel. zero is the
 // identity of combine and is the result when no vertex adds a value.
 func NewAggregator[M any](w *engine.Worker, codec ser.Codec[M], combine Combiner[M], zero M) *Aggregator[M] {
-	c := &Aggregator[M]{w: w, codec: codec, combine: combine, zero: zero, curr: zero, result: zero, gathered: zero}
+	c := &Aggregator[M]{codec: codec, combine: combine, zero: zero, curr: zero, result: zero, gathered: zero}
 	w.Register(c)
 	return c
 }
@@ -55,52 +54,36 @@ func (c *Aggregator[M]) Initialize() {}
 
 // AfterCompute implements engine.Channel.
 func (c *Aggregator[M]) AfterCompute() {
-	c.round = 0
 	c.gathered = c.zero
 	c.gatheredSet = false
 }
 
-// Serialize implements engine.Channel.
+// Serialize implements engine.Channel: the partial goes to every worker
+// (loopback included).
 func (c *Aggregator[M]) Serialize(dst int, buf *ser.Buffer) {
-	switch c.round {
-	case 0:
-		// Gather: every worker sends its partial to worker 0 (loopback
-		// for worker 0 itself).
-		if dst == 0 && c.currSet {
-			c.codec.Encode(buf, c.curr)
-		}
-	case 1:
-		// Broadcast: worker 0 sends the reduced result everywhere.
-		if c.w.WorkerID() == 0 {
-			c.codec.Encode(buf, c.gathered)
-		}
+	if c.currSet {
+		c.codec.Encode(buf, c.curr)
 	}
 }
 
 // Deserialize implements engine.Channel.
 func (c *Aggregator[M]) Deserialize(src int, buf *ser.Buffer) {
-	switch c.round {
-	case 0:
-		v := c.codec.Decode(buf)
-		if c.gatheredSet {
-			c.gathered = c.combine(c.gathered, v)
-		} else {
-			c.gathered = v
-			c.gatheredSet = true
-		}
-	case 1:
-		c.result = c.codec.Decode(buf)
+	v := c.codec.Decode(buf)
+	if c.gatheredSet {
+		c.gathered = c.combine(c.gathered, v)
+	} else {
+		c.gathered = v
+		c.gatheredSet = true
 	}
 }
 
-// Again implements engine.Channel: request the broadcast round.
+// Again implements engine.Channel: the superstep's first round
+// delivered every partial, so publish the result and reset the partial.
+// Later rounds (requested by other channels) deliver nothing more and
+// republish the same value.
 func (c *Aggregator[M]) Again() bool {
-	c.round++
-	if c.round == 1 {
-		// reset the per-superstep partial; round 2 will deliver the result
-		c.curr = c.zero
-		c.currSet = false
-		return true
-	}
+	c.result = c.gathered
+	c.curr = c.zero
+	c.currSet = false
 	return false
 }

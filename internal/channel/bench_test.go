@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/frag"
+	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/ser"
 )
 
 // Microbenchmarks for the individual channel primitives: these isolate
 // the per-message costs behind the table-level results (hash-map
-// staging in CombinedMessage vs the presorted scan in ScatterCombine,
+// staging in CombinedMessage vs the plan scan in ScatterCombine,
 // request dedup in RequestRespond, local traversal in Propagation).
 
 const (
@@ -66,8 +68,8 @@ func BenchmarkScatterCombineRing(b *testing.B) {
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
-				ch.AddEdge((id + 1) % microVertices)
-				ch.AddEdge((id + 7) % microVertices)
+				ch.AddAddr(w.Addr((id + 1) % microVertices))
+				ch.AddAddr(w.Addr((id + 7) % microVertices))
 			}
 			if w.Superstep() <= microSteps {
 				ch.SetMessage(id)
@@ -76,6 +78,54 @@ func BenchmarkScatterCombineRing(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkScatterCombineFragment runs one job for b.N supersteps in
+// which every vertex of an RMAT graph scatters along the adopted
+// fragment plan (built before the clock starts, as on a cached view):
+// the steady state of PageRankScatter — gather-reduce, values-only
+// frames, indexed store — with nothing else in the superstep. Setup
+// allocations amortize over b.N, so allocs/op must read 0.
+func BenchmarkScatterCombineFragment(b *testing.B) {
+	g := graph.RMAT(12, 16, 1, graph.RMATOptions{NoSelfLoops: true})
+	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
+	for w := 0; w < microWorkers; w++ {
+		fs.Frag(w).ScatterPlan()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
+		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, sumF64)
+		ch.UseFragment(w.Frag())
+		w.Compute = func(li int) {
+			if w.Superstep() > b.N {
+				w.VoteToHalt()
+				return
+			}
+			ch.SetMessage(float64(li))
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+}
+
+// TestScatterSteadyStateZeroAlloc pins the allocation-free claim of the
+// plan path: no per-superstep edge list, sort scratch or frame table.
+func TestScatterSteadyStateZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed test")
+	}
+	res := testing.Benchmark(BenchmarkScatterCombineFragment)
+	if res.N < 500 {
+		// the job's ~200 setup allocations are not amortized to zero (a
+		// slow or instrumented build, e.g. -race) — don't assert on noise
+		t.Skipf("only %d iterations, setup not amortized", res.N)
+	}
+	if a := res.AllocsPerOp(); a > 0 {
+		t.Errorf("steady-state scatter allocates %d allocs/superstep, want 0", a)
+	}
 }
 
 func BenchmarkAggregatorSum(b *testing.B) {

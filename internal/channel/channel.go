@@ -13,6 +13,7 @@ package channel
 
 import (
 	"repro/internal/engine"
+	"repro/internal/frag"
 	"repro/internal/ser"
 )
 
@@ -46,7 +47,46 @@ func (s *stamped[T]) get(i int, e int32) (T, bool) {
 	return zero, false
 }
 
-func (s *stamped[T]) fresh(i int, e int32) bool { return s.epoch[i] == e }
+// merge delivers v to slot i in epoch e: the epoch's first value is
+// stored, later ones are combined into it.
+func (s *stamped[T]) merge(i int, v T, e int32, combine Combiner[T]) {
+	if s.epoch[i] == e {
+		v = combine(s.val[i], v)
+	}
+	s.set(i, v, e)
+}
+
+// edgeReg collects the (source local index, packed destination address)
+// pairs the current vertex registers through a channel's AddAddr.
+type edgeReg struct {
+	src  []uint32
+	addr []frag.Addr
+}
+
+func (r *edgeReg) add(src int, a frag.Addr) {
+	r.src = append(r.src, uint32(src))
+	r.addr = append(r.addr, a)
+}
+
+// csr groups the registered edges by source with a stable counting
+// sort: a CSR over n local vertices, each vertex's addresses in
+// registration order.
+func (r *edgeReg) csr(n int) (offsets []uint64, adj []frag.Addr) {
+	offsets = make([]uint64, n+1)
+	for _, s := range r.src {
+		offsets[s+1]++
+	}
+	for i := 1; i <= n; i++ {
+		offsets[i] += offsets[i-1]
+	}
+	adj = make([]frag.Addr, len(r.addr))
+	fill := append([]uint64(nil), offsets[:n]...)
+	for i, s := range r.src {
+		adj[fill[s]] = r.addr[i]
+		fill[s]++
+	}
+	return offsets, adj
+}
 
 // denseOut is the dense per-destination-worker staging area shared by
 // the combining channels: one value slot per remote vertex, addressed by

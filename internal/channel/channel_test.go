@@ -230,8 +230,8 @@ func TestScatterCombineStaticPattern(t *testing.T) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
 			case 1:
-				sc.AddEdge((id + 1) % n)
-				sc.AddEdge((id + n - 1) % n)
+				sc.AddAddr(w.Addr((id + 1) % n))
+				sc.AddAddr(w.Addr((id + n - 1) % n))
 				sc.SetMessage(id)
 			case 2:
 				if v, ok := sc.Message(li); ok {
@@ -269,7 +269,7 @@ func TestScatterCombineSkipsSilentVertices(t *testing.T) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
 			case 1:
-				sc.AddEdge((id + 1) % n)
+				sc.AddAddr(w.Addr((id + 1) % n))
 				if id%2 == 0 {
 					sc.SetMessage(100)
 				}
@@ -306,8 +306,8 @@ func TestScatterCombineMessageBytesBelowDirect(t *testing.T) {
 				switch w.Superstep() {
 				case 1:
 					if scatter {
-						sc.AddEdge(0)
-						sc.AddEdge(1)
+						sc.AddAddr(w.Addr(0))
+						sc.AddAddr(w.Addr(1))
 					}
 				case 2, 3, 4:
 					if scatter {

@@ -42,118 +42,76 @@ func ckptDone(buf *ser.Buffer) {
 	}
 }
 
-func ckptLen(buf *ser.Buffer, per int) int {
+// ckptLen reads an entry count and panics when the blob cannot hold
+// that many entries (each takes at least one byte).
+func ckptLen(buf *ser.Buffer) int {
 	n := int(buf.ReadUvarint())
-	if per < 1 {
-		per = 1
-	}
-	if n < 0 || n*per > buf.Remaining() {
+	if n < 0 || n > buf.Remaining() {
 		panic(fmt.Sprintf("channel: checkpoint blob claims %d entries, %d bytes remain", n, buf.Remaining()))
 	}
 	return n
 }
 
-func saveEdges(buf *ser.Buffer, edges []scEdge) {
-	buf.WriteUvarint(uint64(len(edges)))
-	for _, e := range edges {
-		buf.WriteUvarint(uint64(e.addr))
-		buf.WriteVarint(int64(e.src))
-	}
-}
-
-func loadEdges(buf *ser.Buffer) []scEdge {
-	n := ckptLen(buf, 2)
-	if n == 0 {
-		return nil
-	}
-	edges := make([]scEdge, n)
-	for i := range edges {
-		edges[i].addr = frag.Addr(buf.ReadUvarint())
-		edges[i].src = int32(buf.ReadVarint())
-	}
-	return edges
-}
-
-func saveInt32s(buf *ser.Buffer, s []int32) {
+// saveInts / loadInts carry the integer tables of the channel blobs:
+// local indices, CSR offsets, slots (-1 = none), packed addresses.
+func saveInts[T ~int32 | ~uint32 | ~uint64](buf *ser.Buffer, s []T) {
 	buf.WriteUvarint(uint64(len(s)))
 	for _, v := range s {
 		buf.WriteVarint(int64(v))
 	}
 }
 
-func loadInt32s(buf *ser.Buffer) []int32 {
-	n := ckptLen(buf, 1)
+func loadInts[T ~int32 | ~uint32 | ~uint64](buf *ser.Buffer) []T {
+	n := ckptLen(buf)
 	if n == 0 {
 		return nil
 	}
-	s := make([]int32, n)
+	s := make([]T, n)
 	for i := range s {
-		s[i] = int32(buf.ReadVarint())
+		s[i] = T(buf.ReadVarint())
 	}
 	return s
 }
 
-func saveInts(buf *ser.Buffer, s []int) {
-	buf.WriteUvarint(uint64(len(s)))
-	for _, v := range s {
-		buf.WriteVarint(int64(v))
-	}
-}
-
-func loadInts(buf *ser.Buffer) []int {
-	n := ckptLen(buf, 1)
-	if n == 0 {
-		return nil
-	}
-	s := make([]int, n)
-	for i := range s {
-		s[i] = int(buf.ReadVarint())
-	}
-	return s
-}
-
-func saveAddrs(buf *ser.Buffer, s []frag.Addr) {
-	buf.WriteUvarint(uint64(len(s)))
-	for _, a := range s {
-		buf.WriteUvarint(uint64(a))
-	}
-}
-
-func loadAddrs(buf *ser.Buffer) []frag.Addr {
-	n := ckptLen(buf, 1)
-	if n == 0 {
-		return nil
-	}
-	s := make([]frag.Addr, n)
-	for i := range s {
-		s[i] = frag.Addr(buf.ReadUvarint())
-	}
-	return s
-}
-
-// SaveState implements engine.StatefulChannel: the sorted edge list and
-// per-worker segments are topology registered in an earlier compute
-// phase, invisible to replay. Source values and the receive side are
-// epoch-stamped and rebuilt by replaying the cut superstep's frames.
+// SaveState implements engine.StatefulChannel. An adopted plan belongs
+// to the fragment and is adopted again by the restoring job's setup, so
+// only the flags and the receiver-side destination lists (which arrived
+// in an earlier superstep's frames) are persisted; a private plan is
+// saved as its AddAddr registrations and rebuilt. Source values and the
+// receive side are epoch-stamped and rebuilt by replaying the cut
+// superstep's frames.
 func (c *ScatterCombine[M]) SaveState(buf *ser.Buffer) {
-	buf.WriteBool(c.prepared)
 	buf.WriteVarint(int64(c.setEpoch))
-	if !c.prepared {
-		return
+	buf.WriteBool(c.handshaken)
+	saveInts(buf, c.reg.src)
+	saveInts(buf, c.reg.addr)
+	for _, tab := range c.tab {
+		saveInts(buf, tab)
 	}
-	saveEdges(buf, c.edges)
-	saveInts(buf, c.segStart)
-	saveInts(buf, c.segEnd)
 }
 
 // RestoreState implements engine.StatefulChannel.
 func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
-	c.prepared = buf.ReadBool()
 	c.setEpoch = int32(buf.ReadVarint())
-	if c.prepared {
-		c.edges = loadEdges(buf)
-		c.segStart = loadInts(buf)
-		c.segEnd = loadInts(buf)
+	c.handshaken = buf.ReadBool()
+	c.reg = edgeReg{src: loadInts[uint32](buf), addr: loadInts[frag.Addr](buf)}
+	if len(c.reg.src) != len(c.reg.addr) || len(c.reg.addr) > 0 && c.plan != nil {
+		panic("channel: checkpoint edge registrations do not match the job's ScatterCombine")
+	}
+	if len(c.reg.addr) > 0 {
+		c.buildPrivatePlan()
+	}
+	if c.handshaken && c.plan == nil {
+		panic("channel: checkpoint is past the ScatterCombine handshake but the job has no plan")
+	}
+	locals := uint32(len(c.in.val))
+	for src := range c.tab {
+		c.tab[src] = loadInts[uint32](buf)
+		for _, li := range c.tab[src] {
+			if li >= locals {
+				panic(fmt.Sprintf("channel: checkpoint destination %d, worker hosts %d vertices", li, locals))
+			}
+		}
 	}
 	ckptDone(buf)
 }
@@ -166,11 +124,11 @@ func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
 func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
 	buf.WriteBool(c.prepared)
 	if c.prepared {
-		saveInt32s(buf, c.offsets)
-		saveAddrs(buf, c.adj)
+		saveInts(buf, c.offsets)
+		saveInts(buf, c.adj)
 		buf.WriteBool(c.adjW != nil)
 		if c.adjW != nil {
-			saveInt32s(buf, c.adjW)
+			saveInts(buf, c.adjW)
 		}
 	}
 	buf.WriteUvarint(uint64(len(c.val)))
@@ -180,7 +138,7 @@ func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
 			c.codec.Encode(buf, c.val[li])
 		}
 	}
-	saveInt32s(buf, c.queue[c.head:])
+	saveInts(buf, c.queue[c.head:])
 	buf.WriteVarint(int64(c.finalEpoch))
 }
 
@@ -188,11 +146,11 @@ func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
 func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 	c.prepared = buf.ReadBool()
 	if c.prepared {
-		c.offsets = loadInt32s(buf)
-		c.adj = loadAddrs(buf)
+		c.offsets = loadInts[int32](buf)
+		c.adj = loadInts[frag.Addr](buf)
 		c.adjW = nil
 		if buf.ReadBool() {
-			c.adjW = loadInt32s(buf)
+			c.adjW = loadInts[int32](buf)
 		}
 	}
 	c.building = nil
@@ -208,7 +166,7 @@ func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 			c.val[li] = zero
 		}
 	}
-	c.queue = loadInt32s(buf)
+	c.queue = loadInts[int32](buf)
 	c.head = 0
 	for i := range c.queued {
 		c.queued[i] = false
@@ -236,20 +194,20 @@ func (c *Mirror[M]) SaveState(buf *ser.Buffer) {
 	for _, tables := range c.fanout {
 		buf.WriteUvarint(uint64(len(tables)))
 		for _, lst := range tables {
-			saveInt32s(buf, lst)
+			saveInts(buf, lst)
 		}
 	}
 	if !c.prepared {
 		return
 	}
 	buf.WriteBool(c.handshake)
-	saveInt32s(buf, c.srcStart)
-	saveEdges(buf, c.bySrc)
-	saveInt32s(buf, c.hubSlot)
-	saveInt32s(buf, c.hubLi)
+	saveInts(buf, c.srcStart)
+	saveInts(buf, c.bySrc)
+	saveInts(buf, c.hubSlot)
+	saveInts(buf, c.hubLi)
 	buf.WriteUvarint(uint64(len(c.dstHubs)))
 	for _, hubs := range c.dstHubs {
-		saveInt32s(buf, hubs)
+		saveInts(buf, hubs)
 	}
 	buf.WriteVarint(int64(c.stagedStep))
 }
@@ -258,29 +216,29 @@ func (c *Mirror[M]) SaveState(buf *ser.Buffer) {
 func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 	c.prepared = buf.ReadBool()
 	c.setEpoch = int32(buf.ReadVarint())
-	if n := ckptLen(buf, 1); n != len(c.fanout) {
+	if n := ckptLen(buf); n != len(c.fanout) {
 		panic(fmt.Sprintf("channel: checkpoint has %d fan-out tables, job has %d workers", n, len(c.fanout)))
 	}
 	for src := range c.fanout {
-		tables := make([][]int32, ckptLen(buf, 1))
+		tables := make([][]int32, ckptLen(buf))
 		for i := range tables {
-			tables[i] = loadInt32s(buf)
+			tables[i] = loadInts[int32](buf)
 		}
 		if len(tables) == 0 {
 			tables = nil
 		}
 		c.fanout[src] = tables
 	}
-	c.building = nil
+	c.building = edgeReg{}
 	if c.prepared {
 		c.handshake = buf.ReadBool()
-		c.srcStart = loadInt32s(buf)
-		c.bySrc = loadEdges(buf)
-		c.hubSlot = loadInt32s(buf)
-		c.hubLi = loadInt32s(buf)
-		c.dstHubs = make([][]int32, ckptLen(buf, 1))
+		c.srcStart = loadInts[uint64](buf)
+		c.bySrc = loadInts[frag.Addr](buf)
+		c.hubSlot = loadInts[int32](buf)
+		c.hubLi = loadInts[int32](buf)
+		c.dstHubs = make([][]int32, ckptLen(buf))
 		for i := range c.dstHubs {
-			c.dstHubs[i] = loadInt32s(buf)
+			c.dstHubs[i] = loadInts[int32](buf)
 		}
 		c.stagedStep = int32(buf.ReadVarint())
 		c.low = newDenseOut[M](c.w)
@@ -294,29 +252,29 @@ func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 // sends. The response side (asked, resp, gotResp, respEpoch) is rebuilt
 // entirely by replaying the two saved rounds.
 func (c *RequestRespond[R]) SaveState(buf *ser.Buffer) {
-	saveAddrs(buf, c.reqOf.val)
-	saveInt32s(buf, c.reqOf.epoch)
+	saveInts(buf, c.reqOf.val)
+	saveInts(buf, c.reqOf.epoch)
 	buf.WriteUvarint(uint64(len(c.pending)))
 	for _, lst := range c.pending {
-		saveAddrs(buf, lst)
+		saveInts(buf, lst)
 	}
 	buf.WriteBool(c.sentReq)
 }
 
 // RestoreState implements engine.StatefulChannel.
 func (c *RequestRespond[R]) RestoreState(buf *ser.Buffer) {
-	val := loadAddrs(buf)
-	epoch := loadInt32s(buf)
+	val := loadInts[frag.Addr](buf)
+	epoch := loadInts[int32](buf)
 	if len(val) != len(c.reqOf.val) || len(epoch) != len(c.reqOf.epoch) {
 		panic(fmt.Sprintf("channel: checkpoint has %d request stamps, worker hosts %d", len(val), len(c.reqOf.val)))
 	}
 	copy(c.reqOf.val, val)
 	copy(c.reqOf.epoch, epoch)
-	if n := ckptLen(buf, 1); n != len(c.pending) {
+	if n := ckptLen(buf); n != len(c.pending) {
 		panic(fmt.Sprintf("channel: checkpoint has %d pending lists, job has %d workers", n, len(c.pending)))
 	}
 	for o := range c.pending {
-		c.pending[o] = loadAddrs(buf)
+		c.pending[o] = loadInts[frag.Addr](buf)
 	}
 	c.sentReq = buf.ReadBool()
 	c.round = 0

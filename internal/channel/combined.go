@@ -75,11 +75,7 @@ func (c *CombinedMessage[M]) Deserialize(src int, buf *ser.Buffer) {
 	for i := 0; i < n; i++ {
 		li := int(buf.ReadUvarint())
 		m := c.codec.Decode(buf)
-		if old, ok := c.in.get(li, e); ok {
-			c.in.set(li, c.combine(old, m), e)
-		} else {
-			c.in.set(li, m, e)
-		}
+		c.in.merge(li, m, e, c.combine)
 		c.w.ActivateLocal(li)
 	}
 }

@@ -38,14 +38,14 @@ type Mirror[M any] struct {
 	threshold int
 
 	// registration (one superstep)
-	building []scEdge
+	building edgeReg
 	prepared bool
 
-	// sender side, after preparation: all edges grouped by source; each
-	// entry carries the packed destination address, so both the staging
-	// scan and the handshake read (owner, local) without the partition
-	bySrc    []scEdge
-	srcStart []int32 // len n+1
+	// sender side, after preparation: the packed destination addresses
+	// of all edges grouped by source, so both the staging scan and the
+	// handshake read (owner, local) without the partition
+	bySrc    []frag.Addr
+	srcStart []uint64 // len n+1
 	// hubs: local vertices with degree >= threshold
 	hubSlot []int32 // local vertex -> hub slot or -1
 	hubLi   []int32 // hub slot -> local vertex
@@ -99,7 +99,7 @@ func (c *Mirror[M]) AddAddr(a frag.Addr) {
 	if c.prepared {
 		panic("channel: Mirror edge registration after preparation")
 	}
-	c.building = append(c.building, scEdge{addr: a, src: int32(c.w.CurrentLocal())})
+	c.building.add(c.w.CurrentLocal(), a)
 }
 
 // SetMessage sets the value the current vertex broadcasts to all its
@@ -127,21 +127,8 @@ func (c *Mirror[M]) Initialize() {
 func (c *Mirror[M]) prepare() {
 	n := c.w.LocalCount()
 	m := c.w.NumWorkers()
-	c.srcStart = make([]int32, n+1)
-	for _, e := range c.building {
-		c.srcStart[e.src+1]++
-	}
-	for i := 1; i <= n; i++ {
-		c.srcStart[i] += c.srcStart[i-1]
-	}
-	c.bySrc = make([]scEdge, len(c.building))
-	fill := make([]int32, n)
-	copy(fill, c.srcStart[:n])
-	for _, e := range c.building {
-		c.bySrc[fill[e.src]] = e
-		fill[e.src]++
-	}
-	c.building = nil
+	c.srcStart, c.bySrc = c.building.csr(n)
+	c.building = edgeReg{}
 
 	c.hubSlot = make([]int32, n)
 	c.dstHubs = make([][]int32, m)
@@ -158,8 +145,8 @@ func (c *Mirror[M]) prepare() {
 		for i := range seen {
 			seen[i] = false
 		}
-		for _, e := range c.bySrc[c.srcStart[li]:c.srcStart[li+1]] {
-			if o := e.addr.Worker(); !seen[o] {
+		for _, a := range c.bySrc[c.srcStart[li]:c.srcStart[li+1]] {
+			if o := a.Worker(); !seen[o] {
 				seen[o] = true
 				c.dstHubs[o] = append(c.dstHubs[o], slot)
 			}
@@ -172,7 +159,7 @@ func (c *Mirror[M]) prepare() {
 
 // AfterCompute implements engine.Channel.
 func (c *Mirror[M]) AfterCompute() {
-	if !c.prepared && len(c.building) > 0 {
+	if !c.prepared && len(c.building.addr) > 0 {
 		c.prepare()
 	}
 }
@@ -190,7 +177,7 @@ func (c *Mirror[M]) stageLowDegree(e int32) {
 			continue
 		}
 		for p := c.srcStart[li]; p < c.srcStart[li+1]; p++ {
-			a := c.bySrc[p].addr
+			a := c.bySrc[p]
 			c.low.stage(a.Worker(), a.Local(), v, c.combine)
 		}
 	}
@@ -214,13 +201,13 @@ func (c *Mirror[M]) Serialize(dst int, buf *ser.Buffer) {
 			end := c.srcStart[li+1]
 			cnt := 0
 			for p := seg; p < end; p++ {
-				if c.bySrc[p].addr.Worker() == dst {
+				if c.bySrc[p].Worker() == dst {
 					cnt++
 				}
 			}
 			buf.WriteUvarint(uint64(cnt))
 			for p := seg; p < end; p++ {
-				if a := c.bySrc[p].addr; a.Worker() == dst {
+				if a := c.bySrc[p]; a.Worker() == dst {
 					buf.WriteUvarint(uint64(a.Local()))
 				}
 			}
@@ -272,11 +259,7 @@ func (c *Mirror[M]) Deserialize(src int, buf *ser.Buffer) {
 	case mirrorFrameBroadcast:
 		e := int32(c.w.Superstep())
 		deliver := func(li int32, m M) {
-			if old, ok := c.in.get(int(li), e); ok {
-				c.in.set(int(li), c.combine(old, m), e)
-			} else {
-				c.in.set(int(li), m, e)
-			}
+			c.in.merge(int(li), m, e, c.combine)
 			c.w.ActivateLocal(int(li))
 		}
 		hubs := int(buf.ReadUint32())

@@ -1,49 +1,66 @@
 package channel
 
 import (
+	"fmt"
+
 	"repro/internal/engine"
 	"repro/internal/frag"
-	"repro/internal/graph"
 	"repro/internal/ser"
 )
 
 // ScatterCombine is the optimized channel for the static messaging
 // pattern (paper §IV-C1, Fig. 5): every vertex sends one value to all of
 // its registered neighbors each superstep, and the receiver needs only
-// the combined value. The edge list is sorted by destination once, at
-// initialization; from then on each superstep produces the combined
-// per-destination messages with a single linear scan — no hashing, no
-// per-message routing, and vertex identifiers are transmitted once per
-// unique destination instead of once per edge (the source of both the
-// 3x runtime gain and the message-size reduction in Table V).
+// the combined value. The pre-calculation of Fig. 5 is a
+// frag.ScatterPlan — the edges transposed and sorted by destination,
+// per destination worker. UseFragment adopts the plan of the worker's
+// whole fragment zero-copy: it is derived once per cached view, shared
+// by every job that runs on the view and charged to the catalog budget.
+// AddAddr (the paper's add_edge) registers a custom edge set instead,
+// whose plan the same builder produces privately when the registering
+// superstep ends. Either way a superstep is one gather-reduce over the
+// plan in run order — no hashing, no per-message routing.
+//
+// Wire format: because the destination set never changes, the sender
+// ships each destination worker its ascending destination-index list
+// once, in the frame of the first superstep in which any local vertex
+// scatters; from then on a frame is a flags byte followed by one
+// combined value per listed destination, in list order. In a superstep
+// where some source vertex stayed silent a destination may have
+// received nothing, so each group of eight destinations is preceded by
+// a presence byte and absent values are omitted. Identifiers therefore
+// cross the wire once per job instead of once per value — the source of
+// both the runtime gain and the message-size reduction in Table V.
 type ScatterCombine[M any] struct {
 	w       *engine.Worker
 	codec   ser.Codec[M]
 	combine Combiner[M]
 
-	// edge registration (superstep 1): (src local index, packed dst addr)
-	edges    []scEdge
-	prepared bool
-	// after preparation: edges sorted by packed address, i.e. by
-	// (dst worker, dst local index); seg[d] is the subrange destined to
-	// worker d.
-	segStart []int
-	segEnd   []int
+	plan *frag.ScatterPlan
+	reg  edgeReg // AddAddr registrations; non-empty iff plan is private
 
 	// per-superstep source values, epoch-stamped by SetMessage
 	srcVal stamped[M]
 	// setEpoch is the superstep of the latest SetMessage; supersteps in
-	// which no local vertex scatters skip the edge scan entirely (in a
+	// which no local vertex scatters skip the plan scan entirely (in a
 	// multi-phase algorithm like S-V most supersteps do not scatter).
 	setEpoch int32
-	// receiver side: dense slot per local vertex
-	in stamped[M]
+	// dense: every plan source called SetMessage this superstep, so the
+	// scan needs no freshness checks and every destination has a value
+	dense bool
+	// handshaken: the destination lists have been shipped
+	handshaken bool
+
+	// receiver side: tab[src] is the destination list worker src's
+	// frames are ordered by; in is the dense slot per local vertex
+	tab [][]uint32
+	in  stamped[M]
 }
 
-type scEdge struct {
-	addr frag.Addr // pre-resolved (owner, local) destination address
-	src  int32     // local index of the source vertex
-}
+const (
+	scFrameTable   = 1 << 0 // the destination list precedes the values
+	scFramePartial = 1 << 1 // presence bytes are interleaved with the values
+)
 
 // NewScatterCombine creates and registers a ScatterCombine channel.
 func NewScatterCombine[M any](w *engine.Worker, codec ser.Codec[M], combine Combiner[M]) *ScatterCombine[M] {
@@ -52,34 +69,26 @@ func NewScatterCombine[M any](w *engine.Worker, codec ser.Codec[M], combine Comb
 	return c
 }
 
-// AddEdge registers an outgoing edge of the vertex currently computing
-// (paper: add_edge(dst)). All edges must be added before the first
-// superstep in which SetMessage is called; adding later panics.
-// Transitional id-based entry point; AddAddr takes the pre-resolved
-// address directly.
-func (c *ScatterCombine[M]) AddEdge(dst graph.VertexID) {
-	c.AddAddr(c.w.Addr(dst))
+// UseFragment makes every local vertex scatter along all of its
+// fragment edges — the whole-graph case of PageRank and S-V — by
+// adopting the fragment's cached plan. Call it once per worker from the
+// setup function, instead of AddAddr loops.
+func (c *ScatterCombine[M]) UseFragment(f *frag.Fragment) {
+	if c.plan != nil || len(c.reg.addr) > 0 {
+		panic("channel: ScatterCombine.UseFragment after edge registration")
+	}
+	c.plan = f.ScatterPlan()
 }
 
 // AddAddr registers an outgoing edge of the vertex currently computing
-// by its packed destination address (typically straight out of
-// Frag().Neighbors).
+// by its packed destination address (paper: add_edge(dst); resolve a
+// vertex id with Worker.Addr). All edges must be added within one
+// superstep, no later than the first SetMessage; adding later panics.
 func (c *ScatterCombine[M]) AddAddr(a frag.Addr) {
-	if c.prepared {
-		panic("channel: ScatterCombine edge registration after first send")
+	if c.plan != nil {
+		panic("channel: ScatterCombine edge registration after the plan was built")
 	}
-	c.edges = append(c.edges, scEdge{addr: a, src: int32(c.w.CurrentLocal())})
-}
-
-// Grow pre-allocates registration capacity for n more edges (e.g.
-// Frag().NumEdges() once per worker before the AddAddr loops), avoiding
-// append growth during registration.
-func (c *ScatterCombine[M]) Grow(n int) {
-	if free := cap(c.edges) - len(c.edges); free < n {
-		grown := make([]scEdge, len(c.edges), len(c.edges)+n)
-		copy(grown, c.edges)
-		c.edges = grown
-	}
+	c.reg.add(c.w.CurrentLocal(), a)
 }
 
 // SetMessage sets the value the current vertex scatters to all its
@@ -100,149 +109,173 @@ func (c *ScatterCombine[M]) Message(li int) (M, bool) {
 func (c *ScatterCombine[M]) Initialize() {
 	c.srcVal = newStamped[M](c.w.LocalCount())
 	c.in = newStamped[M](c.w.LocalCount())
+	c.tab = make([][]uint32, c.w.NumWorkers())
 }
 
-// prepare sorts the registered edges by packed address — which is
-// exactly (destination worker, destination local index) order — and
-// records the per-worker segments: the pre-calculation of Fig. 5. The
-// sort is a 3-pass LSD radix over the 48 significant address bits,
-// which is what keeps the one-time preprocessing cheap relative to a
-// comparison sort.
-func (c *ScatterCombine[M]) prepare() {
-	radixSortEdges(c.edges)
-	m := c.w.NumWorkers()
-	c.segStart = make([]int, m)
-	c.segEnd = make([]int, m)
-	i := 0
-	for d := 0; d < m; d++ {
-		c.segStart[d] = i
-		for i < len(c.edges) && c.edges[i].addr.Worker() == d {
-			i++
-		}
-		c.segEnd[d] = i
+// buildPrivatePlan turns the AddAddr registrations into a plan with the
+// builder the fragment plans come from.
+func (c *ScatterCombine[M]) buildPrivatePlan() {
+	counts := make([]int, c.w.NumWorkers())
+	for d := range counts {
+		counts[d] = c.w.Part().LocalCount(d)
 	}
-	c.prepared = true
-}
-
-// radixSortEdges sorts edges by raw packed address with a stable LSD
-// radix sort over 16-bit digits (local low, local high, worker). Each
-// pass's bucket array is sized by the digit values actually present:
-// local indices are dense per worker, so the high local digit vanishes
-// below 65536 locals and the worker digit needs only maxWorker+1
-// buckets — the common case pays two small passes, not three 65536-way
-// ones.
-func radixSortEdges(edges []scEdge) {
-	if len(edges) < 2 {
-		return
-	}
-	var maxLocal uint32
-	maxWorker := 0
-	for _, e := range edges {
-		if l := e.addr.Local(); l > maxLocal {
-			maxLocal = l
-		}
-		if w := e.addr.Worker(); w > maxWorker {
-			maxWorker = w
-		}
-	}
-	buf := make([]scEdge, len(edges))
-	src, dst := edges, buf
-	pass := func(shift uint, buckets int) {
-		count := make([]int, buckets+1)
-		for _, e := range src {
-			count[((e.addr>>shift)&0xFFFF)+1]++
-		}
-		for i := 1; i <= buckets; i++ {
-			count[i] += count[i-1]
-		}
-		for _, e := range src {
-			k := (e.addr >> shift) & 0xFFFF
-			dst[count[k]] = e
-			count[k]++
-		}
-		src, dst = dst, src
-	}
-	low := int(maxLocal)
-	if low > 0xFFFF {
-		low = 0xFFFF
-	}
-	pass(0, low+1)
-	if maxLocal >= 1<<16 {
-		pass(16, int(maxLocal>>16)+1)
-	}
-	if maxWorker > 0 {
-		pass(32, maxWorker+1)
-	}
-	if &src[0] != &edges[0] {
-		copy(edges, src)
-	}
+	offsets, adj := c.reg.csr(c.w.LocalCount())
+	c.plan = frag.NewScatterPlan(counts, offsets, adj)
 }
 
 // AfterCompute implements engine.Channel.
 func (c *ScatterCombine[M]) AfterCompute() {
-	if !c.prepared && len(c.edges) > 0 {
-		c.prepare()
+	if c.plan == nil && len(c.reg.addr) > 0 {
+		c.buildPrivatePlan()
+	}
+	e := int32(c.w.Superstep())
+	c.dense = c.plan != nil && c.setEpoch == e
+	if c.dense {
+		for _, s := range c.plan.Sources {
+			if c.srcVal.epoch[s] != e {
+				c.dense = false
+				break
+			}
+		}
 	}
 }
 
-// Serialize implements engine.Channel: one linear scan of the sorted
-// segment for dst, combining runs of equal destination on the fly. The
-// wire local index is read straight off the packed address — no
-// partition lookup anywhere in the scan.
+// Serialize implements engine.Channel: one gather-reduce over the plan
+// segment for dst. A run's sources are combined in ascending local
+// index, whichever path runs.
 func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 	e := int32(c.w.Superstep())
-	if !c.prepared || c.setEpoch != e {
+	if c.plan == nil || c.setEpoch != e {
 		return
 	}
-	i, end := c.segStart[dst], c.segEnd[dst]
-	countPos := -1
-	count := uint32(0)
-	for i < end {
-		d := c.edges[i].addr
+	seg := &c.plan.To[dst]
+	if len(seg.Dst) == 0 {
+		return
+	}
+	mark := buf.Len()
+	var flags uint8
+	if !c.handshaken {
+		flags |= scFrameTable
+	}
+	if !c.dense {
+		flags |= scFramePartial
+	}
+	buf.WriteUint8(flags)
+	if !c.handshaken {
+		buf.WriteUvarint(uint64(len(seg.Dst)))
+		prev := uint32(0)
+		for _, l := range seg.Dst {
+			buf.WriteUvarint(uint64(l - prev)) // ascending: gaps stay small
+			prev = l
+		}
+	}
+	val, src, combine, i := c.srcVal.val, seg.Src, c.combine, uint32(0)
+	if c.dense {
+		for _, end := range seg.End {
+			acc := val[src[i]]
+			for _, s := range src[i+1 : end] {
+				acc = combine(acc, val[s])
+			}
+			i = end
+			c.codec.Encode(buf, acc)
+		}
+		return
+	}
+	fresh := c.srcVal.epoch
+	sent, presence := 0, 0
+	for k, end := range seg.End {
+		if k&7 == 0 {
+			presence = buf.Len()
+			buf.WriteUint8(0)
+		}
 		var acc M
 		have := false
-		for ; i < end && c.edges[i].addr == d; i++ {
-			v, ok := c.srcVal.get(int(c.edges[i].src), e)
-			if !ok {
+		for _, s := range src[i:end] {
+			if fresh[s] != e {
 				continue
 			}
 			if have {
-				acc = c.combine(acc, v)
+				acc = combine(acc, val[s])
 			} else {
-				acc, have = v, true
+				acc, have = val[s], true
 			}
 		}
-		if !have {
-			continue
+		i = end
+		if have {
+			buf.Bytes()[presence] |= 1 << (k & 7)
+			c.codec.Encode(buf, acc)
+			sent++
 		}
-		if countPos < 0 {
-			countPos = buf.Len()
-			buf.WriteUint32(0) // patched below
-		}
-		buf.WriteUvarint(uint64(d.Local()))
-		c.codec.Encode(buf, acc)
-		count++
 	}
-	if countPos >= 0 {
-		buf.PatchUint32(countPos, count)
+	if sent == 0 && c.handshaken {
+		buf.Truncate(mark) // nothing for this worker: no frame
 	}
 }
 
-// Deserialize implements engine.Channel.
+// Deserialize implements engine.Channel. Frames that arrived over a
+// socket are untrusted: anything that disagrees with the handshaken
+// destination list panics, which the engine reports as a worker error
+// naming this channel and src.
 func (c *ScatterCombine[M]) Deserialize(src int, buf *ser.Buffer) {
-	n := int(buf.ReadUint32())
+	flags := buf.ReadUint8()
+	if flags&^(scFrameTable|scFramePartial) != 0 {
+		panic(fmt.Sprintf("channel: ScatterCombine: unknown frame flags %#x", flags))
+	}
+	if flags&scFrameTable != 0 {
+		c.readTable(src, buf)
+	}
+	tab := c.tab[src]
+	if tab == nil {
+		panic("channel: ScatterCombine: values before any destination list")
+	}
 	e := int32(c.w.Superstep())
-	for i := 0; i < n; i++ {
-		li := int(buf.ReadUvarint())
-		m := c.codec.Decode(buf)
-		if old, ok := c.in.get(li, e); ok {
-			c.in.set(li, c.combine(old, m), e)
-		} else {
-			c.in.set(li, m, e)
+	var presence uint8
+	for k, li := range tab {
+		if flags&scFramePartial != 0 {
+			if k&7 == 0 {
+				presence = buf.ReadUint8()
+			}
+			if presence>>(k&7)&1 == 0 {
+				continue
+			}
 		}
-		c.w.ActivateLocal(li)
+		c.in.merge(int(li), c.codec.Decode(buf), e, c.combine)
+		c.w.ActivateLocal(int(li))
+	}
+	if n := buf.Remaining(); n != 0 {
+		panic(fmt.Sprintf("channel: ScatterCombine: %d bytes beyond the values of %d handshaken destinations", n, len(tab)))
 	}
 }
 
-// Again implements engine.Channel.
-func (c *ScatterCombine[M]) Again() bool { return false }
+// readTable decodes the one destination list worker src ever sends:
+// strictly ascending local indices of this worker, gap-encoded.
+func (c *ScatterCombine[M]) readTable(src int, buf *ser.Buffer) {
+	if c.tab[src] != nil {
+		panic("channel: ScatterCombine: second destination list")
+	}
+	locals := uint64(len(c.in.val))
+	n := buf.ReadUvarint()
+	if n == 0 || n > locals {
+		panic(fmt.Sprintf("channel: ScatterCombine: destination list of %d entries, worker hosts %d vertices", n, locals))
+	}
+	tab := make([]uint32, n)
+	li := uint64(0)
+	for k := range tab {
+		gap := buf.ReadUvarint()
+		if gap >= locals || k > 0 && gap == 0 || li+gap >= locals {
+			panic(fmt.Sprintf("channel: ScatterCombine: destination list entry %d out of order or >= %d local vertices", k, locals))
+		}
+		li += gap
+		tab[k] = uint32(li)
+	}
+	c.tab[src] = tab
+}
+
+// Again implements engine.Channel. The round of the first scattering
+// superstep carried the destination lists.
+func (c *ScatterCombine[M]) Again() bool {
+	if c.plan != nil && c.setEpoch == int32(c.w.Superstep()) {
+		c.handshaken = true
+	}
+	return false
+}

@@ -14,7 +14,7 @@
 //
 // Optimized channels (paper Table II):
 //
-//	NewScatterCombine   — static messaging pattern, presorted edges
+//	NewScatterCombine   — static messaging pattern, destination-sorted plan
 //	NewRequestRespond   — deduplicated request/ordered-reply conversation
 //	NewPropagation      — in-superstep asynchronous label propagation
 //

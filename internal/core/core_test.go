@@ -100,7 +100,7 @@ func TestFacadeAllChannelConstructors(t *testing.T) {
 				dm.SendMessage(id, 1)
 				cm.SendMessage(0, id)
 				for _, v := range g.Neighbors(id) {
-					sc.AddEdge(v)
+					sc.AddAddr(w.Addr(v))
 					pr.AddEdge(v)
 					wp.AddWeightedEdge(v, 1)
 				}

@@ -158,6 +158,7 @@ type Worker struct {
 
 	channels []Channel
 	chActive []bool
+	decoding Channel // whose Deserialize ran last, for the corrupt-frame report
 
 	active      []bool
 	activeCount int
@@ -390,13 +391,14 @@ func Run(cfg Config, setup func(w *Worker)) (Metrics, error) {
 // Buffers that arrived over a socket are untrusted: the envelope layer
 // returns errors (NextUvarint/NextFrame) and the recover turns a
 // panicking decode inside a channel's Deserialize — corrupt payload
-// content the channel reads past — into a worker error, so a bad frame
+// content the channel reads past or rejects — into a worker error
+// naming the channel and the source, so a bad frame
 // fails the job with a diagnostic instead of killing the process (and
 // every co-hosted worker with it).
 func (w *Worker) deserializeFrom(src int, sub *ser.Buffer) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: worker %d: corrupt frame content from worker %d: %v", w.id, src, r)
+			err = fmt.Errorf("engine: worker %d: corrupt frame content for %T from worker %d: %v", w.id, w.decoding, src, r)
 		}
 	}()
 	in := w.ep.In(src)
@@ -432,7 +434,8 @@ func (w *Worker) dispatchFrames(src int, in, sub *ser.Buffer, count bool) error 
 			w.obsCh[ci].BytesRecv += int64(sub.Remaining())
 			w.obsCh[ci].FramesRecv++
 		}
-		w.channels[ci].Deserialize(src, sub)
+		w.decoding = w.channels[ci]
+		w.decoding.Deserialize(src, sub)
 	}
 	return nil
 }

@@ -18,8 +18,7 @@
 // from the same (graph, partition) pair on different nodes agree):
 //
 //   - Addr packs (worker, local) as worker<<32 | local. Sorting raw
-//     Addr values therefore sorts by (worker, local), which is what the
-//     ScatterCombine presort relies on.
+//     Addr values therefore sorts by (worker, local).
 //   - A fragment's adjacency preserves the edge order of the source CSR
 //     within each vertex, and Weights (if present) stay parallel to Adj.
 //   - Fragment local indices are exactly the partition's local indices:
@@ -59,7 +58,8 @@ func Of(p *partition.Partition, v graph.VertexID) Addr {
 // Fragment is one worker's shared-nothing slice of the graph: a CSR
 // over the worker's local vertices whose adjacency entries are packed
 // addresses, plus the local-to-global id map. It is immutable after
-// Build and safe for concurrent readers.
+// Build and safe for concurrent readers (the lazily derived scatter
+// plan is built exactly once under its own sync.Once).
 type Fragment struct {
 	worker      int
 	numWorkers  int
@@ -70,6 +70,10 @@ type Fragment struct {
 	weights []int32          // parallel to adj; nil if unweighted
 	globals []graph.VertexID // local index -> global id (aliases the partition)
 	counts  []int            // per-worker local vertex counts
+
+	set      *Fragments // owning set: its DeriveHook is charged the plan
+	planOnce sync.Once
+	plan     *ScatterPlan
 }
 
 // WorkerID returns the worker this fragment belongs to.
@@ -131,15 +135,17 @@ func (f *Fragment) Weighted() bool { return f.weights != nil }
 func (f *Fragment) NumEdges() int { return len(f.adj) }
 
 // Fragments bundles the per-worker fragments of one (graph, partition)
-// pair. Immutable after Build (the lazily derived transpose is built
-// exactly once under its own sync.Once).
+// pair. Immutable after Build (the lazily derived transpose and the
+// per-fragment scatter plans are each built exactly once under their
+// own sync.Once).
 type Fragments struct {
 	Part  *partition.Partition
 	frags []*Fragment
 
 	// DeriveHook, if set, is called with the byte size of any lazily
-	// derived structure (currently the transpose) when it is built —
-	// the catalog charges those bytes to its LRU budget.
+	// derived structure (the transpose, a fragment's scatter plan) when
+	// it is built — the catalog charges those bytes to its LRU budget.
+	// It may be called from several workers' goroutines at once.
 	DeriveHook func(bytes int64)
 
 	revOnce sync.Once
@@ -172,7 +178,7 @@ func (fs *Fragments) Bytes() int64 {
 func (fs *Fragments) Reverse() *Fragments {
 	fs.revOnce.Do(func() {
 		m := len(fs.frags)
-		rev := &Fragments{Part: fs.Part, frags: make([]*Fragment, m)}
+		rev := &Fragments{Part: fs.Part, frags: make([]*Fragment, m), DeriveHook: fs.DeriveHook}
 		weighted := false
 		for w, f := range fs.frags {
 			rev.frags[w] = &Fragment{
@@ -182,6 +188,7 @@ func (fs *Fragments) Reverse() *Fragments {
 				offsets:     make([]uint64, f.LocalCount()+1),
 				globals:     f.globals,
 				counts:      f.counts,
+				set:         rev,
 			}
 			weighted = weighted || f.weights != nil
 		}
@@ -263,6 +270,7 @@ func Build(g *graph.Graph, p *partition.Partition) *Fragments {
 				offsets:     make([]uint64, len(locals)+1),
 				globals:     locals,
 				counts:      counts,
+				set:         fs,
 			}
 			var edges uint64
 			for li, id := range locals {

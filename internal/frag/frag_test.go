@@ -1,6 +1,9 @@
 package frag
 
 import (
+	"cmp"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -47,8 +50,7 @@ func TestAddrPackRoundTrip(t *testing.T) {
 }
 
 func TestAddrOrderIsWorkerLocalOrder(t *testing.T) {
-	// raw Addr order must equal lexicographic (worker, local) order —
-	// the ScatterCombine presort depends on it
+	// raw Addr order must equal lexicographic (worker, local) order
 	if !(Pack(0, 0xFFFFFFFF) < Pack(1, 0)) {
 		t.Error("addr order broken across workers")
 	}
@@ -190,5 +192,95 @@ func TestFragmentsReverse(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The scatter plan must be the destination-sorted transpose of the
+// fragment's adjacency — runs in ascending destination order, sources
+// ascending within a run — for every generator shape and placement,
+// cached on the fragment and charged to the derive hook exactly once
+// however many workers ask for it concurrently.
+func TestScatterPlanMatchesSortedEdges(t *testing.T) {
+	for gname, g := range testGraphs() {
+		for pname, p := range testPartitions(t, g, 3) {
+			fs := Build(g, p)
+			var mu sync.Mutex
+			var charged []int64
+			fs.DeriveHook = func(b int64) {
+				mu.Lock()
+				charged = append(charged, b)
+				mu.Unlock()
+			}
+			for w := 0; w < fs.NumWorkers(); w++ {
+				f := fs.Frag(w)
+				plans := make([]*ScatterPlan, 4)
+				var wg sync.WaitGroup
+				for i := range plans {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						plans[i] = f.ScatterPlan()
+					}(i)
+				}
+				wg.Wait()
+				plan := plans[0]
+				for _, other := range plans[1:] {
+					if other != plan {
+						t.Fatalf("%s/%s w%d: plan not cached", gname, pname, w)
+					}
+				}
+				if len(charged) != w+1 || charged[w] != plan.Bytes() || plan.Bytes() <= 0 {
+					t.Fatalf("%s/%s w%d: derive hook charged %v, plan holds %d bytes", gname, pname, w, charged, plan.Bytes())
+				}
+
+				type edge struct{ dst, src uint32 }
+				want := make([][]edge, fs.NumWorkers())
+				var sources []uint32
+				for li := 0; li < f.LocalCount(); li++ {
+					if f.OutDegree(li) > 0 {
+						sources = append(sources, uint32(li))
+					}
+					for _, a := range f.Neighbors(li) {
+						want[a.Worker()] = append(want[a.Worker()], edge{a.Local(), uint32(li)})
+					}
+				}
+				if !slices.Equal(plan.Sources, sources) {
+					t.Fatalf("%s/%s w%d: sources differ", gname, pname, w)
+				}
+				for d, seg := range plan.To {
+					slices.SortStableFunc(want[d], func(a, b edge) int { return cmp.Compare(a.dst, b.dst) })
+					var got []edge
+					start := uint32(0)
+					for k, dst := range seg.Dst {
+						if k > 0 && dst <= seg.Dst[k-1] {
+							t.Fatalf("%s/%s w%d->%d: destinations not strictly ascending", gname, pname, w, d)
+						}
+						if seg.End[k] <= start {
+							t.Fatalf("%s/%s w%d->%d: empty run", gname, pname, w, d)
+						}
+						for _, s := range seg.Src[start:seg.End[k]] {
+							got = append(got, edge{dst, s})
+						}
+						start = seg.End[k]
+					}
+					if int(start) != len(seg.Src) || !slices.Equal(got, want[d]) {
+						t.Fatalf("%s/%s w%d->%d: plan is not the sorted transpose", gname, pname, w, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A transpose's plans are charged to the same hook as the forward set's.
+func TestReverseFragmentsChargeScatterPlan(t *testing.T) {
+	g := graph.RMAT(7, 4, 3, graph.RMATOptions{NoSelfLoops: true})
+	fs := Build(g, partition.MustHash(g.NumVertices(), 2))
+	var charged int64
+	fs.DeriveHook = func(b int64) { charged += b }
+	rev := fs.Reverse()
+	before := charged
+	if plan := rev.Frag(1).ScatterPlan(); charged-before != plan.Bytes() {
+		t.Fatalf("reverse fragment plan of %d bytes charged %d", plan.Bytes(), charged-before)
 	}
 }

@@ -51,6 +51,12 @@ func TestTable5Sections(t *testing.T) {
 		if ghost.NetBytes >= basic.NetBytes {
 			t.Errorf("%s: ghost bytes %d >= basic %d", basic.Dataset, ghost.NetBytes, basic.NetBytes)
 		}
+		// Table V's bytes column: scatter-combine ships each destination
+		// index once per job, the combined-message channel once per value
+		chanBasic, scatter := sc[i+2], sc[i+3]
+		if scatter.NetBytes >= chanBasic.NetBytes {
+			t.Errorf("%s: scatter bytes %d >= channel basic %d", basic.Dataset, scatter.NetBytes, chanBasic.NetBytes)
+		}
 	}
 
 	rr := Table5RequestRespond(d)
@@ -90,9 +96,14 @@ func TestTable6Composition(t *testing.T) {
 	// program 5 (both) must use the least network volume of the channel
 	// variants on both graphs (the composition payoff)
 	for i := 0; i+4 < len(rows); i += 5 {
-		basic, both := rows[i+1], rows[i+4]
+		basic, reqresp, both := rows[i+1], rows[i+2], rows[i+4]
 		if both.NetBytes >= basic.NetBytes {
 			t.Errorf("%s: composed bytes %d >= basic %d", basic.Dataset, both.NetBytes, basic.NetBytes)
+		}
+		// adding the scatter channel to the reqresp program must pay in
+		// bytes too, not only in time
+		if both.NetBytes >= reqresp.NetBytes {
+			t.Errorf("%s: composed bytes %d >= reqresp-only %d", basic.Dataset, both.NetBytes, reqresp.NetBytes)
 		}
 	}
 }

@@ -24,14 +24,18 @@
 // net/http/pprof under /debug/pprof/ for live CPU and heap profiles.
 // Logs go to stderr as logfmt lines (-log-level debug|info|warn|error).
 //
-// With -worker-procs N every job runs its simulated cluster as N
-// graphworker subprocesses joined over the socket fabric (Unix sockets)
-// instead of goroutines over shared memory: the daemon exports each
-// job's graph view plus owner vector as a binary snapshot, the
-// subprocesses rebuild identical partitions from it, and partial
-// results are merged back by vertex ownership. -graphworker-bin
-// overrides the worker executable (default: the graphworker binary next
-// to graphd).
+// With -worker-procs N every job runs its simulated cluster on a party
+// of N warm graphworker processes joined over the socket fabric (Unix
+// sockets) instead of goroutines over shared memory. The processes
+// outlive jobs — parties are started on demand, one per concurrently
+// running job (-workers bounds that), and reused — and so does what
+// they load: the daemon exports each graph view plus owner vector once,
+// as a binary snapshot that lives until the catalog frees the view, the
+// workers rebuild identical partitions from it on first use and keep
+// them, and partial results are merged back by vertex ownership.
+// Shutdown closes the pool; the workers also exit on their own if the
+// daemon dies. -graphworker-bin overrides the worker executable
+// (default: the graphworker binary next to graphd).
 //
 // A dataset spec is either a file path (text edge list, or a binary
 // snapshot written by graph.WriteBinary; "<path>.bin" siblings are
@@ -121,7 +125,7 @@ func main() {
 	maxGraphBytes := flag.Int64("max-graph-bytes", 0, "approximate catalog byte budget (0 = unlimited)")
 	compactOps := flag.Int("compact-ops", 0, "live datasets: compact once this many delta ops are pending (0 = default 65536)")
 	compactBatches := flag.Int("compact-batches", 0, "live datasets: compact once this many delta batches are pending (0 = default 64)")
-	workerProcs := flag.Int("worker-procs", 0, "run each job's workers as this many graphworker subprocesses over the socket fabric (0 = in-process)")
+	workerProcs := flag.Int("worker-procs", 0, "run each job's workers on a party of this many warm graphworker processes over the socket fabric (0 = in-process)")
 	workerBin := flag.String("graphworker-bin", "", "graphworker executable for -worker-procs (default: sibling of graphd)")
 	dataPlane := flag.String("data-plane", "hub", "distributed jobs: data plane, hub (frames relayed by the coordinator), p2p (direct worker mesh with credit flow control) or p2p-adaptive (lazy mesh with auto-tuned windows)")
 	windowBytes := flag.Int("window-bytes", netcomm.DefaultWindowBytes, "distributed jobs with a p2p data plane: per-peer receive window in bytes (initial value on the adaptive plane)")
@@ -292,7 +296,7 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Warn("shutdown incomplete", "err", err)
 	}
-	mgr.Close()
+	mgr.Close() // drains the running jobs, then closes the worker pool: every graphworker is reaped
 	st := mgr.Stats()
 	fmt.Printf("graphd: done (ran %d jobs: %d done, %d failed, %d cancelled)\n",
 		st.Submitted, st.Done, st.Failed, st.Cancelled)

@@ -1,44 +1,54 @@
-// Command graphworker runs one process's share of a distributed
-// graphd job: it loads the job's graph from a binary snapshot, rebuilds
-// the partition from the owner vector embedded in it, joins the job's
-// socket fabric at the coordinator's hub address, executes its hosted
-// workers through the exact registry code path the in-process engines
-// use, and ships its partial result back over the control connection.
+// Command graphworker is one warm worker process of a graphd pool. It
+// is started by graphd (-worker-procs N) — or by any coordinator using
+// internal/workerproc — never by hand, and takes no flags: everything a
+// job needs arrives as a job descriptor.
 //
-// The hub connection is always the control plane (join, barrier,
-// abort, results, cost accounting). By default it also relays the data
-// frames; with -data-plane p2p the process instead opens a data
-// listener, receives the hub's peer directory, and exchanges frames
+// The process lives across jobs. Its stdin and stdout are its control
+// channel: the coordinator writes one length-prefixed descriptor per job
+// (algorithm, engine, variant and params; the hosted worker range; the
+// attempt's hub address and data-plane settings; the view export to run
+// on; checkpoint, restore and fault settings), the worker runs its share
+// and answers with one ack when it is ready for the next. End of input
+// is the only way it ends: the coordinator closed the pool, or died —
+// either way no worker is left behind.
+//
+// For each job the worker takes the graph view from its cache, keyed by
+// the path of the export it was loaded from — graph, partition rebuilt
+// from the embedded owner vector, fragments, and whatever the fragments
+// derived since (reverse adjacency, scatter plans) — and loads it only
+// on first sight. graphd writes one export per view and removes it when
+// the catalog frees that view; the worker drops its copy at the next
+// dispatch after the file is gone. It then joins the attempt's socket
+// fabric at the hub address, executes its hosted workers through the
+// exact registry code path the in-process engines use, and ships its
+// partial result back over the hub connection. A failure — an
+// unreadable export as much as a run error — travels in that result
+// blob and leaves the process alive and idle.
+//
+// The hub connection is always the control plane of a job (join,
+// barrier, abort, results, cost accounting). By default it also relays
+// the data frames; with the p2p data plane the process instead opens a
+// data listener, receives the hub's peer directory, and exchanges frames
 // directly with every other worker process under credit-based flow
-// control (-window-bytes per peer connection, default 4 MiB) — see
-// internal/netcomm. With -data-plane p2p-adaptive the mesh is lazy
-// (cold pairs ride the hub relay until -promote-bytes of traffic earn
-// them a direct connection) and each connection's window is retuned
-// per round within [-window-min, -window-max], starting from
-// -window-bytes.
-//
-// With -trace the worker also records a per-superstep telemetry trace
-// (compute time, barrier wait, flow-control send stalls, per-channel
-// bytes/frames, active vertices) and piggybacks the samples on its
-// partial result, so the coordinator can merge a job-wide timeline
-// with the same shape as an in-process run. Diagnostics go to stderr
-// as log/slog lines; when spawned by graphd, the coordinator forwards
-// each line tagged with the process's worker range.
-//
-// graphd spawns graphworkers itself when started with -worker-procs;
-// the command exists so the same protocol can cross machine boundaries:
-//
-//	graphworker -network tcp -connect coordinator:9000 \
-//	    -snapshot web.bin -placement hash -workers 2-3 -num-workers 8 \
-//	    -algorithm pagerank -engine channel
+// control; with p2p-adaptive the mesh is lazy and each connection's
+// window is retuned per round — see internal/netcomm. When the job asks
+// for it the worker also records a per-superstep telemetry trace and the
+// per-(src,dst) flow matrix and piggybacks both on its partial result.
+// Diagnostics go to stderr as log/slog lines; the coordinator forwards
+// each line tagged with the process's current worker range.
 package main
 
 import (
+	"fmt"
 	"os"
 
 	"repro/internal/workerproc"
 )
 
 func main() {
-	os.Exit(workerproc.Main(os.Args[1:], os.Stderr))
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "graphworker takes no arguments: it is started by graphd -worker-procs and reads job descriptors on stdin")
+		os.Exit(2)
+	}
+	os.Exit(workerproc.Main(os.Stdin, os.Stdout, os.Stderr))
 }

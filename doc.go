@@ -87,15 +87,25 @@
 // that routes frames, releases barrier crossings with the aggregated
 // reduce value, charges the simulated cost model from per-flush
 // reports, and turns a dropped connection into a job-wide barrier
-// abort. cmd/graphworker (internal/workerproc) is the worker process:
-// it rebuilds graph, partition and fragments from a binary snapshot
-// with an embedded owner vector, joins the hub, runs the registry code
-// path unchanged, and ships a compact partial result merged by vertex
-// ownership at the coordinator. graphd -worker-procs N runs every job
-// this way; the equivalence sweep pins the whole stack to
-// oracle-identical results across processes, placements, engines and
-// variants, and killing a worker process mid-superstep fails the job
-// with a joined error rather than a hang.
+// abort. cmd/graphworker (internal/workerproc) is the worker process,
+// and it is warm: graphd -worker-procs N keeps a pool of them, a job
+// borrows a party of N, and each process outlives the job. A worker
+// takes no flags — a job arrives as one length-prefixed, defensively
+// decoded descriptor on its stdin, an ack goes back on stdout, and end
+// of input (the pool closed, or graphd died) is what makes it exit, so
+// no worker is ever left behind. The view a job runs on is exported
+// once per view (binary snapshot with an embedded owner vector, in the
+// pool's directory, removed when the catalog frees the view) and cached
+// worker-side under that path — graph, rebuilt partition, fragments and
+// what they derive — so a repeat job ships no graph bytes, execs
+// nothing and builds nothing: it joins a fresh per-attempt hub, runs
+// the registry code path unchanged, and ships a compact partial result
+// merged by vertex ownership at the coordinator. The equivalence sweep
+// pins the whole stack to oracle-identical results across processes,
+// placements, engines, variants and data planes, all on the same warm
+// processes; killing a worker process mid-superstep fails the job with
+// a joined error rather than a hang (or, with recovery on, respawns
+// only that slot while the survivors re-join from the checkpoint).
 //
 // The socket fabric splits control plane from data plane. The hub
 // connection is always the control plane — join, barrier releases,

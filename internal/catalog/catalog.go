@@ -155,11 +155,15 @@ func (e *Entry) CurrentGraph() *graph.Graph {
 	return e.Graph
 }
 
-// close releases background resources (the live compactor). Idempotent.
+// close releases background resources (the live compactor) and, for a
+// static dataset, retires its views: the entry is leaving the catalog,
+// so nothing will hand them out again. Idempotent.
 func (e *Entry) close() {
 	e.closeOnce.Do(func() {
 		if e.liveGraph != nil {
 			e.liveGraph.Close()
+		} else {
+			e.epoch.Retire()
 		}
 	})
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"runtime/metrics"
 	"sort"
 	"sync"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/catalog"
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/workerproc"
@@ -147,6 +145,10 @@ type Manager struct {
 	queueCap      int
 	workerProcs   int    // > 0: run jobs across graphworker subprocesses
 	workerBin     string // graphworker executable for the subprocess path
+	pool          *workerproc.Pool
+	poolErr       error // why pool is nil although workerProcs > 0
+	poolBorrowed  bool  // the pool is a test binary's shared one: Close leaves it open
+	exports       *viewExports
 	dataPlane     string // worker data plane: netcomm hub (default), p2p or p2p-adaptive
 	windowBytes   int    // p2p per-peer receive window (initial, on the adaptive plane)
 	windowMin     int    // adaptive plane: tuner's lower window bound
@@ -161,6 +163,7 @@ type Manager struct {
 	spawnHook     func(jobID string, pids []int)
 	log           *slog.Logger
 	met           *managerMetrics
+	reg           *obs.Registry
 	wg            sync.WaitGroup
 
 	mu        sync.Mutex
@@ -188,12 +191,16 @@ func WithQueueDepth(n int) Option { return func(m *Manager) { m.queueCap = n } }
 // specify one. Default 200000.
 func WithMaxSupersteps(n int) Option { return func(m *Manager) { m.maxSupersteps = n } }
 
-// WithWorkerProcs makes every job run its simulated cluster as n
-// graphworker subprocesses over the socket fabric instead of goroutines
-// over shared memory: the manager exports the job's view as a binary
-// snapshot (graph + owner vector), spawns bin once per worker range,
-// and merges the partial results. n is capped at the catalog's worker
-// count per job.
+// WithWorkerProcs makes every job run its simulated cluster as a party
+// of n warm graphworker processes over the socket fabric instead of
+// goroutines over shared memory. The manager owns a workerproc pool of
+// bin until Close; parties are started on demand, one per concurrently
+// running job, and kept between jobs. A view is
+// exported once, as a binary snapshot (graph + owner vector) in the
+// pool's directory that lives until the catalog retires the view; the
+// workers load it on first use and keep it, so a repeat job ships no
+// graph bytes, starts no process and builds nothing. n is capped at the
+// catalog's worker count per job.
 func WithWorkerProcs(n int, bin string) Option {
 	return func(m *Manager) { m.workerProcs, m.workerBin = n, bin }
 }
@@ -241,9 +248,9 @@ func WithWallTimeout(d time.Duration) Option {
 // WithRecovery makes distributed jobs survive worker death: every
 // worker checkpoints its state each ckptInterval supersteps (<= 0
 // defaults to 1) into a per-job store, and when a worker process dies
-// mid-run the manager respawns the full party up to maxRecoveries
-// times, restoring from the latest complete checkpoint. 0 preserves the
-// historical fail-fast behavior.
+// mid-run the manager replaces it in its slot and re-runs the job on
+// the same party up to maxRecoveries times, restoring from the latest
+// complete checkpoint. 0 preserves the historical fail-fast behavior.
 func WithRecovery(maxRecoveries, ckptInterval int) Option {
 	return func(m *Manager) { m.maxRecoveries, m.ckptInterval = maxRecoveries, ckptInterval }
 }
@@ -255,8 +262,9 @@ func WithFault(f *workerproc.FaultSpec) Option {
 	return func(m *Manager) { m.fault = f }
 }
 
-// WithSpawnHook installs a callback invoked with each distributed job's
-// subprocess pids (diagnostics; tests use it to kill a worker).
+// WithSpawnHook installs a callback invoked at the start of each
+// distributed attempt with the pids of the job's worker party
+// (diagnostics; tests use it to kill a worker).
 func WithSpawnHook(f func(jobID string, pids []int)) Option {
 	return func(m *Manager) { m.spawnHook = f }
 }
@@ -277,12 +285,17 @@ func WithLogger(l *slog.Logger) Option {
 // graphd_job_supersteps_total, graphd_job_net_bytes_total, the
 // graphd_superstep_seconds histogram, and the diagnosis summary
 // counters (graphd_diagnosis_findings_total,
-// graphd_diagnosis_unhealthy_jobs_total).
+// graphd_diagnosis_unhealthy_jobs_total). With WithWorkerProcs it also
+// exposes the worker pool, read on scrape:
+// graphd_worker_view_cache_hits_total and _misses_total (per worker
+// process per job: was the job's view already resident),
+// graphd_worker_pool_processes and graphd_worker_rss_bytes.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(m *Manager) {
 		if reg == nil {
 			return
 		}
+		m.reg = reg
 		m.met = &managerMetrics{
 			duration: reg.Histogram("graphd_job_duration_seconds",
 				"Wall time of finished jobs (running, not queued).", obs.DurationBuckets),
@@ -297,9 +310,9 @@ func WithMetrics(reg *obs.Registry) Option {
 			netBytes: reg.Counter("graphd_job_net_bytes_total",
 				"Cross-worker bytes moved by successful jobs."),
 			recoveries: reg.Counter("graphd_ckpt_recoveries_total",
-				"Checkpoint recovery cycles: a joined worker party was lost and respawned from the latest complete checkpoint."),
+				"Checkpoint recovery cycles: a joined worker party lost a member and re-ran from the latest complete checkpoint."),
 			retries: reg.Counter("graphd_job_retries_total",
-				"Respawn retries for failures before the worker party assembled (spawn or join errors)."),
+				"Retries for failures before the worker party assembled (spawn or join errors)."),
 			stepSeconds: reg.Histogram("graphd_superstep_seconds",
 				"Per-superstep wall time (slowest worker's compute + wait + stall), fed live from the superstep trace.", obs.DurationBuckets),
 			findings: reg.Counter("graphd_diagnosis_findings_total",
@@ -405,6 +418,19 @@ func NewManager(cat *catalog.Catalog, workers int, opts ...Option) *Manager {
 	}
 	if m.queueCap <= 0 {
 		m.queueCap = 16 * workers
+	}
+	if m.workerProcs > 0 {
+		if m.pool == nil {
+			m.pool, m.poolErr = workerproc.NewPool(m.workerBin)
+		}
+		if m.poolErr != nil {
+			m.log.Error("worker pool unavailable; distributed jobs will fail", "err", m.poolErr)
+		} else {
+			m.exports = newViewExports(m.pool.Dir(), m.log)
+			if m.reg != nil {
+				m.reg.OnScrape(m.emitPoolMetrics)
+			}
+		}
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for i := 0; i < workers; i++ {
@@ -593,7 +619,7 @@ func (m *Manager) execute(j *job) (*algorithms.Result, error) {
 	m.mu.Unlock()
 	var res *algorithms.Result
 	if m.workerProcs > 0 {
-		res, err = m.executeDistributed(j, view, maxSteps)
+		res, err = m.executeDistributed(j, view, epoch, maxSteps)
 		if err != nil {
 			return nil, err
 		}
@@ -620,27 +646,33 @@ func (m *Manager) execute(j *job) (*algorithms.Result, error) {
 	return res, nil
 }
 
-// executeDistributed ships the job's view to graphworker subprocesses:
-// the view graph plus its owner vector are exported as a binary
-// snapshot the workers rebuild their identical partitions from, and the
-// socket-fabric coordinator merges the partial results.
-func (m *Manager) executeDistributed(j *job, view *catalog.View, maxSteps int) (*algorithms.Result, error) {
-	dir, err := os.MkdirTemp("", "graphd-job")
+// emitPoolMetrics is the scrape hook for the worker pool's series.
+func (m *Manager) emitPoolMetrics(e *obs.Emitter) {
+	st := m.pool.Stats()
+	e.Counter("graphd_worker_view_cache_hits_total",
+		"Worker-process job starts that found the job's graph view already resident.", float64(st.ViewHits))
+	e.Counter("graphd_worker_view_cache_misses_total",
+		"Worker-process job starts that had to load the view export and build partition and fragments.", float64(st.ViewMisses))
+	e.Gauge("graphd_worker_pool_processes",
+		"Live graphworker processes in the warm pool.", float64(st.Processes))
+	e.Gauge("graphd_worker_rss_bytes",
+		"Sum of the pool's graphworker resident set sizes.", float64(st.RSSBytes))
+}
+
+// executeDistributed runs the job on a party of the warm worker pool:
+// the view's export (written on the view's first distributed job) names
+// the graph for the workers, and the socket-fabric coordinator merges
+// their partial results.
+func (m *Manager) executeDistributed(j *job, view *catalog.View, epoch uint64, maxSteps int) (*algorithms.Result, error) {
+	if m.pool == nil {
+		return nil, fmt.Errorf("jobs: worker pool unavailable: %w", m.poolErr)
+	}
+	snap, release, err := m.exports.acquire(view)
 	if err != nil {
-		return nil, fmt.Errorf("jobs: %w", err)
+		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	snap := filepath.Join(dir, "view.bin")
-	placement := graph.Placement{
-		Name:    view.Placement,
-		Workers: view.Part.NumWorkers(),
-		Owner:   view.Part.Owners(),
-	}
-	if err := graph.WriteSnapshotFile(snap, view.Graph, []graph.Placement{placement}); err != nil {
-		return nil, fmt.Errorf("jobs: export snapshot: %w", err)
-	}
+	defer release()
 	spec := workerproc.JobSpec{
-		Bin:           m.workerBin,
 		SnapshotPath:  snap,
 		Placement:     view.Placement,
 		Part:          view.Part,
@@ -662,12 +694,17 @@ func (m *Manager) executeDistributed(j *job, view *catalog.View, maxSteps int) (
 		Trace:         j.trace,
 		Flows:         j.flows,
 		Fault:         m.fault,
-		Logger:        m.log.With("job", j.id, "dataset", j.req.Dataset),
+		Logger:        m.log.With("job", j.id, "dataset", j.req.Dataset, "epoch", epoch),
 	}
 	if m.maxRecoveries > 0 {
-		// Checkpoints live under the job's temp dir next to the snapshot:
-		// they share the job's lifetime and vanish with it.
-		spec.CkptDir = filepath.Join(dir, "ckpt")
+		// Checkpoints share the job's lifetime: a directory of their own
+		// next to the exports, gone when the job is.
+		dir, err := os.MkdirTemp(m.pool.Dir(), "ckpt-")
+		if err != nil {
+			return nil, fmt.Errorf("jobs: %w", err)
+		}
+		defer os.RemoveAll(dir)
+		spec.CkptDir = dir
 		spec.CkptInterval = m.ckptInterval
 		spec.CkptJob = j.id
 		spec.MaxRecoveries = m.maxRecoveries
@@ -698,7 +735,7 @@ func (m *Manager) executeDistributed(j *job, view *catalog.View, maxSteps int) (
 			m.spawnHook(j.id, pids)
 		}
 	}
-	return workerproc.Run(spec)
+	return m.pool.Run(spec)
 }
 
 // heapAllocBytes reads the runtime's cumulative heap-allocation counter
@@ -958,14 +995,23 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// Close stops accepting submissions, drains queued jobs, and waits for
-// the pool to exit.
+// Close stops accepting submissions, drains queued jobs, waits for the
+// job pool to exit, and then closes the worker pool: the view exports
+// are removed and every graphworker exits and is reaped.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if !m.closed {
+	first := !m.closed
+	if first {
 		m.closed = true
 		m.cond.Broadcast()
 	}
 	m.mu.Unlock()
 	m.wg.Wait()
+	if !first || m.pool == nil {
+		return
+	}
+	m.exports.close() // no job is left to hold one
+	if !m.poolBorrowed {
+		m.pool.Close()
+	}
 }

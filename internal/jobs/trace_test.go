@@ -8,6 +8,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/workerproc/wptest"
 )
 
 // runTraced submits one job and returns its trace snapshot and final
@@ -111,7 +112,7 @@ func distributedManagerProcs(t *testing.T, procs int) (*jobs.Manager, *catalog.C
 	}
 	var opts []jobs.Option
 	if procs > 0 {
-		opts = append(opts, jobs.WithWorkerProcs(procs, os.Args[0]))
+		opts = append(opts, jobs.WithWorkerProcs(procs, os.Args[0]), jobs.WithSharedPool(wptest.Pool))
 	}
 	mgr := jobs.NewManager(cat, 2, opts...)
 	t.Cleanup(mgr.Close)

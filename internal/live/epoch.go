@@ -23,6 +23,36 @@ type View struct {
 	Part       *partition.Partition
 	Frags      *frag.Fragments
 	EdgeCut    float64
+
+	retireMu sync.Mutex
+	retired  bool
+	onRetire []func()
+}
+
+// OnRetire registers f to run once when the view is retired — its epoch
+// was freed, or its static dataset was evicted from (or closed with) the
+// catalog — so whoever keeps state derived from the view outside the
+// heap (the job manager's worker export file) can drop it. A view that
+// is already retired runs f at once. f must not call back into the epoch.
+func (v *View) OnRetire(f func()) {
+	v.retireMu.Lock()
+	if !v.retired {
+		v.onRetire = append(v.onRetire, f)
+		v.retireMu.Unlock()
+		return
+	}
+	v.retireMu.Unlock()
+	f()
+}
+
+func (v *View) retire() {
+	v.retireMu.Lock()
+	hooks := v.onRetire
+	v.retired, v.onRetire = true, nil
+	v.retireMu.Unlock()
+	for _, f := range hooks {
+		f()
+	}
 }
 
 type viewKey struct {
@@ -81,6 +111,7 @@ type Epoch struct {
 	refs       int
 	superseded bool
 	freed      bool
+	retired    bool // views built from now on are born retired
 }
 
 // NewEpoch wraps g as epoch seq. The graph must not be mutated
@@ -188,9 +219,29 @@ func (e *Epoch) supersede() {
 	}
 }
 
+// Retire retires the epoch's views (see View.OnRetire) without freeing
+// the epoch: the catalog calls it when a static dataset is evicted, so
+// jobs that still hold the entry finish on resident memory while state
+// derived from the views elsewhere is dropped.
+func (e *Epoch) Retire() {
+	e.mu.Lock()
+	e.retired = true
+	slots := make([]*viewSlot, 0, len(e.views))
+	for _, s := range e.views {
+		slots = append(slots, s)
+	}
+	e.mu.Unlock()
+	for _, s := range slots {
+		if v := s.view.Load(); v != nil {
+			v.retire()
+		}
+	}
+}
+
 // free drops the epoch's references so the GC can reclaim them,
-// un-charges its bytes, and fires the retirement hook.
+// un-charges its bytes, and fires the retirement hooks.
 func (e *Epoch) free() {
+	e.Retire()
 	e.mu.Lock()
 	b := e.bytes
 	e.bytes = 0
@@ -252,8 +303,16 @@ func (e *Epoch) View(placement string, undirected bool) (*View, error) {
 		}
 		v, err := e.buildView(placement, undirected, g)
 		slot.err = err
-		if err == nil {
-			slot.view.Store(v)
+		if err != nil {
+			return
+		}
+		slot.view.Store(v)
+		// a Retire that ran before the Store could not see this view
+		e.mu.Lock()
+		retired := e.retired
+		e.mu.Unlock()
+		if retired {
+			v.retire()
 		}
 	})
 	return slot.view.Load(), slot.err

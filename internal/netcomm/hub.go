@@ -75,6 +75,7 @@ type Hub struct {
 	settled  []bool            // per worker id
 	errs     []error           // synthesized transport failures
 	aborted  bool
+	reason   string // why the job aborted, for processes that join afterwards
 	closed   bool
 }
 
@@ -152,9 +153,15 @@ func (h *Hub) serveConn(conn net.Conn) {
 	}
 	h.conns[hc] = true
 	h.allConns = append(h.allConns, hc)
+	aborted, reason := h.aborted, h.reason
 	h.cond.Broadcast()
 	h.mu.Unlock()
 	h.log.Debug("worker joined", "workers", fmt.Sprintf("%d-%d", hc.lo, hc.hi))
+	if aborted {
+		// the abort broadcast went out before this process connected: tell
+		// it directly, or it would wait on a barrier nobody else reaches
+		_ = h.forward(hc, kAbort, 0, 0, []byte(reason))
+	}
 
 	err = h.pump(hc)
 	h.mu.Lock()
@@ -513,7 +520,7 @@ func (h *Hub) abortLocked(reason string) {
 	if h.aborted {
 		return
 	}
-	h.aborted = true
+	h.aborted, h.reason = true, reason
 	h.log.Warn("job aborted", "reason", reason)
 	conns := make([]*hubConn, 0, len(h.conns))
 	for hc := range h.conns {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -15,17 +16,14 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/workerproc"
+	"repro/internal/workerproc/wptest"
 )
 
-// TestMain implements the graphworker re-exec so the e2e test below can
-// run real multi-process jobs through the HTTP API.
-func TestMain(m *testing.M) {
-	if os.Getenv(workerproc.ChildEnv) != "" {
-		os.Exit(workerproc.Main(os.Args[1:], os.Stderr))
-	}
-	os.Exit(m.Run())
-}
+// TestMain implements the graphworker re-exec so the e2e tests can run
+// real multi-process jobs through the HTTP API — each manager on the warm
+// worker pool it owns, as in graphd — and fails the binary if a worker
+// process is still there at exit.
+func TestMain(m *testing.M) { wptest.Main(m) }
 
 // tracePayloadT mirrors the trace endpoint's JSON for decoding.
 type tracePayloadT struct {
@@ -165,6 +163,31 @@ func TestMetricsAndTraceEndToEnd(t *testing.T) {
 			t.Errorf("distributed /metrics missing %q", want)
 		}
 	}
+
+	// the worker pool is visible where there is one (its processes, their
+	// memory, and the view loads the two jobs cost) and absent from the
+	// in-process stack
+	body := getText(t, distURL+"/metrics")
+	for _, name := range []string{"graphd_worker_view_cache_hits_total", "graphd_worker_view_cache_misses_total",
+		"graphd_worker_pool_processes", "graphd_worker_rss_bytes"} {
+		if v, ok := metricValue(body, name); !ok || (v == 0 && name != "graphd_worker_view_cache_hits_total") {
+			t.Errorf("distributed /metrics: %s = %v (present: %v), want a positive sample", name, v, ok)
+		}
+		if strings.Contains(getText(t, inprocURL+"/metrics"), name) {
+			t.Errorf("in-process /metrics exports %s", name)
+		}
+	}
+}
+
+// metricValue reads an unlabelled sample from a Prometheus text page.
+func metricValue(body, name string) (float64, bool) {
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
 }
 
 // End-to-end recovery observability: a worker process killed mid-job on

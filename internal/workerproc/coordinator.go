@@ -1,15 +1,14 @@
 package workerproc
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"net"
-	"os"
-	"os/exec"
-	"strconv"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,16 +23,13 @@ import (
 	"repro/internal/ser"
 )
 
-// JobSpec describes one distributed job: which binary to spawn, where
-// the data lives, and what to run.
+// JobSpec describes one distributed job: where the data lives and what
+// to run on it.
 type JobSpec struct {
-	// Bin is the graphworker executable. BinArgs (optional) are
-	// prepended to the protocol flags — the test binaries use the
-	// ChildEnv re-exec instead and leave this empty.
-	Bin     string
-	BinArgs []string
-	// Env entries are appended to the inherited environment.
-	Env []string
+	// Bin is the graphworker executable the package-level Run makes its
+	// pool of; Pool.Run ignores it. The test binaries name themselves
+	// and re-exec on ChildEnv.
+	Bin string
 
 	// Network is "unix" (default) or "tcp" (loopback).
 	Network string
@@ -42,8 +38,8 @@ type JobSpec struct {
 	// netcomm.DataPlaneHub ("" defaults to it) relays them through the
 	// coordinator, netcomm.DataPlaneP2P has the workers dial a direct
 	// mesh with credit-based flow control. Recovery needs no special
-	// handling: each attempt spawns a fresh party that re-negotiates
-	// its mesh through the new hub.
+	// handling: each attempt's members re-negotiate their mesh through
+	// the attempt's own hub.
 	DataPlane string
 	// WindowBytes is the p2p per-peer-connection receive window (0 =
 	// netcomm.DefaultWindowBytes). On the adaptive plane it is only the
@@ -58,14 +54,16 @@ type JobSpec struct {
 	// SnapshotPath is a binary snapshot embedding the Placement owner
 	// vector; Part must be the partition that vector describes (the
 	// coordinator needs it to merge partials and the workers rebuild the
-	// identical partition from the snapshot).
+	// identical partition from the snapshot). Workers cache what they
+	// load under this path until the file is gone, so within one pool a
+	// path must name the same bytes for as long as it exists.
 	SnapshotPath string
 	Placement    string
 	Part         *partition.Partition
 
-	// Procs is the number of worker processes; the Part's workers are
-	// split into contiguous ranges across them (capped at one worker
-	// per process).
+	// Procs is the number of worker processes — the size of the party
+	// the job borrows; the Part's workers are split into contiguous
+	// ranges across them (capped at one worker per process).
 	Procs int
 
 	Algorithm string
@@ -78,7 +76,7 @@ type JobSpec struct {
 
 	// Cancel, if non-nil, aborts the job when closed: the hub abort
 	// propagates over every control connection, workers unwind and
-	// exit; stragglers are killed after a grace period. Run returns
+	// return to idle; stragglers are killed after abortGrace. Run returns
 	// barrier.ErrCancelled.
 	Cancel <-chan struct{}
 
@@ -87,12 +85,13 @@ type JobSpec struct {
 	JoinTimeout time.Duration
 
 	// ResultTimeout bounds how long the coordinator waits for result
-	// blobs to settle after every worker process exited (default 30s).
+	// blobs to settle after every worker returned to idle or died
+	// (default 30s).
 	ResultTimeout time.Duration
 
 	// WallTimeout, when > 0, bounds one attempt's total wall clock: if
 	// the job has not finished by then the hub aborts and stragglers are
-	// killed after a grace period. This is the only way a *stalled*
+	// killed after abortGrace. This is the only way a *stalled*
 	// worker (alive, connected, parked forever) is ever detected — a
 	// kill or a dropped connection surfaces through the hub on its own.
 	WallTimeout time.Duration
@@ -105,9 +104,9 @@ type JobSpec struct {
 	// CkptJob keys the records inside the store (default "job").
 	CkptJob string
 
-	// MaxRecoveries is how many times Run respawns the worker party
-	// after a recoverable failure — a worker process dying, dropping its
-	// hub connection, or (with WallTimeout) stalling — before giving up.
+	// MaxRecoveries is how many times Run re-dispatches the job after a
+	// recoverable failure — a worker process dying, dropping its hub
+	// connection, or (with WallTimeout) stalling — before giving up.
 	// Each recovered attempt restores from the latest complete
 	// checkpoint in CkptDir (or restarts from scratch when none exists).
 	// 0 preserves the historical fail-fast behavior.
@@ -117,20 +116,20 @@ type JobSpec struct {
 	// doubling per attempt with jitter, capped at 5s (default 100ms).
 	RetryBackoff time.Duration
 
-	// Fault, if set, is injected into the first attempt's workers via
-	// the -fault flag (deterministic failure for tests; recovered
-	// attempts run clean).
+	// Fault, if set, is injected into the first attempt's workers
+	// (deterministic failure for tests; recovered attempts run clean).
 	Fault *FaultSpec
 
-	// OnRecovery, if set, is called before each respawn with the
-	// 1-based attempt number, the checkpoint superstep the new party
-	// will restore from (0 = from scratch), and whether the failed
-	// attempt's party had fully joined the hub (false means the failure
-	// was at spawn/join time, not mid-run).
+	// OnRecovery, if set, is called before each retry with the 1-based
+	// attempt number, the checkpoint superstep the party will restore
+	// from (0 = from scratch), and whether the failed attempt's party
+	// had fully joined the hub (false means the failure was at
+	// spawn/join time, not mid-run).
 	OnRecovery func(attempt, restoreStep int, joined bool)
 
-	// Spawned, if set, is called with the worker process pids once all
-	// are started (diagnostics; the failure tests use it to kill one).
+	// Spawned, if set, is called at the start of every attempt with the
+	// party's worker process pids, once every slot is filled
+	// (diagnostics; the failure tests use it to kill one).
 	Spawned func(pids []int)
 
 	// Trace, if non-nil, receives the job's superstep timeline: each
@@ -157,19 +156,34 @@ type JobSpec struct {
 	Logger *slog.Logger
 }
 
-// Run executes a job across worker subprocesses and returns the merged
-// result. The returned metrics carry the hub's job-wide communication
+// Run executes one job on a pool of its own, made of spec.Bin and
+// closed on return: the one-shot form of Pool.Run, every process
+// spawned cold.
+func Run(spec JobSpec) (*algorithms.Result, error) {
+	p, err := NewPool(spec.Bin)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Run(spec)
+}
+
+// Run executes a job across one of the pool's worker parties and
+// returns the merged result; spec.Bin is ignored, the pool has its
+// binary. The returned metrics carry the hub's job-wide communication
 // stats; Supersteps is the minimum any worker process reported.
 //
 // With MaxRecoveries > 0, a recoverable failure — a worker process that
 // died or lost its hub connection without reporting an algorithm error
 // of its own — does not fail the job: Run tears the attempt down,
 // consults the checkpoint store for the latest complete superstep, and
-// respawns the full party with a -restore flag, up to MaxRecoveries
-// times with capped exponential backoff. An error a worker *reported*
-// (a real algorithm or configuration failure) is never retried, and
-// cancellation always wins.
-func Run(spec JobSpec) (*algorithms.Result, error) {
+// dispatches the job to the same party again with that superstep to
+// restore from — survivors re-join warm, only the slot of a member that
+// died (or had to be killed) is respawned — up to MaxRecoveries times
+// with capped exponential backoff. An error a worker *reported* (a real
+// algorithm or configuration failure, an unreadable view export) is
+// never retried, and cancellation always wins.
+func (p *Pool) Run(spec JobSpec) (*algorithms.Result, error) {
 	if spec.Part == nil {
 		return nil, fmt.Errorf("workerproc: JobSpec.Part is required")
 	}
@@ -181,35 +195,86 @@ func Run(spec JobSpec) (*algorithms.Result, error) {
 			spec.CkptJob = "job"
 		}
 	}
+	base, err := spec.descriptor()
+	if err != nil {
+		return nil, err
+	}
 	log := spec.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	restore := 0
+	procs := spec.Procs
+	if procs <= 0 || procs > base.m {
+		procs = base.m
+	}
+	pt := p.acquire(procs)
+	defer p.release(pt)
 	for attempt := 0; ; attempt++ {
-		res, joined, recoverable, err := runAttempt(spec, attempt, restore, log)
+		d := base
+		if attempt > 0 {
+			d.fault = nil // injected faults hit the first attempt only
+		}
+		res, joined, recoverable, err := p.runAttempt(pt, spec, d, log)
 		if err == nil || !recoverable || attempt >= spec.MaxRecoveries {
 			return res, err
 		}
-		restore = 0
+		base.restore = 0
 		if spec.CkptDir != "" {
-			s, lerr := ckpt.NewDir(spec.CkptDir).LatestComplete(spec.CkptJob, spec.Part.NumWorkers())
+			s, lerr := ckpt.NewDir(spec.CkptDir).LatestComplete(spec.CkptJob, base.m)
 			if lerr != nil {
 				log.Warn("checkpoint scan failed, restarting from scratch", "err", lerr)
 			} else {
-				restore = s
+				base.restore = s
 			}
 		}
 		log.Warn("recovering job", "attempt", attempt+1, "max", spec.MaxRecoveries,
-			"restore_superstep", restore, "joined", joined, "cause", err)
+			"restore_superstep", base.restore, "joined", joined, "cause", err)
 		if spec.OnRecovery != nil {
-			spec.OnRecovery(attempt+1, restore, joined)
+			spec.OnRecovery(attempt+1, base.restore, joined)
 		}
 		if err := sleepBackoff(spec, attempt); err != nil {
 			return nil, err
 		}
 	}
 }
+
+// descriptor renders the job-wide part of spec as the descriptor every
+// member receives; the per-attempt fields (seq, hub address, worker
+// range, restore) are filled at dispatch. Plane settings left zero take
+// the netcomm defaults here, and a job the workers would refuse fails
+// before anything is dispatched.
+func (spec *JobSpec) descriptor() (descriptor, error) {
+	d := descriptor{
+		network:       cmp.Or(spec.Network, "unix"),
+		plane:         cmp.Or(spec.DataPlane, netcomm.DataPlaneHub),
+		windowBytes:   cmp.Or(spec.WindowBytes, netcomm.DefaultWindowBytes),
+		windowMin:     cmp.Or(spec.WindowMin, netcomm.DefaultWindowMin),
+		windowMax:     cmp.Or(spec.WindowMax, netcomm.DefaultWindowMax),
+		promoteBytes:  cmp.Or(spec.PromoteBytes, netcomm.DefaultPromoteBytes),
+		snapshot:      spec.SnapshotPath,
+		placement:     spec.Placement,
+		m:             spec.Part.NumWorkers(),
+		algorithm:     spec.Algorithm,
+		engine:        cmp.Or(spec.Engine, algorithms.EngineChannel),
+		variant:       spec.Variant,
+		params:        spec.Params,
+		maxSupersteps: spec.MaxSupersteps,
+		trace:         spec.Trace != nil,
+		flows:         spec.Flows != nil,
+		ckptDir:       spec.CkptDir,
+		ckptJob:       spec.CkptJob,
+		ckptInterval:  spec.CkptInterval,
+		fault:         spec.Fault,
+	}
+	return d, d.validate()
+}
+
+// abortGrace is how long a member gets to return to idle once its
+// attempt was aborted (cancel, join or wall-clock watchdog) before it is
+// killed. A healthy worker unwinds at its next barrier or send; one that
+// does not — stalled, or deep in a long compute — costs only its slot's
+// warm cache, never the job, so the grace is short.
+const abortGrace = 2 * time.Second
 
 // sleepBackoff waits out the capped exponential backoff before recovery
 // attempt, honoring cancellation.
@@ -231,228 +296,155 @@ func sleepBackoff(spec JobSpec, attempt int) error {
 	}
 }
 
-// runAttempt runs one full spawn-execute-merge cycle. It reports, along
-// with the result, whether the party fully joined the hub and whether a
-// failure is recoverable — i.e. worth respawning the party over.
-func runAttempt(spec JobSpec, attempt, restore int, log *slog.Logger) (*algorithms.Result, bool, bool, error) {
-	m := spec.Part.NumWorkers()
-	procs := spec.Procs
-	if procs <= 0 {
-		procs = m
+// listen opens the attempt's hub listener: a socket in the pool's
+// directory, or a loopback port.
+func (p *Pool) listen(network string) (net.Listener, string, error) {
+	if network == "tcp" {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, "", err
+		}
+		return ln, ln.Addr().String(), nil
 	}
-	if procs > m {
-		procs = m
-	}
-	network := spec.Network
-	if network == "" {
-		network = "unix"
-	}
-	joinTimeout := spec.JoinTimeout
-	if joinTimeout == 0 {
-		joinTimeout = 30 * time.Second
-	}
-	resultTimeout := spec.ResultTimeout
-	if resultTimeout == 0 {
-		resultTimeout = 30 * time.Second
-	}
+	addr := filepath.Join(p.dir, fmt.Sprintf("hub-%d.sock", p.seq.Add(1)))
+	ln, err := net.Listen("unix", addr) // Close unlinks the socket
+	return ln, addr, err
+}
 
-	var addr string
-	var ln net.Listener
-	var err error
-	switch network {
-	case "unix":
-		dir, derr := os.MkdirTemp("", "graphw")
-		if derr != nil {
-			return nil, false, false, fmt.Errorf("workerproc: %w", derr)
-		}
-		defer os.RemoveAll(dir)
-		addr = dir + "/hub.sock"
-		ln, err = net.Listen("unix", addr)
-	case "tcp":
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
-		if ln != nil {
-			addr = ln.Addr().String()
-		}
-	default:
-		return nil, false, false, fmt.Errorf("workerproc: unknown network %q", network)
-	}
+// runAttempt runs one dispatch-execute-merge cycle on the party: a
+// fresh hub, one descriptor per member, supersteps, partials, merge. It
+// reports, along with the result, whether the party fully joined the
+// hub and whether a failure is recoverable — i.e. worth another attempt.
+// When it returns, every member is either idle again or dead.
+func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logger) (*algorithms.Result, bool, bool, error) {
+	joinTimeout := cmp.Or(spec.JoinTimeout, 30*time.Second)
+	resultTimeout := cmp.Or(spec.ResultTimeout, 30*time.Second)
+
+	start := time.Now()
+	ln, addr, err := p.listen(d.network)
 	if err != nil {
 		return nil, false, false, fmt.Errorf("workerproc: listen: %w", err)
 	}
-	hub := netcomm.NewHub(m, spec.Cost, ln)
+	d.addr = addr
+	hub := netcomm.NewHub(d.m, spec.Cost, ln)
 	defer hub.Close()
 	hub.SetLogger(log)
 	if spec.Trace != nil {
 		// live superstep feed: replay in-flight samples into the job
 		// trace as workers ship them, so step-completion hooks fire
-		// mid-run (and keep firing across recovery respawns)
+		// mid-run (and keep firing across recovery attempts)
 		hub.OnSamples(func(p []byte) {
 			defer func() { recover() }() // malformed live batch: drop it
 			decodeSamples(ser.FromBytes(p), spec.Trace)
 		})
 	}
 
-	start := time.Now()
-	ranges := splitRanges(m, procs)
-	cmds := make([]*exec.Cmd, len(ranges))
-	stderrs := make([]*cappedBuffer, len(ranges))
-	taggers := make([]*lineTagger, len(ranges))
-	pids := make([]int, len(ranges))
-	for i, r := range ranges {
-		args := append(append([]string(nil), spec.BinArgs...),
-			"-network", network,
-			"-connect", addr,
-			"-snapshot", spec.SnapshotPath,
-			"-placement", spec.Placement,
-			"-workers", fmt.Sprintf("%d-%d", r[0], r[1]),
-			"-num-workers", strconv.Itoa(m),
-			"-algorithm", spec.Algorithm,
-			"-engine", string(spec.Engine),
-			"-variant", spec.Variant,
-			"-iterations", strconv.Itoa(spec.Params.Iterations),
-			"-source", strconv.FormatUint(uint64(spec.Params.Source), 10),
-			"-max-supersteps", strconv.Itoa(spec.MaxSupersteps),
-		)
-		if spec.DataPlane != "" {
-			args = append(args, "-data-plane", spec.DataPlane)
-		}
-		if spec.WindowBytes > 0 {
-			args = append(args, "-window-bytes", strconv.Itoa(spec.WindowBytes))
-		}
-		if spec.WindowMin > 0 {
-			args = append(args, "-window-min", strconv.Itoa(spec.WindowMin))
-		}
-		if spec.WindowMax > 0 {
-			args = append(args, "-window-max", strconv.Itoa(spec.WindowMax))
-		}
-		if spec.PromoteBytes > 0 {
-			args = append(args, "-promote-bytes", strconv.Itoa(spec.PromoteBytes))
-		}
-		if spec.Trace != nil {
-			args = append(args, "-trace")
-		}
-		if spec.Flows != nil {
-			args = append(args, "-flows")
-		}
-		if spec.CkptDir != "" {
-			args = append(args,
-				"-ckpt-dir", spec.CkptDir,
-				"-ckpt-job", spec.CkptJob,
-				"-ckpt-interval", strconv.Itoa(spec.CkptInterval))
-		}
-		if restore > 0 {
-			args = append(args, "-restore", strconv.Itoa(restore))
-		}
-		if spec.Fault != nil && attempt == 0 {
-			args = append(args, "-fault", spec.Fault.String())
-		}
-		cmd := exec.Command(spec.Bin, args...)
-		cmd.Env = append(os.Environ(), spec.Env...)
-		cmd.Env = append(cmd.Env, ChildEnv+"=1")
-		sb := &cappedBuffer{cap: 8 << 10}
-		tg := &lineTagger{dst: sb,
-			log: log.With("workers", fmt.Sprintf("%d-%d", r[0], r[1]))}
-		cmd.Stderr = tg
-		if err := cmd.Start(); err != nil {
-			hub.Abort("spawn failed")
-			for _, c := range cmds[:i] {
-				c.Process.Kill()
-				c.Wait()
-			}
-			// Spawn failures are often transient (fd or pid pressure):
-			// recoverable, so the retry loop gets a shot at them.
-			return nil, false, true, fmt.Errorf("workerproc: spawn graphworker %d: %w", i, err)
-		}
-		cmds[i], stderrs[i], taggers[i], pids[i] = cmd, sb, tg, cmd.Process.Pid
+	if err := pt.ensure(p); err != nil {
+		// Spawn failures are often transient (fd or pid pressure):
+		// recoverable, so the retry loop gets a shot at them.
+		return nil, false, true, err
 	}
-	log.Debug("spawned graphworkers", "procs", len(cmds), "network", network)
+	// this attempt's processes: a watchdog may outlive the attempt, and
+	// by then the next one may be refilling the party's slots
+	members := slices.Clone(pt.members)
 	if spec.Spawned != nil {
-		spec.Spawned(pids)
+		spec.Spawned(pt.pids())
 	}
 
-	// Cancellation: abort the hub so every worker unwinds; anything
-	// still alive after the grace period is killed.
+	// Dispatch, then one waiter per member: it ends when the member
+	// acks (idle again) or its process is reaped. Either way a member
+	// that will deliver no result aborts the hub at once, so nobody
+	// sits out a join or result deadline for it.
+	ranges := splitRanges(d.m, len(members))
+	acks := make([]ack, len(members))
+	idle := make([]atomic.Bool, len(members))
+	var wg sync.WaitGroup
+	for i, mb := range members {
+		d.seq, d.lo, d.hi = p.seq.Add(1), ranges[i][0], ranges[i][1]
+		workers := fmt.Sprintf("%d-%d", d.lo, d.hi)
+		mb.stderr.begin(log.With("workers", workers))
+		if err := writeFrame(mb.ctl, d.encode()); err != nil {
+			mb.kill() // its control channel is broken: nothing else can reach it
+		}
+		wg.Add(1)
+		go func(i int, mb *member, seq uint64) {
+			defer wg.Done()
+			for {
+				select {
+				case a := <-mb.acks:
+					if a.seq != seq {
+						continue
+					}
+					acks[i] = a
+					idle[i].Store(true)
+					if a.err != "" {
+						hub.Abort("workers " + workers + ": graphworker did not report")
+					}
+				case <-mb.exited:
+					hub.Abort("workers " + workers + ": graphworker exited")
+				}
+				return
+			}
+		}(i, mb, d.seq)
+	}
 	procsDone := make(chan struct{})
+	// reap aborts the attempt and kills whatever has not returned to
+	// idle within abortGrace — a stalled worker never will.
+	reap := func(reason string) {
+		hub.Abort(reason)
+		select {
+		case <-procsDone:
+			return
+		case <-time.After(abortGrace):
+		}
+		for i, mb := range members {
+			select {
+			case <-procsDone: // the attempt ended under the loop
+				return
+			default:
+			}
+			if !idle[i].Load() {
+				mb.kill()
+			}
+		}
+	}
+
 	cancelFired := make(chan struct{})
 	if spec.Cancel != nil {
 		go func() {
 			select {
 			case <-spec.Cancel:
 				close(cancelFired)
-				hub.Abort("job cancelled")
-				select {
-				case <-procsDone:
-				case <-time.After(10 * time.Second):
-					for _, c := range cmds {
-						c.Process.Kill()
-					}
-				}
+				reap("job cancelled")
 			case <-procsDone:
 			}
 		}()
 	}
-
-	// Join watchdog: if the party never assembles, abort and kill so
-	// Wait below cannot hang on a worker parked in a barrier.
+	// Join watchdog: if the party never assembles, abort and kill so the
+	// wait below cannot hang on a worker parked in a barrier.
 	var joinedOK atomic.Bool
-	joined := make(chan error, 1)
-	go func() { joined <- hub.WaitJoined(joinTimeout) }()
-
-	var wg sync.WaitGroup
-	exitErrs := make([]error, len(cmds))
-	for i, cmd := range cmds {
-		wg.Add(1)
-		go func(i int, cmd *exec.Cmd) {
-			defer wg.Done()
-			exitErrs[i] = cmd.Wait()
-		}(i, cmd)
-	}
 	go func() {
-		if err := <-joined; err != nil {
-			hub.Abort("join timeout")
-			time.Sleep(2 * time.Second)
-			for _, c := range cmds {
-				c.Process.Kill()
-			}
+		if err := hub.WaitJoined(joinTimeout); err != nil {
+			reap("join timeout")
 		} else {
 			joinedOK.Store(true)
 		}
 	}()
-
 	// Wall-clock watchdog: a stalled worker stays joined and keeps its
 	// connection, so neither the hub nor the join watchdog ever notices
-	// it — only elapsed time can. Abort first so live workers unwind and
-	// report, then kill whatever is still parked.
+	// it — only elapsed time can.
 	if spec.WallTimeout > 0 {
-		wallTimer := time.AfterFunc(spec.WallTimeout, func() {
-			hub.Abort("wall-clock timeout")
-			select {
-			case <-procsDone:
-			case <-time.After(5 * time.Second):
-				for _, c := range cmds {
-					c.Process.Kill()
-				}
-			}
-		})
+		wallTimer := time.AfterFunc(spec.WallTimeout, func() { reap("wall-clock timeout") })
 		defer wallTimer.Stop()
 	}
 
 	wg.Wait()
 	close(procsDone)
-	for _, tg := range taggers {
-		tg.flush()
-	}
 
-	// Every process has exited: whatever it managed to send is already
-	// in the hub's socket buffers and drains in well under a second. If
-	// anything is still unsettled after a drain window — a worker died
-	// before dialing, so the hub alone would never learn about it —
-	// abort so WaitResults settles instead of running out its deadline.
-	settle := time.AfterFunc(5*time.Second, func() {
-		hub.Abort("worker processes exited without reporting")
-	})
+	// Every member either shipped its result before acking or made the
+	// hub abort, so this settles as soon as the hub has read what is
+	// already in its socket buffers; the deadline is only a backstop.
 	blobs, hubErrs, werr := hub.WaitResults(resultTimeout)
-	settle.Stop()
 	if werr != nil {
 		hubErrs = append(hubErrs, werr)
 	}
@@ -460,25 +452,31 @@ func runAttempt(spec JobSpec, attempt, restore int, log *slog.Logger) (*algorith
 	var errs []error
 	partials := make([]partial, 0, len(blobs))
 	for _, blob := range blobs {
-		p, perr := decodePartial(blob)
+		pr, perr := decodePartial(blob)
 		if perr != nil {
 			errs = append(errs, perr)
 			continue
 		}
-		partials = append(partials, p)
+		partials = append(partials, pr)
 	}
 	errs = append(errs, hubErrs...)
-	for i, eerr := range exitErrs {
-		if eerr == nil {
-			continue
-		}
-		msg := bytes.TrimSpace(stderrs[i].Bytes())
-		if len(msg) > 0 {
-			errs = append(errs, fmt.Errorf("workerproc: graphworker %d (workers %d-%d) exited: %v: %s",
-				i, ranges[i][0], ranges[i][1], eerr, msg))
-		} else {
-			errs = append(errs, fmt.Errorf("workerproc: graphworker %d (workers %d-%d) exited: %v",
-				i, ranges[i][0], ranges[i][1], eerr))
+	for i, mb := range members {
+		workers := fmt.Sprintf("%d-%d", ranges[i][0], ranges[i][1])
+		switch a := acks[i]; {
+		case !idle[i].Load():
+			detail := ""
+			if out := mb.stderr.retained(); out != "" {
+				detail = ": " + out
+			}
+			errs = append(errs, fmt.Errorf("workerproc: graphworker %d (workers %s) exited: %v%s", i, workers, mb.exitErr, detail))
+		case a.err != "":
+			errs = append(errs, fmt.Errorf("workerproc: graphworker %d (workers %s) did not report: %s", i, workers, a.err))
+		case a.cached:
+			p.viewHits.Add(1)
+		default:
+			p.viewMisses.Add(1)
+			log.Debug("worker view cache miss", "workers", workers,
+				"placement", spec.Placement, "load_ms", float64(a.load)/1e6)
 		}
 	}
 
@@ -494,42 +492,41 @@ func runAttempt(spec JobSpec, attempt, restore int, log *slog.Logger) (*algorith
 		err = mergeErr
 	}
 	cancelled := false
-	if spec.Cancel != nil {
-		select {
-		case <-cancelFired:
-			cancelled = true
-		default:
-		}
+	select {
+	case <-cancelFired:
+		cancelled = true
+	default:
 	}
 	if cancelled {
 		// A real worker error that raced the cancellation wins; but
-		// teardown fallout (aborted echoes, processes killed or exiting
+		// teardown fallout (aborted echoes, processes killed or unwinding
 		// before they could report) is a consequence of cancelling, not
 		// a failure in its own right.
 		var reported []error
-		for _, p := range partials {
-			reported = append(reported, p.err)
+		for _, pr := range partials {
+			reported = append(reported, pr.err)
 		}
 		if realErr := barrier.JoinErrors(reported); realErr == nil {
 			return nil, joinedOK.Load(), false, barrier.ErrCancelled
 		}
 	}
 	if err != nil {
-		// Recoverability: a failure is worth respawning over only when
+		// Recoverability: a failure is worth another attempt only when
 		// no worker *reported* an error of its own — every partial that
 		// arrived is either fine or pure abort fallout, so the root
 		// cause is a process that died, dropped its connection
 		// (netcomm.ErrWorkerLost) or was killed by a watchdog. An error
 		// a worker shipped in its result blob (a superstep cap, a bad
-		// restore, an algorithm failure) would just recur on retry.
-		// Peer-lost errors (netcomm.ErrPeerLost) count as fallout too:
-		// under the p2p plane a surviving worker's send can observe a
-		// dying peer's connection reset before the hub's abort reaches
-		// it, but the root cause is still the dead peer.
+		// restore, an unreadable export, an algorithm failure) would
+		// just recur on retry. Peer-lost errors (netcomm.ErrPeerLost)
+		// count as fallout too: under the p2p plane a surviving worker's
+		// send can observe a dying peer's connection reset before the
+		// hub's abort reaches it, but the root cause is still the dead
+		// peer.
 		recoverable := !cancelled && !errors.Is(err, barrier.ErrCancelled)
-		for _, p := range partials {
-			if p.err != nil && !errors.Is(p.err, barrier.ErrAborted) &&
-				!errors.Is(p.err, barrier.ErrCancelled) && !errors.Is(p.err, netcomm.ErrPeerLost) {
+		for _, pr := range partials {
+			if pr.err != nil && !errors.Is(pr.err, barrier.ErrAborted) &&
+				!errors.Is(pr.err, barrier.ErrCancelled) && !errors.Is(pr.err, netcomm.ErrPeerLost) {
 				recoverable = false
 				break
 			}
@@ -545,7 +542,7 @@ func runAttempt(spec JobSpec, attempt, restore int, log *slog.Logger) (*algorith
 	}
 	hubStats := hub.Stats()
 	res.Metrics = algorithms.Metrics{
-		Engine:     spec.Engine,
+		Engine:     d.engine,
 		Supersteps: minSteps,
 		NetBytes:   hubStats.NetworkBytes,
 		Rounds:     hubStats.Rounds,
@@ -556,13 +553,13 @@ func runAttempt(spec JobSpec, attempt, restore int, log *slog.Logger) (*algorith
 	// arrival of the result blob covering that worker. The spread across
 	// workers is the job-level straggler skew.
 	arrivals := hub.ResultTimes()
-	wall := make([]time.Duration, m)
-	for _, p := range partials {
-		at, ok := arrivals[p.lo]
+	wall := make([]time.Duration, d.m)
+	for _, pr := range partials {
+		at, ok := arrivals[pr.lo]
 		if !ok {
 			continue
 		}
-		for w := p.lo; w <= p.hi && w < m; w++ {
+		for w := pr.lo; w <= pr.hi && w < d.m; w++ {
 			wall[w] = at.Sub(start)
 		}
 	}
@@ -586,70 +583,4 @@ func splitRanges(m, n int) [][2]int {
 		lo += size
 	}
 	return out
-}
-
-// cappedBuffer retains the first cap bytes written (worker stderr, for
-// error reports) and counts the rest.
-type cappedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-	cap int
-}
-
-func (b *cappedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.buf.Len() < b.cap {
-		keep := p
-		if b.buf.Len()+len(keep) > b.cap {
-			keep = keep[:b.cap-b.buf.Len()]
-		}
-		b.buf.Write(keep)
-	}
-	return len(p), nil
-}
-
-func (b *cappedBuffer) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
-}
-
-// lineTagger tees a worker's stderr into the retained capped buffer and
-// re-emits every complete line on the coordinator's logger, tagged with
-// the emitting worker range, so a multi-process job has one interleaved,
-// attributable log stream instead of per-process buffers.
-type lineTagger struct {
-	dst *cappedBuffer
-	log *slog.Logger
-
-	mu   sync.Mutex
-	line bytes.Buffer
-}
-
-func (t *lineTagger) Write(p []byte) (int, error) {
-	t.dst.Write(p)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.line.Write(p)
-	for {
-		b := t.line.Bytes()
-		i := bytes.IndexByte(b, '\n')
-		if i < 0 {
-			return len(p), nil
-		}
-		t.log.Info("graphworker stderr",
-			"line", string(bytes.TrimRight(b[:i], "\r")))
-		t.line.Next(i + 1)
-	}
-}
-
-// flush emits a trailing unterminated line after the process exits.
-func (t *lineTagger) flush() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.line.Len() > 0 {
-		t.log.Info("graphworker stderr", "line", t.line.String())
-		t.line.Reset()
-	}
 }

@@ -1,16 +1,25 @@
-// Package workerproc implements the graphworker protocol: running one
-// process's share of a distributed job and assembling the per-process
-// partial results back into one algorithms.Result.
+// Package workerproc runs distributed jobs on warm graphworker
+// processes: the pool that keeps the processes alive across jobs, the
+// per-attempt coordinator that dispatches a job to a party of them and
+// assembles their partial results back into one algorithms.Result, and
+// the worker loop itself.
 //
-// A graphworker process is self-sufficient: it loads the job's graph
-// from a binary snapshot, reconstructs the partition from the owner
-// vector embedded in the snapshot (so every process agrees on vertex
-// placement bit for bit), builds its pre-resolved fragments, joins the
-// job's socket fabric, and runs the exact registry code path the
-// in-process engines run. Its result — the assembled global arrays with
-// only its hosted workers' vertices filled — is encoded as a compact
-// partial (hosted vertices only, in local-index order) and shipped to
-// the hub; the coordinator merges partials by ownership.
+// A graphworker process (Main) lives across jobs. Each job reaches it as
+// one job descriptor on its control channel; it takes the job's graph
+// view from its cache — loading it from the binary snapshot the
+// coordinator exported on first sight, reconstructing the partition from
+// the owner vector embedded in the snapshot (so every process agrees on
+// vertex placement bit for bit) and building its pre-resolved fragments
+// — joins the attempt's socket fabric, and runs the exact registry code
+// path the in-process engines run. Its result — the assembled global
+// arrays with only its hosted workers' vertices filled — is encoded as a
+// compact partial (hosted vertices only, in local-index order) and
+// shipped to the hub; the coordinator merges partials by ownership.
+//
+// pool.go holds Pool, its parties and processes; coordinator.go JobSpec,
+// Run and one attempt; descriptor.go the control-channel wire format;
+// worker.go the worker loop and view cache; proto.go the partial-result
+// format; fault.go deterministic fault injection.
 package workerproc
 
 import (

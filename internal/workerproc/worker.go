@@ -1,13 +1,12 @@
 package workerproc
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"strconv"
-	"strings"
+	"os"
 	"sync"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/ckpt"
@@ -24,137 +23,175 @@ import (
 // exercise real multi-process jobs.
 const ChildEnv = "GRAPHWORKER_CHILD"
 
-// Main is the graphworker entry point: parse flags, load the snapshot,
-// join the job's fabric, run the algorithm, ship the partial result.
-// The exit code is nonzero only for failures before the fabric exists
-// (bad flags, unreadable snapshot); a run failure travels to the
-// coordinator inside the result blob instead.
-func Main(args []string, stderr io.Writer) int {
-	fs := flag.NewFlagSet("graphworker", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	network := fs.String("network", "unix", "hub network: unix or tcp")
-	addr := fs.String("connect", "", "hub address (socket path or host:port)")
-	dataPlane := fs.String("data-plane", netcomm.DataPlaneHub, "data plane: hub (frames relayed by the coordinator), p2p (direct worker mesh with credit flow control) or p2p-adaptive (lazy mesh with auto-tuned windows)")
-	windowBytes := fs.Int("window-bytes", netcomm.DefaultWindowBytes, "p2p receive window per peer connection in bytes (initial value on the adaptive plane)")
-	windowMin := fs.Int("window-min", netcomm.DefaultWindowMin, "adaptive plane: smallest window the per-connection tuner may shrink to")
-	windowMax := fs.Int("window-max", netcomm.DefaultWindowMax, "adaptive plane: largest window the per-connection tuner may grow to")
-	promoteBytes := fs.Int("promote-bytes", netcomm.DefaultPromoteBytes, "adaptive plane: cumulative relayed bytes at which a cold pair is promoted to a direct connection")
-	snapshot := fs.String("snapshot", "", "binary graph snapshot with the job's placement embedded")
-	placement := fs.String("placement", "", "name of the owner vector inside the snapshot")
-	workersFlag := fs.String("workers", "", "hosted worker range lo-hi (inclusive) or a single id")
-	numWorkers := fs.Int("num-workers", 0, "job-wide worker count M")
-	algorithm := fs.String("algorithm", "", "registry algorithm name")
-	engine := fs.String("engine", "", "channel or pregel")
-	variant := fs.String("variant", "", "algorithm variant (empty = basic)")
-	iterations := fs.Int("iterations", 0, "PageRank iterations (0 = default)")
-	source := fs.Uint64("source", 0, "SSSP source vertex")
-	maxSupersteps := fs.Int("max-supersteps", 0, "superstep cap (0 = engine default)")
-	traceOn := fs.Bool("trace", false, "collect per-superstep trace samples, stream them live over the control connection, and ship them with the partial result")
-	flowsOn := fs.Bool("flows", false, "record the per-(src,dst) flow matrix at the fabric seam and ship it with the partial result")
-	ckptDir := fs.String("ckpt-dir", "", "checkpoint store directory (empty = checkpointing off)")
-	ckptJob := fs.String("ckpt-job", "job", "checkpoint job key inside the store")
-	ckptInterval := fs.Int("ckpt-interval", 0, "supersteps between checkpoints (0 = never save)")
-	restore := fs.Int("restore", 0, "superstep to restore from before running (0 = fresh start)")
-	faultFlag := fs.String("fault", "", "deterministic fault injection kind:W@S (tests only)")
-	if err := fs.Parse(args); err != nil {
-		return 2
+// Main is the graphworker entry point: a loop that takes one job
+// descriptor at a time from ctl, runs the process's share of that job,
+// and answers with an ack once it is ready for the next. The graph
+// views it loads stay resident between jobs. It returns when ctl ends —
+// the pool closed the channel, or the coordinator process is gone — so
+// a worker never outlives its coordinator. A job's failure never ends
+// the loop: it travels to the coordinator in the result blob or, when
+// no blob could be shipped, in the ack.
+func Main(ctl io.Reader, acks io.Writer, stderr io.Writer) int {
+	w := &worker{
+		log:     slog.New(slog.NewTextHandler(stderr, nil)),
+		exports: make(map[string]*export),
 	}
-	log := slog.New(slog.NewTextHandler(stderr, nil))
-	fail := func(err error) int {
-		log.Error("graphworker startup failed", "err", err)
-		return 1
-	}
-
-	if err := netcomm.ValidatePlaneConfig(*dataPlane, *windowBytes, *windowMin, *windowMax, *promoteBytes); err != nil {
-		return fail(err)
-	}
-	lo, hi, err := parseRange(*workersFlag)
-	if err != nil {
-		return fail(err)
-	}
-	log = log.With("workers", fmt.Sprintf("%d-%d", lo, hi), "algorithm", *algorithm)
-	spec, ok := algorithms.Lookup(*algorithm)
-	if !ok {
-		return fail(fmt.Errorf("unknown algorithm %q", *algorithm))
-	}
-	eng, err := algorithms.ParseEngine(*engine)
-	if err != nil {
-		return fail(err)
-	}
-
-	g, placements, err := graph.ReadSnapshotFile(*snapshot)
-	if err != nil {
-		return fail(fmt.Errorf("load snapshot: %w", err))
-	}
-	var part *partition.Partition
-	for _, p := range placements {
-		if p.Name == *placement {
-			if part, err = partition.FromOwners(p.Workers, p.Owner); err != nil {
-				return fail(fmt.Errorf("placement %q: %w", p.Name, err))
-			}
-			break
+	for {
+		frame, err := readFrame(ctl)
+		if err == io.EOF {
+			return 0
+		}
+		if err != nil {
+			w.log.Error("control channel failed", "err", err)
+			return 1
+		}
+		d, err := decodeDescriptor(frame)
+		if err != nil {
+			// nothing sane to ack: exiting is what tells the coordinator
+			w.log.Error("bad job descriptor", "err", err)
+			return 1
+		}
+		if err := writeFrame(acks, w.run(d).encode()); err != nil {
+			w.log.Error("control channel failed", "err", err)
+			return 1
 		}
 	}
-	if part == nil {
-		return fail(fmt.Errorf("snapshot has no placement %q", *placement))
+}
+
+// worker is the state a graphworker keeps between jobs.
+type worker struct {
+	log *slog.Logger
+	// exports caches what was loaded from each view export, keyed by
+	// the export's path. The coordinator writes an export once and
+	// removes it when the view behind it is freed, so a path that still
+	// exists still names the same content, and one that is gone marks
+	// the copy here as garbage.
+	exports map[string]*export
+}
+
+// export is one loaded snapshot: the graph and, per placement a job has
+// asked for so far, the partition rebuilt from the embedded owner vector
+// with its fragments. The fragments keep whatever they derive lazily
+// (reverse adjacency, scatter plans), so a repeat job builds nothing.
+type export struct {
+	g          *graph.Graph
+	placements []graph.Placement
+	views      map[string]*view
+}
+
+type view struct {
+	part  *partition.Partition
+	frags *frag.Fragments
+}
+
+// view returns the job's view from the cache, loading the export and
+// building the placement as needed. cached reports a full hit.
+func (w *worker) view(d *descriptor) (g *graph.Graph, v *view, cached bool, err error) {
+	for path := range w.exports {
+		if _, err := os.Stat(path); err != nil {
+			delete(w.exports, path)
+		}
 	}
-	if *numWorkers != 0 && part.NumWorkers() != *numWorkers {
-		return fail(fmt.Errorf("placement %q has %d workers, job expects %d", *placement, part.NumWorkers(), *numWorkers))
+	ex := w.exports[d.snapshot]
+	if ex == nil {
+		g, placements, err := graph.ReadSnapshotFile(d.snapshot)
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("load snapshot: %w", err)
+		}
+		ex = &export{g: g, placements: placements, views: make(map[string]*view)}
+		w.exports[d.snapshot] = ex
+	}
+	if v, ok := ex.views[d.placement]; ok {
+		return ex.g, v, true, checkWorkers(d, v.part)
+	}
+	for _, p := range ex.placements {
+		if p.Name != d.placement {
+			continue
+		}
+		part, err := partition.FromOwners(p.Workers, p.Owner)
+		if err != nil {
+			return nil, nil, false, fmt.Errorf("placement %q: %w", p.Name, err)
+		}
+		if err := checkWorkers(d, part); err != nil {
+			return nil, nil, false, err
+		}
+		v := &view{part: part, frags: frag.Build(ex.g, part)}
+		ex.views[d.placement] = v
+		return ex.g, v, false, nil
+	}
+	return nil, nil, false, fmt.Errorf("snapshot has no placement %q", d.placement)
+}
+
+func checkWorkers(d *descriptor, part *partition.Partition) error {
+	if part.NumWorkers() != d.m {
+		return fmt.Errorf("placement %q has %d workers, job expects %d", d.placement, part.NumWorkers(), d.m)
+	}
+	return nil
+}
+
+// run executes one job. Whatever happens, it returns an ack: the
+// process is idle again afterwards.
+func (w *worker) run(d *descriptor) ack {
+	log := w.log.With("workers", fmt.Sprintf("%d-%d", d.lo, d.hi), "algorithm", d.algorithm)
+	a := ack{seq: d.seq}
+	t0 := time.Now()
+	g, v, cached, err := w.view(d)
+	a.cached, a.load = cached, time.Since(t0)
+	if err != nil {
+		log.Error("view load failed", "err", err)
+		a.err = reportFailure(d, err)
+		return a
 	}
 
 	var flows *obs.FlowAccum
-	if *flowsOn {
-		flows = obs.NewFlowAccum(part.NumWorkers())
+	if d.flows {
+		flows = obs.NewFlowAccum(d.m)
 	}
 	client, err := netcomm.DialConfig(netcomm.Config{
-		Network: *network, Addr: *addr,
-		Lo: lo, Hi: hi, M: part.NumWorkers(),
-		DataPlane:    *dataPlane,
-		WindowBytes:  *windowBytes,
-		WindowMin:    *windowMin,
-		WindowMax:    *windowMax,
-		PromoteBytes: *promoteBytes,
+		Network: d.network, Addr: d.addr,
+		Lo: d.lo, Hi: d.hi, M: d.m,
+		DataPlane:    d.plane,
+		WindowBytes:  d.windowBytes,
+		WindowMin:    d.windowMin,
+		WindowMax:    d.windowMax,
+		PromoteBytes: d.promoteBytes,
 		Flows:        flows,
 	})
 	if err != nil {
-		return fail(err)
+		log.Error("joining the job failed", "err", err)
+		a.err = err.Error()
+		return a
 	}
 	defer client.Close()
-	log.Info("graphworker running", "engine", *engine, "vertices", g.NumVertices(),
-		"trace", *traceOn, "data-plane", *dataPlane)
 
 	opts := algorithms.Options{
-		Part:          part,
-		Frags:         frag.Build(g, part),
-		MaxSupersteps: *maxSupersteps,
+		Part:          v.part,
+		Frags:         v.frags,
+		MaxSupersteps: d.maxSupersteps,
 		Fabric:        client,
 	}
-	if *ckptDir != "" || *faultFlag != "" {
-		hook := &ckpt.Hook{Job: *ckptJob, Interval: *ckptInterval, Restore: *restore}
-		if *ckptDir != "" {
-			hook.Store = ckpt.NewDir(*ckptDir)
+	if d.ckptDir != "" || d.fault != nil {
+		hook := &ckpt.Hook{Job: d.ckptJob, Interval: d.ckptInterval, Restore: d.restore}
+		if d.ckptDir != "" {
+			hook.Store = ckpt.NewDir(d.ckptDir)
 		}
-		if *faultFlag != "" {
-			f, ferr := ParseFault(*faultFlag)
-			if ferr != nil {
-				return fail(ferr)
-			}
-			hook.Probe = f.probe(client)
+		if d.fault != nil {
+			hook.Probe = d.fault.probe(client)
 		}
 		opts.Checkpoint = hook
 	}
 	var tr *obs.Trace
-	if *traceOn {
+	if d.trace {
 		// collect only this process's shard of the timeline; the
 		// coordinator replays every shard into the job-wide trace. Each
 		// sample is also streamed over the control connection as it
 		// happens so the coordinator's event stream sees supersteps in
 		// flight, not only at job end.
-		tr = obs.NewTrace(part.NumWorkers())
+		tr = obs.NewTrace(d.m)
 		opts.Observer = &liveObserver{tr: tr, client: client, buf: ser.NewBuffer(256)}
 	}
-	params := algorithms.Params{Iterations: *iterations, Source: graph.VertexID(*source)}
-	res, runErr := spec.Run(eng, *variant, g, opts, params)
+	spec, _ := algorithms.Lookup(d.algorithm) // vetted by decodeDescriptor
+	res, runErr := spec.Run(d.engine, d.variant, g, opts, d.params)
 
 	var samples []obs.SuperstepSample
 	if tr != nil && runErr == nil {
@@ -168,9 +205,10 @@ func Main(args []string, stderr io.Writer) int {
 		flowMatrix = flows.Matrix()
 	}
 	buf := ser.NewBuffer(4096)
-	encodePartial(buf, part, lo, hi, res, samples, flowMatrix, runErr)
+	encodePartial(buf, v.part, d.lo, d.hi, res, samples, flowMatrix, runErr)
 	if err := client.SendResult(buf.Bytes()); err != nil {
-		return fail(fmt.Errorf("ship result: %w", err))
+		log.Error("shipping the result failed", "err", err)
+		a.err = fmt.Sprintf("ship result: %v", err)
 	}
 	if runErr != nil {
 		log.Error("run failed", "err", runErr)
@@ -178,7 +216,28 @@ func Main(args []string, stderr io.Writer) int {
 			log.Error("transport error", "err", terr)
 		}
 	}
-	return 0
+	return a
+}
+
+// reportFailure ships a failure that struck before the job's fabric
+// existed the way a run error travels: as an error partial in the
+// result blob, after aborting the job so the other processes unwind
+// instead of waiting on a barrier this one will never reach. It joins
+// over the plain hub plane whatever the job's data plane is — there is
+// nothing to exchange. The returned string is empty on success, else
+// what the ack must carry instead.
+func reportFailure(d *descriptor, cause error) string {
+	client, err := netcomm.Dial(d.network, d.addr, d.lo, d.hi, d.m)
+	if err == nil {
+		defer client.Close()
+		client.Barrier().Abort()
+		buf := ser.NewBuffer(256)
+		encodePartial(buf, nil, d.lo, d.hi, nil, nil, nil, cause)
+		if err = client.SendResult(buf.Bytes()); err == nil {
+			return ""
+		}
+	}
+	return fmt.Sprintf("%v (and reporting it failed: %v)", cause, err)
 }
 
 // liveObserver feeds each superstep sample into the process-local trace
@@ -201,25 +260,4 @@ func (o *liveObserver) ObserveSuperstep(s obs.SuperstepSample) {
 	encodeSamples(o.buf, []obs.SuperstepSample{s})
 	o.client.SendSamples(o.buf.Bytes())
 	o.mu.Unlock()
-}
-
-// parseRange parses "lo-hi" or a bare "id".
-func parseRange(s string) (lo, hi int, err error) {
-	if s == "" {
-		return 0, 0, fmt.Errorf("missing -workers range")
-	}
-	loS, hiS, found := strings.Cut(s, "-")
-	if !found {
-		hiS = loS
-	}
-	if lo, err = strconv.Atoi(loS); err != nil {
-		return 0, 0, fmt.Errorf("bad -workers %q", s)
-	}
-	if hi, err = strconv.Atoi(hiS); err != nil {
-		return 0, 0, fmt.Errorf("bad -workers %q", s)
-	}
-	if lo < 0 || hi < lo {
-		return 0, 0, fmt.Errorf("bad -workers range %q", s)
-	}
-	return lo, hi, nil
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,17 +18,15 @@ import (
 	"repro/internal/partition"
 	"repro/internal/seq"
 	"repro/internal/workerproc"
+	"repro/internal/workerproc/wptest"
 )
 
-// TestMain implements the graphworker re-exec: the coordinator spawns
-// this test binary with GRAPHWORKER_CHILD set, so real multi-process
-// jobs run without building a separate binary first.
-func TestMain(m *testing.M) {
-	if os.Getenv(workerproc.ChildEnv) != "" {
-		os.Exit(workerproc.Main(os.Args[1:], os.Stderr))
-	}
-	os.Exit(m.Run())
-}
+// TestMain implements the graphworker re-exec — the pool spawns this
+// test binary with GRAPHWORKER_CHILD set, so real multi-process jobs run
+// without building a separate binary first — and opens wptest.Pool, the
+// one warm pool every job below runs on: each lands on processes that
+// already ran every earlier row, and none may be left at exit.
+func TestMain(m *testing.M) { wptest.Main(m) }
 
 // writeSnapshot dumps g with hash and greedy owner vectors for M
 // workers embedded, returning the path and the partitions by name.
@@ -83,16 +82,19 @@ func runJob(t *testing.T, snap string, placement string, part *partition.Partiti
 		js.WindowMin = 8 << 10
 		js.PromoteBytes = 32 << 10
 	}
-	return workerproc.Run(js)
+	return wptest.Pool.Run(js)
 }
 
 // TestDistributedEquivalenceSweep is the acceptance sweep: every Table
 // IV–VII algorithm × both engines × every registered variant × hash and
-// greedy placements × both data planes, with the workers in separate OS
-// processes joined over the socket fabric, must produce oracle-identical
-// results. Two workers share each process, so the sweep also covers
-// co-hosted workers whose frames round-trip through the hub (hub plane)
-// or stage in-process (p2p plane).
+// greedy placements × all three data planes, with the workers in
+// separate OS processes joined over the socket fabric, must produce
+// oracle-identical results. Two workers share each process, so the sweep
+// also covers co-hosted workers whose frames round-trip through the hub
+// (hub plane) or stage in-process (p2p planes). Every row runs back to
+// back on the same two warm processes, so it is also the state-leak
+// sweep: nothing one algorithm, engine, placement or plane leaves behind
+// in a worker may change the next row's result.
 func TestDistributedEquivalenceSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns many worker processes")
@@ -204,7 +206,7 @@ func TestKillWorkerWithoutRecoveryFailsCleanly(t *testing.T) {
 	g := graph.Undirectify(graph.RMAT(9, 6, 3, graph.RMATOptions{NoSelfLoops: true}))
 	const m = 4
 	snap, parts := writeSnapshot(t, g, m)
-	res, err := workerproc.Run(workerproc.JobSpec{
+	res, err := wptest.Pool.Run(workerproc.JobSpec{
 		Bin:           os.Args[0],
 		SnapshotPath:  snap,
 		Placement:     partition.PlacementHash,
@@ -228,11 +230,12 @@ func TestKillWorkerWithoutRecoveryFailsCleanly(t *testing.T) {
 // TestFaultMatrixRecovers is the recovery acceptance matrix: a
 // deterministic kill, drop or stall of one worker mid-job, under either
 // engine on either socket fabric on either data plane, must complete
-// anyway — the coordinator respawns the party from the last complete
-// checkpoint and the final ranks are byte-identical to an in-process
-// run of the same engine. The p2p rows also prove mesh teardown and
-// re-negotiation: each recovery attempt spawns a fresh party that must
-// re-exchange the peer directory and redial the full mesh.
+// anyway — the coordinator replaces the lost member in its slot, re-runs
+// the job on the same party from the last complete checkpoint, and the
+// final ranks are byte-identical to an in-process run of the same
+// engine. The p2p rows also prove mesh teardown and re-negotiation: each
+// recovery attempt's members, survivors included, must re-exchange the
+// peer directory and redial the full mesh.
 func TestFaultMatrixRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns many worker processes")
@@ -256,7 +259,7 @@ func TestFaultMatrixRecovers(t *testing.T) {
 			{"kill", "unix", netcomm.DataPlaneP2P}, {"drop", "unix", netcomm.DataPlaneP2P}, {"stall", "unix", netcomm.DataPlaneP2P},
 			{"kill", "tcp", netcomm.DataPlaneP2P}, {"drop", "tcp", netcomm.DataPlaneP2P}, {"stall", "tcp", netcomm.DataPlaneP2P},
 			// The adaptive rows prove recovery re-negotiates the lazy
-			// mesh: each fresh party restarts with cold routes and must
+			// mesh: each attempt restarts with cold routes and must
 			// re-earn its promotions and window sizes from scratch.
 			{"kill", "unix", netcomm.DataPlaneP2PAdaptive},
 			{"kill", "tcp", netcomm.DataPlaneP2PAdaptive},
@@ -298,10 +301,12 @@ func TestFaultMatrixRecovers(t *testing.T) {
 					js.PromoteBytes = 32 << 10 // party must redo resizes and promotions
 				}
 				if kind == "stall" {
-					// the only detector a parked worker has
-					js.WallTimeout = 5 * time.Second
+					// the only detector a parked worker has; roomy enough
+					// that the recovered attempt (one slot respawned and
+					// reloading the view) never trips it on a loaded box
+					js.WallTimeout = 3 * time.Second
 				}
-				res, err := workerproc.Run(js)
+				res, err := wptest.Pool.Run(js)
 				if err != nil {
 					t.Fatalf("%s/%s: job did not recover: %v", eng, kind, err)
 				}
@@ -330,7 +335,7 @@ func TestRecoveryDoesNotRetryDeterministicErrors(t *testing.T) {
 	const m = 2
 	snap, parts := writeSnapshot(t, g, m)
 	retried := false
-	_, err := workerproc.Run(workerproc.JobSpec{
+	_, err := wptest.Pool.Run(workerproc.JobSpec{
 		Bin:           os.Args[0],
 		SnapshotPath:  snap,
 		Placement:     partition.PlacementHash,
@@ -366,7 +371,7 @@ func TestCancelDistributedJob(t *testing.T) {
 		time.Sleep(500 * time.Millisecond)
 		close(cancel)
 	}()
-	_, err := workerproc.Run(workerproc.JobSpec{
+	_, err := wptest.Pool.Run(workerproc.JobSpec{
 		Bin:           os.Args[0],
 		SnapshotPath:  snap,
 		Placement:     partition.PlacementHash,
@@ -398,7 +403,7 @@ func TestDistributedSuperstepCapSurfacesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
-	res, err := workerproc.Run(workerproc.JobSpec{
+	res, err := wptest.Pool.Run(workerproc.JobSpec{
 		Bin:           os.Args[0],
 		SnapshotPath:  snap,
 		Placement:     partition.PlacementHash,
@@ -418,31 +423,151 @@ func TestDistributedSuperstepCapSurfacesOnce(t *testing.T) {
 	}
 }
 
-// A worker process that dies before it ever dials the hub (here: an
-// unreadable snapshot) must fail the job promptly with the process's
-// real error — not sit out the join and result deadlines.
+// A member that cannot load the view — so it never joins the job's
+// fabric — must fail the job promptly with the load error, not sit out
+// the join and result deadlines: the error travels in the member's
+// result blob like a run error, and the abort it sends releases every
+// other member. In the first row no member can read the export; in the
+// second only one of two cannot: the other still holds the view from an
+// earlier job, while the export is damaged before the respawned slot
+// next to it reads it.
 func TestWorkerDiesBeforeDialFailsFast(t *testing.T) {
 	g := graph.Undirectify(graph.Chain(32))
-	_, parts := writeSnapshot(t, g, 2)
-	start := time.Now()
-	_, err := workerproc.Run(workerproc.JobSpec{
+	snap, parts := writeSnapshot(t, g, 2)
+	var pids []int
+	js := workerproc.JobSpec{
 		Bin:          os.Args[0],
-		SnapshotPath: filepath.Join(t.TempDir(), "missing.bin"),
+		SnapshotPath: snap,
 		Placement:    partition.PlacementHash,
 		Part:         parts[partition.PlacementHash],
 		Procs:        2,
 		Algorithm:    "wcc",
 		Engine:       algorithms.EngineChannel,
 		JoinTimeout:  time.Minute,
+		Spawned:      func(p []int) { pids = p },
+	}
+	failsFast := func(t *testing.T, js workerproc.JobSpec) {
+		t.Helper()
+		start := time.Now()
+		_, err := wptest.Pool.Run(js)
+		elapsed := time.Since(start)
+		if err == nil {
+			t.Fatal("job succeeded with an unreadable snapshot")
+		}
+		if !strings.Contains(err.Error(), "load snapshot") {
+			t.Fatalf("error does not surface the snapshot failure: %v", err)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("fast-fail took %v (ran out the deadlines instead of settling)", elapsed)
+		}
+	}
+	t.Run("every member", func(t *testing.T) {
+		missing := js
+		missing.SnapshotPath = filepath.Join(t.TempDir(), "missing.bin")
+		failsFast(t, missing)
 	})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("job succeeded with an unreadable snapshot")
+	t.Run("one of two members", func(t *testing.T) {
+		if _, err := wptest.Pool.Run(js); err != nil {
+			t.Fatalf("warm-up job: %v", err)
+		}
+		warm := pids
+		if err := syscall.Kill(warm[1], syscall.SIGKILL); err != nil {
+			t.Fatal(err)
+		}
+		awaitGone(t, warm[1])
+		if err := os.WriteFile(snap, []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		failsFast(t, js)
+		if pids[0] != warm[0] || pids[1] == warm[1] {
+			t.Fatalf("party %v after losing member 1 of %v: want only that slot respawned", pids, warm)
+		}
+	})
+}
+
+// awaitGone waits until the pool has reaped a killed worker.
+func awaitGone(t *testing.T, pid int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); syscall.Kill(pid, 0) == nil; {
+		if time.Now().After(deadline) {
+			t.Fatalf("process %d still there", pid)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if !strings.Contains(err.Error(), "load snapshot") {
-		t.Fatalf("error does not surface the snapshot failure: %v", err)
+}
+
+// Jobs on a pool reuse its processes and what they loaded: the second
+// job on a view execs nothing and every member finds the view resident.
+func TestWarmPoolReusesProcessesAndViews(t *testing.T) {
+	pool := wptest.Pool
+	g := graph.Undirectify(graph.RMAT(7, 4, 5, graph.RMATOptions{NoSelfLoops: true}))
+	snap, parts := writeSnapshot(t, g, 4)
+	oracle := seq.ConnectedComponents(g)
+	var runs [][]int
+	js := workerproc.JobSpec{
+		SnapshotPath: snap,
+		Placement:    partition.PlacementGreedy,
+		Part:         parts[partition.PlacementGreedy],
+		Procs:        2,
+		Algorithm:    "wcc",
+		Engine:       algorithms.EngineChannel,
+		Variant:      "propagation",
+		Spawned:      func(p []int) { runs = append(runs, p) },
 	}
-	if elapsed > 20*time.Second {
-		t.Fatalf("fast-fail took %v (ran out the deadlines instead of settling)", elapsed)
+	for i := 0; i < 3; i++ {
+		before := pool.Stats()
+		res, err := pool.Run(js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLabels(t, fmt.Sprintf("job %d", i), res.Labels, oracle)
+		after := pool.Stats()
+		hits, misses := after.ViewHits-before.ViewHits, after.ViewMisses-before.ViewMisses
+		if want := int64(min(i, 1) * 2); hits != want || misses != 2-want {
+			t.Fatalf("job %d: %d view hits, %d misses; want %d and %d", i, hits, misses, want, 2-want)
+		}
+		if after.Processes < 2 || after.RSSBytes == 0 {
+			t.Fatalf("pool stats do not see the party: %+v", after)
+		}
+	}
+	for _, pids := range runs[1:] {
+		if pids[0] != runs[0][0] || pids[1] != runs[0][1] {
+			t.Fatalf("jobs ran on different processes: %v", runs)
+		}
+	}
+}
+
+// The package-level Run is the one-shot form: a pool of its own around
+// one job, every process cold, and none left when it returns.
+func TestRunClosesItsPool(t *testing.T) {
+	g := graph.Undirectify(graph.Chain(32))
+	snap, parts := writeSnapshot(t, g, 2)
+	var pids []int
+	res, err := workerproc.Run(workerproc.JobSpec{
+		Bin:          os.Args[0],
+		SnapshotPath: snap,
+		Placement:    partition.PlacementHash,
+		Part:         parts[partition.PlacementHash],
+		Procs:        2,
+		Algorithm:    "wcc",
+		Engine:       algorithms.EngineChannel,
+		Spawned:      func(p []int) { pids = p },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLabels(t, "one-shot", res.Labels, seq.ConnectedComponents(g))
+	if len(pids) != 2 {
+		t.Fatalf("party %v, want 2 processes", pids)
+	}
+	for _, pid := range pids {
+		if err := syscall.Kill(pid, 0); err != syscall.ESRCH {
+			t.Errorf("worker %d outlived Run: %v", pid, err)
+		}
+		for _, warm := range wptest.Pool.Processes() {
+			if pid == warm {
+				t.Errorf("Run borrowed worker %d of another pool", pid)
+			}
+		}
 	}
 }

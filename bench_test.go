@@ -526,8 +526,7 @@ func BenchmarkAblationCostModel(b *testing.B) {
 func svSetup(g *graph.Graph, p *partition.Partition) func(w *engine.Worker) {
 	return func(w *engine.Worker) {
 		vals := make([]float64, w.LocalCount())
-		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{},
-			func(a, b float64) float64 { return a + b })
+		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, channel.Sum[float64]())
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
 				vals[li] = 1

@@ -63,6 +63,30 @@
 // list once (first scattering superstep) and values only afterwards,
 // with presence bytes in supersteps where some source stayed silent;
 // AddAddr builds the same plan privately for custom edge sets. The
+// gather-reduce itself belongs to the combiner, not to the channel: the
+// paper's C++ templates inline the user's combiner into that scan, Go
+// generics instantiate per memory layout and leave a func-typed
+// combiner an indirect call per edge, so channel.Combiner is a reducer
+// that carries its own loops — Combine(a, b), a run fold over one plan
+// segment (sources of a run combined left to right, which keeps float
+// sums bit-identical) and an indexed merge into the epoch-stamped inbox
+// — with Sum and Min written over a native + and min, and CombinerFunc
+// deriving all three from any function for custom message types.
+// ser.EncodeSlice/DecodeSlice are the matching slice form of a codec
+// (fixed-width codecs through one Extend and one bounds check, every
+// other codec through its per-value loop, same bytes), so a dense
+// ScatterCombine superstep is three calls per peer worker on each side
+// whatever the segment's size. Only a pre-calculated plan can be folded
+// in bulk — the fold needs each destination's sources laid out as a run
+// before the values exist, which is Fig. 5's pre-calculation — so the
+// channels that learn destinations one Send at a time (CombinedMessage,
+// Propagation, Mirror, Aggregator) take the same Combiner and call its
+// Combine per message. RequestRespond deduplicates as requests are made
+// (a sparse set over the owner's local indices), answers Respond with
+// one index, and rejects in Deserialize the two things a hostile peer
+// could otherwise turn into an index outside the engine's recover: a
+// requested vertex outside the responder's range and a response list of
+// another length than the request list. The
 // id-based channel APIs remain as thin resolving wrappers
 // for dynamic destinations (pointer chases, request targets). Because a
 // fragment plus its channels is the complete per-worker state, workers

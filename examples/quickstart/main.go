@@ -28,9 +28,8 @@ func main() {
 
 	met, err := core.Run(core.Config{Part: part}, func(w *core.Worker) {
 		// Two channels, exactly as in the paper's PageRankWorker.
-		sum := func(a, b float64) float64 { return a + b }
-		msg := core.NewCombinedMessage[float64](w, ser.Float64Codec{}, sum)
-		agg := core.NewAggregator[float64](w, ser.Float64Codec{}, sum, 0)
+		msg := core.NewCombinedMessage[float64](w, ser.Float64Codec{}, core.Sum[float64]())
+		agg := core.NewAggregator[float64](w, ser.Float64Codec{}, core.Sum[float64](), 0)
 		n := float64(w.NumVertices())
 		local := make([]float64, w.LocalCount())
 

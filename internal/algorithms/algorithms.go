@@ -34,30 +34,8 @@ func gather[T any](part *partition.Partition, states [][]T) []T {
 	return out
 }
 
-// minU32 is the min combiner for uint32 labels.
-func minU32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // orBool is the logical-or combiner used for convergence detection.
 func orBool(a, b bool) bool { return a || b }
-
-// sumF64 is the float sum combiner.
-func sumF64(a, b float64) float64 { return a + b }
-
-// sumI64 is the integer sum combiner.
-func sumI64(a, b int64) int64 { return a + b }
-
-// minI64 is the min combiner for int64 distances.
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Options bundles the common run parameters of all algorithm variants.
 type Options struct {

@@ -72,6 +72,96 @@ func TestPageRankVariantsMatchOracle(t *testing.T) {
 	checkPageRank(t, "mirror", got5, want)
 }
 
+// pageRankScalarFold is PageRankScatter written as plain loops with one
+// scalar + per edge, in the order the channels combine: per destination
+// the sources of one worker in ascending local index, the workers'
+// partial sums in worker order, the dangling mass likewise.
+func pageRankScalarFold(g *graph.Graph, part *partition.Partition, iterations int) []float64 {
+	n, m := g.NumVertices(), part.NumWorkers()
+	// in[v][w]: v's in-neighbors owned by worker w, ascending local index
+	in := make([][][]graph.VertexID, n)
+	for v := range in {
+		in[v] = make([][]graph.VertexID, m)
+	}
+	for w := 0; w < m; w++ {
+		for li := 0; li < part.LocalCount(w); li++ {
+			u := part.GlobalID(w, li)
+			for _, v := range g.Neighbors(u) {
+				in[v][w] = append(in[v][w], u)
+			}
+		}
+	}
+	pr, share, inbox := make([]float64, n), make([]float64, n), make([]float64, n)
+	dangling := 0.0
+	for step := 1; step <= iterations+1; step++ {
+		for v := range pr {
+			if step == 1 {
+				pr[v] = 1.0 / float64(n)
+			} else {
+				pr[v] = 0.15/float64(n) + 0.85*(inbox[v]+dangling/float64(n))
+			}
+		}
+		dangling = 0
+		first := true
+		for w := 0; w < m; w++ {
+			partial, any := 0.0, false
+			for li := 0; li < part.LocalCount(w); li++ {
+				u := part.GlobalID(w, li)
+				if deg := g.OutDegree(u); deg > 0 {
+					share[u] = pr[u] / float64(deg)
+				} else if any {
+					partial += pr[u]
+				} else {
+					partial, any = pr[u], true
+				}
+			}
+			if any && first {
+				dangling, first = partial, false
+			} else if any {
+				dangling += partial
+			}
+		}
+		for v := range inbox {
+			inbox[v] = 0
+			delivered := false
+			for w := 0; w < m; w++ {
+				if len(in[v][w]) == 0 {
+					continue
+				}
+				partial := share[in[v][w][0]]
+				for _, u := range in[v][w][1:] {
+					partial += share[u]
+				}
+				if delivered {
+					inbox[v] += partial
+				} else {
+					inbox[v], delivered = partial, true
+				}
+			}
+		}
+	}
+	return pr
+}
+
+// The Sum combiner's segment fold and indexed merge must not regroup a
+// single addition: ranks equal the scalar loops bit for bit.
+func TestPageRankScatterBitIdenticalToScalarFold(t *testing.T) {
+	g := graph.RMAT(12, 16, 7, graph.RMATOptions{NoSelfLoops: true})
+	const iters = 30
+	opts := hashOpts(g)
+	got, _, err := PageRankScatter(g, opts, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pageRankScalarFold(g, opts.Part, iters)
+	checkPageRank(t, "scalar fold vs oracle", want, seq.PageRank(g, iters))
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("pr[%d] = %x (%v), scalar fold %x (%v)", v, math.Float64bits(got[v]), got[v], math.Float64bits(want[v]), want[v])
+		}
+	}
+}
+
 func TestPageRankDeadEnds(t *testing.T) {
 	// star into a sink: sink mass must be redistributed, ranks sum to 1
 	edges := []graph.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}}

@@ -203,15 +203,15 @@ func MSFChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error)
 		compStates[w.WorkerID()] = comp
 
 		bcast := channel.NewDirectMessage[msfBcastMsg](w, msfBcastCodec{})
-		cand := channel.NewCombinedMessage[msfCandMsg](w, msfCandCodec{}, msfCandMin)
+		cand := channel.NewCombinedMessage[msfCandMsg](w, msfCandCodec{}, channel.CombinerFunc(msfCandMin))
 		rrD := channel.NewRequestRespond[uint32](w, ser.Uint32Codec{}, func(li int) uint32 {
 			return droot[li]
 		})
 		rrJump := channel.NewRequestRespond[uint32](w, ser.Uint32Codec{}, func(li int) uint32 {
 			return cur[li]
 		})
-		selAgg := channel.NewAggregator[int64](w, ser.Int64Codec{}, sumI64, 0)
-		jumpAgg := channel.NewAggregator[int64](w, ser.Int64Codec{}, sumI64, 0)
+		selAgg := channel.NewAggregator[int64](w, ser.Int64Codec{}, channel.Sum[int64](), 0)
+		jumpAgg := channel.NewAggregator[int64](w, ser.Int64Codec{}, channel.Sum[int64](), 0)
 
 		phase := msfBcast
 		phaseStart := 1

@@ -31,8 +31,8 @@ func PageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, e
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Float64Codec{}, pr) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Float64Codec{}, pr) },
 		)
-		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, sumF64)
-		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
+		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, channel.Sum[float64]())
+		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
 		n := float64(w.NumVertices())
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
@@ -74,9 +74,9 @@ func PageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, e
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Float64Codec{}, pr) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Float64Codec{}, pr) },
 		)
-		msg := channel.NewScatterCombine[float64](w, ser.Float64Codec{}, sumF64)
+		msg := channel.NewScatterCombine[float64](w, ser.Float64Codec{}, channel.Sum[float64]())
 		msg.UseFragment(f)
-		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
+		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
 		n := float64(w.NumVertices())
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
@@ -115,8 +115,8 @@ func PageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, en
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Float64Codec{}, pr) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Float64Codec{}, pr) },
 		)
-		msg := channel.NewMirror[float64](w, ser.Float64Codec{}, sumF64, 16)
-		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
+		msg := channel.NewMirror[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 16)
+		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
 		n := float64(w.NumVertices())
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
@@ -168,8 +168,8 @@ func pageRankPregel(g *graph.Graph, opts Options, iterations, ghostThreshold int
 		Observer:       opts.Observer,
 		Checkpoint:     opts.Checkpoint,
 		MsgCodec:       ser.Float64Codec{},
-		Combiner:       sumF64,
-		AggCombine:     sumF64,
+		Combiner:       channel.Sum[float64]().Combine,
+		AggCombine:     channel.Sum[float64]().Combine,
 		AggCodec:       ser.Float64Codec{},
 		GhostThreshold: ghostThreshold,
 	}

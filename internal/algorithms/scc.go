@@ -62,8 +62,6 @@ func (sccPairCodec) Decode(b *ser.Buffer) sccPairMsg {
 	return sccPairMsg{ID: b.ReadUint32(), F: b.ReadUint32(), B: b.ReadUint32()}
 }
 
-func sumU32(a, b uint32) uint32 { return a + b }
-
 // sccState is the per-worker algorithm state shared by both channel
 // variants.
 type sccState struct {
@@ -116,12 +114,12 @@ func newSCCState(w *engine.Worker, fwd, bwd *frag.Fragment) *sccState {
 	}
 	s.phaseStart = 1
 	s.phaseStep = 0
-	s.decIn = channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, sumU32)
-	s.decOut = channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, sumU32)
+	s.decIn = channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, channel.Sum[uint32]())
+	s.decOut = channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, channel.Sum[uint32]())
 	s.pairOut = channel.NewDirectMessage[sccPairMsg](w, sccPairCodec{})
 	s.pairIn = channel.NewDirectMessage[sccPairMsg](w, sccPairCodec{})
-	s.act = channel.NewAggregator[int64](w, ser.Int64Codec{}, sumI64, 0)
-	s.doneAgg = channel.NewAggregator[int64](w, ser.Int64Codec{}, sumI64, 0)
+	s.act = channel.NewAggregator[int64](w, ser.Int64Codec{}, channel.Sum[int64](), 0)
+	s.doneAgg = channel.NewAggregator[int64](w, ser.Int64Codec{}, channel.Sum[int64](), 0)
 	return s
 }
 
@@ -298,8 +296,8 @@ func SCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics,
 		s := newSCCState(w, w.Frag(), bwdFrags.Frag(w.WorkerID()))
 		states[w.WorkerID()] = s.scc
 		s.checkpoint()
-		fwd := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, minU32)
-		bwd := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, minU32)
+		fwd := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
+		bwd := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 		w.Compute = func(li int) {
 			s.evalPhase(false, nil)
 			if w.Superstep() == 1 {
@@ -374,8 +372,8 @@ func SCCPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metr
 		s := newSCCState(w, w.Frag(), bwdFrags.Frag(w.WorkerID()))
 		states[w.WorkerID()] = s.scc
 		s.checkpoint()
-		fwd := channel.NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
-		bwd := channel.NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+		fwd := channel.NewPropagation[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
+		bwd := channel.NewPropagation[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 		onEnter := func(p sccPhase) {
 			if p == sccSeed {
 				fwd.Reset()

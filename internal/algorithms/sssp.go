@@ -32,7 +32,7 @@ func SSSPChannel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, eng
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Int64Codec{}, dist) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Int64Codec{}, dist) },
 		)
-		msg := channel.NewCombinedMessage[int64](w, ser.Int64Codec{}, minI64)
+		msg := channel.NewCombinedMessage[int64](w, ser.Int64Codec{}, channel.Min[int64]())
 		relax := func(li int) {
 			ws := f.NeighborWeights(li)
 			for i, a := range f.Neighbors(li) {
@@ -74,7 +74,7 @@ func SSSPPropagation(g *graph.Graph, src graph.VertexID, opts Options) ([]int64,
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Int64Codec{}, dist) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Int64Codec{}, dist) },
 		)
-		prop := channel.NewWeightedPropagation[int64](w, ser.Int64Codec{}, minI64,
+		prop := channel.NewWeightedPropagation[int64](w, ser.Int64Codec{}, channel.Min[int64](),
 			func(m int64, weight int32) int64 { return m + int64(weight) })
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"math"
 
+	"repro/internal/channel"
 	"repro/internal/ckpt"
 	"repro/internal/graph"
 	"repro/internal/pregel"
@@ -24,7 +25,7 @@ func SSSPPregel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, preg
 		Observer:      opts.Observer,
 		Checkpoint:    opts.Checkpoint,
 		MsgCodec:      ser.Int64Codec{},
-		Combiner:      minI64,
+		Combiner:      channel.Min[int64]().Combine,
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[int64, struct{}, struct{}]) {
 		f := w.Frag()

@@ -69,10 +69,10 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 		var bcastCM *channel.CombinedMessage[uint32]
 		var bcastSC *channel.ScatterCombine[uint32]
 		if useScatter {
-			bcastSC = channel.NewScatterCombine[uint32](w, ser.Uint32Codec{}, minU32)
+			bcastSC = channel.NewScatterCombine[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 			bcastSC.UseFragment(f)
 		} else {
-			bcastCM = channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, minU32)
+			bcastCM = channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 		}
 		// pattern 1: grandparent fetch
 		var rr *channel.RequestRespond[uint32]
@@ -86,9 +86,9 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 			repCh = channel.NewDirectMessage[uint32](w, ser.Uint32Codec{})
 		}
 		// pattern 3: root update
-		mc := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, minU32)
+		mc := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 		// convergence detection
-		agg := channel.NewAggregator[bool](w, ser.BoolCodec{}, orBool, false)
+		agg := channel.NewAggregator[bool](w, ser.BoolCodec{}, channel.CombinerFunc(orBool), false)
 
 		period := 3
 		if !useReqResp {

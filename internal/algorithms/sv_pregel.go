@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"repro/internal/channel"
 	"repro/internal/ckpt"
 	"repro/internal/graph"
 	"repro/internal/pregel"
@@ -160,7 +161,7 @@ func SVPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Met
 		Observer:      opts.Observer,
 		Checkpoint:    opts.Checkpoint,
 		MsgCodec:      ser.Uint32Codec{},
-		Combiner:      minU32,
+		Combiner:      channel.Min[uint32]().Combine,
 		RespCodec:     ser.Uint32Codec{},
 		Responder: func(w *pregel.Worker[uint32, uint32, bool], li int) uint32 {
 			return dStates[w.WorkerID()][li]

@@ -35,7 +35,7 @@ func WCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics,
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, vidCodec, label) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, vidCodec, label) },
 		)
-		msg := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, minU32)
+		msg := channel.NewCombinedMessage[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 		w.Compute = func(li int) {
 			changed := false
 			if w.Superstep() == 1 {
@@ -71,7 +71,7 @@ func WCCPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metr
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, vidCodec, label) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, vidCodec, label) },
 		)
-		prop := channel.NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+		prop := channel.NewPropagation[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
 				if li == 0 {
@@ -105,7 +105,7 @@ func WCCBlogel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, 
 			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, vidCodec, label) },
 			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, vidCodec, label) },
 		)
-		prop := channel.NewBlockPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+		prop := channel.NewBlockPropagation[uint32](w, ser.Uint32Codec{}, channel.Min[uint32]())
 		props[w.WorkerID()] = prop
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
@@ -143,7 +143,7 @@ func WCCPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, 
 		Observer:      opts.Observer,
 		Checkpoint:    opts.Checkpoint,
 		MsgCodec:      ser.Uint32Codec{},
-		Combiner:      minU32,
+		Combiner:      channel.Min[uint32]().Combine,
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[uint32, struct{}, struct{}]) {
 		f := w.Frag()

@@ -38,7 +38,7 @@ func NewAggregator[M any](w *engine.Worker, codec ser.Codec[M], combine Combiner
 // Add contributes v to the aggregation of the current superstep.
 func (c *Aggregator[M]) Add(v M) {
 	if c.currSet {
-		c.curr = c.combine(c.curr, v)
+		c.curr = c.combine.Combine(c.curr, v)
 	} else {
 		c.curr = v
 		c.currSet = true
@@ -70,7 +70,7 @@ func (c *Aggregator[M]) Serialize(dst int, buf *ser.Buffer) {
 func (c *Aggregator[M]) Deserialize(src int, buf *ser.Buffer) {
 	v := c.codec.Decode(buf)
 	if c.gatheredSet {
-		c.gathered = c.combine(c.gathered, v)
+		c.gathered = c.combine.Combine(c.gathered, v)
 	} else {
 		c.gathered = v
 		c.gatheredSet = true

@@ -49,7 +49,7 @@ func BenchmarkDirectMessageRing(b *testing.B) {
 
 func BenchmarkCombinedMessageFanIn(b *testing.B) {
 	benchRun(b, func(w *engine.Worker) {
-		ch := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, sumU32)
+		ch := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() <= microSteps {
@@ -64,7 +64,7 @@ func BenchmarkCombinedMessageFanIn(b *testing.B) {
 
 func BenchmarkScatterCombineRing(b *testing.B) {
 	benchRun(b, func(w *engine.Worker) {
-		ch := NewScatterCombine[uint32](w, ser.Uint32Codec{}, sumU32)
+		ch := NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
@@ -95,7 +95,7 @@ func BenchmarkScatterCombineFragment(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
-		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, sumF64)
+		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
 		ch.UseFragment(w.Frag())
 		w.Compute = func(li int) {
 			if w.Superstep() > b.N {
@@ -130,7 +130,7 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 
 func BenchmarkAggregatorSum(b *testing.B) {
 	benchRun(b, func(w *engine.Worker) {
-		agg := NewAggregator[int64](w, ser.Int64Codec{}, func(a, c int64) int64 { return a + c }, 0)
+		agg := NewAggregator[int64](w, ser.Int64Codec{}, Sum[int64](), 0)
 		w.Compute = func(li int) {
 			if w.Superstep() <= microSteps {
 				agg.Add(1)
@@ -158,7 +158,7 @@ func BenchmarkRequestRespondHub(b *testing.B) {
 
 func BenchmarkPropagationPath(b *testing.B) {
 	benchRun(b, func(w *engine.Worker) {
-		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
@@ -177,7 +177,7 @@ func BenchmarkPropagationPath(b *testing.B) {
 
 func BenchmarkMirrorHubBroadcast(b *testing.B) {
 	benchRun(b, func(w *engine.Worker) {
-		mr := NewMirror[uint32](w, ser.Uint32Codec{}, sumU32, 16)
+		mr := NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 16)
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 && id < 8 {

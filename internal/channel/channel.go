@@ -8,7 +8,8 @@
 // demonstrated on S-V in §III-C).
 //
 // All channels are generic over the message type, taking a ser.Codec for
-// wire encoding; combining channels additionally take a Combiner.
+// wire encoding; combining channels additionally take a Combiner (Sum,
+// Min, or CombinerFunc around a custom function).
 package channel
 
 import (
@@ -16,11 +17,6 @@ import (
 	"repro/internal/frag"
 	"repro/internal/ser"
 )
-
-// Combiner merges two message values addressed to the same destination
-// (paper §II-A). It must be commutative and associative: the engine makes
-// no ordering promises across workers.
-type Combiner[M any] func(a, b M) M
 
 // epoch tagging: several channels stamp per-vertex slots with the
 // superstep that wrote them instead of clearing arrays between
@@ -49,7 +45,7 @@ func (s *stamped[T]) get(i int, e int32) (T, bool) {
 
 // merge delivers v to slot i in epoch e: the epoch's first value is
 // stored, later ones are combined into it.
-func (s *stamped[T]) merge(i int, v T, e int32, combine Combiner[T]) {
+func (s *stamped[T]) merge(i int, v T, e int32, combine func(T, T) T) {
 	if s.epoch[i] == e {
 		v = combine(s.val[i], v)
 	}
@@ -123,7 +119,7 @@ func newDenseOut[M any](w *engine.Worker) denseOut[M] {
 }
 
 // stage combines m into the slot for local index li on worker o.
-func (d *denseOut[M]) stage(o int, li uint32, m M, combine Combiner[M]) {
+func (d *denseOut[M]) stage(o int, li uint32, m M, combine func(M, M) M) {
 	if d.stamp[o][li] == d.gen[o] {
 		d.val[o][li] = combine(d.val[o][li], m)
 		return

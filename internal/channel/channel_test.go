@@ -9,17 +9,6 @@ import (
 	"repro/internal/ser"
 )
 
-func minU32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func sumU32(a, b uint32) uint32 { return a + b }
-
-func sumF64(a, b float64) float64 { return a + b }
-
 // run helper: executes a 2-superstep job: superstep 1 sends, superstep 2
 // checks; the check callback receives the worker and halts everything.
 func runJob(t *testing.T, nVertices, nWorkers int, setup func(w *engine.Worker)) engine.Metrics {
@@ -99,7 +88,7 @@ func TestCombinedMessageCombines(t *testing.T) {
 	got := make([]uint32, n)
 	has := make([]bool, n)
 	runJob(t, n, 3, func(w *engine.Worker) {
-		ch := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, sumU32)
+		ch := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
@@ -131,7 +120,7 @@ func TestCombinedMessageMinAcrossWorkers(t *testing.T) {
 	const n = 12
 	var got uint32
 	runJob(t, n, 4, func(w *engine.Worker) {
-		ch := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, minU32)
+		ch := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
@@ -156,7 +145,7 @@ func TestAggregatorSum(t *testing.T) {
 	const n = 10
 	results := make([]float64, 3)
 	runJob(t, n, 3, func(w *engine.Worker) {
-		agg := NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
+		agg := NewAggregator[float64](w, ser.Float64Codec{}, Sum[float64](), 0)
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
 				agg.Add(float64(w.GlobalID(li)))
@@ -177,7 +166,7 @@ func TestAggregatorSum(t *testing.T) {
 func TestAggregatorZeroWhenNoAdds(t *testing.T) {
 	got := []float64{-1, -1} // per worker: compute phases run concurrently
 	runJob(t, 4, 2, func(w *engine.Worker) {
-		agg := NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
+		agg := NewAggregator[float64](w, ser.Float64Codec{}, Sum[float64](), 0)
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
 				return // nobody adds
@@ -198,7 +187,7 @@ func TestAggregatorFreshEachSuperstep(t *testing.T) {
 	// superstep 3
 	got := []float64{-1, -1} // per worker: compute phases run concurrently
 	runJob(t, 4, 2, func(w *engine.Worker) {
-		agg := NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
+		agg := NewAggregator[float64](w, ser.Float64Codec{}, Sum[float64](), 0)
 		w.Compute = func(li int) {
 			switch w.Superstep() {
 			case 1:
@@ -225,7 +214,7 @@ func TestScatterCombineStaticPattern(t *testing.T) {
 	got1 := make([]uint32, n)
 	got2 := make([]uint32, n)
 	runJob(t, n, 3, func(w *engine.Worker) {
-		sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, sumU32)
+		sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
@@ -264,7 +253,7 @@ func TestScatterCombineSkipsSilentVertices(t *testing.T) {
 	got := make([]uint32, n)
 	has := make([]bool, n)
 	runJob(t, n, 2, func(w *engine.Worker) {
-		sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, sumU32)
+		sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
@@ -299,7 +288,7 @@ func TestScatterCombineMessageBytesBelowDirect(t *testing.T) {
 	part := partition.MustHash(n, 4)
 	runBytes := func(scatter bool) int64 {
 		met, err := engine.Run(engine.Config{Part: part, MaxSupersteps: 10}, func(w *engine.Worker) {
-			sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, sumU32)
+			sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 			dm := NewDirectMessage[uint32](w, ser.Uint32Codec{})
 			w.Compute = func(li int) {
 				id := w.GlobalID(li)
@@ -438,7 +427,7 @@ func TestPropagationConvergesInOneSuperstep(t *testing.T) {
 	const n = 30
 	got := make([]uint32, n)
 	met := runJob(t, n, 3, func(w *engine.Worker) {
-		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
@@ -473,14 +462,8 @@ func TestPropagationWeighted(t *testing.T) {
 	// 0 -> 1 -> 2 with weights; distances must accumulate
 	const n = 3
 	got := make([]int64, n)
-	minI64 := func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
 	runJob(t, n, 2, func(w *engine.Worker) {
-		prop := NewWeightedPropagation[int64](w, ser.Int64Codec{}, minI64,
+		prop := NewWeightedPropagation[int64](w, ser.Int64Codec{}, Min[int64](),
 			func(m int64, wt int32) int64 { return m + int64(wt) })
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
@@ -515,9 +498,9 @@ func TestPropagationBlockCentricTakesMultipleSupersteps(t *testing.T) {
 		met, err := engine.Run(engine.Config{Part: part, MaxSupersteps: 100}, func(w *engine.Worker) {
 			var prop *Propagation[uint32]
 			if block {
-				prop = NewBlockPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+				prop = NewBlockPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 			} else {
-				prop = NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+				prop = NewPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 			}
 			w.Compute = func(li int) {
 				id := w.GlobalID(li)
@@ -555,7 +538,7 @@ func TestPropagationReset(t *testing.T) {
 	got1 := make([]uint32, n)
 	got2 := make([]uint32, n)
 	runJob(t, n, 2, func(w *engine.Worker) {
-		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
@@ -607,7 +590,7 @@ func TestPropagationIsolatedVertex(t *testing.T) {
 	// a worker whose vertices have no edges must not deadlock
 	const n = 4
 	runJob(t, n, 4, func(w *engine.Worker) {
-		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, minU32)
+		prop := NewPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 		w.Compute = func(li int) {
 			if w.Superstep() == 1 {
 				prop.SetValue(w.GlobalID(li))
@@ -628,8 +611,8 @@ func TestMultipleChannelsCompose(t *testing.T) {
 	runJob(t, n, 3, func(w *engine.Worker) {
 		val := make([]uint32, w.LocalCount())
 		dm := NewDirectMessage[uint32](w, ser.Uint32Codec{})
-		cm := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, sumU32)
-		agg := NewAggregator[float64](w, ser.Float64Codec{}, sumF64, 0)
+		cm := NewCombinedMessage[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
+		agg := NewAggregator[float64](w, ser.Float64Codec{}, Sum[float64](), 0)
 		rr := NewRequestRespond[uint32](w, ser.Uint32Codec{}, func(li int) uint32 { return val[li] })
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)

@@ -247,13 +247,15 @@ func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 }
 
 // SaveState implements engine.StatefulChannel: the per-vertex request
-// stamps (written by compute — Respond reads them next superstep) and
-// the deduplicated pending request lists the cut superstep's round 1
-// sends. The response side (asked, resp, gotResp, respEpoch) is rebuilt
-// entirely by replaying the two saved rounds.
+// stamps (written by compute — Respond reads them next superstep; they
+// hold positions in the request lists, so no table has to be rebuilt)
+// and the deduplicated pending request lists the cut superstep's round 1
+// sends. The dedup table only lives through one compute phase, and the
+// response side (asked, resp, gotResp, respEpoch) is rebuilt entirely by
+// replaying the two saved rounds.
 func (c *RequestRespond[R]) SaveState(buf *ser.Buffer) {
-	saveInts(buf, c.reqOf.val)
-	saveInts(buf, c.reqOf.epoch)
+	saveInts(buf, c.at.val)
+	saveInts(buf, c.at.epoch)
 	buf.WriteUvarint(uint64(len(c.pending)))
 	for _, lst := range c.pending {
 		saveInts(buf, lst)
@@ -265,16 +267,26 @@ func (c *RequestRespond[R]) SaveState(buf *ser.Buffer) {
 func (c *RequestRespond[R]) RestoreState(buf *ser.Buffer) {
 	val := loadInts[frag.Addr](buf)
 	epoch := loadInts[int32](buf)
-	if len(val) != len(c.reqOf.val) || len(epoch) != len(c.reqOf.epoch) {
-		panic(fmt.Sprintf("channel: checkpoint has %d request stamps, worker hosts %d", len(val), len(c.reqOf.val)))
+	if len(val) != len(c.at.val) || len(epoch) != len(c.at.epoch) {
+		panic(fmt.Sprintf("channel: checkpoint has %d request stamps, worker hosts %d", len(val), len(c.at.val)))
 	}
-	copy(c.reqOf.val, val)
-	copy(c.reqOf.epoch, epoch)
+	copy(c.at.val, val)
+	copy(c.at.epoch, epoch)
 	if n := ckptLen(buf); n != len(c.pending) {
 		panic(fmt.Sprintf("channel: checkpoint has %d pending lists, job has %d workers", n, len(c.pending)))
 	}
 	for o := range c.pending {
-		c.pending[o] = loadInts[frag.Addr](buf)
+		c.pending[o] = loadInts[uint32](buf)
+	}
+	// the cut superstep's stamps are what the next compute indexes the
+	// responses with: they must point into the lists just loaded
+	for li, at := range c.at.val {
+		if c.at.epoch[li] != int32(c.w.Superstep()) {
+			continue
+		}
+		if o := at.Worker(); o >= len(c.pending) || int(at.Local()) >= len(c.pending[o]) {
+			panic(fmt.Sprintf("channel: checkpoint request stamp of local %d points outside the pending lists", li))
+		}
 	}
 	c.sentReq = buf.ReadBool()
 	c.round = 0

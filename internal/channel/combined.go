@@ -44,7 +44,7 @@ func (c *CombinedMessage[M]) SendMessage(dst graph.VertexID, m M) {
 // Send sends m to the vertex at packed address a, combining with any
 // message already staged for it on this worker.
 func (c *CombinedMessage[M]) Send(a frag.Addr, m M) {
-	c.out.stage(a.Worker(), a.Local(), m, c.combine)
+	c.out.stage(a.Worker(), a.Local(), m, c.combine.Combine)
 }
 
 // Message returns the combined message delivered to local vertex li in
@@ -75,7 +75,7 @@ func (c *CombinedMessage[M]) Deserialize(src int, buf *ser.Buffer) {
 	for i := 0; i < n; i++ {
 		li := int(buf.ReadUvarint())
 		m := c.codec.Decode(buf)
-		c.in.merge(li, m, e, c.combine)
+		c.in.merge(li, m, e, c.combine.Combine)
 		c.w.ActivateLocal(li)
 	}
 }

@@ -178,7 +178,7 @@ func (c *Mirror[M]) stageLowDegree(e int32) {
 		}
 		for p := c.srcStart[li]; p < c.srcStart[li+1]; p++ {
 			a := c.bySrc[p]
-			c.low.stage(a.Worker(), a.Local(), v, c.combine)
+			c.low.stage(a.Worker(), a.Local(), v, c.combine.Combine)
 		}
 	}
 }
@@ -259,7 +259,7 @@ func (c *Mirror[M]) Deserialize(src int, buf *ser.Buffer) {
 	case mirrorFrameBroadcast:
 		e := int32(c.w.Superstep())
 		deliver := func(li int32, m M) {
-			c.in.merge(int(li), m, e, c.combine)
+			c.in.merge(int(li), m, e, c.combine.Combine)
 			c.w.ActivateLocal(int(li))
 		}
 		hubs := int(buf.ReadUint32())

@@ -15,7 +15,7 @@ func TestMirrorStarBroadcast(t *testing.T) {
 	got := make([]uint32, n)
 	has := make([]bool, n)
 	runJob(t, n, 4, func(w *engine.Worker) {
-		mr := NewMirror[uint32](w, ser.Uint32Codec{}, sumU32, 4)
+		mr := NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 4)
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
@@ -51,7 +51,7 @@ func TestMirrorSameSuperstepRegistrationAndSend(t *testing.T) {
 	const n = 12
 	got := make([]uint32, n)
 	runJob(t, n, 3, func(w *engine.Worker) {
-		mr := NewMirror[uint32](w, ser.Uint32Codec{}, sumU32, 2)
+		mr := NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 2)
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
@@ -80,7 +80,7 @@ func TestMirrorLowDegreeFallback(t *testing.T) {
 	const n = 8
 	got := make([]uint32, n)
 	runJob(t, n, 2, func(w *engine.Worker) {
-		mr := NewMirror[uint32](w, ser.Uint32Codec{}, sumU32, 100)
+		mr := NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 100)
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
@@ -109,7 +109,7 @@ func TestMirrorReducesHubBytes(t *testing.T) {
 	part := partition.MustHash(n, 4)
 	run := func(threshold int) int64 {
 		met, err := engine.Run(engine.Config{Part: part, MaxSupersteps: 20}, func(w *engine.Worker) {
-			mr := NewMirror[uint32](w, ser.Uint32Codec{}, sumU32, threshold)
+			mr := NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), threshold)
 			w.Compute = func(li int) {
 				id := w.GlobalID(li)
 				switch w.Superstep() {
@@ -146,7 +146,7 @@ func TestMirrorComposesWithOtherChannels(t *testing.T) {
 	const n = 12
 	runJob(t, n, 3, func(w *engine.Worker) {
 		vals := make([]uint32, w.LocalCount())
-		mr := NewMirror[uint32](w, ser.Uint32Codec{}, sumU32, 2)
+		mr := NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 2)
 		rr := NewRequestRespond[uint32](w, ser.Uint32Codec{}, func(li int) uint32 { return vals[li] })
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)

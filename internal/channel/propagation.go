@@ -214,7 +214,7 @@ func (c *Propagation[M]) apply(li int32, m M) {
 		c.hasVal[li] = true
 		changed = true
 	} else {
-		nv := c.combine(c.val[li], m)
+		nv := c.combine.Combine(c.val[li], m)
 		if nv != c.val[li] {
 			c.val[li] = nv
 			changed = true
@@ -261,7 +261,7 @@ func (c *Propagation[M]) propagateLocal() {
 			if a.Worker() == me {
 				c.apply(int32(a.Local()), m)
 			} else {
-				c.remote.stage(a.Worker(), a.Local(), m, c.combine)
+				c.remote.stage(a.Worker(), a.Local(), m, c.combine.Combine)
 			}
 		}
 	}

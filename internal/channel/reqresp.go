@@ -1,7 +1,8 @@
 package channel
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/frag"
@@ -15,31 +16,40 @@ import (
 // the value is available. Two optimizations from the paper are
 // implemented:
 //
-//   - requests to the same destination are deduplicated per worker
-//     (sorted unique ID list), which removes the load imbalance caused by
-//     high-degree vertices in the respond phase;
+//   - requests to the same destination are deduplicated per worker,
+//     which removes the load imbalance caused by high-degree vertices in
+//     the respond phase. Dedup happens as the requests are made, in a
+//     dense table with one slot per remote vertex: the first request for
+//     a vertex appends it to its owner's request list and records the
+//     position, a repeat finds the position. Nothing is sorted and
+//     nothing is searched;
 //   - the responder replies with a bare value list in exactly the order
 //     of the request list, omitting the vertex IDs Pregel+ retransmits —
 //     the "particular trick" of §V-B2 behind the constant 33% reply-size
-//     reduction.
+//     reduction. A requester remembers (owner, position) per vertex, so
+//     Respond is an index into that list.
 //
 // The conversation takes two exchange rounds inside one superstep:
-// requests travel in round 1, responses in round 2.
+// requests travel in round 1, responses in round 2. Frames from a socket
+// are untrusted: a requested index outside the responder's vertex range
+// or a response list of another length than the request list fails the
+// job in Deserialize, before either can be used as an index.
 type RequestRespond[R any] struct {
 	w       *engine.Worker
 	codec   ser.Codec[R]
 	respond func(li int) R
 
-	// requester side. staging receives AddRequest calls during compute;
-	// AfterCompute dedups it into pending, which stays alive through the
-	// next superstep's compute so Respond can match values to requests.
-	// Requests are held as packed addresses: dedup order, the wire
-	// encoding (the responder-side local index) and the response lookup
-	// all come straight off the address.
-	reqOf     stamped[frag.Addr] // per local vertex: the addr it asked for
-	staging   [][]frag.Addr      // per owner worker: raw requests this superstep
-	pending   [][]frag.Addr      // per owner worker: sorted unique requests sent
-	resp      [][]R              // per owner worker: values aligned with pending
+	// requester side. Request dedups into staging during compute;
+	// AfterCompute makes it pending, the lists round 1 sends and round 2's
+	// responses are checked against, while resp keeps the previous
+	// superstep's values readable through compute. slot and staging form
+	// a sparse set: local index l of worker o is staged iff
+	// staging[o][slot[o][l]] == l, so slots are never cleared or stamped.
+	slot      [][]uint32         // per owner worker: remote local index -> position in staging
+	staging   [][]uint32         // per owner worker: unique requested local indices, first-touch order
+	pending   [][]uint32         // per owner worker: the request lists of this superstep's rounds
+	at        stamped[frag.Addr] // per local vertex: (owner, position) of what it asked for
+	resp      [][]R              // per owner worker: values aligned with the request list
 	gotResp   []bool
 	respEpoch int32 // superstep whose responses are stored
 
@@ -74,54 +84,39 @@ func (c *RequestRespond[R]) AddRequest(dst graph.VertexID) {
 // Request is AddRequest by packed address, for callers that already
 // hold the destination pre-resolved.
 func (c *RequestRespond[R]) Request(a frag.Addr) {
-	li := c.w.CurrentLocal()
-	c.reqOf.set(li, a, int32(c.w.Superstep()))
-	c.staging[a.Worker()] = append(c.staging[a.Worker()], a)
+	o, l := a.Worker(), a.Local()
+	lst := c.staging[o]
+	pos := c.slot[o][l]
+	if int(pos) >= len(lst) || lst[pos] != l {
+		pos = uint32(len(lst))
+		c.slot[o][l] = pos
+		c.staging[o] = append(lst, l)
+	}
+	c.at.set(c.w.CurrentLocal(), frag.Pack(o, pos), int32(c.w.Superstep()))
 }
 
 // Respond returns the value for the destination the current vertex
 // requested in the previous superstep.
 func (c *RequestRespond[R]) Respond() (R, bool) {
-	li := c.w.CurrentLocal()
-	a, ok := c.reqOf.get(li, int32(c.w.Superstep()-1))
-	if !ok {
+	prev := int32(c.w.Superstep() - 1)
+	at, ok := c.at.get(c.w.CurrentLocal(), prev)
+	if !ok || c.respEpoch != prev || !c.gotResp[at.Worker()] {
 		var zero R
 		return zero, false
 	}
-	return c.RespondAt(a)
-}
-
-// RespondFor returns the response value for an explicitly named
-// destination requested in the previous superstep by any vertex of this
-// worker. It lets several vertices share one deduplicated request.
-func (c *RequestRespond[R]) RespondFor(dst graph.VertexID) (R, bool) {
-	return c.RespondAt(c.w.Addr(dst))
-}
-
-// RespondAt is RespondFor by packed address.
-func (c *RequestRespond[R]) RespondAt(a frag.Addr) (R, bool) {
-	var zero R
-	if c.respEpoch != int32(c.w.Superstep()-1) {
-		return zero, false
-	}
-	o := a.Worker()
-	lst := c.pending[o]
-	if !c.gotResp[o] {
-		return zero, false
-	}
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= a })
-	if i >= len(lst) || lst[i] != a {
-		return zero, false
-	}
-	return c.resp[o][i], true
+	return c.resp[at.Worker()][at.Local()], true
 }
 
 // Initialize implements engine.Channel.
 func (c *RequestRespond[R]) Initialize() {
 	m := c.w.NumWorkers()
-	c.reqOf = newStamped[frag.Addr](c.w.LocalCount())
-	c.staging = make([][]frag.Addr, m)
-	c.pending = make([][]frag.Addr, m)
+	c.slot = make([][]uint32, m)
+	for o := range c.slot {
+		c.slot[o] = make([]uint32, c.w.Part().LocalCount(o))
+	}
+	c.staging = make([][]uint32, m)
+	c.pending = make([][]uint32, m)
+	c.at = newStamped[frag.Addr](c.w.LocalCount())
 	c.resp = make([][]R, m)
 	c.gotResp = make([]bool, m)
 	c.asked = make([][]int32, m)
@@ -130,7 +125,7 @@ func (c *RequestRespond[R]) Initialize() {
 
 // AfterCompute implements engine.Channel: retire the previous
 // superstep's request/response state (the vertices consumed it during
-// compute) and deduplicate this superstep's requests.
+// compute) and hand this superstep's request lists to the rounds.
 func (c *RequestRespond[R]) AfterCompute() {
 	c.round = 0
 	c.sentReq = false
@@ -141,21 +136,9 @@ func (c *RequestRespond[R]) AfterCompute() {
 		c.asked[o] = c.asked[o][:0]
 		// swap generations, reusing backing arrays
 		c.pending[o], c.staging[o] = c.staging[o], c.pending[o][:0]
-		lst := c.pending[o]
-		if len(lst) == 0 {
-			continue
+		if len(c.pending[o]) > 0 {
+			c.sentReq = true
 		}
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		// dedup in place
-		k := 1
-		for i := 1; i < len(lst); i++ {
-			if lst[i] != lst[i-1] {
-				lst[k] = lst[i]
-				k++
-			}
-		}
-		c.pending[o] = lst[:k]
-		c.sentReq = true
 	}
 }
 
@@ -164,14 +147,14 @@ func (c *RequestRespond[R]) Serialize(dst int, buf *ser.Buffer) {
 	switch c.round {
 	case 0:
 		// request phase: send the deduplicated list as local indices on
-		// the responder, read straight off the packed addresses
+		// the responder
 		lst := c.pending[dst]
 		if len(lst) == 0 {
 			return
 		}
 		buf.WriteUvarint(uint64(len(lst)))
-		for _, a := range lst {
-			buf.WriteUvarint(uint64(a.Local()))
+		for _, l := range lst {
+			buf.WriteUvarint(uint64(l))
 		}
 	case 1:
 		// respond phase: bare values, in the order of the request list
@@ -186,24 +169,36 @@ func (c *RequestRespond[R]) Serialize(dst int, buf *ser.Buffer) {
 	}
 }
 
-// Deserialize implements engine.Channel.
+// Deserialize implements engine.Channel. What it accepts is indexed
+// with later, outside the engine's recover — a requested index by the
+// respond phase's Serialize, a response position by Respond during the
+// next compute — so both are checked here.
 func (c *RequestRespond[R]) Deserialize(src int, buf *ser.Buffer) {
-	n := int(buf.ReadUvarint())
+	n := buf.ReadUvarint()
 	switch c.round {
 	case 0:
+		locals := uint64(c.w.LocalCount())
 		lis := c.asked[src][:0]
-		for i := 0; i < n; i++ {
-			lis = append(lis, int32(buf.ReadUvarint()))
+		for i := uint64(0); i < n; i++ {
+			li := buf.ReadUvarint()
+			if li >= locals {
+				panic(fmt.Sprintf("channel: RequestRespond: request for local index %d, worker hosts %d vertices", li, locals))
+			}
+			lis = append(lis, int32(li))
 		}
 		c.asked[src] = lis
 		c.receivedReq = true
 	case 1:
-		vals := c.resp[src][:0]
-		for i := 0; i < n; i++ {
-			vals = append(vals, c.codec.Decode(buf))
+		want := len(c.pending[src])
+		if n != uint64(want) {
+			panic(fmt.Sprintf("channel: RequestRespond: %d responses to %d requests", n, want))
 		}
-		c.resp[src] = vals
+		c.resp[src] = slices.Grow(c.resp[src][:0], want)[:want]
+		ser.DecodeSlice(buf, c.codec, c.resp[src])
 		c.gotResp[src] = true
+	}
+	if rest := buf.Remaining(); rest != 0 {
+		panic(fmt.Sprintf("channel: RequestRespond: %d bytes beyond the frame's %d entries", rest, n))
 	}
 }
 

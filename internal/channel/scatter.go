@@ -21,6 +21,15 @@ import (
 // superstep ends. Either way a superstep is one gather-reduce over the
 // plan in run order — no hashing, no per-message routing.
 //
+// A dense superstep (every plan source set a value) costs three calls
+// per peer worker on each side, whatever the segment's size: the
+// Combiner folds the whole segment into a scratch slice and the codec
+// encodes the slice; the receiver decodes the slice, the Combiner merges
+// it into the inbox along the handshaken list, and the listed vertices
+// are activated. With Sum or Min and a fixed-width codec no function is
+// called per edge or per value. A superstep in which some source stayed
+// silent takes the presence-byte path, one Combine per edge.
+//
 // Wire format: because the destination set never changes, the sender
 // ships each destination worker its ascending destination-index list
 // once, in the frame of the first superstep in which any local vertex
@@ -55,6 +64,11 @@ type ScatterCombine[M any] struct {
 	// frames are ordered by; in is the dense slot per local vertex
 	tab [][]uint32
 	in  stamped[M]
+
+	// vals holds one dense frame's values between the Combiner and the
+	// codec, on either side. No segment or destination list is longer
+	// than the largest worker's vertex count, so it is sized once.
+	vals []M
 }
 
 const (
@@ -110,6 +124,11 @@ func (c *ScatterCombine[M]) Initialize() {
 	c.srcVal = newStamped[M](c.w.LocalCount())
 	c.in = newStamped[M](c.w.LocalCount())
 	c.tab = make([][]uint32, c.w.NumWorkers())
+	most := 0
+	for d := range c.tab {
+		most = max(most, c.w.Part().LocalCount(d))
+	}
+	c.vals = make([]M, most)
 }
 
 // buildPrivatePlan turns the AddAddr registrations into a plan with the
@@ -169,20 +188,14 @@ func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 			prev = l
 		}
 	}
-	val, src, combine, i := c.srcVal.val, seg.Src, c.combine, uint32(0)
 	if c.dense {
-		for _, end := range seg.End {
-			acc := val[src[i]]
-			for _, s := range src[i+1 : end] {
-				acc = combine(acc, val[s])
-			}
-			i = end
-			c.codec.Encode(buf, acc)
-		}
+		out := c.vals[:len(seg.End)]
+		c.combine.fold(out, c.srcVal.val, seg.Src, seg.End)
+		ser.EncodeSlice(buf, c.codec, out)
 		return
 	}
-	fresh := c.srcVal.epoch
-	sent, presence := 0, 0
+	val, fresh, src := c.srcVal.val, c.srcVal.epoch, seg.Src
+	sent, presence, i := 0, 0, uint32(0)
 	for k, end := range seg.End {
 		if k&7 == 0 {
 			presence = buf.Len()
@@ -195,7 +208,7 @@ func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 				continue
 			}
 			if have {
-				acc = combine(acc, val[s])
+				acc = c.combine.Combine(acc, val[s])
 			} else {
 				acc, have = val[s], true
 			}
@@ -229,18 +242,25 @@ func (c *ScatterCombine[M]) Deserialize(src int, buf *ser.Buffer) {
 		panic("channel: ScatterCombine: values before any destination list")
 	}
 	e := int32(c.w.Superstep())
-	var presence uint8
-	for k, li := range tab {
-		if flags&scFramePartial != 0 {
+	if flags&scFramePartial == 0 {
+		in := c.vals[:len(tab)]
+		ser.DecodeSlice(buf, c.codec, in)
+		c.combine.merge(c.in.val, c.in.epoch, e, tab, in)
+		for _, li := range tab {
+			c.w.ActivateLocal(int(li))
+		}
+	} else {
+		var presence uint8
+		for k, li := range tab {
 			if k&7 == 0 {
 				presence = buf.ReadUint8()
 			}
 			if presence>>(k&7)&1 == 0 {
 				continue
 			}
+			c.in.merge(int(li), c.codec.Decode(buf), e, c.combine.Combine)
+			c.w.ActivateLocal(int(li))
 		}
-		c.in.merge(int(li), c.codec.Decode(buf), e, c.combine)
-		c.w.ActivateLocal(int(li))
 	}
 	if n := buf.Remaining(); n != 0 {
 		panic(fmt.Sprintf("channel: ScatterCombine: %d bytes beyond the values of %d handshaken destinations", n, len(tab)))

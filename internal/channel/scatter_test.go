@@ -48,9 +48,9 @@ func TestScatterCombineFragmentPlanMatchesRegistration(t *testing.T) {
 	}
 	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: 20}, func(w *engine.Worker) {
 		f := w.Frag()
-		adopted := NewScatterCombine[float64](w, ser.Float64Codec{}, sumF64)
+		adopted := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
 		adopted.UseFragment(f)
-		private := NewScatterCombine[float64](w, ser.Float64Codec{}, sumF64)
+		private := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
 		w.Compute = func(li int) {
 			id, step := w.GlobalID(li), w.Superstep()
 			if step == 1 {
@@ -96,24 +96,30 @@ func TestScatterCombineFragmentPlanMatchesRegistration(t *testing.T) {
 	}
 }
 
-// rogueSender stands in for worker 0's ScatterCombine and emits scripted
-// frames: frames[s-1] goes to worker 1 in superstep s.
+// rogueSender stands in for worker 0's channel opposite a real one on
+// worker 1 and emits scripted frames: frames[r] goes to worker 1 in the
+// job's r-th exchange round, every superstep having perStep rounds (a
+// ScatterCombine superstep one, a RequestRespond conversation two).
 type rogueSender struct {
-	w      *engine.Worker
-	frames [][]byte
+	frames  [][]byte
+	perStep int
+	round   int
 }
 
 func (r *rogueSender) Initialize()   {}
 func (r *rogueSender) AfterCompute() {}
 func (r *rogueSender) Serialize(dst int, buf *ser.Buffer) {
-	if s := r.w.Superstep(); dst == 1 && s <= len(r.frames) {
-		for _, b := range r.frames[s-1] {
+	if dst == 1 && r.round < len(r.frames) {
+		for _, b := range r.frames[r.round] {
 			buf.WriteUint8(b)
 		}
 	}
 }
 func (r *rogueSender) Deserialize(src int, buf *ser.Buffer) {}
-func (r *rogueSender) Again() bool                          { return false }
+func (r *rogueSender) Again() bool {
+	r.round++
+	return r.round%r.perStep != 0
+}
 
 // runRogue runs a 2-worker job over 8 vertices (4 per worker) in which
 // worker 1's real ScatterCombine[uint32] receives the scripted frames,
@@ -122,9 +128,9 @@ func runRogue(frames [][]byte) (*ScatterCombine[uint32], error) {
 	var recv *ScatterCombine[uint32]
 	_, err := engine.Run(engine.Config{Part: partition.MustHash(8, 2), MaxSupersteps: 20}, func(w *engine.Worker) {
 		if w.WorkerID() == 0 {
-			w.Register(&rogueSender{w: w, frames: frames})
+			w.Register(&rogueSender{frames: frames, perStep: 1})
 		} else {
-			recv = NewScatterCombine[uint32](w, ser.Uint32Codec{}, sumU32)
+			recv = NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 		}
 		w.Compute = func(li int) {
 			if w.Superstep() > len(frames) {
@@ -155,8 +161,15 @@ func TestScatterCombineRejectsHostileFrames(t *testing.T) {
 		frames [][]byte
 		want   string
 	}{
-		{"values longer than the plan", [][]byte{hello, slices.Concat([]byte{0}, u32le(1, 2, 3))}, "beyond the values of 2 handshaken destinations"},
+		// frames without presence bytes take the slice decode: its one
+		// bounds check and the length check behind it stand in for a check
+		// per value — a frame one value long, one value short, and off by
+		// a single byte either way
+		{"values longer than the plan", [][]byte{hello, slices.Concat([]byte{0}, u32le(1, 2, 3))}, "4 bytes beyond the values of 2 handshaken destinations"},
 		{"values shorter than the plan", [][]byte{hello, slices.Concat([]byte{0}, u32le(1))}, "underflow"},
+		{"values one byte long", [][]byte{hello, slices.Concat([]byte{0}, u32le(1, 2), []byte{0})}, "1 bytes beyond the values of 2 handshaken destinations"},
+		{"values one byte short", [][]byte{hello, slices.Concat([]byte{0}, u32le(1, 2))[:8]}, "underflow"},
+		{"handshake frame one value short", [][]byte{slices.Concat(table, u32le(10))}, "underflow"},
 		{"presence byte missing", [][]byte{hello, {scFramePartial}}, "underflow"},
 		{"index >= LocalCount", [][]byte{slices.Concat([]byte{scFrameTable, 1, 4}, u32le(1))}, "destination list entry 0"},
 		{"index sum >= LocalCount", [][]byte{slices.Concat([]byte{scFrameTable, 2, 3, 1}, u32le(1, 2))}, "destination list entry 1"},
@@ -211,7 +224,7 @@ func TestScatterCombinePrivatePlanCheckpointRestore(t *testing.T) {
 				func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Uint32Codec{}, acc) },
 				func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Uint32Codec{}, acc) },
 			)
-			sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, sumU32)
+			sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
 			w.Compute = func(li int) {
 				id, step := w.GlobalID(li), w.Superstep()
 				if step == 1 {

@@ -138,9 +138,7 @@ func checkedBytes(b *ser.Buffer) []byte {
 // the helper algorithm Save closures build their state blobs from.
 func SaveSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) {
 	buf.WriteUvarint(uint64(len(s)))
-	for _, v := range s {
-		c.Encode(buf, v)
-	}
+	ser.EncodeSlice(buf, c, s)
 }
 
 // LoadSlice decodes a sequence written by SaveSlice into s, which must
@@ -153,7 +151,5 @@ func LoadSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) {
 	if n != len(s) {
 		panic(fmt.Sprintf("ckpt: state slice length %d, checkpoint has %d", len(s), n))
 	}
-	for i := range s {
-		s[i] = c.Decode(buf)
-	}
+	ser.DecodeSlice(buf, c, s)
 }

@@ -24,6 +24,8 @@
 package core
 
 import (
+	"cmp"
+
 	"repro/internal/channel"
 	"repro/internal/comm"
 	"repro/internal/engine"
@@ -49,9 +51,21 @@ type CostModel = comm.CostModel
 // VertexID identifies a vertex.
 type VertexID = graph.VertexID
 
-// Combiner merges two messages for the same destination; it must be
-// commutative and associative.
+// Combiner merges messages for the same destination; the operation must
+// be commutative and associative. Sum and Min are the built-in ones,
+// whose loops compile to a native add or compare; CombinerFunc wraps any
+// other function.
 type Combiner[M any] = channel.Combiner[M]
+
+// Sum returns the addition combiner.
+func Sum[M channel.Number]() Combiner[M] { return channel.Sum[M]() }
+
+// Min returns the minimum combiner.
+func Min[M cmp.Ordered]() Combiner[M] { return channel.Min[M]() }
+
+// CombinerFunc adapts a plain function to a Combiner, for custom message
+// types and operations.
+func CombinerFunc[M any](f func(M, M) M) Combiner[M] { return channel.CombinerFunc(f) }
 
 // Codec encodes message values for the wire.
 type Codec[T any] = ser.Codec[T]

@@ -18,7 +18,7 @@ func TestFacadePageRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	const iters = 5
-	sum := func(a, b float64) float64 { return a + b }
+	sum := Sum[float64]()
 
 	pr := make([]float64, g.NumVertices())
 	met, err := Run(Config{Part: part}, func(w *Worker) {
@@ -71,12 +71,7 @@ func TestFacadeAllChannelConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min := func(a, b uint32) uint32 {
-		if a < b {
-			return a
-		}
-		return b
-	}
+	min := Min[uint32]()
 	_, err = Run(Config{Part: part}, func(w *Worker) {
 		vals := make([]uint32, w.LocalCount())
 		dm := NewDirectMessage[uint32](w, ser.Uint32Codec{})
@@ -84,13 +79,14 @@ func TestFacadeAllChannelConstructors(t *testing.T) {
 		sc := NewScatterCombine[uint32](w, ser.Uint32Codec{}, min)
 		rr := NewRequestRespond[uint32](w, ser.Uint32Codec{}, func(li int) uint32 { return vals[li] })
 		pr := NewPropagation[uint32](w, ser.Uint32Codec{}, min)
+		// a custom function goes through the CombinerFunc adapter
 		wp := NewWeightedPropagation[int64](w, ser.Int64Codec{},
-			func(a, b int64) int64 {
+			CombinerFunc(func(a, b int64) int64 {
 				if a < b {
 					return a
 				}
 				return b
-			},
+			}),
 			func(m int64, wt int32) int64 { return m + int64(wt) })
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)

@@ -1,6 +1,9 @@
 package jobs_test
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,8 +100,14 @@ func TestDiagnosisNamesStragglerP2P(t *testing.T) {
 }
 
 // A p2p job pushed through a deliberately small 64 KiB window on a
-// message-heavy graph must be called out as window-bound, naming the
-// saturated connection.
+// message-heavy graph stalls on credit, and the diagnosis must call a
+// connection window-bound exactly when the stall it reports in /flows is
+// the threshold fraction of the run. Whether a given run gets there is
+// wall-clock weather (a loaded box or the race detector stretch compute,
+// the stall stays network-bound) and the verdict logic has its own
+// deterministic test (obs.TestDiagnoseNamesStragglerAndWindow); what the
+// real processes prove is that stall, grants and window reach the flow
+// matrix and that Diagnosis reads the same numbers.
 func TestDiagnosisFindsWindowBoundConnP2P(t *testing.T) {
 	const window = 64 << 10
 	mgr, cat := distributedManager(t, 2, nil,
@@ -140,40 +149,53 @@ func TestDiagnosisFindsWindowBoundConnP2P(t *testing.T) {
 		t.Fatalf("no connection recorded credit stall under a %d-byte window: %+v", window, fm.Conns)
 	}
 
+	// the diagnosis' denominator: per superstep, the busiest worker's
+	// accounted time
+	tr, _, err := mgr.Trace(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wall int64
+	for _, step := range tr.Supersteps {
+		var busiest int64
+		for _, s := range step.Workers {
+			busiest = max(busiest, s.ComputeNS+s.BarrierWaitNS+s.SendStallNS)
+		}
+		wall += busiest
+	}
+	if wall == 0 {
+		t.Fatal("job has no superstep trace")
+	}
+	want := map[string]bool{}
+	for _, c := range fm.Conns {
+		if float64(c.StallNS)/float64(wall) >= obs.WindowBoundStallFraction {
+			want[fmt.Sprintf("w[%d-%d]->w[%d-%d]", c.LocalLo, c.LocalHi-1, c.PeerLo, c.PeerHi-1)] = true
+		}
+	}
+
 	rep, _, err := mgr.Diagnosis(snap.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var found *obs.Finding
-	for i := range rep.Findings {
-		if rep.Findings[i].Kind == "window_bound" {
-			found = &rep.Findings[i]
-			break
+	got := map[string]bool{}
+	for _, f := range rep.Findings {
+		if f.Kind == "window_bound" {
+			got[f.Conn] = true
 		}
 	}
-	if found == nil {
-		if raceEnabled {
-			// The race detector slows compute roughly tenfold while the
-			// credit stall stays wall-clock bound, so the stall can
-			// honestly fall below the window-bound fraction of superstep
-			// time: the verdict "not window-bound" is then correct, and
-			// the stat assertions above already covered the plumbing.
-			t.Skipf("window-bound verdict skipped under -race (stall diluted by detector overhead): %+v", fm.Conns)
+	if !maps.Equal(got, want) {
+		t.Fatalf("window_bound findings name %v, the flows put %v over the stall fraction (wall %d ns)\nfindings: %+v\nconns: %+v",
+			got, want, wall, rep.Findings, fm.Conns)
+	}
+	for conn := range want {
+		if conn != "w[0-1]->w[2-3]" && conn != "w[2-3]->w[0-1]" {
+			t.Fatalf("window_bound names %q, want one direction of the only mesh connection", conn)
 		}
-		t.Fatalf("diagnosis has no window_bound finding\nfindings: %+v\nconns: %+v",
-			rep.Findings, fm.Conns)
-	}
-	if found.Conn != "w[0-1]->w[2-3]" && found.Conn != "w[2-3]->w[0-1]" {
-		t.Fatalf("window_bound names %q, want one direction of the only mesh connection", found.Conn)
-	}
-	var hasRec bool
-	for _, r := range rep.Recommendations {
-		if strings.Contains(r, "window-bytes") {
-			hasRec = true
+		if !slices.ContainsFunc(rep.Recommendations, func(r string) bool {
+			return strings.Contains(r, conn) && strings.Contains(r, "window-bytes")
+		}) {
+			t.Fatalf("no window recommendation for %s in %+v", conn, rep.Recommendations)
 		}
-	}
-	if !hasRec {
-		t.Fatalf("no window recommendation in %+v", rep.Recommendations)
 	}
 }
 

@@ -183,14 +183,19 @@ func (b *Buffer) ReadBool() bool {
 	return b.ReadUint8() != 0
 }
 
-// ReadBytes consumes a length-prefixed byte slice. The returned slice
-// aliases the buffer's storage.
-func (b *Buffer) ReadBytes() []byte {
-	n := int(b.ReadUvarint())
+// next consumes n bytes and returns them; the slice aliases the buffer's
+// storage.
+func (b *Buffer) next(n int) []byte {
 	b.need(n)
 	p := b.data[b.pos : b.pos+n]
 	b.pos += n
 	return p
+}
+
+// ReadBytes consumes a length-prefixed byte slice. The returned slice
+// aliases the buffer's storage.
+func (b *Buffer) ReadBytes() []byte {
+	return b.next(int(b.ReadUvarint()))
 }
 
 // ReadString consumes a length-prefixed string.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -485,10 +486,13 @@ func TestWorkerDiesBeforeDialFailsFast(t *testing.T) {
 	})
 }
 
-// awaitGone waits until the pool has reaped a killed worker.
+// awaitGone waits until the pool has reaped a killed worker and dropped
+// it from its books. The pid vanishing from the process table is too
+// early: the pool marks the slot dead a log flush later, and a job that
+// starts in between is handed the dead process instead of a respawn.
 func awaitGone(t *testing.T, pid int) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); syscall.Kill(pid, 0) == nil; {
+	for deadline := time.Now().Add(5 * time.Second); slices.Contains(wptest.Pool.Processes(), pid); {
 		if time.Now().After(deadline) {
 			t.Fatalf("process %d still there", pid)
 		}

@@ -14,7 +14,9 @@ package repro
 
 import (
 	"net"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -545,23 +547,32 @@ func svSetup(g *graph.Graph, p *partition.Partition) func(w *engine.Worker) {
 // --- Distributed exchange: hub relay vs p2p mesh data plane ---
 
 // BenchmarkDistributedExchange pins the data-plane comparison the p2p
-// transport exists for: m socket-fabric clients over loopback TCP run
-// all-to-all exchange rounds (the engines' exact per-round protocol:
-// Flush, barrier, consume, reducing crossing, release) on the hub
-// relay, the static direct mesh and the adaptive lazy mesh. hubB/op is
-// the frame volume transiting the coordinator per round — the whole
-// exchange on the hub plane, zero under static p2p, the cold pairs'
-// share under p2p-adaptive. winB is the mesh's standing window memory
-// at the end of the run (the sum of granted receive windows): the
-// static mesh bills one DefaultWindowBytes per directed pair up front,
-// the adaptive mesh only for promoted pairs, retuned to the observed
-// round volume.
+// transport exists for: 4 socket-fabric workers run all-to-all exchange
+// rounds (the engines' exact per-round protocol: Flush, barrier,
+// consume, reducing crossing, release) on the hub relay, the static
+// direct mesh and the adaptive lazy mesh, one worker per client over
+// loopback TCP. hubB/op is the frame volume transiting the coordinator
+// per round — the whole exchange on the hub plane, zero under static
+// p2p, the cold pairs' share under p2p-adaptive. winB is the mesh's
+// standing window memory at the end of the run (the sum of granted
+// receive windows): the static mesh bills one DefaultWindowBytes per
+// directed pair up front, the adaptive mesh only for promoted pairs,
+// retuned to the observed round volume.
 //
 // The skew sub-cases replay the placement-aware traffic shape the lazy
 // mesh exists for — one hot pair carrying almost all the volume over a
 // background trickle, the shape a locality-aware placement produces —
 // where the adaptive plane promotes only the hot pair and keeps every
 // cold window off the books.
+//
+// hub-2x2 is the shape graphd -worker-procs 2 runs by default: the hub
+// plane with two workers per client, over Unix sockets, ~13 KiB frames
+// (pr-scatter-dist's). Besides hubB/op — a third below the round's
+// volume, the co-hosted share that never leaves a process — it reports
+// what a round costs the hub in conn-level writes and reads, counted
+// by a wrapping listener (reads/op includes the run's two hello reads
+// and moves a little with how the kernel slices a write; writes/op does
+// not).
 func BenchmarkDistributedExchange(b *testing.B) {
 	const hotFrame, coldFrame = 64 << 10, 512
 	uniform := func(src, dst int) int { return hotFrame }
@@ -571,32 +582,81 @@ func BenchmarkDistributedExchange(b *testing.B) {
 		}
 		return coldFrame
 	}
+	tcp := func(b *testing.B) net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ln
+	}
 	for _, plane := range []string{netcomm.DataPlaneHub, netcomm.DataPlaneP2P, netcomm.DataPlaneP2PAdaptive} {
-		b.Run(plane, func(b *testing.B) { benchExchange(b, plane, uniform) })
+		b.Run(plane, func(b *testing.B) { benchExchange(b, tcp(b), plane, 4, uniform) })
 	}
 	for _, plane := range []string{netcomm.DataPlaneP2P, netcomm.DataPlaneP2PAdaptive} {
-		b.Run("skew/"+plane, func(b *testing.B) { benchExchange(b, plane, skew) })
+		b.Run("skew/"+plane, func(b *testing.B) { benchExchange(b, tcp(b), plane, 4, skew) })
 	}
+	b.Run("hub-2x2", func(b *testing.B) {
+		inner, err := net.Listen("unix", filepath.Join(b.TempDir(), "hub.sock"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ln := &countingListener{Listener: inner}
+		benchExchange(b, ln, netcomm.DataPlaneHub, 2, func(src, dst int) int { return 13 << 10 })
+		b.ReportMetric(float64(ln.writes.Load())/float64(b.N), "writes/op")
+		b.ReportMetric(float64(ln.reads.Load())/float64(b.N), "reads/op")
+	})
 }
 
-func benchExchange(b *testing.B, plane string, frameFor func(src, dst int) int) {
-	const m = 4
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// countingListener counts the conn-level writes and (non-empty) reads
+// of every connection it accepts: the hub's side of the wire.
+type countingListener struct {
+	net.Listener
+	reads, writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
+	return &countingConn{Conn: c, l: l}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	l *countingListener
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.l.reads.Add(1)
+	}
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// benchExchange runs b.N exchange rounds among 4 workers spread over
+// procs clients of a hub serving on ln.
+func benchExchange(b *testing.B, ln net.Listener, plane string, procs int, frameFor func(src, dst int) int) {
+	const m = 4
+	per := m / procs
 	hub := netcomm.NewHub(m, comm.CostModel{}, ln)
 	defer hub.Close()
-	clients := make([]*netcomm.Client, m)
-	errs := make([]error, m)
+	clients := make([]*netcomm.Client, procs)
+	errs := make([]error, procs)
 	var dial sync.WaitGroup
-	for i := 0; i < m; i++ {
+	for i := 0; i < procs; i++ {
 		dial.Add(1)
 		go func(i int) {
 			defer dial.Done()
 			clients[i], errs[i] = netcomm.DialConfig(netcomm.Config{
-				Network: "tcp", Addr: ln.Addr().String(),
-				Lo: i, Hi: i, M: m, DataPlane: plane,
+				Network: ln.Addr().Network(), Addr: ln.Addr().String(),
+				Lo: i * per, Hi: (i+1)*per - 1, M: m, DataPlane: plane,
 			})
 		}(i)
 	}
@@ -637,8 +697,8 @@ func benchExchange(b *testing.B, plane string, frameFor func(src, dst int) int) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ep := clients[i].Endpoint(i)
-			bar := clients[i].Barrier()
+			ep := clients[i/per].Endpoint(i)
+			bar := clients[i/per].Barrier()
 			for n := 0; n < b.N; n++ {
 				for dst := 0; dst < m; dst++ {
 					if dst != i {

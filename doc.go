@@ -102,16 +102,21 @@
 // Flush, read In, Release) carries the data plane and barrier.Barrier
 // (Wait + AllReduce, a crossing that also sums one 64-bit word from
 // every worker) the control plane; the engines ship their shared state
-// — exchange-round again-flags, active counts, stop votes — inside the
-// reduce word, so no engine or channel code reads another worker's
-// memory. The in-process implementations keep the zero-copy buffer
-// matrix and the atomic sense-reversing barrier (two crossings per
-// exchange round); internal/netcomm implements the same contract as
-// length-prefixed frames over TCP/Unix sockets in a star around a hub
-// that routes frames, releases barrier crossings with the aggregated
-// reduce value, charges the simulated cost model from per-flush
-// reports, and turns a dropped connection into a job-wide barrier
-// abort. cmd/graphworker (internal/workerproc) is the worker process,
+// — exchange-round again-flags, has-active flags, stop votes — inside
+// one reduce word (barrier.Vote), so no engine or channel code reads
+// another worker's memory and a superstep costs two crossings per
+// exchange round, termination included; only a superstep that cuts a
+// checkpoint crosses once more, to certify records already written.
+// The in-process implementations keep the zero-copy buffer matrix and
+// the atomic sense-reversing barrier; internal/netcomm implements the
+// same contract as length-prefixed frames over TCP/Unix sockets in a
+// star around a hub that routes frames, releases barrier crossings
+// with the aggregated reduce value, charges the simulated cost model
+// from per-flush reports, and turns a dropped connection into a
+// job-wide barrier abort. On that star a worker's Flush is one
+// gathered write, frames between workers of one process never leave
+// it, the hub coalesces its relay writes per batch it read, and live
+// samples are piggybacked on the next write. cmd/graphworker (internal/workerproc) is the worker process,
 // and it is warm: graphd -worker-procs N keeps a pool of them, a job
 // borrows a party of N, and each process outlives the job. A worker
 // takes no flags — a job arrives as one length-prefixed, defensively

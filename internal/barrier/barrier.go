@@ -66,6 +66,46 @@ type Barrier interface {
 	Aborted() bool
 }
 
+// The engines' end-of-round post: three 0/1 flags — again, active,
+// halt, in that order from the low end — each summed in its own
+// voteBits-wide field of the AllReduce word. A party has at most 65535
+// workers (partition.MaxWorkers), so no field carries into the next.
+const (
+	voteBits = 16
+	voteMask = uint64(1)<<voteBits - 1
+)
+
+// Vote packs one worker's post for the crossing that ends an exchange
+// round: again asks for another round of this superstep, active says
+// the worker still has an active vertex, halt that its algorithm
+// requested a stop. Reduced, the one word decides both whether the
+// superstep needs another round and — when it does not — whether the
+// job is over, so termination costs no crossing of its own.
+func Vote(again, active, halt bool) uint64 {
+	var v uint64
+	if again {
+		v |= 1
+	}
+	if active {
+		v |= 1 << voteBits
+	}
+	if halt {
+		v |= 1 << (2 * voteBits)
+	}
+	return v
+}
+
+// Again reports whether any worker of a reduced Vote asked for another
+// exchange round.
+func Again(sum uint64) bool { return sum&voteMask != 0 }
+
+// Terminated reports whether a reduced Vote ends the job: no worker has
+// an active vertex left, or some worker requested a stop. Meaningful
+// only when Again(sum) is false.
+func Terminated(sum uint64) bool {
+	return (sum>>voteBits)&voteMask == 0 || (sum>>(2*voteBits))&voteMask != 0
+}
+
 // JoinErrors joins all real worker errors in worker order, dropping
 // abort echoes and duplicate messages (a symmetric failure every worker
 // hits, like a superstep cap, surfaces once rather than once per

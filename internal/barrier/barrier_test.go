@@ -170,3 +170,33 @@ func TestBarrierAllReduceAbort(t *testing.T) {
 		t.Error("post-abort AllReduce returned ok")
 	}
 }
+
+// The three flags of a Vote are summed in one word across the party:
+// each must read back as the OR of its posts, whatever the others hold,
+// up to the largest party there can be (65535 workers, every flag set
+// by all of them — a field that carried would flip its neighbour).
+func TestVoteFieldsReduceIndependently(t *testing.T) {
+	const maxParty = 1<<16 - 1
+	for _, party := range []int{1, 2, 4, maxParty} {
+		for mask := 0; mask < 8; mask++ {
+			again, active, halt := mask&1 != 0, mask&2 != 0, mask&4 != 0
+			// every worker posts the flags of mask; then only the last one does
+			for _, posters := range []int{party, 1} {
+				var sum uint64
+				for w := 0; w < party; w++ {
+					if w < posters {
+						sum += Vote(again, active, halt)
+					} else {
+						sum += Vote(false, false, false)
+					}
+				}
+				if got := Again(sum); got != again {
+					t.Errorf("party %d, %d posting (%v,%v,%v): Again = %v", party, posters, again, active, halt, got)
+				}
+				if got, want := Terminated(sum), !active || halt; got != want {
+					t.Errorf("party %d, %d posting (%v,%v,%v): Terminated = %v, want %v", party, posters, again, active, halt, got, want)
+				}
+			}
+		}
+	}
+}

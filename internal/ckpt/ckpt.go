@@ -13,8 +13,9 @@
 // then feed the saved frames through the normal deserialize path), which
 // reconstructs every piece of derived state — inboxes, responses,
 // aggregates — bit for bit without re-running compute or touching the
-// fabric. The record is durable once the worker crosses the superstep's
-// termination barrier, so a checkpoint either exists on all workers or
+// fabric. The record is durable before the worker crosses the barrier
+// that ends a checkpoint superstep (one crossing past its last exchange
+// round), so a checkpoint either exists on all workers or
 // is ignored on all workers (Store.LatestComplete only reports supersteps
 // with every worker's record present and intact). Saving also prunes:
 // a successful cut at superstep s discards records below s-Interval
@@ -80,7 +81,7 @@ func (h *Hook) Active() bool { return h != nil && h.Store != nil }
 
 // AfterSave discards checkpoints made obsolete by this worker's
 // successful save at superstep s. The cut is published before the
-// superstep's termination barrier and the exchange rounds of s are
+// superstep's certifying barrier and the exchange rounds of s are
 // themselves barriers, so by the time any worker saves s every worker
 // has durably saved the previous due superstep s-Interval: everything
 // below that is dead weight. Keeping s-Interval (not just s) matters

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"repro/internal/barrier"
 	"repro/internal/ckpt"
 	"repro/internal/ser"
 )
@@ -11,8 +12,8 @@ import (
 // superstep, halt vote, active bitmap, the algorithm's vertex state
 // (Save closure) and every stateful channel's private state. The cut
 // superstep's incoming frames are teed into the record as its exchange
-// rounds run; Put happens after the last round, before the termination
-// reduce.
+// rounds run; Put happens after the last round, before the superstep's
+// certifying reduce.
 func (w *Worker) snapshotCut() *ckpt.Record {
 	rec := &ckpt.Record{
 		Superstep: w.superstep,
@@ -35,7 +36,7 @@ func (w *Worker) snapshotCut() *ckpt.Record {
 
 // restoreCheckpoint loads this worker's record for hook.Restore, applies
 // it, replays the cut superstep's exchange rounds locally, and re-crosses
-// the superstep's termination reduce so all restoring workers re-enter
+// the superstep's certifying reduce so all restoring workers re-enter
 // the main loop on one consistent barrier generation. It reports whether
 // the reduce said the job is already finished (the cut superstep was the
 // last one — possible when a worker died after the checkpoint but before
@@ -60,15 +61,11 @@ func (w *Worker) restoreCheckpoint(hook *ckpt.Hook, m int) (done bool, err error
 	if err := w.applyAndReplay(rec, m); err != nil {
 		return false, err
 	}
-	v := uint64(w.activeCount)
-	if w.halt {
-		v += haltStop
-	}
-	sum, ok := w.timedAllReduce(v)
+	sum, ok := w.timedAllReduce(w.termVote())
 	if !ok {
 		return false, errAborted
 	}
-	return sum&(haltStop-1) == 0 || sum >= haltStop, nil
+	return barrier.Terminated(sum), nil
 }
 
 // applyAndReplay installs the record's state and replays the cut

@@ -19,9 +19,10 @@
 // same config path as Cancel/Fabric/Observer): when active, each worker
 // cuts a ckpt.Record at the barrier-aligned point after AfterCompute and
 // before the superstep's first exchange round, tees the raw incoming
-// frames of every round into it, and persists it before crossing the
-// superstep's termination AllReduce — so a checkpoint is either durable
-// on every worker or ignored on every worker. Algorithms contribute
+// frames of every round into it, and persists it before crossing one
+// more, certifying AllReduce that only checkpoint supersteps pay — so a
+// checkpoint is either durable on every worker or ignored on every
+// worker. Algorithms contribute
 // their per-vertex state through Worker.Checkpoint save/restore
 // closures; restore replays the saved rounds through the normal decode
 // path, making a resumed run bit-identical to an undisturbed one.
@@ -286,13 +287,6 @@ type job struct {
 // error so only root causes surface.
 var errAborted = barrier.ErrAborted
 
-// haltStop is the termination-reduce bit a worker adds when its
-// algorithm called RequestStop. Active vertex counts occupy the low 48
-// bits (their global sum is bounded by the vertex count, far below
-// 2^48); halt votes sum in the high bits without overflow because the
-// party is capped at 65535 workers.
-const haltStop = uint64(1) << 48
-
 // RequestStop asks the engine to terminate after the current superstep,
 // regardless of remaining active vertices. Any worker may call it during
 // compute (e.g. when an aggregator shows convergence).
@@ -548,8 +542,10 @@ func (w *Worker) runSupersteps(setup func(w *Worker), maxSteps int) error {
 		// at least one round; rounds continue while any channel on any
 		// worker asks again. Two barrier crossings per round: the plain
 		// wait after Flush proves all sends are published, and the
-		// AllReduce that carries the again-flags also proves all inputs
-		// were consumed, which makes Release safe.
+		// AllReduce after the decode proves all inputs were consumed,
+		// which makes Release safe. That reduce carries the again-flags
+		// and the termination vote in one word (barrier.Vote), so the
+		// last round's crossing also decides whether the job is over.
 		for ci := range w.chActive {
 			w.chActive[ci] = true
 		}
@@ -558,6 +554,7 @@ func (w *Worker) runSupersteps(setup func(w *Worker), maxSteps int) error {
 			maxRounds = 1_000_000
 		}
 		round := 0
+		var vote uint64 // the last round's reduced barrier.Vote
 		for {
 			round++
 			if round > maxRounds {
@@ -603,19 +600,18 @@ func (w *Worker) runSupersteps(setup func(w *Worker), maxSteps int) error {
 					return err
 				}
 			}
-			any := uint64(0)
+			again := false
 			for ci, c := range w.channels {
 				w.chActive[ci] = c.Again()
-				if w.chActive[ci] {
-					any = 1
-				}
+				again = again || w.chActive[ci]
 			}
-			global, ok := w.timedAllReduce(any)
-			if !ok { // deserialize crossing: inputs consumed, flags reduced
+			var ok bool
+			vote, ok = w.timedAllReduce(barrier.Vote(again, w.activeCount > 0, w.halt))
+			if !ok { // deserialize crossing: inputs consumed, votes reduced
 				return errAborted
 			}
 			ep.Release()
-			if global == 0 {
+			if !barrier.Again(vote) {
 				break
 			}
 		}
@@ -623,10 +619,13 @@ func (w *Worker) runSupersteps(setup func(w *Worker), maxSteps int) error {
 			w.obsSmp.Rounds = round
 		}
 
-		// Publish the checkpoint before the termination reduce: crossing
-		// that barrier is every worker's proof that all peers' records
-		// for this superstep are durable, so LatestComplete can trust any
-		// superstep the job moved past.
+		// A superstep that cut a checkpoint publishes the record and then
+		// crosses once more: that crossing is every worker's proof that
+		// all peers' records for this superstep are durable, so
+		// LatestComplete can trust any superstep the job moved past. The
+		// record cannot ride the last round's crossing — it would certify
+		// records not yet written — and a restore re-enters the loop by
+		// re-crossing this same reduce (restoreCheckpoint).
 		if w.ckptRec != nil {
 			w.ckptRec.Rounds = round
 			buf := ser.NewBuffer(4096)
@@ -637,26 +636,26 @@ func (w *Worker) runSupersteps(setup func(w *Worker), maxSteps int) error {
 				return fmt.Errorf("engine: worker %d: checkpoint superstep %d: %w", w.id, w.superstep, perr)
 			}
 			ck.AfterSave(w.superstep)
-		}
-
-		// Global termination check: one reduce carries every worker's
-		// active count plus its RequestStop vote.
-		v := uint64(w.activeCount)
-		if w.halt {
-			v += haltStop
-		}
-		sum, ok := w.timedAllReduce(v)
-		if !ok {
-			return errAborted
+			var ok bool
+			if vote, ok = w.timedAllReduce(w.termVote()); !ok {
+				return errAborted
+			}
 		}
 		if w.obsOn {
 			w.obsSmp.Channels = append([]obs.ChannelSample(nil), w.obsCh...)
 			j.cfg.Observer.ObserveSuperstep(w.obsSmp)
 		}
-		if sum&(haltStop-1) == 0 || sum >= haltStop {
+		if barrier.Terminated(vote) {
 			return nil
 		}
 	}
+}
+
+// termVote is this worker's termination post outside an exchange round:
+// the certifying crossing of a checkpoint superstep and its re-crossing
+// on restore.
+func (w *Worker) termVote() uint64 {
+	return barrier.Vote(false, w.activeCount > 0, w.halt)
 }
 
 // timedWait crosses the shared barrier, attributing the blocked time to

@@ -1,8 +1,12 @@
 package netcomm
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // The peer directory crosses a process boundary: arbitrary bytes must
@@ -67,9 +71,13 @@ func FuzzListenAnnouncement(f *testing.F) {
 	})
 }
 
-// Every connection — hub, and now peer DATA/DONE/CREDIT streams —
-// parses frames through readHeader: arbitrary header bytes must yield
-// an error or a validated (kind, length) pair.
+// Every connection — hub, and peer DATA/DONE/CREDIT streams — parses
+// messages through readHeader, the hub connection's two ends through a
+// buffered reader over whatever the socket hands them. Arbitrary bytes
+// taken as a stream of messages must yield, header by header, an error
+// or a validated (kind, length) pair, and the same sequence whether the
+// stream arrives whole, a byte at a time or in ragged reads: decoding
+// may not depend on where a read ends.
 func FuzzWireHeader(f *testing.F) {
 	var valid [headerLen]byte
 	valid[0] = kData
@@ -77,16 +85,69 @@ func FuzzWireHeader(f *testing.F) {
 	valid[0] = kCredit
 	f.Add(append(valid[:], 1, 2, 3))
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	batch := msg(kSamples, 0, 1, []byte("sample"))
+	batch = append(batch, msg(kFrame, 0, 2, bytes.Repeat([]byte{7}, 300))...)
+	batch = append(batch, msg(kFlush, 0, 0, make([]byte, 16))...)
+	f.Add(batch)
+	f.Add(append(batch, 99, 0, 0, 0, 0, 0, 0, 0, 0)) // hostile header behind a legal batch
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, _, _, n, err := readHeader(bytes.NewReader(data))
-		if err != nil {
-			return
+		type header struct {
+			kind uint8
+			a, b uint16
+			n    int
 		}
-		if kind < kHello || kind > kPromote {
-			t.Fatalf("accepted unknown kind %d", kind)
+		// decode walks the stream: headers until one is rejected, a
+		// payload is cut short, or the bytes run out.
+		decode := func(r io.Reader) (hs []header, stop string) {
+			br := bufio.NewReaderSize(r, 16)
+			for {
+				kind, a, b, n, err := readHeader(br)
+				if err != nil {
+					return hs, err.Error()
+				}
+				if kind < kHello || kind > kPromote {
+					t.Fatalf("accepted unknown kind %d", kind)
+				}
+				if n < 0 || n > maxPayload {
+					t.Fatalf("accepted payload length %d", n)
+				}
+				hs = append(hs, header{kind, a, b, n})
+				if _, err := br.Discard(n); err != nil {
+					return hs, "payload: " + err.Error()
+				}
+			}
 		}
-		if n < 0 || n > maxPayload {
-			t.Fatalf("accepted payload length %d", n)
+		want, wantStop := decode(bytes.NewReader(data))
+		for name, r := range map[string]io.Reader{
+			"one byte at a time": iotest.OneByteReader(bytes.NewReader(data)),
+			"half reads":         iotest.HalfReader(bytes.NewReader(data)),
+		} {
+			got, stop := decode(r)
+			if !slices.Equal(got, want) || stop != wantStop {
+				t.Fatalf("%s: decoded %v (%s), whole stream decoded %v (%s)", name, got, stop, want, wantStop)
+			}
+		}
+		// The hub's in-place reader must see the same messages. A payload
+		// the stream cannot hold is not asked for: its declared length
+		// would size the buffer.
+		m := msgReader{conn: iotest.HalfReader(bytes.NewReader(data)), buf: make([]byte, 2*headerLen)}
+		var got []header
+		for {
+			kind, a, b, n, err := m.header()
+			if err != nil {
+				break
+			}
+			got = append(got, header{kind, a, b, n})
+			if n > len(data) {
+				break
+			}
+			if _, err := m.payload(n); err != nil {
+				break
+			}
+		}
+		hubBuffered.Add(-int64(len(m.buf) - 2*headerLen))
+		if !slices.Equal(got, want) {
+			t.Fatalf("in-place reader decoded %v, buffered reader %v", got, want)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,7 +25,9 @@ import (
 var ErrWorkerLost = errors.New("netcomm: worker connection lost")
 
 // Hub is the coordinator side of the socket fabric: it accepts one
-// connection per worker process, routes data frames between them, runs
+// connection per worker process, routes data frames between them
+// (staged in the destination's buffered writer, flushed once per batch
+// the source's pump read), runs
 // the distributed barrier (counting arrivals, broadcasting releases
 // with the AllReduce aggregate), charges the simulated cost model from
 // the per-round flush reports, and collects each process's result blob.
@@ -56,8 +59,8 @@ type Hub struct {
 	peersSent bool
 
 	// dataBytes counts frame payload bytes relayed through the hub —
-	// the whole exchange volume on the hub plane, ~0 under p2p (where
-	// only control traffic remains on the star).
+	// the cross-process exchange volume on the hub plane, ~0 under p2p
+	// (where only control traffic remains on the star).
 	dataBytes int64
 
 	// round accounting (from kFlush reports)
@@ -81,9 +84,18 @@ type Hub struct {
 
 type hubConn struct {
 	conn      net.Conn
-	wmu       sync.Mutex
+	rd        msgReader // the pump's read side
 	lo, hi    int
 	gotResult bool
+
+	// Every write to the worker goes through wbuf under wmu — forwards
+	// staged by other connections' pumps, releases, aborts, the peer
+	// directory — so the stream carries them in the order they were
+	// written here, whoever flushes. werr is the first write error; the
+	// connection is dead from then on.
+	wmu  sync.Mutex
+	wbuf []byte
+	werr error
 
 	// p2p data plane: the process's announced data listener.
 	listenNet  string
@@ -91,8 +103,10 @@ type hubConn struct {
 	hasListen  bool
 
 	// Relay telemetry (hub data plane): frames this connection sourced,
-	// and how long they spent resident in the hub from payload read to
-	// forwarded. Atomics: the pump goroutine writes, RelayStats reads.
+	// and how long they spent resident in the hub, from the start of the
+	// payload read to the end of the pump's next flush, by which they are
+	// on their destination's stream. Atomics: the pump goroutine writes,
+	// RelayStats reads.
 	relayBytes  atomic.Int64
 	relayFrames atomic.Int64
 	residencyNS atomic.Int64
@@ -131,12 +145,19 @@ func (h *Hub) acceptLoop() {
 // serveConn registers a worker process (hello) and then pumps its
 // messages until the connection ends.
 func (h *Hub) serveConn(conn net.Conn) {
-	kind, a, b, n, err := readHeader(conn)
+	// The reader exists before the hello is read: a worker's hello and
+	// its first messages can share one read.
+	hc := &hubConn{conn: conn,
+		rd:   msgReader{conn: conn, buf: make([]byte, connBufSize)},
+		wbuf: make([]byte, 0, connBufSize)}
+	hubBuffered.Add(2 * connBufSize)
+	defer func() { hubBuffered.Add(-int64(len(hc.rd.buf) + connBufSize)) }()
+	kind, a, b, n, err := hc.rd.header()
 	if err != nil || kind != kHello || n != 0 {
 		conn.Close()
 		return
 	}
-	hc := &hubConn{conn: conn, lo: int(a), hi: int(b)}
+	hc.lo, hc.hi = int(a), int(b)
 	h.mu.Lock()
 	if hc.lo > hc.hi || hc.hi >= h.m || h.closed {
 		h.mu.Unlock()
@@ -160,7 +181,7 @@ func (h *Hub) serveConn(conn net.Conn) {
 	if aborted {
 		// the abort broadcast went out before this process connected: tell
 		// it directly, or it would wait on a barrier nobody else reaches
-		_ = h.forward(hc, kAbort, 0, 0, []byte(reason))
+		_ = hc.send(kAbort, 0, 0, []byte(reason))
 	}
 
 	err = h.pump(hc)
@@ -191,13 +212,59 @@ func (h *Hub) serveConn(conn net.Conn) {
 }
 
 // pump handles one registered connection's messages; it returns nil on
-// clean shutdown (result delivered, then EOF).
+// clean shutdown (result delivered, then EOF). Messages for other
+// workers are staged in their connections' writers and flushed together
+// before any read that could block, so a batch the worker wrote at once
+// is relayed at once.
 func (h *Hub) pump(hc *hubConn) error {
-	var scratch [16]byte
-	var frame []byte // reusable frame payload staging
-	defer func() { hubBuffered.Add(-int64(cap(frame))) }()
+	// dirty holds the connections with forwards staged since the last
+	// flush; staged counts the frames among them and stagedAt sums the
+	// instants (since epoch) their payload reads began, which is all the
+	// residency total needs.
+	var dirty []*hubConn
+	var staged, stagedAt int64
+	epoch := time.Now()
+	flush := func() {
+		for _, to := range dirty {
+			if err := to.flush(); err != nil {
+				h.targetLost(to, err)
+			}
+		}
+		dirty = dirty[:0]
+		if staged > 0 {
+			hc.residencyNS.Add(staged*int64(time.Since(epoch)) - stagedAt)
+			staged, stagedAt = 0, 0
+		}
+	}
+	defer flush()
+	// A read from the socket may block, and nothing staged may wait on
+	// this worker: flush before each.
+	rd := &hc.rd
+	rd.beforeRead = flush
+	// forward stages one message for the process hosting worker dst. A
+	// write that fails means the destination's connection is broken —
+	// that worker's failure, not the sender's: record it (first failure
+	// wins), abort, and keep pumping the sender so its own result still
+	// gets through.
+	forward := func(what string, dst int, kind uint8, a, b uint16, p []byte) error {
+		h.mu.Lock()
+		if kind == kFrame {
+			h.dataBytes += int64(len(p))
+		}
+		to := h.hosts[dst]
+		h.mu.Unlock()
+		if to == nil {
+			return fmt.Errorf("%s for unjoined worker %d", what, dst)
+		}
+		if err := to.stage(kind, a, b, p); err != nil {
+			h.targetLost(to, err)
+		} else if !slices.Contains(dirty, to) {
+			dirty = append(dirty, to)
+		}
+		return nil
+	}
 	for {
-		kind, a, b, n, err := readHeader(hc.conn)
+		kind, a, b, n, err := rd.header()
 		if err != nil {
 			if hc.gotResult && err == io.EOF {
 				return nil
@@ -210,43 +277,28 @@ func (h *Hub) pump(hc *hubConn) error {
 			if src < hc.lo || src > hc.hi || dst >= h.m {
 				return fmt.Errorf("bad frame route %d->%d", src, dst)
 			}
-			// Stage the payload before writing so a failed forward never
-			// desynchronizes the sender's stream.
-			if cap(frame) < n {
-				hubBuffered.Add(int64(n - cap(frame)))
-				frame = make([]byte, n)
-			}
-			frame = frame[:n]
-			t0 := time.Now()
-			if _, err := io.ReadFull(hc.conn, frame); err != nil {
+			// The whole payload is read before anything is written, so a
+			// failed forward never desynchronizes the sender's stream.
+			t0 := time.Since(epoch)
+			p, err := rd.payload(n)
+			if err != nil {
 				return err
 			}
-			h.mu.Lock()
-			h.dataBytes += int64(n)
-			target := h.hosts[dst]
-			h.mu.Unlock()
-			if target == nil {
-				return fmt.Errorf("frame for unjoined worker %d", dst)
+			if err := forward("frame", dst, kFrame, a, b, p); err != nil {
+				return err
 			}
-			err := h.forward(target, kFrame, a, b, frame)
 			hc.relayBytes.Add(int64(n))
 			hc.relayFrames.Add(1)
-			hc.residencyNS.Add(int64(time.Since(t0)))
-			if err != nil {
-				// The destination's connection is broken — that worker's
-				// failure, not the sender's. Record it (first failure
-				// wins) and abort; keep pumping the sender so its own
-				// result still gets through.
-				h.targetLost(target, err)
-			}
+			staged++
+			stagedAt += int64(t0)
 		case kDone:
 			// A lazy-mesh round marker for a pair still on the relay:
 			// forward to the process hosting worker range b. It follows
 			// the round's relayed frames on both the inbound stream
 			// (sender wrote frames first) and the outbound one (the
-			// frames were forwarded above before this marker was read),
-			// so the destination observes frames-then-done exactly as on
-			// a direct connection.
+			// frames were staged above before this marker was read), so
+			// the destination observes frames-then-done exactly as on a
+			// direct connection.
 			if n != 0 {
 				return fmt.Errorf("bad done marker payload length %d", n)
 			}
@@ -254,21 +306,15 @@ func (h *Hub) pump(hc *hubConn) error {
 			if src < hc.lo || src > hc.hi || dst >= h.m {
 				return fmt.Errorf("bad done marker route %d->%d", src, dst)
 			}
-			h.mu.Lock()
-			target := h.hosts[dst]
-			h.mu.Unlock()
-			if target == nil {
-				return fmt.Errorf("done marker for unjoined worker %d", dst)
-			}
-			if err := h.forward(target, kDone, a, b, nil); err != nil {
-				h.targetLost(target, err)
+			if err := forward("done marker", dst, kDone, a, b, nil); err != nil {
+				return err
 			}
 		case kPromote:
 			// A mesh-promotion request from the higher-range side of a
 			// relayed pair, forwarded to the lower-range side (worker
 			// range start b), which owns the dial.
-			p := make([]byte, n)
-			if _, err := io.ReadFull(hc.conn, p); err != nil {
+			p, err := rd.payload(n)
+			if err != nil {
 				return err
 			}
 			plo, phi, _, err := decodePromote(p)
@@ -282,24 +328,19 @@ func (h *Hub) pump(hc *hubConn) error {
 			if dst >= h.m {
 				return fmt.Errorf("bad promotion target %d", dst)
 			}
-			h.mu.Lock()
-			target := h.hosts[dst]
-			h.mu.Unlock()
-			if target == nil {
-				return fmt.Errorf("promotion request for unjoined worker %d", dst)
-			}
-			if err := h.forward(target, kPromote, a, b, p); err != nil {
-				h.targetLost(target, err)
+			if err := forward("promotion request", dst, kPromote, a, b, p); err != nil {
+				return err
 			}
 		case kFlush:
 			if n != 16 {
 				return fmt.Errorf("bad flush payload length %d", n)
 			}
-			if _, err := io.ReadFull(hc.conn, scratch[:16]); err != nil {
+			p, err := rd.payload(16)
+			if err != nil {
 				return err
 			}
-			netB := int64(binary.LittleEndian.Uint64(scratch[0:]))
-			locB := int64(binary.LittleEndian.Uint64(scratch[8:]))
+			netB := int64(binary.LittleEndian.Uint64(p[0:]))
+			locB := int64(binary.LittleEndian.Uint64(p[8:]))
 			h.mu.Lock()
 			h.netBytes += netB
 			h.locBytes += locB
@@ -318,13 +359,14 @@ func (h *Hub) pump(hc *hubConn) error {
 			if n != 8 {
 				return fmt.Errorf("bad arrive payload length %d", n)
 			}
-			if _, err := io.ReadFull(hc.conn, scratch[:8]); err != nil {
+			p, err := rd.payload(8)
+			if err != nil {
 				return err
 			}
-			h.arrive(int(a), binary.LittleEndian.Uint64(scratch[:8]))
+			h.arrive(int(a), binary.LittleEndian.Uint64(p))
 		case kListen:
-			p := make([]byte, n)
-			if _, err := io.ReadFull(hc.conn, p); err != nil {
+			p, err := rd.payload(n)
+			if err != nil {
 				return err
 			}
 			lnet, laddr, err := decodeListen(p)
@@ -336,16 +378,16 @@ func (h *Hub) pump(hc *hubConn) error {
 			h.maybeSendPeersLocked()
 			h.mu.Unlock()
 		case kAbort:
-			reason := make([]byte, n)
-			if _, err := io.ReadFull(hc.conn, reason); err != nil {
+			reason, err := rd.payload(n)
+			if err != nil {
 				return err
 			}
 			h.mu.Lock()
 			h.abortLocked(fmt.Sprintf("workers %d-%d: %s", hc.lo, hc.hi, reason))
 			h.mu.Unlock()
 		case kSamples:
-			p := make([]byte, n)
-			if _, err := io.ReadFull(hc.conn, p); err != nil {
+			p, err := rd.payload(n)
+			if err != nil {
 				return err
 			}
 			h.mu.Lock()
@@ -355,8 +397,9 @@ func (h *Hub) pump(hc *hubConn) error {
 				fn(p)
 			}
 		case kResult:
+			// the one payload that is kept: read into memory of its own
 			blob := make([]byte, n)
-			if _, err := io.ReadFull(hc.conn, blob); err != nil {
+			if err := rd.readInto(blob); err != nil {
 				return err
 			}
 			h.mu.Lock()
@@ -404,17 +447,18 @@ func (h *Hub) maybeSendPeersLocked() {
 	h.log.Debug("peer directory broadcast", "processes", len(dir))
 	go func() {
 		for _, hc := range conns {
-			hc.wmu.Lock()
-			_ = writeMsg(hc.conn, kPeers, 0, 0, payload)
-			hc.wmu.Unlock()
+			_ = hc.send(kPeers, 0, 0, payload)
 		}
 	}()
 }
 
 // OnSamples installs a handler for the opaque in-flight sample batches
-// workers ship with Client.SendSamples (the live-events feed). The
-// handler runs on hub pump goroutines, so it must be safe for
-// concurrent use and quick. Call before workers connect.
+// workers ship with Client.SendSamples (the live-events feed; a batch
+// arrives with the next thing its process writes, at most one exchange
+// round after it was queued). The handler runs on hub pump goroutines,
+// so it must be safe for concurrent use and quick, and the payload is
+// the pump's scratch: valid only until the handler returns. Call before
+// workers connect.
 func (h *Hub) OnSamples(fn func(payload []byte)) {
 	h.mu.Lock()
 	h.samplesFn = fn
@@ -422,8 +466,10 @@ func (h *Hub) OnSamples(fn func(payload []byte)) {
 }
 
 // RelayStats reports, per worker process, the hub data-plane relay
-// traffic it sourced: frame volume and cumulative hub residency (read
-// to forwarded). Empty under p2p, where frames never transit the hub.
+// traffic it sourced: the volume of its frames for workers in other
+// processes (co-hosted frames never reach the hub) and their cumulative
+// hub residency, read to flushed onto the destination's stream. Empty
+// under p2p, where frames never transit the hub.
 func (h *Hub) RelayStats() []obs.RelayStat {
 	h.mu.Lock()
 	conns := append([]*hubConn(nil), h.allConns...)
@@ -445,20 +491,161 @@ func (h *Hub) RelayStats() []obs.RelayStat {
 }
 
 // DataBytes returns the frame payload bytes relayed through the hub so
-// far. On the hub data plane this is the job's whole exchange volume;
-// under p2p it stays at zero — the test-visible proof that data frames
-// never transit the coordinator.
+// far. On the hub data plane this is the job's cross-process exchange
+// volume — Stats().NetworkBytes less what co-hosted workers sent each
+// other, which stays inside their process; under p2p it stays at zero —
+// the test-visible proof that data frames never transit the
+// coordinator.
 func (h *Hub) DataBytes() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.dataBytes
 }
 
-// forward relays one staged message to a worker connection.
-func (h *Hub) forward(to *hubConn, kind uint8, a, b uint16, payload []byte) error {
-	to.wmu.Lock()
-	defer to.wmu.Unlock()
-	return writeMsg(to.conn, kind, a, b, payload)
+// msgReader reads a worker connection's messages through one buffer and
+// hands payloads out in place, so a relayed frame is never copied on
+// its way in. The read for a header takes whatever the socket has, up
+// to connBufSize: a batch of small messages costs one read. The rest of
+// a payload that read cut short is read to the byte, so the message
+// after a large one starts the buffer afresh instead of leaving a tail
+// to be moved. The buffer grows to the largest message seen.
+type msgReader struct {
+	conn       io.Reader
+	buf        []byte
+	r, w       int    // buf[r:w] is read but not consumed
+	beforeRead func() // if set, runs before every read from conn
+}
+
+// header consumes and validates the next message header. It returns
+// io.EOF only when the stream ends on a message boundary.
+func (m *msgReader) header() (kind uint8, a, b uint16, n int, err error) {
+	if err = m.fill(headerLen, true); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	m.r += headerLen
+	return parseHeader(m.buf[m.r-headerLen : m.r])
+}
+
+// payload consumes an n-byte payload and returns it in place: valid
+// until the next call on the reader.
+func (m *msgReader) payload(n int) ([]byte, error) {
+	if err := m.fill(n, false); err != nil {
+		return nil, err
+	}
+	m.r += n
+	return m.buf[m.r-n : m.r], nil
+}
+
+// readInto consumes a len(dst)-byte payload into dst, for a payload
+// that outlives the next read: what is buffered is copied, the rest
+// read straight into dst.
+func (m *msgReader) readInto(dst []byte) error {
+	n := copy(dst, m.buf[m.r:m.w])
+	m.r += n
+	if n == len(dst) {
+		return nil
+	}
+	if m.beforeRead != nil {
+		m.beforeRead()
+	}
+	_, err := io.ReadFull(m.conn, dst[n:])
+	return err
+}
+
+// fill makes the next n bytes available at buf[r:]. greedy reads ahead
+// past them.
+func (m *msgReader) fill(n int, greedy bool) error {
+	if m.w-m.r >= n {
+		return nil
+	}
+	if m.r+n > len(m.buf) {
+		// No room behind r: move the unread bytes to the front, of a
+		// larger buffer if need be — with room for a header too, so the
+		// next message of this size fits where its header fill lands it.
+		buf := m.buf
+		if n+headerLen > len(buf) {
+			buf = make([]byte, max(n+headerLen, 2*len(buf)))
+			hubBuffered.Add(int64(len(buf) - len(m.buf)))
+		}
+		m.w = copy(buf, m.buf[m.r:m.w])
+		m.r, m.buf = 0, buf
+	} else if m.r == m.w {
+		m.r, m.w = 0, 0
+	}
+	limit := m.r + n
+	if greedy {
+		limit = min(len(m.buf), m.w+connBufSize)
+	}
+	for m.w-m.r < n {
+		if m.beforeRead != nil {
+			m.beforeRead()
+		}
+		k, err := m.conn.Read(m.buf[m.w:limit])
+		m.w += k
+		if err != nil && m.w-m.r < n {
+			if err == io.EOF && !(greedy && m.w == m.r) {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// stage appends one message to the worker's write buffer. It reaches
+// the wire with the next flush or send on this connection, or at once
+// when the payload does not fit the buffer: then everything staged, the
+// header and the payload in place go out as one gathered write, so a
+// large frame is never copied.
+func (hc *hubConn) stage(kind uint8, a, b uint16, payload []byte) error {
+	hc.wmu.Lock()
+	defer hc.wmu.Unlock()
+	return hc.stageLocked(kind, a, b, payload)
+}
+
+func (hc *hubConn) stageLocked(kind uint8, a, b uint16, payload []byte) error {
+	if cap(hc.wbuf)-len(hc.wbuf) < headerLen {
+		hc.flushLocked()
+	}
+	if hc.werr != nil {
+		return hc.werr
+	}
+	hc.wbuf = appendHeader(hc.wbuf, kind, a, b, len(payload))
+	if len(payload) <= cap(hc.wbuf)-len(hc.wbuf) {
+		hc.wbuf = append(hc.wbuf, payload...)
+		return nil
+	}
+	bufs := net.Buffers{hc.wbuf, payload}
+	_, hc.werr = bufs.WriteTo(hc.conn)
+	hc.wbuf = hc.wbuf[:0]
+	return hc.werr
+}
+
+// flush writes out whatever is staged for the worker.
+func (hc *hubConn) flush() error {
+	hc.wmu.Lock()
+	defer hc.wmu.Unlock()
+	return hc.flushLocked()
+}
+
+func (hc *hubConn) flushLocked() error {
+	if hc.werr == nil && len(hc.wbuf) > 0 {
+		_, hc.werr = hc.conn.Write(hc.wbuf)
+	}
+	hc.wbuf = hc.wbuf[:0]
+	return hc.werr
+}
+
+// send writes one message through at once, behind anything staged
+// before it: releases, aborts and peer directories must not wait for a
+// pump's next flush.
+func (hc *hubConn) send(kind uint8, a, b uint16, payload []byte) error {
+	hc.wmu.Lock()
+	defer hc.wmu.Unlock()
+	if err := hc.stageLocked(kind, a, b, payload); err != nil {
+		return err
+	}
+	return hc.flushLocked()
 }
 
 // targetLost records a failed forward: the destination's connection is
@@ -495,9 +682,7 @@ func (h *Hub) arrive(count int, value uint64) {
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], agg)
 	for _, hc := range conns {
-		hc.wmu.Lock()
-		_ = writeMsg(hc.conn, kRelease, 0, 0, p[:])
-		hc.wmu.Unlock()
+		_ = hc.send(kRelease, 0, 0, p[:])
 	}
 }
 
@@ -531,7 +716,8 @@ func (h *Hub) abortLocked(reason string) {
 		for _, hc := range conns {
 			hc.wmu.Lock()
 			hc.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-			_ = writeMsg(hc.conn, kAbort, 0, 0, []byte(reason))
+			_ = hc.stageLocked(kAbort, 0, 0, []byte(reason))
+			_ = hc.flushLocked()
 			hc.conn.SetWriteDeadline(time.Time{})
 			hc.wmu.Unlock()
 		}

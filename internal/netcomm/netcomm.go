@@ -17,12 +17,19 @@
 // Config.DataPlane:
 //
 //   - hub (default): frames ride the same star; the hub routes each to
-//     the destination's connection. Ordering makes delivery implicit: a
-//     worker writes its round's frames before its barrier arrival, the
-//     hub forwards frames to a destination before writing that
-//     destination's release (same stream, one writer lock), so when a
-//     client observes the post-flush release, every frame of the round
-//     is already staged — no per-frame acks.
+//     the destination's connection. A worker's Flush is one gathered
+//     write — its frames for workers in other processes followed by the
+//     flush report — and frames for a worker of its own process are
+//     staged in memory and never leave it. The hub coalesces too: each
+//     connection has one buffered writer, forwards are staged in the
+//     destination's and flushed once per batch the pump read, and
+//     in-flight samples ride whatever the process writes next. Ordering
+//     makes delivery implicit: a worker writes its round's frames before
+//     its barrier arrival, the hub stages them in a destination's writer
+//     before that destination's release (one writer, one lock, flushed
+//     with the release at the latest), so when a client observes the
+//     post-flush release, every frame of the round is already staged —
+//     no per-frame acks.
 //   - p2p: workers dial a direct full mesh negotiated through the hub's
 //     peer directory and frames flow point-to-point under credit-based
 //     per-connection flow control (see p2p.go). The hub carries only
@@ -31,6 +38,7 @@
 package netcomm
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -83,13 +91,40 @@ const headerLen = 9
 // the length drive an allocation.
 const maxPayload = 1 << 30
 
-// writeMsg sends one message; bufs avoids copying frame payloads.
-func writeMsg(w io.Writer, kind uint8, a, b uint16, payload []byte) error {
-	var hdr [headerLen]byte
+// connBufSize is the size of the two buffers the hub keeps per worker
+// connection, one to read and one to write through: a round's control
+// messages and small frames cost one read or write, not one per
+// message. The hub relays payloads in place from its read buffer, so
+// reading far ahead costs it nothing.
+const connBufSize = 64 << 10
+
+// clientReadBuf is the buffer a client reads its hub connection through.
+// Every byte read ahead here is copied once more, into the pending
+// buffer of the worker it is for, so the buffer is kept near the size
+// whose copy costs what the read it saves does; the rest of a larger
+// frame is read straight into place.
+const clientReadBuf = 16 << 10
+
+// putHeader fills hdr[:headerLen] with one message header.
+func putHeader(hdr []byte, kind uint8, a, b uint16, n int) {
 	hdr[0] = kind
 	binary.LittleEndian.PutUint16(hdr[1:], a)
 	binary.LittleEndian.PutUint16(hdr[3:], b)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(n))
+}
+
+// appendHeader appends one message header to dst.
+func appendHeader(dst []byte, kind uint8, a, b uint16, n int) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, headerLen)...)
+	putHeader(dst[at:], kind, a, b, n)
+	return dst
+}
+
+// writeMsg sends one message; bufs avoids copying frame payloads.
+func writeMsg(w io.Writer, kind uint8, a, b uint16, payload []byte) error {
+	var hdr [headerLen]byte
+	putHeader(hdr[:], kind, a, b, len(payload))
 	bufs := net.Buffers{hdr[:], payload}
 	_, err := bufs.WriteTo(w)
 	return err
@@ -101,6 +136,12 @@ func readHeader(r io.Reader) (kind uint8, a, b uint16, n int, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, 0, 0, err
 	}
+	return parseHeader(hdr[:])
+}
+
+// parseHeader decodes and validates the message header in
+// hdr[:headerLen].
+func parseHeader(hdr []byte) (kind uint8, a, b uint16, n int, err error) {
 	kind = hdr[0]
 	a = binary.LittleEndian.Uint16(hdr[1:])
 	b = binary.LittleEndian.Uint16(hdr[3:])
@@ -121,7 +162,13 @@ type Client struct {
 	m      int
 	lo, hi int
 	conn   net.Conn
-	wmu    sync.Mutex // serializes writes from worker goroutines + reader acks
+
+	// wmu serializes writes on the hub connection. Every write is one
+	// gathered write led by the samples queued since the previous one;
+	// wbufs is its reusable vector.
+	wmu     sync.Mutex
+	samples []byte
+	wbufs   net.Buffers
 
 	window       int64          // p2p initial receive window per peer connection
 	adaptive     bool           // p2p-adaptive: lazy mesh + AIMD-tuned windows
@@ -223,6 +270,7 @@ func DialConfig(cfg Config) (*Client, error) {
 			deliver: make([]*ser.Buffer, m),
 			pending: make([]*ser.Buffer, m),
 			sent:    make([]int64, m),
+			hdrs:    make([]byte, m*headerLen+16),
 		}
 		for d := 0; d < m; d++ {
 			ep.out[d] = ser.NewBuffer(1024)
@@ -292,10 +340,28 @@ func DialConfig(cfg Config) (*Client, error) {
 	return c, nil
 }
 
+// send writes one message on the hub connection.
 func (c *Client) send(kind uint8, a, b uint16, payload []byte) error {
+	var hdr [headerLen]byte
+	putHeader(hdr[:], kind, a, b, len(payload))
+	return c.write(hdr[:], payload)
+}
+
+// write sends msgs on the hub connection as one gathered write, led by
+// whatever SendSamples queued since the previous write. The caller's
+// slices must stay untouched until it returns.
+func (c *Client) write(msgs ...[]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return writeMsg(c.conn, kind, a, b, payload)
+	bufs := c.wbufs[:0]
+	if len(c.samples) > 0 {
+		bufs = append(bufs, c.samples)
+	}
+	bufs = append(bufs, msgs...)
+	c.wbufs = bufs[:0] // keep the grown vector; WriteTo consumes its copy
+	_, err := bufs.WriteTo(c.conn)
+	c.samples = c.samples[:0]
+	return err
 }
 
 // fail aborts the local barrier with a reason (first reason wins) and
@@ -327,8 +393,12 @@ func (c *Client) stopping() bool {
 // destination endpoint's pending buffers, releases advance the wire
 // barrier, aborts release everything.
 func (c *Client) readLoop() {
+	// Reads go through one buffer: a round's small frames and the release
+	// that follows them usually arrive in a single read. Nothing here may
+	// assume a read ends on a message boundary.
+	br := bufio.NewReaderSize(c.conn, clientReadBuf)
 	for {
-		kind, a, b, n, err := readHeader(c.conn)
+		kind, a, b, n, err := readHeader(br)
 		if err != nil {
 			c.cmu.Lock()
 			closed := c.closed
@@ -347,7 +417,7 @@ func (c *Client) readLoop() {
 			}
 			ep := c.eps[dst-c.lo]
 			ep.mu.Lock()
-			_, err = io.ReadFull(c.conn, ep.pending[a].Extend(n))
+			_, err = io.ReadFull(br, ep.pending[a].Extend(n))
 			ep.mu.Unlock()
 			if err != nil {
 				c.fail(fmt.Errorf("netcomm: truncated frame: %w", err))
@@ -355,7 +425,7 @@ func (c *Client) readLoop() {
 			}
 		case kRelease:
 			var v [8]byte
-			if _, err := io.ReadFull(c.conn, v[:]); err != nil {
+			if _, err := io.ReadFull(br, v[:]); err != nil {
 				c.fail(fmt.Errorf("netcomm: truncated release: %w", err))
 				return
 			}
@@ -366,7 +436,7 @@ func (c *Client) readLoop() {
 				return
 			}
 			p := make([]byte, n)
-			if _, err := io.ReadFull(c.conn, p); err != nil {
+			if _, err := io.ReadFull(br, p); err != nil {
 				c.fail(fmt.Errorf("netcomm: truncated peer directory: %w", err))
 				return
 			}
@@ -402,7 +472,7 @@ func (c *Client) readLoop() {
 				return
 			}
 			p := make([]byte, n)
-			if _, err := io.ReadFull(c.conn, p); err != nil {
+			if _, err := io.ReadFull(br, p); err != nil {
 				c.fail(fmt.Errorf("netcomm: truncated promotion request: %w", err))
 				return
 			}
@@ -418,7 +488,7 @@ func (c *Client) readLoop() {
 			c.mesh.promoteRequested(lo, hi)
 		case kAbort:
 			reason := make([]byte, n)
-			io.ReadFull(c.conn, reason)
+			io.ReadFull(br, reason)
 			c.fail(fmt.Errorf("netcomm: job aborted: %s", reason))
 			return
 		default:
@@ -434,13 +504,18 @@ func (c *Client) SendResult(payload []byte) error {
 	return c.send(kResult, uint16(c.lo), uint16(c.hi), payload)
 }
 
-// SendSamples ships an opaque batch of in-flight superstep samples to
-// the hub over the control connection (the live-events feed; see
-// Hub.OnSamples). Loss-tolerant by design: the same samples travel
-// again in the final result blob, so a send racing teardown may simply
-// fail without consequence.
-func (c *Client) SendSamples(payload []byte) error {
-	return c.send(kSamples, uint16(c.lo), uint16(c.hi), payload)
+// SendSamples queues an opaque batch of in-flight superstep samples for
+// the hub (the live-events feed; see Hub.OnSamples). It writes nothing
+// itself: the batch rides in front of whatever this process writes next
+// — a flush, a barrier arrival, the result — so the feed lags by at
+// most one exchange round and costs no write of its own. Loss-tolerant
+// by design: the same samples travel again in the final result blob, so
+// a batch still queued when the job unwinds is simply dropped.
+func (c *Client) SendSamples(payload []byte) {
+	c.wmu.Lock()
+	c.samples = appendHeader(c.samples, kSamples, uint16(c.lo), uint16(c.hi), len(payload))
+	c.samples = append(c.samples, payload...)
+	c.wmu.Unlock()
 }
 
 // ConnStats reports the flow-control behaviour of this process's p2p
@@ -566,7 +641,9 @@ type clientEndpoint struct {
 	id int
 
 	out     []*ser.Buffer
-	sent    []int64 // per-flush per-dst byte scratch
+	sent    []int64  // per-flush per-dst byte scratch
+	batch   [][]byte // per-flush scratch: the messages of the round's one hub write
+	hdrs    []byte   // backing for batch's frame headers and the trailing flush report
 	stallNS atomic.Int64
 
 	mu       sync.Mutex
@@ -576,8 +653,8 @@ type clientEndpoint struct {
 	swapSeq  uint64
 }
 
-// stage copies one p2p frame from a co-hosted or remote src worker into
-// the pending buffer (the same staging the hub-plane read loop does).
+// stage copies one frame from a co-hosted src worker into the pending
+// buffer (the same staging the read loops do for remote ones).
 func (ep *clientEndpoint) stage(src int, payload []byte) {
 	ep.mu.Lock()
 	copy(ep.pending[src].Extend(len(payload)), payload)
@@ -588,45 +665,41 @@ func (ep *clientEndpoint) stage(src int, payload []byte) {
 func (ep *clientEndpoint) Out(dst int) *ser.Buffer { return ep.out[dst] }
 
 // Flush implements comm.Endpoint: every non-empty off-worker buffer
-// becomes one frame — relayed through the hub, or, under p2p, staged
-// in-process for co-hosted destinations and sent directly to remote
-// ones under their credit windows (blocking here when a window is
-// exhausted). Either way the 16-byte flush-stats marker still goes to
-// the hub: round accounting and the simulated cost model live there,
-// identically on both planes. The loopback buffer stays local
+// becomes one frame. A co-hosted destination's is staged in-process and
+// never touches a socket. A remote one's goes, on the hub plane, into
+// the round's one gathered write to the hub — the frames, then the
+// 16-byte flush report — and under p2p directly to its peer under the
+// credit window (blocking here when the window is exhausted), with the
+// report alone going to the hub. The report counts co-hosted bytes like
+// any others: round accounting and the simulated cost model live on the
+// hub, identically on every plane. The loopback buffer stays local
 // (zero-copy, as in the in-process fabric).
 func (ep *clientEndpoint) Flush() error {
 	c := ep.c
 	var netB, locB int64
 	var stall time.Duration
-	for i := range ep.sent {
-		ep.sent[i] = 0
-	}
+	batch := ep.batch[:0]
 	for dst := 0; dst < c.m; dst++ {
 		b := ep.out[dst]
-		if dst == ep.id {
-			n := int64(b.Len())
-			locB += n
-			if c.flows != nil && n > 0 {
-				c.flows.Record(ep.id, dst, n)
-			}
-			continue
-		}
 		n := b.Len()
-		netB += int64(n)
-		ep.sent[dst] = int64(n)
 		if c.flows != nil && n > 0 {
 			c.flows.Record(ep.id, dst, int64(n))
 		}
-		if n > 0 {
-			var err error
-			if c.mesh != nil {
-				var s time.Duration
-				s, err = c.mesh.deliver(ep.id, dst, b.Bytes())
-				stall += s
-			} else {
-				err = c.send(kFrame, uint16(ep.id), uint16(dst), b.Bytes())
-			}
+		if dst == ep.id {
+			locB += int64(n)
+			continue
+		}
+		netB += int64(n)
+		ep.sent[dst] = int64(n)
+		if n == 0 {
+			continue
+		}
+		switch {
+		case dst >= c.lo && dst <= c.hi:
+			c.eps[dst-c.lo].stage(ep.id, b.Bytes())
+		case c.mesh != nil:
+			s, err := c.mesh.deliver(ep.id, dst, b.Bytes())
+			stall += s
 			if err != nil {
 				if stall > 0 {
 					ep.stallNS.Add(int64(stall))
@@ -634,8 +707,11 @@ func (ep *clientEndpoint) Flush() error {
 				c.fail(err)
 				return fmt.Errorf("netcomm: send frame %d->%d: %w", ep.id, dst, err)
 			}
+		default:
+			hdr := ep.hdrs[len(batch)/2*headerLen:][:headerLen]
+			putHeader(hdr, kFrame, uint16(ep.id), uint16(dst), n)
+			batch = append(batch, hdr, b.Bytes())
 		}
-		b.Reset()
 	}
 	if stall > 0 {
 		ep.stallNS.Add(int64(stall))
@@ -649,12 +725,22 @@ func (ep *clientEndpoint) Flush() error {
 			return err
 		}
 	}
-	var stats [16]byte
-	binary.LittleEndian.PutUint64(stats[0:], uint64(netB))
-	binary.LittleEndian.PutUint64(stats[8:], uint64(locB))
-	if err := c.send(kFlush, uint16(ep.id), 0, stats[:]); err != nil {
+	report := ep.hdrs[len(ep.hdrs)-headerLen-16:]
+	putHeader(report, kFlush, uint16(ep.id), 0, 16)
+	binary.LittleEndian.PutUint64(report[headerLen:], uint64(netB))
+	binary.LittleEndian.PutUint64(report[headerLen+8:], uint64(locB))
+	batch = append(batch, report)
+	ep.batch = batch[:0]
+	if err := c.write(batch...); err != nil {
 		c.fail(err)
 		return fmt.Errorf("netcomm: send flush: %w", err)
+	}
+	// Only now may the sent buffers be recycled: the write referenced
+	// them in place.
+	for dst, b := range ep.out {
+		if dst != ep.id {
+			b.Reset()
+		}
 	}
 	ep.mu.Lock()
 	ep.flushSeq++

@@ -123,18 +123,21 @@ func ValidatePlaneConfig(plane string, windowBytes, windowMin, windowMax, promot
 const maxDirectoryPeers = 1 << 16
 
 // Package-wide data-plane memory gauges, exported to /metrics by
-// internal/server. hubBuffered tracks the bytes held in hub relay
-// staging buffers (control-plane-only jobs keep it near zero);
-// windowOutstanding tracks the bytes p2p senders have in flight against
-// receive windows (window occupancy summed over peer connections).
+// internal/server. hubBuffered tracks the bytes hubs hold for their
+// worker connections: each connection's read and write buffers
+// (2 x connBufSize, whatever the plane) plus its pump's payload scratch,
+// which grows to the largest frame relayed (control-plane-only jobs
+// keep that part near zero); windowOutstanding tracks the bytes p2p
+// senders have in flight against receive windows (window occupancy
+// summed over peer connections).
 var (
 	hubBuffered       atomic.Int64
 	windowOutstanding atomic.Int64
 )
 
 // DataPlaneStats reports the process-wide data-plane memory gauges:
-// bytes currently staged in hub relay buffers and bytes in flight
-// against p2p receive windows.
+// bytes currently held in hub connection buffers and relay scratch, and
+// bytes in flight against p2p receive windows.
 func DataPlaneStats() (hubBufferedBytes, windowOutstandingBytes int64) {
 	return hubBuffered.Load(), windowOutstanding.Load()
 }
@@ -806,17 +809,13 @@ func (m *mesh) connLost(pc *peerConn, err error) {
 	m.mu.Unlock()
 }
 
-// deliver routes one round frame from a local src worker to dst:
-// co-hosted destinations are staged in-process, remote ones go over the
-// peer connection under its credit window — or, on the adaptive plane,
+// deliver routes one round frame from a local src worker to a dst in
+// another process (Flush stages co-hosted ones itself): over the peer
+// connection under its credit window — or, on the adaptive plane,
 // through the hub relay while the pair is still cold. The returned
 // stall is the time spent blocked on exhausted credit.
 func (m *mesh) deliver(src, dst int, payload []byte) (time.Duration, error) {
 	c := m.c
-	if dst >= c.lo && dst <= c.hi {
-		c.eps[dst-c.lo].stage(src, payload)
-		return 0, nil
-	}
 	if c.adaptive {
 		return m.deliverLazy(src, dst, payload)
 	}

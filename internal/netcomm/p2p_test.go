@@ -1,6 +1,7 @@
 package netcomm_test
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -15,10 +16,10 @@ import (
 	"repro/internal/seq"
 )
 
-// startFabricP2P brings up a hub plus procs p2p clients hosting m
-// workers in contiguous ranges over network ("tcp" or "unix"),
-// exercising co-hosted staging when procs < m.
-func startFabricP2P(t *testing.T, network string, m, procs, windowBytes int) (*netcomm.Hub, []*netcomm.Client) {
+// startFabricProcs brings up a hub plus procs clients of the given data
+// plane hosting m workers in contiguous ranges over network ("tcp" or
+// "unix"), exercising co-hosted staging when procs < m.
+func startFabricProcs(t *testing.T, network, plane string, m, procs, windowBytes int) (*netcomm.Hub, []*netcomm.Client) {
 	t.Helper()
 	var ln net.Listener
 	var err error
@@ -50,7 +51,7 @@ func startFabricP2P(t *testing.T, network string, m, procs, windowBytes int) (*n
 			clients[i], errs[i] = netcomm.DialConfig(netcomm.Config{
 				Network: network, Addr: ln.Addr().String(),
 				Lo: lo, Hi: hi, M: m,
-				DataPlane:   netcomm.DataPlaneP2P,
+				DataPlane:   plane,
 				WindowBytes: windowBytes,
 			})
 		}(i, lo, hi)
@@ -79,7 +80,7 @@ func TestP2PFabricWCCMatchesOracleOffHub(t *testing.T) {
 			g := graph.Undirectify(graph.RMAT(8, 5, 7, graph.RMATOptions{NoSelfLoops: true}))
 			want := seq.ConnectedComponents(g)
 			const m, procs = 4, 2 // 2 workers per process: exercises co-hosted staging
-			hub, clients := startFabricP2P(t, network, m, procs, 0)
+			hub, clients := startFabricProcs(t, network, netcomm.DataPlaneP2P, m, procs, 0)
 			part := partition.MustHash(g.NumVertices(), m)
 			frags := frag.Build(g, part)
 			partials := make([][]graph.VertexID, procs)
@@ -127,29 +128,58 @@ func TestP2PFabricWCCMatchesOracleOffHub(t *testing.T) {
 	}
 }
 
-// The hub plane, by contrast, relays every data byte: the counter the
-// p2p test pins at zero tracks the full exchange volume here.
+// The hub plane, by contrast, relays every byte that leaves a process:
+// the counter the p2p test pins at zero tracks the whole exchange volume
+// with one worker per process, and the volume less what co-hosted
+// workers sent each other — which never touches a socket — with two.
 func TestHubPlaneRelaysDataBytes(t *testing.T) {
 	g := graph.Undirectify(graph.RMAT(7, 4, 3, graph.RMATOptions{NoSelfLoops: true}))
-	hub, clients := startFabric(t, 2)
-	part := partition.MustHash(g.NumVertices(), 2)
-	frags := frag.Build(g, part)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i]}
-			if _, _, err := algorithms.WCCChannel(g, o); err != nil {
-				t.Errorf("worker %d: %v", i, err)
+	want := seq.ConnectedComponents(g)
+	for _, tc := range []struct{ m, procs int }{{2, 2}, {4, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", tc.procs, tc.m/tc.procs), func(t *testing.T) {
+			hub, clients := startFabricProcs(t, "tcp", netcomm.DataPlaneHub, tc.m, tc.procs, 0)
+			part := partition.MustHash(g.NumVertices(), tc.m)
+			frags := frag.Build(g, part)
+			partials := make([][]graph.VertexID, tc.procs)
+			var wg sync.WaitGroup
+			for i := range clients {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i]}
+					var err error
+					if partials[i], _, err = algorithms.WCCChannel(g, o); err != nil {
+						t.Errorf("process %d: %v", i, err)
+					}
+				}(i)
 			}
-		}(i)
-	}
-	wg.Wait()
-	if db, net := hub.DataBytes(), hub.Stats().NetworkBytes; db != net {
-		t.Errorf("hub relayed %d data bytes, flush reports accounted %d — should match on the hub plane", db, net)
-	} else if db == 0 {
-		t.Error("hub relayed no data bytes on the hub plane")
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			per := tc.m / tc.procs
+			for v := range want {
+				if got := partials[part.Owner(graph.VertexID(v))/per][v]; got != want[v] {
+					t.Fatalf("vertex %d: got %d want %d", v, got, want[v])
+				}
+			}
+			var coHosted int64
+			for i, c := range clients {
+				for dst, b := range c.Stats().PeerBytes {
+					if dst/per == i {
+						coHosted += b
+					}
+				}
+			}
+			if (coHosted != 0) != (per > 1) {
+				t.Fatalf("%d co-hosted bytes with %d workers per process", coHosted, per)
+			}
+			if db, net := hub.DataBytes(), hub.Stats().NetworkBytes; db != net-coHosted {
+				t.Errorf("hub relayed %d data bytes, flush reports accounted %d of which %d co-hosted — the difference should be what it relayed", db, net, coHosted)
+			} else if db == 0 {
+				t.Error("hub relayed no data bytes on the hub plane")
+			}
+		})
 	}
 }
 
@@ -157,7 +187,7 @@ func TestHubPlaneRelaysDataBytes(t *testing.T) {
 // on the control connection; only data frames moved off the star).
 func TestP2PWireBarrierAllReduce(t *testing.T) {
 	const m = 4
-	_, clients := startFabricP2P(t, "tcp", m, m, 0)
+	_, clients := startFabricProcs(t, "tcp", netcomm.DataPlaneP2P, m, m, 0)
 	var wg sync.WaitGroup
 	sums := make([]uint64, m)
 	oks := make([]bool, m)

@@ -110,9 +110,14 @@ const (
 	// ImbalanceSkew is the max/mean compute ratio at which the run is
 	// called compute-imbalanced.
 	ImbalanceSkew = 1.5
-	// HubHotspotShare is the fraction of total relay volume one worker
-	// process must source for the hub relay to be called its hotspot.
-	HubHotspotShare = 0.5
+	// HubHotspotSkew is the multiple of its fair share (1 / relay
+	// sources) of the hub's relay volume one worker process must source
+	// to be called the relay's hotspot.
+	HubHotspotSkew = 2.0
+	// HubHotspotMinSources is the fewest relay sources among which a
+	// hotspot means anything: of two processes one always sources at
+	// least half.
+	HubHotspotMinSources = 3
 )
 
 // Diagnose correlates a job's superstep trace, flow matrix and run
@@ -333,9 +338,12 @@ func diagnoseWindows(rep *Report, flows *FlowMatrix, wallNS int64) {
 	}
 }
 
-// diagnoseHubRelay flags a dominant relay source on the hub plane.
+// diagnoseHubRelay flags a dominant relay source on the hub plane: a
+// worker process whose share of the relayed volume — what crossed the
+// hub; frames between co-hosted workers never do — is a multiple of the
+// fair share among the sources.
 func diagnoseHubRelay(rep *Report, flows *FlowMatrix) {
-	if flows == nil || len(flows.Relays) < 2 {
+	if flows == nil || len(flows.Relays) < HubHotspotMinSources {
 		return
 	}
 	var total int64
@@ -345,20 +353,21 @@ func diagnoseHubRelay(rep *Report, flows *FlowMatrix) {
 	if total == 0 {
 		return
 	}
+	threshold := HubHotspotSkew / float64(len(flows.Relays))
 	for _, r := range flows.Relays {
 		share := float64(r.Bytes) / float64(total)
-		if share < HubHotspotShare {
+		if share < threshold {
 			continue
 		}
 		name := fmt.Sprintf("w[%d-%d]", r.Lo, r.Hi-1)
 		rep.Findings = append(rep.Findings, Finding{
 			Kind: "hub_hotspot", Severity: "info", Worker: -1, Conn: name,
-			Value: share, Threshold: HubHotspotShare,
-			Detail: fmt.Sprintf("worker range %s sourced %.0f%% of hub relay volume (%d bytes, %d frames, %.2fms total relay residency)",
-				name, share*100, r.Bytes, r.Frames, float64(r.ResidencyNS)/1e6),
+			Value: share, Threshold: threshold,
+			Detail: fmt.Sprintf("worker range %s sourced %.0f%% of hub relay volume, %.1fx its fair share among %d sources (%d bytes, %d frames, %.2fms total relay residency)",
+				name, share*100, share*float64(len(flows.Relays)), len(flows.Relays), r.Bytes, r.Frames, float64(r.ResidencyNS)/1e6),
 		})
 		rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
-			"hub relay is dominated by %s: the p2p data plane (-data-plane p2p) removes the relay hop", name))
+			"hub relay is dominated by %s: rebalance the placement so its workers send less across processes", name))
 	}
 }
 

@@ -75,9 +75,10 @@ type ConnStat struct {
 }
 
 // RelayStat is one worker process's share of hub data-plane relay
-// traffic: frames the hub accepted from that process's worker range and
-// the cumulative time they spent resident in the hub (read to
-// forwarded).
+// traffic: frames the hub accepted from that process's worker range —
+// those for workers of other processes; co-hosted frames never reach
+// the hub — and the cumulative time they spent resident in the hub
+// (read to flushed onto the destination's stream).
 type RelayStat struct {
 	Lo          int   `json:"lo"`
 	Hi          int   `json:"hi"`

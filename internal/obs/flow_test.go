@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -179,5 +180,55 @@ func TestDiagnoseHealthyAndNilInputs(t *testing.T) {
 	rep := Diagnose(snap, nil, RunMetrics{})
 	if rep.Healthy || len(rep.Findings) != 1 || rep.Findings[0].Kind != "trace_truncated" {
 		t.Fatalf("truncation finding missing: healthy=%v findings=%+v", rep.Healthy, rep.Findings)
+	}
+}
+
+// A hub hotspot is a source far above its fair share of the relayed
+// volume. Of two processes one always sources at least half, so two can
+// never make one; and no plane that hangs may be recommended as the way
+// out.
+func TestDiagnoseHubHotspotJudgedAgainstFairShare(t *testing.T) {
+	relays := func(bytes ...int64) *FlowMatrix {
+		fm := &FlowMatrix{Plane: "hub", Workers: 2 * len(bytes)}
+		for i, b := range bytes {
+			fm.Relays = append(fm.Relays, RelayStat{Lo: 2 * i, Hi: 2*i + 2, Bytes: b, Frames: 10, ResidencyNS: 1e6})
+		}
+		return fm
+	}
+	for _, tc := range []struct {
+		name  string
+		flows *FlowMatrix
+		want  string // the hotspot's relay range, "" for none
+	}{
+		{"two sources, 57 to 43", relays(57, 43), ""},
+		{"two sources, one silent", relays(100, 0), ""},
+		{"three sources, 60 percent is under 2x a third", relays(60, 20, 20), ""},
+		{"four balanced sources", relays(25, 25, 25, 25), ""},
+		{"four sources, one at 70 percent", relays(10, 70, 10, 10), "w[2-3]"},
+	} {
+		rep := Diagnose(nil, tc.flows, RunMetrics{})
+		var got []Finding
+		for _, f := range rep.Findings {
+			if f.Kind == "hub_hotspot" {
+				got = append(got, f)
+			}
+		}
+		if tc.want == "" {
+			if len(got) != 0 || len(rep.Recommendations) != 0 {
+				t.Errorf("%s: findings %+v, recommendations %q; want none", tc.name, got, rep.Recommendations)
+			}
+			continue
+		}
+		if len(got) != 1 || got[0].Conn != tc.want || got[0].Threshold != HubHotspotSkew/float64(len(tc.flows.Relays)) {
+			t.Errorf("%s: findings %+v, want one naming %s", tc.name, got, tc.want)
+		}
+		if !rep.Healthy {
+			t.Errorf("%s: an info finding made the report unhealthy", tc.name)
+		}
+		for _, r := range rep.Recommendations {
+			if strings.Contains(r, "p2p") {
+				t.Errorf("%s: recommends a p2p plane: %q", tc.name, r)
+			}
+		}
 	}
 }

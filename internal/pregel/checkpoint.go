@@ -3,6 +3,7 @@ package pregel
 import (
 	"fmt"
 
+	"repro/internal/barrier"
 	"repro/internal/ckpt"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -16,8 +17,8 @@ import (
 // Everything else (inboxes, asked lists, responses, aggregator gather)
 // is rebuilt by replaying the saved frames. The record's Rounds is the
 // configuration's fixed round count; frames are teed in as the rounds
-// run, and Put happens after the last round, before the termination
-// reduce.
+// run, and Put happens after the last round, before the superstep's
+// certifying reduce.
 func (w *Worker[M, R, A]) snapshotCut(twoRounds bool) *ckpt.Record {
 	rec := &ckpt.Record{
 		Superstep: w.superstep,
@@ -46,7 +47,7 @@ func (w *Worker[M, R, A]) snapshotCut(twoRounds bool) *ckpt.Record {
 
 // restoreCheckpoint loads this worker's record for hook.Restore, applies
 // it, replays the cut superstep's exchange rounds locally, and
-// re-crosses the superstep's termination reduce so all restoring workers
+// re-crosses the superstep's certifying reduce so all restoring workers
 // re-enter the main loop on one consistent barrier generation. It
 // reports whether the reduce said the job is already finished (the cut
 // superstep was the last one — possible when a worker died after the
@@ -75,15 +76,11 @@ func (w *Worker[M, R, A]) restoreCheckpoint(hook *ckpt.Hook, m int, twoRounds bo
 	if err := w.applyAndReplay(rec, m, twoRounds); err != nil {
 		return false, err
 	}
-	v := uint64(w.activeCount)
-	if w.halt {
-		v += haltStop
-	}
-	sum, ok := w.timedAllReduce(v)
+	sum, ok := w.timedAllReduce(w.termVote())
 	if !ok {
 		return false, errAborted
 	}
-	return sum&(haltStop-1) == 0 || sum >= haltStop, nil
+	return barrier.Terminated(sum), nil
 }
 
 // applyAndReplay installs the record's state and replays the cut

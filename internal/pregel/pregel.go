@@ -28,8 +28,8 @@
 // message round(s) — the round structure (one round, or two when
 // responses or aggregation are in play) is recorded so a restore
 // replays exactly the rounds the superstep ran, and the record is
-// persisted before the termination AllReduce so completeness is
-// all-or-nothing across the party.
+// persisted before one more, certifying AllReduce that only checkpoint
+// supersteps pay, so completeness is all-or-nothing across the party.
 package pregel
 
 import (

@@ -17,11 +17,6 @@ import (
 // aborted the shared barrier.
 var errAborted = barrier.ErrAborted
 
-// haltStop is the termination-reduce bit a worker adds when its
-// algorithm called RequestStop; active vertex counts occupy the low 48
-// bits (see the engine package for the overflow argument).
-const haltStop = uint64(1) << 48
-
 // run executes the worker loop; a worker that fails aborts the shared
 // barrier so its peers return instead of deadlocking.
 func (w *Worker[M, R, A]) run(setup func(*Worker[M, R, A]), maxSteps int) error {
@@ -146,21 +141,24 @@ func (w *Worker[M, R, A]) runSupersteps(setup func(*Worker[M, R, A]), maxSteps i
 			w.ckptRec = w.snapshotCut(twoRounds)
 		}
 
-		// round 1: two barrier crossings — the post-flush wait proves all
-		// sends are published, the post-deliver wait proves all inputs
-		// were consumed, which makes Release safe.
-		if err := w.runRound(w.serializeRound1, w.deserializeRound1); err != nil {
+		// Two barrier crossings per round: the post-flush wait proves all
+		// sends are published, the post-deliver reduce proves all inputs
+		// were consumed, which makes Release safe — and carries the
+		// termination vote, so the last round's crossing also decides
+		// whether the job is over.
+		vote, err := w.runRound(w.serializeRound1, w.deserializeRound1)
+		if err == nil && twoRounds {
+			vote, err = w.runRound(w.serializeRound2, w.deserializeRound2)
+		}
+		if err != nil {
 			return err
 		}
-		if twoRounds {
-			if err := w.runRound(w.serializeRound2, w.deserializeRound2); err != nil {
-				return err
-			}
-		}
 
-		// The record is durable before the termination reduce below:
-		// crossing the reduce is the proof that every worker's cut for
-		// this superstep reached the store, making it complete.
+		// A superstep that cut a checkpoint publishes the record and then
+		// crosses once more: that reduce is the proof that every worker's
+		// cut for this superstep reached the store, making it complete
+		// (the last round's crossing would certify records not yet
+		// written), and the crossing a restore re-enters the loop through.
 		if w.ckptRec != nil {
 			rec := w.ckptRec
 			w.ckptRec = nil
@@ -170,32 +168,33 @@ func (w *Worker[M, R, A]) runSupersteps(setup func(*Worker[M, R, A]), maxSteps i
 				return fmt.Errorf("pregel: worker %d: checkpoint superstep %d: %w", w.id, w.superstep, err)
 			}
 			ck.AfterSave(w.superstep)
-		}
-
-		// termination check: one reduce carries every worker's active
-		// count plus its RequestStop vote.
-		v := uint64(w.activeCount)
-		if w.halt {
-			v += haltStop
-		}
-		sum, ok := w.timedAllReduce(v)
-		if !ok {
-			return errAborted
+			var ok bool
+			if vote, ok = w.timedAllReduce(w.termVote()); !ok {
+				return errAborted
+			}
 		}
 		if w.obsOn {
 			cfg.Observer.ObserveSuperstep(w.obsSmp)
 		}
-		if sum&(haltStop-1) == 0 || sum >= haltStop {
+		if barrier.Terminated(vote) {
 			return nil
 		}
 	}
 }
 
+// termVote is this worker's termination post: every worker's "still has
+// an active vertex" and RequestStop flags, reduced in one word.
+func (w *Worker[M, R, A]) termVote() uint64 {
+	return barrier.Vote(false, w.activeCount > 0, w.halt)
+}
+
 // runRound runs one exchange round: serialize to every destination,
 // flush, cross the publish barrier, decode every source, cross the
-// consume barrier, release. Per-destination buffer deltas feed the
-// superstep sample when observation is on.
-func (w *Worker[M, R, A]) runRound(serialize func(int, *ser.Buffer), decode func(int, *ser.Buffer)) error {
+// consume barrier, release. It returns the termination votes reduced at
+// the consume crossing, which stand once the superstep's last round has
+// delivered. Per-destination buffer deltas feed the superstep sample
+// when observation is on.
+func (w *Worker[M, R, A]) runRound(serialize func(int, *ser.Buffer), decode func(int, *ser.Buffer)) (uint64, error) {
 	m := w.NumWorkers()
 	for dst := 0; dst < m; dst++ {
 		buf := w.ep.Out(dst)
@@ -211,24 +210,25 @@ func (w *Worker[M, R, A]) runRound(serialize func(int, *ser.Buffer), decode func
 		stall0 = w.ep.Stall()
 	}
 	if err := w.ep.Flush(); err != nil {
-		return fmt.Errorf("pregel: worker %d: %w", w.id, err)
+		return 0, fmt.Errorf("pregel: worker %d: %w", w.id, err)
 	}
 	if w.obsOn {
 		w.obsSmp.SendStallNS += int64(w.ep.Stall() - stall0)
 	}
 	if !w.timedWait() {
-		return errAborted
+		return 0, errAborted
 	}
 	for src := 0; src < m; src++ {
 		if err := w.deserializeFrom(src, decode); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	if !w.timedWait() {
-		return errAborted
+	vote, ok := w.timedAllReduce(w.termVote())
+	if !ok {
+		return 0, errAborted
 	}
 	w.ep.Release()
-	return nil
+	return vote, nil
 }
 
 // timedWait crosses the shared barrier, attributing the blocked time to
@@ -243,7 +243,7 @@ func (w *Worker[M, R, A]) timedWait() bool {
 	return ok
 }
 
-// timedAllReduce mirrors timedWait for the termination reduce.
+// timedAllReduce mirrors timedWait for the reducing crossings.
 func (w *Worker[M, R, A]) timedAllReduce(v uint64) (uint64, bool) {
 	if !w.obsOn {
 		return w.job.bar.AllReduce(v)

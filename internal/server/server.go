@@ -520,7 +520,7 @@ func (s *Server) scrape(e *obs.Emitter) {
 	// and bytes in flight against p2p receive windows (window occupancy
 	// summed over peer connections), for in-process hubs and clients.
 	hubBuf, winOut := netcomm.DataPlaneStats()
-	e.Gauge("graphd_hub_buffered_bytes", "Bytes held in hub data-relay staging buffers.", float64(hubBuf))
+	e.Gauge("graphd_hub_buffered_bytes", "Bytes held in hub connection buffers and data-relay staging.", float64(hubBuf))
 	e.Gauge("graphd_p2p_window_outstanding_bytes", "Bytes in flight against p2p flow-control windows.", float64(winOut))
 
 	// live datasets: compaction progress per mutable dataset

@@ -184,9 +184,9 @@ func (w *worker) run(d *descriptor) ack {
 	if d.trace {
 		// collect only this process's shard of the timeline; the
 		// coordinator replays every shard into the job-wide trace. Each
-		// sample is also streamed over the control connection as it
-		// happens so the coordinator's event stream sees supersteps in
-		// flight, not only at job end.
+		// sample is also streamed over the control connection, in front
+		// of the process's next write, so the coordinator's event stream
+		// sees supersteps in flight, not only at job end.
 		tr = obs.NewTrace(d.m)
 		opts.Observer = &liveObserver{tr: tr, client: client, buf: ser.NewBuffer(256)}
 	}
@@ -241,10 +241,11 @@ func reportFailure(d *descriptor, cause error) string {
 }
 
 // liveObserver feeds each superstep sample into the process-local trace
-// and ships it to the coordinator over the hub control connection as it
-// completes. Shipping is best-effort and loss-tolerant: the authoritative
-// timeline still travels with the partial result, so a send error (the
-// job is unwinding anyway) is simply dropped.
+// and queues it for the coordinator: it rides the hub control
+// connection with the process's next write, so the live feed trails the
+// run by at most one exchange round. Shipping is best-effort and
+// loss-tolerant: the authoritative timeline still travels with the
+// partial result.
 type liveObserver struct {
 	tr     *obs.Trace
 	client *netcomm.Client

@@ -57,7 +57,9 @@
 // (worker, local) order. A fragment also derives, on first use and
 // cached for the life of the view (shared by every job on it, charged
 // to the catalog budget), the scatter plan of Fig. 5: its adjacency
-// transposed and counting-sorted by destination per destination worker.
+// transposed and counting-sorted by destination per destination worker,
+// its runs ranked by length and stored frag.Lanes at a time, column by
+// column, which is the order the fold kernels read them in.
 // ScatterCombine.UseFragment adopts it zero-copy, a superstep is one
 // gather-reduce over the plan, and the wire carries each destination
 // list once (first scattering superstep) and values only afterwards,
@@ -69,7 +71,9 @@
 // combiner an indirect call per edge, so channel.Combiner is a reducer
 // that carries its own loops — Combine(a, b), a run fold over one plan
 // segment (sources of a run combined left to right, which keeps float
-// sums bit-identical) and an indexed merge into the epoch-stamped inbox
+// sums bit-identical; four length-matched runs advance in lockstep, so
+// the scan is not bound by the latency of one chain of dependent adds)
+// and an indexed merge into the epoch-stamped inbox
 // — with Sum and Min written over a native + and min, and CombinerFunc
 // deriving all three from any function for custom message types.
 // ser.EncodeSlice/DecodeSlice are the matching slice form of a codec

@@ -66,22 +66,23 @@ func (r *edgeReg) add(src int, a frag.Addr) {
 
 // csr groups the registered edges by source with a stable counting
 // sort: a CSR over n local vertices, each vertex's addresses in
-// registration order.
+// registration order. Counts go two slots up, so after the prefix sum
+// offsets[s+1] is s's fill cursor and the fill leaves it at s's end —
+// no copy of the offsets to fill from.
 func (r *edgeReg) csr(n int) (offsets []uint64, adj []frag.Addr) {
-	offsets = make([]uint64, n+1)
+	offsets = make([]uint64, n+2)
 	for _, s := range r.src {
-		offsets[s+1]++
+		offsets[s+2]++
 	}
-	for i := 1; i <= n; i++ {
+	for i := 2; i < len(offsets); i++ {
 		offsets[i] += offsets[i-1]
 	}
 	adj = make([]frag.Addr, len(r.addr))
-	fill := append([]uint64(nil), offsets[:n]...)
 	for i, s := range r.src {
-		adj[fill[s]] = r.addr[i]
-		fill[s]++
+		adj[offsets[s+1]] = r.addr[i]
+		offsets[s+1]++
 	}
-	return offsets, adj
+	return offsets[:n+1], adj
 }
 
 // denseOut is the dense per-destination-worker staging area shared by

@@ -1,6 +1,10 @@
 package channel
 
-import "cmp"
+import (
+	"cmp"
+
+	"repro/internal/frag"
+)
 
 // Combiner merges message values addressed to the same destination
 // (paper §II-A). The operation must be commutative and associative: the
@@ -31,11 +35,14 @@ import "cmp"
 type Combiner[M any] struct {
 	// Combine merges two values.
 	Combine func(M, M) M
-	// fold reduces the runs of one plan segment: run k is
-	// src[end[k-1]:end[k]] (run 0 starts at 0, no run is empty) and out[k]
-	// becomes the combination of val[s] over the run's sources s, left to
-	// right, so a float sum rounds the same way on every run of every job.
-	fold func(out, val []M, src, end []uint32)
+	// fold reduces the runs of one plan segment (frag.ScatterSeg's Src and
+	// Groups): out[g.Pos[i]] becomes the combination of val[s] over the
+	// sources s of lane i's run, left to right, so a float sum rounds the
+	// same way on every run of every job. The lanes of a group advance one
+	// column per step — frag.Lanes independent chains instead of one whose
+	// every add waits for the previous — but no chain is reordered or
+	// split.
+	fold func(out, val []M, src []uint32, groups []frag.ScatterGroup)
 	// merge delivers in[k] to slot idx[k] of an epoch-stamped table: the
 	// first value a slot receives in epoch e is stored, later ones are
 	// combined into it as Combine(stored, incoming).
@@ -56,14 +63,43 @@ func Sum[M Number]() Combiner[M] {
 	return Combiner[M]{Combine: func(x, y M) M { return x + y }, fold: foldSum[M], merge: mergeSum[M]}
 }
 
-func foldSum[M Number](out, val []M, src, end []uint32) {
-	i := uint32(0)
-	for k, e := range end {
-		acc := val[src[i]]
-		for _, s := range src[i+1 : e] {
-			acc += val[s]
+// foldSum and foldMin are the same text but for the operator: the
+// operation has to be spelled in the loop to be compiled into it.
+func foldSum[M Number](out, val []M, src []uint32, groups []frag.ScatterGroup) {
+	i := 0
+	for gi := range groups {
+		g := &groups[gi]
+		l1, l2, l3 := g.Len[1], g.Len[2], g.Len[3]
+		if l3 == 0 { // a segment's last group may lack lanes
+			foldGroup(func(x, y M) M { return x + y }, out, val, src[i:], g)
+			break
 		}
-		out[k], i = acc, e
+		// column 0, then four lanes a column, three, two, one as the
+		// shorter runs end
+		s := src[i : i+4 : i+4]
+		a0, a1, a2, a3 := val[s[0]], val[s[1]], val[s[2]], val[s[3]]
+		i += 4
+		j := uint32(1)
+		for ; j < l3; j++ {
+			s := src[i : i+4 : i+4]
+			a0, a1, a2, a3 = a0+val[s[0]], a1+val[s[1]], a2+val[s[2]], a3+val[s[3]]
+			i += 4
+		}
+		for ; j < l2; j++ {
+			s := src[i : i+3 : i+3]
+			a0, a1, a2 = a0+val[s[0]], a1+val[s[1]], a2+val[s[2]]
+			i += 3
+		}
+		for ; j < l1; j++ {
+			s := src[i : i+2 : i+2]
+			a0, a1 = a0+val[s[0]], a1+val[s[1]]
+			i += 2
+		}
+		for ; j < g.Len[0]; j++ {
+			a0 = a0 + val[src[i]]
+			i++
+		}
+		out[g.Pos[0]], out[g.Pos[1]], out[g.Pos[2]], out[g.Pos[3]] = a0, a1, a2, a3
 	}
 }
 
@@ -82,14 +118,41 @@ func Min[M cmp.Ordered]() Combiner[M] {
 	return Combiner[M]{Combine: func(x, y M) M { return min(x, y) }, fold: foldMin[M], merge: mergeMin[M]}
 }
 
-func foldMin[M cmp.Ordered](out, val []M, src, end []uint32) {
-	i := uint32(0)
-	for k, e := range end {
-		acc := val[src[i]]
-		for _, s := range src[i+1 : e] {
-			acc = min(acc, val[s])
+func foldMin[M cmp.Ordered](out, val []M, src []uint32, groups []frag.ScatterGroup) {
+	i := 0
+	for gi := range groups {
+		g := &groups[gi]
+		l1, l2, l3 := g.Len[1], g.Len[2], g.Len[3]
+		if l3 == 0 { // a segment's last group may lack lanes
+			foldGroup(func(x, y M) M { return min(x, y) }, out, val, src[i:], g)
+			break
 		}
-		out[k], i = acc, e
+		// column 0, then four lanes a column, three, two, one as the
+		// shorter runs end
+		s := src[i : i+4 : i+4]
+		a0, a1, a2, a3 := val[s[0]], val[s[1]], val[s[2]], val[s[3]]
+		i += 4
+		j := uint32(1)
+		for ; j < l3; j++ {
+			s := src[i : i+4 : i+4]
+			a0, a1, a2, a3 = min(a0, val[s[0]]), min(a1, val[s[1]]), min(a2, val[s[2]]), min(a3, val[s[3]])
+			i += 4
+		}
+		for ; j < l2; j++ {
+			s := src[i : i+3 : i+3]
+			a0, a1, a2 = min(a0, val[s[0]]), min(a1, val[s[1]]), min(a2, val[s[2]])
+			i += 3
+		}
+		for ; j < l1; j++ {
+			s := src[i : i+2 : i+2]
+			a0, a1 = min(a0, val[s[0]]), min(a1, val[s[1]])
+			i += 2
+		}
+		for ; j < g.Len[0]; j++ {
+			a0 = min(a0, val[src[i]])
+			i++
+		}
+		out[g.Pos[0]], out[g.Pos[1]], out[g.Pos[2]], out[g.Pos[3]] = a0, a1, a2, a3
 	}
 }
 
@@ -109,14 +172,9 @@ func mergeMin[M cmp.Ordered](val []M, epoch []int32, e int32, idx []uint32, in [
 func CombinerFunc[M any](f func(M, M) M) Combiner[M] {
 	return Combiner[M]{
 		Combine: f,
-		fold: func(out, val []M, src, end []uint32) {
-			i := uint32(0)
-			for k, e := range end {
-				acc := val[src[i]]
-				for _, s := range src[i+1 : e] {
-					acc = f(acc, val[s])
-				}
-				out[k], i = acc, e
+		fold: func(out, val []M, src []uint32, groups []frag.ScatterGroup) {
+			for gi := range groups {
+				src = src[foldGroup(f, out, val, src, &groups[gi]):]
 			}
 		},
 		merge: func(val []M, epoch []int32, e int32, idx []uint32, in []M) {
@@ -129,4 +187,30 @@ func CombinerFunc[M any](f func(M, M) M) Combiner[M] {
 			}
 		},
 	}
+}
+
+// foldGroup folds one group, which starts at src[0], a value at a time
+// and returns the number of sources it read: the fold of CombinerFunc,
+// and of Sum and Min where a group has fewer than frag.Lanes runs.
+func foldGroup[M any](f func(M, M) M, out, val []M, src []uint32, g *frag.ScatterGroup) int {
+	var acc [frag.Lanes]M
+	i, j := 0, uint32(0)
+	for live := frag.Lanes; live > 0; live-- {
+		for ; j < g.Len[live-1]; j++ {
+			for lane, s := range src[i : i+live] {
+				if j == 0 {
+					acc[lane] = val[s]
+				} else {
+					acc[lane] = f(acc[lane], val[s])
+				}
+			}
+			i += live
+		}
+	}
+	for lane, n := range g.Len {
+		if n > 0 {
+			out[g.Pos[lane]] = acc[lane]
+		}
+	}
+	return i
 }

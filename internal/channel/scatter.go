@@ -19,7 +19,15 @@ import (
 // AddAddr (the paper's add_edge) registers a custom edge set instead,
 // whose plan the same builder produces privately when the registering
 // superstep ends. Either way a superstep is one gather-reduce over the
-// plan in run order — no hashing, no per-message routing.
+// plan, front to back — no hashing, no per-message routing. The plan
+// stores a segment's runs frag.Lanes at a time, ranked by length and
+// column-major, so the Combiner's fold keeps that many independent
+// combine chains in flight instead of waiting out one dependent add per
+// edge; lanes are length-matched because runs adjacent in destination
+// order have unrelated lengths on a skewed graph. Each destination's
+// sources still combine left to right in ascending local index, so
+// rounding does not depend on the layout, and frames stay in ascending
+// destination order whatever order the fold produces them in.
 //
 // A dense superstep (every plan source set a value) costs three calls
 // per peer worker on each side, whatever the segment's size: the
@@ -28,7 +36,8 @@ import (
 // it into the inbox along the handshaken list, and the listed vertices
 // are activated. With Sum or Min and a fixed-width codec no function is
 // called per edge or per value. A superstep in which some source stayed
-// silent takes the presence-byte path, one Combine per edge.
+// silent takes the presence-byte path: the same walk over the groups,
+// one freshness check and at most one Combine per edge.
 //
 // Wire format: because the destination set never changes, the sender
 // ships each destination worker its ascending destination-index list
@@ -65,10 +74,12 @@ type ScatterCombine[M any] struct {
 	tab [][]uint32
 	in  stamped[M]
 
-	// vals holds one dense frame's values between the Combiner and the
-	// codec, on either side. No segment or destination list is longer
-	// than the largest worker's vertex count, so it is sized once.
+	// vals holds one frame's values between the Combiner and the codec,
+	// on either side; have marks the destinations of a partial frame that
+	// received one. No segment or destination list is longer than the
+	// largest worker's vertex count, so they are sized once.
 	vals []M
+	have []bool
 }
 
 const (
@@ -129,6 +140,7 @@ func (c *ScatterCombine[M]) Initialize() {
 		most = max(most, c.w.Part().LocalCount(d))
 	}
 	c.vals = make([]M, most)
+	c.have = make([]bool, most)
 }
 
 // buildPrivatePlan turns the AddAddr registrations into a plan with the
@@ -161,7 +173,7 @@ func (c *ScatterCombine[M]) AfterCompute() {
 
 // Serialize implements engine.Channel: one gather-reduce over the plan
 // segment for dst. A run's sources are combined in ascending local
-// index, whichever path runs.
+// index and values leave in Dst order, whichever path runs.
 func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 	e := int32(c.w.Superstep())
 	if c.plan == nil || c.setEpoch != e {
@@ -188,35 +200,44 @@ func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 			prev = l
 		}
 	}
+	out := c.vals[:len(seg.Dst)]
 	if c.dense {
-		out := c.vals[:len(seg.End)]
-		c.combine.fold(out, c.srcVal.val, seg.Src, seg.End)
+		c.combine.fold(out, c.srcVal.val, seg.Src, seg.Groups)
 		ser.EncodeSlice(buf, c.codec, out)
 		return
 	}
-	val, fresh, src := c.srcVal.val, c.srcVal.epoch, seg.Src
-	sent, presence, i := 0, 0, uint32(0)
-	for k, end := range seg.End {
+	// the fold's walk over the lane layout, one fresh check per edge
+	have := c.have[:len(seg.Dst)]
+	clear(have)
+	val, fresh, i := c.srcVal.val, c.srcVal.epoch, 0
+	for gi := range seg.Groups {
+		g := &seg.Groups[gi]
+		j := uint32(0)
+		for live := frag.Lanes; live > 0; live-- {
+			for ; j < g.Len[live-1]; j++ {
+				for lane, s := range seg.Src[i : i+live] {
+					if fresh[s] != e {
+						continue
+					}
+					if k := g.Pos[lane]; have[k] {
+						out[k] = c.combine.Combine(out[k], val[s])
+					} else {
+						out[k], have[k] = val[s], true
+					}
+				}
+				i += live
+			}
+		}
+	}
+	sent, presence := 0, 0
+	for k, v := range out {
 		if k&7 == 0 {
 			presence = buf.Len()
 			buf.WriteUint8(0)
 		}
-		var acc M
-		have := false
-		for _, s := range src[i:end] {
-			if fresh[s] != e {
-				continue
-			}
-			if have {
-				acc = c.combine.Combine(acc, val[s])
-			} else {
-				acc, have = val[s], true
-			}
-		}
-		i = end
-		if have {
+		if have[k] {
 			buf.Bytes()[presence] |= 1 << (k & 7)
-			c.codec.Encode(buf, acc)
+			c.codec.Encode(buf, v)
 			sent++
 		}
 	}

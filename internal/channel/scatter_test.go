@@ -1,7 +1,12 @@
 package channel
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -46,11 +51,13 @@ func TestScatterCombineFragmentPlanMatchesRegistration(t *testing.T) {
 			has[v][s] = make([]bool, n)
 		}
 	}
+	var plans [3][2]*ScatterCombine[float64]
 	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: 20}, func(w *engine.Worker) {
 		f := w.Frag()
 		adopted := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
 		adopted.UseFragment(f)
 		private := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
+		plans[w.WorkerID()] = [2]*ScatterCombine[float64]{adopted, private}
 		w.Compute = func(li int) {
 			id, step := w.GlobalID(li), w.Superstep()
 			if step == 1 {
@@ -73,6 +80,11 @@ func TestScatterCombineFragmentPlanMatchesRegistration(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for w, p := range plans {
+		if !reflect.DeepEqual(p[0].plan, p[1].plan) {
+			t.Fatalf("worker %d: the plan built from AddAddr differs from the fragment's", w)
+		}
 	}
 	for step := 1; step <= steps; step++ {
 		for id := 0; id < n; id++ {
@@ -261,3 +273,175 @@ func TestScatterCombinePrivatePlanCheckpointRestore(t *testing.T) {
 
 // keepAllCuts hides the directory store's Pruner.
 type keepAllCuts struct{ ckpt.Store }
+
+// frameTap registers in a ScatterCombine's place and records every frame
+// it serializes: frames[superstep][dst].
+type frameTap struct {
+	*ScatterCombine[float64]
+	frames map[int][][]byte
+}
+
+func (p *frameTap) Serialize(dst int, buf *ser.Buffer) {
+	mark := buf.Len()
+	p.ScatterCombine.Serialize(dst, buf)
+	step := p.w.Superstep()
+	if p.frames[step] == nil {
+		p.frames[step] = make([][]byte, p.w.NumWorkers())
+	}
+	p.frames[step][dst] = slices.Clone(buf.Bytes()[mark:])
+}
+
+// The presence-byte path against its definition: in supersteps where
+// only some sources scatter, every frame is the flags, the handshake if
+// due, and per listed destination a presence bit plus — when any of its
+// sources is fresh — the scalar left fold of the fresh sources' values
+// in ascending source order. The digest pins the bytes of a fixed seed to
+// what the run-major plan of PR 17 produced for it.
+func TestScatterCombinePartialMatchesScalarFold(t *testing.T) {
+	const workers, steps = 3, 7
+	g := graph.RMAT(9, 6, 11, graph.RMATOptions{NoSelfLoops: true})
+	n := g.NumVertices()
+	fs := frag.Build(g, partition.MustHash(n, workers))
+	loner := graph.VertexID(0) // the one silent source of step 2
+	for g.OutDegree(loner) == 0 {
+		loner++
+	}
+	rng := rand.New(rand.NewSource(21))
+	fresh := make([][]bool, steps+1)
+	for step := 1; step <= steps; step++ {
+		fresh[step] = make([]bool, n)
+		for id := range fresh[step] {
+			switch step {
+			case 1, 4: // half of them, handshake included
+				fresh[step][id] = rng.Intn(2) == 0
+			case 2: // all but one
+				fresh[step][id] = graph.VertexID(id) != loner
+			case 3: // a handful: most destinations hear nothing
+				fresh[step][id] = rng.Intn(40) == 0
+			case 5: // nobody
+			case 6: // everybody: a dense frame between partial ones
+				fresh[step][id] = true
+			case 7: // nine in ten
+				fresh[step][id] = rng.Intn(10) != 0
+			}
+		}
+	}
+	value := func(step int, id graph.VertexID) float64 {
+		return math.Ldexp(1/float64(int(id)+step), int(id)%40-20)
+	}
+
+	taps := make([]*frameTap, workers)
+	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: 20}, func(w *engine.Worker) {
+		sc := &ScatterCombine[float64]{w: w, codec: ser.Float64Codec{}, combine: Sum[float64]()}
+		sc.UseFragment(w.Frag())
+		taps[w.WorkerID()] = &frameTap{ScatterCombine: sc, frames: make(map[int][][]byte)}
+		w.Register(taps[w.WorkerID()])
+		w.Compute = func(li int) {
+			id, step := w.GlobalID(li), w.Superstep()
+			if step > steps {
+				w.VoteToHalt()
+			} else if fresh[step][id] {
+				sc.SetMessage(value(step, id))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	digest := sha256.New()
+	silentDst := 0
+	for src := 0; src < workers; src++ {
+		f := fs.Frag(src)
+		handshaken := false
+		for step := 1; step <= steps; step++ {
+			scattered, dense := false, true
+			for li := 0; li < f.LocalCount(); li++ {
+				if f.OutDegree(li) > 0 {
+					scattered = scattered || fresh[step][f.GlobalID(li)]
+					dense = dense && fresh[step][f.GlobalID(li)]
+				}
+			}
+			for dst := 0; dst < workers; dst++ {
+				// the scalar fold: sources ascending, fresh ones only
+				sum, have := map[uint32]float64{}, map[uint32]bool{}
+				var list []uint32
+				for li := 0; li < f.LocalCount(); li++ {
+					for _, a := range f.Neighbors(li) {
+						if a.Worker() != dst {
+							continue
+						}
+						if _, listed := have[a.Local()]; !listed {
+							have[a.Local()] = false
+							list = append(list, a.Local())
+						}
+						if id := f.GlobalID(li); fresh[step][id] && have[a.Local()] {
+							sum[a.Local()] += value(step, id)
+						} else if fresh[step][id] {
+							sum[a.Local()], have[a.Local()] = value(step, id), true
+						}
+					}
+				}
+				slices.Sort(list)
+				var want ser.Buffer
+				if scattered && len(list) > 0 {
+					flags, sent := uint8(0), 0
+					if !handshaken {
+						flags |= scFrameTable
+					}
+					if !dense {
+						flags |= scFramePartial
+					}
+					want.WriteUint8(flags)
+					if !handshaken {
+						want.WriteUvarint(uint64(len(list)))
+						for k, l := range list {
+							if k > 0 {
+								l -= list[k-1]
+							}
+							want.WriteUvarint(uint64(l))
+						}
+					}
+					for k, l := range list {
+						if k%8 == 0 && !dense {
+							var presence uint8
+							for b, lb := range list[k:min(k+8, len(list))] {
+								if have[lb] {
+									presence |= 1 << b
+								}
+							}
+							want.WriteUint8(presence)
+						}
+						if have[l] {
+							ser.Float64Codec{}.Encode(&want, sum[l])
+							sent++
+						} else {
+							silentDst++
+						}
+					}
+					if sent == 0 && handshaken {
+						want = ser.Buffer{}
+					}
+				}
+				var got []byte
+				if fr := taps[src].frames[step]; fr != nil {
+					got = fr[dst]
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("step %d, frame %d->%d: %d bytes\n%x\nthe scalar fold over the fresh sources gives %d bytes\n%x",
+						step, src, dst, len(got), got, want.Len(), want.Bytes())
+				}
+				digest.Write([]byte{byte(step), byte(src), byte(dst), byte(len(got)), byte(len(got) >> 8)})
+				digest.Write(got)
+			}
+			handshaken = handshaken || scattered
+		}
+	}
+	if silentDst == 0 {
+		t.Error("no destination went without a fresh source: the presence bits were not exercised")
+	}
+	const parent = "a8a1d71b8759a65e9142bfa688e8b40d5d7347c505a5fec9d9179c9a185b1408"
+	if got := hex.EncodeToString(digest.Sum(nil)); got != parent {
+		t.Errorf("frames of the fixed seed hash to %s, the parent's to %s", got, parent)
+	}
+}

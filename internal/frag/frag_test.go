@@ -2,9 +2,12 @@ package frag
 
 import (
 	"cmp"
+	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -247,24 +250,120 @@ func TestScatterPlanMatchesSortedEdges(t *testing.T) {
 				if !slices.Equal(plan.Sources, sources) {
 					t.Fatalf("%s/%s w%d: sources differ", gname, pname, w)
 				}
-				for d, seg := range plan.To {
+				for d := range plan.To {
+					seg := &plan.To[d]
 					slices.SortStableFunc(want[d], func(a, b edge) int { return cmp.Compare(a.dst, b.dst) })
 					var got []edge
-					start := uint32(0)
-					for k, dst := range seg.Dst {
-						if k > 0 && dst <= seg.Dst[k-1] {
-							t.Fatalf("%s/%s w%d->%d: destinations not strictly ascending", gname, pname, w, d)
+					for k, run := range laneRuns(t, seg) {
+						for _, s := range run {
+							got = append(got, edge{seg.Dst[k], s})
 						}
-						if seg.End[k] <= start {
-							t.Fatalf("%s/%s w%d->%d: empty run", gname, pname, w, d)
-						}
-						for _, s := range seg.Src[start:seg.End[k]] {
-							got = append(got, edge{dst, s})
-						}
-						start = seg.End[k]
 					}
-					if int(start) != len(seg.Src) || !slices.Equal(got, want[d]) {
+					if !slices.Equal(got, want[d]) {
 						t.Fatalf("%s/%s w%d->%d: plan is not the sorted transpose", gname, pname, w, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// laneRuns walks a segment's lanes back out: per Dst position, the
+// sources in the order a fold combines them. It fails the test on a
+// group table no kernel could walk: lengths that increase, a Dst
+// position no lane or more than one lane writes, lengths that do not
+// add up to Src.
+func laneRuns(t *testing.T, seg *ScatterSeg) [][]uint32 {
+	t.Helper()
+	runs := make([][]uint32, len(seg.Dst))
+	prev, i := ^uint32(0), 0
+	for gi, g := range seg.Groups {
+		for lane, n := range g.Len {
+			if n > prev || n == 0 && (gi != len(seg.Groups)-1 || lane == 0) {
+				t.Fatalf("group %d of %d: lengths %v after a run of %d", gi, len(seg.Groups), g.Len, prev)
+			}
+			prev = n
+			if n > 0 {
+				if k := g.Pos[lane]; int(k) >= len(runs) || runs[k] != nil {
+					t.Fatalf("group %d lane %d writes position %d of %d, written %v", gi, lane, k, len(runs), runs[k] != nil)
+				}
+				runs[g.Pos[lane]] = make([]uint32, 0, n)
+			}
+		}
+		for j := uint32(0); j < g.Len[0]; j++ {
+			for lane := 0; lane < Lanes && g.Len[lane] > j; lane++ {
+				runs[g.Pos[lane]] = append(runs[g.Pos[lane]], seg.Src[i])
+				i++
+			}
+		}
+	}
+	if i != len(seg.Src) {
+		t.Fatalf("group lengths add up to %d, Src holds %d", i, len(seg.Src))
+	}
+	for k, run := range runs {
+		if run == nil {
+			t.Fatalf("no lane writes position %d", k)
+		}
+	}
+	return runs
+}
+
+// The layout properties the fold kernels and the wire rely on, over the
+// graph shapes that stress them (skew, all runs of one, one hub run
+// beside runs of one, no edges at all) under both placements and worker
+// counts that leave full, short and empty last groups: Dst strictly
+// ascending, a walkable group table (laneRuns), every destination's run
+// its in-edges in ascending source order, a deterministic build, and
+// Bytes counting every resident word.
+func TestScatterPlanLayoutProperties(t *testing.T) {
+	star := make([]graph.Edge, 0, 400)
+	for v := 1; v <= 200; v++ {
+		star = append(star, graph.Edge{Src: graph.VertexID(v), Dst: 0}, graph.Edge{Src: 0, Dst: graph.VertexID(v)})
+	}
+	graphs := testGraphs()
+	graphs["star"] = graph.FromEdges(201, star, false)
+	graphs["empty"] = graph.FromEdges(9, nil, false)
+	for gname, g := range graphs {
+		for _, workers := range []int{1, 3, 4, 7} {
+			for pname, p := range testPartitions(t, g, workers) {
+				fs, again := Build(g, p), Build(g, p)
+				for w := 0; w < workers; w++ {
+					f := fs.Frag(w)
+					plan := f.ScatterPlan()
+					if !reflect.DeepEqual(plan, again.Frag(w).ScatterPlan()) {
+						t.Fatalf("%s/%s/%d w%d: two builds differ", gname, pname, workers, w)
+					}
+					words := len(plan.Sources)
+					for d := range plan.To {
+						seg := &plan.To[d]
+						name := fmt.Sprintf("%s/%s/%d w%d->%d", gname, pname, workers, w, d)
+						words += len(seg.Dst) + len(seg.Src) + len(seg.Groups)*int(unsafe.Sizeof(ScatterGroup{})/4)
+						if !slices.IsSorted(seg.Dst) || len(slices.Compact(slices.Clone(seg.Dst))) != len(seg.Dst) {
+							t.Fatalf("%s: destinations not strictly ascending", name)
+						}
+						if len(seg.Groups) != (len(seg.Dst)+Lanes-1)/Lanes {
+							t.Fatalf("%s: %d groups for %d destinations", name, len(seg.Groups), len(seg.Dst))
+						}
+						want := make(map[uint32][]uint32)
+						for li := 0; li < f.LocalCount(); li++ {
+							for _, a := range f.Neighbors(li) {
+								if a.Worker() == d {
+									want[a.Local()] = append(want[a.Local()], uint32(li))
+								}
+							}
+						}
+						runs := laneRuns(t, seg)
+						if len(runs) != len(want) {
+							t.Fatalf("%s: %d runs, %d destinations have in-edges", name, len(runs), len(want))
+						}
+						for k, run := range runs {
+							if !slices.Equal(run, want[seg.Dst[k]]) {
+								t.Fatalf("%s: destination %d combines sources %v, in-edges are %v", name, seg.Dst[k], run, want[seg.Dst[k]])
+							}
+						}
+					}
+					if plan.Bytes() != int64(4*words) {
+						t.Fatalf("%s/%s/%d w%d: Bytes() = %d, plan holds %d words", gname, pname, workers, w, plan.Bytes(), words)
 					}
 				}
 			}

@@ -112,6 +112,27 @@ func connTo(c *netcomm.Client, peer int) (obs.ConnStat, bool) {
 	return obs.ConnStat{}, false
 }
 
+// drivePromoted drives rounds until the from->to pair holds a direct
+// connection. Promotion is an asynchronous dial that starts when the
+// pair's relayed volume crosses PromoteBytes, so how many rounds it
+// takes depends on the box's load: tests wait for it here and then run
+// the rounds they assert on.
+func drivePromoted(t *testing.T, clients []*netcomm.Client, from, to int, frame func(round, src, dst int) int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for r := 0; ; r++ {
+		if cs, _ := connTo(clients[from], to); cs.Window != 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pair %d->%d not promoted after %d rounds: %+v", from, to, r, clients[from].ConnStats())
+		}
+		if driveRounds(t, clients, 1, frame); t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
 // A skewed workload on the lazy mesh must split cleanly: the one hot
 // pair crosses the promotion threshold and moves its volume onto a
 // direct connection, the cold pairs never earn a dial and stay on the
@@ -126,15 +147,18 @@ func TestAdaptiveLazyMeshPromotesOnlyHotPair(t *testing.T) {
 	hub, clients := startFabricAdaptive(t, m, netcomm.Config{
 		PromoteBytes: 64 << 10, // the hot flow crosses this on round 2
 	})
-	driveRounds(t, clients, rounds, func(r, src, dst int) int {
+	frame := func(r, src, dst int) int {
 		if src == 0 && dst == 1 {
 			return hotFrame
 		}
 		return coldFrame // background trickle: never reaches PromoteBytes
-	})
+	}
+	drivePromoted(t, clients, 0, 1, frame)
+	promoted, _ := connTo(clients[0], 1)
+	driveRounds(t, clients, rounds, frame)
 
 	// The hot pair must have been promoted, with the direct connection
-	// carrying the bulk of its volume.
+	// carrying the bulk of its volume from then on.
 	hot, ok := connTo(clients[0], 1)
 	if !ok {
 		t.Fatal("hot pair 0->1 has no connection stats")
@@ -142,13 +166,12 @@ func TestAdaptiveLazyMeshPromotesOnlyHotPair(t *testing.T) {
 	if hot.Window == 0 {
 		t.Fatalf("hot pair never promoted to a direct connection: %+v", hot)
 	}
-	if hot.Bytes <= hot.RelayBytes {
-		t.Errorf("hot pair direct bytes (%d) do not dominate relayed bytes (%d)",
-			hot.Bytes, hot.RelayBytes)
+	direct, relayed := hot.Bytes-promoted.Bytes, hot.RelayBytes-promoted.RelayBytes
+	if direct <= relayed {
+		t.Errorf("hot pair direct bytes (%d) do not dominate relayed bytes (%d) once promoted", direct, relayed)
 	}
-	if hot.Bytes+hot.RelayBytes < int64(rounds*hotFrame) {
-		t.Errorf("hot pair moved %d direct + %d relayed bytes, want at least %d",
-			hot.Bytes, hot.RelayBytes, rounds*hotFrame)
+	if direct+relayed < int64(rounds*hotFrame) {
+		t.Errorf("hot pair moved %d direct + %d relayed bytes, want at least %d", direct, relayed, rounds*hotFrame)
 	}
 
 	// Every cold pair must have stayed on the relay: relay traffic
@@ -202,12 +225,14 @@ func TestAdaptiveWindowGrowsOutOfStall(t *testing.T) {
 		WindowMax:    1 << 20,
 		PromoteBytes: 1, // promote on first contact; the test is about windows
 	})
-	driveRounds(t, clients, 16, func(r, src, dst int) int {
+	frame := func(r, src, dst int) int {
 		if src == 0 && dst == 1 {
 			return 64 << 10 // 8x the initial window: stalls until grown
 		}
 		return 0
-	})
+	}
+	drivePromoted(t, clients, 0, 1, frame)
+	driveRounds(t, clients, 16, frame)
 	cs, ok := connTo(clients[0], 1)
 	if !ok || cs.Window == 0 {
 		t.Fatalf("stalling pair was never promoted: %+v", cs)
@@ -235,12 +260,14 @@ func TestAdaptiveWindowShrinksWhenIdle(t *testing.T) {
 		WindowMax:    1 << 20,
 		PromoteBytes: 1,
 	})
-	driveRounds(t, clients, 30, func(r, src, dst int) int {
+	frame := func(r, src, dst int) int {
 		if src == 0 && dst == 1 {
 			return 4 << 10 // far under the granted window every round
 		}
 		return 0
-	})
+	}
+	drivePromoted(t, clients, 0, 1, frame)
+	driveRounds(t, clients, 30, frame)
 	cs, ok := connTo(clients[0], 1)
 	if !ok || cs.Window == 0 {
 		t.Fatalf("idle pair was never promoted: %+v", cs)

@@ -84,8 +84,24 @@
 // in bulk — the fold needs each destination's sources laid out as a run
 // before the values exist, which is Fig. 5's pre-calculation — so the
 // channels that learn destinations one Send at a time (CombinedMessage,
-// Propagation, Mirror, Aggregator) take the same Combiner and call its
-// Combine per message. RequestRespond deduplicates as requests are made
+// Mirror, Aggregator) take the same Combiner and call its Combine per
+// message. Propagation has a pre-calculation of its own, cached on the
+// fragment beside the scatter plan: the push plan (frag.PushPlan) holds
+// one target per edge — a local neighbour's index, or a dense slot that
+// stands for one distinct remote neighbour — and the channel keeps
+// vertex values and per-slot outgoing values in one table indexed by
+// target, so the traversal of Fig. 7 is the Combiner's relax loop (push
+// one value along one vertex's row) and a received frame its absorb
+// loop (apply a block of index/value pairs; a weighted row after its
+// edge transform is one too), over a native compare with Min. A slot
+// keeps what it last staged until the superstep ends, so an update that
+// would not change it is not sent again (sound while values move by
+// Combine alone, i.e. until the next compute phase, where SetValue may
+// raise one: AfterCompute forgets the slots), and frames are count,
+// indices, then the values as one slice, checked against the receiver's
+// vertex range before anything is applied. The same builder makes the
+// plan of AddAddr registrations, reusing its scratch, for the edge sets
+// Min-Label SCC registers per round. RequestRespond deduplicates as requests are made
 // (a sparse set over the owner's local indices), answers Respond with
 // one index, and rejects in Deserialize the two things a hostile peer
 // could otherwise turn into an index outside the engine's recover: a

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -206,6 +207,79 @@ func BenchmarkPropagationPath(b *testing.B) {
 			w.VoteToHalt()
 		}
 	})
+}
+
+// propagationFragmentJob prepares the end-to-end benchmark's WCC
+// workload (rmat:scale=14,ef=16,seed=7, undirected,
+// partition.Hash(·, 4), push plans built as on a cached view) and
+// returns a function that runs one job of the given number of
+// supersteps on it: in every superstep every vertex seeds its own id
+// again — SetValue raises the labels back, the send filter starts over —
+// and the adopted fragment plan carries them to the component minima in
+// five rounds.
+func propagationFragmentJob(tb testing.TB) func(steps int, cmb func() Combiner[uint32]) {
+	g := graph.Undirectify(graph.RMAT(14, 16, 7, graph.RMATOptions{NoSelfLoops: true}))
+	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
+	for w := 0; w < microWorkers; w++ {
+		fs.Frag(w).PushPlan()
+	}
+	return func(steps int, cmb func() Combiner[uint32]) {
+		_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: steps + 1}, func(w *engine.Worker) {
+			prop := NewPropagation[uint32](w, ser.Uint32Codec{}, cmb())
+			w.Compute = func(li int) {
+				if w.Superstep() > steps {
+					w.VoteToHalt()
+					return
+				}
+				if w.Superstep() == 1 && li == 0 {
+					prop.UseFragment(w.Frag())
+				}
+				prop.SetValue(w.GlobalID(li))
+			}
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPropagationFragment: one op is one full WCC convergence of
+// all four workers of propagationFragmentJob, the engine's rounds
+// included; worker 0 owns over half of the edges and is every round's
+// critical path. ns/edge-visit divides by the number of row entries the
+// relax kernel walked in one convergence, counted in an untimed pass.
+// Setup allocations amortize over b.N; TestPropagationSteadyStateZeroAlloc
+// holds the steady state to none.
+func BenchmarkPropagationFragment(b *testing.B) {
+	converge := propagationFragmentJob(b)
+	var visits atomic.Int64
+	converge(1, func() Combiner[uint32] {
+		cmb := Min[uint32]()
+		relax := cmb.relax
+		cmb.relax = func(s *pushState[uint32], v uint32, row []uint32) {
+			visits.Add(int64(len(row)))
+			relax(s, v, row)
+		}
+		return cmb
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	converge(b.N, Min[uint32])
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(visits.Load()), "ns/edge-visit")
+}
+
+// TestPropagationSteadyStateZeroAlloc pins the allocation-free claim of
+// the plan path: queue, staging lists and frame scratch are reused from
+// one convergence to the next, so ten more convergences allocate
+// nothing more.
+func TestPropagationSteadyStateZeroAlloc(t *testing.T) {
+	converge := propagationFragmentJob(t)
+	allocs := func(steps int) float64 {
+		return testing.AllocsPerRun(3, func() { converge(steps, Min[uint32]) })
+	}
+	if short, long := allocs(3), allocs(13); long-short >= 10 {
+		t.Errorf("a job of 3 convergences allocates %.0f times, one of 13 %.0f: the steady state is not allocation-free", short, long)
+	}
 }
 
 func BenchmarkMirrorHubBroadcast(b *testing.B) {

@@ -9,7 +9,10 @@
 //
 // All channels are generic over the message type, taking a ser.Codec for
 // wire encoding; combining channels additionally take a Combiner (Sum,
-// Min, or CombinerFunc around a custom function).
+// Min, or CombinerFunc around a custom function). The two channels with
+// a pre-calculated layout — ScatterCombine over a frag.ScatterPlan,
+// Propagation over a frag.PushPlan — run the Combiner's own loops over
+// it instead of calling Combine per edge.
 package channel
 
 import (

@@ -24,8 +24,8 @@ var (
 // and its first exchange round, and a restore replays the saved frames
 // of that superstep through the normal decode path. A channel therefore
 // only persists what replay cannot rebuild: topology registered during
-// an earlier superstep's compute (edge lists, prepared CSRs, mirror
-// fan-out tables) and requester/value state written by compute itself.
+// an earlier superstep's compute (edge lists, mirror fan-out tables) and
+// requester/value state written by compute itself.
 // Everything the rounds produce — inboxes, asked lists, responses,
 // staged outboxes — is regenerated by the replay, which calls Serialize
 // into a discard buffer (draining staging exactly as the live round
@@ -116,25 +116,24 @@ func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
 	ckptDone(buf)
 }
 
-// SaveState implements engine.StatefulChannel: topology (CSR over local
-// vertices), converged values and the pending propagation queue. The
-// queued membership bitmap is derivable (queued[li] iff li is in the
-// pending queue), and the staged remote slots are always empty at the
-// cut — the previous superstep's rounds drained them.
+// SaveState implements engine.StatefulChannel: the topology, the vertex
+// values and the pending propagation queue. An adopted plan belongs to
+// the fragment, so one flag stands for it and the restore adopts the
+// plan of the worker's fragment again; a registered topology is saved as
+// its registrations and rebuilt, as ScatterCombine's is. The queued bits
+// are derivable (a vertex is listed iff it is in the pending queue), no
+// vertex is waiting to be woken at the cut, and the slots — send filter
+// and staged updates — are empty there: AfterCompute has just cleared
+// them and the previous superstep's rounds shipped what they staged.
 func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
-	buf.WriteBool(c.prepared)
-	if c.prepared {
-		saveInts(buf, c.offsets)
-		saveInts(buf, c.adj)
-		buf.WriteBool(c.adjW != nil)
-		if c.adjW != nil {
-			saveInts(buf, c.adjW)
-		}
-	}
-	buf.WriteUvarint(uint64(len(c.val)))
-	for li := range c.val {
-		buf.WriteBool(c.hasVal[li])
-		if c.hasVal[li] {
+	buf.WriteBool(c.adopted)
+	saveInts(buf, c.reg.src)
+	saveInts(buf, c.reg.addr)
+	saveInts(buf, c.regW)
+	buf.WriteUvarint(uint64(c.locals))
+	for li, st := range c.st[:c.locals] {
+		buf.WriteBool(st&pvHas != 0)
+		if st&pvHas != 0 {
 			c.codec.Encode(buf, c.val[li])
 		}
 	}
@@ -142,37 +141,44 @@ func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
 	buf.WriteVarint(int64(c.finalEpoch))
 }
 
-// RestoreState implements engine.StatefulChannel.
+// RestoreState implements engine.StatefulChannel. The plan and the
+// kernel state sized for it are in place before the engine replays the
+// cut superstep's frames through Deserialize.
 func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
-	c.prepared = buf.ReadBool()
-	if c.prepared {
-		c.offsets = loadInts[int32](buf)
-		c.adj = loadInts[frag.Addr](buf)
-		c.adjW = nil
+	c.Reset()
+	adopted := buf.ReadBool()
+	c.reg = edgeReg{src: loadInts[uint32](buf), addr: loadInts[frag.Addr](buf)}
+	c.regW = loadInts[int32](buf)
+	weights := 0
+	if c.transform != nil {
+		weights = len(c.reg.addr)
+	}
+	if len(c.reg.src) != len(c.reg.addr) || len(c.regW) != weights || adopted && len(c.reg.addr) > 0 {
+		panic("channel: checkpoint edge registrations do not match the job's Propagation")
+	}
+	switch {
+	case adopted:
+		if c.w.Frag() == nil {
+			panic("channel: checkpoint adopted a fragment plan but the job has no fragments")
+		}
+		c.UseFragment(c.w.Frag())
+	case len(c.reg.addr) > 0:
+		c.buildPlan()
+	}
+	if n := buf.ReadUvarint(); n != uint64(c.locals) {
+		panic(fmt.Sprintf("channel: checkpoint has %d vertex values, worker hosts %d", n, c.locals))
+	}
+	for li := range c.val[:c.locals] {
 		if buf.ReadBool() {
-			c.adjW = loadInts[int32](buf)
+			c.val[li], c.st[li] = c.codec.Decode(buf), pvHas
 		}
 	}
-	c.building = nil
-	if n := int(buf.ReadUvarint()); n != len(c.val) {
-		panic(fmt.Sprintf("channel: checkpoint has %d vertex values, worker hosts %d", n, len(c.val)))
-	}
-	for li := range c.val {
-		c.hasVal[li] = buf.ReadBool()
-		if c.hasVal[li] {
-			c.val[li] = c.codec.Decode(buf)
-		} else {
-			var zero M
-			c.val[li] = zero
-		}
-	}
-	c.queue = loadInts[int32](buf)
-	c.head = 0
-	for i := range c.queued {
-		c.queued[i] = false
-	}
+	c.queue = append(c.queue, loadInts[uint32](buf)...)
 	for _, li := range c.queue {
-		c.queued[li] = true
+		if li >= c.locals {
+			panic(fmt.Sprintf("channel: checkpoint queues local %d, worker hosts %d vertices", li, c.locals))
+		}
+		c.st[li] |= pvListed
 	}
 	c.finalEpoch = int32(buf.ReadVarint())
 	c.propagatedThisRound = false

@@ -12,19 +12,21 @@ import (
 //
 // A Combiner is a reducer that carries its own loops. Besides the scalar
 // Combine it holds the two loops ScatterCombine runs per (peer worker,
-// superstep) — a run fold and an indexed merge — so the channel calls
-// the combiner once per frame and the operation is compiled into the
-// loop. The paper's C++ channels get that from templates, which inline
+// superstep) — a run fold and an indexed merge — and the two Propagation
+// runs per vertex pushed and per frame received — relax and absorb — so
+// the channel calls the combiner once per frame or row and the operation
+// is compiled into the loop. The paper's C++ channels get that from templates, which inline
 // the user's combiner into the scan over the pre-calculated plan
 // (§IV-C1); Go instantiates generic code per memory layout, not per
 // function value, so a func-typed combiner costs an indirect call per
 // edge however the channel is written. A loop that belongs to the
 // operation closes that gap — Sum and Min bring loops over a native add
-// and min — and only a pre-calculated plan (frag.ScatterPlan, Fig. 5)
-// gives such a loop something to run over: every destination's sources
-// laid out as one run before the values exist. The other combining
-// channels learn their destinations one Send at a time and call Combine
-// per message.
+// and min — and only a pre-calculated plan gives such a loop something
+// to run over: frag.ScatterPlan (Fig. 5) lays every destination's
+// sources out as one run before the values exist, frag.PushPlan (Fig. 7)
+// every vertex's neighbours as one row of table indices. The other
+// combining channels learn their destinations one Send at a time and
+// call Combine per message.
 //
 // The loops must equal the sequences of Combine calls they stand for,
 // bit for bit, which is why they are not open to callers: Sum and Min
@@ -47,6 +49,15 @@ type Combiner[M any] struct {
 	// first value a slot receives in epoch e is stored, later ones are
 	// combined into it as Combine(stored, incoming).
 	merge func(val []M, epoch []int32, e int32, idx []uint32, in []M)
+	// relax pushes v along one row of a frag.PushPlan and absorb delivers
+	// in[k] to target idx[k] — a decoded frame, or a weighted row's
+	// transformed values. Either way a target without a value takes the
+	// incoming one, a target with one takes Combine(held, incoming), and
+	// a target whose value that changed (see changed) goes on its work
+	// list through pushState.moved. Min brings both; Propagation derives
+	// them from Combine for a combiner that leaves them nil.
+	relax  func(s *pushState[M], v M, row []uint32)
+	absorb func(s *pushState[M], idx []uint32, in []M)
 }
 
 // Number is the set of types Sum adds natively.
@@ -115,7 +126,8 @@ func mergeSum[M Number](val []M, epoch []int32, e int32, idx []uint32, in []M) {
 
 // Min returns the minimum combiner (the built-in min: a NaN wins).
 func Min[M cmp.Ordered]() Combiner[M] {
-	return Combiner[M]{Combine: func(x, y M) M { return min(x, y) }, fold: foldMin[M], merge: mergeMin[M]}
+	return Combiner[M]{Combine: func(x, y M) M { return min(x, y) }, fold: foldMin[M], merge: mergeMin[M],
+		relax: relaxMin[M], absorb: absorbMin[M]}
 }
 
 func foldMin[M cmp.Ordered](out, val []M, src []uint32, groups []frag.ScatterGroup) {
@@ -163,6 +175,37 @@ func mergeMin[M cmp.Ordered](val []M, epoch []int32, e int32, idx []uint32, in [
 			v = min(val[li], v)
 		}
 		val[li], epoch[li] = v, e
+	}
+}
+
+// relaxMin and absorbMin are relaxWith and absorbWith over a native
+// compare: the traversal of a WCC, SSSP or Min-Label propagation calls
+// no function per edge.
+func relaxMin[M cmp.Ordered](s *pushState[M], v M, row []uint32) {
+	val, st := s.val, s.st
+	for _, t := range row {
+		nv := v
+		if old := val[t]; st[t]&pvHas != 0 {
+			if nv = min(old, v); !changed(old, nv) {
+				continue
+			}
+		}
+		val[t] = nv
+		s.moved(t)
+	}
+}
+
+func absorbMin[M cmp.Ordered](s *pushState[M], idx []uint32, in []M) {
+	val, st := s.val, s.st
+	for k, t := range idx {
+		nv := in[k]
+		if old := val[t]; st[t]&pvHas != 0 {
+			if nv = min(old, nv); !changed(old, nv) {
+				continue
+			}
+		}
+		val[t] = nv
+		s.moved(t)
 	}
 }
 

@@ -59,7 +59,7 @@ func Of(p *partition.Partition, v graph.VertexID) Addr {
 // over the worker's local vertices whose adjacency entries are packed
 // addresses, plus the local-to-global id map. It is immutable after
 // Build and safe for concurrent readers (the lazily derived scatter
-// plan is built exactly once under its own sync.Once).
+// and push plans are each built exactly once under their own sync.Once).
 type Fragment struct {
 	worker      int
 	numWorkers  int
@@ -71,9 +71,11 @@ type Fragment struct {
 	globals []graph.VertexID // local index -> global id (aliases the partition)
 	counts  []int            // per-worker local vertex counts
 
-	set      *Fragments // owning set: its DeriveHook is charged the plan
+	set      *Fragments // owning set: its DeriveHook is charged the plans
 	planOnce sync.Once
 	plan     *ScatterPlan
+	pushOnce sync.Once
+	push     *PushPlan
 }
 
 // WorkerID returns the worker this fragment belongs to.
@@ -143,7 +145,7 @@ type Fragments struct {
 	frags []*Fragment
 
 	// DeriveHook, if set, is called with the byte size of any lazily
-	// derived structure (the transpose, a fragment's scatter plan) when
+	// derived structure (the transpose, a fragment's scatter or push plan) when
 	// it is built — the catalog charges those bytes to its LRU budget.
 	// It may be called from several workers' goroutines at once.
 	DeriveHook func(bytes int64)

@@ -383,3 +383,127 @@ func TestReverseFragmentsChargeScatterPlan(t *testing.T) {
 		t.Fatalf("reverse fragment plan of %d bytes charged %d", plan.Bytes(), charged-before)
 	}
 }
+
+// reweighted returns g with every edge weighted by its position, or
+// with no weights at all.
+func reweighted(g *graph.Graph, weighted bool) *graph.Graph {
+	c := *g
+	c.Weights = nil
+	if weighted {
+		c.Weights = make([]int32, len(g.Adj))
+		for i := range c.Weights {
+			c.Weights[i] = int32(i%97) + 1
+		}
+	}
+	return &c
+}
+
+// The layout the propagation kernels and the wire rely on, over the
+// shapes of TestScatterPlanLayoutProperties, weighted and not: a row is
+// its vertex's adjacency edge for edge — a local neighbour its own local
+// index, a remote one Locals plus the slot that stands for it — so rows
+// partition the edges into local and remote pushes in adjacency order;
+// slots are dense, grouped by owner and strictly ascending by local
+// index within one, with none for the worker itself; the weights stay
+// parallel; the build is deterministic, cached and charged once; Bytes
+// counts every word the plan adds to the fragment; and the builder makes
+// the same plan of the same edges registered one at a time, in any
+// vertex order, however often it is reused.
+func TestPushPlanLayoutProperties(t *testing.T) {
+	star := make([]graph.Edge, 0, 400)
+	for v := 1; v <= 200; v++ {
+		star = append(star, graph.Edge{Src: graph.VertexID(v), Dst: 0}, graph.Edge{Src: 0, Dst: graph.VertexID(v)})
+	}
+	graphs := testGraphs()
+	graphs["star"] = graph.FromEdges(201, star, false)
+	graphs["empty"] = graph.FromEdges(9, nil, false)
+	for gname, base := range graphs {
+		for _, weighted := range []bool{false, true} {
+			g := reweighted(base, weighted)
+			for _, workers := range []int{1, 3, 4, 7} {
+				for pname, p := range testPartitions(t, g, workers) {
+					fs, again := Build(g, p), Build(g, p)
+					var charged int64
+					fs.DeriveHook = func(b int64) { charged += b }
+					var builder PushBuilder // one for all workers' registrations: reuse must leave no trace
+					var reused PushPlan
+					for w := 0; w < workers; w++ {
+						name := fmt.Sprintf("%s/weighted=%v/%s/%d w%d", gname, weighted, pname, workers, w)
+						f := fs.Frag(w)
+						before := charged
+						plan := f.PushPlan()
+						if f.PushPlan() != plan || charged-before != plan.Bytes() {
+							t.Fatalf("%s: plan not cached or charged %d for %d bytes", name, charged-before, plan.Bytes())
+						}
+						if !reflect.DeepEqual(plan, again.Frag(w).PushPlan()) {
+							t.Fatalf("%s: two builds differ", name)
+						}
+						if int(plan.Locals) != f.LocalCount() || len(plan.Off) != f.LocalCount()+1 || len(plan.Row) != f.NumEdges() ||
+							len(plan.SlotOff) != workers+1 || plan.SlotOff[w] != plan.SlotOff[w+1] || int(plan.SlotOff[workers]) != plan.Slots() ||
+							(plan.W != nil) != weighted {
+							t.Fatalf("%s: plan shape %d locals, %d offsets, %d targets, slot ranges %v, weights %v", name,
+								plan.Locals, len(plan.Off), len(plan.Row), plan.SlotOff, plan.W != nil)
+						}
+						used := make([]bool, plan.Slots())
+						for li := 0; li < f.LocalCount(); li++ {
+							row := plan.Row[plan.Off[li]:plan.Off[li+1]]
+							if len(row) != f.OutDegree(li) {
+								t.Fatalf("%s: local %d has %d edges, its row %d targets", name, li, f.OutDegree(li), len(row))
+							}
+							for i, a := range f.Neighbors(li) {
+								switch tg := row[i]; {
+								case a.Worker() == w && tg != a.Local():
+									t.Fatalf("%s: local %d edge %d to local %d has target %d", name, li, i, a.Local(), tg)
+								case a.Worker() != w:
+									if tg < plan.Locals || int(tg-plan.Locals) >= plan.Slots() {
+										t.Fatalf("%s: local %d edge %d to %d/%d has target %d of %d+%d", name, li, i, a.Worker(), a.Local(), tg, plan.Locals, plan.Slots())
+									}
+									s := tg - plan.Locals
+									if plan.SlotOwner(s) != a.Worker() || plan.SlotLocal[s] != a.Local() {
+										t.Fatalf("%s: local %d edge %d to %d/%d lands on slot %d = %d/%d", name, li, i, a.Worker(), a.Local(), s, plan.SlotOwner(s), plan.SlotLocal[s])
+									}
+									used[s] = true
+								}
+								if weighted && plan.W[plan.Off[li]+uint64(i)] != f.NeighborWeights(li)[i] {
+									t.Fatalf("%s: local %d edge %d lost its weight", name, li, i)
+								}
+							}
+						}
+						for d := 0; d < workers; d++ {
+							of := plan.SlotLocal[plan.SlotOff[d]:plan.SlotOff[d+1]]
+							if !slices.IsSorted(of) || len(slices.Compact(slices.Clone(of))) != len(of) {
+								t.Fatalf("%s: slots of worker %d not strictly ascending: %v", name, d, of)
+							}
+						}
+						if slices.Contains(used, false) {
+							t.Fatalf("%s: a slot no edge lands on", name)
+						}
+						if plan.Bytes() != int64(4*(len(plan.Row)+len(plan.SlotLocal)+len(plan.SlotOff))) {
+							t.Fatalf("%s: Bytes() = %d", name, plan.Bytes())
+						}
+
+						// the same edges registered vertex by vertex, last vertex first
+						var src []uint32
+						var dst []Addr
+						var wts []int32
+						for li := f.LocalCount() - 1; li >= 0; li-- {
+							for i, a := range f.Neighbors(li) {
+								src, dst = append(src, uint32(li)), append(dst, a)
+								if weighted {
+									wts = append(wts, f.NeighborWeights(li)[i])
+								}
+							}
+						}
+						if weighted && wts == nil {
+							wts = []int32{}
+						}
+						builder.Build(&reused, w, p, src, dst, wts)
+						if !reflect.DeepEqual(&reused, plan) {
+							t.Fatalf("%s: plan of the registrations differs from the fragment's\n%+v\n%+v", name, reused, *plan)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -514,9 +514,8 @@ func BenchmarkAblationCostModel(b *testing.B) {
 		cost := t.cost
 		b.Run(t.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				states := algorithms.Options{Part: p, MaxSupersteps: 200000}
-				_ = states
-				m, err := engine.Run(engine.Config{Part: p, Cost: cost, MaxSupersteps: 200000}, svSetup(d.Facebook, p))
+				fab := comm.NewInProc(p.NumWorkers(), cost)
+				m, err := engine.Run(engine.Config{Part: p, Fabric: fab, MaxSupersteps: 200000}, svSetup(d.Facebook, p))
 				reportC(b, m, err)
 			}
 		})

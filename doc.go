@@ -8,6 +8,16 @@
 // registry. The top-level bench_test.go maps each table to a testing.B
 // benchmark.
 //
+// Both engines run on one superstep driver, internal/bsp: the paper's
+// Fig. 4 loop written once — set-up crossings, compute phase,
+// checkpoint cut, exchange rounds, certifying crossing, termination —
+// with cancellation, error joining and the Observer and Checkpoint seams
+// wired there. The channel engine and the Pregel baseline supply only
+// their compute loop, what a round carries and whether another round is
+// wanted, so Tables IV-VII compare the two on communication alone. Both
+// engines' Config and algorithms.Options are the driver's run
+// environment, bsp.Env.
+//
 // Beyond the batch reproduction, cmd/graphd serves the engines as a
 // long-lived job service: internal/catalog caches datasets (loaded
 // once, singleflight, LRU byte budget), internal/jobs runs submissions

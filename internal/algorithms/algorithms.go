@@ -11,14 +11,11 @@
 package algorithms
 
 import (
+	"repro/internal/bsp"
 	"repro/internal/ckpt"
-	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/pregel"
 	"repro/internal/ser"
 )
 
@@ -37,48 +34,25 @@ func gather[T any](part *partition.Partition, states [][]T) []T {
 // orBool is the logical-or combiner used for convergence detection.
 func orBool(a, b bool) bool { return a || b }
 
-// Options bundles the common run parameters of all algorithm variants.
-type Options struct {
-	Part *partition.Partition
-	// Frags, if set, are the pre-resolved shared-nothing fragments of the
-	// input graph under Part (the catalog and the harness build them once
-	// per (dataset, workers, placement) and reuse them across runs).
-	// Unset, each run builds its own.
-	Frags *frag.Fragments
-	// MaxSupersteps caps the run (0 = engine default).
-	MaxSupersteps int
-	// Cancel, if non-nil, aborts the run when closed (the job service
-	// threads each job's cancellation channel through here); the run
-	// returns barrier.ErrCancelled.
-	Cancel <-chan struct{}
-	// Fabric, if non-nil, is the transport the run's workers exchange
-	// buffers and synchronize through (nil selects the in-process
-	// zero-copy fabric). A distributed fabric may host only a subset of
-	// Part's workers in this process: the run then computes just those
-	// workers' vertices and the assembled result has only their entries
-	// filled — the coordinator merges partials by ownership.
-	Fabric comm.Fabric
-	// Observer, if non-nil, receives one superstep sample per (worker,
-	// superstep) from whichever engine runs the job (the job service
-	// threads each job's trace collector through here, the same way
-	// Cancel and Fabric travel). Nil disables collection.
-	Observer obs.Observer
-	// Checkpoint, if non-nil with a store, makes the run snapshot its
-	// per-worker state at a configurable superstep interval and, when
-	// Restore is set, resume from the saved superstep instead of from
-	// scratch (the job service threads recovery through here, the same
-	// way Cancel and Fabric travel). Every registered algorithm supplies
-	// the Save/Restore closures for its own vertex state.
-	Checkpoint *ckpt.Hook
-}
+// Options bundles the common run parameters of all algorithm variants:
+// the driver's run environment, passed to whichever engine runs the job
+// (the job service threads each job's cancellation, fabric, trace
+// collector and checkpoint hook through it). Frags, when set, are the
+// pre-resolved fragments of the input graph under Part, which the
+// catalog and the harness build once per (dataset, workers, placement);
+// unset, each run builds its own. A distributed Fabric may host only a
+// subset of Part's workers in this process: the run then computes just
+// those workers' vertices and the assembled result has only their
+// entries filled — the coordinator merges partials by ownership.
+type Options = bsp.Env
 
-// fragments returns the pre-resolved fragments of g, building them when
-// the caller did not supply any.
-func (o Options) fragments(g *graph.Graph) *frag.Fragments {
-	if o.Frags != nil {
-		return o.Frags
+// withFrags returns opts with the fragments of g filled in, building
+// them when the caller did not supply any.
+func withFrags(opts Options, g *graph.Graph) Options {
+	if opts.Frags == nil {
+		opts.Frags = frag.Build(g, opts.Part)
 	}
-	return frag.Build(g, o.Part)
+	return opts
 }
 
 // vidCodec encodes graph.VertexID values in checkpoint blobs (the wire
@@ -125,10 +99,3 @@ func loadAddrLists(buf *ser.Buffer, lists [][]frag.Addr) {
 		lists[i] = lst
 	}
 }
-
-// ChannelMetrics is a light alias so callers do not import engine just
-// for the metrics type.
-type ChannelMetrics = engine.Metrics
-
-// PregelMetrics aliases the baseline engine metrics.
-type PregelMetrics = pregel.Metrics

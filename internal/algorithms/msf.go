@@ -192,7 +192,7 @@ func MSFChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error)
 	part := opts.Part
 	compStates := make([][]graph.VertexID, part.NumWorkers())
 	edgeStates := make([][]graph.Edge, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		n := w.LocalCount()
 		comp := make([]graph.VertexID, n)

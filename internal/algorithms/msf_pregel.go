@@ -81,16 +81,10 @@ func MSFPregel(g *graph.Graph, opts Options) (MSFResult, pregel.Metrics, error) 
 	compStates := make([][]graph.VertexID, part.NumWorkers())
 	edgeStates := make([][]graph.Edge, part.NumWorkers())
 	cfg := pregel.Config[msfMMsg, struct{}, msfPAgg]{
-		Part:          part,
-		Frags:         opts.fragments(g),
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      msfMMsgCodec{},
-		AggCombine:    msfPAggSum,
-		AggCodec:      msfPAggCodec{},
+		Env:        withFrags(opts, g),
+		MsgCodec:   msfMMsgCodec{},
+		AggCombine: msfPAggSum,
+		AggCodec:   msfPAggCodec{},
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[msfMMsg, struct{}, msfPAgg]) {
 		f := w.Frag()

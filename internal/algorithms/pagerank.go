@@ -23,7 +23,7 @@ import (
 func PageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		pr := make([]float64, w.LocalCount())
 		states[w.WorkerID()] = pr
@@ -66,7 +66,7 @@ func PageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, e
 func PageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		pr := make([]float64, w.LocalCount())
 		states[w.WorkerID()] = pr
@@ -107,7 +107,7 @@ func PageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, e
 func PageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		pr := make([]float64, w.LocalCount())
 		states[w.WorkerID()] = pr
@@ -160,13 +160,7 @@ func pageRankPregel(g *graph.Graph, opts Options, iterations, ghostThreshold int
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
 	cfg := pregel.Config[float64, struct{}, float64]{
-		Part:           part,
-		Frags:          opts.fragments(g),
-		MaxSupersteps:  opts.MaxSupersteps,
-		Cancel:         opts.Cancel,
-		Fabric:         opts.Fabric,
-		Observer:       opts.Observer,
-		Checkpoint:     opts.Checkpoint,
+		Env:            withFrags(opts, g),
 		MsgCodec:       ser.Float64Codec{},
 		Combiner:       channel.Sum[float64]().Combine,
 		AggCombine:     channel.Sum[float64]().Combine,

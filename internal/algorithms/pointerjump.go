@@ -43,7 +43,7 @@ func parentOf(g *graph.Graph, id graph.VertexID) graph.VertexID {
 func PointerJumpChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(opts, func(w *engine.Worker) {
 		d := make([]graph.VertexID, w.LocalCount())
 		states[w.WorkerID()] = d
 		w.Checkpoint(
@@ -93,7 +93,7 @@ func PointerJumpChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.
 func PointerJumpReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(opts, func(w *engine.Worker) {
 		d := make([]graph.VertexID, w.LocalCount())
 		states[w.WorkerID()] = d
 		w.Checkpoint(
@@ -138,13 +138,8 @@ func PointerJumpPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.M
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	cfg := pregel.Config[uint32, struct{}, struct{}]{
-		Part:          part,
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      ser.Uint32Codec{},
+		Env:      opts,
+		MsgCodec: ser.Uint32Codec{},
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[uint32, struct{}, struct{}]) {
 		d := make([]graph.VertexID, w.LocalCount())
@@ -196,15 +191,10 @@ func PointerJumpPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, p
 		return stateOf[w.WorkerID()][li]
 	}
 	cfg := pregel.Config[uint32, uint32, struct{}]{
-		Part:          part,
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      ser.Uint32Codec{},
-		RespCodec:     ser.Uint32Codec{},
-		Responder:     responder,
+		Env:       opts,
+		MsgCodec:  ser.Uint32Codec{},
+		RespCodec: ser.Uint32Codec{},
+		Responder: responder,
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[uint32, uint32, struct{}]) {
 		d := make([]graph.VertexID, w.LocalCount())

@@ -5,9 +5,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/bsp"
 	"repro/internal/graph"
-	"repro/internal/pregel"
 )
 
 // This file is the shared dispatch table: every (algorithm, engine,
@@ -49,8 +48,8 @@ type Params struct {
 // DefaultPageRankIterations is the paper's PageRank superstep count.
 const DefaultPageRankIterations = 30
 
-// Metrics normalizes engine.Metrics and pregel.Metrics into one shape
-// for tables, JSON responses, and cross-engine comparison.
+// Metrics normalizes the driver's bsp.Metrics into one shape for
+// tables, JSON responses, and cross-engine comparison.
 type Metrics struct {
 	Engine     Engine        `json:"engine"`
 	Supersteps int           `json:"supersteps"`
@@ -83,16 +82,9 @@ type Metrics struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-func metricsFromChannel(m engine.Metrics) Metrics {
-	return Metrics{Engine: EngineChannel, Supersteps: m.Supersteps,
-		NetBytes: m.Comm.NetworkBytes, Rounds: m.Comm.Rounds,
-		SimTime: m.SimTime(), WallTime: m.WallTime}
-}
-
-func metricsFromPregel(m pregel.Metrics) Metrics {
-	return Metrics{Engine: EnginePregel, Supersteps: m.Supersteps,
-		NetBytes: m.Comm.NetworkBytes, Rounds: m.Comm.Rounds,
-		SimTime: m.SimTime(), WallTime: m.WallTime}
+func metricsOf(m bsp.Metrics) Metrics {
+	return Metrics{Supersteps: m.Supersteps, NetBytes: m.Comm.NetworkBytes,
+		Rounds: m.Comm.Rounds, SimTime: m.SimTime(), WallTime: m.WallTime}
 }
 
 // Result is the normalized output of a registry run: exactly one of the
@@ -199,88 +191,42 @@ func (s *Spec) Run(eng Engine, variant string, g *graph.Graph, opts Options, p P
 	if err != nil {
 		return nil, err
 	}
-	return fn(g, opts, p)
+	res, err := fn(g, opts, p)
+	if err != nil {
+		return nil, err
+	}
+	res.Metrics.Engine = eng
+	return res, nil
 }
 
-// adapters from the concrete function signatures to RunFunc
+// adapters from the concrete function signatures to RunFunc; Spec.Run
+// stamps the engine on the metrics
 
-func labelsC(f func(*graph.Graph, Options) ([]graph.VertexID, engine.Metrics, error)) RunFunc {
+func labels(f func(*graph.Graph, Options) ([]graph.VertexID, bsp.Metrics, error)) RunFunc {
 	return func(g *graph.Graph, opts Options, _ Params) (*Result, error) {
 		labels, m, err := f(g, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Labels: labels, Metrics: metricsFromChannel(m)}, nil
+		return &Result{Labels: labels, Metrics: metricsOf(m)}, err
 	}
 }
 
-func labelsP(f func(*graph.Graph, Options) ([]graph.VertexID, pregel.Metrics, error)) RunFunc {
-	return func(g *graph.Graph, opts Options, _ Params) (*Result, error) {
-		labels, m, err := f(g, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Labels: labels, Metrics: metricsFromPregel(m)}, nil
-	}
-}
-
-func ranksC(f func(*graph.Graph, Options, int) ([]float64, engine.Metrics, error)) RunFunc {
+func ranks(f func(*graph.Graph, Options, int) ([]float64, bsp.Metrics, error)) RunFunc {
 	return func(g *graph.Graph, opts Options, p Params) (*Result, error) {
 		ranks, m, err := f(g, opts, iterationsOrDefault(p))
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Ranks: ranks, Metrics: metricsFromChannel(m)}, nil
+		return &Result{Ranks: ranks, Metrics: metricsOf(m)}, err
 	}
 }
 
-func ranksP(f func(*graph.Graph, Options, int) ([]float64, pregel.Metrics, error)) RunFunc {
-	return func(g *graph.Graph, opts Options, p Params) (*Result, error) {
-		ranks, m, err := f(g, opts, iterationsOrDefault(p))
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Ranks: ranks, Metrics: metricsFromPregel(m)}, nil
-	}
-}
-
-func distsC(f func(*graph.Graph, graph.VertexID, Options) ([]int64, engine.Metrics, error)) RunFunc {
+func dists(f func(*graph.Graph, graph.VertexID, Options) ([]int64, bsp.Metrics, error)) RunFunc {
 	return func(g *graph.Graph, opts Options, p Params) (*Result, error) {
 		dists, m, err := f(g, p.Source, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Dists: dists, Metrics: metricsFromChannel(m)}, nil
+		return &Result{Dists: dists, Metrics: metricsOf(m)}, err
 	}
 }
 
-func distsP(f func(*graph.Graph, graph.VertexID, Options) ([]int64, pregel.Metrics, error)) RunFunc {
-	return func(g *graph.Graph, opts Options, p Params) (*Result, error) {
-		dists, m, err := f(g, p.Source, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Dists: dists, Metrics: metricsFromPregel(m)}, nil
-	}
-}
-
-func msfC(f func(*graph.Graph, Options) (MSFResult, engine.Metrics, error)) RunFunc {
+func forest(f func(*graph.Graph, Options) (MSFResult, bsp.Metrics, error)) RunFunc {
 	return func(g *graph.Graph, opts Options, _ Params) (*Result, error) {
 		res, m, err := f(g, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{MSF: &res, Metrics: metricsFromChannel(m)}, nil
-	}
-}
-
-func msfP(f func(*graph.Graph, Options) (MSFResult, pregel.Metrics, error)) RunFunc {
-	return func(g *graph.Graph, opts Options, _ Params) (*Result, error) {
-		res, m, err := f(g, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{MSF: &res, Metrics: metricsFromPregel(m)}, nil
+		return &Result{MSF: &res, Metrics: metricsOf(m)}, err
 	}
 }
 
@@ -298,13 +244,13 @@ var registry = map[string]*Spec{
 		HasIterations: true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: ranksC(PageRankChannel),
-				"scatter":      ranksC(PageRankScatter),
-				"mirror":       ranksC(PageRankMirror),
+				DefaultVariant: ranks(PageRankChannel),
+				"scatter":      ranks(PageRankScatter),
+				"mirror":       ranks(PageRankMirror),
 			},
 			EnginePregel: {
-				DefaultVariant: ranksP(PageRankPregel),
-				"ghost":        ranksP(PageRankPregelGhost),
+				DefaultVariant: ranks(PageRankPregel),
+				"ghost":        ranks(PageRankPregelGhost),
 			},
 		},
 	},
@@ -315,11 +261,11 @@ var registry = map[string]*Spec{
 		HasSource:    true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: distsC(SSSPChannel),
-				"propagation":  distsC(SSSPPropagation),
+				DefaultVariant: dists(SSSPChannel),
+				"propagation":  dists(SSSPPropagation),
 			},
 			EnginePregel: {
-				DefaultVariant: distsP(SSSPPregel),
+				DefaultVariant: dists(SSSPPregel),
 			},
 		},
 	},
@@ -329,12 +275,12 @@ var registry = map[string]*Spec{
 		NeedsUndirected: true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labelsC(WCCChannel),
-				"propagation":  labelsC(WCCPropagation),
-				"blogel":       labelsC(WCCBlogel),
+				DefaultVariant: labels(WCCChannel),
+				"propagation":  labels(WCCPropagation),
+				"blogel":       labels(WCCBlogel),
 			},
 			EnginePregel: {
-				DefaultVariant: labelsP(WCCPregel),
+				DefaultVariant: labels(WCCPregel),
 			},
 		},
 	},
@@ -343,12 +289,12 @@ var registry = map[string]*Spec{
 		Description: "pointer jumping / list ranking on a parent-pointer forest",
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labelsC(PointerJumpChannel),
-				"reqresp":      labelsC(PointerJumpReqResp),
+				DefaultVariant: labels(PointerJumpChannel),
+				"reqresp":      labels(PointerJumpReqResp),
 			},
 			EnginePregel: {
-				DefaultVariant: labelsP(PointerJumpPregel),
-				"reqresp":      labelsP(PointerJumpPregelReqResp),
+				DefaultVariant: labels(PointerJumpPregel),
+				"reqresp":      labels(PointerJumpPregelReqResp),
 			},
 		},
 	},
@@ -358,14 +304,14 @@ var registry = map[string]*Spec{
 		NeedsUndirected: true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labelsC(SVChannel),
-				"reqresp":      labelsC(SVReqResp),
-				"scatter":      labelsC(SVScatter),
-				"both":         labelsC(SVBoth),
+				DefaultVariant: labels(SVChannel),
+				"reqresp":      labels(SVReqResp),
+				"scatter":      labels(SVScatter),
+				"both":         labels(SVBoth),
 			},
 			EnginePregel: {
-				DefaultVariant: labelsP(SVPregel),
-				"reqresp":      labelsP(SVPregelReqResp),
+				DefaultVariant: labels(SVPregel),
+				"reqresp":      labels(SVPregelReqResp),
 			},
 		},
 	},
@@ -374,11 +320,11 @@ var registry = map[string]*Spec{
 		Description: "strongly connected components (Min-Label)",
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labelsC(SCCChannel),
-				"propagation":  labelsC(SCCPropagation),
+				DefaultVariant: labels(SCCChannel),
+				"propagation":  labels(SCCPropagation),
 			},
 			EnginePregel: {
-				DefaultVariant: labelsP(SCCPregel),
+				DefaultVariant: labels(SCCPregel),
 			},
 		},
 	},
@@ -389,10 +335,10 @@ var registry = map[string]*Spec{
 		NeedsWeights:    true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: msfC(MSFChannel),
+				DefaultVariant: forest(MSFChannel),
 			},
 			EnginePregel: {
-				DefaultVariant: msfP(MSFPregel),
+				DefaultVariant: forest(MSFPregel),
 			},
 		},
 	},

@@ -289,10 +289,10 @@ func (s *sccState) collectSameLists(li int) {
 // propagation one hop per superstep).
 func SCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
-	fwdFrags := opts.fragments(g)
-	bwdFrags := fwdFrags.Reverse()
+	opts = withFrags(opts, g)
+	bwdFrags := opts.Frags.Reverse()
 	states := make([][]graph.VertexID, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: fwdFrags, MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(opts, func(w *engine.Worker) {
 		s := newSCCState(w, w.Frag(), bwdFrags.Frag(w.WorkerID()))
 		states[w.WorkerID()] = s.scc
 		s.checkpoint()
@@ -365,10 +365,10 @@ func SCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics,
 // propagation within a single superstep (Table VII program 3).
 func SCCPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
-	fwdFrags := opts.fragments(g)
-	bwdFrags := fwdFrags.Reverse()
+	opts = withFrags(opts, g)
+	bwdFrags := opts.Frags.Reverse()
 	states := make([][]graph.VertexID, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: fwdFrags, MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(opts, func(w *engine.Worker) {
 		s := newSCCState(w, w.Frag(), bwdFrags.Frag(w.WorkerID()))
 		states[w.WorkerID()] = s.scc
 		s.checkpoint()

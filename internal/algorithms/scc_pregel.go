@@ -66,19 +66,13 @@ func sccAggSum(a, b sccAgg) sccAgg { return sccAgg{Act: a.Act + b.Act, Done: a.D
 func SCCPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
-	fwdFrags := opts.fragments(g)
-	bwdFrags := fwdFrags.Reverse()
+	opts = withFrags(opts, g)
+	bwdFrags := opts.Frags.Reverse()
 	cfg := pregel.Config[sccMMsg, struct{}, sccAgg]{
-		Part:          part,
-		Frags:         fwdFrags,
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      sccMMsgCodec{},
-		AggCombine:    sccAggSum,
-		AggCodec:      sccAggCodec{},
+		Env:        opts,
+		MsgCodec:   sccMMsgCodec{},
+		AggCombine: sccAggSum,
+		AggCodec:   sccAggCodec{},
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[sccMMsg, struct{}, sccAgg]) {
 		fwdF := w.Frag()

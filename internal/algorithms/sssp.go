@@ -24,7 +24,7 @@ import (
 func SSSPChannel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]int64, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		dist := make([]int64, w.LocalCount())
 		states[w.WorkerID()] = dist
@@ -66,7 +66,7 @@ func SSSPChannel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, eng
 func SSSPPropagation(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]int64, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		dist := make([]int64, w.LocalCount())
 		states[w.WorkerID()] = dist

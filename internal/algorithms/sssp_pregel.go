@@ -17,15 +17,9 @@ func SSSPPregel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, preg
 	part := opts.Part
 	states := make([][]int64, part.NumWorkers())
 	cfg := pregel.Config[int64, struct{}, struct{}]{
-		Part:          part,
-		Frags:         opts.fragments(g),
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      ser.Int64Codec{},
-		Combiner:      channel.Min[int64]().Combine,
+		Env:      withFrags(opts, g),
+		MsgCodec: ser.Int64Codec{},
+		Combiner: channel.Min[int64]().Combine,
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[int64, struct{}, struct{}]) {
 		f := w.Frag()

@@ -45,7 +45,7 @@ import (
 func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		n := w.LocalCount()
 		d := make([]graph.VertexID, n)

@@ -56,16 +56,10 @@ func SVPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, e
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	cfg := pregel.Config[svMsg, struct{}, bool]{
-		Part:          part,
-		Frags:         opts.fragments(g),
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      svMsgCodec{},
-		AggCombine:    orBool,
-		AggCodec:      ser.BoolCodec{},
+		Env:        withFrags(opts, g),
+		MsgCodec:   svMsgCodec{},
+		AggCombine: orBool,
+		AggCodec:   ser.BoolCodec{},
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[svMsg, struct{}, bool]) {
 		f := w.Frag()
@@ -153,16 +147,10 @@ func SVPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Met
 	states := make([][]graph.VertexID, part.NumWorkers())
 	dStates := make([][]graph.VertexID, part.NumWorkers())
 	cfg := pregel.Config[uint32, uint32, bool]{
-		Part:          part,
-		Frags:         opts.fragments(g),
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      ser.Uint32Codec{},
-		Combiner:      channel.Min[uint32]().Combine,
-		RespCodec:     ser.Uint32Codec{},
+		Env:       withFrags(opts, g),
+		MsgCodec:  ser.Uint32Codec{},
+		Combiner:  channel.Min[uint32]().Combine,
+		RespCodec: ser.Uint32Codec{},
 		Responder: func(w *pregel.Worker[uint32, uint32, bool], li int) uint32 {
 			return dStates[w.WorkerID()][li]
 		},

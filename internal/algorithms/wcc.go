@@ -27,7 +27,7 @@ import (
 func WCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		label := make([]graph.VertexID, w.LocalCount())
 		states[w.WorkerID()] = label
@@ -63,7 +63,7 @@ func WCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics,
 func WCCPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		label := make([]graph.VertexID, w.LocalCount())
 		states[w.WorkerID()] = label
@@ -97,7 +97,7 @@ func WCCBlogel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, 
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	props := make([]*channel.Propagation[uint32], part.NumWorkers())
-	met, err := engine.Run(engine.Config{Part: part, Frags: opts.fragments(g), MaxSupersteps: opts.MaxSupersteps, Cancel: opts.Cancel, Fabric: opts.Fabric, Observer: opts.Observer, Checkpoint: opts.Checkpoint}, func(w *engine.Worker) {
+	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
 		f := w.Frag()
 		label := make([]graph.VertexID, w.LocalCount())
 		states[w.WorkerID()] = label
@@ -135,15 +135,9 @@ func WCCPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, 
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	cfg := pregel.Config[uint32, struct{}, struct{}]{
-		Part:          part,
-		Frags:         opts.fragments(g),
-		MaxSupersteps: opts.MaxSupersteps,
-		Cancel:        opts.Cancel,
-		Fabric:        opts.Fabric,
-		Observer:      opts.Observer,
-		Checkpoint:    opts.Checkpoint,
-		MsgCodec:      ser.Uint32Codec{},
-		Combiner:      channel.Min[uint32]().Combine,
+		Env:      withFrags(opts, g),
+		MsgCodec: ser.Uint32Codec{},
+		Combiner: channel.Min[uint32]().Combine,
 	}
 	met, err := pregel.Run(cfg, func(w *pregel.Worker[uint32, struct{}, struct{}]) {
 		f := w.Frag()

@@ -1,8 +1,9 @@
 // Package ckpt implements superstep checkpointing for the BSP engines:
 // the checkpoint record format, the store interface that persists one
-// record per (job, superstep, worker), and the Hook both engines thread
-// through their configs (like Cancel/Fabric/Observer) to decide when to
-// cut a checkpoint and where to restore from.
+// record per (job, superstep, worker), and the Hook the superstep driver
+// both engines run on (internal/bsp) takes in its run environment (like
+// Cancel/Fabric/Observer) to decide when to cut a checkpoint and where
+// to restore from.
 //
 // The cut is barrier-aligned: every worker snapshots its state at the
 // same program point of the same superstep — after the compute phase and

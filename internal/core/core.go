@@ -38,8 +38,9 @@ import (
 // Worker is the per-node runtime handle passed to setup functions.
 type Worker = engine.Worker
 
-// Config configures a job: the vertex partition, the simulated-network
-// cost model, and a superstep cap.
+// Config configures a job: the vertex partition, the fabric (whose cost
+// model prices the simulated network), a superstep cap, and the cancel,
+// observer and checkpoint seams.
 type Config = engine.Config
 
 // Metrics summarizes a finished run.

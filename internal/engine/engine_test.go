@@ -57,7 +57,7 @@ func (c *ringChannel) recv(li int) (uint32, bool) {
 func (c *ringChannel) Serialize(dst int, b *ser.Buffer) {
 	kept := c.out[:0]
 	for _, m := range c.out {
-		if c.w.Owner(m.dst) == dst {
+		if c.w.Part().Owner(m.dst) == dst {
 			b.WriteUint32(m.dst)
 			b.WriteUint32(m.val)
 		} else {
@@ -71,7 +71,7 @@ func (c *ringChannel) Deserialize(src int, b *ser.Buffer) {
 	for b.Remaining() > 0 {
 		dst := b.ReadUint32()
 		val := b.ReadUint32()
-		li := c.w.LocalIndex(dst)
+		li := c.w.Part().LocalIndex(dst)
 		c.in[li] = val
 		c.inEpoch[li] = int32(c.w.Superstep())
 		c.w.ActivateLocal(li)

@@ -22,56 +22,6 @@ func (stuckChannel) Serialize(dst int, b *ser.Buffer)   {}
 func (stuckChannel) Deserialize(src int, b *ser.Buffer) {}
 func (stuckChannel) Again() bool                        { return true }
 
-func TestEngineStuckChannelAborts(t *testing.T) {
-	part := partition.MustHash(4, 2)
-	_, err := Run(Config{Part: part, MaxRoundsPerStep: 50}, func(w *Worker) {
-		w.Register(stuckChannel{})
-		w.Compute = func(li int) { w.VoteToHalt() }
-	})
-	if err == nil || !strings.Contains(err.Error(), "MaxRoundsPerStep") {
-		t.Fatalf("expected MaxRoundsPerStep error, got %v", err)
-	}
-}
-
-// Asymmetric setup failure: one worker errors before the first barrier.
-// The failed worker must abort the shared barrier so its peers return
-// instead of deadlocking, and Run must surface the root cause (not the
-// peers' abort echoes).
-func TestEngineAsymmetricSetupFailureAborts(t *testing.T) {
-	part := partition.MustHash(4, 2)
-	met, err := Run(Config{Part: part}, func(w *Worker) {
-		w.Register(nullChannel{})
-		if w.WorkerID() != 1 {
-			w.Compute = func(li int) { w.VoteToHalt() }
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "worker 1: setup did not install Compute") {
-		t.Fatalf("expected worker 1 setup error, got %v", err)
-	}
-	if strings.Contains(err.Error(), "aborted") {
-		t.Errorf("abort echo leaked into the joined error: %v", err)
-	}
-	if met.Supersteps != 0 {
-		t.Errorf("supersteps=%d want 0 (minimum reached)", met.Supersteps)
-	}
-}
-
-// Symmetric failure: every worker hits the superstep cap. The joined
-// error must surface the cause once, not once per worker.
-func TestEngineSymmetricErrorDedup(t *testing.T) {
-	part := partition.MustHash(4, 2)
-	_, err := Run(Config{Part: part, MaxSupersteps: 3}, func(w *Worker) {
-		w.Register(nullChannel{})
-		w.Compute = func(li int) {} // stay active forever
-	})
-	if err == nil {
-		t.Fatal("expected MaxSupersteps error")
-	}
-	if got := strings.Count(err.Error(), "MaxSupersteps"); got != 1 {
-		t.Errorf("cause appears %d times, want 1: %v", got, err)
-	}
-}
-
 // chattyChannel sends garbage addressed to a channel id that exists, to
 // verify framing dispatch stays aligned when another channel writes
 // nothing.
@@ -160,28 +110,6 @@ func TestEngineActivationCountsStayConsistent(t *testing.T) {
 	// re-activated by the loopback frame; superstep 2: they halt again.
 	if met.Supersteps != 2 {
 		t.Errorf("supersteps=%d want 2", met.Supersteps)
-	}
-}
-
-// Cancellation mid-run: closing Config.Cancel must unwind every worker
-// through the aborted barrier and surface barrier.ErrCancelled, not a
-// deadlock and not a worker failure.
-func TestEngineCancelMidRun(t *testing.T) {
-	part := partition.MustHash(8, 4)
-	cancel := make(chan struct{})
-	fired := false
-	_, err := Run(Config{Part: part, Cancel: cancel, MaxSupersteps: 1 << 30}, func(w *Worker) {
-		w.Register(nullChannel{})
-		w.Compute = func(li int) {
-			// stay active forever; worker 0 pulls the plug at step 100
-			if w.WorkerID() == 0 && li == 0 && w.Superstep() == 100 && !fired {
-				fired = true
-				close(cancel)
-			}
-		}
-	})
-	if !errors.Is(err, barrier.ErrCancelled) {
-		t.Fatalf("expected ErrCancelled, got %v", err)
 	}
 }
 

@@ -1,14 +1,11 @@
 // Package pregel implements the baseline the paper compares against: a
 // classic Pregel engine with a monolithic message-passing interface, in
-// the style of Pregel+. It shares the channel engine's telemetry seam —
-// Config.Observer receives one obs.SuperstepSample per (worker,
-// superstep), with whole-buffer byte/frame counts and no per-channel
-// breakdown, since a monolithic stream has no channels to attribute to.
-// One global message type serves every
-// communication in the program (the root cause of the problems §II-B
-// describes), a single optional global combiner applies to all messages
-// or none, and two optional special modes extend the engine the way
-// Pregel+ does:
+// the style of Pregel+, on the same superstep driver as the channel
+// engine (internal/bsp) — so the two differ in what a round carries and
+// nothing else. One global message type serves every communication in
+// the program (the root cause of the problems §II-B describes), a single
+// optional global combiner applies to all messages or none, and two
+// optional special modes extend the engine the way Pregel+ does:
 //
 //   - reqresp mode: vertices may request an attribute of any vertex;
 //     requests are merged per worker, but — as in Pregel+ and unlike the
@@ -20,30 +17,21 @@
 //     one message per worker instead of one per neighbor (sender-side
 //     combining, §V-B1).
 //
-// The engine shares the partition, serialization, and simulated
-// transport with the channel engine, so runtimes and byte counts are
-// directly comparable. It also shares the channel engine's
-// fault-tolerance seam: Config.Checkpoint cuts a ckpt.Record per worker
-// at the barrier-aligned point after compute and before the superstep's
-// message round(s) — the round structure (one round, or two when
-// responses or aggregation are in play) is recorded so a restore
-// replays exactly the rounds the superstep ran, and the record is
-// persisted before one more, certifying AllReduce that only checkpoint
-// supersteps pay, so completeness is all-or-nothing across the party.
+// The wire protocol is fixed by the configuration: round 1 carries
+// messages, ghost broadcasts, requests and aggregator partials; round 2
+// (present iff reqresp or an aggregator is configured) carries responses
+// and the aggregator result. Superstep samples carry whole-buffer byte
+// counts, one frame per buffer, and no per-channel breakdown, since a
+// monolithic stream has no channels to attribute to; checkpoint records
+// carry the per-vertex request stamps of reqresp mode.
 package pregel
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/barrier"
-	"repro/internal/ckpt"
-	"repro/internal/comm"
+	"repro/internal/bsp"
 	"repro/internal/frag"
 	"repro/internal/graph"
-	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/ser"
 )
 
@@ -51,40 +39,7 @@ import (
 // R the reqresp response type and A the aggregator type (use struct{}
 // and nil codecs for unused facilities).
 type Config[M, R, A any] struct {
-	Part *partition.Partition
-	// Frags, if set, gives every worker a pre-resolved shared-nothing
-	// fragment (exposed as Worker.Frag); ghost mode and SendToNbrs use it
-	// instead of the global graph + partition. Built from Adjacency when
-	// unset. When Part is nil it is taken from Frags.
-	Frags *frag.Fragments
-	Cost  comm.CostModel
-	// Fabric is the transport the job's workers exchange buffers and
-	// synchronize through. Nil selects the in-process zero-copy fabric;
-	// a distributed fabric (internal/netcomm) may host only a subset of
-	// the workers in this process.
-	Fabric comm.Fabric
-	// MaxSupersteps aborts runaway jobs; 0 means 10_000.
-	MaxSupersteps int
-	// Cancel, if non-nil, aborts the run when closed: the shared
-	// barrier is released, workers unwind, and Run returns
-	// barrier.ErrCancelled (unless a worker failed for a real reason
-	// first, which wins).
-	Cancel <-chan struct{}
-	// Observer, if non-nil, receives one obs.SuperstepSample per
-	// (worker, superstep). The baseline engine has a single monolithic
-	// message stream, so samples carry whole-buffer byte counts and a
-	// fixed round count (1, or 2 with reqresp/aggregator) and leave the
-	// per-channel breakdown nil. Nil disables all collection.
-	Observer obs.Observer
-	// Checkpoint, if non-nil with a store, snapshots every worker's
-	// state at the barrier-aligned cut every Interval supersteps and, on
-	// Restore > 0, resumes from the saved superstep. The algorithm must
-	// register Save/Restore closures via Worker.Checkpoint.
-	Checkpoint *ckpt.Hook
-	// Flows, if non-nil, attaches a per-(src,dst) flow-matrix
-	// accumulator to the in-process fabric Run creates when Fabric is
-	// nil (callers supplying a Fabric attach flows to it directly).
-	Flows *obs.FlowAccum
+	bsp.Env
 
 	// MsgCodec encodes the global message type.
 	MsgCodec ser.Codec[M]
@@ -104,45 +59,25 @@ type Config[M, R, A any] struct {
 
 	// GhostThreshold enables ghost (mirroring) mode for SendToNbrs when
 	// > 0: vertices with at least this many out-edges broadcast via
-	// mirrors (the paper uses threshold 16). Adjacency is required for
-	// SendToNbrs in any case.
+	// mirrors (the paper uses threshold 16). SendToNbrs needs Frags, or
+	// Adjacency to build them from.
 	GhostThreshold int
 	Adjacency      *graph.Graph
 }
 
-// Metrics mirrors engine.Metrics for the baseline engine.
-type Metrics struct {
-	Supersteps int
-	Comm       comm.Stats
-	WallTime   time.Duration
-}
-
-// SimTime returns wall time plus simulated network time.
-func (m Metrics) SimTime() time.Duration { return m.WallTime + m.Comm.SimNetTime }
+// Metrics summarizes a finished run.
+type Metrics = bsp.Metrics
 
 // Worker is the per-node handle passed to the algorithm.
 type Worker[M, R, A any] struct {
-	id   int
-	cfg  *Config[M, R, A]
-	frag *frag.Fragment
-	job  *job[M, R, A]
-	ep   comm.Endpoint
-
-	active      []bool
-	activeCount int
-	current     int
-	superstep   int
-	halt        bool // RequestStop was called on this worker
+	bsp.Core
+	cfg    *Config[M, R, A]
+	setup  func(*Worker[M, R, A])
+	rounds int // exchange rounds per superstep: 1, or 2 with reqresp or an aggregator
 
 	// Compute is invoked for every active local vertex each superstep
 	// with the combined/collected messages from the previous superstep.
 	Compute func(li int, msgs []M)
-
-	// checkpoint closures (Worker.Checkpoint) and the record being
-	// assembled while the cut superstep's exchange rounds run.
-	ckptSave    func(buf *ser.Buffer)
-	ckptRestore func(buf *ser.Buffer)
-	ckptRec     *ckpt.Record
 
 	// outgoing message staging. Destinations are staged pre-resolved as
 	// their dense local index on the owning worker (also the wire
@@ -180,11 +115,6 @@ type Worker[M, R, A any] struct {
 	aggResult   A
 	aggGathered A
 	aggGathSet  bool
-
-	// superstep trace collection (Config.Observer); obsOn gates every
-	// trace statement so the disabled path costs one branch per phase.
-	obsOn  bool
-	obsSmp obs.SuperstepSample
 }
 
 // dmsg is one staged message; dst is a pre-resolved local index on the
@@ -194,77 +124,32 @@ type dmsg[M any] struct {
 	m   M
 }
 
-// job is the per-Run coordination state shared by this process's
-// workers; all cross-worker communication goes through the fabric.
-type job[M, R, A any] struct {
-	cfg *Config[M, R, A]
-	fab comm.Fabric
-	bar barrier.Barrier
+// Run executes a baseline job. setup is called once per worker to
+// allocate state and install Compute.
+func Run[M, R, A any](cfg Config[M, R, A], setup func(w *Worker[M, R, A])) (Metrics, error) {
+	switch {
+	case cfg.MsgCodec == nil:
+		return Metrics{}, fmt.Errorf("pregel: Config.MsgCodec is required")
+	case cfg.Responder != nil && cfg.RespCodec == nil:
+		return Metrics{}, fmt.Errorf("pregel: Responder requires RespCodec")
+	case cfg.AggCombine != nil && cfg.AggCodec == nil:
+		return Metrics{}, fmt.Errorf("pregel: AggCombine requires AggCodec")
+	}
+	if cfg.Frags == nil && cfg.Adjacency != nil && cfg.Part != nil {
+		// SendToNbrs and ghost tables consume pre-resolved fragments; a
+		// caller that only has the global adjacency pays the resolution
+		// once here.
+		cfg.Frags = frag.Build(cfg.Adjacency, cfg.Part)
+	}
+	if cfg.GhostThreshold > 0 && cfg.Frags == nil {
+		return Metrics{}, fmt.Errorf("pregel: GhostThreshold requires Adjacency or Frags")
+	}
+	return bsp.Run(cfg.Env, "pregel", func() bsp.Program {
+		return program[M, R, A]{&Worker[M, R, A]{cfg: &cfg, setup: setup}}
+	})
 }
 
 // --- Worker API used by algorithm closures ---
-
-// WorkerID returns this worker's id.
-func (w *Worker[M, R, A]) WorkerID() int { return w.id }
-
-// NumWorkers returns the worker count.
-func (w *Worker[M, R, A]) NumWorkers() int { return w.cfg.Part.NumWorkers() }
-
-// NumVertices returns the global vertex count.
-func (w *Worker[M, R, A]) NumVertices() int { return w.cfg.Part.NumVertices() }
-
-// LocalCount returns the number of local vertices.
-func (w *Worker[M, R, A]) LocalCount() int { return w.cfg.Part.LocalCount(w.id) }
-
-// GlobalID returns the vertex id at local index li.
-func (w *Worker[M, R, A]) GlobalID(li int) graph.VertexID { return w.cfg.Part.GlobalID(w.id, li) }
-
-// LocalIndex returns v's local index on its owner. Transitional
-// accessor: hot superstep loops should consume packed addresses.
-func (w *Worker[M, R, A]) LocalIndex(v graph.VertexID) int { return w.cfg.Part.LocalIndex(v) }
-
-// Owner returns the worker owning v. Transitional accessor: hot
-// superstep loops should consume packed addresses.
-func (w *Worker[M, R, A]) Owner(v graph.VertexID) int { return w.cfg.Part.Owner(v) }
-
-// Addr returns v's packed pre-resolved address. Use it for occasional
-// dynamic destinations; static adjacency comes pre-resolved from Frag.
-func (w *Worker[M, R, A]) Addr(v graph.VertexID) frag.Addr { return frag.Of(w.cfg.Part, v) }
-
-// Frag returns this worker's shared-nothing fragment (nil unless
-// Config.Frags was set or built from Config.Adjacency).
-func (w *Worker[M, R, A]) Frag() *frag.Fragment { return w.frag }
-
-// Superstep returns the current superstep, starting at 1.
-func (w *Worker[M, R, A]) Superstep() int { return w.superstep }
-
-// VoteToHalt halts the current vertex until a message reactivates it.
-func (w *Worker[M, R, A]) VoteToHalt() {
-	if w.active[w.current] {
-		w.active[w.current] = false
-		w.activeCount--
-	}
-}
-
-// ActivateLocal wakes local vertex li.
-func (w *Worker[M, R, A]) ActivateLocal(li int) {
-	if !w.active[li] {
-		w.active[li] = true
-		w.activeCount++
-	}
-}
-
-// RequestStop terminates the job after this superstep.
-func (w *Worker[M, R, A]) RequestStop() { w.halt = true }
-
-// Checkpoint registers the algorithm's state closures: save appends the
-// per-worker vertex state (local order) to the buffer, restore reads the
-// same encoding back into the already-allocated state. Both run at the
-// barrier-aligned cut point (after compute, before the exchange rounds).
-// Required when Config.Checkpoint has a store; a no-op otherwise.
-func (w *Worker[M, R, A]) Checkpoint(save, restore func(buf *ser.Buffer)) {
-	w.ckptSave, w.ckptRestore = save, restore
-}
 
 // Send sends m to vertex dst, delivered next superstep. Transitional
 // id-based entry point: per-edge loops should iterate Frag().Neighbors
@@ -293,17 +178,18 @@ func (w *Worker[M, R, A]) SendAddr(a frag.Addr, m M) {
 // With ghost mode enabled and the vertex above the threshold, one
 // message per mirror worker is sent instead of one per neighbor.
 func (w *Worker[M, R, A]) SendToNbrs(m M) {
-	if w.frag == nil {
+	f, cur := w.Frag(), w.CurrentLocal()
+	if f == nil {
 		panic("pregel: SendToNbrs requires Config.Adjacency or Config.Frags")
 	}
-	if slot := w.hubSlot; slot != nil && slot[w.current] >= 0 {
-		id := uint32(w.GlobalID(w.current))
-		for _, wk := range w.hubWorkers[slot[w.current]] {
+	if slot := w.hubSlot; slot != nil && slot[cur] >= 0 {
+		id := uint32(w.GlobalID(cur))
+		for _, wk := range w.hubWorkers[slot[cur]] {
 			w.outGhost[wk] = append(w.outGhost[wk], dmsg[M]{dst: id, m: m})
 		}
 		return
 	}
-	for _, a := range w.frag.Neighbors(w.current) {
+	for _, a := range f.Neighbors(cur) {
 		w.SendAddr(a, m)
 	}
 }
@@ -314,9 +200,9 @@ func (w *Worker[M, R, A]) Request(dst graph.VertexID) {
 	if w.cfg.Responder == nil {
 		panic("pregel: Request requires Config.Responder")
 	}
-	a := w.Addr(dst)
-	w.reqOf[w.current] = a
-	w.reqEpoch[w.current] = int32(w.superstep)
+	a, cur := w.Addr(dst), w.CurrentLocal()
+	w.reqOf[cur] = a
+	w.reqEpoch[cur] = int32(w.Superstep())
 	w.reqStaging[a.Worker()] = append(w.reqStaging[a.Worker()], a.Local())
 }
 
@@ -324,10 +210,11 @@ func (w *Worker[M, R, A]) Request(dst graph.VertexID) {
 // requested in the previous superstep.
 func (w *Worker[M, R, A]) Resp() (R, bool) {
 	var zero R
-	if w.reqEpoch[w.current] != int32(w.superstep-1) {
+	cur := w.CurrentLocal()
+	if w.reqEpoch[cur] != int32(w.Superstep()-1) {
 		return zero, false
 	}
-	a := w.reqOf[w.current]
+	a := w.reqOf[cur]
 	v, ok := w.respVals[a.Worker()][a.Local()]
 	return v, ok
 }
@@ -355,88 +242,3 @@ func (w *Worker[M, R, A]) Aggregate(a A) {
 
 // AggResult returns the aggregate of the previous superstep.
 func (w *Worker[M, R, A]) AggResult() A { return w.aggResult }
-
-// Run executes a baseline job. setup is called once per worker to
-// allocate state and install Compute.
-func Run[M, R, A any](cfg Config[M, R, A], setup func(w *Worker[M, R, A])) (Metrics, error) {
-	if cfg.Part == nil && cfg.Frags != nil {
-		cfg.Part = cfg.Frags.Part
-	}
-	if cfg.Part == nil {
-		return Metrics{}, fmt.Errorf("pregel: Config.Part or Config.Frags is required")
-	}
-	if cfg.Frags != nil && cfg.Frags.Part != cfg.Part {
-		// packed addresses resolved under a different partition would
-		// silently deliver messages to the wrong vertices
-		return Metrics{}, fmt.Errorf("pregel: Config.Frags was built from a different partition than Config.Part")
-	}
-	if cfg.MsgCodec == nil {
-		return Metrics{}, fmt.Errorf("pregel: Config.MsgCodec is required")
-	}
-	if cfg.Frags == nil && cfg.Adjacency != nil {
-		// SendToNbrs and ghost tables consume pre-resolved fragments; a
-		// caller that only has the global adjacency pays the resolution
-		// once here.
-		cfg.Frags = frag.Build(cfg.Adjacency, cfg.Part)
-	}
-	maxSteps := cfg.MaxSupersteps
-	if maxSteps == 0 {
-		maxSteps = 10000
-	}
-	m := cfg.Part.NumWorkers()
-	fab := cfg.Fabric
-	if fab == nil {
-		ip := comm.NewInProc(m, cfg.Cost)
-		if cfg.Flows != nil {
-			cfg.Flows.SetPlane("inproc")
-			ip.Exchanger().SetFlows(cfg.Flows)
-		}
-		fab = ip
-	}
-	if fab.NumWorkers() != m {
-		return Metrics{}, fmt.Errorf("pregel: fabric has %d workers, partition has %d", fab.NumWorkers(), m)
-	}
-	j := &job[M, R, A]{cfg: &cfg, fab: fab, bar: fab.Barrier()}
-	locals := fab.LocalWorkers()
-	workers := make([]*Worker[M, R, A], len(locals))
-	for i, id := range locals {
-		workers[i] = &Worker[M, R, A]{id: id, cfg: &cfg, job: j, current: -1, ep: fab.Endpoint(id)}
-		if cfg.Frags != nil {
-			workers[i].frag = cfg.Frags.Frag(id)
-		}
-	}
-	start := time.Now()
-	cancelled := barrier.WatchCancel(cfg.Cancel, j.bar)
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = workers[i].run(setup, maxSteps)
-		}(i)
-	}
-	wg.Wait()
-	// Minimum superstep any local worker reached: the only count that
-	// was globally completed when a worker failed part-way.
-	minStep := workers[0].superstep
-	for _, w := range workers[1:] {
-		if w.superstep < minStep {
-			minStep = w.superstep
-		}
-	}
-	met := Metrics{
-		Supersteps: minStep,
-		Comm:       fab.Stats(),
-		WallTime:   time.Since(start),
-	}
-	err := barrier.JoinErrors(errs)
-	if cancelled() && err == nil {
-		err = barrier.ErrCancelled
-	} else if err == nil && j.bar.Aborted() {
-		// every local error was an abort echo: the root cause lives in
-		// another process — surface the abort instead of claiming success
-		err = errAborted
-	}
-	return met, err
-}

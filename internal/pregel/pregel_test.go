@@ -2,11 +2,16 @@ package pregel
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/barrier"
+	"repro/internal/bsp"
+	"repro/internal/comm"
 	"repro/internal/graph"
+	"repro/internal/netcomm"
 	"repro/internal/partition"
 	"repro/internal/ser"
 )
@@ -15,7 +20,7 @@ type noRR = struct{}
 
 func basicCfg(n, workers int) Config[uint32, noRR, noRR] {
 	return Config[uint32, noRR, noRR]{
-		Part:     partition.MustHash(n, workers),
+		Env:      bsp.Env{Part: partition.MustHash(n, workers)},
 		MsgCodec: ser.Uint32Codec{},
 	}
 }
@@ -113,7 +118,7 @@ func TestAggregatorResetsBetweenSupersteps(t *testing.T) {
 	// regression: the per-worker partial must not accumulate across
 	// supersteps
 	cfg := Config[uint32, noRR, float64]{
-		Part:       partition.MustHash(6, 2),
+		Env:        bsp.Env{Part: partition.MustHash(6, 2)},
 		MsgCodec:   ser.Uint32Codec{},
 		AggCombine: func(a, b float64) float64 { return a + b },
 		AggCodec:   ser.Float64Codec{},
@@ -152,7 +157,7 @@ func TestReqRespMode(t *testing.T) {
 	got := make([]uint32, n)
 	vals := make([][]uint32, 3)
 	cfg := Config[uint32, uint32, noRR]{
-		Part:      partition.MustHash(n, 3),
+		Env:       bsp.Env{Part: partition.MustHash(n, 3)},
 		MsgCodec:  ser.Uint32Codec{},
 		RespCodec: ser.Uint32Codec{},
 		Responder: func(w *Worker[uint32, uint32, noRR], li int) uint32 {
@@ -194,7 +199,7 @@ func TestReqRespReplyCarriesIDs(t *testing.T) {
 	// size (4B)
 	const n = 32
 	cfg := Config[uint32, uint32, noRR]{
-		Part:      partition.MustHash(n, 4),
+		Env:       bsp.Env{Part: partition.MustHash(n, 4)},
 		MsgCodec:  ser.Uint32Codec{},
 		RespCodec: ser.Uint32Codec{},
 		Responder: func(w *Worker[uint32, uint32, noRR], li int) uint32 { return 7 },
@@ -234,7 +239,7 @@ func TestGhostModeEquivalence(t *testing.T) {
 	run := func(threshold int) ([]uint32, int64) {
 		got := make([]uint32, n)
 		cfg := Config[uint32, noRR, noRR]{
-			Part:           partition.MustHash(n, 4),
+			Env:            bsp.Env{Part: partition.MustHash(n, 4)},
 			MsgCodec:       ser.Uint32Codec{},
 			Combiner:       func(a, b uint32) uint32 { return a + b },
 			GhostThreshold: threshold,
@@ -279,7 +284,7 @@ func TestGhostModeLowDegreeUsesRegularPath(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}}, false)
 	got := make([]uint32, 4)
 	cfg := Config[uint32, noRR, noRR]{
-		Part:           partition.MustHash(4, 2),
+		Env:            bsp.Env{Part: partition.MustHash(4, 2)},
 		MsgCodec:       ser.Uint32Codec{},
 		GhostThreshold: 10, // degree 2 < threshold
 		Adjacency:      g,
@@ -312,7 +317,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config[uint32, noRR, noRR]{}, nil); err == nil {
 		t.Error("missing Part not rejected")
 	}
-	if _, err := Run(Config[uint32, noRR, noRR]{Part: partition.MustHash(2, 1)}, nil); err == nil {
+	if _, err := Run(Config[uint32, noRR, noRR]{Env: bsp.Env{Part: partition.MustHash(2, 1)}}, nil); err == nil {
 		t.Error("missing MsgCodec not rejected")
 	}
 	cfg := basicCfg(2, 1)
@@ -425,5 +430,81 @@ func TestPregelCancelMidRun(t *testing.T) {
 	})
 	if !errors.Is(err, barrier.ErrCancelled) {
 		t.Fatalf("expected ErrCancelled, got %v", err)
+	}
+}
+
+// A peer's round buffer must be consumed exactly: worker 1 runs the real
+// baseline over the socket fabric while worker 0 is a scripted peer that
+// sends it one hand-made round-1 buffer. Bytes left over after the
+// round's format and a buffer cut short inside a message must each fail
+// the job with a worker error naming the source — never be dropped
+// silently, never take the process down.
+func TestPregelRejectsTrailingAndShortFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame func(b *ser.Buffer)
+		want  string
+	}{
+		{"trailing", func(b *ser.Buffer) {
+			b.WriteUvarint(0) // no messages, then two bytes the format has no place for
+			b.WriteUint8(0xde)
+			b.WriteUint8(0xad)
+		}, "2 trailing bytes in round 1 from worker 0"},
+		{"short", func(b *ser.Buffer) {
+			b.WriteUvarint(1) // one message: its local index, then half its value
+			b.WriteUint32(0)
+			b.WriteUint8(7)
+			b.WriteUint8(0)
+		}, "corrupt frame content from worker 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hub := netcomm.NewHub(2, comm.CostModel{}, ln)
+			defer hub.Close()
+			var clients [2]*netcomm.Client
+			for i := range clients {
+				if clients[i], err = netcomm.Dial("tcp", ln.Addr().String(), i, i, 2); err != nil {
+					t.Fatal(err)
+				}
+				defer clients[i].Close()
+			}
+			if err := hub.WaitJoined(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				cfg := basicCfg(4, 2)
+				cfg.Fabric = clients[1]
+				_, err := Run(cfg, func(w *Worker[uint32, noRR, noRR]) {
+					w.Compute = func(li int, msgs []uint32) { w.VoteToHalt() }
+				})
+				done <- err
+			}()
+
+			ep, bar := clients[0].Endpoint(0), clients[0].Barrier()
+			if !bar.Wait() { // the baseline's one set-up crossing
+				t.Fatal("set-up crossing aborted")
+			}
+			tc.frame(ep.Out(1))
+			ep.Out(0).WriteUvarint(0)
+			if err := ep.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			bar.Wait()
+			if _, ok := bar.AllReduce(0); ok {
+				t.Fatal("the scripted round was accepted")
+			}
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("worker 1 hung")
+			}
+			if err == nil || !strings.Contains(err.Error(), "pregel: worker 1: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want a worker 1 error containing %q", err, tc.want)
+			}
+		})
 	}
 }

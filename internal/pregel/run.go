@@ -1,44 +1,22 @@
 package pregel
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/barrier"
+	"repro/internal/ckpt"
 	"repro/internal/frag"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/ser"
 )
 
-// errAborted marks a worker that stopped because a peer failed and
-// aborted the shared barrier.
-var errAborted = barrier.ErrAborted
+// program is the baseline engine's side of the driver, kept off the
+// Worker API the algorithms see.
+type program[M, R, A any] struct{ *Worker[M, R, A] }
 
-// run executes the worker loop; a worker that fails aborts the shared
-// barrier so its peers return instead of deadlocking.
-func (w *Worker[M, R, A]) run(setup func(*Worker[M, R, A]), maxSteps int) error {
-	err := w.runSupersteps(setup, maxSteps)
-	if err != nil && !errors.Is(err, errAborted) {
-		w.job.bar.Abort()
-	}
-	return err
-}
-
-// runSupersteps is the per-worker superstep loop of the baseline
-// engine. The wire protocol is fixed by the configuration: round 1
-// carries messages, ghost broadcasts, requests and aggregator partials;
-// round 2 (present iff reqresp or an aggregator is configured) carries
-// responses and the aggregator result.
-func (w *Worker[M, R, A]) runSupersteps(setup func(*Worker[M, R, A]), maxSteps int) error {
-	j := w.job
-	cfg := w.cfg
-	m := w.NumWorkers()
-
-	// allocate engine state
-	n := w.LocalCount()
+func (p program[M, R, A]) Setup() bool {
+	w, cfg := p.Worker, p.cfg
+	m, n := w.NumWorkers(), w.LocalCount()
 	w.outDirect = make([][]dmsg[M], m)
 	w.outComb = make([]map[uint32]M, m)
 	for i := range w.outComb {
@@ -51,10 +29,8 @@ func (w *Worker[M, R, A]) runSupersteps(setup func(*Worker[M, R, A]), maxSteps i
 	} else {
 		w.inboxList = make([][]M, n)
 	}
+	w.rounds = 1
 	if cfg.Responder != nil {
-		if cfg.RespCodec == nil {
-			return fmt.Errorf("pregel: Responder requires RespCodec")
-		}
 		w.reqStaging = make([][]uint32, m)
 		w.reqPending = make([][]uint32, m)
 		w.asked = make([][]uint32, m)
@@ -64,223 +40,119 @@ func (w *Worker[M, R, A]) runSupersteps(setup func(*Worker[M, R, A]), maxSteps i
 		}
 		w.reqOf = make([]frag.Addr, n)
 		w.reqEpoch = make([]int32, n)
+		w.rounds = 2
 	}
-	if cfg.AggCombine != nil && cfg.AggCodec == nil {
-		return fmt.Errorf("pregel: AggCombine requires AggCodec")
+	if cfg.AggCombine != nil {
+		w.rounds = 2
 	}
 	w.aggResult = cfg.AggZero
 	if cfg.GhostThreshold > 0 {
-		if w.frag == nil {
-			return fmt.Errorf("pregel: GhostThreshold requires Adjacency or Frags")
-		}
 		w.buildGhostTables()
 		w.outGhost = make([][]dmsg[M], m)
 	}
+	w.setup(w)
+	return w.Compute != nil
+}
 
-	setup(w)
-	if w.Compute == nil {
-		return fmt.Errorf("pregel: worker %d: setup did not install Compute", w.id)
-	}
-	ck := cfg.Checkpoint
-	if ck.Active() && (w.ckptSave == nil || w.ckptRestore == nil) {
-		return fmt.Errorf("pregel: worker %d: Config.Checkpoint is set but setup registered no Checkpoint closures", w.id)
-	}
-	w.active = make([]bool, n)
-	for i := range w.active {
-		w.active[i] = true
-	}
-	w.activeCount = n
-	if !j.bar.Wait() {
-		return errAborted
-	}
+func (p program[M, R, A]) Initialize() bool { return false }
 
-	twoRounds := cfg.Responder != nil || cfg.AggCombine != nil
-	w.obsOn = cfg.Observer != nil
-
-	if ck.Active() && ck.Restore > 0 {
-		done, rerr := w.restoreCheckpoint(ck, m, twoRounds)
-		if rerr != nil {
-			return fmt.Errorf("pregel: worker %d: restore checkpoint %d: %w", w.id, ck.Restore, rerr)
-		}
-		if done {
-			return nil
-		}
-	}
-
-	for {
-		w.superstep++
-		if w.superstep > maxSteps {
-			return fmt.Errorf("pregel: exceeded MaxSupersteps=%d", maxSteps)
-		}
-
-		var stepStart time.Time
-		if w.obsOn {
-			w.obsSmp = obs.SuperstepSample{Worker: w.id, Superstep: w.superstep,
-				ActiveVertices: int64(w.activeCount), Rounds: 1}
-			if twoRounds {
-				w.obsSmp.Rounds = 2
-			}
-			stepStart = time.Now()
-		}
-
-		// compute phase
-		for li := 0; li < n; li++ {
-			if !w.active[li] {
-				continue
-			}
-			w.current = li
+func (p program[M, R, A]) Compute() {
+	w := p.Worker
+	for li, n := 0, w.LocalCount(); li < n; li++ {
+		if w.IsActiveLocal(li) {
+			w.SetCurrent(li)
 			w.Compute(li, w.messagesFor(li))
 		}
-		w.current = -1
-		w.afterCompute()
-		if w.obsOn {
-			w.obsSmp.ComputeNS = time.Since(stepStart).Nanoseconds()
-		}
-		ck.FireProbe(w.id, w.superstep)
-		if ck.ShouldSave(w.superstep) {
-			w.ckptRec = w.snapshotCut(twoRounds)
-		}
+	}
+	w.SetCurrent(-1)
+	w.afterCompute()
+}
 
-		// Two barrier crossings per round: the post-flush wait proves all
-		// sends are published, the post-deliver reduce proves all inputs
-		// were consumed, which makes Release safe — and carries the
-		// termination vote, so the last round's crossing also decides
-		// whether the job is over.
-		vote, err := w.runRound(w.serializeRound1, w.deserializeRound1)
-		if err == nil && twoRounds {
-			vote, err = w.runRound(w.serializeRound2, w.deserializeRound2)
-		}
-		if err != nil {
-			return err
-		}
-
-		// A superstep that cut a checkpoint publishes the record and then
-		// crosses once more: that reduce is the proof that every worker's
-		// cut for this superstep reached the store, making it complete
-		// (the last round's crossing would certify records not yet
-		// written), and the crossing a restore re-enters the loop through.
-		if w.ckptRec != nil {
-			rec := w.ckptRec
-			w.ckptRec = nil
-			buf := ser.NewBuffer(4096)
-			rec.Encode(buf)
-			if err := ck.Store.Put(ck.Job, w.superstep, w.id, buf.Bytes()); err != nil {
-				return fmt.Errorf("pregel: worker %d: checkpoint superstep %d: %w", w.id, w.superstep, err)
-			}
-			ck.AfterSave(w.superstep)
-			var ok bool
-			if vote, ok = w.timedAllReduce(w.termVote()); !ok {
-				return errAborted
-			}
-		}
-		if w.obsOn {
-			cfg.Observer.ObserveSuperstep(w.obsSmp)
-		}
-		if barrier.Terminated(vote) {
-			return nil
-		}
+func (p program[M, R, A]) Serialize(dst int, buf *ser.Buffer) {
+	if s := p.Sample(); s != nil {
+		s.FramesSent++
+	}
+	if p.Round() == 1 {
+		p.serializeRound1(dst, buf)
+	} else {
+		p.serializeRound2(dst, buf)
 	}
 }
 
-// termVote is this worker's termination post: every worker's "still has
-// an active vertex" and RequestStop flags, reduced in one word.
-func (w *Worker[M, R, A]) termVote() uint64 {
-	return barrier.Vote(false, w.activeCount > 0, w.halt)
+// Deserialize decodes src's buffer for this round; the round's format
+// accounts for every byte a healthy peer sends, so any left over fail
+// the worker.
+func (p program[M, R, A]) Deserialize(src int, in *ser.Buffer) error {
+	if s := p.Sample(); s != nil {
+		s.FramesRecv++
+	}
+	if p.Round() == 1 {
+		p.deserializeRound1(src, in)
+	} else {
+		p.deserializeRound2(src, in)
+	}
+	if in.Remaining() != 0 {
+		return fmt.Errorf("pregel: worker %d: %d trailing bytes in round %d from worker %d",
+			p.WorkerID(), in.Remaining(), p.Round(), src)
+	}
+	return nil
 }
 
-// runRound runs one exchange round: serialize to every destination,
-// flush, cross the publish barrier, decode every source, cross the
-// consume barrier, release. It returns the termination votes reduced at
-// the consume crossing, which stand once the superstep's last round has
-// delivered. Per-destination buffer deltas feed the superstep sample
-// when observation is on.
-func (w *Worker[M, R, A]) runRound(serialize func(int, *ser.Buffer), decode func(int, *ser.Buffer)) (uint64, error) {
-	m := w.NumWorkers()
-	for dst := 0; dst < m; dst++ {
-		buf := w.ep.Out(dst)
-		mark := buf.Len()
-		serialize(dst, buf)
-		if w.obsOn {
-			w.obsSmp.BytesSent += int64(buf.Len() - mark)
-			w.obsSmp.FramesSent++
+func (p program[M, R, A]) Decoding() any { return nil }
+
+func (p program[M, R, A]) Again() bool { return p.Round() < p.rounds }
+
+// SaveState records the engine-private residue that the cut superstep's
+// replay cannot rebuild — the per-vertex request stamps, which were
+// written by Request calls during compute. Everything else (inboxes,
+// asked lists, responses, aggregator gather) is rebuilt by replaying the
+// saved frames.
+func (p program[M, R, A]) SaveState(rec *ckpt.Record) {
+	if p.cfg.Responder == nil {
+		return
+	}
+	buf := ser.NewBuffer(4096)
+	for _, a := range p.reqOf {
+		buf.WriteUvarint(uint64(a))
+	}
+	for _, e := range p.reqEpoch {
+		buf.WriteVarint(int64(e))
+	}
+	rec.Engine = append([]byte(nil), buf.Bytes()...)
+}
+
+func (p program[M, R, A]) RestoreState(rec *ckpt.Record) error {
+	w, cfg := p.Worker, p.cfg
+	if len(rec.Channels) != 0 || rec.Rounds != w.rounds {
+		return fmt.Errorf("record does not match job shape (%d channels, %d rounds)", len(rec.Channels), rec.Rounds)
+	}
+	if cfg.Responder != nil {
+		eng := ser.FromBytes(rec.Engine)
+		for li := range w.reqOf {
+			w.reqOf[li] = frag.Addr(eng.ReadUvarint())
 		}
-	}
-	var stall0 time.Duration
-	if w.obsOn {
-		stall0 = w.ep.Stall()
-	}
-	if err := w.ep.Flush(); err != nil {
-		return 0, fmt.Errorf("pregel: worker %d: %w", w.id, err)
-	}
-	if w.obsOn {
-		w.obsSmp.SendStallNS += int64(w.ep.Stall() - stall0)
-	}
-	if !w.timedWait() {
-		return 0, errAborted
-	}
-	for src := 0; src < m; src++ {
-		if err := w.deserializeFrom(src, decode); err != nil {
-			return 0, err
+		for li := range w.reqEpoch {
+			w.reqEpoch[li] = int32(eng.ReadVarint())
 		}
-	}
-	vote, ok := w.timedAllReduce(w.termVote())
-	if !ok {
-		return 0, errAborted
-	}
-	w.ep.Release()
-	return vote, nil
-}
-
-// timedWait crosses the shared barrier, attributing the blocked time to
-// the current sample when observation is on.
-func (w *Worker[M, R, A]) timedWait() bool {
-	if !w.obsOn {
-		return w.job.bar.Wait()
-	}
-	t0 := time.Now()
-	ok := w.job.bar.Wait()
-	w.obsSmp.BarrierWaitNS += time.Since(t0).Nanoseconds()
-	return ok
-}
-
-// timedAllReduce mirrors timedWait for the reducing crossings.
-func (w *Worker[M, R, A]) timedAllReduce(v uint64) (uint64, bool) {
-	if !w.obsOn {
-		return w.job.bar.AllReduce(v)
-	}
-	t0 := time.Now()
-	sum, ok := w.job.bar.AllReduce(v)
-	w.obsSmp.BarrierWaitNS += time.Since(t0).Nanoseconds()
-	return sum, ok
-}
-
-// deserializeFrom runs one round's decode of worker src's buffer.
-// Buffers that arrived over a socket are untrusted: the recover turns a
-// panicking decode on corrupt payload bytes into a worker error, so a
-// bad frame fails the job with a diagnostic instead of killing the
-// process (and every co-hosted worker with it).
-func (w *Worker[M, R, A]) deserializeFrom(src int, decode func(int, *ser.Buffer)) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("pregel: worker %d: corrupt frame from worker %d: %v", w.id, src, r)
+		if eng.Remaining() != 0 {
+			return fmt.Errorf("record engine blob has %d trailing bytes", eng.Remaining())
 		}
-	}()
-	in := w.ep.In(src)
-	if w.ckptRec != nil {
-		w.ckptRec.Frames = append(w.ckptRec.Frames, append([]byte(nil), in.Unread()...))
+	} else if len(rec.Engine) != 0 {
+		return fmt.Errorf("record carries engine state but no Responder is configured")
 	}
-	if w.obsOn {
-		w.obsSmp.BytesRecv += int64(in.Remaining())
-		w.obsSmp.FramesRecv++
+	if cfg.AggCombine != nil {
+		// afterCompute ran before the live cut, so the gather side starts
+		// the rounds zeroed.
+		w.aggGathered = cfg.AggZero
+		w.aggGathSet = false
 	}
-	decode(src, in)
 	return nil
 }
 
 // messagesFor returns the messages delivered to li last superstep.
 func (w *Worker[M, R, A]) messagesFor(li int) []M {
 	if w.cfg.Combiner != nil {
-		if w.inCombSet[li] == int32(w.superstep-1) {
+		if w.inCombSet[li] == int32(w.Superstep()-1) {
 			w.scratch[0] = w.inComb[li]
 			return w.scratch[:1]
 		}
@@ -407,7 +279,7 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 		w.asked[src] = lis
 	}
 	// aggregator partial (worker 0 only receives)
-	if cfg.AggCombine != nil && w.id == 0 {
+	if cfg.AggCombine != nil && w.WorkerID() == 0 {
 		if buf.ReadBool() {
 			v := cfg.AggCodec.Decode(buf)
 			if w.aggGathSet {
@@ -433,7 +305,7 @@ func (w *Worker[M, R, A]) serializeRound2(dst int, buf *ser.Buffer) {
 			cfg.RespCodec.Encode(buf, cfg.Responder(w, int(li)))
 		}
 	}
-	if cfg.AggCombine != nil && w.id == 0 {
+	if cfg.AggCombine != nil && w.WorkerID() == 0 {
 		cfg.AggCodec.Encode(buf, w.aggGathered)
 	}
 }
@@ -456,7 +328,7 @@ func (w *Worker[M, R, A]) deserializeRound2(src int, buf *ser.Buffer) {
 // deliver routes one incoming message to local vertex li.
 func (w *Worker[M, R, A]) deliver(li int, msg M) {
 	if w.cfg.Combiner != nil {
-		e := int32(w.superstep)
+		e := int32(w.Superstep())
 		if w.inCombSet[li] == e {
 			w.inComb[li] = w.cfg.Combiner(w.inComb[li], msg)
 		} else {
@@ -490,14 +362,14 @@ func (w *Worker[M, R, A]) buildGhostTables() {
 	// own hubs: worker lists, from the fragment's packed adjacency
 	seen := make([]bool, w.NumWorkers())
 	for li := 0; li < n; li++ {
-		if w.frag.OutDegree(li) < thr {
+		if w.Frag().OutDegree(li) < thr {
 			continue
 		}
 		for i := range seen {
 			seen[i] = false
 		}
 		var lst []int32
-		for _, a := range w.frag.Neighbors(li) {
+		for _, a := range w.Frag().Neighbors(li) {
 			if o := a.Worker(); !seen[o] {
 				seen[o] = true
 				lst = append(lst, int32(o))
@@ -515,7 +387,7 @@ func (w *Worker[M, R, A]) buildGhostTables() {
 			}
 			hub := fo.GlobalID(li)
 			for _, a := range fo.Neighbors(li) {
-				if a.Worker() == w.id {
+				if a.Worker() == w.WorkerID() {
 					w.ghostAdj[hub] = append(w.ghostAdj[hub], int32(a.Local()))
 				}
 			}

@@ -543,64 +543,38 @@ func svSetup(g *graph.Graph, p *partition.Partition) func(w *engine.Worker) {
 	}
 }
 
-// --- Distributed exchange: hub relay vs p2p mesh data plane ---
+// --- Distributed exchange over the hub relay ---
 
-// BenchmarkDistributedExchange pins the data-plane comparison the p2p
-// transport exists for: 4 socket-fabric workers run all-to-all exchange
-// rounds (the engines' exact per-round protocol: Flush, barrier,
-// consume, reducing crossing, release) on the hub relay, the static
-// direct mesh and the adaptive lazy mesh, one worker per client over
-// loopback TCP. hubB/op is the frame volume transiting the coordinator
-// per round — the whole exchange on the hub plane, zero under static
-// p2p, the cold pairs' share under p2p-adaptive. winB is the mesh's
-// standing window memory at the end of the run (the sum of granted
-// receive windows): the static mesh bills one DefaultWindowBytes per
-// directed pair up front, the adaptive mesh only for promoted pairs,
-// retuned to the observed round volume.
+// BenchmarkDistributedExchange pins the socket fabric's exchange round:
+// 4 socket-fabric workers run all-to-all exchange rounds (the engines'
+// exact per-round protocol: Flush, barrier, consume, reducing crossing,
+// release) through the hub. hubB/op is the frame volume transiting the
+// coordinator per round.
 //
-// The skew sub-cases replay the placement-aware traffic shape the lazy
-// mesh exists for — one hot pair carrying almost all the volume over a
-// background trickle, the shape a locality-aware placement produces —
-// where the adaptive plane promotes only the hot pair and keeps every
-// cold window off the books.
-//
-// hub-2x2 is the shape graphd -worker-procs 2 runs by default: the hub
-// plane with two workers per client, over Unix sockets, ~13 KiB frames
-// (pr-scatter-dist's). Besides hubB/op — a third below the round's
-// volume, the co-hosted share that never leaves a process — it reports
-// what a round costs the hub in conn-level writes and reads, counted
-// by a wrapping listener (reads/op includes the run's two hello reads
-// and moves a little with how the kernel slices a write; writes/op does
-// not).
+// hub is one worker per client over loopback TCP with 64 KiB frames,
+// so the whole exchange crosses the hub. hub-2x2 is the shape graphd
+// -worker-procs 2 runs: two workers per client, over Unix sockets,
+// ~13 KiB frames (pr-scatter-dist's). Besides hubB/op — a third below
+// the round's volume, the co-hosted share that never leaves a process —
+// it reports what a round costs the hub in conn-level writes and reads,
+// counted by a wrapping listener (reads/op includes the run's two hello
+// reads and moves a little with how the kernel slices a write;
+// writes/op does not).
 func BenchmarkDistributedExchange(b *testing.B) {
-	const hotFrame, coldFrame = 64 << 10, 512
-	uniform := func(src, dst int) int { return hotFrame }
-	skew := func(src, dst int) int {
-		if src == 0 && dst == 1 {
-			return hotFrame
-		}
-		return coldFrame
-	}
-	tcp := func(b *testing.B) net.Listener {
+	b.Run("hub", func(b *testing.B) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
-		return ln
-	}
-	for _, plane := range []string{netcomm.DataPlaneHub, netcomm.DataPlaneP2P, netcomm.DataPlaneP2PAdaptive} {
-		b.Run(plane, func(b *testing.B) { benchExchange(b, tcp(b), plane, 4, uniform) })
-	}
-	for _, plane := range []string{netcomm.DataPlaneP2P, netcomm.DataPlaneP2PAdaptive} {
-		b.Run("skew/"+plane, func(b *testing.B) { benchExchange(b, tcp(b), plane, 4, skew) })
-	}
+		benchExchange(b, ln, 4, 64<<10)
+	})
 	b.Run("hub-2x2", func(b *testing.B) {
 		inner, err := net.Listen("unix", filepath.Join(b.TempDir(), "hub.sock"))
 		if err != nil {
 			b.Fatal(err)
 		}
 		ln := &countingListener{Listener: inner}
-		benchExchange(b, ln, netcomm.DataPlaneHub, 2, func(src, dst int) int { return 13 << 10 })
+		benchExchange(b, ln, 2, 13<<10)
 		b.ReportMetric(float64(ln.writes.Load())/float64(b.N), "writes/op")
 		b.ReportMetric(float64(ln.reads.Load())/float64(b.N), "reads/op")
 	})
@@ -640,55 +614,28 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 // benchExchange runs b.N exchange rounds among 4 workers spread over
-// procs clients of a hub serving on ln.
-func benchExchange(b *testing.B, ln net.Listener, plane string, procs int, frameFor func(src, dst int) int) {
+// procs clients of a hub serving on ln, every worker sending a frame of
+// the given size to every other.
+func benchExchange(b *testing.B, ln net.Listener, procs, frame int) {
 	const m = 4
 	per := m / procs
 	hub := netcomm.NewHub(m, comm.CostModel{}, ln)
 	defer hub.Close()
 	clients := make([]*netcomm.Client, procs)
-	errs := make([]error, procs)
-	var dial sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		dial.Add(1)
-		go func(i int) {
-			defer dial.Done()
-			clients[i], errs[i] = netcomm.DialConfig(netcomm.Config{
-				Network: ln.Addr().Network(), Addr: ln.Addr().String(),
-				Lo: i * per, Hi: (i+1)*per - 1, M: m, DataPlane: plane,
-			})
-		}(i)
-	}
-	dial.Wait()
-	for _, err := range errs {
+	for i := range clients {
+		c, err := netcomm.Dial(ln.Addr().Network(), ln.Addr().String(), i*per, (i+1)*per-1, m)
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer c.Close()
+		clients[i] = c
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
 	if err := hub.WaitJoined(time.Minute); err != nil {
 		b.Fatal(err)
 	}
 
-	var maxFrame, roundTotal int
-	for src := 0; src < m; src++ {
-		for dst := 0; dst < m; dst++ {
-			if src == dst {
-				continue
-			}
-			f := frameFor(src, dst)
-			roundTotal += f
-			if f > maxFrame {
-				maxFrame = f
-			}
-		}
-	}
-	payload := make([]byte, maxFrame)
-	b.SetBytes(int64(roundTotal))
+	payload := make([]byte, frame)
+	b.SetBytes(int64(m * (m - 1) * frame))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -701,8 +648,7 @@ func benchExchange(b *testing.B, ln net.Listener, plane string, procs int, frame
 			for n := 0; n < b.N; n++ {
 				for dst := 0; dst < m; dst++ {
 					if dst != i {
-						frame := frameFor(i, dst)
-						copy(ep.Out(dst).Extend(frame), payload[:frame])
+						copy(ep.Out(dst).Extend(frame), payload)
 					}
 				}
 				if err := ep.Flush(); err != nil {
@@ -729,17 +675,4 @@ func benchExchange(b *testing.B, ln net.Listener, plane string, procs int, frame
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(hub.DataBytes())/float64(b.N), "hubB/op")
-	if plane != netcomm.DataPlaneHub {
-		// Standing window memory: what the mesh's receive windows pin at
-		// the end of the run. Constant per directed pair on the static
-		// mesh; on the adaptive mesh, only promoted pairs contribute, at
-		// whatever size their controllers converged to.
-		var granted int64
-		for _, c := range clients {
-			for _, cs := range c.ConnStats() {
-				granted += cs.RecvWindow
-			}
-		}
-		b.ReportMetric(float64(granted), "winB")
-	}
 }

@@ -73,7 +73,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/jobs"
-	"repro/internal/netcomm"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -127,11 +126,6 @@ func main() {
 	compactBatches := flag.Int("compact-batches", 0, "live datasets: compact once this many delta batches are pending (0 = default 64)")
 	workerProcs := flag.Int("worker-procs", 0, "run each job's workers on a party of this many warm graphworker processes over the socket fabric (0 = in-process)")
 	workerBin := flag.String("graphworker-bin", "", "graphworker executable for -worker-procs (default: sibling of graphd)")
-	dataPlane := flag.String("data-plane", "hub", "distributed jobs: data plane, hub (frames relayed by the coordinator), p2p (direct worker mesh with credit flow control) or p2p-adaptive (lazy mesh with auto-tuned windows)")
-	windowBytes := flag.Int("window-bytes", netcomm.DefaultWindowBytes, "distributed jobs with a p2p data plane: per-peer receive window in bytes (initial value on the adaptive plane)")
-	windowMin := flag.Int("window-min", netcomm.DefaultWindowMin, "distributed jobs with -data-plane p2p-adaptive: smallest window the per-connection tuner may shrink to")
-	windowMax := flag.Int("window-max", netcomm.DefaultWindowMax, "distributed jobs with -data-plane p2p-adaptive: largest window the per-connection tuner may grow to")
-	promoteBytes := flag.Int("promote-bytes", netcomm.DefaultPromoteBytes, "distributed jobs with -data-plane p2p-adaptive: cumulative relayed bytes at which a cold pair is promoted to a direct connection")
 	joinTimeout := flag.Duration("join-timeout", 0, "distributed jobs: worker join deadline (0 = 30s default)")
 	resultTimeout := flag.Duration("result-timeout", 0, "distributed jobs: result settle deadline (0 = 30s default)")
 	wallTimeout := flag.Duration("wall-timeout", 0, "distributed jobs: per-attempt wall-clock cap, the stalled-worker detector (0 = off)")
@@ -157,13 +151,6 @@ func main() {
 	fatal := func(msg string, args ...any) {
 		log.Error(msg, args...)
 		os.Exit(1)
-	}
-
-	// Vet the data-plane knobs up front, even when -worker-procs is off:
-	// a typo'd plane name or inverted window bound should stop the daemon
-	// at startup, not surface on the first distributed job.
-	if err := netcomm.ValidatePlaneConfig(*dataPlane, *windowBytes, *windowMin, *windowMax, *promoteBytes); err != nil {
-		fatal("bad data-plane configuration", "err", err)
 	}
 
 	cat := catalog.New(*simWorkers, *maxGraphBytes,
@@ -216,10 +203,7 @@ func main() {
 			fatal("graphworker binary missing (build cmd/graphworker or pass -graphworker-bin)", "err", err)
 		}
 		mgrOpts = append(mgrOpts, jobs.WithWorkerProcs(*workerProcs, bin))
-		mgrOpts = append(mgrOpts, jobs.WithDataPlane(*dataPlane, *windowBytes),
-			jobs.WithWindowBounds(*windowMin, *windowMax, *promoteBytes))
-		log.Info("jobs run across graphworker processes",
-			"procs", *workerProcs, "bin", bin, "data-plane", *dataPlane)
+		log.Info("jobs run across graphworker processes", "procs", *workerProcs, "bin", bin)
 	}
 	if *joinTimeout > 0 {
 		mgrOpts = append(mgrOpts, jobs.WithJoinTimeout(*joinTimeout))

@@ -6,7 +6,7 @@
 // The process lives across jobs. Its stdin and stdout are its control
 // channel: the coordinator writes one length-prefixed descriptor per job
 // (algorithm, engine, variant and params; the hosted worker range; the
-// attempt's hub address and data-plane settings; the view export to run
+// attempt's hub address; the view export to run
 // on; checkpoint, restore and fault settings), the worker runs its share
 // and answers with one ack when it is ready for the next. End of input
 // is the only way it ends: the coordinator closed the pool, or died —
@@ -25,15 +25,12 @@
 // unreadable export as much as a run error — travels in that result
 // blob and leaves the process alive and idle.
 //
-// The hub connection is always the control plane of a job (join,
-// barrier, abort, results, cost accounting). By default it also relays
-// the data frames; with the p2p data plane the process instead opens a
-// data listener, receives the hub's peer directory, and exchanges frames
-// directly with every other worker process under credit-based flow
-// control; with p2p-adaptive the mesh is lazy and each connection's
-// window is retuned per round — see internal/netcomm. When the job asks
-// for it the worker also records a per-superstep telemetry trace and the
-// per-(src,dst) flow matrix and piggybacks both on its partial result.
+// The hub connection carries everything a job exchanges: join, barrier,
+// abort, results, cost accounting and the data frames, which the hub
+// relays between worker processes — see internal/netcomm. When the job
+// asks for it the worker also records a per-superstep telemetry trace
+// and the per-(src,dst) flow matrix and piggybacks both on its partial
+// result.
 // Diagnostics go to stderr as log/slog lines; the coordinator forwards
 // each line tagged with the process's current worker range.
 package main

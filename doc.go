@@ -161,49 +161,23 @@
 // the registry code path unchanged, and ships a compact partial result
 // merged by vertex ownership at the coordinator. The equivalence sweep
 // pins the whole stack to oracle-identical results across processes,
-// placements, engines, variants and data planes, all on the same warm
-// processes; killing a worker process mid-superstep fails the job with
-// a joined error rather than a hang (or, with recovery on, respawns
-// only that slot while the survivors re-join from the checkpoint).
+// placements, engines and variants, all on the same warm processes;
+// killing a worker process mid-superstep fails the job with a joined
+// error rather than a hang (or, with recovery on, respawns only that
+// slot while the survivors re-join from the checkpoint).
 //
-// The socket fabric splits control plane from data plane. The hub
-// connection is always the control plane — join, barrier releases,
-// abort, flush reports, results — and by default also relays the data
-// frames (the star: every byte crosses the network twice). With
-// -data-plane p2p the hub instead broadcasts a directory of per-process
-// data listeners once the party has joined, each process pair dials one
-// direct connection, and frames flow point-to-point under credit-based
-// flow control: receivers grant -window-bytes of credit per connection
-// (default 4 MiB), staged frames replenish it in quarter-window
-// batches, and a sender whose credit is exhausted blocks in Flush —
-// bounding its in-flight memory at max(window, one frame) where the hub
-// plane's buffering grows with the rate mismatch. Round delivery is
-// ordered by per-flush DONE markers (the release no longer proves
-// frames arrived, since it travels a different socket). Flush reports
-// still go to the hub, so cost accounting and Stats are identical
-// across planes; the equivalence sweep and fault matrix run on both.
-// -data-plane p2p-adaptive drops the static mesh's two up-front bets:
-// each connection's window is retuned per sender round by a
-// receiver-owned AIMD-style controller (stalled or window-overflowing
-// rounds double it, consecutive mostly-idle rounds halve it toward
-// twice the observed round volume, bounded by -window-min/-window-max,
-// with resizes travelling as control frames that preserve in-flight
-// credit), and the mesh is lazy — no pair is dialed up front; cold
-// pairs relay through the hub and a pair is promoted to a direct
-// connection once -promote-bytes of relayed volume proves it hot, with
-// frames latching onto one route per worker per round so promotion
-// never splits a round. Skewed placement-aware workloads thus pay
-// window memory and connections only for their hot pairs, and a hot
-// flow grows out of a too-small initial window instead of staying
-// window-bound.
+// The hub is the socket fabric's one data plane, as Fig. 2 asks: one
+// binary buffer per (src, dst) pair per round, delivered before the
+// round's release. It needs no flow control: the round protocol keeps
+// every sender within one round of its slowest receiver, so a
+// receiver never holds more than one round's frames.
 //
 // Observability reaches below the superstep trace to the flow level.
 // Every job accumulates an obs.FlowAccum — a dense (src, dst) matrix
 // recorded lock-free at the fabrics' flush seam (in-process: the
 // exchanger's FinishSerialize; sockets: the client's Flush), plus
-// per-connection credit-window stats on the p2p plane (stall time,
-// grant latency) and per-process relay stats on the hub — served as
-// GET /v1/jobs/{id}/flows with an identical shape on every plane.
+// per-process relay stats on the hub — served as GET
+// /v1/jobs/{id}/flows with an identical shape on both fabrics.
 // Worker processes ship their matrix share piggybacked on the result
 // blobs, and only a successful attempt contributes, so recovery never
 // double-counts. State transitions and completed supersteps stream as
@@ -216,8 +190,8 @@
 // /v1/jobs/{id}/diagnosis: straggler ranking by barrier-wait deficit
 // against a fleet-common time denominator (so a worker whose time
 // vanished outside the instrumented regions still stands out), with
-// cause attribution; window-bound p2p connections by stall fraction of
-// superstep time; compute imbalance against the placement's edge cut;
-// and hub relay hotspots — each finding carrying its threshold, the
-// measured value and a recommendation.
+// cause attribution (compute, the worker's own Flush time, or neither);
+// compute imbalance against the placement's edge cut; and hub relay
+// hotspots — each finding carrying its threshold, the measured value
+// and a recommendation.
 package repro

@@ -359,15 +359,15 @@ func (c *Core) exchange() (uint64, error) {
 				c.smp.BytesSent += int64(buf.Len() - mark)
 			}
 		}
-		var stall0 time.Duration
+		var flush0 time.Time
 		if c.obsOn {
-			stall0 = ep.Stall()
+			flush0 = time.Now()
 		}
 		if err := ep.Flush(); err != nil {
 			return 0, c.errorf("%w", err)
 		}
 		if c.obsOn {
-			c.smp.SendStallNS += int64(ep.Stall() - stall0)
+			c.smp.SendStallNS += time.Since(flush0).Nanoseconds()
 		}
 		if !c.timedWait() { // all sends published
 			return 0, errAborted

@@ -87,10 +87,6 @@ type Stats struct {
 	// socket fabric), counts bytes sent per destination worker id from
 	// this process. Nil on transports that do not track it.
 	PeerBytes []int64
-	// FlowStallTime is the cumulative time senders in this process
-	// spent blocked on exhausted flow-control windows (zero on
-	// transports without backpressure).
-	FlowStallTime time.Duration
 }
 
 // ShrinkPolicy bounds the capacity the Exchanger's buffers retain

@@ -1,8 +1,6 @@
 package comm
 
 import (
-	"time"
-
 	"repro/internal/barrier"
 	"repro/internal/ser"
 )
@@ -65,11 +63,6 @@ type Endpoint interface {
 	In(src int) *ser.Buffer
 	// Release recycles the round's buffers.
 	Release()
-	// Stall returns the cumulative time this endpoint's Flush calls
-	// have spent blocked on an exhausted flow-control window. Transports
-	// without backpressure (the in-process fabric, the hub relay) always
-	// return zero.
-	Stall() time.Duration
 }
 
 // InProc is the shared-memory Fabric: all M workers in one process,
@@ -129,4 +122,3 @@ func (e *inprocEndpoint) Out(dst int) *ser.Buffer { return e.ex.Out(e.id, dst) }
 func (e *inprocEndpoint) Flush() error            { e.ex.FinishSerialize(e.id); return nil }
 func (e *inprocEndpoint) In(src int) *ser.Buffer  { return e.ex.In(e.id, src) }
 func (e *inprocEndpoint) Release()                { e.ex.ResetRow(e.id) }
-func (e *inprocEndpoint) Stall() time.Duration    { return 0 }

@@ -149,11 +149,6 @@ type Manager struct {
 	poolErr       error // why pool is nil although workerProcs > 0
 	poolBorrowed  bool  // the pool is a test binary's shared one: Close leaves it open
 	exports       *viewExports
-	dataPlane     string // worker data plane: netcomm hub (default), p2p or p2p-adaptive
-	windowBytes   int    // p2p per-peer receive window (initial, on the adaptive plane)
-	windowMin     int    // adaptive plane: tuner's lower window bound
-	windowMax     int    // adaptive plane: tuner's upper window bound
-	promoteBytes  int    // adaptive plane: relayed bytes before a pair goes direct
 	joinTimeout   time.Duration
 	resultTimeout time.Duration
 	wallTimeout   time.Duration
@@ -203,25 +198,6 @@ func WithMaxSupersteps(n int) Option { return func(m *Manager) { m.maxSupersteps
 // catalog's worker count per job.
 func WithWorkerProcs(n int, bin string) Option {
 	return func(m *Manager) { m.workerProcs, m.workerBin = n, bin }
-}
-
-// WithDataPlane selects the distributed jobs' data plane
-// (netcomm.DataPlaneHub, netcomm.DataPlaneP2P or
-// netcomm.DataPlaneP2PAdaptive) and, for the p2p planes, the
-// per-peer-connection receive window in bytes (0 = default; the
-// adaptive plane treats it as the initial window). Only meaningful
-// together with WithWorkerProcs.
-func WithDataPlane(plane string, windowBytes int) Option {
-	return func(m *Manager) { m.dataPlane, m.windowBytes = plane, windowBytes }
-}
-
-// WithWindowBounds bounds the adaptive plane's per-connection window
-// tuner to [min, max] bytes and sets the relayed-volume threshold at
-// which a lazy pair is promoted to a direct connection (0 keeps the
-// netcomm default for that knob). Only meaningful together with
-// WithDataPlane(netcomm.DataPlaneP2PAdaptive, ...).
-func WithWindowBounds(min, max, promote int) Option {
-	return func(m *Manager) { m.windowMin, m.windowMax, m.promoteBytes = min, max, promote }
 }
 
 // WithJoinTimeout bounds how long a distributed job's worker processes
@@ -677,11 +653,6 @@ func (m *Manager) executeDistributed(j *job, view *catalog.View, epoch uint64, m
 		Placement:     view.Placement,
 		Part:          view.Part,
 		Procs:         m.workerProcs,
-		DataPlane:     m.dataPlane,
-		WindowBytes:   m.windowBytes,
-		WindowMin:     m.windowMin,
-		WindowMax:     m.windowMax,
-		PromoteBytes:  m.promoteBytes,
 		Algorithm:     j.spec.Name,
 		Engine:        j.eng,
 		Variant:       j.req.Variant,
@@ -837,7 +808,6 @@ func diagnoseJob(tr *obs.Trace, flows *obs.FlowAccum, met *algorithms.Metrics) *
 		rm = obs.RunMetrics{
 			Supersteps: met.Supersteps,
 			NetBytes:   met.NetBytes,
-			WallNS:     int64(met.WallTime),
 			EdgeCut:    met.EdgeCut,
 		}
 	}

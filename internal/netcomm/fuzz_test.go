@@ -9,80 +9,22 @@ import (
 	"testing/iotest"
 )
 
-// The peer directory crosses a process boundary: arbitrary bytes must
-// decode to an error or a directory that satisfies every invariant the
-// mesh relies on (sorted, contiguous, covering 0..m-1), never panic.
-func FuzzPeerDirectory(f *testing.F) {
-	f.Add(encodePeerDirectory(nil), 1)
-	f.Add(encodePeerDirectory([]peerInfo{
-		{lo: 0, hi: 0, network: "tcp", addr: "127.0.0.1:9"},
-	}), 1)
-	f.Add(encodePeerDirectory([]peerInfo{
-		{lo: 0, hi: 1, network: "unix", addr: "/tmp/a.sock"},
-		{lo: 2, hi: 3, network: "unix", addr: "/tmp/b.sock"},
-	}), 4)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff}, 8)
-	f.Fuzz(func(t *testing.T, data []byte, m int) {
-		if m <= 0 || m > 1<<16 {
-			m = 8
-		}
-		dir, err := decodePeerDirectory(data, m)
-		if err != nil {
-			return
-		}
-		next := 0
-		for _, p := range dir {
-			if p.lo != next || p.hi < p.lo || p.hi >= m {
-				t.Fatalf("accepted directory violates range invariants: %+v (m=%d)", dir, m)
-			}
-			next = p.hi + 1
-		}
-		if next != m {
-			t.Fatalf("accepted directory covers %d of %d workers: %+v", next, m, dir)
-		}
-		// A decoded directory must survive a round trip unchanged.
-		again, err := decodePeerDirectory(encodePeerDirectory(dir), m)
-		if err != nil {
-			t.Fatalf("re-encoded directory rejected: %v", err)
-		}
-		for i := range dir {
-			if dir[i] != again[i] {
-				t.Fatalf("directory round trip changed entry %d: %+v != %+v", i, dir[i], again[i])
-			}
-		}
-	})
-}
+// retiredKinds are the kind numbers the wire no longer uses: every
+// reader must reject a header carrying one as an unknown kind.
+var retiredKinds = []uint8{9, 10, 11, 12, 13, 14, 15}
 
-// The listen announcement is the other worker-supplied p2p payload.
-func FuzzListenAnnouncement(f *testing.F) {
-	f.Add(encodeListen("tcp", "127.0.0.1:12345"))
-	f.Add(encodeListen("unix", "/tmp/x/data.sock"))
-	f.Add([]byte{})
-	f.Add([]byte{0x80, 0x80, 0x80})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		network, addr, err := decodeListen(data)
-		if err != nil {
-			return
-		}
-		n2, a2, err := decodeListen(encodeListen(network, addr))
-		if err != nil || n2 != network || a2 != addr {
-			t.Fatalf("listen round trip changed (%q,%q) -> (%q,%q,%v)", network, addr, n2, a2, err)
-		}
-	})
-}
-
-// Every connection — hub, and peer DATA/DONE/CREDIT streams — parses
-// messages through readHeader, the hub connection's two ends through a
-// buffered reader over whatever the socket hands them. Arbitrary bytes
+// Both ends of a hub connection parse messages through a buffered
+// reader over whatever the socket hands them: the client's read loop
+// through readHeader, the hub's pump through msgReader. Arbitrary bytes
 // taken as a stream of messages must yield, header by header, an error
 // or a validated (kind, length) pair, and the same sequence whether the
 // stream arrives whole, a byte at a time or in ragged reads: decoding
 // may not depend on where a read ends.
 func FuzzWireHeader(f *testing.F) {
 	var valid [headerLen]byte
-	valid[0] = kData
+	valid[0] = kFrame
 	f.Add(valid[:])
-	valid[0] = kCredit
+	valid[0] = kRelease
 	f.Add(append(valid[:], 1, 2, 3))
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	batch := msg(kSamples, 0, 1, []byte("sample"))
@@ -90,6 +32,9 @@ func FuzzWireHeader(f *testing.F) {
 	batch = append(batch, msg(kFlush, 0, 0, make([]byte, 16))...)
 	f.Add(batch)
 	f.Add(append(batch, 99, 0, 0, 0, 0, 0, 0, 0, 0)) // hostile header behind a legal batch
+	for _, k := range retiredKinds {
+		f.Add(append(msg(kFrame, 0, 1, []byte("x")), msg(k, 0, 1, make([]byte, 8))...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type header struct {
 			kind uint8
@@ -105,7 +50,7 @@ func FuzzWireHeader(f *testing.F) {
 				if err != nil {
 					return hs, err.Error()
 				}
-				if kind < kHello || kind > kPromote {
+				if kind < kHello || kind > kSamples {
 					t.Fatalf("accepted unknown kind %d", kind)
 				}
 				if n < 0 || n > maxPayload {
@@ -148,59 +93,6 @@ func FuzzWireHeader(f *testing.F) {
 		hubBuffered.Add(-int64(len(m.buf) - 2*headerLen))
 		if !slices.Equal(got, want) {
 			t.Fatalf("in-place reader decoded %v, buffered reader %v", got, want)
-		}
-	})
-}
-
-// A window-resize frame arrives from the remote peer mid-run and is fed
-// straight into the sender's credit arithmetic: arbitrary payloads must
-// decode to an error or a window in (0, maxPayload], never to a value
-// that would wedge or overflow the sender, and every valid window must
-// survive a round trip exactly.
-func FuzzResizeFrame(f *testing.F) {
-	f.Add(encodeResize(DefaultWindowBytes))
-	f.Add(encodeResize(DefaultWindowMin))
-	f.Add(encodeResize(1))
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := decodeResize(data)
-		if err != nil {
-			return
-		}
-		if w <= 0 || w > maxPayload {
-			t.Fatalf("accepted out-of-range window %d", w)
-		}
-		again, err := decodeResize(encodeResize(w))
-		if err != nil || again != w {
-			t.Fatalf("resize round trip changed %d -> (%d, %v)", w, again, err)
-		}
-	})
-}
-
-// A promotion request crosses two trust boundaries (worker -> hub ->
-// worker): arbitrary payloads must decode to an error or a worker range
-// that satisfies the directory invariants, and valid requests must
-// round-trip exactly.
-func FuzzPromotionFrame(f *testing.F) {
-	f.Add(encodePromote(0, 0, 0))
-	f.Add(encodePromote(2, 3, DefaultPromoteBytes))
-	f.Add(encodePromote(100, 200, 1<<40))
-	f.Add([]byte{})
-	f.Add([]byte{0x80, 0x80, 0x80, 0x80})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lo, hi, relayed, err := decodePromote(data)
-		if err != nil {
-			return
-		}
-		if lo < 0 || hi < lo || hi >= maxDirectoryPeers || relayed < 0 {
-			t.Fatalf("accepted invalid promotion (lo=%d hi=%d relayed=%d)", lo, hi, relayed)
-		}
-		l2, h2, r2, err := decodePromote(encodePromote(lo, hi, relayed))
-		if err != nil || l2 != lo || h2 != hi || r2 != relayed {
-			t.Fatalf("promotion round trip changed (%d,%d,%d) -> (%d,%d,%d,%v)",
-				lo, hi, relayed, l2, h2, r2, err)
 		}
 	})
 }

@@ -24,6 +24,17 @@ import (
 // errors.Is.
 var ErrWorkerLost = errors.New("netcomm: worker connection lost")
 
+// hubBuffered is the package-wide hub memory gauge, exported to
+// /metrics by internal/server: the bytes hubs hold for their worker
+// connections, each connection's read and write buffers (2 x
+// connBufSize) plus whatever its read buffer grew by to fit the largest
+// frame relayed.
+var hubBuffered atomic.Int64
+
+// DataPlaneStats reports the bytes currently held in hub connection
+// buffers, process-wide.
+func DataPlaneStats() (hubBufferedBytes int64) { return hubBuffered.Load() }
+
 // Hub is the coordinator side of the socket fabric: it accepts one
 // connection per worker process, routes data frames between them
 // (staged in the destination's buffered writer, flushed once per batch
@@ -54,13 +65,8 @@ type Hub struct {
 	arrived int
 	accum   uint64
 
-	// p2p data plane: the directory broadcast fires once, when every
-	// worker has joined and announced a listener.
-	peersSent bool
-
 	// dataBytes counts frame payload bytes relayed through the hub —
-	// the cross-process exchange volume on the hub plane, ~0 under p2p
-	// (where only control traffic remains on the star).
+	// the job's cross-process exchange volume.
 	dataBytes int64
 
 	// round accounting (from kFlush reports)
@@ -89,23 +95,18 @@ type hubConn struct {
 	gotResult bool
 
 	// Every write to the worker goes through wbuf under wmu — forwards
-	// staged by other connections' pumps, releases, aborts, the peer
-	// directory — so the stream carries them in the order they were
-	// written here, whoever flushes. werr is the first write error; the
-	// connection is dead from then on.
+	// staged by other connections' pumps, releases, aborts — so the
+	// stream carries them in the order they were written here, whoever
+	// flushes. werr is the first write error; the connection is dead
+	// from then on.
 	wmu  sync.Mutex
 	wbuf []byte
 	werr error
 
-	// p2p data plane: the process's announced data listener.
-	listenNet  string
-	listenAddr string
-	hasListen  bool
-
-	// Relay telemetry (hub data plane): frames this connection sourced,
-	// and how long they spent resident in the hub, from the start of the
-	// payload read to the end of the pump's next flush, by which they are
-	// on their destination's stream. Atomics: the pump goroutine writes,
+	// Relay telemetry: frames this connection sourced, and how long they
+	// spent resident in the hub, from the start of the payload read to
+	// the end of the pump's next flush, by which they are on their
+	// destination's stream. Atomics: the pump goroutine writes,
 	// RelayStats reads.
 	relayBytes  atomic.Int64
 	relayFrames atomic.Int64
@@ -241,28 +242,6 @@ func (h *Hub) pump(hc *hubConn) error {
 	// this worker: flush before each.
 	rd := &hc.rd
 	rd.beforeRead = flush
-	// forward stages one message for the process hosting worker dst. A
-	// write that fails means the destination's connection is broken —
-	// that worker's failure, not the sender's: record it (first failure
-	// wins), abort, and keep pumping the sender so its own result still
-	// gets through.
-	forward := func(what string, dst int, kind uint8, a, b uint16, p []byte) error {
-		h.mu.Lock()
-		if kind == kFrame {
-			h.dataBytes += int64(len(p))
-		}
-		to := h.hosts[dst]
-		h.mu.Unlock()
-		if to == nil {
-			return fmt.Errorf("%s for unjoined worker %d", what, dst)
-		}
-		if err := to.stage(kind, a, b, p); err != nil {
-			h.targetLost(to, err)
-		} else if !slices.Contains(dirty, to) {
-			dirty = append(dirty, to)
-		}
-		return nil
-	}
 	for {
 		kind, a, b, n, err := rd.header()
 		if err != nil {
@@ -284,53 +263,27 @@ func (h *Hub) pump(hc *hubConn) error {
 			if err != nil {
 				return err
 			}
-			if err := forward("frame", dst, kFrame, a, b, p); err != nil {
-				return err
+			// Stage the frame for the process hosting worker dst. A write
+			// that fails means the destination's connection is broken —
+			// that worker's failure, not the sender's: record it (first
+			// failure wins), abort, and keep pumping the sender so its own
+			// result still gets through.
+			h.mu.Lock()
+			h.dataBytes += int64(n)
+			to := h.hosts[dst]
+			h.mu.Unlock()
+			if to == nil {
+				return fmt.Errorf("frame for unjoined worker %d", dst)
+			}
+			if err := to.stage(kFrame, a, b, p); err != nil {
+				h.targetLost(to, err)
+			} else if !slices.Contains(dirty, to) {
+				dirty = append(dirty, to)
 			}
 			hc.relayBytes.Add(int64(n))
 			hc.relayFrames.Add(1)
 			staged++
 			stagedAt += int64(t0)
-		case kDone:
-			// A lazy-mesh round marker for a pair still on the relay:
-			// forward to the process hosting worker range b. It follows
-			// the round's relayed frames on both the inbound stream
-			// (sender wrote frames first) and the outbound one (the
-			// frames were staged above before this marker was read), so
-			// the destination observes frames-then-done exactly as on a
-			// direct connection.
-			if n != 0 {
-				return fmt.Errorf("bad done marker payload length %d", n)
-			}
-			src, dst := int(a), int(b)
-			if src < hc.lo || src > hc.hi || dst >= h.m {
-				return fmt.Errorf("bad done marker route %d->%d", src, dst)
-			}
-			if err := forward("done marker", dst, kDone, a, b, nil); err != nil {
-				return err
-			}
-		case kPromote:
-			// A mesh-promotion request from the higher-range side of a
-			// relayed pair, forwarded to the lower-range side (worker
-			// range start b), which owns the dial.
-			p, err := rd.payload(n)
-			if err != nil {
-				return err
-			}
-			plo, phi, _, err := decodePromote(p)
-			if err != nil {
-				return err
-			}
-			if plo != hc.lo || phi != hc.hi {
-				return fmt.Errorf("promotion request claims workers %d-%d from connection %d-%d", plo, phi, hc.lo, hc.hi)
-			}
-			dst := int(b)
-			if dst >= h.m {
-				return fmt.Errorf("bad promotion target %d", dst)
-			}
-			if err := forward("promotion request", dst, kPromote, a, b, p); err != nil {
-				return err
-			}
 		case kFlush:
 			if n != 16 {
 				return fmt.Errorf("bad flush payload length %d", n)
@@ -364,19 +317,6 @@ func (h *Hub) pump(hc *hubConn) error {
 				return err
 			}
 			h.arrive(int(a), binary.LittleEndian.Uint64(p))
-		case kListen:
-			p, err := rd.payload(n)
-			if err != nil {
-				return err
-			}
-			lnet, laddr, err := decodeListen(p)
-			if err != nil {
-				return err
-			}
-			h.mu.Lock()
-			hc.listenNet, hc.listenAddr, hc.hasListen = lnet, laddr, true
-			h.maybeSendPeersLocked()
-			h.mu.Unlock()
 		case kAbort:
 			reason, err := rd.payload(n)
 			if err != nil {
@@ -417,41 +357,6 @@ func (h *Hub) pump(hc *hubConn) error {
 	}
 }
 
-// maybeSendPeersLocked broadcasts the peer directory once every worker
-// has joined and every connection has announced a data listener. Every
-// process sends its kListen after its kHello on the same stream, so
-// the party's last kListen is the event that completes the directory;
-// the writes run in their own goroutine (h.mu stays cheap, and a
-// stalled worker cannot wedge the pump that triggered the broadcast).
-func (h *Hub) maybeSendPeersLocked() {
-	if h.peersSent || h.closed {
-		return
-	}
-	for _, hc := range h.hosts {
-		if hc == nil {
-			return
-		}
-	}
-	conns := make([]*hubConn, 0, len(h.conns))
-	dir := make([]peerInfo, 0, len(h.conns))
-	for hc := range h.conns {
-		if !hc.hasListen {
-			return
-		}
-		conns = append(conns, hc)
-		dir = append(dir, peerInfo{lo: hc.lo, hi: hc.hi, network: hc.listenNet, addr: hc.listenAddr})
-	}
-	sort.Slice(dir, func(i, j int) bool { return dir[i].lo < dir[j].lo })
-	h.peersSent = true
-	payload := encodePeerDirectory(dir)
-	h.log.Debug("peer directory broadcast", "processes", len(dir))
-	go func() {
-		for _, hc := range conns {
-			_ = hc.send(kPeers, 0, 0, payload)
-		}
-	}()
-}
-
 // OnSamples installs a handler for the opaque in-flight sample batches
 // workers ship with Client.SendSamples (the live-events feed; a batch
 // arrives with the next thing its process writes, at most one exchange
@@ -465,11 +370,10 @@ func (h *Hub) OnSamples(fn func(payload []byte)) {
 	h.mu.Unlock()
 }
 
-// RelayStats reports, per worker process, the hub data-plane relay
-// traffic it sourced: the volume of its frames for workers in other
-// processes (co-hosted frames never reach the hub) and their cumulative
-// hub residency, read to flushed onto the destination's stream. Empty
-// under p2p, where frames never transit the hub.
+// RelayStats reports, per worker process, the hub relay traffic it
+// sourced: the volume of its frames for workers in other processes
+// (co-hosted frames never reach the hub) and their cumulative hub
+// residency, read to flushed onto the destination's stream.
 func (h *Hub) RelayStats() []obs.RelayStat {
 	h.mu.Lock()
 	conns := append([]*hubConn(nil), h.allConns...)
@@ -491,11 +395,9 @@ func (h *Hub) RelayStats() []obs.RelayStat {
 }
 
 // DataBytes returns the frame payload bytes relayed through the hub so
-// far. On the hub data plane this is the job's cross-process exchange
-// volume — Stats().NetworkBytes less what co-hosted workers sent each
-// other, which stays inside their process; under p2p it stays at zero —
-// the test-visible proof that data frames never transit the
-// coordinator.
+// far: the job's cross-process exchange volume — Stats().NetworkBytes
+// less what co-hosted workers sent each other, which stays inside their
+// process.
 func (h *Hub) DataBytes() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -637,8 +539,7 @@ func (hc *hubConn) flushLocked() error {
 }
 
 // send writes one message through at once, behind anything staged
-// before it: releases, aborts and peer directories must not wait for a
-// pump's next flush.
+// before it: releases and aborts must not wait for a pump's next flush.
 func (hc *hubConn) send(kind uint8, a, b uint16, payload []byte) error {
 	hc.wmu.Lock()
 	defer hc.wmu.Unlock()

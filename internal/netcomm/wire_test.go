@@ -1,9 +1,10 @@
 package netcomm
 
 // White-box tests of the hub plane's wire economy — how many writes a
-// round costs, what stays in-process — and of the buffered readers on
-// both ends, driven by scripted raw peers that chop legal streams at
-// arbitrary byte boundaries and hide hostile headers inside batches.
+// round costs, what stays in-process, how much a receiver holds — and
+// of the buffered readers on both ends, driven by scripted raw peers
+// that chop legal streams at arbitrary byte boundaries and hide hostile
+// headers inside batches.
 
 import (
 	"bufio"
@@ -20,7 +21,12 @@ import (
 	"testing/iotest"
 	"time"
 
+	"repro/internal/algorithms"
 	"repro/internal/comm"
+	"repro/internal/frag"
+	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/seq"
 )
 
 // countingListener counts the conn-level reads (that returned data) and
@@ -442,13 +448,17 @@ func TestHubPlaneClientDecodesChunkedStream(t *testing.T) {
 // A hostile header is no safer for sitting in the middle of a batch
 // the reader already buffered: the hub must drop that worker's
 // connection and fail the job, the client must abort its barrier, and
-// neither may act on the declared length.
+// neither may act on the declared length. A retired kind number is as
+// unknown to both as any other.
 func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 	hostile := [][]byte{
 		{99, 0, 0, 0, 0, 0, 0, 0, 0},                          // unknown kind
 		{kFrame, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},          // 4 GiB payload
 		msg(kFlush, 1, 0, []byte("short")),                    // flush report of the wrong length
 		msg(kFrame, 0, 1, []byte("frame from another range")), // src outside the sender's range
+	}
+	for _, k := range retiredKinds {
+		hostile = append(hostile, msg(k, 1, 0, make([]byte, 8)))
 	}
 	for i, bad := range hostile {
 		t.Run(fmt.Sprint("hub/", i), func(t *testing.T) {
@@ -481,7 +491,10 @@ func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 			}
 		})
 	}
-	for i, bad := range hostile[:2] {
+	for i, bad := range hostile {
+		if i == 2 || i == 3 {
+			continue // checks only the hub makes: flush reports and frame routes are worker-sent
+		}
 		t.Run(fmt.Sprint("client/", i), func(t *testing.T) {
 			c, hubSide, _ := dialScriptedHub(t, 2)
 			var agg [8]byte
@@ -583,5 +596,182 @@ func TestMsgReaderInPlacePayloads(t *testing.T) {
 		if err != io.ErrUnexpectedEOF {
 			t.Errorf("stream cut after %d bytes: %v, want io.ErrUnexpectedEOF", cut, err)
 		}
+	}
+}
+
+// dialParty brings up a hub plus procs clients hosting m workers in
+// contiguous ranges over network ("tcp" or "unix"), co-hosting workers
+// when procs < m, every client dialed with the given DataPlane name.
+func dialParty(t *testing.T, network, plane string, m, procs int) (*Hub, []*Client) {
+	t.Helper()
+	addr := "127.0.0.1:0"
+	if network == "unix" {
+		addr = filepath.Join(t.TempDir(), "hub.sock")
+	}
+	ln, err := net.Listen(network, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(m, comm.CostModel{}, ln)
+	t.Cleanup(hub.Close)
+	per := (m + procs - 1) / procs
+	clients := make([]*Client, procs)
+	for i := range clients {
+		c, err := DialConfig(Config{Network: network, Addr: ln.Addr().String(),
+			Lo: i * per, Hi: min((i+1)*per, m) - 1, M: m, DataPlane: plane})
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	if err := hub.WaitJoined(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return hub, clients
+}
+
+// The hub relays every byte that leaves a process: its counter tracks
+// the whole exchange volume with one worker per process, and the volume
+// less what co-hosted workers sent each other — which never touches a
+// socket — with two.
+func TestHubPlaneRelaysDataBytes(t *testing.T) {
+	g := graph.Undirectify(graph.RMAT(7, 4, 3, graph.RMATOptions{NoSelfLoops: true}))
+	want := seq.ConnectedComponents(g)
+	for _, tc := range []struct{ m, procs int }{{2, 2}, {4, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", tc.procs, tc.m/tc.procs), func(t *testing.T) {
+			hub, clients := dialParty(t, "tcp", DataPlaneHub, tc.m, tc.procs)
+			part := partition.MustHash(g.NumVertices(), tc.m)
+			frags := frag.Build(g, part)
+			partials := make([][]graph.VertexID, tc.procs)
+			var wg sync.WaitGroup
+			for i := range clients {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i]}
+					var err error
+					if partials[i], _, err = algorithms.WCCChannel(g, o); err != nil {
+						t.Errorf("process %d: %v", i, err)
+					}
+				}(i)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			per := tc.m / tc.procs
+			for v := range want {
+				if got := partials[part.Owner(graph.VertexID(v))/per][v]; got != want[v] {
+					t.Fatalf("vertex %d: got %d want %d", v, got, want[v])
+				}
+			}
+			var coHosted int64
+			for i, c := range clients {
+				for dst, b := range c.Stats().PeerBytes {
+					if dst/per == i {
+						coHosted += b
+					}
+				}
+			}
+			if (coHosted != 0) != (per > 1) {
+				t.Fatalf("%d co-hosted bytes with %d workers per process", coHosted, per)
+			}
+			if db, net := hub.DataBytes(), hub.Stats().NetworkBytes; db != net-coHosted {
+				t.Errorf("hub relayed %d data bytes, flush reports accounted %d of which %d co-hosted — the difference should be what it relayed", db, net, coHosted)
+			} else if db == 0 {
+				t.Error("hub relayed no data bytes")
+			}
+		})
+	}
+}
+
+// The hub plane has no credit window, and needs none: under the
+// engines' round protocol (Flush, crossing, In, reducing crossing,
+// Release) no sender gets a round ahead of its slowest receiver, so a
+// receiver's pending buffers never hold more than one round. Worker 1
+// dawdles before every In while worker 0 runs flat out; before each
+// swap, every pending buffer of each worker must hold exactly the one
+// frame its peer sent it that round.
+func TestHubPlanePendingBoundedByOneRound(t *testing.T) {
+	const m, rounds = 2, 20
+	_, clients := dialParty(t, "tcp", DataPlaneHub, m, m)
+	size := func(round, src int) int { return 64<<10 + 37*round + src }
+	var wg sync.WaitGroup
+	for w := 0; w < m; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := clients[w]
+			ep, bar := c.eps[0], c.Barrier()
+			src := 1 - w
+			for r := 0; r < rounds; r++ {
+				framePattern(ep.Out(src).Extend(size(r, w)), r, w, src)
+				if err := ep.Flush(); err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+				if !bar.Wait() {
+					t.Errorf("worker %d round %d: barrier aborted", w, r)
+					return
+				}
+				if w == 1 {
+					time.Sleep(2 * time.Millisecond) // a slow receiver: the sender may run ahead if anything lets it
+				}
+				ep.mu.Lock()
+				pending := ep.pending[src].Len()
+				ep.mu.Unlock()
+				if want := size(r, src); pending != want {
+					t.Errorf("worker %d round %d: %d bytes pending from worker %d before the swap, want exactly its one frame of %d", w, r, pending, src, want)
+					return
+				}
+				want := make([]byte, size(r, src))
+				framePattern(want, r, src, w)
+				if got := ep.In(src).Unread(); !bytes.Equal(got, want) {
+					t.Errorf("worker %d round %d: frame from %d differs", w, r, src)
+					return
+				}
+				if _, ok := bar.AllReduce(0); !ok {
+					t.Errorf("worker %d round %d: reduce aborted", w, r)
+					return
+				}
+				ep.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// DataPlane survives only as a deprecated alias: every accepted name
+// relays through the hub, and a name it never had is still refused.
+func TestDataPlaneAliasesRunTheHub(t *testing.T) {
+	hub, clients := dialParty(t, "unix", DataPlaneP2PAdaptive, 2, 2)
+	const n = 100
+	var wg sync.WaitGroup
+	for w, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ep := c.Endpoint(w)
+			ep.Out(1 - w).Extend(n)
+			if err := ep.Flush(); err != nil {
+				t.Error(err)
+				return
+			}
+			if !c.Barrier().Wait() {
+				t.Errorf("worker %d: barrier aborted", w)
+				return
+			}
+			if got := ep.In(1 - w).Len(); got != n {
+				t.Errorf("worker %d received %d bytes, want %d", w, got, n)
+			}
+		}()
+	}
+	wg.Wait()
+	if db := hub.DataBytes(); db != 2*n {
+		t.Fatalf("hub relayed %d bytes under %q, want %d", db, DataPlaneP2PAdaptive, 2*n)
+	}
+	if _, err := DialConfig(Config{Network: "unix", Addr: "unused", Lo: 0, Hi: 0, M: 1, DataPlane: "mesh"}); err == nil {
+		t.Fatal(`DialConfig accepted DataPlane "mesh"`)
 	}
 }

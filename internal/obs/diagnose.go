@@ -12,13 +12,6 @@ type RunMetrics struct {
 	Supersteps int `json:"supersteps"`
 	// NetBytes is the job's total cross-worker volume.
 	NetBytes int64 `json:"net_bytes"`
-	// WallNS is the job's measured wall time (distributed runs). Used
-	// only when no trace is available: the trace's summed per-step
-	// estimate is the preferred denominator for time fractions because
-	// it covers superstep time alone, where the measured wall also
-	// carries spawn and dataset-load overhead that would dilute every
-	// signal measured against it.
-	WallNS int64 `json:"wall_ns"`
 	// EdgeCut is the placement's cross-worker edge fraction in [0, 1];
 	// negative means unknown.
 	EdgeCut float64 `json:"edge_cut"`
@@ -47,24 +40,23 @@ type WorkerProfile struct {
 	// score marks the worker the others were waiting for.
 	StragglerScore float64 `json:"straggler_score"`
 	// Cause attributes the straggler's missing wait time: "compute"
-	// when its own compute dominates, "send_stall" when flow-control
-	// backpressure does, "unattributed" otherwise (external slowness —
-	// a descheduled or faulty process). Empty for non-stragglers.
+	// when its own compute dominates, "send_stall" when flushing its
+	// frames does, "unattributed" otherwise (external slowness — a
+	// descheduled or faulty process). Empty for non-stragglers.
 	Cause string `json:"cause,omitempty"`
 }
 
 // Finding is one machine-readable diagnosis result.
 type Finding struct {
-	// Kind: "straggler", "window_bound", "imbalance", "hub_hotspot",
-	// "trace_truncated".
+	// Kind: "straggler", "imbalance", "hub_hotspot", "trace_truncated".
 	Kind string `json:"kind"`
 	// Severity: "info", "warn" or "critical".
 	Severity string `json:"severity"`
 	// Worker is the implicated worker (findings about one worker), -1
 	// otherwise.
 	Worker int `json:"worker"`
-	// Conn names the implicated connection or relay range, e.g.
-	// "w[0-3]->w[4-7]"; empty otherwise.
+	// Conn names the implicated relay range, e.g. "w[0-3]"; empty
+	// otherwise.
 	Conn string `json:"conn,omitempty"`
 	// Value is the measured signal, Threshold what it was compared to
 	// (both in the unit Detail explains).
@@ -104,9 +96,6 @@ const (
 	// StragglerWaitDeficit is the barrier-wait-share gap below the
 	// fleet mean at which a worker is called a straggler.
 	StragglerWaitDeficit = 0.15
-	// WindowBoundStallFraction is the fraction of the run's wall time a
-	// connection must spend credit-stalled to be called window-bound.
-	WindowBoundStallFraction = 0.2
 	// ImbalanceSkew is the max/mean compute ratio at which the run is
 	// called compute-imbalanced.
 	ImbalanceSkew = 1.5
@@ -122,20 +111,14 @@ const (
 
 // Diagnose correlates a job's superstep trace, flow matrix and run
 // metrics into a bottleneck report: who the others waited for and why,
-// which p2p connections ran out of window, whether compute imbalance
-// tracks the placement's edge cut, and whether the hub relay has a
-// dominant source. Any input may be nil/zero; the corresponding checks
-// are skipped.
+// whether compute imbalance tracks the placement's edge cut, and
+// whether the hub relay has a dominant source. Any input may be
+// nil/zero; the corresponding checks are skipped.
 func Diagnose(trace *TraceSnapshot, flows *FlowMatrix, m RunMetrics) *Report {
 	rep := &Report{}
 	profiles := profileWorkers(trace)
 	diagnoseStragglers(rep, profiles, trace)
 	diagnoseImbalance(rep, profiles, m)
-	wall := traceWallNS(trace)
-	if wall == 0 {
-		wall = m.WallNS
-	}
-	diagnoseWindows(rep, flows, wall)
 	diagnoseHubRelay(rep, flows)
 	if trace != nil && trace.TruncatedSamples > 0 {
 		rep.Findings = append(rep.Findings, Finding{
@@ -240,8 +223,8 @@ func diagnoseStragglers(rep *Report, profs []WorkerProfile, trace *TraceSnapshot
 		}
 		// Attribute: where did the straggler's time go instead of
 		// waiting? Compute share dominating means a genuine compute
-		// skew; stall share means backpressure; neither means the
-		// process itself was slow (descheduled, faulted, sleeping).
+		// skew; stall share means its flushes were slow; neither means
+		// the process itself was slow (descheduled, faulted, sleeping).
 		switch {
 		case p.ComputeShare >= 0.5:
 			p.Cause = "compute"
@@ -266,7 +249,7 @@ func diagnoseStragglers(rep *Report, profs []WorkerProfile, trace *TraceSnapshot
 				"worker %d is compute-bound ahead of its peers: rebalance the partition (try greedy placement) or shrink its vertex range", p.Worker))
 		case "send_stall":
 			rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
-				"worker %d is blocked sending: raise the p2p window (-window-bytes) or relieve its receivers", p.Worker))
+				"worker %d spends its time flushing frames: cut what it sends across workers (a combining channel, a lower-cut placement) or relieve the hub and its host", p.Worker))
 		default:
 			rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
 				"worker %d is slow for reasons outside the engine (host contention, fault injection, GC): inspect that process", p.Worker))
@@ -310,34 +293,6 @@ func diagnoseImbalance(rep *Report, profs []WorkerProfile, m RunMetrics) {
 		"compute is imbalanced across workers: try greedy placement or more workers")
 }
 
-// diagnoseWindows flags p2p connections whose credit-stall time is a
-// large fraction of the run's wall time.
-func diagnoseWindows(rep *Report, flows *FlowMatrix, wallNS int64) {
-	if flows == nil || wallNS <= 0 {
-		return
-	}
-	for _, c := range flows.Conns {
-		frac := float64(c.StallNS) / float64(wallNS)
-		if frac < WindowBoundStallFraction {
-			continue
-		}
-		name := connName(c)
-		grantMS := float64(0)
-		if c.Grants > 0 {
-			grantMS = float64(c.GrantWaitNS) / float64(c.Grants) / 1e6
-		}
-		rep.Findings = append(rep.Findings, Finding{
-			Kind: "window_bound", Severity: "warn", Worker: -1, Conn: name,
-			Value: frac, Threshold: WindowBoundStallFraction,
-			Detail: fmt.Sprintf("connection %s spent %.0f%% of the run blocked on its %d-byte credit window (mean grant latency %.2fms over %d grants)",
-				name, frac*100, c.Window, grantMS, c.Grants),
-		})
-		rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
-			"connection %s is window-bound: raise -window-bytes above its largest round (%d bytes moved in %d frames), or switch to -data-plane p2p-adaptive to let the window grow out of the stall on its own",
-			name, c.Bytes, c.Frames))
-	}
-}
-
 // diagnoseHubRelay flags a dominant relay source on the hub plane: a
 // worker process whose share of the relayed volume — what crossed the
 // hub; frames between co-hosted workers never do — is a multiple of the
@@ -369,30 +324,6 @@ func diagnoseHubRelay(rep *Report, flows *FlowMatrix) {
 		rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
 			"hub relay is dominated by %s: rebalance the placement so its workers send less across processes", name))
 	}
-}
-
-// traceWallNS estimates the run's wall time from the trace: the sum
-// over steps of the slowest worker's accounted time.
-func traceWallNS(trace *TraceSnapshot) int64 {
-	if trace == nil {
-		return 0
-	}
-	var wall int64
-	for _, step := range trace.Supersteps {
-		var max int64
-		for _, s := range step.Workers {
-			if t := s.ComputeNS + s.BarrierWaitNS + s.SendStallNS; t > max {
-				max = t
-			}
-		}
-		wall += max
-	}
-	return wall
-}
-
-// connName renders a ConnStat's endpoints, e.g. "w[0-3]->w[4-7]".
-func connName(c ConnStat) string {
-	return fmt.Sprintf("w[%d-%d]->w[%d-%d]", c.LocalLo, c.LocalHi-1, c.PeerLo, c.PeerHi-1)
 }
 
 // sortFindings orders findings most severe first, stable within a

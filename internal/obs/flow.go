@@ -31,49 +31,6 @@ func (f FlowStat) MeanFrame() int64 {
 	return f.Bytes / f.Frames
 }
 
-// ConnStat describes one p2p peer pair's flow-control behaviour over a
-// run: how often and for how long the sending side sat on an exhausted
-// credit window, how long credit grants took to arrive while a sender
-// was blocked, and — on the adaptive plane — the window's trajectory
-// plus the pair's hub-relayed share from before its promotion. Worker
-// ranges identify the connection ends (each graphworker process hosts
-// a contiguous range). A lazy pair that never earned a direct
-// connection reports a relay-only row: Window zero, only the relay
-// fields set.
-type ConnStat struct {
-	LocalLo int `json:"local_lo"`
-	LocalHi int `json:"local_hi"`
-	PeerLo  int `json:"peer_lo"`
-	PeerHi  int `json:"peer_hi"`
-	// Window is the connection's current send-window size in bytes (the
-	// credit the remote receiver grants this side). Static planes never
-	// change it; the adaptive plane retunes it per round.
-	Window int64 `json:"window"`
-	// RecvWindow is the window this side grants the remote sender — the
-	// connection's standing receive-memory cost. Summed over a job's
-	// rows it is the mesh's standing window memory.
-	RecvWindow int64 `json:"recv_window,omitempty"`
-	// WindowPeak and Resizes trace the adaptive controller's activity:
-	// the largest send window the run reached and how many resize
-	// events the connection saw (in either role — granted or applied).
-	WindowPeak int64 `json:"window_peak,omitempty"`
-	Resizes    int64 `json:"resizes,omitempty"`
-	// Bytes/Frames count data frames written to this connection.
-	Bytes  int64 `json:"bytes"`
-	Frames int64 `json:"frames"`
-	// RelayBytes/RelayFrames count this pair's traffic that rode the
-	// hub relay instead (the lazy mesh's cold phase, plus any frames
-	// latched onto the relay mid-promotion).
-	RelayBytes  int64 `json:"relay_bytes,omitempty"`
-	RelayFrames int64 `json:"relay_frames,omitempty"`
-	// StallNS is cumulative time the local senders spent blocked on an
-	// exhausted window; GrantWaitNS/Grants measure how long the credits
-	// that unblocked them took to arrive.
-	StallNS     int64 `json:"stall_ns"`
-	GrantWaitNS int64 `json:"grant_wait_ns"`
-	Grants      int64 `json:"grants"`
-}
-
 // RelayStat is one worker process's share of hub data-plane relay
 // traffic: frames the hub accepted from that process's worker range —
 // those for workers of other processes; co-hosted frames never reach
@@ -88,18 +45,15 @@ type RelayStat struct {
 }
 
 // FlowMatrix is the per-job flow-level network picture: the dense
-// (src, dst) volume matrix plus the transport-specific extras (p2p
-// connection flow-control stats, hub relay stats). Shape is identical
-// whichever fabric ran the job; Conns and Relays are empty on fabrics
-// that have no such machinery.
+// (src, dst) volume matrix plus the hub's relay stats. Shape is
+// identical whichever fabric ran the job; Relays is empty in-process.
 type FlowMatrix struct {
-	// Plane names the data plane that carried the job: "inproc", "hub"
-	// or "p2p".
+	// Plane names the data plane that carried the job: "inproc" or
+	// "hub".
 	Plane   string `json:"plane"`
 	Workers int    `json:"workers"`
 	// Flows holds the non-empty matrix cells in (src, dst) order.
 	Flows  []FlowStat  `json:"flows"`
-	Conns  []ConnStat  `json:"conns,omitempty"`
 	Relays []RelayStat `json:"relays,omitempty"`
 }
 
@@ -125,8 +79,7 @@ type flowCell struct {
 
 // FlowAccum accumulates a flow matrix during a run. The cell matrix is
 // preallocated so Record performs no allocation and takes no lock; the
-// transport-specific extras (connection and relay stats) are appended
-// at run boundaries under a mutex. One FlowAccum serves a whole job: on
+// relay stats are appended at run boundaries under a mutex. One FlowAccum serves a whole job: on
 // the distributed path the coordinator merges each worker process's
 // shipped matrix into it, so both fabrics produce the same shape.
 type FlowAccum struct {
@@ -135,7 +88,6 @@ type FlowAccum struct {
 
 	mu     sync.Mutex
 	plane  string
-	conns  []ConnStat
 	relays []RelayStat
 }
 
@@ -172,13 +124,6 @@ func (a *FlowAccum) Record(src, dst int, n int64) {
 	}
 }
 
-// AddConn appends one p2p connection's flow-control stats.
-func (a *FlowAccum) AddConn(c ConnStat) {
-	a.mu.Lock()
-	a.conns = append(a.conns, c)
-	a.mu.Unlock()
-}
-
 // AddRelay appends one worker process's hub relay stats.
 func (a *FlowAccum) AddRelay(r RelayStat) {
 	a.mu.Lock()
@@ -187,7 +132,7 @@ func (a *FlowAccum) AddRelay(r RelayStat) {
 }
 
 // Merge folds a shipped matrix (one worker process's share, or a whole
-// job's) into the accumulator: cells add, extras append. The
+// job's) into the accumulator: cells add, relays append. The
 // coordinator calls it once per successful worker partial, so an
 // aborted attempt that shipped nothing contributes nothing.
 func (a *FlowAccum) Merge(m *FlowMatrix) {
@@ -212,7 +157,6 @@ func (a *FlowAccum) Merge(m *FlowMatrix) {
 	if a.plane == "" {
 		a.plane = m.Plane
 	}
-	a.conns = append(a.conns, m.Conns...)
 	a.relays = append(a.relays, m.Relays...)
 	a.mu.Unlock()
 }
@@ -226,7 +170,6 @@ func (a *FlowAccum) Matrix() *FlowMatrix {
 	m := &FlowMatrix{
 		Plane:   a.plane,
 		Workers: a.workers,
-		Conns:   append([]ConnStat(nil), a.conns...),
 		Relays:  append([]RelayStat(nil), a.relays...),
 	}
 	a.mu.Unlock()

@@ -23,11 +23,9 @@ type SuperstepSample struct {
 	// includes the wire round trips).
 	ComputeNS     int64 `json:"compute_ns"`
 	BarrierWaitNS int64 `json:"barrier_wait_ns"`
-	// SendStallNS accumulates time the worker's Flush calls spent
-	// blocked on exhausted flow-control windows (the p2p data plane's
-	// backpressure signal; zero on fabrics without windowing). A
-	// straggling receiver shows up here on its *senders*, next to the
-	// BarrierWaitNS skew it causes.
+	// SendStallNS accumulates the wall time of the worker's Flush calls:
+	// publishing the round (in-process: accounting only; socket: the
+	// frames' one gathered write to the hub).
 	SendStallNS int64 `json:"send_stall_ns"`
 	// Bytes/frames counted at the engine's serialize and deserialize
 	// points, so they are identical whichever fabric carried them. The

@@ -11,15 +11,13 @@ import (
 
 // flowsPayload is the JSON shape of GET /v1/jobs/{id}/flows: the job's
 // flow-level network picture. Flows lists the non-empty (src, dst)
-// matrix cells; conns carries p2p flow-control stats and relays the hub
-// relay stats, each empty on the other data plane.
+// matrix cells; relays carries the hub relay stats, empty in-process.
 type flowsPayload struct {
 	ID      string          `json:"id"`
 	State   jobs.State      `json:"state"`
 	Plane   string          `json:"plane,omitempty"`
 	Workers int             `json:"workers"`
 	Flows   []obs.FlowStat  `json:"flows"`
-	Conns   []obs.ConnStat  `json:"conns,omitempty"`
 	Relays  []obs.RelayStat `json:"relays,omitempty"`
 }
 
@@ -31,7 +29,7 @@ func (s *Server) getFlows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := flowsPayload{ID: id, State: state, Plane: m.Plane, Workers: m.Workers,
-		Flows: m.Flows, Conns: m.Conns, Relays: m.Relays}
+		Flows: m.Flows, Relays: m.Relays}
 	if p.Flows == nil {
 		p.Flows = []obs.FlowStat{}
 	}

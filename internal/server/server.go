@@ -516,12 +516,8 @@ func (s *Server) scrape(e *obs.Emitter) {
 	e.Counter("graphd_jobs_submitted_total", "Jobs ever submitted.", float64(js.Submitted))
 	e.Counter("graphd_jobs_evicted_total", "Terminal jobs dropped by retention.", float64(js.Evicted))
 
-	// data-plane memory: bytes staged in hub relay buffers (hub plane)
-	// and bytes in flight against p2p receive windows (window occupancy
-	// summed over peer connections), for in-process hubs and clients.
-	hubBuf, winOut := netcomm.DataPlaneStats()
-	e.Gauge("graphd_hub_buffered_bytes", "Bytes held in hub connection buffers and data-relay staging.", float64(hubBuf))
-	e.Gauge("graphd_p2p_window_outstanding_bytes", "Bytes in flight against p2p flow-control windows.", float64(winOut))
+	// data-plane memory: bytes held in the buffers of this process's hubs
+	e.Gauge("graphd_hub_buffered_bytes", "Bytes held in hub connection buffers and data-relay staging.", float64(netcomm.DataPlaneStats()))
 
 	// live datasets: compaction progress per mutable dataset
 	for _, info := range s.cat.List() {

@@ -34,22 +34,13 @@ type JobSpec struct {
 	// Network is "unix" (default) or "tcp" (loopback).
 	Network string
 
-	// DataPlane selects how round frames travel between workers:
-	// netcomm.DataPlaneHub ("" defaults to it) relays them through the
-	// coordinator, netcomm.DataPlaneP2P has the workers dial a direct
-	// mesh with credit-based flow control. Recovery needs no special
-	// handling: each attempt's members re-negotiate their mesh through
-	// the attempt's own hub.
+	// DataPlane may be "", "hub", "p2p" or "p2p-adaptive" (the
+	// netcomm.DataPlane* names); every one of them relays frames through
+	// the attempt's hub. Any other value fails the job before it is
+	// dispatched.
+	//
+	// Deprecated: ROADMAP direction 4(d) deletes it.
 	DataPlane string
-	// WindowBytes is the p2p per-peer-connection receive window (0 =
-	// netcomm.DefaultWindowBytes). On the adaptive plane it is only the
-	// initial value; WindowMin/WindowMax bound the per-connection tuner
-	// and PromoteBytes sets the relayed-volume threshold at which a lazy
-	// pair earns a direct connection (0 = the netcomm defaults).
-	WindowBytes  int
-	WindowMin    int
-	WindowMax    int
-	PromoteBytes int
 
 	// SnapshotPath is a binary snapshot embedding the Placement owner
 	// vector; Part must be the partition that vector describes (the
@@ -145,7 +136,7 @@ type JobSpec struct {
 	// Flows, if non-nil, receives the job's flow matrix: each worker
 	// process accumulates its own rows at the fabric seam and ships them
 	// piggybacked on its result blob; the coordinator merges them here,
-	// plus the hub's relay stats on the hub data plane. Only the
+	// plus the hub's relay stats. Only the
 	// successful attempt contributes — an aborted attempt's partials
 	// carry no flow section, so recovery never double-counts.
 	Flows *obs.FlowAccum
@@ -240,17 +231,16 @@ func (p *Pool) Run(spec JobSpec) (*algorithms.Result, error) {
 
 // descriptor renders the job-wide part of spec as the descriptor every
 // member receives; the per-attempt fields (seq, hub address, worker
-// range, restore) are filled at dispatch. Plane settings left zero take
-// the netcomm defaults here, and a job the workers would refuse fails
-// before anything is dispatched.
+// range, restore) are filled at dispatch. A job the workers would
+// refuse fails before anything is dispatched.
 func (spec *JobSpec) descriptor() (descriptor, error) {
+	switch spec.DataPlane {
+	case "", "hub", "p2p", "p2p-adaptive":
+	default:
+		return descriptor{}, fmt.Errorf("workerproc: unknown data plane %q", spec.DataPlane)
+	}
 	d := descriptor{
 		network:       cmp.Or(spec.Network, "unix"),
-		plane:         cmp.Or(spec.DataPlane, netcomm.DataPlaneHub),
-		windowBytes:   cmp.Or(spec.WindowBytes, netcomm.DefaultWindowBytes),
-		windowMin:     cmp.Or(spec.WindowMin, netcomm.DefaultWindowMin),
-		windowMax:     cmp.Or(spec.WindowMax, netcomm.DefaultWindowMax),
-		promoteBytes:  cmp.Or(spec.PromoteBytes, netcomm.DefaultPromoteBytes),
 		snapshot:      spec.SnapshotPath,
 		placement:     spec.Placement,
 		m:             spec.Part.NumWorkers(),
@@ -518,15 +508,11 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		// (netcomm.ErrWorkerLost) or was killed by a watchdog. An error
 		// a worker shipped in its result blob (a superstep cap, a bad
 		// restore, an unreadable export, an algorithm failure) would
-		// just recur on retry. Peer-lost errors (netcomm.ErrPeerLost)
-		// count as fallout too: under the p2p plane a surviving worker's
-		// send can observe a dying peer's connection reset before the
-		// hub's abort reaches it, but the root cause is still the dead
-		// peer.
+		// just recur on retry.
 		recoverable := !cancelled && !errors.Is(err, barrier.ErrCancelled)
 		for _, pr := range partials {
 			if pr.err != nil && !errors.Is(pr.err, barrier.ErrAborted) &&
-				!errors.Is(pr.err, barrier.ErrCancelled) && !errors.Is(pr.err, netcomm.ErrPeerLost) {
+				!errors.Is(pr.err, barrier.ErrCancelled) {
 				recoverable = false
 				break
 			}
@@ -534,7 +520,7 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		return nil, joinedOK.Load(), recoverable, err
 	}
 	if spec.Flows != nil {
-		// hub-plane relay stats live coordinator-side; merged only on the
+		// relay stats live coordinator-side; merged only on the
 		// successful attempt so recovery never double-counts
 		for _, r := range hub.RelayStats() {
 			spec.Flows.AddRelay(r)

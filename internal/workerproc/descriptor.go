@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/graph"
-	"repro/internal/netcomm"
 	"repro/internal/ser"
 )
 
@@ -63,11 +62,6 @@ type descriptor struct {
 	seq uint64
 
 	network, addr string // the attempt's hub
-	plane         string
-	windowBytes   int
-	windowMin     int
-	windowMax     int
-	promoteBytes  int
 
 	// snapshot names the view export; the file is written once, so the
 	// path is also the key of the worker's view cache.
@@ -92,11 +86,6 @@ func (d *descriptor) encode() []byte {
 	b.WriteUvarint(d.seq)
 	b.WriteString(d.network)
 	b.WriteString(d.addr)
-	b.WriteString(d.plane)
-	b.WriteUvarint(uint64(d.windowBytes))
-	b.WriteUvarint(uint64(d.windowMin))
-	b.WriteUvarint(uint64(d.windowMax))
-	b.WriteUvarint(uint64(d.promoteBytes))
 	b.WriteString(d.snapshot)
 	b.WriteString(d.placement)
 	b.WriteUvarint(uint64(d.lo))
@@ -144,9 +133,7 @@ func decodeDescriptor(p []byte) (d *descriptor, err error) {
 		return int(v)
 	}
 	d = &descriptor{seq: b.ReadUvarint()}
-	d.network, d.addr, d.plane = b.ReadString(), b.ReadString(), b.ReadString()
-	d.windowBytes, d.windowMin = count("window"), count("window minimum")
-	d.windowMax, d.promoteBytes = count("window maximum"), count("promotion threshold")
+	d.network, d.addr = b.ReadString(), b.ReadString()
 	d.snapshot, d.placement = b.ReadString(), b.ReadString()
 	d.lo, d.hi, d.m = count("worker range start"), count("worker range end"), count("worker count")
 	d.algorithm = b.ReadString()
@@ -192,9 +179,6 @@ func decodeDescriptor(p []byte) (d *descriptor, err error) {
 func (d *descriptor) validate() error {
 	if d.network != "unix" && d.network != "tcp" {
 		return fmt.Errorf("workerproc: unknown network %q", d.network)
-	}
-	if err := netcomm.ValidatePlaneConfig(d.plane, d.windowBytes, d.windowMin, d.windowMax, d.promoteBytes); err != nil {
-		return fmt.Errorf("workerproc: %w", err)
 	}
 	if d.m < 1 || d.m > maxWorkers || d.lo < 0 || d.lo > d.hi || d.hi >= d.m {
 		return fmt.Errorf("workerproc: bad worker range %d-%d of %d", d.lo, d.hi, d.m)

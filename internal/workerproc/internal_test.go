@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/graph"
-	"repro/internal/netcomm"
 	"repro/internal/partition"
 )
 
@@ -143,8 +142,6 @@ func TestWorkerViewCacheFollowsExports(t *testing.T) {
 func testDescriptor() descriptor {
 	return descriptor{
 		seq: 7, network: "unix", addr: "/tmp/graphw1/hub-3.sock",
-		plane: netcomm.DataPlaneP2PAdaptive, windowBytes: 16 << 10, windowMin: 8 << 10,
-		windowMax: 1 << 20, promoteBytes: 32 << 10,
 		snapshot: "/tmp/graphw1/view-1.bin", placement: partition.PlacementGreedy,
 		lo: 2, hi: 3, m: 4,
 		algorithm: "pagerank", engine: algorithms.EnginePregel, variant: "scatter",
@@ -162,20 +159,18 @@ func testDescriptor() descriptor {
 func FuzzJobDescriptor(f *testing.F) {
 	full := testDescriptor()
 	f.Add(full.encode())
-	minimal := descriptor{network: "tcp", addr: "127.0.0.1:9", plane: netcomm.DataPlaneHub,
-		windowBytes: 1, windowMin: 1, windowMax: 1, promoteBytes: 1,
+	minimal := descriptor{network: "tcp", addr: "127.0.0.1:9",
 		m: 1, algorithm: "wcc", engine: algorithms.EngineChannel}
 	f.Add(minimal.encode())
 	for _, mutate := range []func(*descriptor){
-		func(d *descriptor) { d.lo, d.hi = 3, 2 },               // inverted range
-		func(d *descriptor) { d.hi = d.m },                      // range past the party
-		func(d *descriptor) { d.m = maxWorkers + 1 },            // more workers than the wire can address
-		func(d *descriptor) { d.algorithm = "nope" },            // unknown algorithm
-		func(d *descriptor) { d.engine = "mapreduce" },          // unknown engine
-		func(d *descriptor) { d.variant = "nope" },              // unknown variant
-		func(d *descriptor) { d.plane = "carrier-pigeon" },      // unknown plane
-		func(d *descriptor) { d.windowMin, d.windowMax = 9, 3 }, // inverted window bounds
-		func(d *descriptor) { d.windowBytes = 0 },               // non-positive window
+		func(d *descriptor) { d.lo, d.hi = 3, 2 },                                  // inverted range
+		func(d *descriptor) { d.hi = d.m },                                         // range past the party
+		func(d *descriptor) { d.m = maxWorkers + 1 },                               // more workers than the wire can address
+		func(d *descriptor) { d.algorithm = "nope" },                               // unknown algorithm
+		func(d *descriptor) { d.engine = "mapreduce" },                             // unknown engine
+		func(d *descriptor) { d.variant = "nope" },                                 // unknown variant
+		func(d *descriptor) { d.maxSupersteps = 1 << 40 },                          // superstep cap past int32
+		func(d *descriptor) { d.fault = &FaultSpec{Kind: "meteor", Superstep: 1} }, // unknown fault
 		func(d *descriptor) { d.network = "udp" },
 	} {
 		bad := testDescriptor()
@@ -188,6 +183,11 @@ func FuzzJobDescriptor(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // 2^63 as the first varint
 	f.Add(append(full.encode()[:20], 0xff, 0xff, 0xff, 0xff, 0x0f))           // string length far past the end
+	trailing := append(full.encode(), 0)
+	if _, err := decodeDescriptor(trailing); err == nil {
+		f.Fatal("descriptor with a trailing byte accepted")
+	}
+	f.Add(trailing)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := decodeDescriptor(data)
 		if err != nil {
@@ -195,9 +195,6 @@ func FuzzJobDescriptor(f *testing.F) {
 		}
 		if d.lo > d.hi || d.hi >= d.m || d.m > maxWorkers {
 			t.Fatalf("accepted worker range %d-%d of %d", d.lo, d.hi, d.m)
-		}
-		if err := netcomm.ValidatePlaneConfig(d.plane, d.windowBytes, d.windowMin, d.windowMax, d.promoteBytes); err != nil {
-			t.Fatalf("accepted plane settings: %v", err)
 		}
 		spec, ok := algorithms.Lookup(d.algorithm)
 		if !ok || spec.CheckVariant(d.engine, d.variant) != nil {
@@ -240,5 +237,21 @@ func TestControlFrames(t *testing.T) {
 	}
 	if _, err := decodeAck([]byte{0x80}); err == nil {
 		t.Fatal("truncated ack accepted")
+	}
+}
+
+// JobSpec.DataPlane is a deprecated alias: every name it ever took runs
+// the hub, and a name it never had still fails the job up front.
+func TestJobSpecDataPlaneAliases(t *testing.T) {
+	spec := JobSpec{Part: partition.MustHash(8, 2), Algorithm: "wcc"}
+	for _, plane := range []string{"", "hub", "p2p", "p2p-adaptive"} {
+		spec.DataPlane = plane
+		if _, err := spec.descriptor(); err != nil {
+			t.Errorf("DataPlane %q: %v", plane, err)
+		}
+	}
+	spec.DataPlane = "mesh"
+	if _, err := spec.descriptor(); err == nil {
+		t.Error(`DataPlane "mesh" accepted`)
 	}
 }

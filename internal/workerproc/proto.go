@@ -30,7 +30,6 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/barrier"
 	"repro/internal/graph"
-	"repro/internal/netcomm"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/ser"
@@ -88,9 +87,8 @@ func encodePartial(buf *ser.Buffer, part *partition.Partition, lo, hi int,
 }
 
 // encodeFlows appends the flow-matrix section: data plane, worker
-// count, non-empty cells, and the transport extras. A nil matrix
-// encodes as an empty section so partials without flow accounting stay
-// decodable.
+// count, non-empty cells, and the relay stats. A nil matrix encodes as
+// an empty section so partials without flow accounting stay decodable.
 func encodeFlows(buf *ser.Buffer, m *obs.FlowMatrix) {
 	if m == nil {
 		m = &obs.FlowMatrix{}
@@ -105,24 +103,6 @@ func encodeFlows(buf *ser.Buffer, m *obs.FlowMatrix) {
 		buf.WriteVarint(f.Frames)
 		buf.WriteVarint(f.Rounds)
 		buf.WriteVarint(f.MaxFrame)
-	}
-	buf.WriteUvarint(uint64(len(m.Conns)))
-	for _, c := range m.Conns {
-		buf.WriteUvarint(uint64(c.LocalLo))
-		buf.WriteUvarint(uint64(c.LocalHi))
-		buf.WriteUvarint(uint64(c.PeerLo))
-		buf.WriteUvarint(uint64(c.PeerHi))
-		buf.WriteVarint(c.Window)
-		buf.WriteVarint(c.RecvWindow)
-		buf.WriteVarint(c.WindowPeak)
-		buf.WriteVarint(c.Resizes)
-		buf.WriteVarint(c.Bytes)
-		buf.WriteVarint(c.Frames)
-		buf.WriteVarint(c.RelayBytes)
-		buf.WriteVarint(c.RelayFrames)
-		buf.WriteVarint(c.StallNS)
-		buf.WriteVarint(c.GrantWaitNS)
-		buf.WriteVarint(c.Grants)
 	}
 	buf.WriteUvarint(uint64(len(m.Relays)))
 	for _, r := range m.Relays {
@@ -144,18 +124,6 @@ func decodeFlows(b *ser.Buffer, acc *obs.FlowAccum) {
 			Src: int(b.ReadUvarint()), Dst: int(b.ReadUvarint()),
 			Bytes: b.ReadVarint(), Frames: b.ReadVarint(),
 			Rounds: b.ReadVarint(), MaxFrame: b.ReadVarint(),
-		})
-	}
-	nc := int(b.ReadUvarint())
-	for i := 0; i < nc; i++ {
-		m.Conns = append(m.Conns, obs.ConnStat{
-			LocalLo: int(b.ReadUvarint()), LocalHi: int(b.ReadUvarint()),
-			PeerLo: int(b.ReadUvarint()), PeerHi: int(b.ReadUvarint()),
-			Window: b.ReadVarint(), RecvWindow: b.ReadVarint(),
-			WindowPeak: b.ReadVarint(), Resizes: b.ReadVarint(),
-			Bytes: b.ReadVarint(), Frames: b.ReadVarint(),
-			RelayBytes: b.ReadVarint(), RelayFrames: b.ReadVarint(),
-			StallNS: b.ReadVarint(), GrantWaitNS: b.ReadVarint(), Grants: b.ReadVarint(),
 		})
 	}
 	nr := int(b.ReadUvarint())
@@ -284,20 +252,11 @@ func decodePartial(blob []byte) (p partial, err error) {
 func reportedError(msg string) error {
 	if msg == barrier.ErrAborted.Error() ||
 		strings.Contains(msg, "netcomm: job aborted") ||
-		strings.Contains(msg, "netcomm: aborted while awaiting window credit") ||
 		strings.Contains(msg, "connection to coordinator lost") {
 		return barrier.ErrAborted
 	}
 	if msg == barrier.ErrCancelled.Error() {
 		return barrier.ErrCancelled
-	}
-	if strings.Contains(msg, "netcomm: peer connection to workers") {
-		// A peer's data connection dying mid-job means the peer process
-		// itself died or unwound — the hub reports that root cause
-		// independently as ErrWorkerLost. Tag the fallout so recovery
-		// classification can tell it from an error this worker would
-		// hit again on retry.
-		return fmt.Errorf("%w: %s", netcomm.ErrPeerLost, msg)
 	}
 	return errors.New(msg)
 }

@@ -150,12 +150,7 @@ func (w *worker) run(d *descriptor) ack {
 	client, err := netcomm.DialConfig(netcomm.Config{
 		Network: d.network, Addr: d.addr,
 		Lo: d.lo, Hi: d.hi, M: d.m,
-		DataPlane:    d.plane,
-		WindowBytes:  d.windowBytes,
-		WindowMin:    d.windowMin,
-		WindowMax:    d.windowMax,
-		PromoteBytes: d.promoteBytes,
-		Flows:        flows,
+		Flows: flows,
 	})
 	if err != nil {
 		log.Error("joining the job failed", "err", err)
@@ -199,9 +194,6 @@ func (w *worker) run(d *descriptor) ack {
 	}
 	var flowMatrix *obs.FlowMatrix
 	if flows != nil && runErr == nil {
-		for _, c := range client.ConnStats() {
-			flows.AddConn(c)
-		}
 		flowMatrix = flows.Matrix()
 	}
 	buf := ser.NewBuffer(4096)
@@ -222,10 +214,9 @@ func (w *worker) run(d *descriptor) ack {
 // reportFailure ships a failure that struck before the job's fabric
 // existed the way a run error travels: as an error partial in the
 // result blob, after aborting the job so the other processes unwind
-// instead of waiting on a barrier this one will never reach. It joins
-// over the plain hub plane whatever the job's data plane is — there is
-// nothing to exchange. The returned string is empty on success, else
-// what the ack must carry instead.
+// instead of waiting on a barrier this one will never reach. The
+// returned string is empty on success, else what the ack must carry
+// instead.
 func reportFailure(d *descriptor, cause error) string {
 	client, err := netcomm.Dial(d.network, d.addr, d.lo, d.hi, d.m)
 	if err == nil {

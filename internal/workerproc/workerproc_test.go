@@ -51,14 +51,11 @@ func writeSnapshot(t *testing.T, g *graph.Graph, m int) (string, map[string]*par
 }
 
 // runJob executes one distributed job against this test binary.
-// plane selects the data plane ("" lets the worker default to hub); a
-// deliberately small credit window makes the p2p rows cycle through
-// grant/stall/replenish even on these small test graphs.
 func runJob(t *testing.T, snap string, placement string, part *partition.Partition,
 	procs int, algorithm string, eng algorithms.Engine, variant string,
-	params algorithms.Params, plane string) (*algorithms.Result, error) {
+	params algorithms.Params) (*algorithms.Result, error) {
 	t.Helper()
-	js := workerproc.JobSpec{
+	return wptest.Pool.Run(workerproc.JobSpec{
 		Bin:           os.Args[0],
 		SnapshotPath:  snap,
 		Placement:     placement,
@@ -70,32 +67,18 @@ func runJob(t *testing.T, snap string, placement string, part *partition.Partiti
 		Params:        params,
 		MaxSupersteps: 100000,
 		JoinTimeout:   time.Minute,
-		DataPlane:     plane,
-	}
-	switch plane {
-	case netcomm.DataPlaneP2P:
-		js.WindowBytes = 64 << 10
-	case netcomm.DataPlaneP2PAdaptive:
-		// Tiny initial window and promotion threshold so the sweep's
-		// modest graphs still exercise resizes and lazy-pair promotion,
-		// not just the relay path.
-		js.WindowBytes = 16 << 10
-		js.WindowMin = 8 << 10
-		js.PromoteBytes = 32 << 10
-	}
-	return wptest.Pool.Run(js)
+	})
 }
 
 // TestDistributedEquivalenceSweep is the acceptance sweep: every Table
 // IV–VII algorithm × both engines × every registered variant × hash and
-// greedy placements × all three data planes, with the workers in
-// separate OS processes joined over the socket fabric, must produce
-// oracle-identical results. Two workers share each process, so the sweep
-// also covers co-hosted workers whose frames round-trip through the hub
-// (hub plane) or stage in-process (p2p planes). Every row runs back to
-// back on the same two warm processes, so it is also the state-leak
-// sweep: nothing one algorithm, engine, placement or plane leaves behind
-// in a worker may change the next row's result.
+// greedy placements, with the workers in separate OS processes joined
+// over the socket fabric, must produce oracle-identical results. Two
+// workers share each process, so the sweep also covers co-hosted
+// workers whose frames stage in-process while their peers' cross the
+// hub. Every row runs back to back on the same two warm processes, so
+// it is also the state-leak sweep: nothing one algorithm, engine or
+// placement leaves behind in a worker may change the next row's result.
 func TestDistributedEquivalenceSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns many worker processes")
@@ -133,12 +116,10 @@ func TestDistributedEquivalenceSweep(t *testing.T) {
 		for _, eng := range spec.Engines() {
 			for _, variant := range spec.Variants(eng) {
 				for _, placement := range []string{partition.PlacementHash, partition.PlacementGreedy} {
-					for _, plane := range []string{netcomm.DataPlaneHub, netcomm.DataPlaneP2P, netcomm.DataPlaneP2PAdaptive} {
-						sweepOne(t, snaps[spec.Name], placement, parts[spec.Name][placement],
-							procs, spec, eng, variant, plane,
-							oracleWCC, oracleSCC, oracleRoots, oracleDist, oracleRank,
-							oracleMSFW, oracleMSFCnt)
-					}
+					sweepOne(t, snaps[spec.Name], placement, parts[spec.Name][placement],
+						procs, spec, eng, variant,
+						oracleWCC, oracleSCC, oracleRoots, oracleDist, oracleRank,
+						oracleMSFW, oracleMSFCnt)
 				}
 			}
 		}
@@ -146,14 +127,14 @@ func TestDistributedEquivalenceSweep(t *testing.T) {
 }
 
 func sweepOne(t *testing.T, snap, placement string, part *partition.Partition,
-	procs int, spec *algorithms.Spec, eng algorithms.Engine, variant, plane string,
+	procs int, spec *algorithms.Spec, eng algorithms.Engine, variant string,
 	oracleWCC, oracleSCC, oracleRoots []graph.VertexID, oracleDist []int64,
 	oracleRank []float64, oracleMSFW int64, oracleMSFCnt int) {
 	t.Helper()
-	name := fmt.Sprintf("%s/%s/%s/%s/%s", spec.Name, eng, variant, placement, plane)
+	name := fmt.Sprintf("%s/%s/%s/%s", spec.Name, eng, variant, placement)
 	params := algorithms.Params{Iterations: 12, Source: 1}
 	res, err := runJob(t, snap, placement, part,
-		procs, spec.Name, eng, variant, params, plane)
+		procs, spec.Name, eng, variant, params)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -230,13 +211,13 @@ func TestKillWorkerWithoutRecoveryFailsCleanly(t *testing.T) {
 
 // TestFaultMatrixRecovers is the recovery acceptance matrix: a
 // deterministic kill, drop or stall of one worker mid-job, under either
-// engine on either socket fabric on either data plane, must complete
-// anyway — the coordinator replaces the lost member in its slot, re-runs
-// the job on the same party from the last complete checkpoint, and the
-// final ranks are byte-identical to an in-process run of the same
-// engine. The p2p rows also prove mesh teardown and re-negotiation: each
-// recovery attempt's members, survivors included, must re-exchange the
-// peer directory and redial the full mesh.
+// engine, must complete anyway — the coordinator replaces the lost
+// member in its slot, re-runs the job on the same party from the last
+// complete checkpoint, and the final ranks are byte-identical to an
+// in-process run of the same engine. Every fault runs over Unix
+// sockets; a kill over loopback TCP is the TCP network's smoke row.
+// Row names keep their last segment, the data plane: every job rides
+// the hub.
 func TestFaultMatrixRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns many worker processes")
@@ -254,19 +235,11 @@ func TestFaultMatrixRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct{ kind, network, plane string }{
-			{"kill", "unix", netcomm.DataPlaneHub}, {"drop", "unix", netcomm.DataPlaneHub}, {"stall", "unix", netcomm.DataPlaneHub},
-			{"kill", "tcp", netcomm.DataPlaneHub}, {"drop", "tcp", netcomm.DataPlaneHub}, {"stall", "tcp", netcomm.DataPlaneHub},
-			{"kill", "unix", netcomm.DataPlaneP2P}, {"drop", "unix", netcomm.DataPlaneP2P}, {"stall", "unix", netcomm.DataPlaneP2P},
-			{"kill", "tcp", netcomm.DataPlaneP2P}, {"drop", "tcp", netcomm.DataPlaneP2P}, {"stall", "tcp", netcomm.DataPlaneP2P},
-			// The adaptive rows prove recovery re-negotiates the lazy
-			// mesh: each attempt restarts with cold routes and must
-			// re-earn its promotions and window sizes from scratch.
-			{"kill", "unix", netcomm.DataPlaneP2PAdaptive},
-			{"kill", "tcp", netcomm.DataPlaneP2PAdaptive},
+		for _, tc := range []struct{ kind, network string }{
+			{"kill", "unix"}, {"drop", "unix"}, {"stall", "unix"}, {"kill", "tcp"},
 		} {
-			kind, network, plane := tc.kind, tc.network, tc.plane
-			t.Run(fmt.Sprintf("%s/%s/%s/%s", eng, kind, network, plane), func(t *testing.T) {
+			kind, network := tc.kind, tc.network
+			t.Run(fmt.Sprintf("%s/%s/%s/hub", eng, kind, network), func(t *testing.T) {
 				var recoveries atomic.Int32
 				js := workerproc.JobSpec{
 					Bin:           os.Args[0],
@@ -285,7 +258,6 @@ func TestFaultMatrixRecovers(t *testing.T) {
 					CkptJob:       "t",
 					MaxRecoveries: 2,
 					RetryBackoff:  10 * time.Millisecond,
-					DataPlane:     plane,
 					Fault:         &workerproc.FaultSpec{Kind: kind, Worker: 2, Superstep: 5},
 					OnRecovery: func(attempt, restoreStep int, joined bool) {
 						recoveries.Add(1)
@@ -293,13 +265,6 @@ func TestFaultMatrixRecovers(t *testing.T) {
 							t.Errorf("joined party recovered without any checkpoint")
 						}
 					},
-				}
-				switch plane {
-				case netcomm.DataPlaneP2P:
-					js.WindowBytes = 64 << 10 // small window: recovery under credit pressure
-				case netcomm.DataPlaneP2PAdaptive:
-					js.WindowBytes = 16 << 10  // tiny window + threshold: the retried
-					js.PromoteBytes = 32 << 10 // party must redo resizes and promotions
 				}
 				if kind == "stall" {
 					// the only detector a parked worker has; roomy enough
@@ -400,7 +365,7 @@ func TestDistributedSuperstepCapSurfacesOnce(t *testing.T) {
 	const m = 2
 	snap, parts := writeSnapshot(t, g, m)
 	_, err := runJob(t, snap, partition.PlacementHash, parts[partition.PlacementHash],
-		m, "pagerank", algorithms.EngineChannel, "", algorithms.Params{Iterations: 50}, "")
+		m, "pagerank", algorithms.EngineChannel, "", algorithms.Params{Iterations: 50})
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}

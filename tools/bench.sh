@@ -36,7 +36,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PIN_REGEX="${PIN_REGEX:-^Benchmark(DirectMessageRing|CombinedMessageFanIn|ScatterCombineRing|ScatterCombineFragment|AggregatorSum|RequestRespondHub|PropagationPath|PropagationFragment|MirrorHubBroadcast|LiveIngest|LiveCompact|LivePinRelease|TraceObserverOff|FlowStatsOff|DistributedExchange/(hub|hub-2x2|p2p|p2p-adaptive|skew/(p2p|p2p-adaptive)))$}"
+PIN_REGEX="${PIN_REGEX:-^Benchmark(DirectMessageRing|CombinedMessageFanIn|ScatterCombineRing|ScatterCombineFragment|AggregatorSum|RequestRespondHub|PropagationPath|PropagationFragment|MirrorHubBroadcast|LiveIngest|LiveCompact|LivePinRelease|TraceObserverOff|FlowStatsOff|DistributedExchange/(hub|hub-2x2))$}"
 MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-20}"
 
 # latest_snapshots prints the two highest-numbered BENCH_<n>.json files

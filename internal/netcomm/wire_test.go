@@ -686,6 +686,40 @@ func TestHubPlaneRelaysDataBytes(t *testing.T) {
 	}
 }
 
+// Nothing in the transport itself bounds a receiver: a sender that
+// flushes round after round without ever crossing the barrier lands
+// every round in its silent peer's pending buffers, whose memory grows
+// with the volume sent. No engine drives an endpoint that way; the
+// bound comes from the round protocol (next test), not from the wire.
+func TestHubPlaneSenderUnboundedMemoryGrows(t *testing.T) {
+	const rounds, frame = 40, 64 << 10
+	hub, clients := dialParty(t, "tcp", DataPlaneHub, 2, 2)
+	ep := clients[0].eps[0]
+	for i := 0; i < rounds; i++ {
+		ep.Out(1).Extend(frame)
+		if err := ep.Flush(); err != nil {
+			t.Fatalf("hub-plane sender blocked at flush %d: %v", i, err)
+		}
+	}
+	rep := clients[1].eps[0]
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rep.mu.Lock()
+		staged := rep.pending[0].Len()
+		rep.mu.Unlock()
+		if staged >= rounds*frame {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("receiver staged %d of %d bytes", staged, rounds*frame)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if db := hub.DataBytes(); db < rounds*frame {
+		t.Errorf("hub relayed %d bytes, want >= %d", db, rounds*frame)
+	}
+}
+
 // The hub plane has no credit window, and needs none: under the
 // engines' round protocol (Flush, crossing, In, reducing crossing,
 // Release) no sender gets a round ahead of its slowest receiver, so a
@@ -773,5 +807,79 @@ func TestDataPlaneAliasesRunTheHub(t *testing.T) {
 	}
 	if _, err := DialConfig(Config{Network: "unix", Addr: "unused", Lo: 0, Hi: 0, M: 1, DataPlane: "mesh"}); err == nil {
 		t.Fatal(`DialConfig accepted DataPlane "mesh"`)
+	}
+}
+
+// The wire barrier must reduce identically on a party dialed under the
+// deprecated "p2p" name: that name now runs the hub, barrier included.
+func TestP2PWireBarrierAllReduce(t *testing.T) {
+	const m = 4
+	_, clients := dialParty(t, "tcp", DataPlaneP2P, m, m)
+	var wg sync.WaitGroup
+	sums := make([]uint64, m)
+	oks := make([]bool, m)
+	for i := 0; i < m; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bar := clients[i].Barrier()
+			for round := 0; round < 20; round++ {
+				sums[i], oks[i] = bar.AllReduce(uint64(i + 1))
+				if !oks[i] || sums[i] != m*(m+1)/2 {
+					return
+				}
+				if !bar.Wait() {
+					oks[i] = false
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < m; i++ {
+		if !oks[i] || sums[i] != m*(m+1)/2 {
+			t.Fatalf("client %d: sum=%d ok=%v want %d true", i, sums[i], oks[i], m*(m+1)/2)
+		}
+	}
+}
+
+// Regression: a worker that has flushed its round and is blocked at the
+// barrier waiting for a receiver that dies mid-round must observe the
+// abort promptly — the hub turns the lost connection into an abort —
+// instead of waiting forever for a crossing that cannot come.
+func TestReceiverDeathWakesBlockedSender(t *testing.T) {
+	const frame = 64 << 10
+	_, clients := dialParty(t, "tcp", DataPlaneHub, 2, 2)
+	c0 := clients[0]
+	ep := c0.eps[0]
+	done := make(chan bool, 1)
+	go func() {
+		ep.Out(1).Extend(frame)
+		if err := ep.Flush(); err != nil {
+			done <- false
+			return
+		}
+		done <- c0.Barrier().Wait()
+	}()
+
+	select {
+	case ok := <-done:
+		t.Fatalf("sender left the round before its receiver arrived (ok=%v)", ok)
+	case <-time.After(50 * time.Millisecond):
+	}
+	clients[1].Close() // the receiver "dies" mid-round
+	select {
+	case ok := <-done:
+		if ok {
+			t.Error("blocked sender crossed the barrier after receiver death")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sender goroutine stuck at the barrier after receiver death")
+	}
+	if !c0.bar.Aborted() {
+		t.Error("barrier not aborted after receiver death")
+	}
+	if c0.Err() == nil {
+		t.Error("client recorded no transport error after receiver death")
 	}
 }

@@ -240,7 +240,22 @@ func TestRecoveryCountedInMetrics(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("spawn hook never fired")
 	}
-	time.Sleep(300 * time.Millisecond)
+	// Kill on progress, not after a fixed sleep: a warm party can finish
+	// all 400 supersteps before a timer fires. Two streamed supersteps
+	// mean the party has joined and written a checkpoint.
+	for {
+		tr, _, err := mgr.Trace(snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Supersteps) >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job streamed no supersteps")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := syscall.Kill(victims[1], syscall.SIGKILL); err != nil {
 		t.Skipf("worker already gone: %v", err)
 	}

@@ -214,10 +214,9 @@ func TestKillWorkerWithoutRecoveryFailsCleanly(t *testing.T) {
 // engine, must complete anyway — the coordinator replaces the lost
 // member in its slot, re-runs the job on the same party from the last
 // complete checkpoint, and the final ranks are byte-identical to an
-// in-process run of the same engine. Every fault runs over Unix
-// sockets; a kill over loopback TCP is the TCP network's smoke row.
-// Row names keep their last segment, the data plane: every job rides
-// the hub.
+// in-process run of the same engine. Every fault runs over both Unix
+// sockets and loopback TCP. Row names keep their last segment, the data
+// plane: every job rides the hub.
 func TestFaultMatrixRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns many worker processes")
@@ -236,7 +235,8 @@ func TestFaultMatrixRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct{ kind, network string }{
-			{"kill", "unix"}, {"drop", "unix"}, {"stall", "unix"}, {"kill", "tcp"},
+			{"kill", "unix"}, {"drop", "unix"}, {"stall", "unix"},
+			{"kill", "tcp"}, {"drop", "tcp"}, {"stall", "tcp"},
 		} {
 			kind, network := tc.kind, tc.network
 			t.Run(fmt.Sprintf("%s/%s/%s/hub", eng, kind, network), func(t *testing.T) {

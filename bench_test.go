@@ -3,8 +3,11 @@ package repro
 // One benchmark per table/figure of the paper's evaluation (§V), plus
 // ablation benches for the design choices DESIGN.md calls out. Each
 // bench reports, besides ns/op, the simulated distributed runtime
-// (sim-ms/op: wall time + modeled network time) and the network volume
-// (msgMB/op), which are the two columns of the paper's tables.
+// (sim-ms/op: wall time + modeled network time), the network volume
+// (msgMB/op) and the superstep count (steps/op), the columns of the
+// paper's tables:
+//
+//	go test -run '^$' -bench 'Table[4-7]' .
 //
 //	BenchmarkTable4/*   — Table IV  (pregel vs channel, 6 algorithms)
 //	BenchmarkTable5/*   — Table V   (the three optimized channels)
@@ -28,482 +31,212 @@ import (
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/netcomm"
-	"repro/internal/partition"
-	"repro/internal/pregel"
 	"repro/internal/ser"
 )
 
 var (
-	dsOnce sync.Once
-	ds     *harness.Datasets
+	graphsOnce sync.Once
+	graphs     map[string]*graph.Graph
 )
 
-// benchData generates moderate-size datasets once (between ScaleTest
+// benchGraph returns a moderate-size dataset (between harness.ScaleTest
 // and ScaleBench, sized so the full -bench=. sweep completes on a
-// laptop core).
-func benchData() *harness.Datasets {
-	dsOnce.Do(func() {
-		ds = &harness.Datasets{
-			Wiki:     graph.RMAT(11, 8, 101, graph.RMATOptions{NoSelfLoops: true}),
-			WebUK:    graph.RMAT(12, 10, 102, graph.RMATOptions{NoSelfLoops: true}),
-			Facebook: graph.SocialRMAT(11, 2, 103),
-			Twitter:  graph.SocialRMAT(10, 16, 104),
-			Chain:    graph.Chain(20000),
-			Tree:     graph.RandomTree(20000, 105),
-			Road:     graph.Grid(80, 80, 1000, 106),
-			RMATW:    graph.Undirectify(graph.RMAT(10, 8, 107, graph.RMATOptions{Weighted: true, MaxWeight: 1000, NoSelfLoops: true})),
+// laptop core), generating them all on first use.
+func benchGraph(name string) *graph.Graph {
+	graphsOnce.Do(func() {
+		wiki := graph.RMAT(11, 8, 101, graph.RMATOptions{NoSelfLoops: true})
+		graphs = map[string]*graph.Graph{
+			"wiki":     wiki,
+			"wiki-und": graph.Undirectify(wiki),
+			"webuk":    graph.RMAT(12, 10, 102, graph.RMATOptions{NoSelfLoops: true}),
+			"facebook": graph.SocialRMAT(11, 2, 103),
+			"twitter":  graph.SocialRMAT(10, 16, 104),
+			"chain":    graph.Chain(20000),
+			"tree":     graph.RandomTree(20000, 105),
+			"road":     graph.Grid(80, 80, 1000, 106),
 		}
 	})
-	return ds
+	return graphs[name]
 }
 
-// fragment cache: benchmarks measure superstep time on pre-resolved
-// shared-nothing fragments, not fragment construction, mirroring how
-// the catalog serves jobs.
+type placement struct {
+	graph  string
+	greedy bool
+}
+
 var (
-	fragMu    sync.Mutex
-	fragCache = map[fragKey]*frag.Fragments{}
+	inputMu sync.Mutex
+	inputs  = map[placement]algorithms.Options{}
 )
 
-type fragKey struct {
-	g *graph.Graph
-	p *partition.Partition
-}
-
-func opts(g *graph.Graph, p *partition.Partition) algorithms.Options {
-	fragMu.Lock()
-	defer fragMu.Unlock()
-	fs, ok := fragCache[fragKey{g, p}]
+// benchInput returns a dataset and its run options under hash or
+// locality placement. Partition and fragments are built once per
+// (dataset, placement) and shared by every row on it, mirroring how the
+// catalog serves jobs: the rows measure supersteps, not fragment
+// construction.
+func benchInput(name string, greedy bool) (*graph.Graph, algorithms.Options) {
+	g := benchGraph(name)
+	inputMu.Lock()
+	defer inputMu.Unlock()
+	k := placement{name, greedy}
+	o, ok := inputs[k]
 	if !ok {
-		fs = frag.Build(g, p)
-		fragCache[fragKey{g, p}] = fs
+		p := harness.HashPart(g)
+		if greedy {
+			p = harness.GreedyPart(g)
+		}
+		o = algorithms.Options{Part: p, Frags: frag.Build(g, p), MaxSupersteps: 200000}
+		inputs[k] = o
 	}
-	return algorithms.Options{Part: p, Frags: fs, MaxSupersteps: 200000}
+	return g, o
 }
 
-func reportC(b *testing.B, m engine.Metrics, err error) {
-	b.Helper()
-	b.ReportAllocs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(m.SimTime().Milliseconds()), "sim-ms/op")
-	b.ReportMetric(float64(m.Comm.NetworkBytes)/1e6, "msgMB/op")
+func report(b *testing.B, m algorithms.Metrics) {
+	b.ReportMetric(float64(m.SimTime.Milliseconds()), "sim-ms/op")
+	b.ReportMetric(float64(m.NetBytes)/1e6, "msgMB/op")
 	b.ReportMetric(float64(m.Supersteps), "steps/op")
 }
 
-func reportP(b *testing.B, m pregel.Metrics, err error) {
-	b.Helper()
-	b.ReportAllocs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(m.SimTime().Milliseconds()), "sim-ms/op")
-	b.ReportMetric(float64(m.Comm.NetworkBytes)/1e6, "msgMB/op")
-	b.ReportMetric(float64(m.Supersteps), "steps/op")
+const (
+	chn = algorithms.EngineChannel
+	prg = algorithms.EnginePregel
+)
+
+// benchRow is one sub-benchmark of a paper table or ablation: one
+// registry variant on one dataset and placement.
+type benchRow struct {
+	bench   string // top-level benchmark, without the Benchmark prefix
+	name    string // sub-benchmark name
+	alg     string
+	eng     algorithms.Engine
+	variant string
+	graph   string // benchGraph name
+	greedy  bool   // locality placement (the paper's "(P)") instead of hash
+	iters   int    // PageRank supersteps; 0 for the other algorithms
 }
 
 const prIters = 30
 
-// --- Table IV: basic implementations, pregel vs channel ---
+var benchRows = []benchRow{
+	// Table IV: basic implementations, pregel vs channel
+	{"Table4", "PR/pregel", "pagerank", prg, "basic", "webuk", false, prIters},
+	{"Table4", "PR/channel", "pagerank", chn, "basic", "webuk", false, prIters},
+	{"Table4", "WCC/pregel", "wcc", prg, "basic", "wiki-und", false, 0},
+	{"Table4", "WCC/channel", "wcc", chn, "basic", "wiki-und", false, 0},
+	{"Table4", "PJ/pregel", "pointerjump", prg, "basic", "chain", false, 0},
+	{"Table4", "PJ/channel", "pointerjump", chn, "basic", "chain", false, 0},
+	{"Table4", "SV/pregel", "sv", prg, "basic", "facebook", false, 0},
+	{"Table4", "SV/channel", "sv", chn, "basic", "facebook", false, 0},
+	{"Table4", "MSF/pregel", "msf", prg, "basic", "road", false, 0},
+	{"Table4", "MSF/channel", "msf", chn, "basic", "road", false, 0},
+	{"Table4", "SCC/pregel", "scc", prg, "basic", "wiki", false, 0},
+	{"Table4", "SCC/channel", "scc", chn, "basic", "wiki", false, 0},
 
-func BenchmarkTable4(b *testing.B) {
-	d := benchData()
-	und := graph.Undirectify(d.Wiki)
-	b.Run("PR/pregel", func(b *testing.B) {
-		p := harness.HashPart(d.WebUK)
-		o := opts(d.WebUK, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankPregel(d.WebUK, o, prIters)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("PR/channel", func(b *testing.B) {
-		p := harness.HashPart(d.WebUK)
-		o := opts(d.WebUK, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankChannel(d.WebUK, o, prIters)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("WCC/pregel", func(b *testing.B) {
-		p := harness.HashPart(und)
-		o := opts(und, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.WCCPregel(und, o)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("WCC/channel", func(b *testing.B) {
-		p := harness.HashPart(und)
-		o := opts(und, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.WCCChannel(und, o)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("PJ/pregel", func(b *testing.B) {
-		p := harness.HashPart(d.Chain)
-		o := opts(d.Chain, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpPregel(d.Chain, o)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("PJ/channel", func(b *testing.B) {
-		p := harness.HashPart(d.Chain)
-		o := opts(d.Chain, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpChannel(d.Chain, o)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("SV/pregel", func(b *testing.B) {
-		p := harness.HashPart(d.Facebook)
-		o := opts(d.Facebook, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.SVPregel(d.Facebook, o)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("SV/channel", func(b *testing.B) {
-		p := harness.HashPart(d.Facebook)
-		o := opts(d.Facebook, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.SVChannel(d.Facebook, o)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("MSF/pregel", func(b *testing.B) {
-		p := harness.HashPart(d.Road)
-		o := opts(d.Road, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.MSFPregel(d.Road, o)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("MSF/channel", func(b *testing.B) {
-		p := harness.HashPart(d.Road)
-		o := opts(d.Road, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.MSFChannel(d.Road, o)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("SCC/pregel", func(b *testing.B) {
-		p := harness.HashPart(d.Wiki)
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.SCCPregel(d.Wiki, o)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("SCC/channel", func(b *testing.B) {
-		p := harness.HashPart(d.Wiki)
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.SCCChannel(d.Wiki, o)
-			reportC(b, m, err)
-		}
-	})
+	// Table V: the three optimized channels
+	{"Table5", "ScatterCombine/pregel-basic", "pagerank", prg, "basic", "wiki", false, prIters},
+	{"Table5", "ScatterCombine/pregel-ghost", "pagerank", prg, "ghost", "wiki", false, prIters},
+	{"Table5", "ScatterCombine/channel-basic", "pagerank", chn, "basic", "wiki", false, prIters},
+	{"Table5", "ScatterCombine/channel-scatter", "pagerank", chn, "scatter", "wiki", false, prIters},
+	{"Table5", "RequestRespond/pregel-basic", "pointerjump", prg, "basic", "tree", false, 0},
+	{"Table5", "RequestRespond/pregel-reqresp", "pointerjump", prg, "reqresp", "tree", false, 0},
+	{"Table5", "RequestRespond/channel-basic", "pointerjump", chn, "basic", "tree", false, 0},
+	{"Table5", "RequestRespond/channel-reqresp", "pointerjump", chn, "reqresp", "tree", false, 0},
+	{"Table5", "Propagation/hash/pregel-basic", "wcc", prg, "basic", "wiki-und", false, 0},
+	{"Table5", "Propagation/hash/blogel", "wcc", chn, "blogel", "wiki-und", false, 0},
+	{"Table5", "Propagation/hash/channel-basic", "wcc", chn, "basic", "wiki-und", false, 0},
+	{"Table5", "Propagation/hash/channel-prop", "wcc", chn, "propagation", "wiki-und", false, 0},
+	{"Table5", "Propagation/partitioned/pregel-basic", "wcc", prg, "basic", "wiki-und", true, 0},
+	{"Table5", "Propagation/partitioned/blogel", "wcc", chn, "blogel", "wiki-und", true, 0},
+	{"Table5", "Propagation/partitioned/channel-basic", "wcc", chn, "basic", "wiki-und", true, 0},
+	{"Table5", "Propagation/partitioned/channel-prop", "wcc", chn, "propagation", "wiki-und", true, 0},
+
+	// Table VI: S-V channel combinations
+	{"Table6", "Facebook/1-pregel-reqresp", "sv", prg, "reqresp", "facebook", false, 0},
+	{"Table6", "Facebook/2-channel-basic", "sv", chn, "basic", "facebook", false, 0},
+	{"Table6", "Facebook/3-channel-reqresp", "sv", chn, "reqresp", "facebook", false, 0},
+	{"Table6", "Facebook/4-channel-scatter", "sv", chn, "scatter", "facebook", false, 0},
+	{"Table6", "Facebook/5-channel-both", "sv", chn, "both", "facebook", false, 0},
+	{"Table6", "Twitter/1-pregel-reqresp", "sv", prg, "reqresp", "twitter", false, 0},
+	{"Table6", "Twitter/2-channel-basic", "sv", chn, "basic", "twitter", false, 0},
+	{"Table6", "Twitter/3-channel-reqresp", "sv", chn, "reqresp", "twitter", false, 0},
+	{"Table6", "Twitter/4-channel-scatter", "sv", chn, "scatter", "twitter", false, 0},
+	{"Table6", "Twitter/5-channel-both", "sv", chn, "both", "twitter", false, 0},
+
+	// Table VII: Min-Label SCC
+	{"Table7", "hash/1-pregel-basic", "scc", prg, "basic", "wiki", false, 0},
+	{"Table7", "hash/2-channel-basic", "scc", chn, "basic", "wiki", false, 0},
+	{"Table7", "hash/3-channel-prop", "scc", chn, "propagation", "wiki", false, 0},
+	{"Table7", "partitioned/1-pregel-basic", "scc", prg, "basic", "wiki", true, 0},
+	{"Table7", "partitioned/2-channel-basic", "scc", chn, "basic", "wiki", true, 0},
+	{"Table7", "partitioned/3-channel-prop", "scc", chn, "propagation", "wiki", true, 0},
+
+	// receiver-side dense combining (ScatterCombine's in-array) against
+	// per-destination combining (CombinedMessage) for the same static
+	// traffic: PageRank's inner loop
+	{"AblationCombinePath", "hashmap", "pagerank", chn, "basic", "wiki", false, 10},
+	{"AblationCombinePath", "presorted-scan", "pagerank", chn, "scatter", "wiki", false, 10},
+
+	// the §V-B2 reply-format trick: the channel's ordered bare-value
+	// replies vs Pregel+'s (id, value) pairs, on the hub-heavy tree
+	{"AblationReplyFormat", "value-only-replies", "pointerjump", chn, "reqresp", "tree", false, 0},
+	{"AblationReplyFormat", "id-value-replies", "pointerjump", prg, "reqresp", "tree", false, 0},
+
+	// the Mirror extension channel (ghost mode as a channel) against the
+	// engine-level ghost mode and the plain scatter channel on the
+	// hub-heavy web graph
+	{"AblationMirrorChannel", "mirror-channel", "pagerank", chn, "mirror", "wiki", false, 10},
+	{"AblationMirrorChannel", "pregel-ghost-mode", "pagerank", prg, "ghost", "wiki", false, 10},
+	{"AblationMirrorChannel", "scatter-channel", "pagerank", chn, "scatter", "wiki", false, 10},
+
+	// in-superstep multi-round propagation against its block-centric
+	// restriction (one exchange per superstep) — the design choice that
+	// separates the Propagation channel from a Blogel block program
+	{"AblationPropagationRounds", "multi-round", "wcc", chn, "propagation", "wiki-und", true, 0},
+	{"AblationPropagationRounds", "one-round-per-step", "wcc", chn, "blogel", "wiki-und", true, 0},
 }
 
-// --- Table V: the three optimized channels ---
-
-func BenchmarkTable5(b *testing.B) {
-	d := benchData()
-	b.Run("ScatterCombine/pregel-basic", func(b *testing.B) {
-		p := harness.HashPart(d.Wiki)
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankPregel(d.Wiki, o, prIters)
-			reportP(b, m, err)
+// runRows runs the rows of one top-level benchmark through the
+// algorithms registry, in table order.
+func runRows(b *testing.B, bench string) {
+	for _, r := range benchRows {
+		if r.bench != bench {
+			continue
 		}
-	})
-	b.Run("ScatterCombine/pregel-ghost", func(b *testing.B) {
-		p := harness.HashPart(d.Wiki)
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankPregelGhost(d.Wiki, o, prIters)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("ScatterCombine/channel-basic", func(b *testing.B) {
-		p := harness.HashPart(d.Wiki)
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankChannel(d.Wiki, o, prIters)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("ScatterCombine/channel-scatter", func(b *testing.B) {
-		p := harness.HashPart(d.Wiki)
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankScatter(d.Wiki, o, prIters)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("RequestRespond/pregel-basic", func(b *testing.B) {
-		p := harness.HashPart(d.Tree)
-		o := opts(d.Tree, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpPregel(d.Tree, o)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("RequestRespond/pregel-reqresp", func(b *testing.B) {
-		p := harness.HashPart(d.Tree)
-		o := opts(d.Tree, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpPregelReqResp(d.Tree, o)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("RequestRespond/channel-basic", func(b *testing.B) {
-		p := harness.HashPart(d.Tree)
-		o := opts(d.Tree, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpChannel(d.Tree, o)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("RequestRespond/channel-reqresp", func(b *testing.B) {
-		p := harness.HashPart(d.Tree)
-		o := opts(d.Tree, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpReqResp(d.Tree, o)
-			reportC(b, m, err)
-		}
-	})
-
-	und := graph.Undirectify(d.Wiki)
-	hash := harness.HashPart(und)
-	greedy := harness.GreedyPart(und)
-	for _, t := range []struct {
-		name string
-		p    *partition.Partition
-	}{{"hash", hash}, {"partitioned", greedy}} {
-		p := t.p
-		b.Run("Propagation/"+t.name+"/pregel-basic", func(b *testing.B) {
-			o := opts(und, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.WCCPregel(und, o)
-				reportP(b, m, err)
+		b.Run(r.name, func(b *testing.B) {
+			spec, ok := algorithms.Lookup(r.alg)
+			if !ok {
+				b.Fatalf("unknown algorithm %q", r.alg)
 			}
-		})
-		b.Run("Propagation/"+t.name+"/blogel", func(b *testing.B) {
-			o := opts(und, p)
+			g, o := benchInput(r.graph, r.greedy)
+			params := algorithms.Params{Iterations: r.iters}
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.WCCBlogel(und, o)
-				reportC(b, m, err)
-			}
-		})
-		b.Run("Propagation/"+t.name+"/channel-basic", func(b *testing.B) {
-			o := opts(und, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.WCCChannel(und, o)
-				reportC(b, m, err)
-			}
-		})
-		b.Run("Propagation/"+t.name+"/channel-prop", func(b *testing.B) {
-			o := opts(und, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.WCCPropagation(und, o)
-				reportC(b, m, err)
+				res, err := spec.Run(r.eng, r.variant, g, o, params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				report(b, res.Metrics)
 			}
 		})
 	}
 }
 
-// --- Table VI: S-V channel combinations ---
-
-func BenchmarkTable6(b *testing.B) {
-	d := benchData()
-	for _, t := range []struct {
-		name string
-		g    *graph.Graph
-	}{{"Facebook", d.Facebook}, {"Twitter", d.Twitter}} {
-		g := t.g
-		p := harness.HashPart(g)
-		b.Run(t.name+"/1-pregel-reqresp", func(b *testing.B) {
-			o := opts(g, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SVPregelReqResp(g, o)
-				reportP(b, m, err)
-			}
-		})
-		b.Run(t.name+"/2-channel-basic", func(b *testing.B) {
-			o := opts(g, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SVChannel(g, o)
-				reportC(b, m, err)
-			}
-		})
-		b.Run(t.name+"/3-channel-reqresp", func(b *testing.B) {
-			o := opts(g, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SVReqResp(g, o)
-				reportC(b, m, err)
-			}
-		})
-		b.Run(t.name+"/4-channel-scatter", func(b *testing.B) {
-			o := opts(g, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SVScatter(g, o)
-				reportC(b, m, err)
-			}
-		})
-		b.Run(t.name+"/5-channel-both", func(b *testing.B) {
-			o := opts(g, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SVBoth(g, o)
-				reportC(b, m, err)
-			}
-		})
-	}
-}
-
-// --- Table VII: Min-Label SCC ---
-
-func BenchmarkTable7(b *testing.B) {
-	d := benchData()
-	hash := harness.HashPart(d.Wiki)
-	greedy := harness.GreedyPart(d.Wiki)
-	for _, t := range []struct {
-		name string
-		p    *partition.Partition
-	}{{"hash", hash}, {"partitioned", greedy}} {
-		p := t.p
-		b.Run(t.name+"/1-pregel-basic", func(b *testing.B) {
-			o := opts(d.Wiki, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SCCPregel(d.Wiki, o)
-				reportP(b, m, err)
-			}
-		})
-		b.Run(t.name+"/2-channel-basic", func(b *testing.B) {
-			o := opts(d.Wiki, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SCCChannel(d.Wiki, o)
-				reportC(b, m, err)
-			}
-		})
-		b.Run(t.name+"/3-channel-prop", func(b *testing.B) {
-			o := opts(d.Wiki, p)
-			for i := 0; i < b.N; i++ {
-				_, m, err := algorithms.SCCPropagation(d.Wiki, o)
-				reportC(b, m, err)
-			}
-		})
-	}
-}
-
-// --- Ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationCombinePath compares receiver-side dense combining
-// (ScatterCombine's in-array) against hash-map combining
-// (CombinedMessage) for the same static traffic: PageRank's inner loop.
-func BenchmarkAblationCombinePath(b *testing.B) {
-	d := benchData()
-	p := harness.HashPart(d.Wiki)
-	b.Run("hashmap", func(b *testing.B) {
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankChannel(d.Wiki, o, 10)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("presorted-scan", func(b *testing.B) {
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankScatter(d.Wiki, o, 10)
-			reportC(b, m, err)
-		}
-	})
-}
-
-// BenchmarkAblationReplyFormat quantifies the §V-B2 reply-format trick:
-// the channel's ordered bare-value replies vs Pregel+'s (id, value)
-// pairs, on the hub-heavy tree workload.
-func BenchmarkAblationReplyFormat(b *testing.B) {
-	d := benchData()
-	p := harness.HashPart(d.Tree)
-	b.Run("value-only-replies", func(b *testing.B) {
-		o := opts(d.Tree, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpReqResp(d.Tree, o)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("id-value-replies", func(b *testing.B) {
-		o := opts(d.Tree, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PointerJumpPregelReqResp(d.Tree, o)
-			reportP(b, m, err)
-		}
-	})
-}
-
-// BenchmarkAblationMirrorChannel compares the Mirror extension channel
-// (ghost mode as a channel) against the engine-level ghost mode and the
-// plain scatter channel on the hub-heavy web graph.
-func BenchmarkAblationMirrorChannel(b *testing.B) {
-	d := benchData()
-	p := harness.HashPart(d.Wiki)
-	b.Run("mirror-channel", func(b *testing.B) {
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankMirror(d.Wiki, o, 10)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("pregel-ghost-mode", func(b *testing.B) {
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankPregelGhost(d.Wiki, o, 10)
-			reportP(b, m, err)
-		}
-	})
-	b.Run("scatter-channel", func(b *testing.B) {
-		o := opts(d.Wiki, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.PageRankScatter(d.Wiki, o, 10)
-			reportC(b, m, err)
-		}
-	})
-}
-
-// BenchmarkAblationPropagationRounds compares the in-superstep
-// multi-round propagation against its block-centric restriction (one
-// exchange per superstep) — the design choice that separates the
-// Propagation channel from a Blogel block program.
-func BenchmarkAblationPropagationRounds(b *testing.B) {
-	d := benchData()
-	und := graph.Undirectify(d.Wiki)
-	p := harness.GreedyPart(und)
-	b.Run("multi-round", func(b *testing.B) {
-		o := opts(und, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.WCCPropagation(und, o)
-			reportC(b, m, err)
-		}
-	})
-	b.Run("one-round-per-step", func(b *testing.B) {
-		o := opts(und, p)
-		for i := 0; i < b.N; i++ {
-			_, m, err := algorithms.WCCBlogel(und, o)
-			reportC(b, m, err)
-		}
-	})
-}
+func BenchmarkTable4(b *testing.B)                    { runRows(b, "Table4") }
+func BenchmarkTable5(b *testing.B)                    { runRows(b, "Table5") }
+func BenchmarkTable6(b *testing.B)                    { runRows(b, "Table6") }
+func BenchmarkTable7(b *testing.B)                    { runRows(b, "Table7") }
+func BenchmarkAblationCombinePath(b *testing.B)       { runRows(b, "AblationCombinePath") }
+func BenchmarkAblationReplyFormat(b *testing.B)       { runRows(b, "AblationReplyFormat") }
+func BenchmarkAblationMirrorChannel(b *testing.B)     { runRows(b, "AblationMirrorChannel") }
+func BenchmarkAblationPropagationRounds(b *testing.B) { runRows(b, "AblationPropagationRounds") }
 
 // BenchmarkAblationCostModel shows the raw in-process wall time next to
 // the simulated distributed time for one representative workload, so
 // readers can see how much of the reported runtime is modeled network.
 func BenchmarkAblationCostModel(b *testing.B) {
-	d := benchData()
-	p := harness.HashPart(d.Facebook)
+	g, o := benchInput("facebook", false)
+	p := o.Part
 	for _, t := range []struct {
 		name string
 		cost comm.CostModel
@@ -513,10 +246,14 @@ func BenchmarkAblationCostModel(b *testing.B) {
 	} {
 		cost := t.cost
 		b.Run(t.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				fab := comm.NewInProc(p.NumWorkers(), cost)
-				m, err := engine.Run(engine.Config{Part: p, Fabric: fab, MaxSupersteps: 200000}, svSetup(d.Facebook, p))
-				reportC(b, m, err)
+				m, err := engine.Run(engine.Config{Part: p, Fabric: fab, MaxSupersteps: 200000}, svSetup(g))
+				if err != nil {
+					b.Fatal(err)
+				}
+				report(b, algorithms.Metrics{SimTime: m.SimTime(), NetBytes: m.Comm.NetworkBytes, Supersteps: m.Supersteps})
 			}
 		})
 	}
@@ -524,7 +261,7 @@ func BenchmarkAblationCostModel(b *testing.B) {
 
 // svSetup builds a neighborhood-scatter kernel (10 supersteps of
 // combined float messages) for the cost-model ablation.
-func svSetup(g *graph.Graph, p *partition.Partition) func(w *engine.Worker) {
+func svSetup(g *graph.Graph) func(w *engine.Worker) {
 	return func(w *engine.Worker) {
 		vals := make([]float64, w.LocalCount())
 		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, channel.Sum[float64]())
@@ -534,7 +271,7 @@ func svSetup(g *graph.Graph, p *partition.Partition) func(w *engine.Worker) {
 			}
 			if w.Superstep() <= 10 {
 				for _, v := range g.Neighbors(w.GlobalID(li)) {
-					msg.SendMessage(v, vals[li])
+					msg.Send(w.Addr(v), vals[li])
 				}
 			} else {
 				w.VoteToHalt()

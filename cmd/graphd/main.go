@@ -16,11 +16,11 @@
 //
 // Observability: GET /metrics serves the daemon's counters in the
 // Prometheus text format (including graphd_build_info and
-// graphd_uptime_seconds), GET /v1/jobs/{id}/trace serves a job's
-// per-worker superstep timeline, GET /v1/jobs/{id}/flows its
-// per-(src,dst) flow matrix, GET /v1/jobs/{id}/diagnosis an automatic
-// bottleneck report, GET /v1/jobs/{id}/events a live SSE stream of
-// state transitions and completed supersteps, and -pprof mounts
+// graphd_uptime_seconds), GET /v1/jobs/{id}/report serves a job's
+// per-worker superstep timeline, per-(src,dst) flow matrix and
+// automatic bottleneck diagnosis from one snapshot, GET
+// /v1/jobs/{id}/events a live SSE stream of state transitions and
+// completed supersteps, and -pprof mounts
 // net/http/pprof under /debug/pprof/ for live CPU and heap profiles.
 // Logs go to stderr as logfmt lines (-log-level debug|info|warn|error).
 //

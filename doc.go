@@ -1,12 +1,14 @@
 // Package repro reproduces "Composing Optimization Techniques for
 // Vertex-Centric Graph Processing via Communication Channels" (Zhang &
-// Hu, IPDPS 2019). The library lives under internal/: core is the
-// channel-based system (the paper's contribution), pregel and blogel
-// behaviours provide the baselines, algorithms implements the paper's
-// evaluation programs behind a shared (algorithm, engine, variant)
-// registry, and harness regenerates Tables IV-VII through that
-// registry. The top-level bench_test.go maps each table to a testing.B
-// benchmark.
+// Hu, IPDPS 2019). The library lives under internal/: engine plus
+// channel is the channel-based system (the paper's contribution; a
+// program is a set of channels and a compute function, as in Fig. 1),
+// pregel and blogel behaviours provide the baselines, algorithms
+// implements the paper's evaluation programs behind a shared
+// (algorithm, engine, variant) registry — the one way to run a named
+// program — and harness regenerates Tables IV-VII through that
+// registry. The top-level bench_test.go maps each table row to a
+// testing.B sub-benchmark run through the same registry.
 //
 // Both engines run on one superstep driver, internal/bsp: the paper's
 // Fig. 4 loop written once — set-up crossings, compute phase,
@@ -116,9 +118,10 @@
 // one index, and rejects in Deserialize the two things a hostile peer
 // could otherwise turn into an index outside the engine's recover: a
 // requested vertex outside the responder's range and a response list of
-// another length than the request list. The
-// id-based channel APIs remain as thin resolving wrappers
-// for dynamic destinations (pointer chases, request targets). Because a
+// another length than the request list. Channels take addresses only:
+// a dynamic destination known by id (a pointer chase, a request target)
+// is Worker.Addr(id), so the paper's send_message(dst, m) is
+// Send(w.Addr(dst), m). Because a
 // fragment plus its channels is the complete per-worker state, workers
 // no longer need any shared mutable structure — the stepping stone to
 // running them in separate processes. Fragments are cached by the
@@ -176,8 +179,8 @@
 // Every job accumulates an obs.FlowAccum — a dense (src, dst) matrix
 // recorded lock-free at the fabrics' flush seam (in-process: the
 // exchanger's FinishSerialize; sockets: the client's Flush), plus
-// per-process relay stats on the hub — served as GET
-// /v1/jobs/{id}/flows with an identical shape on both fabrics.
+// per-process relay stats on the hub — served as the flows section of
+// GET /v1/jobs/{id}/report with an identical shape on both fabrics.
 // Worker processes ship their matrix share piggybacked on the result
 // blobs, and only a successful attempt contributes, so recovery never
 // double-counts. State transitions and completed supersteps stream as
@@ -186,8 +189,9 @@
 // completes, the job's trace fires a step event exactly once when the
 // last worker's sample lands (idempotent across recovery replays), and
 // per-job sequence numbers let a slow consumer detect drops.
-// obs.Diagnose correlates trace, flows and metrics into
-// /v1/jobs/{id}/diagnosis: straggler ranking by barrier-wait deficit
+// obs.Diagnose correlates trace, flows and metrics into the report's
+// diagnosis section, run over the same trace and flow snapshots the
+// report serves: straggler ranking by barrier-wait deficit
 // against a fleet-common time denominator (so a worker whose time
 // vanished outside the instrumented regions still stands out), with
 // cause attribution (compute, the worker's own Flush time, or neither);

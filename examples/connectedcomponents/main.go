@@ -12,30 +12,32 @@ import (
 	"fmt"
 
 	"repro/internal/algorithms"
-	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func main() {
 	// A dense undirected social graph (Twitter stand-in).
 	g := graph.SocialRMAT(11, 16, 3)
-	part, err := core.HashPartition(g.NumVertices(), 8)
+	part, err := partition.Hash(g.NumVertices(), 8)
 	if err != nil {
 		panic(err)
 	}
 	opts := algorithms.Options{Part: part, MaxSupersteps: 100000}
+	sv, _ := algorithms.Lookup("sv")
 
-	comps, mBasic, err := algorithms.SVChannel(g, opts)
+	basic, err := sv.Run(algorithms.EngineChannel, "basic", g, opts, algorithms.Params{})
 	if err != nil {
 		panic(err)
 	}
-	_, mBoth, err := algorithms.SVBoth(g, opts)
+	both, err := sv.Run(algorithms.EngineChannel, "both", g, opts, algorithms.Params{})
 	if err != nil {
 		panic(err)
 	}
+	mBasic, mBoth := basic.Metrics, both.Metrics
 
 	distinct := map[graph.VertexID]int{}
-	for _, c := range comps {
+	for _, c := range basic.Labels {
 		distinct[c]++
 	}
 	largest := 0
@@ -50,15 +52,15 @@ func main() {
 	fmt.Printf("%-34s %12s %12s %8s\n", "program", "runtime", "msg(MB)", "steps")
 	for _, r := range []struct {
 		name string
-		m    core.Metrics
+		m    algorithms.Metrics
 	}{
 		{"standard channels", mBasic},
 		{"reqresp + scatter-combine", mBoth},
 	} {
 		fmt.Printf("%-34s %12v %12.2f %8d\n", r.name,
-			r.m.SimTime().Round(1000), float64(r.m.Comm.NetworkBytes)/1e6, r.m.Supersteps)
+			r.m.SimTime.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
 	}
 	fmt.Printf("\ncomposition speedup: %.2fx runtime, %.2fx message volume\n",
-		mBasic.SimTime().Seconds()/mBoth.SimTime().Seconds(),
-		float64(mBasic.Comm.NetworkBytes)/float64(mBoth.Comm.NetworkBytes))
+		mBasic.SimTime.Seconds()/mBoth.SimTime.Seconds(),
+		float64(mBasic.NetBytes)/float64(mBoth.NetBytes))
 }

@@ -2,7 +2,8 @@
 // port, then drives it exactly like an HTTP client would — submits a
 // mixed batch of jobs (both engines, several algorithms) against one
 // shared dataset, polls them to completion, and prints the per-job
-// metrics plus the catalog stats showing the dataset loaded once.
+// metrics plus the catalog and job-manager counters (read in process:
+// over HTTP they are /metrics) showing the dataset loaded once.
 package main
 
 import (
@@ -80,16 +81,12 @@ func main() {
 			id, requests[i].Algorithm, requests[i].Engine, variant, steps, netBytes, snap.State)
 	}
 
-	var stats struct {
-		Catalog catalog.Stats `json:"catalog"`
-		Jobs    jobs.Stats    `json:"jobs"`
-	}
-	mustGet(base+"/v1/stats", &stats)
+	cs, js := cat.Stats(), mgr.Stats()
 	fmt.Printf("\ncatalog: %d load(s), %d hit(s), %d bytes resident\n",
-		stats.Catalog.Loads, stats.Catalog.Hits, stats.Catalog.Bytes)
+		cs.Loads, cs.Hits, cs.Bytes)
 	fmt.Printf("jobs:    %d submitted, %d done, %d failed\n",
-		stats.Jobs.Submitted, stats.Jobs.Done, stats.Jobs.Failed)
-	if stats.Catalog.Loads != 1 {
+		js.Submitted, js.Done, js.Failed)
+	if cs.Loads != 1 {
 		fmt.Println("unexpected: dataset should have loaded exactly once")
 		os.Exit(1)
 	}

@@ -1,6 +1,9 @@
 // Quickstart: PageRank written against the channel API, following the
 // paper's Fig. 1 line by line — a CombinedMessage channel carries the
-// rank shares and an Aggregator redistributes the dead-end mass.
+// rank shares and an Aggregator redistributes the dead-end mass. A
+// program is the engine (internal/engine) plus the channels it
+// registers (internal/channel) over a vertex placement
+// (internal/partition).
 //
 // Run: go run ./examples/quickstart
 package main
@@ -9,8 +12,10 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/channel"
+	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/ser"
 )
 
@@ -18,7 +23,7 @@ func main() {
 	// A small power-law web graph (Wikipedia stand-in) on 4 simulated
 	// workers.
 	g := graph.RMAT(10, 8, 7, graph.RMATOptions{NoSelfLoops: true})
-	part, err := core.HashPartition(g.NumVertices(), 4)
+	part, err := partition.Hash(g.NumVertices(), 4)
 	if err != nil {
 		panic(err)
 	}
@@ -26,10 +31,10 @@ func main() {
 
 	pr := make([]float64, g.NumVertices())
 
-	met, err := core.Run(core.Config{Part: part}, func(w *core.Worker) {
+	met, err := engine.Run(engine.Config{Part: part}, func(w *engine.Worker) {
 		// Two channels, exactly as in the paper's PageRankWorker.
-		msg := core.NewCombinedMessage[float64](w, ser.Float64Codec{}, core.Sum[float64]())
-		agg := core.NewAggregator[float64](w, ser.Float64Codec{}, core.Sum[float64](), 0)
+		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, channel.Sum[float64]())
+		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
 		n := float64(w.NumVertices())
 		local := make([]float64, w.LocalCount())
 
@@ -46,7 +51,7 @@ func main() {
 				if len(nbrs) > 0 {
 					share := local[li] / float64(len(nbrs))
 					for _, v := range nbrs {
-						msg.SendMessage(v, share)
+						msg.Send(w.Addr(v), share)
 					}
 				} else {
 					agg.Add(local[li]) // dead end: hand mass to the sink

@@ -11,8 +11,8 @@ import (
 	"fmt"
 
 	"repro/internal/algorithms"
-	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/seq"
 )
 
@@ -20,30 +20,32 @@ func main() {
 	// A directed power-law graph (Wikipedia stand-in) with many
 	// nontrivial SCCs.
 	g := graph.RMAT(11, 6, 9, graph.RMATOptions{NoSelfLoops: true})
-	part, err := core.HashPartition(g.NumVertices(), 8)
+	part, err := partition.Hash(g.NumVertices(), 8)
 	if err != nil {
 		panic(err)
 	}
 	opts := algorithms.Options{Part: part, MaxSupersteps: 200000}
+	scc, _ := algorithms.Lookup("scc")
 
-	basic, mBasic, err := algorithms.SCCChannel(g, opts)
+	basic, err := scc.Run(algorithms.EngineChannel, "basic", g, opts, algorithms.Params{})
 	if err != nil {
 		panic(err)
 	}
-	prop, mProp, err := algorithms.SCCPropagation(g, opts)
+	prop, err := scc.Run(algorithms.EngineChannel, "propagation", g, opts, algorithms.Params{})
 	if err != nil {
 		panic(err)
 	}
+	mBasic, mProp := basic.Metrics, prop.Metrics
 
 	oracle := seq.SCC(g)
 	for v := range oracle {
-		if basic[v] != oracle[v] || prop[v] != oracle[v] {
+		if basic.Labels[v] != oracle[v] || prop.Labels[v] != oracle[v] {
 			panic(fmt.Sprintf("SCC mismatch at vertex %d", v))
 		}
 	}
 
 	counts := map[graph.VertexID]int{}
-	for _, c := range prop {
+	for _, c := range prop.Labels {
 		counts[c]++
 	}
 	largest := 0
@@ -59,15 +61,15 @@ func main() {
 	fmt.Printf("%-28s %12s %12s %8s\n", "program", "runtime", "msg(MB)", "steps")
 	for _, r := range []struct {
 		name string
-		m    core.Metrics
+		m    algorithms.Metrics
 	}{
 		{"standard channels", mBasic},
 		{"propagation channel", mProp},
 	} {
 		fmt.Printf("%-28s %12v %12.2f %8d\n", r.name,
-			r.m.SimTime().Round(1000), float64(r.m.Comm.NetworkBytes)/1e6, r.m.Supersteps)
+			r.m.SimTime.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
 	}
 	fmt.Printf("\npropagation speedup: %.2fx runtime, %.1fx fewer supersteps\n",
-		mBasic.SimTime().Seconds()/mProp.SimTime().Seconds(),
+		mBasic.SimTime.Seconds()/mProp.SimTime.Seconds(),
 		float64(mBasic.Supersteps)/float64(mProp.Supersteps))
 }

@@ -12,8 +12,8 @@ import (
 	"math"
 
 	"repro/internal/algorithms"
-	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/seq"
 )
 
@@ -21,18 +21,19 @@ func main() {
 	// A weighted grid (USA-road stand-in): large diameter makes the
 	// superstep count the dominant cost for the classic algorithm.
 	g := graph.Grid(150, 150, 1000, 5)
-	part, err := core.HashPartition(g.NumVertices(), 8)
+	part, err := partition.Hash(g.NumVertices(), 8)
 	if err != nil {
 		panic(err)
 	}
 	opts := algorithms.Options{Part: part, MaxSupersteps: 100000}
 	const src = 0
+	sssp, _ := algorithms.Lookup("sssp")
 
-	classic, mClassic, err := algorithms.SSSPChannel(g, src, opts)
+	classic, err := sssp.Run(algorithms.EngineChannel, "basic", g, opts, algorithms.Params{Source: src})
 	if err != nil {
 		panic(err)
 	}
-	prop, mProp, err := algorithms.SSSPPropagation(g, src, opts)
+	prop, err := sssp.Run(algorithms.EngineChannel, "propagation", g, opts, algorithms.Params{Source: src})
 	if err != nil {
 		panic(err)
 	}
@@ -40,7 +41,7 @@ func main() {
 	oracle := seq.Dijkstra(g, src)
 	reached, far := 0, int64(0)
 	for v := range oracle {
-		if classic[v] != oracle[v] || prop[v] != oracle[v] {
+		if classic.Dists[v] != oracle[v] || prop.Dists[v] != oracle[v] {
 			panic(fmt.Sprintf("distance mismatch at vertex %d", v))
 		}
 		if oracle[v] != math.MaxInt64 {
@@ -56,12 +57,12 @@ func main() {
 	fmt.Printf("%-28s %12s %12s %8s\n", "program", "runtime", "msg(MB)", "steps")
 	for _, r := range []struct {
 		name string
-		m    core.Metrics
+		m    algorithms.Metrics
 	}{
-		{"combined-message channel", mClassic},
-		{"weighted propagation", mProp},
+		{"combined-message channel", classic.Metrics},
+		{"weighted propagation", prop.Metrics},
 	} {
 		fmt.Printf("%-28s %12v %12.2f %8d\n", r.name,
-			r.m.SimTime().Round(1000), float64(r.m.Comm.NetworkBytes)/1e6, r.m.Supersteps)
+			r.m.SimTime.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
 	}
 }

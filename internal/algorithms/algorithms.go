@@ -5,9 +5,11 @@
 // studies) and in the baseline monolithic-message engine. SSSP is
 // included as an additional example of the scatter/propagation channels.
 //
-// Every function returns the per-vertex result assembled into a global
-// slice plus the engine metrics, so the harness can print the paper's
-// table rows and the tests can compare against internal/seq oracles.
+// The registry (Lookup, then Spec.Run) is the only way to run a variant
+// from outside the package: graphd, the graphworkers, the harness, the
+// benchmarks and the examples all dispatch through it. Each variant
+// assembles its per-vertex output into one global slice, returned in a
+// Result next to the normalized Metrics.
 package algorithms
 
 import (

@@ -38,7 +38,7 @@ func TestPageRankVariantsMatchOracle(t *testing.T) {
 	const iters = 15
 	want := seq.PageRank(g, iters)
 
-	got, met, err := PageRankChannel(g, hashOpts(g), iters)
+	got, met, err := pageRankChannel(g, hashOpts(g), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,32 +47,32 @@ func TestPageRankVariantsMatchOracle(t *testing.T) {
 		t.Errorf("channel supersteps=%d", met.Supersteps)
 	}
 
-	got2, _, err := PageRankScatter(g, hashOpts(g), iters)
+	got2, _, err := pageRankScatter(g, hashOpts(g), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPageRank(t, "scatter", got2, want)
 
-	got3, _, err := PageRankPregel(g, hashOpts(g), iters)
+	got3, _, err := pageRankPregel(g, hashOpts(g), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPageRank(t, "pregel", got3, want)
 
-	got4, _, err := PageRankPregelGhost(g, hashOpts(g), iters)
+	got4, _, err := pageRankPregelGhost(g, hashOpts(g), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPageRank(t, "ghost", got4, want)
 
-	got5, _, err := PageRankMirror(g, hashOpts(g), iters)
+	got5, _, err := pageRankMirror(g, hashOpts(g), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPageRank(t, "mirror", got5, want)
 }
 
-// pageRankScalarFold is PageRankScatter written as plain loops with one
+// pageRankScalarFold is pageRankScatter written as plain loops with one
 // scalar + per edge, in the order the channels combine: per destination
 // the sources of one worker in ascending local index, the workers'
 // partial sums in worker order, the dangling mass likewise.
@@ -149,7 +149,7 @@ func TestPageRankScatterBitIdenticalToScalarFold(t *testing.T) {
 	g := graph.RMAT(12, 16, 7, graph.RMATOptions{NoSelfLoops: true})
 	const iters = 30
 	opts := hashOpts(g)
-	got, _, err := PageRankScatter(g, opts, iters)
+	got, _, err := pageRankScatter(g, opts, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestPageRankDeadEnds(t *testing.T) {
 	edges := []graph.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}}
 	g := graph.FromEdges(4, edges, false)
 	want := seq.PageRank(g, 10)
-	got, _, err := PageRankChannel(g, hashOpts(g), 10)
+	got, _, err := pageRankChannel(g, hashOpts(g), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,25 +202,25 @@ func TestPointerJumpVariants(t *testing.T) {
 		{"forest", graph.Forest(600, 5, 3)},
 	} {
 		want := seq.TreeRoots(tc.g)
-		got, _, err := PointerJumpChannel(tc.g, hashOpts(tc.g))
+		got, _, err := pointerJumpChannel(tc.g, hashOpts(tc.g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkRoots(t, tc.name+"/channel", got, want)
 
-		got2, _, err := PointerJumpReqResp(tc.g, hashOpts(tc.g))
+		got2, _, err := pointerJumpReqResp(tc.g, hashOpts(tc.g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkRoots(t, tc.name+"/reqresp", got2, want)
 
-		got3, _, err := PointerJumpPregel(tc.g, hashOpts(tc.g))
+		got3, _, err := pointerJumpPregel(tc.g, hashOpts(tc.g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkRoots(t, tc.name+"/pregel", got3, want)
 
-		got4, _, err := PointerJumpPregelReqResp(tc.g, hashOpts(tc.g))
+		got4, _, err := pointerJumpPregelReqResp(tc.g, hashOpts(tc.g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,11 +230,11 @@ func TestPointerJumpVariants(t *testing.T) {
 
 func TestPointerJumpReqRespFewerSupersteps(t *testing.T) {
 	g := graph.Chain(2000)
-	_, mBasic, err := PointerJumpChannel(g, hashOpts(g))
+	_, mBasic, err := pointerJumpChannel(g, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mRR, err := PointerJumpReqResp(g, hashOpts(g))
+	_, mRR, err := pointerJumpReqResp(g, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestPointerJumpReqRespFewerSupersteps(t *testing.T) {
 	}
 	// Pregel+ reply format is bigger than the channel's ordered-value
 	// replies for the same protocol
-	_, mPRR, err := PointerJumpPregelReqResp(g, hashOpts(g))
+	_, mPRR, err := pointerJumpPregelReqResp(g, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +263,12 @@ func TestWCCVariantsMatchOracle(t *testing.T) {
 		name string
 		run  func() ([]graph.VertexID, error)
 	}{
-		{"channel", func() ([]graph.VertexID, error) { v, _, e := WCCChannel(g, hashOpts(g)); return v, e }},
-		{"prop", func() ([]graph.VertexID, error) { v, _, e := WCCPropagation(g, hashOpts(g)); return v, e }},
-		{"blogel", func() ([]graph.VertexID, error) { v, _, e := WCCBlogel(g, hashOpts(g)); return v, e }},
-		{"pregel", func() ([]graph.VertexID, error) { v, _, e := WCCPregel(g, hashOpts(g)); return v, e }},
-		{"prop-partitioned", func() ([]graph.VertexID, error) { v, _, e := WCCPropagation(g, greedyOpts(g)); return v, e }},
-		{"blogel-partitioned", func() ([]graph.VertexID, error) { v, _, e := WCCBlogel(g, greedyOpts(g)); return v, e }},
+		{"channel", func() ([]graph.VertexID, error) { v, _, e := wccChannel(g, hashOpts(g)); return v, e }},
+		{"prop", func() ([]graph.VertexID, error) { v, _, e := wccPropagation(g, hashOpts(g)); return v, e }},
+		{"blogel", func() ([]graph.VertexID, error) { v, _, e := wccBlogel(g, hashOpts(g)); return v, e }},
+		{"pregel", func() ([]graph.VertexID, error) { v, _, e := wccPregel(g, hashOpts(g)); return v, e }},
+		{"prop-partitioned", func() ([]graph.VertexID, error) { v, _, e := wccPropagation(g, greedyOpts(g)); return v, e }},
+		{"blogel-partitioned", func() ([]graph.VertexID, error) { v, _, e := wccBlogel(g, greedyOpts(g)); return v, e }},
 	} {
 		got, err := tc.run()
 		if err != nil {
@@ -281,11 +281,11 @@ func TestWCCVariantsMatchOracle(t *testing.T) {
 func TestWCCPropagationSuperstepAdvantage(t *testing.T) {
 	// long path: hash-min needs O(n) supersteps, propagation needs 2
 	g := graph.Undirectify(graph.Chain(300))
-	_, mChan, err := WCCChannel(g, hashOpts(g))
+	_, mChan, err := wccChannel(g, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mProp, err := WCCPropagation(g, hashOpts(g))
+	_, mProp, err := wccPropagation(g, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +311,12 @@ func TestSVVariantsMatchOracle(t *testing.T) {
 			name string
 			run  func() ([]graph.VertexID, error)
 		}{
-			{"basic", func() ([]graph.VertexID, error) { v, _, e := SVChannel(g, opts); return v, e }},
-			{"reqresp", func() ([]graph.VertexID, error) { v, _, e := SVReqResp(g, opts); return v, e }},
-			{"scatter", func() ([]graph.VertexID, error) { v, _, e := SVScatter(g, opts); return v, e }},
-			{"both", func() ([]graph.VertexID, error) { v, _, e := SVBoth(g, opts); return v, e }},
-			{"pregel", func() ([]graph.VertexID, error) { v, _, e := SVPregel(g, opts); return v, e }},
-			{"pregel-reqresp", func() ([]graph.VertexID, error) { v, _, e := SVPregelReqResp(g, opts); return v, e }},
+			{"basic", func() ([]graph.VertexID, error) { v, _, e := svChannel(g, opts); return v, e }},
+			{"reqresp", func() ([]graph.VertexID, error) { v, _, e := svReqResp(g, opts); return v, e }},
+			{"scatter", func() ([]graph.VertexID, error) { v, _, e := svScatter(g, opts); return v, e }},
+			{"both", func() ([]graph.VertexID, error) { v, _, e := svBoth(g, opts); return v, e }},
+			{"pregel", func() ([]graph.VertexID, error) { v, _, e := svPregel(g, opts); return v, e }},
+			{"pregel-reqresp", func() ([]graph.VertexID, error) { v, _, e := svPregelReqResp(g, opts); return v, e }},
 		} {
 			got, err := tc.run()
 			if err != nil {
@@ -332,15 +332,15 @@ func TestSVMessageReduction(t *testing.T) {
 	// more bytes than the channel version
 	g := graph.SocialRMAT(7, 8, 3)
 	opts := hashOpts(g)
-	_, mPregel, err := SVPregel(g, opts)
+	_, mPregel, err := svPregel(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mChan, err := SVChannel(g, opts)
+	_, mChan, err := svChannel(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mBoth, err := SVBoth(g, opts)
+	_, mBoth, err := svBoth(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestSVMessageReduction(t *testing.T) {
 func TestSSSPMatchesDijkstra(t *testing.T) {
 	g := graph.RMAT(8, 6, 21, graph.RMATOptions{Weighted: true, MaxWeight: 50})
 	want := seq.Dijkstra(g, 0)
-	got, _, err := SSSPChannel(g, 0, hashOpts(g))
+	got, _, err := ssspChannel(g, 0, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 			t.Fatalf("sssp[%d]=%d want %d", i, got[i], want[i])
 		}
 	}
-	got2, met, err := SSSPPropagation(g, 0, hashOpts(g))
+	got2, met, err := ssspPropagation(g, 0, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 func TestSSSPGrid(t *testing.T) {
 	g := graph.Grid(12, 12, 9, 4)
 	want := seq.Dijkstra(g, 0)
-	got, _, err := SSSPChannel(g, 0, hashOpts(g))
+	got, _, err := ssspChannel(g, 0, hashOpts(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,19 +410,19 @@ func TestSCCVariantsMatchOracle(t *testing.T) {
 		opts := hashOpts(tc.g)
 		opts.MaxSupersteps = 8000
 
-		got, _, err := SCCChannel(tc.g, opts)
+		got, _, err := sccChannel(tc.g, opts)
 		if err != nil {
 			t.Fatalf("%s channel: %v", tc.name, err)
 		}
 		checkRoots(t, tc.name+"/channel", got, want)
 
-		got2, _, err := SCCPropagation(tc.g, opts)
+		got2, _, err := sccPropagation(tc.g, opts)
 		if err != nil {
 			t.Fatalf("%s prop: %v", tc.name, err)
 		}
 		checkRoots(t, tc.name+"/prop", got2, want)
 
-		got3, _, err := SCCPregel(tc.g, opts)
+		got3, _, err := sccPregel(tc.g, opts)
 		if err != nil {
 			t.Fatalf("%s pregel: %v", tc.name, err)
 		}
@@ -442,11 +442,11 @@ func TestSCCPropagationFewerSupersteps(t *testing.T) {
 	g := graph.FromEdges(200, cycleEdges(200), false)
 	opts := hashOpts(g)
 	opts.MaxSupersteps = 8000
-	_, mChan, err := SCCChannel(g, opts)
+	_, mChan, err := sccChannel(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mProp, err := SCCPropagation(g, opts)
+	_, mProp, err := sccPropagation(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestMSFVariantsMatchKruskal(t *testing.T) {
 		wantW, wantCnt := seq.MSFWeight(tc.g)
 		wantCC := seq.ConnectedComponents(tc.g)
 
-		res, _, err := MSFChannel(tc.g, hashOpts(tc.g))
+		res, _, err := msfChannel(tc.g, hashOpts(tc.g))
 		if err != nil {
 			t.Fatalf("%s channel: %v", tc.name, err)
 		}
@@ -478,7 +478,7 @@ func TestMSFVariantsMatchKruskal(t *testing.T) {
 		}
 		checkForest(t, tc.name+"/channel", tc.g, res, wantCC)
 
-		res2, _, err := MSFPregel(tc.g, hashOpts(tc.g))
+		res2, _, err := msfPregel(tc.g, hashOpts(tc.g))
 		if err != nil {
 			t.Fatalf("%s pregel: %v", tc.name, err)
 		}

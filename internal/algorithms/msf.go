@@ -186,9 +186,9 @@ func msfLoadCore(buf *ser.Buffer, comp, cur, droot []graph.VertexID, pend []msfC
 	return edges
 }
 
-// MSFChannel runs Boruvka MSF on the channel engine. The input must be
+// msfChannel runs Boruvka MSF on the channel engine. The input must be
 // an undirected weighted graph.
-func MSFChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error) {
+func msfChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error) {
 	part := opts.Part
 	compStates := make([][]graph.VertexID, part.NumWorkers())
 	edgeStates := make([][]graph.Edge, part.NumWorkers())
@@ -302,7 +302,7 @@ func MSFChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error)
 					best = msfCandMin(best, c)
 				}
 				if best.Valid {
-					cand.SendMessage(comp[li], best)
+					cand.Send(w.Addr(comp[li]), best)
 				}
 			case msfSelect:
 				// roots select their component's best candidate
@@ -313,7 +313,7 @@ func MSFChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error)
 						droot[li] = c.C2
 						pend[li] = c
 						selAgg.Add(1)
-						rrD.AddRequest(c.C2)
+						rrD.Request(w.Addr(c.C2))
 					}
 				}
 			case msfResolve:
@@ -340,13 +340,13 @@ func MSFChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error)
 				} else {
 					cur[li] = comp[li]
 				}
-				rrJump.AddRequest(cur[li])
+				rrJump.Request(w.Addr(cur[li]))
 			case msfJump:
 				if nc, ok := rrJump.Respond(); ok && graph.VertexID(nc) != cur[li] {
 					cur[li] = nc
 					jumpAgg.Add(1)
 				}
-				rrJump.AddRequest(cur[li])
+				rrJump.Request(w.Addr(cur[li]))
 			}
 		}
 	})

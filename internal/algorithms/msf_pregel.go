@@ -6,7 +6,7 @@ import (
 	"repro/internal/ser"
 )
 
-// MSFPregel runs Boruvka MSF on the baseline engine. This is the
+// msfPregel runs Boruvka MSF on the baseline engine. This is the
 // paper's canonical heterogeneous-message example (§V-A): the
 // monolithic type must be a tagged 4-word tuple — big enough for a
 // candidate edge — so every broadcast pair, every request and every
@@ -74,9 +74,9 @@ const (
 	msfPJApply
 )
 
-// MSFPregel runs the baseline Boruvka MSF on an undirected weighted
+// msfPregel runs the baseline Boruvka MSF on an undirected weighted
 // graph.
-func MSFPregel(g *graph.Graph, opts Options) (MSFResult, pregel.Metrics, error) {
+func msfPregel(g *graph.Graph, opts Options) (MSFResult, pregel.Metrics, error) {
 	part := opts.Part
 	compStates := make([][]graph.VertexID, part.NumWorkers())
 	edgeStates := make([][]graph.Edge, part.NumWorkers())

@@ -105,14 +105,14 @@ func TestObserverTraceShape(t *testing.T) {
 // accidentally becoming mandatory).
 func TestObserverNilIsNoop(t *testing.T) {
 	g := graph.RMAT(7, 4, 7, graph.RMATOptions{})
-	want, _, err := PageRankChannel(g, hashOpts(g), 5)
+	want, _, err := pageRankChannel(g, hashOpts(g), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := hashOpts(g)
 	tr := obs.NewTrace(opts.Part.NumWorkers())
 	opts.Observer = tr
-	got, _, err := PageRankChannel(g, opts, 5)
+	got, _, err := pageRankChannel(g, opts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,14 @@ import (
 // rounds of the 0.85-damped update with a sink-mass aggregator for dead
 // ends. Four variants are provided, matching Table V (top):
 //
-//	PageRankChannel        — CombinedMessage + Aggregator (Fig. 1 verbatim)
-//	PageRankScatter        — ScatterCombine + Aggregator (the 5-line change of §III-B)
-//	PageRankPregel         — baseline engine, sum combiner
-//	PageRankPregelGhost    — baseline engine, ghost/mirroring mode
+//	pageRankChannel        — CombinedMessage + Aggregator (Fig. 1 verbatim)
+//	pageRankScatter        — ScatterCombine + Aggregator (the 5-line change of §III-B)
+//	pageRankPregel         — baseline engine, sum combiner
+//	pageRankPregelGhost    — baseline engine, ghost/mirroring mode
 
-// PageRankChannel runs PageRank on the channel engine with the standard
+// pageRankChannel runs PageRank on the channel engine with the standard
 // CombinedMessage channel, exactly as in Fig. 1 of the paper.
-func PageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
+func pageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
 	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
@@ -60,10 +60,10 @@ func PageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, e
 	return gather(part, states), met, err
 }
 
-// PageRankScatter is PageRankChannel with the message channel swapped
+// pageRankScatter is pageRankChannel with the message channel swapped
 // for a ScatterCombine channel — the static messaging pattern
 // optimization of §IV-C1.
-func PageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
+func pageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
 	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
@@ -101,10 +101,10 @@ func PageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, e
 	return gather(part, states), met, err
 }
 
-// PageRankMirror runs PageRank with the Mirror extension channel
+// pageRankMirror runs PageRank with the Mirror extension channel
 // (sender-side combining for hubs, threshold 16) — ghost mode as a
 // composable channel rather than an engine switch.
-func PageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
+func pageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
 	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
@@ -144,19 +144,19 @@ func PageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, en
 	return gather(part, states), met, err
 }
 
-// PageRankPregel runs PageRank on the baseline engine (Pregel+ basic
+// pageRankPregel runs PageRank on the baseline engine (Pregel+ basic
 // with the sum combiner).
-func PageRankPregel(g *graph.Graph, opts Options, iterations int) ([]float64, pregel.Metrics, error) {
-	return pageRankPregel(g, opts, iterations, 0)
+func pageRankPregel(g *graph.Graph, opts Options, iterations int) ([]float64, pregel.Metrics, error) {
+	return pageRankPregelThreshold(g, opts, iterations, 0)
 }
 
-// PageRankPregelGhost runs PageRank on the baseline engine in ghost
+// pageRankPregelGhost runs PageRank on the baseline engine in ghost
 // (mirroring) mode with the paper's threshold of 16.
-func PageRankPregelGhost(g *graph.Graph, opts Options, iterations int) ([]float64, pregel.Metrics, error) {
-	return pageRankPregel(g, opts, iterations, 16)
+func pageRankPregelGhost(g *graph.Graph, opts Options, iterations int) ([]float64, pregel.Metrics, error) {
+	return pageRankPregelThreshold(g, opts, iterations, 16)
 }
 
-func pageRankPregel(g *graph.Graph, opts Options, iterations, ghostThreshold int) ([]float64, pregel.Metrics, error) {
+func pageRankPregelThreshold(g *graph.Graph, opts Options, iterations, ghostThreshold int) ([]float64, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
 	cfg := pregel.Config[float64, struct{}, float64]{

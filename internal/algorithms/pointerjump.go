@@ -17,14 +17,14 @@ import (
 // The communication is a pure request-respond conversation: each round a
 // vertex asks its current parent for the parent's pointer. Variants:
 //
-//	PointerJumpChannel        — DirectMessage request + reply pair
+//	pointerJumpChannel        — DirectMessage request + reply pair
 //	                            (2 supersteps per jump, replies from a
 //	                            hub are sent one per requester)
-//	PointerJumpReqResp        — RequestRespond channel (1 superstep per
+//	pointerJumpReqResp        — RequestRespond channel (1 superstep per
 //	                            jump, per-worker request dedup, ordered
 //	                            value-only replies)
-//	PointerJumpPregel         — baseline engine, messages only
-//	PointerJumpPregelReqResp  — baseline engine in Pregel+ reqresp mode
+//	pointerJumpPregel         — baseline engine, messages only
+//	pointerJumpPregelReqResp  — baseline engine in Pregel+ reqresp mode
 //	                            ((id,value) replies)
 
 // parentOf returns the initial parent of id in the forest graph (itself
@@ -37,10 +37,10 @@ func parentOf(g *graph.Graph, id graph.VertexID) graph.VertexID {
 	return nbrs[0]
 }
 
-// PointerJumpChannel runs pointer jumping with standard channels: a
+// pointerJumpChannel runs pointer jumping with standard channels: a
 // request DirectMessage carrying the requester id and a reply
 // DirectMessage carrying the parent's pointer.
-func PointerJumpChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func pointerJumpChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	met, err := engine.Run(opts, func(w *engine.Worker) {
@@ -61,14 +61,14 @@ func PointerJumpChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.
 					w.VoteToHalt() // already a root
 					return
 				}
-				reqCh.SendMessage(d[li], id)
+				reqCh.Send(w.Addr(d[li]), id)
 				return
 			}
 			if step%2 == 0 {
 				// even steps: serve requests (a vertex may be woken only
 				// to reply), and otherwise wait for our own reply
 				for _, requester := range reqCh.Messages(li) {
-					repCh.SendMessage(requester, d[li])
+					repCh.Send(w.Addr(requester), d[li])
 				}
 				w.VoteToHalt() // reply (next odd step) reactivates us
 				return
@@ -82,15 +82,15 @@ func PointerJumpChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.
 				}
 				d[li] = gp
 			}
-			reqCh.SendMessage(d[li], id)
+			reqCh.Send(w.Addr(d[li]), id)
 		}
 	})
 	return gather(part, states), met, err
 }
 
-// PointerJumpReqResp runs pointer jumping with the RequestRespond
+// pointerJumpReqResp runs pointer jumping with the RequestRespond
 // channel: one superstep per jump.
-func PointerJumpReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func pointerJumpReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	met, err := engine.Run(opts, func(w *engine.Worker) {
@@ -112,7 +112,7 @@ func PointerJumpReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, engine.
 					w.VoteToHalt()
 					return
 				}
-				rr.AddRequest(d[li])
+				rr.Request(w.Addr(d[li]))
 				return
 			}
 			gp, ok := rr.Respond()
@@ -125,16 +125,16 @@ func PointerJumpReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, engine.
 				return
 			}
 			d[li] = gp
-			rr.AddRequest(d[li])
+			rr.Request(w.Addr(d[li]))
 		}
 	})
 	return gather(part, states), met, err
 }
 
-// PointerJumpPregel runs pointer jumping on the baseline engine with
+// pointerJumpPregel runs pointer jumping on the baseline engine with
 // explicit request and reply messages sharing the monolithic uint32
 // message type (phase disambiguated by superstep parity).
-func PointerJumpPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
+func pointerJumpPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	cfg := pregel.Config[uint32, struct{}, struct{}]{
@@ -180,9 +180,9 @@ func PointerJumpPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.M
 	return gather(part, states), met, err
 }
 
-// PointerJumpPregelReqResp runs pointer jumping on the baseline engine
+// pointerJumpPregelReqResp runs pointer jumping on the baseline engine
 // in reqresp mode (Pregel+ style (id,value) replies).
-func PointerJumpPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
+func pointerJumpPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	var responder func(w *pregel.Worker[uint32, uint32, struct{}], li int) uint32

@@ -43,13 +43,13 @@ func TestPropertySVEqualsUnionFind(t *testing.T) {
 		var err error
 		switch variant {
 		case 0:
-			got, _, err = SVChannel(g, o)
+			got, _, err = svChannel(g, o)
 		case 1:
-			got, _, err = SVReqResp(g, o)
+			got, _, err = svReqResp(g, o)
 		case 2:
-			got, _, err = SVScatter(g, o)
+			got, _, err = svScatter(g, o)
 		default:
-			got, _, err = SVBoth(g, o)
+			got, _, err = svBoth(g, o)
 		}
 		if err != nil {
 			t.Logf("seed %d variant %d: %v", seed, variant, err)
@@ -77,9 +77,9 @@ func TestPropertyWCCEqualsUnionFind(t *testing.T) {
 		var got []graph.VertexID
 		var err error
 		if rng.Intn(2) == 0 {
-			got, _, err = WCCPropagation(g, o)
+			got, _, err = wccPropagation(g, o)
 		} else {
-			got, _, err = WCCBlogel(g, o)
+			got, _, err = wccBlogel(g, o)
 		}
 		if err != nil {
 			return false
@@ -110,9 +110,9 @@ func TestPropertyPJFindsRoots(t *testing.T) {
 		var got []graph.VertexID
 		var err error
 		if rng.Intn(2) == 0 {
-			got, _, err = PointerJumpChannel(g, o)
+			got, _, err = pointerJumpChannel(g, o)
 		} else {
-			got, _, err = PointerJumpReqResp(g, o)
+			got, _, err = pointerJumpReqResp(g, o)
 		}
 		if err != nil {
 			return false
@@ -140,9 +140,9 @@ func TestPropertySCCEqualsTarjan(t *testing.T) {
 		var got []graph.VertexID
 		var err error
 		if rng.Intn(2) == 0 {
-			got, _, err = SCCChannel(g, o)
+			got, _, err = sccChannel(g, o)
 		} else {
-			got, _, err = SCCPropagation(g, o)
+			got, _, err = sccPropagation(g, o)
 		}
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
@@ -167,7 +167,7 @@ func TestPropertyMSFEqualsKruskal(t *testing.T) {
 		g := randomUndirected(rng)
 		wantW, wantCnt := seq.MSFWeight(g)
 		o := Options{Part: randomParts(rng, g.NumVertices()), MaxSupersteps: 100000}
-		res, _, err := MSFChannel(g, o)
+		res, _, err := msfChannel(g, o)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -201,9 +201,9 @@ func TestPropertySSSPEqualsDijkstra(t *testing.T) {
 		var got []int64
 		var err error
 		if rng.Intn(2) == 0 {
-			got, _, err = SSSPChannel(g, src, o)
+			got, _, err = ssspChannel(g, src, o)
 		} else {
-			got, _, err = SSSPPropagation(g, src, o)
+			got, _, err = ssspPropagation(g, src, o)
 		}
 		if err != nil {
 			return false
@@ -283,42 +283,42 @@ func TestFragmentEquivalenceSweep(t *testing.T) {
 		run  func(*graph.Graph, Options) ([]graph.VertexID, error)
 	}
 	wccRuns := []labelRun{
-		{"wcc-channel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := WCCChannel(g, o); return v, e }},
+		{"wcc-channel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := wccChannel(g, o); return v, e }},
 		{"wcc-prop", func(g *graph.Graph, o Options) ([]graph.VertexID, error) {
-			v, _, e := WCCPropagation(g, o)
+			v, _, e := wccPropagation(g, o)
 			return v, e
 		}},
-		{"wcc-blogel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := WCCBlogel(g, o); return v, e }},
-		{"wcc-pregel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := WCCPregel(g, o); return v, e }},
-		{"sv-channel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := SVChannel(g, o); return v, e }},
-		{"sv-reqresp", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := SVReqResp(g, o); return v, e }},
-		{"sv-scatter", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := SVScatter(g, o); return v, e }},
-		{"sv-both", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := SVBoth(g, o); return v, e }},
-		{"sv-pregel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := SVPregel(g, o); return v, e }},
+		{"wcc-blogel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := wccBlogel(g, o); return v, e }},
+		{"wcc-pregel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := wccPregel(g, o); return v, e }},
+		{"sv-channel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := svChannel(g, o); return v, e }},
+		{"sv-reqresp", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := svReqResp(g, o); return v, e }},
+		{"sv-scatter", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := svScatter(g, o); return v, e }},
+		{"sv-both", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := svBoth(g, o); return v, e }},
+		{"sv-pregel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := svPregel(g, o); return v, e }},
 	}
 	sccRuns := []labelRun{
-		{"scc-channel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := SCCChannel(g, o); return v, e }},
+		{"scc-channel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := sccChannel(g, o); return v, e }},
 		{"scc-prop", func(g *graph.Graph, o Options) ([]graph.VertexID, error) {
-			v, _, e := SCCPropagation(g, o)
+			v, _, e := sccPropagation(g, o)
 			return v, e
 		}},
-		{"scc-pregel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := SCCPregel(g, o); return v, e }},
+		{"scc-pregel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) { v, _, e := sccPregel(g, o); return v, e }},
 	}
 	pjRuns := []labelRun{
 		{"pj-channel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) {
-			v, _, e := PointerJumpChannel(g, o)
+			v, _, e := pointerJumpChannel(g, o)
 			return v, e
 		}},
 		{"pj-reqresp", func(g *graph.Graph, o Options) ([]graph.VertexID, error) {
-			v, _, e := PointerJumpReqResp(g, o)
+			v, _, e := pointerJumpReqResp(g, o)
 			return v, e
 		}},
 		{"pj-pregel", func(g *graph.Graph, o Options) ([]graph.VertexID, error) {
-			v, _, e := PointerJumpPregel(g, o)
+			v, _, e := pointerJumpPregel(g, o)
 			return v, e
 		}},
 		{"pj-pregel-rr", func(g *graph.Graph, o Options) ([]graph.VertexID, error) {
-			v, _, e := PointerJumpPregelReqResp(g, o)
+			v, _, e := pointerJumpPregelReqResp(g, o)
 			return v, e
 		}},
 	}
@@ -429,9 +429,9 @@ func TestFragmentEquivalenceSweep(t *testing.T) {
 				src := graph.VertexID(int(seed) % gc.g.NumVertices())
 				wantD := seq.Dijkstra(gc.g, src)
 				for name, run := range map[string]func() ([]int64, error){
-					"sssp-channel": func() ([]int64, error) { v, _, e := SSSPChannel(gc.g, src, opt(gc.g)); return v, e },
-					"sssp-prop":    func() ([]int64, error) { v, _, e := SSSPPropagation(gc.g, src, opt(gc.g)); return v, e },
-					"sssp-pregel":  func() ([]int64, error) { v, _, e := SSSPPregel(gc.g, src, opt(gc.g)); return v, e },
+					"sssp-channel": func() ([]int64, error) { v, _, e := ssspChannel(gc.g, src, opt(gc.g)); return v, e },
+					"sssp-prop":    func() ([]int64, error) { v, _, e := ssspPropagation(gc.g, src, opt(gc.g)); return v, e },
+					"sssp-pregel":  func() ([]int64, error) { v, _, e := ssspPregel(gc.g, src, opt(gc.g)); return v, e },
 				} {
 					got, err := run()
 					if err != nil {
@@ -445,8 +445,8 @@ func TestFragmentEquivalenceSweep(t *testing.T) {
 				}
 				wantW, wantCnt := seq.MSFWeight(gc.g)
 				for name, run := range map[string]func() (MSFResult, error){
-					"msf-channel": func() (MSFResult, error) { v, _, e := MSFChannel(gc.g, opt(gc.g)); return v, e },
-					"msf-pregel":  func() (MSFResult, error) { v, _, e := MSFPregel(gc.g, opt(gc.g)); return v, e },
+					"msf-channel": func() (MSFResult, error) { v, _, e := msfChannel(gc.g, opt(gc.g)); return v, e },
+					"msf-pregel":  func() (MSFResult, error) { v, _, e := msfPregel(gc.g, opt(gc.g)); return v, e },
 				} {
 					res, err := run()
 					if err != nil {
@@ -466,11 +466,11 @@ func TestFragmentEquivalenceSweep(t *testing.T) {
 				o := opt(rmatD)
 				const iters = 12
 				want := seq.PageRank(rmatD, iters)
-				r1, _, err := PageRankChannel(rmatD, o, iters)
+				r1, _, err := pageRankChannel(rmatD, o, iters)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r2, _, err := PageRankChannel(rmatD, o, iters)
+				r2, _, err := pageRankChannel(rmatD, o, iters)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -480,10 +480,10 @@ func TestFragmentEquivalenceSweep(t *testing.T) {
 					}
 				}
 				for name, run := range map[string]func() ([]float64, error){
-					"pr-scatter": func() ([]float64, error) { v, _, e := PageRankScatter(rmatD, o, iters); return v, e },
-					"pr-mirror":  func() ([]float64, error) { v, _, e := PageRankMirror(rmatD, o, iters); return v, e },
-					"pr-pregel":  func() ([]float64, error) { v, _, e := PageRankPregel(rmatD, o, iters); return v, e },
-					"pr-ghost":   func() ([]float64, error) { v, _, e := PageRankPregelGhost(rmatD, o, iters); return v, e },
+					"pr-scatter": func() ([]float64, error) { v, _, e := pageRankScatter(rmatD, o, iters); return v, e },
+					"pr-mirror":  func() ([]float64, error) { v, _, e := pageRankMirror(rmatD, o, iters); return v, e },
+					"pr-pregel":  func() ([]float64, error) { v, _, e := pageRankPregel(rmatD, o, iters); return v, e },
+					"pr-ghost":   func() ([]float64, error) { v, _, e := pageRankPregelGhost(rmatD, o, iters); return v, e },
 				} {
 					got, err := run()
 					if err != nil {
@@ -510,8 +510,8 @@ func TestSingleWorkerDegeneracy(t *testing.T) {
 		name string
 		run  func() ([]graph.VertexID, error)
 	}{
-		{"sv-both", func() ([]graph.VertexID, error) { v, _, e := SVBoth(g, o); return v, e }},
-		{"wcc-prop", func() ([]graph.VertexID, error) { v, _, e := WCCPropagation(g, o); return v, e }},
+		{"sv-both", func() ([]graph.VertexID, error) { v, _, e := svBoth(g, o); return v, e }},
+		{"wcc-prop", func() ([]graph.VertexID, error) { v, _, e := wccPropagation(g, o); return v, e }},
 	} {
 		got, err := tc.run()
 		if err != nil {
@@ -526,7 +526,7 @@ func TestSingleWorkerDegeneracy(t *testing.T) {
 	dg := graph.RandomDigraph(40, 120, 3)
 	wantSCC := seq.SCC(dg)
 	oD := Options{Part: partition.MustHash(dg.NumVertices(), 1), MaxSupersteps: 100000}
-	gotSCC, _, err := SCCPropagation(dg, oD)
+	gotSCC, _, err := sccPropagation(dg, oD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestSingleWorkerDegeneracy(t *testing.T) {
 func TestMoreWorkersThanVertices(t *testing.T) {
 	g := graph.Undirectify(graph.Chain(5))
 	o := Options{Part: partition.MustHash(5, 8), MaxSupersteps: 1000}
-	got, _, err := SVBoth(g, o)
+	got, _, err := svBoth(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(4, nil, false)
 	g.Undirected = true
 	o := Options{Part: partition.MustHash(4, 2), MaxSupersteps: 1000}
-	got, _, err := WCCPropagation(g, o)
+	got, _, err := wccPropagation(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestEmptyGraph(t *testing.T) {
 			t.Errorf("isolated vertex %d labeled %d", i, c)
 		}
 	}
-	res, _, err := MSFChannel(graph.FromEdges(4, nil, true), o)
+	res, _, err := msfChannel(graph.FromEdges(4, nil, true), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 
 // This file is the shared dispatch table: every (algorithm, engine,
 // variant) triple of the reproduction behind one uniform signature, so
-// the harness tables and the graphd job service run the exact same
-// code paths.
+// the harness tables, the benchmarks and the graphd job service run the
+// exact same code paths.
 
 // Engine selects the runtime an algorithm variant executes on.
 type Engine string
@@ -244,13 +244,13 @@ var registry = map[string]*Spec{
 		HasIterations: true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: ranks(PageRankChannel),
-				"scatter":      ranks(PageRankScatter),
-				"mirror":       ranks(PageRankMirror),
+				DefaultVariant: ranks(pageRankChannel),
+				"scatter":      ranks(pageRankScatter),
+				"mirror":       ranks(pageRankMirror),
 			},
 			EnginePregel: {
-				DefaultVariant: ranks(PageRankPregel),
-				"ghost":        ranks(PageRankPregelGhost),
+				DefaultVariant: ranks(pageRankPregel),
+				"ghost":        ranks(pageRankPregelGhost),
 			},
 		},
 	},
@@ -261,11 +261,11 @@ var registry = map[string]*Spec{
 		HasSource:    true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: dists(SSSPChannel),
-				"propagation":  dists(SSSPPropagation),
+				DefaultVariant: dists(ssspChannel),
+				"propagation":  dists(ssspPropagation),
 			},
 			EnginePregel: {
-				DefaultVariant: dists(SSSPPregel),
+				DefaultVariant: dists(ssspPregel),
 			},
 		},
 	},
@@ -275,12 +275,12 @@ var registry = map[string]*Spec{
 		NeedsUndirected: true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labels(WCCChannel),
-				"propagation":  labels(WCCPropagation),
-				"blogel":       labels(WCCBlogel),
+				DefaultVariant: labels(wccChannel),
+				"propagation":  labels(wccPropagation),
+				"blogel":       labels(wccBlogel),
 			},
 			EnginePregel: {
-				DefaultVariant: labels(WCCPregel),
+				DefaultVariant: labels(wccPregel),
 			},
 		},
 	},
@@ -289,12 +289,12 @@ var registry = map[string]*Spec{
 		Description: "pointer jumping / list ranking on a parent-pointer forest",
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labels(PointerJumpChannel),
-				"reqresp":      labels(PointerJumpReqResp),
+				DefaultVariant: labels(pointerJumpChannel),
+				"reqresp":      labels(pointerJumpReqResp),
 			},
 			EnginePregel: {
-				DefaultVariant: labels(PointerJumpPregel),
-				"reqresp":      labels(PointerJumpPregelReqResp),
+				DefaultVariant: labels(pointerJumpPregel),
+				"reqresp":      labels(pointerJumpPregelReqResp),
 			},
 		},
 	},
@@ -304,14 +304,14 @@ var registry = map[string]*Spec{
 		NeedsUndirected: true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labels(SVChannel),
-				"reqresp":      labels(SVReqResp),
-				"scatter":      labels(SVScatter),
-				"both":         labels(SVBoth),
+				DefaultVariant: labels(svChannel),
+				"reqresp":      labels(svReqResp),
+				"scatter":      labels(svScatter),
+				"both":         labels(svBoth),
 			},
 			EnginePregel: {
-				DefaultVariant: labels(SVPregel),
-				"reqresp":      labels(SVPregelReqResp),
+				DefaultVariant: labels(svPregel),
+				"reqresp":      labels(svPregelReqResp),
 			},
 		},
 	},
@@ -320,11 +320,11 @@ var registry = map[string]*Spec{
 		Description: "strongly connected components (Min-Label)",
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: labels(SCCChannel),
-				"propagation":  labels(SCCPropagation),
+				DefaultVariant: labels(sccChannel),
+				"propagation":  labels(sccPropagation),
 			},
 			EnginePregel: {
-				DefaultVariant: labels(SCCPregel),
+				DefaultVariant: labels(sccPregel),
 			},
 		},
 	},
@@ -335,10 +335,10 @@ var registry = map[string]*Spec{
 		NeedsWeights:    true,
 		variants: map[Engine]map[string]RunFunc{
 			EngineChannel: {
-				DefaultVariant: forest(MSFChannel),
+				DefaultVariant: forest(msfChannel),
 			},
 			EnginePregel: {
-				DefaultVariant: forest(MSFPregel),
+				DefaultVariant: forest(msfPregel),
 			},
 		},
 	},

@@ -19,13 +19,13 @@ import (
 //
 // Variants:
 //
-//	SCCChannel      — standard channels: pair exchange via DirectMessage,
+//	sccChannel      — standard channels: pair exchange via DirectMessage,
 //	                  min-combined label messages, one hop per superstep
 //	                  (slow convergence — the problem Table VII exposes)
-//	SCCPropagation  — the forward/backward propagations run on
+//	sccPropagation  — the forward/backward propagations run on
 //	                  Propagation channels and converge within one
 //	                  superstep each round (the paper's "quick fix")
-//	SCCPregel       — monolithic baseline: one tagged fat message type,
+//	sccPregel       — monolithic baseline: one tagged fat message type,
 //	                  no combiner (scc_pregel.go)
 //
 // The phase machine is replicated deterministically on every worker:
@@ -285,9 +285,9 @@ func (s *sccState) collectSameLists(li int) {
 	}
 }
 
-// SCCChannel runs Min-Label SCC with standard channels (fwd/bwd label
+// sccChannel runs Min-Label SCC with standard channels (fwd/bwd label
 // propagation one hop per superstep).
-func SCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func sccChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	opts = withFrags(opts, g)
 	bwdFrags := opts.Frags.Reverse()
@@ -360,10 +360,10 @@ func SCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics,
 	return gather(part, states), met, err
 }
 
-// SCCPropagation runs Min-Label SCC with the forward and backward label
+// sccPropagation runs Min-Label SCC with the forward and backward label
 // propagations on Propagation channels, converging each round's
 // propagation within a single superstep (Table VII program 3).
-func SCCPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func sccPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	opts = withFrags(opts, g)
 	bwdFrags := opts.Frags.Reverse()

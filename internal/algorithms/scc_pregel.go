@@ -8,7 +8,7 @@ import (
 	"repro/internal/ser"
 )
 
-// SCCPregel runs Min-Label SCC on the baseline engine. The monolithic
+// sccPregel runs Min-Label SCC on the baseline engine. The monolithic
 // message type must carry the fattest payload of any phase (sender id +
 // label pair), every message pays for a kind tag, and no combiner is
 // possible because the kinds need different semantics (counts are
@@ -62,8 +62,8 @@ func (sccAggCodec) Decode(b *ser.Buffer) sccAgg {
 
 func sccAggSum(a, b sccAgg) sccAgg { return sccAgg{Act: a.Act + b.Act, Done: a.Done + b.Done} }
 
-// SCCPregel runs the baseline Min-Label SCC.
-func SCCPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
+// sccPregel runs the baseline Min-Label SCC.
+func sccPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	opts = withFrags(opts, g)

@@ -13,15 +13,15 @@ import (
 // Single-source shortest paths on a non-negatively weighted directed
 // graph. Unreachable vertices report math.MaxInt64.
 //
-//	SSSPChannel      — classic Pregel SSSP: min-combined distance
+//	ssspChannel      — classic Pregel SSSP: min-combined distance
 //	                   messages, one relaxation wave per superstep
-//	SSSPPropagation  — the weighted Propagation channel relaxes to a
+//	ssspPropagation  — the weighted Propagation channel relaxes to a
 //	                   global fixpoint within one superstep (the full
 //	                   Fig. 7 model with the edge transform f)
 
-// SSSPChannel runs Bellman-Ford-style SSSP with a CombinedMessage
+// ssspChannel runs Bellman-Ford-style SSSP with a CombinedMessage
 // channel.
-func SSSPChannel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, engine.Metrics, error) {
+func ssspChannel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]int64, part.NumWorkers())
 	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
@@ -60,10 +60,10 @@ func SSSPChannel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, eng
 	return gather(part, states), met, err
 }
 
-// SSSPPropagation runs SSSP on a weighted Propagation channel: the
+// ssspPropagation runs SSSP on a weighted Propagation channel: the
 // distance labels relax to the global fixpoint within superstep 1's
 // exchange rounds.
-func SSSPPropagation(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, engine.Metrics, error) {
+func ssspPropagation(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]int64, part.NumWorkers())
 	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {

@@ -10,10 +10,10 @@ import (
 	"repro/internal/ser"
 )
 
-// SSSPPregel runs Bellman-Ford-style SSSP on the baseline engine with
-// the global min combiner — the Pregel counterpart of SSSPChannel, so
+// ssspPregel runs Bellman-Ford-style SSSP on the baseline engine with
+// the global min combiner — the Pregel counterpart of ssspChannel, so
 // the registry exposes SSSP on both engines.
-func SSSPPregel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, pregel.Metrics, error) {
+func ssspPregel(g *graph.Graph, src graph.VertexID, opts Options) ([]int64, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]int64, part.NumWorkers())
 	cfg := pregel.Config[int64, struct{}, struct{}]{

@@ -25,12 +25,12 @@ import (
 // Choosing a channel per pattern yields the four channel variants the
 // paper measures, plus the two Pregel+ baselines:
 //
-//	SVChannel        — all standard channels (program 2 of Table VI)
-//	SVReqResp        — RequestRespond for pattern 1 (program 3)
-//	SVScatter        — ScatterCombine for pattern 2 (program 4)
-//	SVBoth           — both optimized channels composed (program 5)
-//	SVPregel         — monolithic baseline, tagged messages, no combiner
-//	SVPregelReqResp  — baseline in reqresp mode (program 1)
+//	svChannel        — all standard channels (program 2 of Table VI)
+//	svReqResp        — RequestRespond for pattern 1 (program 3)
+//	svScatter        — ScatterCombine for pattern 2 (program 4)
+//	svBoth           — both optimized channels composed (program 5)
+//	svPregel         — monolithic baseline, tagged messages, no combiner
+//	svPregelReqResp  — baseline in reqresp mode (program 1)
 //
 // The input graph must be undirected (both orientations stored).
 
@@ -127,9 +127,9 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 				}
 				broadcast(li)
 				if useReqResp {
-					rr.AddRequest(d[li])
+					rr.Request(w.Addr(d[li]))
 				} else {
-					reqCh.SendMessage(d[li], id)
+					reqCh.Send(w.Addr(d[li]), id)
 				}
 			case 1:
 				if useReqResp {
@@ -141,7 +141,7 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 					// B': serve grandparent fetches; buffer the
 					// neighborhood minimum for the next step
 					for _, requester := range reqCh.Messages(li) {
-						repCh.SendMessage(requester, d[li])
+						repCh.Send(w.Addr(requester), d[li])
 					}
 					if t, ok := readTmin(li); ok {
 						tmin[li] = t
@@ -186,7 +186,7 @@ func svDecide(w *engine.Worker, li int, id graph.VertexID, d []graph.VertexID, c
 	if gp == d[li] {
 		// parent is a root: tree merging
 		if hasT && t < d[li] {
-			mc.SendMessage(d[li], t)
+			mc.Send(w.Addr(d[li]), t)
 		}
 	} else {
 		// pointer jumping
@@ -195,25 +195,25 @@ func svDecide(w *engine.Worker, li int, id graph.VertexID, d []graph.VertexID, c
 	}
 }
 
-// SVChannel runs S-V with standard channels only.
-func SVChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+// svChannel runs S-V with standard channels only.
+func svChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	return svChannelVariant(g, opts, false, false)
 }
 
-// SVReqResp runs S-V with the RequestRespond channel for the
+// svReqResp runs S-V with the RequestRespond channel for the
 // grandparent fetch.
-func SVReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func svReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	return svChannelVariant(g, opts, true, false)
 }
 
-// SVScatter runs S-V with the ScatterCombine channel for the
+// svScatter runs S-V with the ScatterCombine channel for the
 // neighborhood broadcast.
-func SVScatter(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func svScatter(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	return svChannelVariant(g, opts, false, true)
 }
 
-// SVBoth composes both optimized channels — the paper's headline
+// svBoth composes both optimized channels — the paper's headline
 // configuration (program 5 of Table VI).
-func SVBoth(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func svBoth(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	return svChannelVariant(g, opts, true, true)
 }

@@ -50,9 +50,9 @@ func (svMsgCodec) Decode(b *ser.Buffer) svMsg {
 	return svMsg{Tag: b.ReadUint8(), Val: b.ReadUint32()}
 }
 
-// SVPregel runs S-V on the baseline engine in basic mode (tagged
+// svPregel runs S-V on the baseline engine in basic mode (tagged
 // messages, no combiner), 4 supersteps per iteration.
-func SVPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
+func svPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	cfg := pregel.Config[svMsg, struct{}, bool]{
@@ -140,9 +140,9 @@ func SVPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, e
 	return gather(part, states), met, err
 }
 
-// SVPregelReqResp runs S-V on the baseline engine in reqresp mode:
+// svPregelReqResp runs S-V on the baseline engine in reqresp mode:
 // 3 supersteps per iteration, bare uint32 messages with a min combiner.
-func SVPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
+func svPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	dStates := make([][]graph.VertexID, part.NumWorkers())

@@ -17,14 +17,14 @@ import (
 //
 // Variants (Table V bottom):
 //
-//	WCCChannel      — CombinedMessage with min combiner, one hop per superstep
-//	WCCPropagation  — Propagation channel: converges in one superstep's rounds
-//	WCCBlogel       — block-centric baseline: one cross-worker hop per superstep,
+//	wccChannel      — CombinedMessage with min combiner, one hop per superstep
+//	wccPropagation  — Propagation channel: converges in one superstep's rounds
+//	wccBlogel       — block-centric baseline: one cross-worker hop per superstep,
 //	                  worker-local propagation in between (Blogel stand-in)
-//	WCCPregel       — baseline engine with min combiner
+//	wccPregel       — baseline engine with min combiner
 
-// WCCChannel runs hash-min WCC with the standard CombinedMessage channel.
-func WCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+// wccChannel runs hash-min WCC with the standard CombinedMessage channel.
+func wccChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
@@ -56,11 +56,11 @@ func WCCChannel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics,
 	return gather(part, states), met, err
 }
 
-// WCCPropagation runs WCC with the Propagation channel: superstep 1
+// wccPropagation runs WCC with the Propagation channel: superstep 1
 // registers the adjacency and seeds every vertex with its id; the
 // channel converges to the component minima within that superstep's
 // exchange rounds, and superstep 2 reads the result.
-func WCCPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func wccPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
@@ -89,11 +89,11 @@ func WCCPropagation(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metr
 	return gather(part, states), met, err
 }
 
-// WCCBlogel runs WCC in the block-centric style of Blogel: labels cross
+// wccBlogel runs WCC in the block-centric style of Blogel: labels cross
 // worker boundaries once per superstep and propagate to quiescence
 // inside each worker in between. Pair it with a locality partition
 // (partition.Greedy) to reproduce the partitioned rows of Table V.
-func WCCBlogel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
+func wccBlogel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	props := make([]*channel.Propagation[uint32], part.NumWorkers())
@@ -129,9 +129,9 @@ func WCCBlogel(g *graph.Graph, opts Options) ([]graph.VertexID, engine.Metrics, 
 	return gather(part, states), met, err
 }
 
-// WCCPregel runs hash-min WCC on the baseline engine with the global
+// wccPregel runs hash-min WCC on the baseline engine with the global
 // min combiner.
-func WCCPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
+func wccPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
 	cfg := pregel.Config[uint32, struct{}, struct{}]{

@@ -40,7 +40,7 @@ func BenchmarkDirectMessageRing(b *testing.B) {
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() <= microSteps {
-				ch.SendMessage((id+1)%microVertices, id)
+				ch.Send(w.Addr((id+1)%microVertices), id)
 			} else {
 				w.VoteToHalt()
 			}
@@ -54,8 +54,8 @@ func BenchmarkCombinedMessageFanIn(b *testing.B) {
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() <= microSteps {
-				ch.SendMessage(id%64, 1) // 64 hot receivers
-				ch.SendMessage((id+1)%microVertices, 1)
+				ch.Send(w.Addr(id%64), 1) // 64 hot receivers
+				ch.Send(w.Addr((id+1)%microVertices), 1)
 			} else {
 				w.VoteToHalt()
 			}
@@ -182,7 +182,7 @@ func BenchmarkRequestRespondHub(b *testing.B) {
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() <= microSteps {
-				rr.AddRequest(id % 16) // 16 hubs
+				rr.Request(w.Addr(id % 16)) // 16 hubs
 			} else {
 				w.VoteToHalt()
 			}
@@ -199,7 +199,7 @@ func BenchmarkPropagationPath(b *testing.B) {
 				// 16 disjoint paths of 256 vertices: every hop crosses a
 				// worker under hash placement, bounding the round count
 				if id+1 < microVertices && (id+1)%256 != 0 {
-					prop.AddEdge(id + 1)
+					prop.AddAddr(w.Addr(id + 1))
 				}
 				prop.SetValue(id)
 				return
@@ -289,7 +289,7 @@ func BenchmarkMirrorHubBroadcast(b *testing.B) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 && id < 8 {
 				for v := uint32(0); v < microVertices; v += 4 {
-					mr.AddEdge(v)
+					mr.AddAddr(w.Addr(v))
 				}
 			}
 			if w.Superstep() <= microSteps {

@@ -30,8 +30,8 @@ func TestDirectMessageDelivery(t *testing.T) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
 				// everyone sends its id to vertex 0 and to (id+1)%n
-				ch.SendMessage(0, id)
-				ch.SendMessage((id+1)%n, id*100)
+				ch.Send(w.Addr(0), id)
+				ch.Send(w.Addr((id+1)%n), id*100)
 				w.VoteToHalt()
 				return
 			}
@@ -67,7 +67,7 @@ func TestDirectMessageInboxCleared(t *testing.T) {
 		w.Compute = func(li int) {
 			switch w.Superstep() {
 			case 1:
-				ch.SendMessage(w.GlobalID(li), 7) // self message
+				ch.Send(w.Addr(w.GlobalID(li)), 7) // self message
 			case 2:
 				// consume; stay active one more step
 			case 3:
@@ -93,8 +93,8 @@ func TestCombinedMessageCombines(t *testing.T) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
 				// everyone sends 1 to vertex 3, twice
-				ch.SendMessage(3, 1)
-				ch.SendMessage(3, 1)
+				ch.Send(w.Addr(3), 1)
+				ch.Send(w.Addr(3), 1)
 				_ = id
 				w.VoteToHalt()
 				return
@@ -124,7 +124,7 @@ func TestCombinedMessageMinAcrossWorkers(t *testing.T) {
 		w.Compute = func(li int) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
-				ch.SendMessage(5, id+100)
+				ch.Send(w.Addr(5), id+100)
 				w.VoteToHalt()
 				return
 			}
@@ -302,8 +302,8 @@ func TestScatterCombineMessageBytesBelowDirect(t *testing.T) {
 					if scatter {
 						sc.SetMessage(id)
 					} else {
-						dm.SendMessage(0, id)
-						dm.SendMessage(1, id)
+						dm.Send(w.Addr(0), id)
+						dm.Send(w.Addr(1), id)
 					}
 				default:
 					w.VoteToHalt()
@@ -335,7 +335,7 @@ func TestRequestRespond(t *testing.T) {
 			switch w.Superstep() {
 			case 1:
 				val[li] = id * 7
-				rr.AddRequest((id + 3) % n)
+				rr.Request(w.Addr((id + 3) % n))
 			case 2:
 				v, ok := rr.Respond()
 				if !ok {
@@ -366,7 +366,7 @@ func TestRequestRespondDedup(t *testing.T) {
 			switch w.Superstep() {
 			case 1:
 				val[li] = 9
-				rr.AddRequest(1) // everyone asks vertex 1
+				rr.Request(w.Addr(1)) // everyone asks vertex 1
 			case 2:
 				if v, ok := rr.Respond(); !ok || v != 9 {
 					t.Errorf("bad response %d %v", v, ok)
@@ -402,7 +402,7 @@ func TestRequestRespondRepeatedSupersteps(t *testing.T) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
 				cur[li] = parent(id)
-				rr.AddRequest(cur[li])
+				rr.Request(w.Addr(cur[li]))
 				return
 			}
 			v, _ := rr.Respond()
@@ -412,7 +412,7 @@ func TestRequestRespondRepeatedSupersteps(t *testing.T) {
 				return
 			}
 			cur[li] = v
-			rr.AddRequest(cur[li])
+			rr.Request(w.Addr(cur[li]))
 		}
 	})
 	for k := 0; k < n; k++ {
@@ -432,10 +432,10 @@ func TestPropagationConvergesInOneSuperstep(t *testing.T) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
 				if id > 0 {
-					prop.AddEdge(id - 1)
+					prop.AddAddr(w.Addr(id - 1))
 				}
 				if id < n-1 {
-					prop.AddEdge(id + 1)
+					prop.AddAddr(w.Addr(id + 1))
 				}
 				prop.SetValue(id)
 				return
@@ -469,7 +469,7 @@ func TestPropagationWeighted(t *testing.T) {
 			id := w.GlobalID(li)
 			if w.Superstep() == 1 {
 				if id < n-1 {
-					prop.AddWeightedEdge(id+1, int32(10*(id+1)))
+					prop.AddWeightedAddr(w.Addr(id+1), int32(10*(id+1)))
 				}
 				if id == 0 {
 					prop.SetValue(0)
@@ -506,10 +506,10 @@ func TestPropagationBlockCentricTakesMultipleSupersteps(t *testing.T) {
 				id := w.GlobalID(li)
 				if w.Superstep() == 1 {
 					if id > 0 {
-						prop.AddEdge(id - 1)
+						prop.AddAddr(w.Addr(id - 1))
 					}
 					if id < n-1 {
-						prop.AddEdge(id + 1)
+						prop.AddAddr(w.Addr(id + 1))
 					}
 					prop.SetValue(id)
 				}
@@ -545,7 +545,7 @@ func TestPropagationReset(t *testing.T) {
 			case 1:
 				// path 0..n-1
 				if id+1 < n {
-					prop.AddEdge(id + 1)
+					prop.AddAddr(w.Addr(id + 1))
 				}
 				prop.SetValue(id)
 			case 2:
@@ -559,7 +559,7 @@ func TestPropagationReset(t *testing.T) {
 				// two halves, seeded separately
 				half := uint32(n / 2)
 				if id+1 < n && id+1 != half {
-					prop.AddEdge(id + 1)
+					prop.AddAddr(w.Addr(id + 1))
 				}
 				prop.SetValue(id + 50)
 			case 4:
@@ -619,10 +619,10 @@ func TestMultipleChannelsCompose(t *testing.T) {
 			switch w.Superstep() {
 			case 1:
 				val[li] = id
-				dm.SendMessage((id+1)%n, id)
-				cm.SendMessage(0, 1)
+				dm.Send(w.Addr((id+1)%n), id)
+				cm.Send(w.Addr(0), 1)
 				agg.Add(1)
-				rr.AddRequest((id + 2) % n)
+				rr.Request(w.Addr((id + 2) % n))
 			case 2:
 				if len(dm.Messages(li)) != 1 {
 					t.Errorf("vertex %d: direct messages %v", id, dm.Messages(li))

@@ -3,7 +3,6 @@ package channel
 import (
 	"repro/internal/engine"
 	"repro/internal/frag"
-	"repro/internal/graph"
 	"repro/internal/ser"
 )
 
@@ -32,13 +31,6 @@ func NewCombinedMessage[M any](w *engine.Worker, codec ser.Codec[M], combine Com
 	c := &CombinedMessage[M]{w: w, codec: codec, combine: combine}
 	w.Register(c)
 	return c
-}
-
-// SendMessage sends m to vertex dst, combining with any message already
-// staged for dst on this worker. Transitional id-based entry point:
-// per-edge loops should pass pre-resolved addresses to Send.
-func (c *CombinedMessage[M]) SendMessage(dst graph.VertexID, m M) {
-	c.Send(c.w.Addr(dst), m)
 }
 
 // Send sends m to the vertex at packed address a, combining with any

@@ -3,7 +3,6 @@ package channel
 import (
 	"repro/internal/engine"
 	"repro/internal/frag"
-	"repro/internal/graph"
 	"repro/internal/ser"
 )
 
@@ -37,14 +36,10 @@ func NewDirectMessage[M any](w *engine.Worker, codec ser.Codec[M]) *DirectMessag
 	return c
 }
 
-// SendMessage sends m to vertex dst; it is readable by dst in the next
-// superstep. Transitional id-based entry point: per-edge loops should
-// iterate Frag().Neighbors and call Send with the pre-resolved address.
-func (c *DirectMessage[M]) SendMessage(dst graph.VertexID, m M) {
-	c.Send(c.w.Addr(dst), m)
-}
-
-// Send sends m to the vertex at packed address a.
+// Send sends m to the vertex at packed address a; it is readable there
+// in the next superstep. Per-edge loops pass the fragment's pre-resolved
+// addresses (Frag().Neighbors); a destination known only by id is
+// Worker.Addr(id).
 func (c *DirectMessage[M]) Send(a frag.Addr, m M) {
 	o := a.Worker()
 	c.out[o] = append(c.out[o], outMsg[M]{dst: int32(a.Local()), m: m})

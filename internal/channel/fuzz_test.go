@@ -122,7 +122,7 @@ func realPropFrames[M cmp.Ordered](f *testing.F, codec ser.Codec[M], transform f
 			if id := w.GlobalID(li); w.Superstep() == 1 {
 				for _, v := range []graph.VertexID{id - 1, id + 1} {
 					if v < 8 { // id-1 wraps below 0
-						c.AddWeightedEdge(v, int32(id+v))
+						c.AddWeightedAddr(w.Addr(v), int32(id+v))
 					}
 				}
 				if m, ok := seed(id); ok {

@@ -3,7 +3,6 @@ package channel
 import (
 	"repro/internal/engine"
 	"repro/internal/frag"
-	"repro/internal/graph"
 	"repro/internal/ser"
 )
 
@@ -86,15 +85,9 @@ func NewMirror[M any](w *engine.Worker, codec ser.Codec[M], combine Combiner[M],
 	return c
 }
 
-// AddEdge registers an outgoing edge of the vertex currently computing.
-// All edges must be registered in one superstep. Transitional id-based
-// entry point; AddAddr takes the pre-resolved address directly.
-func (c *Mirror[M]) AddEdge(dst graph.VertexID) {
-	c.AddAddr(c.w.Addr(dst))
-}
-
 // AddAddr registers an outgoing edge of the vertex currently computing
-// by its packed destination address.
+// by its packed destination address. All edges must be registered in
+// one superstep.
 func (c *Mirror[M]) AddAddr(a frag.Addr) {
 	if c.prepared {
 		panic("channel: Mirror edge registration after preparation")

@@ -22,7 +22,7 @@ func TestMirrorStarBroadcast(t *testing.T) {
 			case 1:
 				if id == 0 {
 					for v := graph.VertexID(1); v < n; v++ {
-						mr.AddEdge(v)
+						mr.AddAddr(w.Addr(v))
 					}
 				}
 			case 2:
@@ -56,8 +56,8 @@ func TestMirrorSameSuperstepRegistrationAndSend(t *testing.T) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
 			case 1:
-				mr.AddEdge((id + 1) % n)
-				mr.AddEdge((id + 2) % n)
+				mr.AddAddr(w.Addr((id + 1) % n))
+				mr.AddAddr(w.Addr((id + 2) % n))
 				mr.SetMessage(id)
 			case 2:
 				if v, ok := mr.Message(li); ok {
@@ -85,7 +85,7 @@ func TestMirrorLowDegreeFallback(t *testing.T) {
 			id := w.GlobalID(li)
 			switch w.Superstep() {
 			case 1:
-				mr.AddEdge((id + 1) % n)
+				mr.AddAddr(w.Addr((id + 1) % n))
 			case 2:
 				mr.SetMessage(10 + id)
 			case 3:
@@ -116,7 +116,7 @@ func TestMirrorReducesHubBytes(t *testing.T) {
 				case 1:
 					if id == 0 {
 						for v := graph.VertexID(1); v < n; v++ {
-							mr.AddEdge(v)
+							mr.AddAddr(w.Addr(v))
 						}
 					}
 				case 2, 3, 4:
@@ -153,10 +153,10 @@ func TestMirrorComposesWithOtherChannels(t *testing.T) {
 			switch w.Superstep() {
 			case 1:
 				vals[li] = id * 2
-				mr.AddEdge((id + 1) % n)
-				mr.AddEdge((id + 2) % n)
+				mr.AddAddr(w.Addr((id + 1) % n))
+				mr.AddAddr(w.Addr((id + 2) % n))
 				mr.SetMessage(1)
-				rr.AddRequest((id + 5) % n)
+				rr.Request(w.Addr((id + 5) % n))
 			case 2:
 				if v, ok := mr.Message(li); !ok || v != 2 {
 					t.Errorf("vertex %d: mirror sum %d ok=%v", id, v, ok)

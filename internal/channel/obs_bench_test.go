@@ -32,7 +32,7 @@ func ringSetup(w *engine.Worker) {
 	w.Compute = func(li int) {
 		id := w.GlobalID(li)
 		if w.Superstep() <= microSteps {
-			ch.SendMessage((id+1)%microVertices, id)
+			ch.Send(w.Addr((id+1)%microVertices), id)
 		} else {
 			w.VoteToHalt()
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/frag"
-	"repro/internal/graph"
 	"repro/internal/ser"
 )
 
@@ -199,17 +198,6 @@ func NewBlockPropagation[M comparable](w *engine.Worker, codec ser.Codec[M], com
 	c := NewPropagation(w, codec, combine)
 	c.blockCentric = true
 	return c
-}
-
-// AddEdge registers an outgoing edge of the vertex currently computing.
-// Transitional id-based entry point; AddAddr takes the pre-resolved
-// address directly.
-func (c *Propagation[M]) AddEdge(dst graph.VertexID) { c.AddWeightedEdge(dst, 0) }
-
-// AddWeightedEdge registers an outgoing weighted edge of the vertex
-// currently computing.
-func (c *Propagation[M]) AddWeightedEdge(dst graph.VertexID, weight int32) {
-	c.AddWeightedAddr(c.w.Addr(dst), weight)
 }
 
 // AddAddr registers an outgoing edge of the vertex currently computing

@@ -461,7 +461,7 @@ func TestPropagationNaNTerminates(t *testing.T) {
 						id := w.GlobalID(li)
 						if w.Superstep() == 1 {
 							for _, v := range edges(id) {
-								prop.AddEdge(v)
+								prop.AddAddr(w.Addr(v))
 							}
 							if id == nanAt {
 								prop.SetValue(math.NaN())

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/frag"
-	"repro/internal/graph"
 	"repro/internal/ser"
 )
 
@@ -72,17 +71,12 @@ func NewRequestRespond[R any](w *engine.Worker, codec ser.Codec[R], respond func
 	return c
 }
 
-// AddRequest asks for the attribute of vertex dst on behalf of the
-// vertex currently computing (paper: add_request(dst)). The response is
-// available via Respond in the next superstep. A vertex may request at
-// most one destination per superstep (as in the paper's API, where the
-// respond value is keyed by the requester).
-func (c *RequestRespond[R]) AddRequest(dst graph.VertexID) {
-	c.Request(c.w.Addr(dst))
-}
-
-// Request is AddRequest by packed address, for callers that already
-// hold the destination pre-resolved.
+// Request asks for the attribute of the vertex at packed address a on
+// behalf of the vertex currently computing (paper: add_request(dst) is
+// Request(w.Addr(dst))). The response is available via Respond in the
+// next superstep. A vertex may request at most one destination per
+// superstep (as in the paper's API, where the respond value is keyed by
+// the requester).
 func (c *RequestRespond[R]) Request(a frag.Addr) {
 	o, l := a.Worker(), a.Local()
 	lst := c.staging[o]

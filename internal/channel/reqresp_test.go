@@ -63,7 +63,7 @@ func TestRequestRespondRandomRequests(t *testing.T) {
 				if step > steps {
 					w.VoteToHalt()
 				} else if dst := ask[step][id]; dst >= 0 {
-					rr.AddRequest(graph.VertexID(dst))
+					rr.Request(w.Addr(graph.VertexID(dst)))
 				}
 			}
 		})
@@ -112,7 +112,7 @@ func runRogueRR(frames [][]byte) (recv *RequestRespond[uint32], got [4]uint32, h
 			if w.Superstep() > 2 {
 				w.VoteToHalt()
 			} else if dst, ok := asks[li]; ok {
-				recv.AddRequest(dst)
+				recv.Request(w.Addr(dst))
 			}
 		}
 	})

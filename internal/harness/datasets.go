@@ -1,6 +1,8 @@
 // Package harness runs the paper's experiments (Tables IV-VII) on the
-// scaled synthetic datasets and prints rows in the paper's format:
-// runtime (simulated distributed seconds) and message volume (MB).
+// scaled synthetic datasets and returns their rows in the paper's
+// columns: runtime (simulated distributed time) and message volume.
+// The root package's BenchmarkTable4-7 print the same columns per row
+// (go test -run '^$' -bench 'Table[4-7]' .).
 package harness
 
 import (

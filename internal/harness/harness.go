@@ -2,11 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/algorithms"
-	"repro/internal/comm"
 	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -21,23 +19,6 @@ type Row struct {
 	WallTime   time.Duration
 	NetBytes   int64
 	Supersteps int
-}
-
-// MB returns the network volume in megabytes.
-func (r Row) MB() float64 { return float64(r.NetBytes) / 1e6 }
-
-// Seconds returns the simulated distributed runtime in seconds.
-func (r Row) Seconds() float64 { return r.SimTime.Seconds() }
-
-// PrintTable renders rows grouped as given, in the paper's
-// runtime/message format.
-func PrintTable(w io.Writer, title string, rows []Row) {
-	fmt.Fprintf(w, "\n%s\n", title)
-	fmt.Fprintf(w, "%-28s %-14s %12s %12s %11s %6s\n", "program", "dataset", "runtime(s)", "wall(s)", "msg(MB)", "steps")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-28s %-14s %12.3f %12.3f %11.2f %6d\n",
-			r.Program, r.Dataset, r.Seconds(), r.WallTime.Seconds(), r.MB(), r.Supersteps)
-	}
 }
 
 // opts builds algorithm options with a generous superstep cap.
@@ -233,7 +214,3 @@ func Table7(d *Datasets) []Row {
 		{"3-channel(prop.)", algorithms.EngineChannel, "propagation"},
 	})
 }
-
-// CostModelDefault is the paper's cluster model (750 Mbps, 1 ms round
-// latency); kept for documentation — engines use it via zero values.
-var CostModelDefault = comm.CostModel{}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -122,15 +121,6 @@ func TestTable7(t *testing.T) {
 		if chanP.Supersteps >= chanB.Supersteps {
 			t.Errorf("%s: prop supersteps %d >= basic %d", pregelB.Dataset, chanP.Supersteps, chanB.Supersteps)
 		}
-	}
-}
-
-func TestPrintTable(t *testing.T) {
-	var buf bytes.Buffer
-	PrintTable(&buf, "Demo", []Row{{Program: "p", Dataset: "d", NetBytes: 2_000_000, Supersteps: 3}})
-	out := buf.String()
-	if !strings.Contains(out, "Demo") || !strings.Contains(out, "2.00") {
-		t.Errorf("output: %s", out)
 	}
 }
 

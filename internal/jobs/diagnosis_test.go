@@ -11,8 +11,8 @@ import (
 )
 
 // TestDiagnosisNamesStragglerHub injects a deterministic
-// 30ms-per-superstep "slow" fault into one worker and asserts the
-// diagnosis endpoint blames exactly that worker, with the flow matrix
+// 30ms-per-superstep "slow" fault into one worker and asserts the job
+// report's diagnosis blames exactly that worker, with its flow matrix
 // carrying the hub's relay stats.
 func TestDiagnosisNamesStragglerHub(t *testing.T) {
 	const slowWorker = 2
@@ -29,13 +29,14 @@ func TestDiagnosisNamesStragglerHub(t *testing.T) {
 		t.Fatalf("state=%s err=%q", final.State, final.Error)
 	}
 
-	rep, state, err := mgr.Diagnosis(snap.ID)
+	report, err := mgr.Report(snap.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state != jobs.StateDone {
-		t.Fatalf("diagnosis state=%s", state)
+	if report.State != jobs.StateDone {
+		t.Fatalf("report state=%s", report.State)
 	}
+	rep := report.Diagnosis
 	if got := rep.Straggler(); got != slowWorker {
 		t.Fatalf("diagnosis blames worker %d, want %d\nworkers: %+v\nfindings: %+v",
 			got, slowWorker, rep.Workers, rep.Findings)
@@ -47,10 +48,7 @@ func TestDiagnosisNamesStragglerHub(t *testing.T) {
 		t.Fatal("straggler finding produced no recommendation")
 	}
 
-	fm, _, err := mgr.Flows(snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fm := report.Flows
 	if fm.Plane != "hub" {
 		t.Fatalf("flow matrix plane=%q, want hub", fm.Plane)
 	}
@@ -92,11 +90,11 @@ func TestLiveEventsAndFlowsAcrossRecovery(t *testing.T) {
 	if s := awaitTerminal(t, cleanMgr, cleanSnap.ID, time.Minute); s.State != jobs.StateDone {
 		t.Fatalf("baseline: state=%s err=%q", s.State, s.Error)
 	}
-	cleanFM, _, err := cleanMgr.Flows(cleanSnap.ID)
+	cleanRep, err := cleanMgr.Report(cleanSnap.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanBytes := totalFlowBytes(cleanFM)
+	cleanBytes := totalFlowBytes(cleanRep.Flows)
 	if cleanBytes == 0 {
 		t.Fatal("baseline run recorded no flow bytes")
 	}
@@ -178,11 +176,11 @@ collect:
 		}
 	}
 
-	fm, _, err := mgr.Flows(snap.ID)
+	rep, err := mgr.Report(snap.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := totalFlowBytes(fm)
+	got := totalFlowBytes(rep.Flows)
 	if got == 0 {
 		t.Fatal("recovered run recorded no flow bytes")
 	}

@@ -124,7 +124,6 @@ func (j *job) snapshot() Snapshot {
 // Stats summarizes manager activity.
 type Stats struct {
 	Workers    int   `json:"workers"`
-	Queued     int   `json:"queued"`
 	Pending    int   `json:"pending"`
 	Running    int   `json:"running"`
 	Recovering int   `json:"recovering"`
@@ -513,14 +512,13 @@ func (m *Manager) workerLoop() {
 		if state == StateDone {
 			// summarize the finished job's diagnosis into the aggregate
 			// instruments, and put the top finding into the log so "why
-			// was this slow" has an answer without anyone curling the
-			// diagnosis endpoint
-			if rep := diagnoseJob(j.trace, j.flows, j.metrics); rep != nil {
-				m.met.diagnosis(rep)
-				if !rep.Healthy && len(rep.Findings) > 0 {
-					m.log.Warn("job diagnosis found bottlenecks", "job", j.id,
-						"findings", len(rep.Findings), "top", rep.Findings[0].Detail)
-				}
+			// was this slow" has an answer without anyone fetching the
+			// job's report
+			rep := reportOf(j.id, state, j.trace, j.flows, j.metrics).Diagnosis
+			m.met.diagnosis(rep)
+			if !rep.Healthy && len(rep.Findings) > 0 {
+				m.log.Warn("job diagnosis found bottlenecks", "job", j.id,
+					"findings", len(rep.Findings), "top", rep.Findings[0].Detail)
 			}
 			m.log.Info("job finished", "job", j.id, "state", state, "took", took)
 		} else {
@@ -746,80 +744,78 @@ func (m *Manager) Get(id string) (Snapshot, bool) {
 	return j.snapshot(), true
 }
 
-// Trace returns the superstep timeline collected for a job so far,
-// along with the job's current state. A running job returns the
-// timeline's live prefix; a queued job (or one that failed before its
-// view was acquired) returns an empty snapshot.
-func (m *Manager) Trace(id string) (*obs.TraceSnapshot, State, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return nil, "", fmt.Errorf("jobs: unknown or expired job %q", id)
-	}
-	tr, state := j.trace, j.state
-	m.mu.Unlock()
-	if tr == nil {
-		return &obs.TraceSnapshot{}, state, nil
-	}
-	return tr.Snapshot(), state, nil
+// Report is one job's telemetry in one view: the superstep timeline,
+// the flow matrix, and the bottleneck diagnosis of that same timeline
+// and matrix. The sections of a running job's report cover one live
+// prefix, so they agree with each other.
+type Report struct {
+	ID    string `json:"id"`
+	State State  `json:"state"`
+	// Workers is the job's worker count; 0 until its view is acquired.
+	Workers   int             `json:"workers"`
+	Trace     TraceSection    `json:"trace"`
+	Flows     *obs.FlowMatrix `json:"flows"`
+	Diagnosis *obs.Report     `json:"diagnosis"`
 }
 
-// Flows returns the flow matrix collected for a job so far, along with
-// the job's current state. A running job returns the live prefix; a
-// queued job (or one that failed before its view was acquired) returns
-// an empty matrix.
-func (m *Manager) Flows(id string) (*obs.FlowMatrix, State, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return nil, "", fmt.Errorf("jobs: unknown or expired job %q", id)
-	}
-	flows, state := j.flows, j.state
-	m.mu.Unlock()
-	if flows == nil {
-		return &obs.FlowMatrix{}, state, nil
-	}
-	return flows.Matrix(), state, nil
+// TraceSection is the report's superstep timeline: one entry per
+// superstep with one sample per worker, the same shape whichever fabric
+// ran the job. TruncatedSamples counts samples the bounded ring dropped;
+// it is always present so a truncated timeline cannot pass for a
+// complete one, and Warning spells it out when nonzero.
+type TraceSection struct {
+	TruncatedSamples int64           `json:"truncated_samples"`
+	Warning          string          `json:"warning,omitempty"`
+	Supersteps       []obs.TraceStep `json:"supersteps"`
 }
 
-// Diagnosis runs the bottleneck diagnosis over everything the job's
-// telemetry recorded so far: the superstep trace, the flow matrix, and
-// the run metrics (present once the job is done). Valid on a running
-// job — the report then covers the live prefix.
-func (m *Manager) Diagnosis(id string) (*obs.Report, State, error) {
+// Report returns what the job's telemetry recorded so far. A running
+// job reports its live prefix; a queued job (or one that failed before
+// its view was acquired) reports empty sections.
+func (m *Manager) Report(id string) (*Report, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	if !ok {
 		m.mu.Unlock()
-		return nil, "", fmt.Errorf("jobs: unknown or expired job %q", id)
+		return nil, fmt.Errorf("jobs: unknown or expired job %q", id)
 	}
 	tr, flows, met, state := j.trace, j.flows, j.metrics, j.state
 	m.mu.Unlock()
-	return diagnoseJob(tr, flows, met), state, nil
+	return reportOf(id, state, tr, flows, met), nil
 }
 
-// diagnoseJob snapshots a job's collectors and runs the bottleneck
-// diagnosis; any of the inputs may be nil.
-func diagnoseJob(tr *obs.Trace, flows *obs.FlowAccum, met *algorithms.Metrics) *obs.Report {
-	var rm obs.RunMetrics
-	if met != nil {
-		rm = obs.RunMetrics{
-			Supersteps: met.Supersteps,
-			NetBytes:   met.NetBytes,
-			EdgeCut:    met.EdgeCut,
-		}
-	}
+// reportOf snapshots a job's collectors once and diagnoses those same
+// snapshots; any of the inputs may be nil.
+func reportOf(id string, state State, tr *obs.Trace, flows *obs.FlowAccum, met *algorithms.Metrics) *Report {
+	rep := &Report{ID: id, State: state, Flows: &obs.FlowMatrix{}}
 	var snap *obs.TraceSnapshot
 	if tr != nil {
 		snap = tr.Snapshot()
+		rep.Workers = snap.Workers
+		rep.Trace.TruncatedSamples = snap.TruncatedSamples
+		rep.Trace.Supersteps = snap.Supersteps
+		if snap.TruncatedSamples > 0 {
+			rep.Trace.Warning = fmt.Sprintf("trace ring truncated: %d samples beyond the %d-step window were dropped; the timeline below is incomplete",
+				snap.TruncatedSamples, obs.DefaultTraceSteps)
+		}
 	}
 	var fm *obs.FlowMatrix
 	if flows != nil {
 		fm = flows.Matrix()
+		rep.Flows = fm
 	}
-	return obs.Diagnose(snap, fm, rm)
+	var rm obs.RunMetrics
+	if met != nil {
+		rm = obs.RunMetrics{Supersteps: met.Supersteps, NetBytes: met.NetBytes, EdgeCut: met.EdgeCut}
+	}
+	rep.Diagnosis = obs.Diagnose(snap, fm, rm)
+	if rep.Trace.Supersteps == nil {
+		rep.Trace.Supersteps = []obs.TraceStep{}
+	}
+	if rep.Flows.Flows == nil {
+		rep.Flows.Flows = []obs.FlowStat{}
+	}
+	return rep
 }
 
 // Events subscribes to a job's live event stream: replay holds every
@@ -944,8 +940,7 @@ func ParseState(s string) (State, error) {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := Stats{Workers: m.workers, Queued: len(m.pending),
-		Submitted: m.submitted, Evicted: m.evicted}
+	st := Stats{Workers: m.workers, Submitted: m.submitted, Evicted: m.evicted}
 	for _, j := range m.jobs {
 		switch j.state {
 		case StatePending:

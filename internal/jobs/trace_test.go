@@ -11,9 +11,9 @@ import (
 	"repro/internal/workerproc/wptest"
 )
 
-// runTraced submits one job and returns its trace snapshot and final
-// job snapshot.
-func runTraced(t *testing.T, mgr *jobs.Manager, req jobs.Request) (*obs.TraceSnapshot, jobs.Snapshot) {
+// runTraced submits one job and returns its report and final job
+// snapshot.
+func runTraced(t *testing.T, mgr *jobs.Manager, req jobs.Request) (*jobs.Report, jobs.Snapshot) {
 	t.Helper()
 	snap, err := mgr.Submit(req)
 	if err != nil {
@@ -23,14 +23,14 @@ func runTraced(t *testing.T, mgr *jobs.Manager, req jobs.Request) (*obs.TraceSna
 	if final.State != jobs.StateDone {
 		t.Fatalf("state=%s err=%q", final.State, final.Error)
 	}
-	tr, state, err := mgr.Trace(snap.ID)
+	rep, err := mgr.Report(snap.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !state.Terminal() {
-		t.Fatalf("trace state=%s, want terminal", state)
+	if !rep.State.Terminal() {
+		t.Fatalf("report state=%s, want terminal", rep.State)
 	}
-	return tr, final
+	return rep, final
 }
 
 // The same job must produce an identical-shape superstep timeline
@@ -42,15 +42,16 @@ func TestTraceShapeParityAcrossFabrics(t *testing.T) {
 	req := jobs.Request{Algorithm: "wcc", Dataset: "rmat"}
 
 	inprocMgr, cat := distributedManagerProcs(t, 0)
-	inproc, _ := runTraced(t, inprocMgr, req)
+	inprocRep, _ := runTraced(t, inprocMgr, req)
 	_ = cat
 
 	distMgr, _ := distributedManagerProcs(t, 2)
-	dist, distFinal := runTraced(t, distMgr, req)
+	distRep, distFinal := runTraced(t, distMgr, req)
 
-	if inproc.Workers != dist.Workers {
-		t.Fatalf("workers: in-proc %d vs distributed %d", inproc.Workers, dist.Workers)
+	if inprocRep.Workers != distRep.Workers {
+		t.Fatalf("workers: in-proc %d vs distributed %d", inprocRep.Workers, distRep.Workers)
 	}
+	inproc, dist := inprocRep.Trace, distRep.Trace
 	if len(inproc.Supersteps) == 0 || len(inproc.Supersteps) != len(dist.Supersteps) {
 		t.Fatalf("supersteps: in-proc %d vs distributed %d",
 			len(inproc.Supersteps), len(dist.Supersteps))
@@ -88,8 +89,8 @@ func TestTraceShapeParityAcrossFabrics(t *testing.T) {
 	}
 
 	// distributed jobs additionally record per-worker wall times
-	if len(distFinal.Metrics.WorkerWall) != dist.Workers {
-		t.Fatalf("WorkerWall has %d entries, want %d", len(distFinal.Metrics.WorkerWall), dist.Workers)
+	if len(distFinal.Metrics.WorkerWall) != distRep.Workers {
+		t.Fatalf("WorkerWall has %d entries, want %d", len(distFinal.Metrics.WorkerWall), distRep.Workers)
 	}
 	for w, d := range distFinal.Metrics.WorkerWall {
 		if d <= 0 {
@@ -136,7 +137,7 @@ func TestHeapAllocDeltaNonNegative(t *testing.T) {
 	}
 }
 
-// Trace on an unknown job is a clean error, and metrics registered via
+// Report on an unknown job is a clean error, and metrics registered via
 // WithMetrics reflect finished jobs.
 func TestManagerTraceAndMetrics(t *testing.T) {
 	cat := catalog.New(4, 0)
@@ -148,8 +149,8 @@ func TestManagerTraceAndMetrics(t *testing.T) {
 	mgr := jobs.NewManager(cat, 1, jobs.WithMetrics(reg))
 	t.Cleanup(mgr.Close)
 
-	if _, _, err := mgr.Trace("j-999999"); err == nil {
-		t.Fatal("Trace on unknown job did not error")
+	if _, err := mgr.Report("j-999999"); err == nil {
+		t.Fatal("Report on unknown job did not error")
 	}
 
 	snap, err := mgr.Submit(jobs.Request{Algorithm: "pointerjump", Dataset: "rmat"})

@@ -79,6 +79,9 @@ func TestWireBarrierAllReduce(t *testing.T) {
 	}
 }
 
+// wcc is the registry entry the socket-fabric tests run.
+var wcc, _ = algorithms.Lookup("wcc")
+
 // runDistributed executes one channel-engine algorithm with each worker
 // on its own socket-fabric client (same test process, separate engine
 // Runs) and merges the partial label arrays by ownership.
@@ -116,8 +119,11 @@ func TestSocketFabricWCCMatchesOracle(t *testing.T) {
 	g := graph.Undirectify(graph.RMAT(8, 5, 7, graph.RMATOptions{NoSelfLoops: true}))
 	want := seq.ConnectedComponents(g)
 	got := runDistributed(t, g, 4, func(g *graph.Graph, o algorithms.Options) ([]graph.VertexID, error) {
-		v, _, err := algorithms.WCCPropagation(g, o)
-		return v, err
+		res, err := wcc.Run(algorithms.EngineChannel, "propagation", g, o, algorithms.Params{})
+		if err != nil {
+			return nil, err
+		}
+		return res.Labels, nil
 	})
 	for i := range want {
 		if got[i] != want[i] {
@@ -140,7 +146,7 @@ func TestSocketFabricHubStats(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i]}
-			if _, _, err := algorithms.WCCChannel(g, o); err != nil {
+			if _, err := wcc.Run(algorithms.EngineChannel, algorithms.DefaultVariant, g, o, algorithms.Params{}); err != nil {
 				t.Errorf("worker %d: %v", i, err)
 			}
 		}(i)

@@ -638,6 +638,7 @@ func dialParty(t *testing.T, network, plane string, m, procs int) (*Hub, []*Clie
 func TestHubPlaneRelaysDataBytes(t *testing.T) {
 	g := graph.Undirectify(graph.RMAT(7, 4, 3, graph.RMATOptions{NoSelfLoops: true}))
 	want := seq.ConnectedComponents(g)
+	wcc, _ := algorithms.Lookup("wcc")
 	for _, tc := range []struct{ m, procs int }{{2, 2}, {4, 2}} {
 		t.Run(fmt.Sprintf("%dx%d", tc.procs, tc.m/tc.procs), func(t *testing.T) {
 			hub, clients := dialParty(t, "tcp", DataPlaneHub, tc.m, tc.procs)
@@ -650,10 +651,12 @@ func TestHubPlaneRelaysDataBytes(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i]}
-					var err error
-					if partials[i], _, err = algorithms.WCCChannel(g, o); err != nil {
+					res, err := wcc.Run(algorithms.EngineChannel, algorithms.DefaultVariant, g, o, algorithms.Params{})
+					if err != nil {
 						t.Errorf("process %d: %v", i, err)
+						return
 					}
+					partials[i] = res.Labels
 				}(i)
 			}
 			wg.Wait()

@@ -54,8 +54,8 @@ func readSSE(t *testing.T, body *bufio.Scanner, maxEvents int) []sseEvent {
 }
 
 // End-to-end flow telemetry over HTTP: a multi-process job streamed live
-// over /events while in flight, then its /flows matrix and /diagnosis
-// report, all under -race in CI.
+// over /events while in flight, then the flow matrix and diagnosis
+// sections of its /report, all under -race in CI.
 func TestFlowsDiagnosisAndSSEEndToEnd(t *testing.T) {
 	cat := catalog.New(4, 0)
 	t.Cleanup(cat.Close)
@@ -126,17 +126,14 @@ func TestFlowsDiagnosisAndSSEEndToEnd(t *testing.T) {
 		t.Fatalf("state=%s err=%q", final.State, final.Error)
 	}
 
-	var flows struct {
-		ID      string          `json:"id"`
-		State   jobs.State      `json:"state"`
-		Plane   string          `json:"plane"`
-		Workers int             `json:"workers"`
-		Flows   []obs.FlowStat  `json:"flows"`
-		Relays  []obs.RelayStat `json:"relays"`
+	var rep jobs.Report
+	getJSON(t, ts.URL+"/v1/jobs/"+snap.ID+"/report", http.StatusOK, &rep)
+	if rep.ID != snap.ID || rep.State != jobs.StateDone || rep.Flows == nil || rep.Diagnosis == nil {
+		t.Fatalf("report payload %+v", rep)
 	}
-	getJSON(t, ts.URL+"/v1/jobs/"+snap.ID+"/flows", http.StatusOK, &flows)
+	flows := rep.Flows
 	if flows.Plane != "hub" || flows.Workers != 4 || len(flows.Flows) == 0 {
-		t.Fatalf("flows payload %+v", flows)
+		t.Fatalf("flows section %+v", flows)
 	}
 	for _, f := range flows.Flows {
 		if f.Frames == 0 || f.Bytes == 0 || f.MaxFrame == 0 {
@@ -147,14 +144,8 @@ func TestFlowsDiagnosisAndSSEEndToEnd(t *testing.T) {
 		t.Fatal("hub job shipped no relay stats")
 	}
 
-	var diag struct {
-		ID     string      `json:"id"`
-		State  jobs.State  `json:"state"`
-		Report *obs.Report `json:"report"`
-	}
-	getJSON(t, ts.URL+"/v1/jobs/"+snap.ID+"/diagnosis", http.StatusOK, &diag)
-	if diag.Report == nil || len(diag.Report.Workers) != 4 {
-		t.Fatalf("diagnosis payload %+v", diag)
+	if len(rep.Diagnosis.Workers) != 4 {
+		t.Fatalf("diagnosis section %+v", rep.Diagnosis)
 	}
 
 	// a finished job's stream replays instantly and still terminates
@@ -168,8 +159,8 @@ func TestFlowsDiagnosisAndSSEEndToEnd(t *testing.T) {
 		t.Fatalf("terminal replay has %d events", len(replay))
 	}
 
-	// unknown jobs 404 on all three endpoints
-	for _, ep := range []string{"flows", "diagnosis", "events"} {
+	// unknown jobs 404 on both endpoints
+	for _, ep := range []string{"report", "events"} {
 		getJSON(t, ts.URL+"/v1/jobs/j-999999/"+ep, http.StatusNotFound, nil)
 	}
 

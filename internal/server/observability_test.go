@@ -25,14 +25,6 @@ import (
 // process is still there at exit.
 func TestMain(m *testing.M) { wptest.Main(m) }
 
-// tracePayloadT mirrors the trace endpoint's JSON for decoding.
-type tracePayloadT struct {
-	ID         string          `json:"id"`
-	State      jobs.State      `json:"state"`
-	Workers    int             `json:"workers"`
-	Supersteps []obs.TraceStep `json:"supersteps"`
-}
-
 func getText(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -52,7 +44,7 @@ func getText(t *testing.T, url string) string {
 
 // End-to-end observability: concurrent in-process and multi-process
 // jobs through the HTTP API while /metrics is scraped, then trace
-// timelines for both fabrics via /v1/jobs/{id}/trace with identical
+// timelines for both fabrics via /v1/jobs/{id}/report with identical
 // deterministic shape.
 func TestMetricsAndTraceEndToEnd(t *testing.T) {
 	newStack := func(procs int) string {
@@ -125,11 +117,12 @@ func TestMetricsAndTraceEndToEnd(t *testing.T) {
 	}
 
 	// trace parity: same deterministic timeline shape on both fabrics
-	var inproc, dist tracePayloadT
-	getJSON(t, outcomes[0].url+"/v1/jobs/"+outcomes[0].snap.ID+"/trace", http.StatusOK, &inproc)
-	getJSON(t, outcomes[2].url+"/v1/jobs/"+outcomes[2].snap.ID+"/trace", http.StatusOK, &dist)
-	if inproc.Workers == 0 || inproc.Workers != dist.Workers {
-		t.Fatalf("workers: in-proc %d vs distributed %d", inproc.Workers, dist.Workers)
+	var inprocRep, distRep jobs.Report
+	getJSON(t, outcomes[0].url+"/v1/jobs/"+outcomes[0].snap.ID+"/report", http.StatusOK, &inprocRep)
+	getJSON(t, outcomes[2].url+"/v1/jobs/"+outcomes[2].snap.ID+"/report", http.StatusOK, &distRep)
+	inproc, dist := inprocRep.Trace, distRep.Trace
+	if inprocRep.Workers == 0 || inprocRep.Workers != distRep.Workers {
+		t.Fatalf("workers: in-proc %d vs distributed %d", inprocRep.Workers, distRep.Workers)
 	}
 	if len(inproc.Supersteps) == 0 || len(inproc.Supersteps) != len(dist.Supersteps) {
 		t.Fatalf("supersteps: in-proc %d vs distributed %d",
@@ -150,12 +143,33 @@ func TestMetricsAndTraceEndToEnd(t *testing.T) {
 	}
 
 	// the distributed job's status carries per-worker wall times
-	if m := outcomes[2].snap.Metrics; m == nil || len(m.WorkerWall) != dist.Workers {
+	m := outcomes[2].snap.Metrics
+	if m == nil || len(m.WorkerWall) != distRep.Workers {
 		t.Fatalf("distributed job metrics missing WorkerWall: %+v", outcomes[2].snap.Metrics)
 	}
 
-	// unknown job: trace is a 404
-	getJSON(t, inprocURL+"/v1/jobs/j-999999/trace", http.StatusNotFound, nil)
+	// the finished distributed job's report is whole: the diagnosis
+	// profiles every worker and the trace holds every superstep with a
+	// sample from every worker
+	if got := len(distRep.Diagnosis.Workers); got != distRep.Workers {
+		t.Errorf("diagnosis profiles %d workers, report has %d", got, distRep.Workers)
+	}
+	if len(dist.Supersteps) != m.Supersteps {
+		t.Errorf("trace has %d supersteps, job ran %d", len(dist.Supersteps), m.Supersteps)
+	}
+	for si, st := range dist.Supersteps {
+		if st.Superstep != si+1 || len(st.Workers) != distRep.Workers {
+			t.Errorf("trace step %d: superstep %d with %d samples", si, st.Superstep, len(st.Workers))
+		}
+	}
+
+	// unknown job: the report is a 404, and so are the endpoints it
+	// replaced, even for a job that exists
+	getJSON(t, inprocURL+"/v1/jobs/j-999999/report", http.StatusNotFound, nil)
+	for _, path := range []string{"/trace", "/flows", "/diagnosis"} {
+		getJSON(t, inprocURL+"/v1/jobs/"+outcomes[0].snap.ID+path, http.StatusNotFound, nil)
+	}
+	getJSON(t, inprocURL+"/v1/stats", http.StatusNotFound, nil)
 
 	// recovery instruments are always exported, even before any fault
 	for _, want := range []string{"graphd_ckpt_recoveries_total", "graphd_job_retries_total"} {
@@ -244,11 +258,11 @@ func TestRecoveryCountedInMetrics(t *testing.T) {
 	// all 400 supersteps before a timer fires. Two streamed supersteps
 	// mean the party has joined and written a checkpoint.
 	for {
-		tr, _, err := mgr.Trace(snap.ID)
+		rep, err := mgr.Report(snap.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tr.Supersteps) >= 2 {
+		if len(rep.Trace.Supersteps) >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {

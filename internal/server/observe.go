@@ -5,52 +5,18 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
-// flowsPayload is the JSON shape of GET /v1/jobs/{id}/flows: the job's
-// flow-level network picture. Flows lists the non-empty (src, dst)
-// matrix cells; relays carries the hub relay stats, empty in-process.
-type flowsPayload struct {
-	ID      string          `json:"id"`
-	State   jobs.State      `json:"state"`
-	Plane   string          `json:"plane,omitempty"`
-	Workers int             `json:"workers"`
-	Flows   []obs.FlowStat  `json:"flows"`
-	Relays  []obs.RelayStat `json:"relays,omitempty"`
-}
-
-func (s *Server) getFlows(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	m, state, err := s.mgr.Flows(id)
+// getReport serves GET /v1/jobs/{id}/report: the jobs.Report of the
+// job's trace, flow matrix and diagnosis.
+func (s *Server) getReport(w http.ResponseWriter, r *http.Request) {
+	rep, err := s.mgr.Report(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	p := flowsPayload{ID: id, State: state, Plane: m.Plane, Workers: m.Workers,
-		Flows: m.Flows, Relays: m.Relays}
-	if p.Flows == nil {
-		p.Flows = []obs.FlowStat{}
-	}
-	writeJSON(w, http.StatusOK, p)
-}
-
-// diagnosisPayload is the JSON shape of GET /v1/jobs/{id}/diagnosis.
-type diagnosisPayload struct {
-	ID     string      `json:"id"`
-	State  jobs.State  `json:"state"`
-	Report *obs.Report `json:"report"`
-}
-
-func (s *Server) getDiagnosis(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, state, err := s.mgr.Diagnosis(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, diagnosisPayload{ID: id, State: state, Report: rep})
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // streamEvents serves GET /v1/jobs/{id}/events as Server-Sent Events:

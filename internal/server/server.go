@@ -11,14 +11,12 @@
 //	POST   /v1/datasets/{name}/edges ingest an edge batch into a live dataset
 //	                                 (JSON {inserts, deletes} or text edge-list body;
 //	                                 ?compact=now forces a synchronous compaction)
-//	GET    /v1/jobs/{id}/trace       per-worker superstep timeline (JSON)
-//	GET    /v1/jobs/{id}/flows       per-(src,dst) flow matrix + transport extras (JSON)
-//	GET    /v1/jobs/{id}/diagnosis   automatic bottleneck diagnosis (JSON)
+//	GET    /v1/jobs/{id}/report      job telemetry: superstep timeline, flow matrix
+//	                                 and bottleneck diagnosis from one snapshot (JSON)
 //	GET    /v1/jobs/{id}/events      live job event stream (SSE: states + supersteps)
 //	GET    /v1/algorithms            registry contents
 //	GET    /v1/healthz               liveness
-//	GET    /v1/stats                 catalog + job-manager counters
-//	GET    /metrics                  Prometheus text exposition
+//	GET    /metrics                  Prometheus text exposition (catalog, jobs, runtime)
 package server
 
 import (
@@ -89,9 +87,7 @@ func New(cat *catalog.Catalog, mgr *jobs.Manager, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /v1/jobs", s.listJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.getResult)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.getTrace)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/flows", s.getFlows)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/diagnosis", s.getDiagnosis)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/report", s.getReport)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.streamEvents)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancelJob)
 	s.mux.HandleFunc("GET /v1/datasets", s.listDatasets)
@@ -99,7 +95,6 @@ func New(cat *catalog.Catalog, mgr *jobs.Manager, opts ...Option) *Server {
 	s.mux.HandleFunc("POST /v1/datasets/{name}/edges", s.ingestEdges)
 	s.mux.HandleFunc("GET /v1/algorithms", s.listAlgorithms)
 	s.mux.HandleFunc("GET /v1/healthz", s.healthz)
-	s.mux.HandleFunc("GET /v1/stats", s.stats)
 	s.mux.HandleFunc("GET /metrics", s.metrics)
 	return s
 }
@@ -424,64 +419,6 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// memoryStats is the process-memory section of GET /v1/stats: per-job
-// HeapAlloc deltas (on each job's metrics) only make sense next to the
-// process-level picture.
-type memoryStats struct {
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-	NumGC          uint32 `json:"num_gc"`
-}
-
-func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"catalog": s.cat.Stats(),
-		"jobs":    s.mgr.Stats(),
-		"memory": memoryStats{
-			HeapAllocBytes: ms.HeapAlloc,
-			HeapSysBytes:   ms.HeapSys,
-			NumGC:          ms.NumGC,
-		},
-	})
-}
-
-// tracePayload is the JSON shape of GET /v1/jobs/{id}/trace: the job's
-// superstep timeline grouped by superstep, each with one sample per
-// worker. The shape is identical whether the job ran in-process or
-// across graphworker subprocesses.
-type tracePayload struct {
-	ID      string     `json:"id"`
-	State   jobs.State `json:"state"`
-	Workers int        `json:"workers"`
-	// TruncatedSamples counts samples the bounded ring dropped; always
-	// present so consumers cannot mistake a truncated timeline for a
-	// complete one. Warning spells it out when nonzero.
-	TruncatedSamples int64           `json:"truncated_samples"`
-	Warning          string          `json:"warning,omitempty"`
-	Supersteps       []obs.TraceStep `json:"supersteps"`
-}
-
-func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	snap, state, err := s.mgr.Trace(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	p := tracePayload{ID: id, State: state, Workers: snap.Workers,
-		TruncatedSamples: snap.TruncatedSamples, Supersteps: snap.Supersteps}
-	if snap.TruncatedSamples > 0 {
-		p.Warning = fmt.Sprintf("trace ring truncated: %d samples beyond the %d-step window were dropped; the timeline below is incomplete",
-			snap.TruncatedSamples, obs.DefaultTraceSteps)
-	}
-	if p.Supersteps == nil {
-		p.Supersteps = []obs.TraceStep{}
-	}
-	writeJSON(w, http.StatusOK, p)
-}
-
 // metrics serves the registry in the Prometheus text exposition format;
 // the scrape hook below folds the catalog, job-manager, live-graph and
 // Go runtime gauges in next to the registered instruments.
@@ -505,8 +442,10 @@ func (s *Server) scrape(e *obs.Emitter) {
 	e.Counter("graphd_catalog_hits_total", "Dataset lookups served from memory.", float64(cs.Hits))
 	e.Counter("graphd_catalog_evictions_total", "Datasets evicted under memory pressure.", float64(cs.Evictions))
 	e.Gauge("graphd_catalog_bytes", "Estimated bytes of resident datasets.", float64(cs.Bytes))
+	e.Gauge("graphd_catalog_max_bytes", "Resident-bytes budget of the catalog (0 = unbounded).", float64(cs.MaxBytes))
 
 	js := s.mgr.Stats()
+	e.Gauge("graphd_job_workers", "Job-manager pool size: jobs that can run at once.", float64(js.Workers))
 	e.Gauge("graphd_jobs", "Retained jobs by lifecycle state.", float64(js.Pending), "state", "pending")
 	e.Gauge("graphd_jobs", "Retained jobs by lifecycle state.", float64(js.Running), "state", "running")
 	e.Gauge("graphd_jobs", "Retained jobs by lifecycle state.", float64(js.Recovering), "state", "recovering")

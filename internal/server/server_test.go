@@ -201,23 +201,22 @@ func TestConcurrentMixedJobsEndToEnd(t *testing.T) {
 	}
 
 	// the 8 jobs plus the reference Get hit one single load
-	var stats struct {
-		Catalog catalog.Stats `json:"catalog"`
-		Jobs    jobs.Stats    `json:"jobs"`
-		Memory  struct {
-			HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-			HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-		} `json:"memory"`
+	body := getText(t, base+"/metrics")
+	for _, want := range []string{
+		"graphd_catalog_loads_total 1\n",
+		`graphd_jobs{state="done"} 8` + "\n",
+		`graphd_jobs{state="failed"} 0` + "\n",
+		"graphd_job_workers 4\n",
+		"graphd_catalog_max_bytes 0\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, grepLines(body, "graphd_"))
+		}
 	}
-	getJSON(t, base+"/v1/stats", http.StatusOK, &stats)
-	if stats.Catalog.Loads != 1 {
-		t.Fatalf("catalog loads=%d, want exactly 1", stats.Catalog.Loads)
-	}
-	if stats.Jobs.Done != len(reqs) || stats.Jobs.Failed != 0 {
-		t.Fatalf("jobs stats %+v", stats.Jobs)
-	}
-	if stats.Memory.HeapAllocBytes == 0 || stats.Memory.HeapSysBytes == 0 {
-		t.Fatalf("memory stats missing: %+v", stats.Memory)
+	for _, name := range []string{"go_heap_alloc_bytes", "go_heap_sys_bytes"} {
+		if v, ok := metricValue(body, name); !ok || v == 0 {
+			t.Fatalf("/metrics: %s = %v (present: %v), want non-zero", name, v, ok)
+		}
 	}
 
 	// clean shutdown: manager drains and refuses new work

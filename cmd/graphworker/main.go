@@ -28,9 +28,9 @@
 // The hub connection carries everything a job exchanges: join, barrier,
 // abort, results, cost accounting and the data frames, which the hub
 // relays between worker processes — see internal/netcomm. When the job
-// asks for it the worker also records a per-superstep telemetry trace
-// and the per-(src,dst) flow matrix and piggybacks both on its partial
-// result.
+// asks for it the worker also streams its per-superstep telemetry
+// samples over that connection as they complete, and records the
+// per-(src,dst) flow matrix and piggybacks it on its partial result.
 // Diagnostics go to stderr as log/slog lines; the coordinator forwards
 // each line tagged with the process's current worker range.
 package main

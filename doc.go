@@ -145,11 +145,13 @@
 // same contract as length-prefixed frames over TCP/Unix sockets in a
 // star around a hub that routes frames, releases barrier crossings
 // with the aggregated reduce value, charges the simulated cost model
-// from per-flush reports, and turns a dropped connection into a
-// job-wide barrier abort. On that star a worker's Flush is one
-// gathered write, frames between workers of one process never leave
-// it, the hub coalesces its relay writes per batch it read, and live
-// samples are piggybacked on the next write. cmd/graphworker (internal/workerproc) is the worker process,
+// from the flush reports the arrivals carry, and turns a dropped
+// connection into a job-wide barrier abort. On that star a process
+// makes one gathered write per barrier crossing — Flush only queues
+// frames, and the process's last local arrival writes them with the
+// queued superstep samples and the arrival itself — frames between
+// workers of one process never leave it, and the hub coalesces its
+// relay writes per batch it read. cmd/graphworker (internal/workerproc) is the worker process,
 // and it is warm: graphd -worker-procs N keeps a pool of them, a job
 // borrows a party of N, and each process outlives the job. A worker
 // takes no flags — a job arrives as one length-prefixed, defensively
@@ -194,7 +196,7 @@
 // report serves: straggler ranking by barrier-wait deficit
 // against a fleet-common time denominator (so a worker whose time
 // vanished outside the instrumented regions still stands out), with
-// cause attribution (compute, the worker's own Flush time, or neither);
+// cause attribution (compute, or unattributed external slowness);
 // compute imbalance against the placement's edge cut; and hub relay
 // hotspots — each finding carrying its threshold, the measured value
 // and a recommendation.

@@ -12,8 +12,9 @@
 // IV–VII compare.
 //
 // Env.Observer is the telemetry seam: when set, every worker emits one
-// obs.SuperstepSample per superstep — compute time, barrier-wait time,
-// send stall, active vertices, exchange rounds, and bytes counted at the
+// obs.SuperstepSample per superstep — compute time, barrier-wait time
+// (on the socket fabric it includes the process's one write per
+// crossing), active vertices, exchange rounds, and bytes counted at the
 // driver's own serialize and deserialize points, so the sample stream is
 // identical whichever comm.Fabric carried the bytes. Engines add their
 // frame counts (and the channel engine its per-channel breakdown)
@@ -359,15 +360,8 @@ func (c *Core) exchange() (uint64, error) {
 				c.smp.BytesSent += int64(buf.Len() - mark)
 			}
 		}
-		var flush0 time.Time
-		if c.obsOn {
-			flush0 = time.Now()
-		}
 		if err := ep.Flush(); err != nil {
 			return 0, c.errorf("%w", err)
-		}
-		if c.obsOn {
-			c.smp.SendStallNS += time.Since(flush0).Nanoseconds()
 		}
 		if !c.timedWait() { // all sends published
 			return 0, errAborted

@@ -54,10 +54,12 @@ type Fabric interface {
 type Endpoint interface {
 	// Out returns the outgoing staging buffer for dst this round.
 	Out(dst int) *ser.Buffer
-	// Flush publishes the round's outgoing buffers (in-process:
-	// accounting only, the buffers are shared; socket: frames hit the
-	// wire). A transport failure aborts the job's barrier and is
-	// returned here so the worker can surface the root cause.
+	// Flush publishes the round's outgoing buffers. Neither fabric does
+	// I/O here (in-process: accounting only, the buffers are shared;
+	// socket: the frames are queued and reach the wire with the
+	// process's arrival at the next crossing, so a transport failure
+	// surfaces there, as an aborted barrier). An error returned here
+	// fails the worker.
 	Flush() error
 	// In returns the buffer received from src this round.
 	In(src int) *ser.Buffer

@@ -289,7 +289,7 @@ func WithMetrics(reg *obs.Registry) Option {
 			retries: reg.Counter("graphd_job_retries_total",
 				"Retries for failures before the worker party assembled (spawn or join errors)."),
 			stepSeconds: reg.Histogram("graphd_superstep_seconds",
-				"Per-superstep wall time (slowest worker's compute + wait + stall), fed live from the superstep trace.", obs.DurationBuckets),
+				"Per-superstep wall time (slowest worker's compute + barrier wait), fed live from the superstep trace.", obs.DurationBuckets),
 			findings: reg.Counter("graphd_diagnosis_findings_total",
 				"Bottleneck findings (warn or critical) across the diagnoses of finished jobs."),
 			unhealthy: reg.Counter("graphd_diagnosis_unhealthy_jobs_total",

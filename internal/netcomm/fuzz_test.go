@@ -11,7 +11,7 @@ import (
 
 // retiredKinds are the kind numbers the wire no longer uses: every
 // reader must reject a header carrying one as an unknown kind.
-var retiredKinds = []uint8{9, 10, 11, 12, 13, 14, 15}
+var retiredKinds = []uint8{8, 9, 10, 11, 12, 13, 14, 15}
 
 // Both ends of a hub connection parse messages through a buffered
 // reader over whatever the socket hands them: the client's read loop
@@ -29,7 +29,7 @@ func FuzzWireHeader(f *testing.F) {
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	batch := msg(kSamples, 0, 1, []byte("sample"))
 	batch = append(batch, msg(kFrame, 0, 2, bytes.Repeat([]byte{7}, 300))...)
-	batch = append(batch, msg(kFlush, 0, 0, make([]byte, 16))...)
+	batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8+reportLen))...)
 	f.Add(batch)
 	f.Add(append(batch, 99, 0, 0, 0, 0, 0, 0, 0, 0)) // hostile header behind a legal batch
 	for _, k := range retiredKinds {

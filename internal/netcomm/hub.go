@@ -38,10 +38,10 @@ func DataPlaneStats() (hubBufferedBytes int64) { return hubBuffered.Load() }
 // Hub is the coordinator side of the socket fabric: it accepts one
 // connection per worker process, routes data frames between them
 // (staged in the destination's buffered writer, flushed once per batch
-// the source's pump read), runs
-// the distributed barrier (counting arrivals, broadcasting releases
-// with the AllReduce aggregate), charges the simulated cost model from
-// the per-round flush reports, and collects each process's result blob.
+// the source's pump read), runs the distributed barrier (counting
+// arrivals, broadcasting releases with the AllReduce aggregate), charges
+// the simulated cost model from the flush reports the arrivals carry,
+// and collects each process's result blob.
 // A connection that drops before delivering its result is a worker
 // failure: the hub aborts the job so every other process unwinds
 // instead of waiting on a barrier the dead worker will never reach.
@@ -69,8 +69,9 @@ type Hub struct {
 	// the job's cross-process exchange volume.
 	dataBytes int64
 
-	// round accounting (from kFlush reports)
-	flushes  int
+	// round accounting, from the flush reports arrivals carry: a crossing
+	// that carried any closes an exchange round when it releases
+	reported bool
 	roundMax int64
 	netBytes int64
 	locBytes int64
@@ -284,39 +285,17 @@ func (h *Hub) pump(hc *hubConn) error {
 			hc.relayFrames.Add(1)
 			staged++
 			stagedAt += int64(t0)
-		case kFlush:
-			if n != 16 {
-				return fmt.Errorf("bad flush payload length %d", n)
-			}
-			p, err := rd.payload(16)
-			if err != nil {
-				return err
-			}
-			netB := int64(binary.LittleEndian.Uint64(p[0:]))
-			locB := int64(binary.LittleEndian.Uint64(p[8:]))
-			h.mu.Lock()
-			h.netBytes += netB
-			h.locBytes += locB
-			if netB > h.roundMax {
-				h.roundMax = netB
-			}
-			h.flushes++
-			if h.flushes == h.m {
-				h.flushes = 0
-				h.rounds++
-				h.simNet += h.cost.RoundTime(h.roundMax)
-				h.roundMax = 0
-			}
-			h.mu.Unlock()
 		case kArrive:
-			if n != 8 {
-				return fmt.Errorf("bad arrive payload length %d", n)
+			// A process arrives for exactly the workers it hosts, or it
+			// could release a crossing its peers never reached.
+			if int(a) != hc.hi-hc.lo+1 || (n != 8 && n != 8+reportLen) {
+				return fmt.Errorf("bad arrival: %d workers, %d-byte payload", a, n)
 			}
-			p, err := rd.payload(8)
+			p, err := rd.payload(n)
 			if err != nil {
 				return err
 			}
-			h.arrive(int(a), binary.LittleEndian.Uint64(p))
+			h.arrive(int(a), p)
 		case kAbort:
 			reason, err := rd.payload(n)
 			if err != nil {
@@ -358,9 +337,10 @@ func (h *Hub) pump(hc *hubConn) error {
 }
 
 // OnSamples installs a handler for the opaque in-flight sample batches
-// workers ship with Client.SendSamples (the live-events feed; a batch
-// arrives with the next thing its process writes, at most one exchange
-// round after it was queued). The handler runs on hub pump goroutines,
+// workers ship with Client.SendSamples (a batch arrives with the next
+// thing its process writes, at most one barrier crossing after it was
+// queued, and always before that process's result is recorded). The
+// handler runs on hub pump goroutines,
 // so it must be safe for concurrent use and quick, and the payload is
 // the pump's scratch: valid only until the handler returns. Call before
 // workers connect.
@@ -562,15 +542,27 @@ func (h *Hub) targetLost(target *hubConn, err error) {
 	h.mu.Unlock()
 }
 
-// arrive counts barrier arrivals; the M-th arrival releases the
-// crossing by broadcasting the aggregate.
-func (h *Hub) arrive(count int, value uint64) {
+// arrive counts one process's arrival of count workers, payload p, and
+// folds in the flush report p may carry; the M-th arrival releases the
+// crossing, closing the exchange round if the crossing carried reports.
+func (h *Hub) arrive(count int, p []byte) {
 	h.mu.Lock()
 	h.arrived += count
-	h.accum += value
+	h.accum += binary.LittleEndian.Uint64(p)
+	if len(p) > 8 {
+		h.netBytes += int64(binary.LittleEndian.Uint64(p[8:]))
+		h.locBytes += int64(binary.LittleEndian.Uint64(p[16:]))
+		h.roundMax = max(h.roundMax, int64(binary.LittleEndian.Uint64(p[24:])))
+		h.reported = true
+	}
 	if h.arrived < h.m {
 		h.mu.Unlock()
 		return
+	}
+	if h.reported {
+		h.rounds++
+		h.simNet += h.cost.RoundTime(h.roundMax)
+		h.reported, h.roundMax = false, 0
 	}
 	h.arrived = 0
 	agg := h.accum
@@ -580,10 +572,10 @@ func (h *Hub) arrive(count int, value uint64) {
 		conns = append(conns, hc)
 	}
 	h.mu.Unlock()
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], agg)
+	var v [8]byte
+	binary.LittleEndian.PutUint64(v[:], agg)
 	for _, hc := range conns {
-		_ = hc.send(kRelease, 0, 0, p[:])
+		_ = hc.send(kRelease, 0, 0, v[:])
 	}
 }
 

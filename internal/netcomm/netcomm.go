@@ -6,27 +6,28 @@
 //
 // The control plane is a star: every worker process holds one
 // connection to a Hub (the job coordinator) carrying join, the
-// message-based distributed barrier (a worker's arrival folds its
-// AllReduce contribution; the hub releases a crossing by broadcasting
-// the aggregate once all M workers arrived), abort/cancel, per-round
-// flush accounting for the cost model, and each process's opaque
-// result blob.
+// message-based distributed barrier (a process's arrival folds its
+// workers' AllReduce contributions; the hub releases a crossing by
+// broadcasting the aggregate once all M workers arrived), abort/cancel,
+// the per-round flush report the cost model is charged from, and each
+// process's opaque result blob.
 //
 // The data plane — one frame per (src, dst) pair per exchange round,
 // empty buffers skipped on the wire — rides the same star: the hub
-// routes each frame to the destination's connection. A worker's Flush
-// is one gathered write — its frames for workers in other processes
-// followed by the flush report — and frames for a worker of its own
-// process are staged in memory and never leave it. The hub coalesces
-// too: each connection has one buffered writer, forwards are staged in
-// the destination's and flushed once per batch the pump read, and
-// in-flight samples ride whatever the process writes next. Ordering
-// makes delivery implicit: a worker writes its round's frames before its
-// barrier arrival, the hub stages them in a destination's writer before
-// that destination's release (one writer, one lock, flushed with the
-// release at the latest), so when a client observes the post-flush
-// release, every frame of the round is already staged — no per-frame
-// acks.
+// routes each frame to the destination's connection. A process makes
+// one write per barrier crossing: Flush only queues a worker's frames
+// for workers in other processes (frames for a worker of its own
+// process are staged in memory and never leave it), and the process's
+// last local arrival writes the queued frames, any queued samples and
+// the arrival itself — carrying the round's folded flush report — in one
+// gathered write. The hub coalesces too: each connection has one
+// buffered writer, and forwards are staged in the destination's and
+// flushed once per batch the pump read. Ordering makes delivery
+// implicit: a process's frames precede its arrival on its stream, the
+// hub stages them in a destination's writer before that destination's
+// release (one writer, one lock, flushed with the release at the
+// latest), so when a client observes the post-flush release, every frame
+// of the round is already staged — no per-frame acks.
 //
 // Receive memory needs no window: the engines' round protocol (Flush,
 // crossing, In, crossing, Release) keeps every sender at most one round
@@ -56,13 +57,16 @@ import (
 const (
 	kHello   = 1 // worker→hub: a,b = inclusive hosted worker range
 	kFrame   = 2 // worker↔hub: a = src worker, b = dst worker, payload = round buffer
-	kFlush   = 3 // worker→hub: a = src worker, payload = net,local byte counts (8+8)
-	kArrive  = 4 // worker→hub: a = folded local arrivals, payload = value sum (8)
-	kRelease = 5 // hub→worker: payload = crossing aggregate (8)
-	kAbort   = 6 // either way: payload = reason string
-	kResult  = 7 // worker→hub: a,b = worker range, payload = opaque result blob
-	kSamples = 8 // worker→hub: a,b = worker range, payload = encoded in-flight superstep samples (see Client.SendSamples)
+	kArrive  = 3 // worker→hub: a = hosted worker count, payload = value sum (8) [+ flush report (reportLen)]
+	kRelease = 4 // hub→worker: payload = crossing aggregate (8)
+	kAbort   = 5 // either way: payload = reason string
+	kResult  = 6 // worker→hub: a,b = worker range, payload = opaque result blob
+	kSamples = 7 // worker→hub: a,b = worker range, payload = encoded in-flight superstep samples (see Client.SendSamples)
 )
+
+// reportLen is the length of the flush report an arrival carries after
+// its sum once its workers flushed: Σ net, Σ local and max net bytes.
+const reportLen = 24
 
 // Data-plane names accepted by Config.DataPlane and
 // workerproc.JobSpec.DataPlane. Every one of them runs the hub relay.
@@ -154,23 +158,28 @@ type Client struct {
 	lo, hi int
 	conn   net.Conn
 
-	// wmu serializes writes on the hub connection. Every write is one
-	// gathered write led by the samples queued since the previous one;
-	// wbufs is its reusable vector.
+	// wmu serializes writes on the hub connection and guards what waits
+	// for the next one: the frames Flush queued (headers and the workers'
+	// out buffers, in place; the vector is reused), the samples
+	// SendSamples queued, and — once a worker flushed — the round's flush
+	// report for the next arrival. Every write is one gathered write of
+	// all of it. The local stats counters live under it too.
 	wmu     sync.Mutex
+	frames  net.Buffers
 	samples []byte
-	wbufs   net.Buffers
+	flushed bool
+	report  [3]int64 // Σ net, Σ local, max net bytes
+	arrival [headerLen + 8 + reportLen]byte
+
+	netBytes  int64
+	locBytes  int64
+	rounds    int64
+	peerBytes []int64 // per destination worker id
 
 	flows *obs.FlowAccum // optional flow matrix, fed at the flush seam
 
 	bar *wireBarrier
 	eps []*clientEndpoint
-
-	smu       sync.Mutex // guards the local stats counters
-	netBytes  int64
-	locBytes  int64
-	rounds    int64
-	peerBytes []int64 // per destination worker id
 
 	cmu    sync.Mutex
 	closed bool
@@ -229,7 +238,7 @@ func DialConfig(cfg Config) (*Client, error) {
 			deliver: make([]*ser.Buffer, m),
 			pending: make([]*ser.Buffer, m),
 			sent:    make([]int64, m),
-			hdrs:    make([]byte, m*headerLen+16),
+			hdrs:    make([]byte, m*headerLen),
 		}
 		for d := 0; d < m; d++ {
 			ep.out[d] = ser.NewBuffer(1024)
@@ -250,24 +259,42 @@ func DialConfig(cfg Config) (*Client, error) {
 func (c *Client) send(kind uint8, a, b uint16, payload []byte) error {
 	var hdr [headerLen]byte
 	putHeader(hdr[:], kind, a, b, len(payload))
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	return c.write(hdr[:], payload)
 }
 
 // write sends msgs on the hub connection as one gathered write, led by
-// whatever SendSamples queued since the previous write. The caller's
-// slices must stay untouched until it returns.
+// whatever Flush and SendSamples queued since the previous write. The
+// caller holds wmu.
 func (c *Client) write(msgs ...[]byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	bufs := c.wbufs[:0]
+	bufs := c.frames
 	if len(c.samples) > 0 {
 		bufs = append(bufs, c.samples)
 	}
 	bufs = append(bufs, msgs...)
-	c.wbufs = bufs[:0] // keep the grown vector; WriteTo consumes its copy
+	c.frames = bufs[:0] // keep the grown vector; WriteTo consumes its copy
 	_, err := bufs.WriteTo(c.conn)
 	c.samples = c.samples[:0]
 	return err
+}
+
+// arrive makes this process's one write of a barrier crossing: the
+// queued frames and samples, then the arrival of its k workers with
+// their value sum and, when they flushed since their previous crossing,
+// the round's folded flush report.
+func (c *Client) arrive(k int, sum uint64) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	msg := binary.LittleEndian.AppendUint64(c.arrival[:headerLen], sum)
+	if c.flushed {
+		for _, v := range c.report {
+			msg = binary.LittleEndian.AppendUint64(msg, uint64(v))
+		}
+		c.flushed, c.report = false, [3]int64{}
+	}
+	putHeader(msg, kArrive, uint16(k), 0, len(msg)-headerLen)
+	return c.write(msg)
 }
 
 // readLoop demuxes the hub connection: frames are staged into the
@@ -330,12 +357,12 @@ func (c *Client) SendResult(payload []byte) error {
 }
 
 // SendSamples queues an opaque batch of in-flight superstep samples for
-// the hub (the live-events feed; see Hub.OnSamples). It writes nothing
-// itself: the batch rides in front of whatever this process writes next
-// — a flush, a barrier arrival, the result — so the feed lags by at
-// most one exchange round and costs no write of its own. Loss-tolerant
-// by design: the same samples travel again in the final result blob, so
-// a batch still queued when the job unwinds is simply dropped.
+// the hub (see Hub.OnSamples). It writes nothing itself: the batch rides
+// whatever this process writes next — a barrier arrival or the result —
+// so the feed lags by at most one barrier crossing and costs no write of
+// its own. The stream is ordered, so every batch queued before
+// SendResult reaches the hub ahead of the result; a batch still queued
+// when a failed job unwinds is dropped with the attempt.
 func (c *Client) SendSamples(payload []byte) {
 	c.wmu.Lock()
 	c.samples = appendHeader(c.samples, kSamples, uint16(c.lo), uint16(c.hi), len(payload))
@@ -381,8 +408,8 @@ func (c *Client) Barrier() barrier.Barrier { return c.bar }
 // process sent, split per destination worker; simulated network time
 // lives on the hub's cost model).
 func (c *Client) Stats() comm.Stats {
-	c.smu.Lock()
-	defer c.smu.Unlock()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	return comm.Stats{
 		NetworkBytes: c.netBytes,
 		LocalBytes:   c.locBytes,
@@ -410,8 +437,8 @@ type clientEndpoint struct {
 
 	out   []*ser.Buffer
 	sent  []int64  // per-flush per-dst byte scratch
-	batch [][]byte // per-flush scratch: the messages of the round's one hub write
-	hdrs  []byte   // backing for batch's frame headers and the trailing flush report
+	batch [][]byte // per-flush scratch: the frames Flush queues on the client
+	hdrs  []byte   // backing for the queued frames' headers, one slot per dst
 
 	mu       sync.Mutex
 	deliver  []*ser.Buffer
@@ -431,11 +458,12 @@ func (ep *clientEndpoint) stage(src int, payload []byte) {
 // Out implements comm.Endpoint.
 func (ep *clientEndpoint) Out(dst int) *ser.Buffer { return ep.out[dst] }
 
-// Flush implements comm.Endpoint: every non-empty off-worker buffer
-// becomes one frame. A co-hosted destination's is staged in-process and
-// never touches a socket. A remote one's goes into the round's one
-// gathered write to the hub — the frames, then the 16-byte flush
-// report. The report counts co-hosted bytes like any others: round
+// Flush implements comm.Endpoint without touching the socket: every
+// non-empty off-worker buffer becomes one frame. A co-hosted
+// destination's is staged in-process. A remote one's is queued on the
+// client, header and buffer in place, for the process's write at the
+// next crossing, and its byte counts join the round's flush report
+// there. The report counts co-hosted bytes like any others: round
 // accounting and the simulated cost model live on the hub. The loopback
 // buffer stays local (zero-copy, as in the in-process fabric).
 func (ep *clientEndpoint) Flush() error {
@@ -461,31 +489,20 @@ func (ep *clientEndpoint) Flush() error {
 			c.eps[dst-c.lo].stage(ep.id, b.Bytes())
 			continue
 		}
-		hdr := ep.hdrs[len(batch)/2*headerLen:][:headerLen]
+		hdr := ep.hdrs[dst*headerLen:][:headerLen]
 		putHeader(hdr, kFrame, uint16(ep.id), uint16(dst), n)
 		batch = append(batch, hdr, b.Bytes())
 	}
-	report := ep.hdrs[len(ep.hdrs)-headerLen-16:]
-	putHeader(report, kFlush, uint16(ep.id), 0, 16)
-	binary.LittleEndian.PutUint64(report[headerLen:], uint64(netB))
-	binary.LittleEndian.PutUint64(report[headerLen+8:], uint64(locB))
-	batch = append(batch, report)
 	ep.batch = batch[:0]
-	if err := c.write(batch...); err != nil {
-		c.bar.abortLocal(err)
-		return fmt.Errorf("netcomm: send flush: %w", err)
-	}
-	// Only now may the sent buffers be recycled: the write referenced
-	// them in place.
-	for dst, b := range ep.out {
-		if dst != ep.id {
-			b.Reset()
-		}
-	}
 	ep.mu.Lock()
 	ep.flushSeq++
 	ep.mu.Unlock()
-	c.smu.Lock()
+	c.wmu.Lock()
+	c.frames = append(c.frames, batch...)
+	c.flushed = true
+	c.report[0] += netB
+	c.report[1] += locB
+	c.report[2] = max(c.report[2], netB)
 	c.netBytes += netB
 	c.locBytes += locB
 	for dst, n := range ep.sent {
@@ -494,7 +511,7 @@ func (ep *clientEndpoint) Flush() error {
 	if ep.id == c.lo {
 		c.rounds++
 	}
-	c.smu.Unlock()
+	c.wmu.Unlock()
 	return nil
 }
 
@@ -519,15 +536,18 @@ func (ep *clientEndpoint) In(src int) *ser.Buffer {
 	return b
 }
 
-// Release implements comm.Endpoint: only the loopback buffer needs
-// recycling here — off-process buffers were reset at Flush and incoming
-// buffers are recycled by the swap.
+// Release implements comm.Endpoint: it recycles the outgoing buffers —
+// the crossing between Flush and Release wrote the queued ones — while
+// incoming buffers are recycled by the swap.
 func (ep *clientEndpoint) Release() {
-	ep.out[ep.id].Reset()
+	for _, b := range ep.out {
+		b.Reset()
+	}
 }
 
 // wireBarrier is the client half of the distributed barrier: local
-// workers fold their arrivals into one kArrive message; the hub's
+// workers fold their arrivals into one kArrive message, made by the last
+// of them to arrive (Client.arrive); the hub's
 // kRelease (carrying the job-wide AllReduce aggregate) advances the
 // release counter and wakes the waiters of that crossing.
 type wireBarrier struct {
@@ -572,9 +592,7 @@ func (b *wireBarrier) AllReduce(v uint64) (uint64, bool) {
 	}
 	b.mu.Unlock()
 	if sendNow {
-		var p [8]byte
-		binary.LittleEndian.PutUint64(p[:], sendAcc)
-		if err := b.c.send(kArrive, uint16(b.k), 0, p[:]); err != nil {
+		if err := b.c.arrive(b.k, sendAcc); err != nil {
 			b.abortLocal(fmt.Errorf("netcomm: send arrive: %w", err))
 			return 0, false
 		}

@@ -77,7 +77,7 @@ func framePattern(p []byte, round, src, dst int) {
 // net.Buffers write only gathers on package net's own socket types and
 // degrades to one Write per buffer on anything else.) 2 processes x 2
 // workers, 20 rounds of the engines' round protocol: a process writes
-// once per Flush and once per barrier crossing, never for a sample, and
+// once per barrier crossing — never for a Flush or a sample — and
 // co-hosted frames never reach the hub yet arrive byte-exact.
 func TestHubPlaneOneWritePerFlush(t *testing.T) {
 	const m, procs, rounds = 4, 2, 20
@@ -168,20 +168,19 @@ func TestHubPlaneOneWritePerFlush(t *testing.T) {
 		t.Fatalf("results: %v %v", err, errs)
 	}
 
-	// hello + per round (one Flush per hosted worker + one arrival per
-	// crossing) + result, per process
-	wantWrites := int64(procs * (1 + rounds*(2+2) + 1))
+	// hello + per round one arrival per crossing + result, per process
+	wantWrites := int64(procs * (1 + 2*rounds + 1))
 	if got := ln.reads.Load(); got != wantWrites {
-		t.Errorf("the clients made %d writes, want %d: one per Flush and per crossing, none per sample", got, wantWrites)
+		t.Errorf("the clients made %d writes, want %d: one per crossing, none per Flush or sample", got, wantWrites)
 	}
 	if got, want := samplesSeen.Load(), int64(m*rounds*2+procs); got != want {
 		t.Errorf("%d of %d samples reached OnSamples by the time the results were in", got, want)
 	}
 	// A pump relays what one client write carried with at most one write
-	// per destination process (here: one), and each crossing's release is
-	// one write per process.
-	if got, max := ln.writes.Load(), int64(procs*rounds*2+procs*rounds*2); got > max {
-		t.Errorf("the hub made %d writes, want at most %d: one per relayed flush, one per release", got, max)
+	// per destination process (here: one, for the post-flush arrival's
+	// frames), and each crossing's release is one write per process.
+	if got, max := ln.writes.Load(), int64(procs*rounds+procs*rounds*2); got > max {
+		t.Errorf("the hub made %d writes, want at most %d: one per relayed arrival, one per release", got, max)
 	}
 	for r := 0; r < rounds; r++ {
 		for src := 0; src < m; src++ {
@@ -276,8 +275,8 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 			// Worker 1's job as a byte stream: the hello glued to the
 			// set-up crossing's arrival (frames may only flow once a
 			// release has proved the whole party joined); then per round
-			// a sample, a frame for worker 0, the flush report and the
-			// arrival, and — paced by the hub's releases, as a real
+			// a sample, a frame for worker 0 and the arrival carrying the
+			// flush report, and — paced by the hub's releases, as a real
 			// worker is — the second arrival.
 			const rounds = 3
 			frame := func(r int) []byte {
@@ -287,7 +286,7 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 			}
 			scripted := make(chan error, 1)
 			go func() {
-				var report [16]byte
+				var report [8 + reportLen]byte
 				var zero [8]byte
 				in := bufio.NewReader(raw)
 				hello := append(msg(kHello, 1, 1, nil), msg(kArrive, 1, 0, zero[:])...)
@@ -301,11 +300,11 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 				}
 				var next []byte
 				for r := 0; r < rounds; r++ {
-					binary.LittleEndian.PutUint64(report[:], uint64(len(frame(r))))
+					binary.LittleEndian.PutUint64(report[8:], uint64(len(frame(r))))  // Σ net
+					binary.LittleEndian.PutUint64(report[24:], uint64(len(frame(r)))) // max net
 					next = append(next, msg(kSamples, 1, 1, []byte("smp"))...)
 					next = append(next, msg(kFrame, 1, 0, frame(r))...)
-					next = append(next, msg(kFlush, 1, 0, report[:])...)
-					next = append(next, msg(kArrive, 1, 0, zero[:])...)
+					next = append(next, msg(kArrive, 1, 0, report[:])...)
 					for _, part := range [][]byte{next, msg(kArrive, 1, 0, zero[:])} {
 						if err := writeChunked(raw, part, chunk); err != nil {
 							scripted <- err
@@ -449,17 +448,23 @@ func TestHubPlaneClientDecodesChunkedStream(t *testing.T) {
 // the reader already buffered: the hub must drop that worker's
 // connection and fail the job, the client must abort its barrier, and
 // neither may act on the declared length. A retired kind number is as
-// unknown to both as any other.
+// unknown to both as any other. Arrivals and frame routes are checks
+// only the hub makes: workers send them.
 func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
-	hostile := [][]byte{
-		{99, 0, 0, 0, 0, 0, 0, 0, 0},                          // unknown kind
-		{kFrame, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},          // 4 GiB payload
-		msg(kFlush, 1, 0, []byte("short")),                    // flush report of the wrong length
-		msg(kFrame, 0, 1, []byte("frame from another range")), // src outside the sender's range
+	type row struct {
+		msg     []byte
+		hubOnly bool
+	}
+	hostile := []row{
+		{[]byte{99, 0, 0, 0, 0, 0, 0, 0, 0}, false},                   // unknown kind
+		{[]byte{kFrame, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, false},   // 4 GiB payload
+		{msg(kArrive, 2, 0, make([]byte, 8)), true},                   // one hosted worker arriving as two: it would release the crossing alone
+		{msg(kFrame, 0, 1, []byte("frame from another range")), true}, // src outside the sender's range
 	}
 	for _, k := range retiredKinds {
-		hostile = append(hostile, msg(k, 1, 0, make([]byte, 8)))
+		hostile = append(hostile, row{msg(k, 1, 0, make([]byte, 8)), false})
 	}
+	hostile = append(hostile, row{msg(kArrive, 1, 0, make([]byte, 16)), true}) // neither a bare sum nor a sum and a report
 	for i, bad := range hostile {
 		t.Run(fmt.Sprint("hub/", i), func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -473,11 +478,11 @@ func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { raw.Close() })
-			var report [16]byte
+			sample := msg(kSamples, 1, 1, []byte("smp"))
 			batch := msg(kHello, 1, 1, nil)
-			batch = append(batch, msg(kFlush, 1, 0, report[:])...)
-			batch = append(batch, bad...)
-			batch = append(batch, msg(kFlush, 1, 0, report[:])...)
+			batch = append(batch, sample...)
+			batch = append(batch, bad.msg...)
+			batch = append(batch, sample...)
 			if _, err := raw.Write(batch); err != nil {
 				t.Fatal(err)
 			}
@@ -492,14 +497,14 @@ func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 		})
 	}
 	for i, bad := range hostile {
-		if i == 2 || i == 3 {
-			continue // checks only the hub makes: flush reports and frame routes are worker-sent
+		if bad.hubOnly {
+			continue
 		}
 		t.Run(fmt.Sprint("client/", i), func(t *testing.T) {
 			c, hubSide, _ := dialScriptedHub(t, 2)
 			var agg [8]byte
 			batch := msg(kFrame, 1, 0, []byte("fine"))
-			batch = append(batch, bad...)
+			batch = append(batch, bad.msg...)
 			batch = append(batch, msg(kRelease, 0, 0, agg[:])...)
 			if _, err := hubSide.Write(batch); err != nil {
 				t.Fatal(err)
@@ -587,8 +592,9 @@ func TestMsgReaderInPlacePayloads(t *testing.T) {
 			hubBuffered.Add(-int64(len(m.buf) - connBufSize))
 		})
 	}
-	for cut := 1; cut < headerLen+16; cut++ {
-		m := msgReader{conn: bytes.NewReader(msg(kFlush, 0, 0, make([]byte, 16))[:cut]), buf: make([]byte, connBufSize)}
+	arrival := msg(kArrive, 1, 0, make([]byte, 8+reportLen))
+	for cut := 1; cut < len(arrival); cut++ {
+		m := msgReader{conn: bytes.NewReader(arrival[:cut]), buf: make([]byte, connBufSize)}
 		_, _, _, n, err := m.header()
 		if err == nil {
 			_, err = m.payload(n)
@@ -689,37 +695,51 @@ func TestHubPlaneRelaysDataBytes(t *testing.T) {
 	}
 }
 
-// Nothing in the transport itself bounds a receiver: a sender that
-// flushes round after round without ever crossing the barrier lands
-// every round in its silent peer's pending buffers, whose memory grows
-// with the volume sent. No engine drives an endpoint that way; the
-// bound comes from the round protocol (next test), not from the wire.
-func TestHubPlaneSenderUnboundedMemoryGrows(t *testing.T) {
-	const rounds, frame = 40, 64 << 10
+// Flush does no I/O: a sender's frames wait, queued on its client, for
+// its process's arrival at the next crossing, whose one write carries
+// them. Until then the peer holds nothing and the hub has relayed
+// nothing; once the sender arrives, the frame lands in the peer's
+// pending buffer before the crossing can release.
+func TestHubPlaneFlushAloneWritesNothing(t *testing.T) {
+	const frame = 64 << 10
 	hub, clients := dialParty(t, "tcp", DataPlaneHub, 2, 2)
-	ep := clients[0].eps[0]
-	for i := 0; i < rounds; i++ {
-		ep.Out(1).Extend(frame)
-		if err := ep.Flush(); err != nil {
-			t.Fatalf("hub-plane sender blocked at flush %d: %v", i, err)
-		}
-	}
-	rep := clients[1].eps[0]
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	ep, rep := clients[0].eps[0], clients[1].eps[0]
+	pending := func() int {
 		rep.mu.Lock()
-		staged := rep.pending[0].Len()
-		rep.mu.Unlock()
-		if staged >= rounds*frame {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("receiver staged %d of %d bytes", staged, rounds*frame)
-		}
-		time.Sleep(5 * time.Millisecond)
+		defer rep.mu.Unlock()
+		return rep.pending[0].Len()
 	}
-	if db := hub.DataBytes(); db < rounds*frame {
-		t.Errorf("hub relayed %d bytes, want >= %d", db, rounds*frame)
+	framePattern(ep.Out(1).Extend(frame), 0, 0, 1)
+	if err := ep.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // room for any write the Flush made to land
+	if n, db := pending(), hub.DataBytes(); n != 0 || db != 0 {
+		t.Fatalf("after a Flush alone the peer holds %d bytes and the hub relayed %d, want 0 and 0", n, db)
+	}
+
+	sent := make(chan bool, 1)
+	go func() { sent <- clients[0].Barrier().Wait() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for pending() < frame {
+		if time.Now().After(deadline) {
+			t.Fatalf("the sender arrived, but its peer holds %d of the frame's %d bytes", pending(), frame)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if db := hub.DataBytes(); db != frame {
+		t.Errorf("hub relayed %d bytes, want the frame's %d", db, frame)
+	}
+	if !clients[1].Barrier().Wait() || !<-sent {
+		t.Fatal("the crossing aborted")
+	}
+	want := make([]byte, frame)
+	framePattern(want, 0, 0, 1)
+	if got := rep.In(0).Unread(); !bytes.Equal(got, want) {
+		t.Errorf("the peer received %d bytes, want the %d-byte frame", len(got), frame)
 	}
 }
 

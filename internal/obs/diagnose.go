@@ -19,19 +19,17 @@ type RunMetrics struct {
 
 // WorkerProfile is one worker's whole-run time and traffic breakdown,
 // the substrate of the straggler ranking. Shares are fractions of the
-// busiest worker's total accounted time (compute + barrier wait + send
-// stall) — a fleet-common denominator, so the shares of different
-// workers are comparable and a worker whose time disappeared outside
-// the instrumented regions (descheduled, faulted, parked in a sleep)
-// shows small shares instead of normalized-away ones.
+// busiest worker's total accounted time (compute + barrier wait) — a
+// fleet-common denominator, so the shares of different workers are
+// comparable and a worker whose time disappeared outside the
+// instrumented regions (descheduled, faulted, parked in a sleep) shows
+// small shares instead of normalized-away ones.
 type WorkerProfile struct {
 	Worker        int     `json:"worker"`
 	ComputeNS     int64   `json:"compute_ns"`
 	BarrierWaitNS int64   `json:"barrier_wait_ns"`
-	SendStallNS   int64   `json:"send_stall_ns"`
 	ComputeShare  float64 `json:"compute_share"`
 	WaitShare     float64 `json:"wait_share"`
-	StallShare    float64 `json:"stall_share"`
 	BytesSent     int64   `json:"bytes_sent"`
 	BytesRecv     int64   `json:"bytes_recv"`
 	// StragglerScore is how far the worker's barrier-wait share sits
@@ -40,9 +38,9 @@ type WorkerProfile struct {
 	// score marks the worker the others were waiting for.
 	StragglerScore float64 `json:"straggler_score"`
 	// Cause attributes the straggler's missing wait time: "compute"
-	// when its own compute dominates, "send_stall" when flushing its
-	// frames does, "unattributed" otherwise (external slowness — a
-	// descheduled or faulty process). Empty for non-stragglers.
+	// when its own compute dominates, "unattributed" otherwise (external
+	// slowness — a descheduled or faulty process). Empty for
+	// non-stragglers.
 	Cause string `json:"cause,omitempty"`
 }
 
@@ -160,7 +158,6 @@ func profileWorkers(trace *TraceSnapshot) []WorkerProfile {
 			p := &profs[s.Worker]
 			p.ComputeNS += s.ComputeNS
 			p.BarrierWaitNS += s.BarrierWaitNS
-			p.SendStallNS += s.SendStallNS
 			p.BytesSent += s.BytesSent
 			p.BytesRecv += s.BytesRecv
 		}
@@ -174,9 +171,7 @@ func profileWorkers(trace *TraceSnapshot) []WorkerProfile {
 	// small and the deficit below the mean stands out.
 	var denom int64
 	for w := range profs {
-		if t := profs[w].ComputeNS + profs[w].BarrierWaitNS + profs[w].SendStallNS; t > denom {
-			denom = t
-		}
+		denom = max(denom, profs[w].ComputeNS+profs[w].BarrierWaitNS)
 	}
 	if denom == 0 {
 		return profs
@@ -185,12 +180,11 @@ func profileWorkers(trace *TraceSnapshot) []WorkerProfile {
 	counted := 0
 	for w := range profs {
 		p := &profs[w]
-		if p.ComputeNS+p.BarrierWaitNS+p.SendStallNS == 0 {
+		if p.ComputeNS+p.BarrierWaitNS == 0 {
 			continue
 		}
 		p.ComputeShare = float64(p.ComputeNS) / float64(denom)
 		p.WaitShare = float64(p.BarrierWaitNS) / float64(denom)
-		p.StallShare = float64(p.SendStallNS) / float64(denom)
 		meanWait += p.WaitShare
 		counted++
 	}
@@ -199,7 +193,7 @@ func profileWorkers(trace *TraceSnapshot) []WorkerProfile {
 	}
 	for w := range profs {
 		p := &profs[w]
-		if p.ComputeNS+p.BarrierWaitNS+p.SendStallNS == 0 {
+		if p.ComputeNS+p.BarrierWaitNS == 0 {
 			continue
 		}
 		p.StragglerScore = meanWait - p.WaitShare
@@ -223,15 +217,11 @@ func diagnoseStragglers(rep *Report, profs []WorkerProfile, trace *TraceSnapshot
 		}
 		// Attribute: where did the straggler's time go instead of
 		// waiting? Compute share dominating means a genuine compute
-		// skew; stall share means its flushes were slow; neither means
-		// the process itself was slow (descheduled, faulted, sleeping).
-		switch {
-		case p.ComputeShare >= 0.5:
+		// skew; otherwise the process itself was slow (descheduled,
+		// faulted, sleeping).
+		p.Cause = "unattributed"
+		if p.ComputeShare >= 0.5 {
 			p.Cause = "compute"
-		case p.StallShare >= 0.25:
-			p.Cause = "send_stall"
-		default:
-			p.Cause = "unattributed"
 		}
 		sev := "warn"
 		if p.StragglerScore >= 2*StragglerWaitDeficit {
@@ -243,14 +233,10 @@ func diagnoseStragglers(rep *Report, profs []WorkerProfile, trace *TraceSnapshot
 			Detail: fmt.Sprintf("worker %d waited %.0f%% of the run at barriers vs a fleet mean of %.0f%%: the others were waiting for it (cause: %s)",
 				p.Worker, p.WaitShare*100, (p.WaitShare+p.StragglerScore)*100, p.Cause),
 		})
-		switch p.Cause {
-		case "compute":
+		if p.Cause == "compute" {
 			rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
 				"worker %d is compute-bound ahead of its peers: rebalance the partition (try greedy placement) or shrink its vertex range", p.Worker))
-		case "send_stall":
-			rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
-				"worker %d spends its time flushing frames: cut what it sends across workers (a combining channel, a lower-cut placement) or relieve the hub and its host", p.Worker))
-		default:
+		} else {
 			rep.Recommendations = append(rep.Recommendations, fmt.Sprintf(
 				"worker %d is slow for reasons outside the engine (host contention, fault injection, GC): inspect that process", p.Worker))
 		}

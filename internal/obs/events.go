@@ -30,7 +30,7 @@ type StepEvent struct {
 	// ActiveVertices sums the workers' active counts entering the step.
 	ActiveVertices int64 `json:"active_vertices"`
 	// WallNS estimates the step's wall time: the slowest worker's
-	// compute + barrier-wait + send-stall total.
+	// compute + barrier-wait total.
 	WallNS int64 `json:"wall_ns"`
 	// MaxComputeNS / MeanComputeNS capture compute skew across workers;
 	// Skew is their ratio (1.0 = perfectly balanced).
@@ -49,9 +49,7 @@ func stepEvent(superstep int, samples []SuperstepSample) StepEvent {
 		if s.ComputeNS > ev.MaxComputeNS {
 			ev.MaxComputeNS = s.ComputeNS
 		}
-		if total := s.ComputeNS + s.BarrierWaitNS + s.SendStallNS; total > ev.WallNS {
-			ev.WallNS = total
-		}
+		ev.WallNS = max(ev.WallNS, s.ComputeNS+s.BarrierWaitNS)
 	}
 	if len(samples) > 0 {
 		ev.MeanComputeNS = sumCompute / int64(len(samples))

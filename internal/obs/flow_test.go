@@ -132,15 +132,15 @@ func TestDiagnoseNamesStraggler(t *testing.T) {
 		t.Fatal("no recommendations for an unhealthy run")
 	}
 
-	// A straggler whose time went into its flushes is blamed on sending,
-	// and the advice names no knob the system does not have.
+	// A straggler whose time went outside compute and the barriers is
+	// unattributed, and the advice names no knob the system does not
+	// have.
 	for _, step := range trace.Supersteps {
-		s := &step.Workers[2]
-		s.ComputeNS, s.SendStallNS = 2e6, 7e6
+		step.Workers[2].ComputeNS = 2e6
 	}
 	rep = Diagnose(trace, nil, RunMetrics{})
-	if rep.Straggler() != 2 || rep.Workers[0].Cause != "send_stall" {
-		t.Fatalf("send-bound straggler: %+v", rep.Workers)
+	if rep.Straggler() != 2 || rep.Workers[0].Cause != "unattributed" {
+		t.Fatalf("straggler slow outside compute: %+v", rep.Workers)
 	}
 	for _, r := range rep.Recommendations {
 		if strings.Contains(r, "-window") || strings.Contains(r, "p2p") || strings.Contains(r, "-data-plane") {

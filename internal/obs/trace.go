@@ -20,13 +20,10 @@ type SuperstepSample struct {
 	// ComputeNS covers the per-vertex compute calls plus the channels'
 	// AfterCompute hooks; BarrierWaitNS accumulates time blocked in the
 	// superstep's barrier crossings and reduces (on the socket fabric it
-	// includes the wire round trips).
+	// includes the wire round trips and the process's one write per
+	// crossing, which carries the round's frames).
 	ComputeNS     int64 `json:"compute_ns"`
 	BarrierWaitNS int64 `json:"barrier_wait_ns"`
-	// SendStallNS accumulates the wall time of the worker's Flush calls:
-	// publishing the round (in-process: accounting only; socket: the
-	// frames' one gathered write to the hub).
-	SendStallNS int64 `json:"send_stall_ns"`
 	// Bytes/frames counted at the engine's serialize and deserialize
 	// points, so they are identical whichever fabric carried them. The
 	// totals include the frame envelope (channel id + length header);

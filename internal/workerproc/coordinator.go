@@ -123,14 +123,13 @@ type JobSpec struct {
 	// (diagnostics; the failure tests use it to kill one).
 	Spawned func(pids []int)
 
-	// Trace, if non-nil, receives the job's superstep timeline: each
-	// worker process collects its own shard and ships it piggybacked on
-	// its result blob, and the coordinator replays the shards here. The
-	// merged timeline has the same shape an in-process run produces.
-	// Workers additionally stream each sample over the control
-	// connection the moment the superstep completes, so the trace (and
-	// anything watching it via obs.Trace.OnStepComplete) advances while
-	// the job is still in flight.
+	// Trace, if non-nil, receives the job's superstep timeline, with the
+	// shape an in-process run produces. Each worker process streams
+	// every sample over its hub connection as its superstep completes,
+	// riding the process's next write, so the trace (and anything
+	// watching it via obs.Trace.OnStepComplete) advances while the job
+	// is in flight. A process's last samples precede its result blob on
+	// the same stream, so the trace is complete when Run returns.
 	Trace *obs.Trace
 
 	// Flows, if non-nil, receives the job's flow matrix: each worker
@@ -320,9 +319,9 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 	defer hub.Close()
 	hub.SetLogger(log)
 	if spec.Trace != nil {
-		// live superstep feed: replay in-flight samples into the job
-		// trace as workers ship them, so step-completion hooks fire
-		// mid-run (and keep firing across recovery attempts)
+		// the one sample path: record samples into the job trace as
+		// workers ship them, so step-completion hooks fire mid-run (and
+		// keep firing across recovery attempts)
 		hub.OnSamples(func(p []byte) {
 			defer func() { recover() }() // malformed live batch: drop it
 			decodeSamples(ser.FromBytes(p), spec.Trace)
@@ -470,7 +469,7 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		}
 	}
 
-	res, minSteps, mergeErr := mergePartials(spec.Part, partials, spec.Trace, spec.Flows)
+	res, minSteps, mergeErr := mergePartials(spec.Part, partials, spec.Flows)
 	if mergeErr != nil {
 		errs = append(errs, mergeErr)
 	}

@@ -2,8 +2,10 @@ package workerproc
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,7 +17,9 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/ser"
 )
 
 // A worker whose control channel ends — which is all it sees of a
@@ -206,6 +210,88 @@ func FuzzJobDescriptor(f *testing.F) {
 		}
 		if !reflect.DeepEqual(d, again) {
 			t.Fatalf("descriptor round trip changed it:\n%+v\n%+v", d, again)
+		}
+	})
+}
+
+// A result blob crosses a process boundary too. FuzzPartial takes one
+// through decodePartial and mergePartials as the coordinator does, for a
+// 2-worker job of 6 vertices: a hostile blob must come out as an error,
+// never a panic or an allocation sized by a count it claims. What is
+// accepted re-encodes to the same bytes: exactly, for the canonical
+// seeds; for any other input, its re-encoding — varints and flow cells
+// in their one canonical form — must be accepted and re-encode to
+// itself.
+func FuzzPartial(f *testing.F) {
+	part := partition.MustHash(6, 2)
+	reencode := func(blob []byte) ([]byte, error) {
+		p, err := decodePartial(blob)
+		if err != nil {
+			return nil, err
+		}
+		flows := obs.NewFlowAccum(part.NumWorkers())
+		res, steps, err := mergePartials(part, []partial{p}, flows)
+		if err != nil {
+			return nil, err
+		}
+		res.Metrics.Supersteps = steps
+		buf := ser.NewBuffer(256)
+		encodePartial(buf, part, p.lo, p.hi, res, flows.Matrix(), nil)
+		return buf.Bytes(), nil
+	}
+	flows := &obs.FlowMatrix{Plane: "hub", Workers: 2,
+		Flows:  []obs.FlowStat{{Src: 0, Dst: 1, Bytes: 40, Frames: 2, Rounds: 2, MaxFrame: 30}},
+		Relays: []obs.RelayStat{{Lo: 0, Hi: 1, Bytes: 40, Frames: 2, ResidencyNS: 900}}}
+	encode := func(res *algorithms.Result, runErr error) []byte {
+		buf := ser.NewBuffer(256)
+		encodePartial(buf, part, 0, 1, res, flows, runErr)
+		return buf.Bytes()
+	}
+	steps := algorithms.Metrics{Supersteps: 7}
+	for _, res := range []*algorithms.Result{
+		{Labels: []graph.VertexID{5, 4, 3, 2, 1, 0}, Metrics: steps},
+		{Ranks: []float64{0.5, 0, -1, math.Inf(1), 1e-300, 3}, Metrics: steps},
+		{Dists: []int64{0, -1, 3, math.MaxInt64, 2, 1}, Metrics: steps},
+		{MSF: &algorithms.MSFResult{Comp: []graph.VertexID{0, 0, 2, 2, 4, 4}, Weight: 9,
+			Edges: []graph.Edge{{Src: 0, Dst: 1, Weight: 5}, {Src: 2, Dst: 3, Weight: 4}}}, Metrics: steps},
+	} {
+		blob := encode(res, nil)
+		if again, err := reencode(blob); err != nil || !bytes.Equal(again, blob) {
+			f.Fatalf("%s partial does not round-trip: %v", res.Kind(), err)
+		}
+		f.Add(blob)
+	}
+	f.Add(encode(nil, errors.New("worker 1: superstep cap")))
+	// an MSF partial claiming 2^40 edges, with bytes for one
+	huge := ser.NewBuffer(64)
+	huge.WriteUvarint(0)
+	huge.WriteUvarint(1)
+	huge.WriteString("")
+	huge.WriteUvarint(3)
+	huge.WriteUint8(kindMSF)
+	for v := 0; v < part.NumVertices(); v++ {
+		huge.WriteUvarint(0)
+	}
+	huge.WriteVarint(5)
+	huge.WriteUvarint(1 << 40)
+	huge.WriteUvarint(0)
+	huge.WriteUvarint(1)
+	huge.WriteVarint(5)
+	if _, err := reencode(huge.Bytes()); err == nil {
+		f.Fatal("an MSF partial claiming 2^40 edges was accepted")
+	}
+	f.Add(huge.Bytes())
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		once, err := reencode(blob)
+		if err != nil {
+			return
+		}
+		twice, err := reencode(once)
+		if err != nil {
+			t.Fatalf("re-encoded partial rejected: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not stable:\n%x\n%x", once, twice)
 		}
 	})
 }

@@ -46,13 +46,13 @@ const (
 // encodePartial serializes one process's share of a run: the hosted
 // worker range, the run error (empty string = success), the superstep
 // count its workers reached, and — on success — the hosted workers'
-// slices of the result arrays followed by the hosted workers' superstep
-// trace samples (empty unless the coordinator requested tracing) and
-// their share of the flow matrix. Error partials carry no values, no
-// trace and no flows — an aborted attempt contributes nothing, so
-// recovery never double-counts.
+// slices of the result arrays followed by their share of the flow
+// matrix. Error partials carry no values and no flows — an aborted
+// attempt contributes nothing, so recovery never double-counts. The
+// superstep samples are not here: they reached the hub ahead of the
+// blob, on the same stream (Client.SendSamples).
 func encodePartial(buf *ser.Buffer, part *partition.Partition, lo, hi int,
-	res *algorithms.Result, samples []obs.SuperstepSample, flows *obs.FlowMatrix, runErr error) {
+	res *algorithms.Result, flows *obs.FlowMatrix, runErr error) {
 	buf.WriteUvarint(uint64(lo))
 	buf.WriteUvarint(uint64(hi))
 	if runErr != nil {
@@ -82,7 +82,6 @@ func encodePartial(buf *ser.Buffer, part *partition.Partition, lo, hi int,
 			buf.WriteVarint(int64(e.Weight))
 		}
 	}
-	encodeSamples(buf, samples)
 	encodeFlows(buf, flows)
 }
 
@@ -118,7 +117,7 @@ func encodeFlows(buf *ser.Buffer, m *obs.FlowMatrix) {
 // it into acc (acc nil: the section is consumed and discarded).
 func decodeFlows(b *ser.Buffer, acc *obs.FlowAccum) {
 	m := &obs.FlowMatrix{Plane: b.ReadString(), Workers: int(b.ReadUvarint())}
-	nf := int(b.ReadUvarint())
+	nf := count(b)
 	for i := 0; i < nf; i++ {
 		m.Flows = append(m.Flows, obs.FlowStat{
 			Src: int(b.ReadUvarint()), Dst: int(b.ReadUvarint()),
@@ -126,7 +125,7 @@ func decodeFlows(b *ser.Buffer, acc *obs.FlowAccum) {
 			Rounds: b.ReadVarint(), MaxFrame: b.ReadVarint(),
 		})
 	}
-	nr := int(b.ReadUvarint())
+	nr := count(b)
 	for i := 0; i < nr; i++ {
 		m.Relays = append(m.Relays, obs.RelayStat{
 			Lo: int(b.ReadUvarint()), Hi: int(b.ReadUvarint()),
@@ -138,8 +137,9 @@ func decodeFlows(b *ser.Buffer, acc *obs.FlowAccum) {
 	}
 }
 
-// encodeSamples appends the superstep trace section: a sample count and
-// each sample's fixed fields plus its per-channel breakdown.
+// encodeSamples renders superstep samples as the payload of one
+// Client.SendSamples batch: a sample count and each sample's fixed
+// fields plus its per-channel breakdown.
 func encodeSamples(buf *ser.Buffer, samples []obs.SuperstepSample) {
 	buf.WriteUvarint(uint64(len(samples)))
 	for _, s := range samples {
@@ -149,7 +149,6 @@ func encodeSamples(buf *ser.Buffer, samples []obs.SuperstepSample) {
 		buf.WriteUvarint(uint64(s.Rounds))
 		buf.WriteVarint(s.ComputeNS)
 		buf.WriteVarint(s.BarrierWaitNS)
-		buf.WriteVarint(s.SendStallNS)
 		buf.WriteVarint(s.BytesSent)
 		buf.WriteVarint(s.FramesSent)
 		buf.WriteVarint(s.BytesRecv)
@@ -164,11 +163,10 @@ func encodeSamples(buf *ser.Buffer, samples []obs.SuperstepSample) {
 	}
 }
 
-// decodeSamples reads the trace section written by encodeSamples and
-// feeds every sample to tr (tr nil: the section is consumed and
-// discarded, keeping the decode position correct for callers).
+// decodeSamples reads a batch written by encodeSamples and feeds every
+// sample to tr.
 func decodeSamples(b *ser.Buffer, tr *obs.Trace) {
-	n := int(b.ReadUvarint())
+	n := count(b)
 	for i := 0; i < n; i++ {
 		var s obs.SuperstepSample
 		s.Worker = int(b.ReadUvarint())
@@ -177,12 +175,11 @@ func decodeSamples(b *ser.Buffer, tr *obs.Trace) {
 		s.Rounds = int(b.ReadUvarint())
 		s.ComputeNS = b.ReadVarint()
 		s.BarrierWaitNS = b.ReadVarint()
-		s.SendStallNS = b.ReadVarint()
 		s.BytesSent = b.ReadVarint()
 		s.FramesSent = b.ReadVarint()
 		s.BytesRecv = b.ReadVarint()
 		s.FramesRecv = b.ReadVarint()
-		if nc := int(b.ReadUvarint()); nc > 0 {
+		if nc := count(b); nc > 0 {
 			s.Channels = make([]obs.ChannelSample, nc)
 			for ci := range s.Channels {
 				c := &s.Channels[ci]
@@ -192,10 +189,20 @@ func decodeSamples(b *ser.Buffer, tr *obs.Trace) {
 				c.FramesRecv = b.ReadVarint()
 			}
 		}
-		if tr != nil {
-			tr.ObserveSuperstep(s)
-		}
+		tr.ObserveSuperstep(s)
 	}
+}
+
+// count reads an item count, vetted against the bytes left (every item
+// takes at least one): a hostile count can neither wrap negative nor
+// size an allocation past the blob. It panics like the ser reads it
+// sits among; the decoders recover.
+func count(b *ser.Buffer) int {
+	n := b.ReadUvarint()
+	if n > uint64(b.Remaining()) {
+		panic(fmt.Sprintf("count %d exceeds the %d bytes left", n, b.Remaining()))
+	}
+	return int(n)
 }
 
 // forHosted visits the hosted workers' vertices in (worker, local
@@ -266,18 +273,20 @@ func reportedError(msg string) error {
 // superstep any worker reached, and the joined worker errors (nil when
 // every process succeeded). Blobs must cover every worker exactly once;
 // a missing range is reported as an error (its workers died before
-// reporting — the transport error carries the detail). When tr is
-// non-nil, each blob's trace section is replayed into it, reassembling
-// the job-wide superstep timeline from the per-process shards; when
-// flows is non-nil, each blob's flow section is merged the same way.
-func mergePartials(part *partition.Partition, blobs []partial, tr *obs.Trace, flows *obs.FlowAccum) (*algorithms.Result, int, error) {
+// reporting — the transport error carries the detail). When flows is
+// non-nil, each blob's flow section is merged into it, reassembling the
+// job-wide flow matrix from the per-process shares.
+func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAccum) (*algorithms.Result, int, error) {
 	m := part.NumWorkers()
 	covered := make([]bool, m)
 	var errs []error
 	minSteps := -1
 	kind := uint8(255)
 	for _, p := range blobs {
-		for w := p.lo; w <= p.hi && w < m; w++ {
+		if p.hi >= m {
+			return nil, 0, fmt.Errorf("workerproc: result blob for workers %d-%d of %d", p.lo, p.hi, m)
+		}
+		for w := p.lo; w <= p.hi; w++ {
 			covered[w] = true
 		}
 		if p.err != nil {
@@ -345,7 +354,7 @@ func mergePartials(part *partition.Partition, blobs []partial, tr *obs.Trace, fl
 			})
 			if kind == kindMSF {
 				res.MSF.Weight += b.ReadVarint()
-				ne := int(b.ReadUvarint())
+				ne := count(b)
 				for i := 0; i < ne; i++ {
 					e := graph.Edge{
 						Src: graph.VertexID(b.ReadUvarint()),
@@ -355,8 +364,10 @@ func mergePartials(part *partition.Partition, blobs []partial, tr *obs.Trace, fl
 					res.MSF.Edges = append(res.MSF.Edges, e)
 				}
 			}
-			decodeSamples(b, tr)
 			decodeFlows(b, flows)
+			if b.Remaining() != 0 {
+				return fmt.Errorf("workerproc: %d trailing bytes in the result from workers %d-%d", b.Remaining(), p.lo, p.hi)
+			}
 			return nil
 		}()
 		if werr != nil {

@@ -175,29 +175,18 @@ func (w *worker) run(d *descriptor) ack {
 		}
 		opts.Checkpoint = hook
 	}
-	var tr *obs.Trace
 	if d.trace {
-		// collect only this process's shard of the timeline; the
-		// coordinator replays every shard into the job-wide trace. Each
-		// sample is also streamed over the control connection, in front
-		// of the process's next write, so the coordinator's event stream
-		// sees supersteps in flight, not only at job end.
-		tr = obs.NewTrace(d.m)
-		opts.Observer = &liveObserver{tr: tr, client: client, buf: ser.NewBuffer(256)}
+		opts.Observer = &liveObserver{client: client, buf: ser.NewBuffer(256)}
 	}
 	spec, _ := algorithms.Lookup(d.algorithm) // vetted by decodeDescriptor
 	res, runErr := spec.Run(d.engine, d.variant, g, opts, d.params)
 
-	var samples []obs.SuperstepSample
-	if tr != nil && runErr == nil {
-		samples = tr.Samples()
-	}
 	var flowMatrix *obs.FlowMatrix
 	if flows != nil && runErr == nil {
 		flowMatrix = flows.Matrix()
 	}
 	buf := ser.NewBuffer(4096)
-	encodePartial(buf, v.part, d.lo, d.hi, res, samples, flowMatrix, runErr)
+	encodePartial(buf, v.part, d.lo, d.hi, res, flowMatrix, runErr)
 	if err := client.SendResult(buf.Bytes()); err != nil {
 		log.Error("shipping the result failed", "err", err)
 		a.err = fmt.Sprintf("ship result: %v", err)
@@ -223,7 +212,7 @@ func reportFailure(d *descriptor, cause error) string {
 		defer client.Close()
 		client.Barrier().Abort()
 		buf := ser.NewBuffer(256)
-		encodePartial(buf, nil, d.lo, d.hi, nil, nil, nil, cause)
+		encodePartial(buf, nil, d.lo, d.hi, nil, nil, cause)
 		if err = client.SendResult(buf.Bytes()); err == nil {
 			return ""
 		}
@@ -231,14 +220,12 @@ func reportFailure(d *descriptor, cause error) string {
 	return fmt.Sprintf("%v (and reporting it failed: %v)", cause, err)
 }
 
-// liveObserver feeds each superstep sample into the process-local trace
-// and queues it for the coordinator: it rides the hub control
-// connection with the process's next write, so the live feed trails the
-// run by at most one exchange round. Shipping is best-effort and
-// loss-tolerant: the authoritative timeline still travels with the
-// partial result.
+// liveObserver is the process's only record of its superstep samples:
+// it encodes each one and queues it on the client, to ride the
+// process's next write to the hub — at most one barrier crossing later,
+// and ahead of the result blob on the same stream, so the job's trace
+// is complete once the results are in.
 type liveObserver struct {
-	tr     *obs.Trace
 	client *netcomm.Client
 
 	mu  sync.Mutex // hosted workers observe concurrently
@@ -246,7 +233,6 @@ type liveObserver struct {
 }
 
 func (o *liveObserver) ObserveSuperstep(s obs.SuperstepSample) {
-	o.tr.ObserveSuperstep(s)
 	o.mu.Lock()
 	o.buf.Reset()
 	encodeSamples(o.buf, []obs.SuperstepSample{s})

@@ -1,7 +1,10 @@
 package algorithms
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -19,9 +22,10 @@ const goldenSamplesFile = "testdata/superstep_samples.golden"
 // sampleTable runs each case at 4 workers in-process and renders the
 // deterministic part of its trace: per (worker, superstep) the active
 // count, rounds, bytes and frames in both directions and the per-channel
-// breakdown, then the run's supersteps, rounds and network bytes. Times
-// are left out; everything else must not depend on how the driver is
-// put together.
+// breakdown, then the run's supersteps, rounds and network bytes, then
+// an FNV-64a of the result vector (rank bits or labels, in vertex
+// order). Times are left out; everything else must not depend on how
+// the driver or a program's compute loop is put together.
 func sampleTable(t *testing.T) string {
 	t.Helper()
 	directed := graph.SocialRMAT(8, 6, 42)
@@ -38,6 +42,11 @@ func sampleTable(t *testing.T) string {
 		{"wcc", EngineChannel, "propagation", undirected},
 		{"pagerank", EnginePregel, "basic", directed},
 		{"sv", EnginePregel, "reqresp", undirected},
+		{"pagerank", EngineChannel, "basic", directed},
+		{"pagerank", EngineChannel, "mirror", directed},
+		{"sv", EngineChannel, "basic", undirected},
+		{"sv", EngineChannel, "reqresp", undirected},
+		{"sv", EngineChannel, "scatter", undirected},
 	} {
 		spec, _ := Lookup(tc.alg)
 		part := partition.MustHash(tc.g.NumVertices(), 4)
@@ -54,8 +63,25 @@ func sampleTable(t *testing.T) string {
 		}
 		fmt.Fprintf(&b, "supersteps=%d rounds=%d net_bytes=%d\n",
 			res.Metrics.Supersteps, res.Metrics.Rounds, res.Metrics.NetBytes)
+		fmt.Fprintf(&b, "result fnv64a=%016x\n", resultHash(res))
 	}
 	return b.String()
+}
+
+// resultHash is the FNV-64a of a ranks or labels result, each entry as
+// its little-endian bits, so a rank that moves by one ulp changes it.
+func resultHash(res *Result) uint64 {
+	h := fnv.New64a()
+	var word [8]byte
+	for _, r := range res.Ranks {
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(r))
+		h.Write(word[:])
+	}
+	for _, l := range res.Labels {
+		binary.LittleEndian.PutUint32(word[:4], l)
+		h.Write(word[:4])
+	}
+	return h.Sum64()
 }
 
 // TestSuperstepSamplesMatchParent pins every count the superstep samples

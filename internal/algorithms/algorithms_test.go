@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/seq"
 )
@@ -178,6 +179,53 @@ func TestPageRankDeadEnds(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("ranks sum to %v", sum)
+	}
+}
+
+// On 3 vertices over 4 workers worker 3 hosts none: its range programs
+// get the empty range [0, 0), compute nothing and send no frame — no
+// aggregator partial in particular — and the jobs still reach the
+// oracles.
+func TestComputeRangeEmptyWorker(t *testing.T) {
+	cycle := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 0, Dst: 2}}, false)
+	sink := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 2}, {Src: 1, Dst: 2}}, false)
+	pair := graph.Undirectify(graph.FromEdges(3, []graph.Edge{{Src: 2, Dst: 1}}, false))
+	pagerank := func(g *graph.Graph) func(t *testing.T, opts Options) {
+		return func(t *testing.T, opts Options) {
+			got, _, err := pageRankScatter(g, opts, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPageRank(t, "pagerank/scatter", got, seq.PageRank(g, 10))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, opts Options)
+	}{
+		{"pagerank-scatter-cycle", pagerank(cycle)},
+		{"pagerank-scatter-sink", pagerank(sink)},
+		{"sv-both", func(t *testing.T, opts Options) {
+			got, _, err := svBoth(pair, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRoots(t, "sv/both", got, seq.ConnectedComponents(pair))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			part := partition.MustHash(3, testWorkers)
+			if n := part.LocalCount(testWorkers - 1); n != 0 {
+				t.Fatalf("the last worker hosts %d vertices", n)
+			}
+			tr := obs.NewTrace(testWorkers)
+			tc.run(t, Options{Part: part, Observer: tr})
+			for _, s := range tr.Samples() {
+				if s.Worker == testWorkers-1 && s.FramesSent != 0 {
+					t.Errorf("empty worker sent %d frames in superstep %d: %v", s.FramesSent, s.Superstep, s.Channels)
+				}
+			}
+		})
 	}
 }
 

@@ -18,6 +18,12 @@ import (
 //	pageRankPregel         — baseline engine, sum combiner
 //	pageRankPregelGhost    — baseline engine, ghost/mirroring mode
 
+// The three channel-engine variants compute in range form: every vertex
+// is active until the last superstep, so the worker's whole range is one
+// call per superstep — a rank pass that reads the inbox, then a scatter
+// pass (Ligra's vertexMap in dense mode). Each pass runs in ascending
+// local index, so every sum rounds as the per-vertex form's did.
+
 // pageRankChannel runs PageRank on the channel engine with the standard
 // CombinedMessage channel, exactly as in Fig. 1 of the paper.
 func pageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
@@ -34,27 +40,36 @@ func pageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, e
 		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, channel.Sum[float64]())
 		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
 		n := float64(w.NumVertices())
-		w.Compute = func(li int) {
+		teleport := 0.15 / n
+		w.ComputeRange = func(lo, hi int) {
 			if w.Superstep() == 1 {
-				pr[li] = 1.0 / n
-			} else {
-				s := agg.Result() / n
-				sum, _ := msg.Message(li)
-				pr[li] = 0.15/n + 0.85*(sum+s)
-			}
-			if w.Superstep() <= iterations {
-				nbrs := f.Neighbors(li)
-				if len(nbrs) > 0 {
-					share := pr[li] / float64(len(nbrs))
-					for _, a := range nbrs {
-						msg.Send(a, share)
-					}
-				} else {
-					agg.Add(pr[li])
+				for li := lo; li < hi; li++ {
+					pr[li] = 1.0 / n
 				}
 			} else {
-				w.VoteToHalt()
+				s := agg.Result() / n
+				for li := lo; li < hi; li++ {
+					sum, _ := msg.Message(li)
+					pr[li] = teleport + 0.85*(sum+s)
+				}
 			}
+			if w.Superstep() > iterations {
+				haltRange(w, lo, hi)
+				return
+			}
+			var sink sinkMass
+			for li := lo; li < hi; li++ {
+				nbrs := f.Neighbors(li)
+				if len(nbrs) == 0 {
+					sink.add(pr[li])
+					continue
+				}
+				share := pr[li] / float64(len(nbrs))
+				for _, a := range nbrs {
+					msg.Send(a, share)
+				}
+			}
+			sink.flush(agg)
 		}
 	})
 	return gather(part, states), met, err
@@ -62,7 +77,8 @@ func pageRankChannel(g *graph.Graph, opts Options, iterations int) ([]float64, e
 
 // pageRankScatter is pageRankChannel with the message channel swapped
 // for a ScatterCombine channel — the static messaging pattern
-// optimization of §IV-C1.
+// optimization of §IV-C1. The shares go straight into the channel's
+// source values.
 func pageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]float64, part.NumWorkers())
@@ -78,24 +94,33 @@ func pageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, e
 		msg.UseFragment(f)
 		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
 		n := float64(w.NumVertices())
-		w.Compute = func(li int) {
+		teleport := 0.15 / n
+		w.ComputeRange = func(lo, hi int) {
 			if w.Superstep() == 1 {
-				pr[li] = 1.0 / n
-			} else {
-				s := agg.Result() / n
-				sum, _ := msg.Message(li)
-				pr[li] = 0.15/n + 0.85*(sum+s)
-			}
-			if w.Superstep() <= iterations {
-				deg := f.OutDegree(li)
-				if deg > 0 {
-					msg.SetMessage(pr[li] / float64(deg))
-				} else {
-					agg.Add(pr[li])
+				for li := lo; li < hi; li++ {
+					pr[li] = 1.0 / n
 				}
 			} else {
-				w.VoteToHalt()
+				s := agg.Result() / n
+				for li := lo; li < hi; li++ {
+					sum, _ := msg.Message(li)
+					pr[li] = teleport + 0.85*(sum+s)
+				}
 			}
+			if w.Superstep() > iterations {
+				haltRange(w, lo, hi)
+				return
+			}
+			var sink sinkMass
+			share := msg.Values()
+			for li := lo; li < hi; li++ {
+				if deg := f.OutDegree(li); deg > 0 {
+					share[li] = pr[li] / float64(deg)
+				} else {
+					sink.add(pr[li])
+				}
+			}
+			sink.flush(agg)
 		}
 	})
 	return gather(part, states), met, err
@@ -118,30 +143,73 @@ func pageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, en
 		msg := channel.NewMirror[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 16)
 		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
 		n := float64(w.NumVertices())
-		w.Compute = func(li int) {
+		teleport := 0.15 / n
+		w.ComputeRange = func(lo, hi int) {
 			if w.Superstep() == 1 {
-				pr[li] = 1.0 / n
-				for _, a := range f.Neighbors(li) {
-					msg.AddAddr(a)
+				for li := lo; li < hi; li++ {
+					pr[li] = 1.0 / n
+				}
+				for li := lo; li < hi; li++ {
+					w.SetCurrent(li)
+					for _, a := range f.Neighbors(li) {
+						msg.AddAddr(a)
+					}
 				}
 			} else {
 				s := agg.Result() / n
-				sum, _ := msg.Message(li)
-				pr[li] = 0.15/n + 0.85*(sum+s)
+				for li := lo; li < hi; li++ {
+					sum, _ := msg.Message(li)
+					pr[li] = teleport + 0.85*(sum+s)
+				}
 			}
-			if w.Superstep() <= iterations {
-				deg := f.OutDegree(li)
-				if deg > 0 {
+			if w.Superstep() > iterations {
+				haltRange(w, lo, hi)
+				return
+			}
+			var sink sinkMass
+			for li := lo; li < hi; li++ {
+				if deg := f.OutDegree(li); deg > 0 {
+					w.SetCurrent(li)
 					msg.SetMessage(pr[li] / float64(deg))
 				} else {
-					agg.Add(pr[li])
+					sink.add(pr[li])
 				}
-			} else {
-				w.VoteToHalt()
 			}
+			sink.flush(agg)
 		}
 	})
 	return gather(part, states), met, err
+}
+
+// sinkMass folds the ranks of a range's dead ends in ascending local
+// index — the order per-vertex Aggregator.Add calls would combine them
+// in — and hands the fold over in one Add, so the aggregator sees the
+// same sum bit for bit. A range without dead ends adds nothing, and the
+// worker sends no aggregator frame.
+type sinkMass struct {
+	sum  float64
+	some bool
+}
+
+func (s *sinkMass) add(r float64) {
+	if s.some {
+		s.sum += r
+	} else {
+		s.sum, s.some = r, true
+	}
+}
+
+func (s *sinkMass) flush(agg *channel.Aggregator[float64]) {
+	if s.some {
+		agg.Add(s.sum)
+	}
+}
+
+// haltRange votes every vertex of a range program's range to halt.
+func haltRange(w *engine.Worker, lo, hi int) {
+	for li := lo; li < hi; li++ {
+		w.DeactivateLocal(li)
+	}
 }
 
 // pageRankPregel runs PageRank on the baseline engine (Pregel+ basic

@@ -94,95 +94,115 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 		if !useReqResp {
 			period = 4
 		}
-		broadcast := func(li int) {
-			if useScatter {
-				bcastSC.SetMessage(d[li])
-			} else {
-				for _, a := range f.Neighbors(li) {
-					bcastCM.Send(a, d[li])
-				}
-			}
-		}
-		readTmin := func(li int) (uint32, bool) {
-			if useScatter {
-				return bcastSC.Message(li)
-			}
-			return bcastCM.Message(li)
-		}
-
-		w.Compute = func(li int) {
-			id := w.GlobalID(li)
-			step := w.Superstep()
-			if step == 1 {
-				d[li] = id
-			}
-			phase := (step - 1) % period
-			switch phase {
-			case 0: // A
-				if step > 1 && !agg.Result() {
-					// previous iteration changed nothing anywhere: done
-					w.VoteToHalt()
-					w.RequestStop()
-					return
-				}
-				broadcast(li)
-				if useReqResp {
-					rr.Request(w.Addr(d[li]))
-				} else {
-					reqCh.Send(w.Addr(d[li]), id)
-				}
-			case 1:
-				if useReqResp {
-					// B: full merge/jump decision
-					gp, _ := rr.Respond()
-					t, hasT := readTmin(li)
-					svDecide(w, li, id, d, changed, gp, t, hasT, mc)
-				} else {
-					// B': serve grandparent fetches; buffer the
-					// neighborhood minimum for the next step
-					for _, requester := range reqCh.Messages(li) {
-						repCh.Send(w.Addr(requester), d[li])
-					}
-					if t, ok := readTmin(li); ok {
-						tmin[li] = t
-					} else {
-						tmin[li] = uint32(0xFFFFFFFF)
-					}
-				}
-			case 2:
-				if useReqResp {
-					// C: roots apply merge minima; everyone reports change
-					if t, ok := mc.Message(li); ok && t < d[li] {
-						d[li] = t
-						changed[li] = true
-					}
-					agg.Add(changed[li])
-					changed[li] = false
-				} else {
-					// B: consume the reply and decide
-					gp := d[li]
-					for _, v := range repCh.Messages(li) {
-						gp = v
-					}
-					t := tmin[li]
-					svDecide(w, li, id, d, changed, gp, t, t != 0xFFFFFFFF, mc)
-				}
-			case 3: // C for the 4-step schedule
+		// C: roots apply merge minima; the worker reports whether any
+		// vertex changed this iteration
+		applyMerges := func(lo, hi int) {
+			anyChanged := false
+			for li := lo; li < hi; li++ {
 				if t, ok := mc.Message(li); ok && t < d[li] {
 					d[li] = t
 					changed[li] = true
 				}
-				agg.Add(changed[li])
+				anyChanged = anyChanged || changed[li]
 				changed[li] = false
+			}
+			if hi > lo {
+				agg.Add(anyChanged)
+			}
+		}
+
+		// Every vertex works in every superstep, so the program takes the
+		// worker's whole range: the phase is chosen once per superstep.
+		w.ComputeRange = func(lo, hi int) {
+			step := w.Superstep()
+			if step == 1 {
+				for li := lo; li < hi; li++ {
+					d[li] = w.GlobalID(li)
+				}
+			}
+			switch (step - 1) % period {
+			case 0: // A
+				if step > 1 && !agg.Result() {
+					// previous iteration changed nothing anywhere: done
+					haltRange(w, lo, hi)
+					w.RequestStop()
+					return
+				}
+				if useScatter {
+					copy(bcastSC.Values()[lo:hi], d[lo:hi])
+				} else {
+					for li := lo; li < hi; li++ {
+						for _, a := range f.Neighbors(li) {
+							bcastCM.Send(a, d[li])
+						}
+					}
+				}
+				for li := lo; li < hi; li++ {
+					w.SetCurrent(li)
+					if useReqResp {
+						rr.Request(w.Addr(d[li]))
+					} else {
+						reqCh.Send(w.Addr(d[li]), w.GlobalID(li))
+					}
+				}
+			case 1:
+				if useReqResp {
+					// B: full merge/jump decision
+					for li := lo; li < hi; li++ {
+						w.SetCurrent(li)
+						gp, _ := rr.Respond()
+						t, hasT := svNeighborMin(bcastSC, bcastCM, li)
+						svDecide(w, li, d, changed, gp, t, hasT, mc)
+					}
+				} else {
+					// B': serve grandparent fetches; buffer the
+					// neighborhood minimum for the next step
+					for li := lo; li < hi; li++ {
+						for _, requester := range reqCh.Messages(li) {
+							repCh.Send(w.Addr(requester), d[li])
+						}
+						if t, ok := svNeighborMin(bcastSC, bcastCM, li); ok {
+							tmin[li] = t
+						} else {
+							tmin[li] = uint32(0xFFFFFFFF)
+						}
+					}
+				}
+			case 2:
+				if useReqResp {
+					applyMerges(lo, hi)
+				} else {
+					// B: consume the reply and decide
+					for li := lo; li < hi; li++ {
+						gp := d[li]
+						for _, v := range repCh.Messages(li) {
+							gp = v
+						}
+						t := tmin[li]
+						svDecide(w, li, d, changed, gp, t, t != 0xFFFFFFFF, mc)
+					}
+				}
+			case 3: // C for the 4-step schedule
+				applyMerges(lo, hi)
 			}
 		}
 	})
 	return gather(part, states), met, err
 }
 
+// svNeighborMin reads the neighborhood minimum delivered to li from
+// whichever broadcast channel the variant registered (sc is nil with
+// standard channels).
+func svNeighborMin(sc *channel.ScatterCombine[uint32], cm *channel.CombinedMessage[uint32], li int) (uint32, bool) {
+	if sc != nil {
+		return sc.Message(li)
+	}
+	return cm.Message(li)
+}
+
 // svDecide performs the per-vertex merge-or-jump step of S-V given the
 // grandparent value gp = D[D[u]] and the neighborhood minimum t.
-func svDecide(w *engine.Worker, li int, id graph.VertexID, d []graph.VertexID, changed []bool, gp uint32, t uint32, hasT bool, mc *channel.CombinedMessage[uint32]) {
+func svDecide(w *engine.Worker, li int, d []graph.VertexID, changed []bool, gp uint32, t uint32, hasT bool, mc *channel.CombinedMessage[uint32]) {
 	if gp == d[li] {
 		// parent is a root: tree merging
 		if hasT && t < d[li] {

@@ -101,9 +101,9 @@ func (m Metrics) SimTime() time.Duration { return m.WallTime + m.Comm.SimNetTime
 type Program interface {
 	core() *Core
 	// Setup allocates the engine's per-worker state and runs the
-	// algorithm's setup function; it reports whether Compute was
-	// installed.
-	Setup() bool
+	// algorithm's setup function; it reports what setup left missing
+	// or inconsistent.
+	Setup() error
 	// Initialize runs after every worker finished Setup; it reports
 	// whether its work needs one more crossing before superstep 1.
 	Initialize() bool
@@ -235,8 +235,8 @@ func (c *Core) errorf(format string, args ...any) error {
 
 func (c *Core) supersteps() error {
 	j, p := c.job, c.prog
-	if !p.Setup() {
-		return c.errorf("setup did not install Compute")
+	if err := p.Setup(); err != nil {
+		return c.errorf("%w", err)
 	}
 	ck := j.env.Checkpoint
 	if ck.Active() && (c.ckptSave == nil || c.ckptRestore == nil) {

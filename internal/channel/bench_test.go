@@ -112,6 +112,40 @@ func BenchmarkScatterCombineFragment(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 }
 
+// BenchmarkScatterCombineFragmentValues is BenchmarkScatterCombineFragment
+// written as a range program: one ComputeRange call per superstep fills
+// the source values through Values(), which also spares AfterCompute the
+// walk that proves every source set one. allocs/op must read 0.
+func BenchmarkScatterCombineFragmentValues(b *testing.B) {
+	g := graph.RMAT(12, 16, 1, graph.RMATOptions{NoSelfLoops: true})
+	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
+	for w := 0; w < microWorkers; w++ {
+		fs.Frag(w).ScatterPlan()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
+		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
+		ch.UseFragment(w.Frag())
+		w.ComputeRange = func(lo, hi int) {
+			if w.Superstep() > b.N {
+				for li := lo; li < hi; li++ {
+					w.DeactivateLocal(li)
+				}
+				return
+			}
+			vals := ch.Values()
+			for li := lo; li < hi; li++ {
+				vals[li] = float64(li)
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+}
+
 // BenchmarkCombinerFold is the fold kernel alone, once over every
 // segment of the heaviest fragment of the end-to-end benchmark's web
 // graph: under partition.Hash(·, 4) worker 0 of rmat:scale=14,ef=16 owns
@@ -151,14 +185,19 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed test")
 	}
-	res := testing.Benchmark(BenchmarkScatterCombineFragment)
-	if res.N < 500 {
-		// the job's ~200 setup allocations are not amortized to zero (a
-		// slow or instrumented build, e.g. -race) — don't assert on noise
-		t.Skipf("only %d iterations, setup not amortized", res.N)
-	}
-	if a := res.AllocsPerOp(); a > 0 {
-		t.Errorf("steady-state scatter allocates %d allocs/superstep, want 0", a)
+	for name, bench := range map[string]func(*testing.B){
+		"SetMessage": BenchmarkScatterCombineFragment,
+		"Values":     BenchmarkScatterCombineFragmentValues,
+	} {
+		res := testing.Benchmark(bench)
+		if res.N < 500 {
+			// the job's ~200 setup allocations are not amortized to zero (a
+			// slow or instrumented build, e.g. -race) — don't assert on noise
+			t.Skipf("%s: only %d iterations, setup not amortized", name, res.N)
+		}
+		if a := res.AllocsPerOp(); a > 0 {
+			t.Errorf("%s: steady-state scatter allocates %d allocs/superstep, want 0", name, a)
+		}
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // rounding does not depend on the layout, and frames stay in ascending
 // destination order whatever order the fold produces them in.
 //
-// A dense superstep (every plan source set a value) costs three calls
+// A dense superstep (every plan source set a value, one SetMessage per
+// vertex or all of them at once through Values) costs three calls
 // per peer worker on each side, whatever the segment's size: the
 // Combiner folds the whole segment into a scratch slice and the codec
 // encodes the slice; the receiver decodes the slice, the Combiner merges
@@ -63,8 +64,12 @@ type ScatterCombine[M any] struct {
 	// which no local vertex scatters skip the plan scan entirely (in a
 	// multi-phase algorithm like S-V most supersteps do not scatter).
 	setEpoch int32
-	// dense: every plan source called SetMessage this superstep, so the
-	// scan needs no freshness checks and every destination has a value
+	// valuesEpoch is the superstep of the latest Values call, which
+	// declares every plan source set without stamping one
+	valuesEpoch int32
+	// dense: every plan source called SetMessage this superstep (or
+	// Values declared them all set), so the scan needs no freshness
+	// checks and every destination has a value
 	dense bool
 	// handshaken: the destination lists have been shipped
 	handshaken bool
@@ -124,6 +129,19 @@ func (c *ScatterCombine[M]) SetMessage(m M) {
 	c.srcVal.set(c.w.CurrentLocal(), m, c.setEpoch)
 }
 
+// Values returns the source values, one slot per local vertex, for a
+// ComputeRange program to write this superstep's values into in place:
+// SetMessage for the whole range at once. Calling it declares the
+// superstep dense — every vertex with registered edges scatters the
+// value its slot holds when compute ends — so no slot is stamped and
+// none is checked. Slots of vertices without edges are never read. The
+// slice is the channel's own and stays valid for the whole job.
+func (c *ScatterCombine[M]) Values() []M {
+	c.setEpoch = int32(c.w.Superstep())
+	c.valuesEpoch = c.setEpoch
+	return c.srcVal.val
+}
+
 // Message returns the combined value delivered to local vertex li in the
 // previous superstep.
 func (c *ScatterCombine[M]) Message(li int) (M, bool) {
@@ -161,7 +179,7 @@ func (c *ScatterCombine[M]) AfterCompute() {
 	}
 	e := int32(c.w.Superstep())
 	c.dense = c.plan != nil && c.setEpoch == e
-	if c.dense {
+	if c.dense && c.valuesEpoch != e {
 		for _, s := range c.plan.Sources {
 			if c.srcVal.epoch[s] != e {
 				c.dense = false

@@ -8,6 +8,18 @@
 // per channel with something to say: the channel id, then the channel's
 // bytes behind a length header.
 //
+// A worker's compute phase is one call, Worker.ComputeRange(0,
+// LocalCount()). A program that installs only the per-vertex
+// Worker.Compute gets the default range: every active vertex in
+// ascending local index, each made current (SetCurrent) before its
+// Compute call. A program that installs ComputeRange instead — the
+// dense form of Ligra's vertexMap, for programs whose every vertex works
+// every superstep — owns the whole range: it decides which vertices
+// compute, halts them with DeactivateLocal, and calls SetCurrent(li)
+// before any channel call made on behalf of vertex li (SetMessage,
+// AddAddr, Request, Respond). Channels with a slice-level entry point,
+// such as ScatterCombine.Values, take the range's values in one call.
+//
 // The telemetry and fault-tolerance seams are the driver's (see package
 // bsp). The channel engine adds a per-channel breakdown to every
 // superstep sample, and its checkpoint records carry the private state
@@ -15,6 +27,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bsp"
@@ -71,7 +84,8 @@ type Metrics = bsp.Metrics
 
 // Worker is the per-node runtime handle. Algorithms receive one Worker
 // in their setup function, register channels on it, allocate per-worker
-// vertex state (slices indexed by local index), and install Compute.
+// vertex state (slices indexed by local index), and install exactly one
+// of Compute and ComputeRange.
 type Worker struct {
 	bsp.Core
 	setup func(w *Worker)
@@ -85,9 +99,17 @@ type Worker struct {
 	sub ser.Buffer
 
 	// Compute is invoked once per active local vertex per superstep
-	// with the vertex's local index. Installed by the algorithm's setup
-	// function.
+	// with the vertex's local index, which is also CurrentLocal() for
+	// the call. Installed by the algorithm's setup function.
 	Compute func(li int)
+	// ComputeRange is the compute phase: the engine calls it once per
+	// superstep with the worker's whole local range [0, LocalCount()).
+	// When setup installs only Compute it is the default loop over the
+	// active vertices of the range. A program that installs it instead
+	// owns activity (it skips or halts vertices itself, DeactivateLocal)
+	// and the current vertex (SetCurrent(li) before a per-vertex channel
+	// call for li).
+	ComputeRange func(lo, hi int)
 }
 
 // Register adds a channel to the worker and returns its channel id.
@@ -100,7 +122,7 @@ func (w *Worker) Register(c Channel) int {
 
 // Run executes a job. setup is called once per worker, concurrently,
 // before superstep 1; it must register the same channel sequence on
-// every worker and install w.Compute. Run returns when no vertex is
+// every worker and install w.Compute or w.ComputeRange. Run returns when no vertex is
 // active on any worker, when a worker calls RequestStop, or when
 // MaxSupersteps is hit (which is reported as an error).
 func Run(cfg Config, setup func(w *Worker)) (Metrics, error) {
@@ -111,9 +133,30 @@ func Run(cfg Config, setup func(w *Worker)) (Metrics, error) {
 // Worker API the algorithms see.
 type program struct{ *Worker }
 
-func (p program) Setup() bool {
-	p.setup(p.Worker)
-	return p.Worker.Compute != nil
+func (p program) Setup() error {
+	w := p.Worker
+	w.setup(w)
+	switch {
+	case w.Compute != nil && w.ComputeRange != nil:
+		return errors.New("setup installed both Compute and ComputeRange")
+	case w.ComputeRange != nil:
+	case w.Compute != nil:
+		w.ComputeRange = w.computeActive
+	default:
+		return errors.New("setup did not install Compute")
+	}
+	return nil
+}
+
+// computeActive is the default ComputeRange: Compute on every active
+// vertex of the range, in ascending local index.
+func (w *Worker) computeActive(lo, hi int) {
+	for li := lo; li < hi; li++ {
+		if w.IsActiveLocal(li) {
+			w.SetCurrent(li)
+			w.Compute(li)
+		}
+	}
 }
 
 // Initialize initializes every channel; every worker's channels are
@@ -130,12 +173,7 @@ func (p program) Compute() {
 	if s := p.Sample(); s != nil {
 		s.Channels = make([]obs.ChannelSample, len(p.channels))
 	}
-	for li, n := 0, p.LocalCount(); li < n; li++ {
-		if p.IsActiveLocal(li) {
-			p.SetCurrent(li)
-			p.Worker.Compute(li)
-		}
-	}
+	p.ComputeRange(0, p.LocalCount())
 	p.SetCurrent(-1)
 	for _, c := range p.channels {
 		c.AfterCompute()

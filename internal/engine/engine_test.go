@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,6 +137,45 @@ func TestEngineImmediateHalt(t *testing.T) {
 	}
 	if met.Supersteps != 1 {
 		t.Errorf("supersteps=%d want 1", met.Supersteps)
+	}
+}
+
+// A ComputeRange program gets the whole local range once per superstep
+// and owns activity: its vertices stay active until it halts them.
+func TestEngineComputeRangeOwnsTheRange(t *testing.T) {
+	part := partition.MustHash(10, 2)
+	calls := make([]int, 2)
+	met, err := Run(Config{Part: part}, func(w *Worker) {
+		w.Register(nullChannel{})
+		w.ComputeRange = func(lo, hi int) {
+			if lo != 0 || hi != w.LocalCount() {
+				panic(fmt.Sprintf("range [%d, %d), worker hosts %d vertices", lo, hi, w.LocalCount()))
+			}
+			calls[w.WorkerID()]++
+			if w.Superstep() == 3 {
+				for li := lo; li < hi; li++ {
+					w.DeactivateLocal(li)
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met.Supersteps != 3 || calls[0] != 3 || calls[1] != 3 {
+		t.Errorf("supersteps=%d, calls per worker %v, want 3 and [3 3]", met.Supersteps, calls)
+	}
+}
+
+func TestEngineRejectsComputeAndComputeRange(t *testing.T) {
+	part := partition.MustHash(4, 2)
+	_, err := Run(Config{Part: part}, func(w *Worker) {
+		w.Register(nullChannel{})
+		w.Compute = func(li int) { w.VoteToHalt() }
+		w.ComputeRange = func(lo, hi int) {}
+	})
+	if err == nil || !strings.Contains(err.Error(), "setup installed both Compute and ComputeRange") {
+		t.Fatalf("want the setup error, got %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -14,7 +15,7 @@ import (
 // Worker API the algorithms see.
 type program[M, R, A any] struct{ *Worker[M, R, A] }
 
-func (p program[M, R, A]) Setup() bool {
+func (p program[M, R, A]) Setup() error {
 	w, cfg := p.Worker, p.cfg
 	m, n := w.NumWorkers(), w.LocalCount()
 	w.outDirect = make([][]dmsg[M], m)
@@ -51,7 +52,10 @@ func (p program[M, R, A]) Setup() bool {
 		w.outGhost = make([][]dmsg[M], m)
 	}
 	w.setup(w)
-	return w.Compute != nil
+	if w.Compute == nil {
+		return errors.New("setup did not install Compute")
+	}
+	return nil
 }
 
 func (p program[M, R, A]) Initialize() bool { return false }

@@ -15,6 +15,7 @@ package algorithms
 import (
 	"repro/internal/bsp"
 	"repro/internal/ckpt"
+	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -35,6 +36,13 @@ func gather[T any](part *partition.Partition, states [][]T) []T {
 
 // orBool is the logical-or combiner used for convergence detection.
 func orBool(a, b bool) bool { return a || b }
+
+// haltRange votes every vertex of a range program's range to halt.
+func haltRange(w *engine.Worker, lo, hi int) {
+	for li := lo; li < hi; li++ {
+		w.DeactivateLocal(li)
+	}
+}
 
 // Options bundles the common run parameters of all algorithm variants:
 // the driver's run environment, passed to whichever engine runs the job

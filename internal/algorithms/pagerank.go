@@ -148,8 +148,6 @@ func pageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, en
 			if w.Superstep() == 1 {
 				for li := lo; li < hi; li++ {
 					pr[li] = 1.0 / n
-				}
-				for li := lo; li < hi; li++ {
 					w.SetCurrent(li)
 					for _, a := range f.Neighbors(li) {
 						msg.AddAddr(a)
@@ -202,13 +200,6 @@ func (s *sinkMass) add(r float64) {
 func (s *sinkMass) flush(agg *channel.Aggregator[float64]) {
 	if s.some {
 		agg.Add(s.sum)
-	}
-}
-
-// haltRange votes every vertex of a range program's range to halt.
-func haltRange(w *engine.Worker, lo, hi int) {
-	for li := lo; li < hi; li++ {
-		w.DeactivateLocal(li)
 	}
 }
 

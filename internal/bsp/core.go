@@ -85,7 +85,8 @@ func (c *Core) Round() int { return c.round }
 func (c *Core) CurrentLocal() int { return c.current }
 
 // SetCurrent records li as the vertex whose Compute call is in progress
-// (-1: none). The engines' compute loops call it.
+// (-1: none). The engines' per-vertex loops call it; a channel-engine
+// range program calls it before each channel call it makes for li.
 func (c *Core) SetCurrent(li int) { c.current = li }
 
 // VoteToHalt deactivates the vertex currently computing. It is

@@ -88,16 +88,7 @@ func BenchmarkScatterCombineRing(b *testing.B) {
 // frames, indexed store — with nothing else in the superstep. Setup
 // allocations amortize over b.N, so allocs/op must read 0.
 func BenchmarkScatterCombineFragment(b *testing.B) {
-	g := graph.RMAT(12, 16, 1, graph.RMATOptions{NoSelfLoops: true})
-	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
-	for w := 0; w < microWorkers; w++ {
-		fs.Frag(w).ScatterPlan()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
-		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
-		ch.UseFragment(w.Frag())
+	benchScatterFragment(b, func(w *engine.Worker, ch *ScatterCombine[float64]) {
 		w.Compute = func(li int) {
 			if w.Superstep() > b.N {
 				w.VoteToHalt()
@@ -106,27 +97,14 @@ func BenchmarkScatterCombineFragment(b *testing.B) {
 			ch.SetMessage(float64(li))
 		}
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 }
 
-// BenchmarkScatterCombineFragmentValues is BenchmarkScatterCombineFragment
-// written as a range program: one ComputeRange call per superstep fills
-// the source values through Values(), which also spares AfterCompute the
-// walk that proves every source set one. allocs/op must read 0.
+// BenchmarkScatterCombineFragmentValues is the same job written as a
+// range program: one ComputeRange call per superstep fills the source
+// values through Values(), which also spares AfterCompute the walk that
+// proves every source set one. allocs/op must read 0.
 func BenchmarkScatterCombineFragmentValues(b *testing.B) {
-	g := graph.RMAT(12, 16, 1, graph.RMATOptions{NoSelfLoops: true})
-	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
-	for w := 0; w < microWorkers; w++ {
-		fs.Frag(w).ScatterPlan()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
-		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
-		ch.UseFragment(w.Frag())
+	benchScatterFragment(b, func(w *engine.Worker, ch *ScatterCombine[float64]) {
 		w.ComputeRange = func(lo, hi int) {
 			if w.Superstep() > b.N {
 				for li := lo; li < hi; li++ {
@@ -139,6 +117,23 @@ func BenchmarkScatterCombineFragmentValues(b *testing.B) {
 				vals[li] = float64(li)
 			}
 		}
+	})
+}
+
+// benchScatterFragment times the job of the two benchmarks above; install
+// sets the compute function on each worker's channel.
+func benchScatterFragment(b *testing.B, install func(w *engine.Worker, ch *ScatterCombine[float64])) {
+	g := graph.RMAT(12, 16, 1, graph.RMATOptions{NoSelfLoops: true})
+	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
+	for w := 0; w < microWorkers; w++ {
+		fs.Frag(w).ScatterPlan()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
+		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
+		ch.UseFragment(w.Frag())
+		install(w, ch)
 	})
 	if err != nil {
 		b.Fatal(err)

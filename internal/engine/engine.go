@@ -1,8 +1,8 @@
 // Package engine implements the channel-based BSP runtime — the system
 // the paper proposes — on the shared superstep driver (internal/bsp).
-// Within a superstep, after the per-vertex compute calls, the registered
-// channels run one or more buffer-exchange rounds (paper Fig. 4) until
-// no channel on any worker asks for another round. Channels are the only
+// Within a superstep, after the compute phase, the registered channels
+// run one or more buffer-exchange rounds (paper Fig. 4) until no
+// channel on any worker asks for another round. Channels are the only
 // communication mechanism; the engine knows nothing about message
 // semantics. A round's buffer to a worker is a sequence of frames, one
 // per channel with something to say: the channel id, then the channel's
@@ -122,9 +122,10 @@ func (w *Worker) Register(c Channel) int {
 
 // Run executes a job. setup is called once per worker, concurrently,
 // before superstep 1; it must register the same channel sequence on
-// every worker and install w.Compute or w.ComputeRange. Run returns when no vertex is
-// active on any worker, when a worker calls RequestStop, or when
-// MaxSupersteps is hit (which is reported as an error).
+// every worker and install w.Compute or w.ComputeRange. Run returns
+// when no vertex is active on any worker, when a worker calls
+// RequestStop, or when MaxSupersteps is hit (which is reported as an
+// error).
 func Run(cfg Config, setup func(w *Worker)) (Metrics, error) {
 	return bsp.Run(cfg, "engine", func() bsp.Program { return program{&Worker{setup: setup}} })
 }
@@ -139,11 +140,10 @@ func (p program) Setup() error {
 	switch {
 	case w.Compute != nil && w.ComputeRange != nil:
 		return errors.New("setup installed both Compute and ComputeRange")
-	case w.ComputeRange != nil:
 	case w.Compute != nil:
 		w.ComputeRange = w.computeActive
-	default:
-		return errors.New("setup did not install Compute")
+	case w.ComputeRange == nil:
+		return errors.New("setup did not install Compute or ComputeRange")
 	}
 	return nil
 }

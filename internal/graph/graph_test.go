@@ -156,11 +156,7 @@ func TestRMATProperties(t *testing.T) {
 			}
 		}
 	}
-	// determinism
-	g2 := RMAT(8, 8, 7, RMATOptions{NoSelfLoops: true})
-	if g2.NumEdges() != g.NumEdges() || g2.Adj[0] != g.Adj[0] || g2.Adj[100] != g.Adj[100] {
-		t.Errorf("RMAT not deterministic")
-	}
+	// determinism is pinned byte for byte by TestGeneratorsMatchParent
 	// skew: max degree should be far above average
 	if g.MaxDegree() < 4*int(g.AvgDegree()) {
 		t.Errorf("power-law graph not skewed: max=%d avg=%f", g.MaxDegree(), g.AvgDegree())

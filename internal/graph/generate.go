@@ -79,23 +79,33 @@ func RMAT(scale int, edgeFactor int, seed int64, opts RMATOptions) *Graph {
 	return FromEdges(n, edges, opts.Weighted)
 }
 
+// rmatEdge samples one R-MAT edge: one uniform draw per level picks a
+// quadrant of the adjacency matrix, top-left with probability A, then
+// top-right (B), bottom-left (C) and bottom-right (D), and sets that
+// level's bit of u (bottom half) and of v (right half). The quadrant is
+// chosen without branches, since a four-way branch on a skewed draw
+// mispredicts about once per level: with t1 = r >= A, t2 = r >= A+B and
+// t3 = r >= A+B+C the four quadrants are t = 000, 100, 110 and 111, so the
+// u bit is t2 and the v bit is t1^t2^t3.
 func rmatEdge(rng *rand.Rand, scale int, opts RMATOptions) (VertexID, VertexID) {
+	a, ab, abc := opts.A, opts.A+opts.B, opts.A+opts.B+opts.C
 	var u, v VertexID
 	for i := 0; i < scale; i++ {
 		r := rng.Float64()
-		switch {
-		case r < opts.A:
-			// top-left: no bits set
-		case r < opts.A+opts.B:
-			v |= 1 << i
-		case r < opts.A+opts.B+opts.C:
-			u |= 1 << i
-		default:
-			u |= 1 << i
-			v |= 1 << i
-		}
+		t1, t2, t3 := bit(r >= a), bit(r >= ab), bit(r >= abc)
+		u |= t2 << i
+		v |= (t1 ^ t2 ^ t3) << i
 	}
 	return u, v
+}
+
+// bit is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func bit(b bool) VertexID {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SocialRMAT generates an undirected power-law graph (Facebook/Twitter

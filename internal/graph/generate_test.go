@@ -119,3 +119,22 @@ func TestGeneratorsMatchParent(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRMAT generates the scale-14, edge-factor-16 web-graph stand-in
+// the end-to-end workloads load.
+func BenchmarkRMAT(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		RMAT(14, 16, 7, RMATOptions{NoSelfLoops: true})
+	}
+}
+
+// BenchmarkUndirectify builds the undirected view of that graph, as the
+// catalog does for every undirected algorithm.
+func BenchmarkUndirectify(b *testing.B) {
+	g := RMAT(14, 16, 7, RMATOptions{NoSelfLoops: true})
+	b.ReportAllocs()
+	for b.Loop() {
+		Undirectify(g)
+	}
+}

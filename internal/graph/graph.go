@@ -139,40 +139,105 @@ func (g *Graph) Reverse() *Graph {
 }
 
 // Undirectify returns a graph that stores both orientations of every
-// edge of g, deduplicated, with self-loops removed. Weights are kept
-// (min weight wins for duplicate edges).
+// edge of g, deduplicated, with self-loops removed. Every row comes out
+// in ascending neighbour order, so the result depends only on g's edge
+// set. Weights are kept; of duplicate edges the minimum weight wins.
+//
+// It runs in linear time, as two counting-sort passes over the pairs
+// u→v and v→u of every non-loop edge (the way GAP's CSR builder makes
+// sorted rows): pass 1 buckets the pairs by destination, pass 2 walks the
+// destinations in ascending order and appends each to its source's row.
+// The pair set is symmetric, so one offsets array counts both a vertex's
+// in-pairs and its out-pairs. A final in-place pass drops the duplicates,
+// which pass 2 left next to each other.
 func Undirectify(g *Graph) *Graph {
 	n := g.NumVertices()
-	type key struct{ a, b VertexID }
-	seen := make(map[key]int32, g.NumEdges())
+	weighted := g.Weights != nil
+	offsets := make([]uint64, n+1)
 	for u := 0; u < n; u++ {
-		ws := []int32(nil)
-		if g.Weights != nil {
-			ws = g.NeighborWeights(VertexID(u))
+		for _, v := range g.Neighbors(VertexID(u)) {
+			if VertexID(u) != v {
+				offsets[u+1]++
+				offsets[v+1]++
+			}
 		}
-		for i, v := range g.Neighbors(VertexID(u)) {
+	}
+	for i := 1; i <= n; i++ {
+		offsets[i] += offsets[i-1]
+	}
+	pairs := offsets[n]
+	cursor := make([]uint64, n)
+
+	// Pass 1: bucket by destination; bySrc[p] is the source of the pair
+	// in destination bucket slot p.
+	bySrc := make([]VertexID, pairs)
+	var bySrcW []int32
+	if weighted {
+		bySrcW = make([]int32, pairs)
+	}
+	copy(cursor, offsets[:n])
+	for u := 0; u < n; u++ {
+		lo, hi := g.Offsets[u], g.Offsets[u+1]
+		for i := lo; i < hi; i++ {
+			v := g.Adj[i]
 			if VertexID(u) == v {
 				continue
 			}
-			a, b := VertexID(u), v
-			if a > b {
-				a, b = b, a
-			}
-			w := int32(0)
-			if ws != nil {
-				w = ws[i]
-			}
-			if old, ok := seen[key{a, b}]; !ok || w < old {
-				seen[key{a, b}] = w
+			pu, pv := cursor[u], cursor[v]
+			cursor[u]++
+			cursor[v]++
+			bySrc[pv], bySrc[pu] = VertexID(u), v
+			if weighted {
+				bySrcW[pv], bySrcW[pu] = g.Weights[i], g.Weights[i]
 			}
 		}
 	}
-	edges := make([]Edge, 0, 2*len(seen))
-	for k, w := range seen {
-		edges = append(edges, Edge{Src: k.a, Dst: k.b, Weight: w}, Edge{Src: k.b, Dst: k.a, Weight: w})
+
+	// Pass 2: destinations in ascending order onto their sources' rows.
+	adj := make([]VertexID, pairs)
+	var ws []int32
+	if weighted {
+		ws = make([]int32, pairs)
 	}
-	out := FromEdges(n, edges, g.Weights != nil)
-	out.Undirected = true
+	copy(cursor, offsets[:n])
+	for d := 0; d < n; d++ {
+		for p := offsets[d]; p < offsets[d+1]; p++ {
+			s := bySrc[p]
+			q := cursor[s]
+			cursor[s]++
+			adj[q] = VertexID(d)
+			if weighted {
+				ws[q] = bySrcW[p]
+			}
+		}
+	}
+
+	// Drop the duplicates in place, keeping each run's minimum weight.
+	w := uint64(0)
+	lo := uint64(0)
+	for u := 0; u < n; u++ {
+		hi := offsets[u+1]
+		start := w
+		for i := lo; i < hi; i++ {
+			if w > start && adj[w-1] == adj[i] {
+				if weighted && ws[i] < ws[w-1] {
+					ws[w-1] = ws[i]
+				}
+				continue
+			}
+			adj[w] = adj[i]
+			if weighted {
+				ws[w] = ws[i]
+			}
+			w++
+		}
+		offsets[u+1] = w
+		lo = hi
+	}
+	out := &Graph{Offsets: offsets, Adj: adj[:w], Undirected: true}
+	if weighted {
+		out.Weights = ws[:w]
+	}
 	return out
 }
 

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +106,120 @@ func TestUndirectify(t *testing.T) {
 			}
 		}
 	}
+}
+
+// undirectifyOracle is the map-based Undirectify the counting-sort
+// version replaced: it dedups the edges {u,v} in a map, keeping the
+// minimum weight, and builds the result from the map's iteration order,
+// so its rows come out in no particular order.
+func undirectifyOracle(g *Graph) *Graph {
+	n := g.NumVertices()
+	type key struct{ a, b VertexID }
+	seen := make(map[key]int32, g.NumEdges())
+	for u := 0; u < n; u++ {
+		ws := []int32(nil)
+		if g.Weights != nil {
+			ws = g.NeighborWeights(VertexID(u))
+		}
+		for i, v := range g.Neighbors(VertexID(u)) {
+			if VertexID(u) == v {
+				continue
+			}
+			a, b := VertexID(u), v
+			if a > b {
+				a, b = b, a
+			}
+			w := int32(0)
+			if ws != nil {
+				w = ws[i]
+			}
+			if old, ok := seen[key{a, b}]; !ok || w < old {
+				seen[key{a, b}] = w
+			}
+		}
+	}
+	edges := make([]Edge, 0, 2*len(seen))
+	for k, w := range seen {
+		edges = append(edges, Edge{Src: k.a, Dst: k.b, Weight: w}, Edge{Src: k.b, Dst: k.a, Weight: w})
+	}
+	out := FromEdges(n, edges, g.Weights != nil)
+	out.Undirected = true
+	return out
+}
+
+// sameCSR reports whether a and b are byte-identical graphs.
+func sameCSR(a, b *Graph) bool {
+	return a.Undirected == b.Undirected && slices.Equal(a.Offsets, b.Offsets) &&
+		slices.Equal(a.Adj, b.Adj) && slices.Equal(a.Weights, b.Weights)
+}
+
+// TestUndirectifyMatchesMapOracle holds Undirectify to the map version on
+// random graphs with duplicate edges, self-loops, isolated vertices and,
+// when weighted, duplicates of different weights: the rows must hold the
+// oracle's edge sets in ascending order, the result must be symmetric,
+// marked undirected, the same on every run, and a fixed point.
+func TestUndirectifyMatchesMapOracle(t *testing.T) {
+	check := func(name string, g *Graph) {
+		t.Helper()
+		got := Undirectify(g)
+		if !got.Undirected {
+			t.Fatalf("%s: not marked undirected", name)
+		}
+		// The oracle's rows, sorted, must be exactly the result: same
+		// edge sets, and the result's rows ascending with no duplicates.
+		if want := sortedRows(undirectifyOracle(g)); !sameCSR(got, want) {
+			t.Fatalf("%s: rows differ from the oracle's\n got %v %v %v\nwant %v %v %v",
+				name, got.Offsets, got.Adj, got.Weights, want.Offsets, want.Adj, want.Weights)
+		}
+		for u := 0; u < got.NumVertices(); u++ {
+			row := got.Neighbors(VertexID(u))
+			for i, v := range row {
+				if i > 0 && row[i-1] >= v {
+					t.Fatalf("%s: row %d not strictly ascending: %v", name, u, row)
+				}
+				back := got.Neighbors(v)
+				j, ok := slices.BinarySearch(back, VertexID(u))
+				if !ok {
+					t.Fatalf("%s: edge %d->%d has no reverse", name, u, v)
+				}
+				if got.Weights != nil && got.NeighborWeights(v)[j] != got.NeighborWeights(VertexID(u))[i] {
+					t.Fatalf("%s: edge %d-%d weighs differently each way", name, u, v)
+				}
+			}
+		}
+		if again := Undirectify(g); !sameCSR(got, again) {
+			t.Fatalf("%s: two runs differ", name)
+		}
+		if twice := Undirectify(got); !sameCSR(got, twice) {
+			t.Fatalf("%s: Undirectify(Undirectify(g)) differs from Undirectify(g)", name)
+		}
+	}
+	check("n=0", FromEdges(0, nil, false))
+	check("n=1", FromEdges(1, nil, false))
+	check("n=1 loop", FromEdges(1, []Edge{{0, 0, 3}, {0, 0, 1}}, true))
+	// duplicates of 0-1 in both directions: the minimum weight must win
+	check("min weight", FromEdges(3, []Edge{{0, 1, 7}, {1, 0, 2}, {0, 1, 5}, {2, 2, 1}}, true))
+	if w := Undirectify(FromEdges(2, []Edge{{0, 1, 7}, {1, 0, 2}, {0, 1, 5}}, true)).Weights; !slices.Equal(w, []int32{2, 2}) {
+		t.Fatalf("weights %v, want [2 2]", w)
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		// Few distinct endpoints per vertex and few weights: plenty of
+		// duplicates, loops and duplicates that weigh differently.
+		edges := make([]Edge, rng.Intn(4*n))
+		for i := range edges {
+			edges[i] = Edge{
+				Src:    VertexID(rng.Intn(n)),
+				Dst:    VertexID(rng.Intn(n)),
+				Weight: 1 + rng.Int31n(5),
+			}
+		}
+		for _, weighted := range []bool{false, true} {
+			check(fmt.Sprintf("seed %d weighted=%v", seed, weighted), FromEdges(n, edges, weighted))
+		}
+	}
+	check("rmat", RMAT(9, 8, 1, RMATOptions{Weighted: true, MaxWeight: 10}))
 }
 
 func TestChain(t *testing.T) {

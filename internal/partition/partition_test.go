@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +72,50 @@ func TestGreedyPartition(t *testing.T) {
 	greedyCut := EdgeCut(g, p)
 	if greedyCut > hashCut/3 {
 		t.Errorf("greedy cut %.3f not much better than hash cut %.3f", greedyCut, hashCut)
+	}
+}
+
+// TestGreedyDeterministicOnUndirectifiedRMAT: greedy placement walks
+// adjacency rows in order, so it repeats only if the undirected view it
+// walks does. Each case builds its graph afresh twice and must get the
+// same owner vector both times; the placement must also stay in range,
+// fill every part but the last to capacity, and cut no more edges than
+// hash placement.
+func TestGreedyDeterministicOnUndirectifiedRMAT(t *testing.T) {
+	tests := []struct {
+		name    string
+		build   func() *graph.Graph
+		workers int
+	}{
+		{"web graph", func() *graph.Graph {
+			return graph.Undirectify(graph.RMAT(11, 8, 101, graph.RMATOptions{NoSelfLoops: true}))
+		}, 4},
+		{"social graph", func() *graph.Graph { return graph.SocialRMAT(10, 16, 104) }, 4},
+		{"sparse social graph", func() *graph.Graph { return graph.SocialRMAT(11, 2, 103) }, 3},
+		{"weighted", func() *graph.Graph {
+			return graph.Undirectify(graph.RMAT(9, 8, 107, graph.RMATOptions{Weighted: true, MaxWeight: 1000, NoSelfLoops: true}))
+		}, 2},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			g := tt.build()
+			p := MustGreedy(g, tt.workers)
+			again := MustGreedy(tt.build(), tt.workers)
+			if !slices.Equal(p.Owners(), again.Owners()) {
+				t.Fatal("two runs placed the same graph differently")
+			}
+			checkBijection(t, p)
+			capacity := (g.NumVertices() + tt.workers - 1) / tt.workers
+			for w := 0; w < tt.workers-1; w++ {
+				if c := p.LocalCount(w); c != capacity {
+					t.Errorf("worker %d holds %d vertices, want %d", w, c, capacity)
+				}
+			}
+			greedyCut, hashCut := EdgeCut(g, p), EdgeCut(g, MustHash(g.NumVertices(), tt.workers))
+			if greedyCut > hashCut {
+				t.Errorf("greedy cut %.3f above hash cut %.3f", greedyCut, hashCut)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,8 @@
 #   BASE       snapshot to diff against (default: highest-numbered
 #              BENCH_*.json other than OUT)
 #   PIN_REGEX  benchmarks gated by --check (default: the channel
-#              microbenchmarks of internal/channel)
+#              microbenchmarks of internal/channel and the R-MAT and
+#              Undirectify kernels of internal/graph)
 #   MAX_REGRESSION_PCT  --check failure threshold (default 20)
 #
 # Each entry in "results" holds the benchmark name (GOMAXPROCS suffix
@@ -36,7 +37,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PIN_REGEX="${PIN_REGEX:-^Benchmark(DirectMessageRing|CombinedMessageFanIn|ScatterCombineRing|ScatterCombineFragment|ScatterCombineFragmentValues|AggregatorSum|RequestRespondHub|PropagationPath|PropagationFragment|MirrorHubBroadcast|LiveIngest|LiveCompact|LivePinRelease|TraceObserverOff|FlowStatsOff|DistributedExchange/(hub|hub-2x2))$}"
+PIN_REGEX="${PIN_REGEX:-^Benchmark(DirectMessageRing|CombinedMessageFanIn|ScatterCombineRing|ScatterCombineFragment|ScatterCombineFragmentValues|AggregatorSum|RequestRespondHub|PropagationPath|PropagationFragment|MirrorHubBroadcast|LiveIngest|LiveCompact|LivePinRelease|TraceObserverOff|FlowStatsOff|DistributedExchange/(hub|hub-2x2)|RMAT|Undirectify)$}"
 MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-20}"
 
 # latest_snapshots prints the two highest-numbered BENCH_<n>.json files
@@ -125,7 +126,7 @@ if [ "${1:-}" = "--check" ]; then
   delta "$old" "$new" check && exit 0 || exit 1
 fi
 
-REGEX="${1:-^(BenchmarkTable[4-7]|BenchmarkDirectMessageRing|BenchmarkCombinedMessageFanIn|BenchmarkScatterCombineRing|BenchmarkScatterCombineFragment|BenchmarkScatterCombineFragmentValues|BenchmarkCombinerFold|BenchmarkAggregatorSum|BenchmarkRequestRespondHub|BenchmarkPropagationPath|BenchmarkPropagationFragment|BenchmarkMirrorHubBroadcast|BenchmarkLiveIngest|BenchmarkLiveCompact|BenchmarkLivePinRelease|BenchmarkTraceObserverOff|BenchmarkTraceObserverOn|BenchmarkFlowStatsOff|BenchmarkFlowStatsOn|BenchmarkCheckpoint|BenchmarkDistributedExchange)$}"
+REGEX="${1:-^(BenchmarkTable[4-7]|BenchmarkDirectMessageRing|BenchmarkCombinedMessageFanIn|BenchmarkScatterCombineRing|BenchmarkScatterCombineFragment|BenchmarkScatterCombineFragmentValues|BenchmarkCombinerFold|BenchmarkAggregatorSum|BenchmarkRequestRespondHub|BenchmarkPropagationPath|BenchmarkPropagationFragment|BenchmarkMirrorHubBroadcast|BenchmarkLiveIngest|BenchmarkLiveCompact|BenchmarkLivePinRelease|BenchmarkTraceObserverOff|BenchmarkTraceObserverOn|BenchmarkFlowStatsOff|BenchmarkFlowStatsOn|BenchmarkCheckpoint|BenchmarkDistributedExchange|BenchmarkRMAT|BenchmarkUndirectify)$}"
 BENCHTIME="${BENCHTIME:-20x}"
 COUNT="${COUNT:-5}"
 
@@ -141,8 +142,8 @@ fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "running: go test -run=NONE -bench \"$REGEX\" -benchtime=$BENCHTIME -count=$COUNT . ./internal/channel ./internal/live ./internal/algorithms" >&2
-go test -run=NONE -bench "$REGEX" -benchtime="$BENCHTIME" -count="$COUNT" . ./internal/channel ./internal/live ./internal/algorithms | tee "$raw" >&2
+echo "running: go test -run=NONE -bench \"$REGEX\" -benchtime=$BENCHTIME -count=$COUNT . ./internal/channel ./internal/live ./internal/algorithms ./internal/graph" >&2
+go test -run=NONE -bench "$REGEX" -benchtime="$BENCHTIME" -count="$COUNT" . ./internal/channel ./internal/live ./internal/algorithms ./internal/graph | tee "$raw" >&2
 
 awk -v benchtime="$BENCHTIME" -v count="$COUNT" -v regex="$REGEX" '
 BEGIN {

@@ -144,9 +144,10 @@ func (g *Graph) Reverse() *Graph {
 // set. Weights are kept; of duplicate edges the minimum weight wins.
 //
 // It runs in linear time, as two counting-sort passes over the pairs
-// u→v and v→u of every non-loop edge (the way GAP's CSR builder makes
-// sorted rows): pass 1 buckets the pairs by destination, pass 2 walks the
-// destinations in ascending order and appends each to its source's row.
+// u→v and v→u of every non-loop edge, a transpose and a transpose back
+// that leave every row sorted: pass 1 buckets the pairs by destination,
+// pass 2 walks the destinations in ascending order and appends each to
+// its source's row.
 // The pair set is symmetric, so one offsets array counts both a vertex's
 // in-pairs and its out-pairs. A final in-place pass drops the duplicates,
 // which pass 2 left next to each other.

@@ -205,8 +205,8 @@ func TestUndirectifyMatchesMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
-		// Few distinct endpoints per vertex and few weights: plenty of
-		// duplicates, loops and duplicates that weigh differently.
+		// Up to 4n edges on at most 40 vertices with five weights: plenty
+		// of duplicates, loops and duplicates that weigh differently.
 		edges := make([]Edge, rng.Intn(4*n))
 		for i := range edges {
 			edges[i] = Edge{

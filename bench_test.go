@@ -1,11 +1,11 @@
 package repro
 
-// One benchmark per table/figure of the paper's evaluation (§V), plus
-// ablation benches for the design choices DESIGN.md calls out. Each
-// bench reports, besides ns/op, the simulated distributed runtime
-// (sim-ms/op: wall time + modeled network time), the network volume
-// (msgMB/op) and the superstep count (steps/op), the columns of the
-// paper's tables:
+// The paper's tables as benchmarks (§V), plus two ablations. Every
+// Table and AblationMirrorChannel sub-benchmark is an entry of
+// harness.Entries run at harness.ScaleBench; each reports, besides
+// ns/op, the simulated distributed runtime (sim-ms/op: wall time +
+// modeled network time), the network volume (msgMB/op) and the
+// superstep count (steps/op), the columns of the paper's tables:
 //
 //	go test -run '^$' -bench 'Table[4-7]' .
 //
@@ -13,11 +13,12 @@ package repro
 //	BenchmarkTable5/*   — Table V   (the three optimized channels)
 //	BenchmarkTable6/*   — Table VI  (S-V channel combinations)
 //	BenchmarkTable7/*   — Table VII (Min-Label SCC)
-//	BenchmarkAblation*  — design-choice ablations
+//	BenchmarkAblation*  — the Mirror channel; the cost model's share
 
 import (
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/comm"
 	"repro/internal/engine"
-	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/netcomm"
@@ -35,61 +35,9 @@ import (
 )
 
 var (
-	graphsOnce sync.Once
-	graphs     map[string]*graph.Graph
+	benchDatasets = sync.OnceValue(func() *harness.Datasets { return harness.Load(harness.ScaleBench) })
+	benchRunner   = sync.OnceValue(func() *harness.Runner { return harness.NewRunner(benchDatasets()) })
 )
-
-// benchGraph returns a moderate-size dataset (between harness.ScaleTest
-// and ScaleBench, sized so the full -bench=. sweep completes on a
-// laptop core), generating them all on first use.
-func benchGraph(name string) *graph.Graph {
-	graphsOnce.Do(func() {
-		wiki := graph.RMAT(11, 8, 101, graph.RMATOptions{NoSelfLoops: true})
-		graphs = map[string]*graph.Graph{
-			"wiki":     wiki,
-			"wiki-und": graph.Undirectify(wiki),
-			"webuk":    graph.RMAT(12, 10, 102, graph.RMATOptions{NoSelfLoops: true}),
-			"facebook": graph.SocialRMAT(11, 2, 103),
-			"twitter":  graph.SocialRMAT(10, 16, 104),
-			"chain":    graph.Chain(20000),
-			"tree":     graph.RandomTree(20000, 105),
-			"road":     graph.Grid(80, 80, 1000, 106),
-		}
-	})
-	return graphs[name]
-}
-
-type placement struct {
-	graph  string
-	greedy bool
-}
-
-var (
-	inputMu sync.Mutex
-	inputs  = map[placement]algorithms.Options{}
-)
-
-// benchInput returns a dataset and its run options under hash or
-// locality placement. Partition and fragments are built once per
-// (dataset, placement) and shared by every row on it, mirroring how the
-// catalog serves jobs: the rows measure supersteps, not fragment
-// construction.
-func benchInput(name string, greedy bool) (*graph.Graph, algorithms.Options) {
-	g := benchGraph(name)
-	inputMu.Lock()
-	defer inputMu.Unlock()
-	k := placement{name, greedy}
-	o, ok := inputs[k]
-	if !ok {
-		p := harness.HashPart(g)
-		if greedy {
-			p = harness.GreedyPart(g)
-		}
-		o = algorithms.Options{Part: p, Frags: frag.Build(g, p), MaxSupersteps: 200000}
-		inputs[k] = o
-	}
-	return g, o
-}
 
 func report(b *testing.B, m algorithms.Metrics) {
 	b.ReportMetric(float64(m.SimTime.Milliseconds()), "sim-ms/op")
@@ -97,122 +45,21 @@ func report(b *testing.B, m algorithms.Metrics) {
 	b.ReportMetric(float64(m.Supersteps), "steps/op")
 }
 
-const (
-	chn = algorithms.EngineChannel
-	prg = algorithms.EnginePregel
-)
-
-// benchRow is one sub-benchmark of a paper table or ablation: one
-// registry variant on one dataset and placement.
-type benchRow struct {
-	bench   string // top-level benchmark, without the Benchmark prefix
-	name    string // sub-benchmark name
-	alg     string
-	eng     algorithms.Engine
-	variant string
-	graph   string // benchGraph name
-	greedy  bool   // locality placement (the paper's "(P)") instead of hash
-	iters   int    // PageRank supersteps; 0 for the other algorithms
-}
-
-const prIters = 30
-
-var benchRows = []benchRow{
-	// Table IV: basic implementations, pregel vs channel
-	{"Table4", "PR/pregel", "pagerank", prg, "basic", "webuk", false, prIters},
-	{"Table4", "PR/channel", "pagerank", chn, "basic", "webuk", false, prIters},
-	{"Table4", "WCC/pregel", "wcc", prg, "basic", "wiki-und", false, 0},
-	{"Table4", "WCC/channel", "wcc", chn, "basic", "wiki-und", false, 0},
-	{"Table4", "PJ/pregel", "pointerjump", prg, "basic", "chain", false, 0},
-	{"Table4", "PJ/channel", "pointerjump", chn, "basic", "chain", false, 0},
-	{"Table4", "SV/pregel", "sv", prg, "basic", "facebook", false, 0},
-	{"Table4", "SV/channel", "sv", chn, "basic", "facebook", false, 0},
-	{"Table4", "MSF/pregel", "msf", prg, "basic", "road", false, 0},
-	{"Table4", "MSF/channel", "msf", chn, "basic", "road", false, 0},
-	{"Table4", "SCC/pregel", "scc", prg, "basic", "wiki", false, 0},
-	{"Table4", "SCC/channel", "scc", chn, "basic", "wiki", false, 0},
-
-	// Table V: the three optimized channels
-	{"Table5", "ScatterCombine/pregel-basic", "pagerank", prg, "basic", "wiki", false, prIters},
-	{"Table5", "ScatterCombine/pregel-ghost", "pagerank", prg, "ghost", "wiki", false, prIters},
-	{"Table5", "ScatterCombine/channel-basic", "pagerank", chn, "basic", "wiki", false, prIters},
-	{"Table5", "ScatterCombine/channel-scatter", "pagerank", chn, "scatter", "wiki", false, prIters},
-	{"Table5", "RequestRespond/pregel-basic", "pointerjump", prg, "basic", "tree", false, 0},
-	{"Table5", "RequestRespond/pregel-reqresp", "pointerjump", prg, "reqresp", "tree", false, 0},
-	{"Table5", "RequestRespond/channel-basic", "pointerjump", chn, "basic", "tree", false, 0},
-	{"Table5", "RequestRespond/channel-reqresp", "pointerjump", chn, "reqresp", "tree", false, 0},
-	{"Table5", "Propagation/hash/pregel-basic", "wcc", prg, "basic", "wiki-und", false, 0},
-	{"Table5", "Propagation/hash/blogel", "wcc", chn, "blogel", "wiki-und", false, 0},
-	{"Table5", "Propagation/hash/channel-basic", "wcc", chn, "basic", "wiki-und", false, 0},
-	{"Table5", "Propagation/hash/channel-prop", "wcc", chn, "propagation", "wiki-und", false, 0},
-	{"Table5", "Propagation/partitioned/pregel-basic", "wcc", prg, "basic", "wiki-und", true, 0},
-	{"Table5", "Propagation/partitioned/blogel", "wcc", chn, "blogel", "wiki-und", true, 0},
-	{"Table5", "Propagation/partitioned/channel-basic", "wcc", chn, "basic", "wiki-und", true, 0},
-	{"Table5", "Propagation/partitioned/channel-prop", "wcc", chn, "propagation", "wiki-und", true, 0},
-
-	// Table VI: S-V channel combinations
-	{"Table6", "Facebook/1-pregel-reqresp", "sv", prg, "reqresp", "facebook", false, 0},
-	{"Table6", "Facebook/2-channel-basic", "sv", chn, "basic", "facebook", false, 0},
-	{"Table6", "Facebook/3-channel-reqresp", "sv", chn, "reqresp", "facebook", false, 0},
-	{"Table6", "Facebook/4-channel-scatter", "sv", chn, "scatter", "facebook", false, 0},
-	{"Table6", "Facebook/5-channel-both", "sv", chn, "both", "facebook", false, 0},
-	{"Table6", "Twitter/1-pregel-reqresp", "sv", prg, "reqresp", "twitter", false, 0},
-	{"Table6", "Twitter/2-channel-basic", "sv", chn, "basic", "twitter", false, 0},
-	{"Table6", "Twitter/3-channel-reqresp", "sv", chn, "reqresp", "twitter", false, 0},
-	{"Table6", "Twitter/4-channel-scatter", "sv", chn, "scatter", "twitter", false, 0},
-	{"Table6", "Twitter/5-channel-both", "sv", chn, "both", "twitter", false, 0},
-
-	// Table VII: Min-Label SCC
-	{"Table7", "hash/1-pregel-basic", "scc", prg, "basic", "wiki", false, 0},
-	{"Table7", "hash/2-channel-basic", "scc", chn, "basic", "wiki", false, 0},
-	{"Table7", "hash/3-channel-prop", "scc", chn, "propagation", "wiki", false, 0},
-	{"Table7", "partitioned/1-pregel-basic", "scc", prg, "basic", "wiki", true, 0},
-	{"Table7", "partitioned/2-channel-basic", "scc", chn, "basic", "wiki", true, 0},
-	{"Table7", "partitioned/3-channel-prop", "scc", chn, "propagation", "wiki", true, 0},
-
-	// receiver-side dense combining (ScatterCombine's in-array) against
-	// per-destination combining (CombinedMessage) for the same static
-	// traffic: PageRank's inner loop
-	{"AblationCombinePath", "hashmap", "pagerank", chn, "basic", "wiki", false, 10},
-	{"AblationCombinePath", "presorted-scan", "pagerank", chn, "scatter", "wiki", false, 10},
-
-	// the §V-B2 reply-format trick: the channel's ordered bare-value
-	// replies vs Pregel+'s (id, value) pairs, on the hub-heavy tree
-	{"AblationReplyFormat", "value-only-replies", "pointerjump", chn, "reqresp", "tree", false, 0},
-	{"AblationReplyFormat", "id-value-replies", "pointerjump", prg, "reqresp", "tree", false, 0},
-
-	// the Mirror extension channel (ghost mode as a channel) against the
-	// engine-level ghost mode and the plain scatter channel on the
-	// hub-heavy web graph
-	{"AblationMirrorChannel", "mirror-channel", "pagerank", chn, "mirror", "wiki", false, 10},
-	{"AblationMirrorChannel", "pregel-ghost-mode", "pagerank", prg, "ghost", "wiki", false, 10},
-	{"AblationMirrorChannel", "scatter-channel", "pagerank", chn, "scatter", "wiki", false, 10},
-
-	// in-superstep multi-round propagation against its block-centric
-	// restriction (one exchange per superstep) — the design choice that
-	// separates the Propagation channel from a Blogel block program
-	{"AblationPropagationRounds", "multi-round", "wcc", chn, "propagation", "wiki-und", true, 0},
-	{"AblationPropagationRounds", "one-round-per-step", "wcc", chn, "blogel", "wiki-und", true, 0},
-}
-
-// runRows runs the rows of one top-level benchmark through the
-// algorithms registry, in table order.
-func runRows(b *testing.B, bench string) {
-	for _, r := range benchRows {
-		if r.bench != bench {
+// benchEntries runs, in table order, the entries whose sub-benchmark
+// path starts with bench + "/". Each entry's input is resolved before
+// the timer starts and shared by every entry on it.
+func benchEntries(b *testing.B, bench string) {
+	for _, e := range harness.Entries {
+		name, ok := strings.CutPrefix(e.Bench, bench+"/")
+		if !ok {
 			continue
 		}
-		b.Run(r.name, func(b *testing.B) {
-			spec, ok := algorithms.Lookup(r.alg)
-			if !ok {
-				b.Fatalf("unknown algorithm %q", r.alg)
-			}
-			g, o := benchInput(r.graph, r.greedy)
-			params := algorithms.Params{Iterations: r.iters}
+		b.Run(name, func(b *testing.B) {
+			run := benchRunner().Prepare(e)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := spec.Run(r.eng, r.variant, g, o, params)
+				res, err := run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -222,21 +69,18 @@ func runRows(b *testing.B, bench string) {
 	}
 }
 
-func BenchmarkTable4(b *testing.B)                    { runRows(b, "Table4") }
-func BenchmarkTable5(b *testing.B)                    { runRows(b, "Table5") }
-func BenchmarkTable6(b *testing.B)                    { runRows(b, "Table6") }
-func BenchmarkTable7(b *testing.B)                    { runRows(b, "Table7") }
-func BenchmarkAblationCombinePath(b *testing.B)       { runRows(b, "AblationCombinePath") }
-func BenchmarkAblationReplyFormat(b *testing.B)       { runRows(b, "AblationReplyFormat") }
-func BenchmarkAblationMirrorChannel(b *testing.B)     { runRows(b, "AblationMirrorChannel") }
-func BenchmarkAblationPropagationRounds(b *testing.B) { runRows(b, "AblationPropagationRounds") }
+func BenchmarkTable4(b *testing.B)                { benchEntries(b, "Table4") }
+func BenchmarkTable5(b *testing.B)                { benchEntries(b, "Table5") }
+func BenchmarkTable6(b *testing.B)                { benchEntries(b, "Table6") }
+func BenchmarkTable7(b *testing.B)                { benchEntries(b, "Table7") }
+func BenchmarkAblationMirrorChannel(b *testing.B) { benchEntries(b, "AblationMirrorChannel") }
 
 // BenchmarkAblationCostModel shows the raw in-process wall time next to
 // the simulated distributed time for one representative workload, so
 // readers can see how much of the reported runtime is modeled network.
 func BenchmarkAblationCostModel(b *testing.B) {
-	g, o := benchInput("facebook", false)
-	p := o.Part
+	g := benchDatasets().Facebook
+	p := harness.HashPart(g)
 	for _, t := range []struct {
 		name string
 		cost comm.CostModel
@@ -249,7 +93,7 @@ func BenchmarkAblationCostModel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				fab := comm.NewInProc(p.NumWorkers(), cost)
-				m, err := engine.Run(engine.Config{Part: p, Fabric: fab, MaxSupersteps: 200000}, svSetup(g))
+				m, err := engine.Run(engine.Config{Part: p, Fabric: fab, MaxSupersteps: 200000}, neighborSum(g))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -259,9 +103,10 @@ func BenchmarkAblationCostModel(b *testing.B) {
 	}
 }
 
-// svSetup builds a neighborhood-scatter kernel (10 supersteps of
-// combined float messages) for the cost-model ablation.
-func svSetup(g *graph.Graph) func(w *engine.Worker) {
+// neighborSum builds a neighborhood-scatter kernel for the cost-model
+// ablation: 10 supersteps in which every vertex sends its value to its
+// out-neighbors over a summing CombinedMessage.
+func neighborSum(g *graph.Graph) func(w *engine.Worker) {
 	return func(w *engine.Worker) {
 		vals := make([]float64, w.LocalCount())
 		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, channel.Sum[float64]())

@@ -6,9 +6,10 @@
 // pregel and blogel behaviours provide the baselines, algorithms
 // implements the paper's evaluation programs behind a shared
 // (algorithm, engine, variant) registry — the one way to run a named
-// program — and harness regenerates Tables IV-VII through that
-// registry. The top-level bench_test.go maps each table row to a
-// testing.B sub-benchmark run through the same registry.
+// program — and harness writes Tables IV-VII down once, as a table of
+// rows run through that registry and the paper's claims between them.
+// The top-level bench_test.go ranges over the same rows as testing.B
+// sub-benchmarks, and the harness tests assert every claim.
 //
 // Both engines run on one superstep driver, internal/bsp: the paper's
 // Fig. 4 loop written once — set-up crossings, compute phase,

@@ -10,7 +10,7 @@
 // for workers in separate processes.
 //
 // Two things make the in-process fabric an adequate substrate for
-// reproducing the paper's numbers (see DESIGN.md §2): every message
+// reproducing the paper's numbers: every message
 // really is serialized to bytes (so the CPU cost of message handling —
 // the hashing vs. linear-scan distinction the optimized channels
 // exploit — is genuinely paid), and every byte that crosses a worker

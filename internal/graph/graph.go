@@ -6,7 +6,7 @@
 // The generators stand in for the paper's datasets (Table III): R-MAT
 // power-law graphs replace the web and social graphs, chain and random
 // tree are identical constructions, and a weighted grid replaces the USA
-// road network. See DESIGN.md §2 for the substitution rationale.
+// road network. harness.Datasets names the stand-in for each dataset.
 package graph
 
 import "fmt"

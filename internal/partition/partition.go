@@ -4,7 +4,7 @@
 // BFS-based locality partitioner that stands in for METIS: what the
 // propagation-channel and Blogel experiments need is only "a partition
 // whose edge-cut is much smaller than hash placement", which the greedy
-// partitioner delivers (see DESIGN.md §2).
+// partitioner delivers.
 package partition
 
 import (

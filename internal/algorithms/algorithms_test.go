@@ -276,6 +276,31 @@ func TestPointerJumpVariants(t *testing.T) {
 	}
 }
 
+func TestPointerJumpReqRespFewerSupersteps(t *testing.T) {
+	g := graph.Chain(2000)
+	_, mBasic, err := pointerJumpChannel(g, hashOpts(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mRR, err := pointerJumpReqResp(g, hashOpts(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mRR.Supersteps >= mBasic.Supersteps {
+		t.Errorf("reqresp %d supersteps, basic %d", mRR.Supersteps, mBasic.Supersteps)
+	}
+	// Pregel+ reply format is bigger than the channel's ordered-value
+	// replies for the same protocol
+	_, mPRR, err := pointerJumpPregelReqResp(g, hashOpts(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mPRR.Comm.NetworkBytes <= mRR.Comm.NetworkBytes {
+		t.Errorf("pregel reqresp bytes %d <= channel reqresp bytes %d",
+			mPRR.Comm.NetworkBytes, mRR.Comm.NetworkBytes)
+	}
+}
+
 // --- WCC ---
 
 func TestWCCVariantsMatchOracle(t *testing.T) {
@@ -347,6 +372,31 @@ func TestSVVariantsMatchOracle(t *testing.T) {
 			}
 			checkRoots(t, tc.name, got, want)
 		}
+	}
+}
+
+func TestSVMessageReduction(t *testing.T) {
+	// the §V-A claim: monolithic tagged messages without combiner cost
+	// more bytes than the channel version
+	g := graph.SocialRMAT(7, 8, 3)
+	opts := hashOpts(g)
+	_, mPregel, err := svPregel(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mChan, err := svChannel(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mBoth, err := svBoth(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mChan.Comm.NetworkBytes >= mPregel.Comm.NetworkBytes {
+		t.Errorf("channel bytes %d >= pregel bytes %d", mChan.Comm.NetworkBytes, mPregel.Comm.NetworkBytes)
+	}
+	if mBoth.Comm.NetworkBytes >= mChan.Comm.NetworkBytes {
+		t.Errorf("composed bytes %d >= basic channel bytes %d", mBoth.Comm.NetworkBytes, mChan.Comm.NetworkBytes)
 	}
 }
 
@@ -434,6 +484,23 @@ func cycleEdges(n int) []graph.Edge {
 		edges[i] = graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID((i + 1) % n)}
 	}
 	return edges
+}
+
+func TestSCCPropagationFewerSupersteps(t *testing.T) {
+	g := graph.FromEdges(200, cycleEdges(200), false)
+	opts := hashOpts(g)
+	opts.MaxSupersteps = 8000
+	_, mChan, err := sccChannel(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mProp, err := sccPropagation(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mProp.Supersteps >= mChan.Supersteps {
+		t.Errorf("prop supersteps %d >= channel %d", mProp.Supersteps, mChan.Supersteps)
+	}
 }
 
 // --- MSF ---

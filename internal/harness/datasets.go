@@ -1,8 +1,8 @@
 // Package harness holds the paper's Tables IV-VII as one declarative
 // table: Entries names every row, Claims every bytes and supersteps
 // comparison the paper makes between two rows. The root package's
-// BenchmarkTable4-7 range over Entries at ScaleBench; TestPaperClaims
-// asserts every claim at ScaleTest.
+// BenchmarkTable4-7 range over Entries at ScaleBench; the table tests
+// assert every claim at ScaleTest.
 package harness
 
 import (

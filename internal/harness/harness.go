@@ -123,7 +123,7 @@ type Claim struct {
 }
 
 // Claims are the paper's bytes and supersteps claims on Entries. They
-// are deterministic, so TestPaperClaims asserts every one of them. The
+// are deterministic, so the table tests assert every one of them. The
 // channel(reqresp) < pregel(reqresp) bytes claim is §V-B2's reply format
 // (ordered bare values, not (id, value) pairs); channel(prop.) < blogel
 // supersteps is several exchange rounds per superstep against one.
@@ -169,7 +169,7 @@ func NewRunner(d *Datasets) *Runner {
 
 // Prepare resolves e's input and returns a function that runs e on it.
 func (r *Runner) Prepare(e Entry) func() (*algorithms.Result, error) {
-	spec, _ := algorithms.Lookup(e.Alg) // registered: TestPaperClaims runs every entry
+	spec, _ := algorithms.Lookup(e.Alg) // registered: the harness tests run every entry
 	g, key := r.d.byName(e.Dataset), e.Dataset+"/"+e.Place
 	if spec.NeedsUndirected && !g.Undirected {
 		if r.und[e.Dataset] == nil {

@@ -45,16 +45,20 @@
 // for failure unwinding (DELETE /v1/jobs/{id}).
 //
 // The exchange fabric is dense end to end, which is the paper's central
-// performance argument taken to its conclusion: every channel stages
-// outgoing messages in flat per-destination-worker slots keyed by the
-// remote vertex's dense local index (the partition gives every vertex a
-// (owner, localIndex) pair), the wire format ships (localIndex, value)
-// pairs, and receivers index straight into flat slices — no hash map is
-// touched on any per-superstep send or receive path. Staging slots are
-// invalidated by generation stamps rather than clearing, frame decoding
-// reuses one sub-buffer per worker, and the barrier crossings of the
-// exchange loop are atomic sense-reversing waits (internal/barrier), so
-// the steady-state exchange path performs no allocation at all.
+// performance argument taken to its conclusion: every channel addresses
+// a remote vertex by its dense local index on its owner (the partition
+// gives every vertex a (owner, localIndex) pair), the combining channels
+// stage outgoing messages in flat per-destination-worker slots keyed by
+// that index, and receivers index straight into flat slices — no hash
+// map is touched on any per-superstep send or receive path. The
+// channels that address values to vertices (DirectMessage,
+// CombinedMessage, Mirror, Propagation) share one update frame — a
+// count, the local indices as uvarints, then the values as one slice —
+// and one checked reader for it. Staging slots are stamped with the
+// superstep that wrote them rather than cleared, frame decoding reuses
+// one sub-buffer per worker, and the barrier crossings of the exchange
+// loop are atomic sense-reversing waits (internal/barrier), so the
+// steady-state exchange path performs no allocation at all.
 // tools/bench.sh snapshots the Table IV-VII benchmarks into versioned
 // BENCH_<n>.json files; see the README's Performance section.
 //
@@ -97,8 +101,9 @@
 // in bulk — the fold needs each destination's sources laid out as a run
 // before the values exist, which is Fig. 5's pre-calculation — so the
 // channels that learn destinations one Send at a time (CombinedMessage,
-// Mirror, Aggregator) take the same Combiner and call its Combine per
-// message. Propagation has a pre-calculation of its own, cached on the
+// Mirror, Aggregator) take the same Combiner and stage through its
+// Combine per message; CombinedMessage and Mirror merge each update frame
+// they receive through its indexed merge loop, as ScatterCombine does. Propagation has a pre-calculation of its own, cached on the
 // fragment beside the scatter plan: the push plan (frag.PushPlan) holds
 // one target per edge — a local neighbour's index, or a dense slot that
 // stands for one distinct remote neighbour — and the channel keeps

@@ -72,24 +72,12 @@ var vidCodec = ser.FuncCodec[graph.VertexID]{
 	Dec: func(buf *ser.Buffer) graph.VertexID { return graph.VertexID(buf.ReadUint32()) },
 }
 
-// addrCodec encodes packed fragment addresses in checkpoint blobs.
-var addrCodec = ser.FuncCodec[frag.Addr]{
-	Enc: func(buf *ser.Buffer, a frag.Addr) { buf.WriteUvarint(uint64(a)) },
-	Dec: func(buf *ser.Buffer) frag.Addr { return frag.Addr(buf.ReadUvarint()) },
-}
-
-// i32Codec encodes int32 counters in checkpoint blobs.
-var i32Codec = ser.FuncCodec[int32]{
-	Enc: func(buf *ser.Buffer, v int32) { buf.WriteVarint(int64(v)) },
-	Dec: func(buf *ser.Buffer) int32 { return int32(buf.ReadVarint()) },
-}
-
 // saveAddrLists appends a per-vertex list-of-addresses table (e.g. the
 // SCC same-pair neighbor lists) to a checkpoint blob.
 func saveAddrLists(buf *ser.Buffer, lists [][]frag.Addr) {
 	buf.WriteUvarint(uint64(len(lists)))
 	for _, lst := range lists {
-		ckpt.SaveSlice(buf, addrCodec, lst)
+		ckpt.SaveSlice(buf, ser.VarintCodec[frag.Addr]{}, lst)
 	}
 }
 
@@ -101,11 +89,6 @@ func loadAddrLists(buf *ser.Buffer, lists [][]frag.Addr) {
 		panic("algorithms: checkpoint address table does not match vertex count")
 	}
 	for i := range lists {
-		k := int(buf.ReadUvarint())
-		lst := lists[i][:0]
-		for j := 0; j < k; j++ {
-			lst = append(lst, frag.Addr(buf.ReadUvarint()))
-		}
-		lists[i] = lst
+		lists[i] = ckpt.AppendSlice(buf, ser.VarintCodec[frag.Addr]{}, lists[i][:0])
 	}
 }

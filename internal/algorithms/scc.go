@@ -131,8 +131,8 @@ func (s *sccState) checkpoint() {
 	s.w.Checkpoint(func(buf *ser.Buffer) {
 		ckpt.SaveSlice(buf, vidCodec, s.scc)
 		ckpt.SaveSlice(buf, ser.BoolCodec{}, s.done)
-		ckpt.SaveSlice(buf, i32Codec, s.liveIn)
-		ckpt.SaveSlice(buf, i32Codec, s.liveOut)
+		ckpt.SaveSlice(buf, ser.VarintCodec[int32]{}, s.liveIn)
+		ckpt.SaveSlice(buf, ser.VarintCodec[int32]{}, s.liveOut)
 		ckpt.SaveSlice(buf, ser.Uint32Codec{}, s.pairF)
 		ckpt.SaveSlice(buf, ser.Uint32Codec{}, s.pairB)
 		ckpt.SaveSlice(buf, ser.Uint32Codec{}, s.f)
@@ -146,8 +146,8 @@ func (s *sccState) checkpoint() {
 	}, func(buf *ser.Buffer) {
 		ckpt.LoadSlice(buf, vidCodec, s.scc)
 		ckpt.LoadSlice(buf, ser.BoolCodec{}, s.done)
-		ckpt.LoadSlice(buf, i32Codec, s.liveIn)
-		ckpt.LoadSlice(buf, i32Codec, s.liveOut)
+		ckpt.LoadSlice(buf, ser.VarintCodec[int32]{}, s.liveIn)
+		ckpt.LoadSlice(buf, ser.VarintCodec[int32]{}, s.liveOut)
 		ckpt.LoadSlice(buf, ser.Uint32Codec{}, s.pairF)
 		ckpt.LoadSlice(buf, ser.Uint32Codec{}, s.pairB)
 		ckpt.LoadSlice(buf, ser.Uint32Codec{}, s.f)

@@ -98,8 +98,8 @@ func sccPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, 
 		w.Checkpoint(func(buf *ser.Buffer) {
 			ckpt.SaveSlice(buf, vidCodec, scc)
 			ckpt.SaveSlice(buf, ser.BoolCodec{}, done)
-			ckpt.SaveSlice(buf, i32Codec, liveIn)
-			ckpt.SaveSlice(buf, i32Codec, liveOut)
+			ckpt.SaveSlice(buf, ser.VarintCodec[int32]{}, liveIn)
+			ckpt.SaveSlice(buf, ser.VarintCodec[int32]{}, liveOut)
 			ckpt.SaveSlice(buf, ser.Uint32Codec{}, pairF)
 			ckpt.SaveSlice(buf, ser.Uint32Codec{}, pairB)
 			ckpt.SaveSlice(buf, ser.Uint32Codec{}, f)
@@ -113,8 +113,8 @@ func sccPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, 
 		}, func(buf *ser.Buffer) {
 			ckpt.LoadSlice(buf, vidCodec, scc)
 			ckpt.LoadSlice(buf, ser.BoolCodec{}, done)
-			ckpt.LoadSlice(buf, i32Codec, liveIn)
-			ckpt.LoadSlice(buf, i32Codec, liveOut)
+			ckpt.LoadSlice(buf, ser.VarintCodec[int32]{}, liveIn)
+			ckpt.LoadSlice(buf, ser.VarintCodec[int32]{}, liveOut)
 			ckpt.LoadSlice(buf, ser.Uint32Codec{}, pairF)
 			ckpt.LoadSlice(buf, ser.Uint32Codec{}, pairB)
 			ckpt.LoadSlice(buf, ser.Uint32Codec{}, f)

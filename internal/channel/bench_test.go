@@ -12,9 +12,10 @@ import (
 )
 
 // Microbenchmarks for the individual channel primitives: these isolate
-// the per-message costs behind the table-level results (hash-map
-// staging in CombinedMessage vs the plan scan in ScatterCombine,
-// request dedup in RequestRespond, local traversal in Propagation).
+// the per-message costs behind the table-level results (dense
+// superstep-stamped staging in CombinedMessage vs the plan scan in
+// ScatterCombine, request dedup in RequestRespond, local traversal in
+// Propagation).
 
 const (
 	microVertices = 4096
@@ -335,4 +336,43 @@ func BenchmarkMirrorHubBroadcast(b *testing.B) {
 			}
 		}
 	})
+}
+
+// directRingJob runs BenchmarkDirectMessageRing's job on a ring of n
+// vertices: microSteps supersteps in which every vertex sends its id to
+// its successor.
+func directRingJob(tb testing.TB, n int) {
+	part := partition.MustHash(n, microWorkers)
+	_, err := engine.Run(engine.Config{Part: part, MaxSupersteps: 100}, func(w *engine.Worker) {
+		ch := NewDirectMessage[uint32](w, ser.Uint32Codec{})
+		w.Compute = func(li int) {
+			id := w.GlobalID(li)
+			if w.Superstep() > microSteps {
+				w.VoteToHalt()
+				return
+			}
+			if msgs := ch.Messages(li); w.Superstep() > 1 && (len(msgs) != 1 || msgs[0] != (id+uint32(n)-1)%uint32(n)) {
+				tb.Errorf("superstep %d: vertex %d read %v", w.Superstep(), id, msgs)
+			}
+			ch.Send(w.Addr((id+1)%uint32(n)), id)
+		}
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestDirectMessageAllocsIndependentOfVertices pins the flat inbox: the
+// ring job's allocations stay within one budget at 4 096 and at 16 384
+// vertices — staging, arrivals and inbox are a few slices per worker
+// that grow by doubling, not a slice per receiving vertex.
+func TestDirectMessageAllocsIndependentOfVertices(t *testing.T) {
+	const budget = 400
+	for _, n := range []int{4096, 16384} {
+		if a := testing.AllocsPerRun(3, func() { directRingJob(t, n) }); a > budget {
+			t.Errorf("a DirectMessage ring of %d vertices allocates %.0f times, budget %d", n, a, budget)
+		} else {
+			t.Logf("%d vertices: %.0f allocs", n, a)
+		}
+	}
 }

@@ -16,6 +16,9 @@
 package channel
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -29,8 +32,14 @@ type stamped[T any] struct {
 	epoch []int32
 }
 
+// newStamped stamps every slot -1, a superstep that never runs (with 0,
+// superstep 1 would read every slot as delivered the step before).
 func newStamped[T any](n int) stamped[T] {
-	return stamped[T]{val: make([]T, n), epoch: make([]int32, n)}
+	s := stamped[T]{val: make([]T, n), epoch: make([]int32, n)}
+	for i := range s.epoch {
+		s.epoch[i] = -1
+	}
+	return s
 }
 
 func (s *stamped[T]) set(i int, v T, e int32) {
@@ -67,90 +76,161 @@ func (r *edgeReg) add(src int, a frag.Addr) {
 	r.addr = append(r.addr, a)
 }
 
-// csr groups the registered edges by source with a stable counting
-// sort: a CSR over n local vertices, each vertex's addresses in
-// registration order. Counts go two slots up, so after the prefix sum
-// offsets[s+1] is s's fill cursor and the fill leaves it at s's end —
-// no copy of the offsets to fill from.
+// csr groups the registered edges by source: a CSR over n local
+// vertices, each vertex's addresses in registration order.
 func (r *edgeReg) csr(n int) (offsets []uint64, adj []frag.Addr) {
-	offsets = make([]uint64, n+2)
-	for _, s := range r.src {
-		offsets[s+2]++
-	}
-	for i := 2; i < len(offsets); i++ {
-		offsets[i] += offsets[i-1]
-	}
 	adj = make([]frag.Addr, len(r.addr))
-	for i, s := range r.src {
-		adj[offsets[s+1]] = r.addr[i]
-		offsets[s+1]++
-	}
-	return offsets[:n+1], adj
+	return groupBy(make([]uint64, n+2), adj, r.src, r.addr), adj
 }
 
-// denseOut is the dense per-destination-worker staging area shared by
-// the combining channels: one value slot per remote vertex, addressed by
-// the vertex's local index on its owner (the Partition gives every
-// vertex a dense (owner, localIndex) pair). Staging a message is an
-// array write plus a generation-stamp check — no hashing — and the wire
-// format ships (localIndex, value) pairs so the receiver also indexes
-// straight into flat slices. Slots are invalidated by bumping the
-// per-destination generation instead of clearing arrays, so a drained
-// staging area is reusable immediately at zero cost.
-type denseOut[M any] struct {
-	val     [][]M      // per dst worker: remote local index -> staged value
-	stamp   [][]uint32 // per dst worker: generation that wrote the slot
-	touched [][]uint32 // per dst worker: staged local indices, first-touch order
-	gen     []uint32   // per dst worker: current staging generation
+// groupBy is a stable counting sort of val by key into out: group k
+// ends up in out[off[k]:off[k+1]], in the order of val. off holds one
+// more entry than the offsets it returns. Counts go two slots up, so
+// after the prefix sum off[k+1] is k's fill cursor and the fill leaves
+// it at k's end — no copy of the offsets to fill from.
+func groupBy[T any](off []uint64, out []T, key []uint32, val []T) []uint64 {
+	clear(off)
+	for _, k := range key {
+		off[k+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	for i, k := range key {
+		out[off[k+1]] = val[i]
+		off[k+1]++
+	}
+	return off[:len(off)-1]
 }
 
-func newDenseOut[M any](w *engine.Worker) denseOut[M] {
-	m := w.NumWorkers()
-	part := w.Part()
-	d := denseOut[M]{
-		val:     make([][]M, m),
-		stamp:   make([][]uint32, m),
-		touched: make([][]uint32, m),
-		gen:     make([]uint32, m),
+// readLen reads a uvarint entry count, checked by countIn.
+func readLen(buf *ser.Buffer) int { return countIn(buf, buf.ReadUvarint()) }
+
+// countIn returns n if buf has n bytes left (an entry takes at least
+// one) and panics if not: frames and checkpoint blobs are untrusted, and
+// the engine's recover turns these readers' panics into worker errors.
+func countIn(buf *ser.Buffer, n uint64) int {
+	if n > uint64(buf.Remaining()) {
+		panic(fmt.Sprintf("channel: %d entries claimed, %d bytes remain", n, buf.Remaining()))
 	}
-	for o := 0; o < m; o++ {
-		n := part.LocalCount(o)
-		d.val[o] = make([]M, n)
-		d.stamp[o] = make([]uint32, n)
-		d.gen[o] = 1
-	}
-	return d
+	return int(n)
 }
 
-// stage combines m into the slot for local index li on worker o.
-func (d *denseOut[M]) stage(o int, li uint32, m M, combine func(M, M) M) {
-	if d.stamp[o][li] == d.gen[o] {
-		d.val[o][li] = combine(d.val[o][li], m)
+// readDone panics if buf has bytes left after a frame or blob's end.
+func readDone(buf *ser.Buffer) {
+	if n := buf.Remaining(); n != 0 {
+		panic(fmt.Sprintf("channel: %d trailing bytes", n))
+	}
+}
+
+// The update frame is the wire format of every channel that addresses
+// values to the receiver's vertices — DirectMessage, CombinedMessage,
+// both sections of Mirror's broadcast and Propagation: a count in the
+// caller's width, the local indices as uvarints, then the values as one
+// ser.EncodeSlice (one call for a fixed-width codec).
+
+// writeUpdates appends an update section: idx as uvarints, then vals.
+func writeUpdates[M any](buf *ser.Buffer, codec ser.Codec[M], idx []uint32, vals []M) {
+	for _, li := range idx {
+		buf.WriteUvarint(uint64(li))
+	}
+	ser.EncodeSlice(buf, codec, vals)
+}
+
+// updates holds decoded update sections: indices and values in frame
+// order.
+type updates[M any] struct {
+	idx  []uint32
+	vals []M
+}
+
+func (u *updates[M]) reset() { u.idx, u.vals = u.idx[:0], u.vals[:0] }
+
+// read appends the section of n updates at the front of buf and returns
+// it. A count larger than the bytes left, an index not below bound or a
+// value past the end panics, and the engine reports that as a worker
+// error naming the channel and the source.
+func (u *updates[M]) read(buf *ser.Buffer, codec ser.Codec[M], n uint64, bound uint32) ([]uint32, []M) {
+	k, m := len(u.idx), countIn(buf, n)
+	u.idx = slices.Grow(u.idx, m)[:k+m]
+	u.vals = slices.Grow(u.vals, m)[:k+m]
+	idx, vals := u.idx[k:], u.vals[k:]
+	for i := range idx {
+		li := buf.ReadUvarint()
+		if li >= uint64(bound) {
+			panic(fmt.Sprintf("channel: update %d addresses local %d, receiver has %d", i, li, bound))
+		}
+		idx[i] = uint32(li)
+	}
+	ser.DecodeSlice(buf, codec, vals)
+	return idx, vals
+}
+
+// readLast is read for the section that ends the frame: bytes beyond
+// its values panic as well.
+func (u *updates[M]) readLast(buf *ser.Buffer, codec ser.Codec[M], n uint64, bound uint32) ([]uint32, []M) {
+	idx, vals := u.read(buf, codec, n, bound)
+	if rest := buf.Remaining(); rest != 0 {
+		panic(fmt.Sprintf("channel: %d bytes beyond the values of %d updates", rest, n))
+	}
+	return idx, vals
+}
+
+// deliver merges a received section into the epoch-e slots of in
+// through c's merge loop and wakes the receivers.
+func deliver[M any](w *engine.Worker, c Combiner[M], in *stamped[M], e int32, idx []uint32, vals []M) {
+	c.merge(in.val, in.epoch, e, idx, vals)
+	for _, li := range idx {
+		w.ActivateLocal(int(li))
+	}
+}
+
+// outbox is the sender-side staging of the combining channels: per
+// destination worker one value slot per vertex it hosts, addressed by
+// the vertex's local index there (the Partition gives every vertex a
+// dense (owner, localIndex) pair) and stamped with the superstep that
+// staged it, plus the staged indices in first-touch order. Staging is an
+// array write and a stamp check — no hashing, nothing to clear between
+// supersteps. A superstep stages all its values before its first drain.
+type outbox[M any] struct {
+	slot    []stamped[M]
+	touched [][]uint32
+	vals    []M // drain's scratch
+}
+
+func newOutbox[M any](w *engine.Worker) outbox[M] {
+	o := outbox[M]{slot: make([]stamped[M], w.NumWorkers()), touched: make([][]uint32, w.NumWorkers())}
+	for d := range o.slot {
+		o.slot[d] = newStamped[M](w.Part().LocalCount(d))
+	}
+	return o
+}
+
+// stage combines m into the slot for local index li on worker d in
+// superstep e.
+func (o *outbox[M]) stage(d int, li uint32, m M, e int32, combine func(M, M) M) {
+	s := &o.slot[d]
+	if s.epoch[li] == e {
+		s.val[li] = combine(s.val[li], m)
 		return
 	}
-	d.stamp[o][li] = d.gen[o]
-	d.val[o][li] = m
-	d.touched[o] = append(d.touched[o], li)
+	s.val[li], s.epoch[li] = m, e
+	o.touched[d] = append(o.touched[d], li)
 }
 
-// drain writes worker o's staged messages as a count followed by
-// (localIndex, value) pairs, then resets the staging area by advancing
-// its generation. Writes nothing when nothing is staged.
-func (d *denseOut[M]) drain(o int, buf *ser.Buffer, codec ser.Codec[M]) {
-	t := d.touched[o]
+// drain writes the values staged for worker d as a uvarint count and an
+// update section, and empties the list. It writes nothing when nothing
+// is staged.
+func (o *outbox[M]) drain(d int, buf *ser.Buffer, codec ser.Codec[M]) {
+	t := o.touched[d]
 	if len(t) == 0 {
 		return
 	}
-	buf.WriteUvarint(uint64(len(t)))
-	val := d.val[o]
+	o.vals = o.vals[:0]
 	for _, li := range t {
-		buf.WriteUvarint(uint64(li))
-		codec.Encode(buf, val[li])
+		o.vals = append(o.vals, o.slot[d].val[li])
 	}
-	d.touched[o] = t[:0]
-	d.gen[o]++
-	if d.gen[o] == 0 { // wrapped: clear stamps so no stale slot can match
-		clear(d.stamp[o])
-		d.gen[o] = 1
-	}
+	buf.WriteUvarint(uint64(len(t)))
+	writeUpdates(buf, codec, t, o.vals)
+	o.touched[d] = t[:0]
 }

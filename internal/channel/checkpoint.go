@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 
+	"repro/internal/ckpt"
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -31,47 +32,17 @@ var (
 // into a discard buffer (draining staging exactly as the live round
 // did) before feeding the saved frames to Deserialize.
 //
+// Integer tables (local indices, CSR offsets, -1 for no slot, packed
+// addresses) are ser.VarintCodec slices: ckpt.SaveSlice writes them,
+// ckpt.LoadSlice reads one whose length the job's shape fixes and
+// ckpt.AppendSlice one whose length it checks against the bytes left.
 // Restore runs under the engine's recover, so panics on blob/shape
 // mismatches surface as worker errors, not crashes.
-
-// ckptDone panics if a channel blob has unconsumed bytes — the record
-// belongs to a differently-shaped job or is corrupt.
-func ckptDone(buf *ser.Buffer) {
-	if n := buf.Remaining(); n != 0 {
-		panic(fmt.Sprintf("channel: checkpoint blob has %d trailing bytes", n))
-	}
-}
-
-// ckptLen reads an entry count and panics when the blob cannot hold
-// that many entries (each takes at least one byte).
-func ckptLen(buf *ser.Buffer) int {
-	n := int(buf.ReadUvarint())
-	if n < 0 || n > buf.Remaining() {
-		panic(fmt.Sprintf("channel: checkpoint blob claims %d entries, %d bytes remain", n, buf.Remaining()))
-	}
-	return n
-}
-
-// saveInts / loadInts carry the integer tables of the channel blobs:
-// local indices, CSR offsets, slots (-1 = none), packed addresses.
-func saveInts[T ~int32 | ~uint32 | ~uint64](buf *ser.Buffer, s []T) {
-	buf.WriteUvarint(uint64(len(s)))
-	for _, v := range s {
-		buf.WriteVarint(int64(v))
-	}
-}
-
-func loadInts[T ~int32 | ~uint32 | ~uint64](buf *ser.Buffer) []T {
-	n := ckptLen(buf)
-	if n == 0 {
-		return nil
-	}
-	s := make([]T, n)
-	for i := range s {
-		s[i] = T(buf.ReadVarint())
-	}
-	return s
-}
+var (
+	u32s  ser.VarintCodec[uint32]
+	i32s  ser.VarintCodec[int32]
+	addrs ser.VarintCodec[frag.Addr]
+)
 
 // SaveState implements engine.StatefulChannel. An adopted plan belongs
 // to the fragment and is adopted again by the restoring job's setup, so
@@ -83,10 +54,10 @@ func loadInts[T ~int32 | ~uint32 | ~uint64](buf *ser.Buffer) []T {
 func (c *ScatterCombine[M]) SaveState(buf *ser.Buffer) {
 	buf.WriteVarint(int64(c.setEpoch))
 	buf.WriteBool(c.handshaken)
-	saveInts(buf, c.reg.src)
-	saveInts(buf, c.reg.addr)
+	ckpt.SaveSlice(buf, u32s, c.reg.src)
+	ckpt.SaveSlice(buf, addrs, c.reg.addr)
 	for _, tab := range c.tab {
-		saveInts(buf, tab)
+		ckpt.SaveSlice(buf, u32s, tab)
 	}
 }
 
@@ -94,7 +65,7 @@ func (c *ScatterCombine[M]) SaveState(buf *ser.Buffer) {
 func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
 	c.setEpoch = int32(buf.ReadVarint())
 	c.handshaken = buf.ReadBool()
-	c.reg = edgeReg{src: loadInts[uint32](buf), addr: loadInts[frag.Addr](buf)}
+	c.reg = edgeReg{src: ckpt.AppendSlice(buf, u32s, nil), addr: ckpt.AppendSlice(buf, addrs, nil)}
 	if len(c.reg.src) != len(c.reg.addr) || len(c.reg.addr) > 0 && c.plan != nil {
 		panic("channel: checkpoint edge registrations do not match the job's ScatterCombine")
 	}
@@ -106,14 +77,14 @@ func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
 	}
 	locals := uint32(len(c.in.val))
 	for src := range c.tab {
-		c.tab[src] = loadInts[uint32](buf)
+		c.tab[src] = ckpt.AppendSlice(buf, u32s, nil)
 		for _, li := range c.tab[src] {
 			if li >= locals {
 				panic(fmt.Sprintf("channel: checkpoint destination %d, worker hosts %d vertices", li, locals))
 			}
 		}
 	}
-	ckptDone(buf)
+	readDone(buf)
 }
 
 // SaveState implements engine.StatefulChannel: the topology, the vertex
@@ -127,9 +98,9 @@ func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
 // them and the previous superstep's rounds shipped what they staged.
 func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
 	buf.WriteBool(c.adopted)
-	saveInts(buf, c.reg.src)
-	saveInts(buf, c.reg.addr)
-	saveInts(buf, c.regW)
+	ckpt.SaveSlice(buf, u32s, c.reg.src)
+	ckpt.SaveSlice(buf, addrs, c.reg.addr)
+	ckpt.SaveSlice(buf, i32s, c.regW)
 	buf.WriteUvarint(uint64(c.locals))
 	for li, st := range c.st[:c.locals] {
 		buf.WriteBool(st&pvHas != 0)
@@ -137,7 +108,7 @@ func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
 			c.codec.Encode(buf, c.val[li])
 		}
 	}
-	saveInts(buf, c.queue[c.head:])
+	ckpt.SaveSlice(buf, u32s, c.queue[c.head:])
 	buf.WriteVarint(int64(c.finalEpoch))
 }
 
@@ -147,8 +118,8 @@ func (c *Propagation[M]) SaveState(buf *ser.Buffer) {
 func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 	c.Reset()
 	adopted := buf.ReadBool()
-	c.reg = edgeReg{src: loadInts[uint32](buf), addr: loadInts[frag.Addr](buf)}
-	c.regW = loadInts[int32](buf)
+	c.reg = edgeReg{src: ckpt.AppendSlice(buf, u32s, nil), addr: ckpt.AppendSlice(buf, addrs, nil)}
+	c.regW = ckpt.AppendSlice(buf, i32s, nil)
 	weights := 0
 	if c.transform != nil {
 		weights = len(c.reg.addr)
@@ -173,7 +144,7 @@ func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 			c.val[li], c.st[li] = c.codec.Decode(buf), pvHas
 		}
 	}
-	c.queue = append(c.queue, loadInts[uint32](buf)...)
+	c.queue = ckpt.AppendSlice(buf, u32s, c.queue)
 	for _, li := range c.queue {
 		if li >= c.locals {
 			panic(fmt.Sprintf("channel: checkpoint queues local %d, worker hosts %d vertices", li, c.locals))
@@ -182,11 +153,11 @@ func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 	}
 	c.finalEpoch = int32(buf.ReadVarint())
 	c.propagatedThisRound = false
-	ckptDone(buf)
+	readDone(buf)
 }
 
 // SaveState implements engine.StatefulChannel: sender-side tables built
-// by prepare (grouped edges, hub slots, per-destination hub lists) and
+// by prepare (grouped edges, per-destination hub lists) and
 // the receiver-side fan-out tables, which arrive in handshake frames of
 // the registration superstep — an earlier superstep whose frames the
 // record does not carry. If the cut superstep IS the registration
@@ -200,20 +171,18 @@ func (c *Mirror[M]) SaveState(buf *ser.Buffer) {
 	for _, tables := range c.fanout {
 		buf.WriteUvarint(uint64(len(tables)))
 		for _, lst := range tables {
-			saveInts(buf, lst)
+			ckpt.SaveSlice(buf, i32s, lst)
 		}
 	}
 	if !c.prepared {
 		return
 	}
 	buf.WriteBool(c.handshake)
-	saveInts(buf, c.srcStart)
-	saveInts(buf, c.bySrc)
-	saveInts(buf, c.hubSlot)
-	saveInts(buf, c.hubLi)
+	ckpt.SaveSlice(buf, ser.VarintCodec[uint64]{}, c.srcStart)
+	ckpt.SaveSlice(buf, addrs, c.bySrc)
 	buf.WriteUvarint(uint64(len(c.dstHubs)))
 	for _, hubs := range c.dstHubs {
-		saveInts(buf, hubs)
+		ckpt.SaveSlice(buf, u32s, hubs)
 	}
 	buf.WriteVarint(int64(c.stagedStep))
 }
@@ -222,34 +191,29 @@ func (c *Mirror[M]) SaveState(buf *ser.Buffer) {
 func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 	c.prepared = buf.ReadBool()
 	c.setEpoch = int32(buf.ReadVarint())
-	if n := ckptLen(buf); n != len(c.fanout) {
+	if n := readLen(buf); n != len(c.fanout) {
 		panic(fmt.Sprintf("channel: checkpoint has %d fan-out tables, job has %d workers", n, len(c.fanout)))
 	}
 	for src := range c.fanout {
-		tables := make([][]int32, ckptLen(buf))
+		tables := make([][]int32, readLen(buf))
 		for i := range tables {
-			tables[i] = loadInts[int32](buf)
-		}
-		if len(tables) == 0 {
-			tables = nil
+			tables[i] = ckpt.AppendSlice(buf, i32s, nil)
 		}
 		c.fanout[src] = tables
 	}
 	c.building = edgeReg{}
 	if c.prepared {
 		c.handshake = buf.ReadBool()
-		c.srcStart = loadInts[uint64](buf)
-		c.bySrc = loadInts[frag.Addr](buf)
-		c.hubSlot = loadInts[int32](buf)
-		c.hubLi = loadInts[int32](buf)
-		c.dstHubs = make([][]int32, ckptLen(buf))
+		c.srcStart = ckpt.AppendSlice(buf, ser.VarintCodec[uint64]{}, nil)
+		c.bySrc = ckpt.AppendSlice(buf, addrs, nil)
+		c.dstHubs = make([][]uint32, readLen(buf))
 		for i := range c.dstHubs {
-			c.dstHubs[i] = loadInts[int32](buf)
+			c.dstHubs[i] = ckpt.AppendSlice(buf, u32s, nil)
 		}
 		c.stagedStep = int32(buf.ReadVarint())
-		c.low = newDenseOut[M](c.w)
+		c.low = newOutbox[M](c.w)
 	}
-	ckptDone(buf)
+	readDone(buf)
 }
 
 // SaveState implements engine.StatefulChannel: the per-vertex request
@@ -260,29 +224,24 @@ func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 // response side (asked, resp, gotResp, respEpoch) is rebuilt entirely by
 // replaying the two saved rounds.
 func (c *RequestRespond[R]) SaveState(buf *ser.Buffer) {
-	saveInts(buf, c.at.val)
-	saveInts(buf, c.at.epoch)
+	ckpt.SaveSlice(buf, addrs, c.at.val)
+	ckpt.SaveSlice(buf, i32s, c.at.epoch)
 	buf.WriteUvarint(uint64(len(c.pending)))
 	for _, lst := range c.pending {
-		saveInts(buf, lst)
+		ckpt.SaveSlice(buf, u32s, lst)
 	}
 	buf.WriteBool(c.sentReq)
 }
 
 // RestoreState implements engine.StatefulChannel.
 func (c *RequestRespond[R]) RestoreState(buf *ser.Buffer) {
-	val := loadInts[frag.Addr](buf)
-	epoch := loadInts[int32](buf)
-	if len(val) != len(c.at.val) || len(epoch) != len(c.at.epoch) {
-		panic(fmt.Sprintf("channel: checkpoint has %d request stamps, worker hosts %d", len(val), len(c.at.val)))
-	}
-	copy(c.at.val, val)
-	copy(c.at.epoch, epoch)
-	if n := ckptLen(buf); n != len(c.pending) {
+	ckpt.LoadSlice(buf, addrs, c.at.val)
+	ckpt.LoadSlice(buf, i32s, c.at.epoch)
+	if n := readLen(buf); n != len(c.pending) {
 		panic(fmt.Sprintf("channel: checkpoint has %d pending lists, job has %d workers", n, len(c.pending)))
 	}
 	for o := range c.pending {
-		c.pending[o] = loadInts[uint32](buf)
+		c.pending[o] = ckpt.AppendSlice(buf, u32s, nil)
 	}
 	// the cut superstep's stamps are what the next compute indexes the
 	// responses with: they must point into the lists just loaded
@@ -297,5 +256,5 @@ func (c *RequestRespond[R]) RestoreState(buf *ser.Buffer) {
 	c.sentReq = buf.ReadBool()
 	c.round = 0
 	c.receivedReq = false
-	ckptDone(buf)
+	readDone(buf)
 }

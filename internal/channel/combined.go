@@ -20,10 +20,12 @@ type CombinedMessage[M any] struct {
 	combine Combiner[M]
 
 	// sender-side combining: dense per-destination-worker slots
-	out denseOut[M]
+	out outbox[M]
 	// receiver side: dense slot per local vertex, epoch-stamped with the
-	// superstep whose exchange wrote it (readable in the next superstep).
+	// superstep whose exchange wrote it (readable in the next superstep);
+	// rx holds the frame being merged.
 	in stamped[M]
+	rx updates[M]
 }
 
 // NewCombinedMessage creates and registers a CombinedMessage channel.
@@ -36,7 +38,7 @@ func NewCombinedMessage[M any](w *engine.Worker, codec ser.Codec[M], combine Com
 // Send sends m to the vertex at packed address a, combining with any
 // message already staged for it on this worker.
 func (c *CombinedMessage[M]) Send(a frag.Addr, m M) {
-	c.out.stage(a.Worker(), a.Local(), m, c.combine.Combine)
+	c.out.stage(a.Worker(), a.Local(), m, int32(c.w.Superstep()), c.combine.Combine)
 }
 
 // Message returns the combined message delivered to local vertex li in
@@ -47,7 +49,7 @@ func (c *CombinedMessage[M]) Message(li int) (M, bool) {
 
 // Initialize implements engine.Channel.
 func (c *CombinedMessage[M]) Initialize() {
-	c.out = newDenseOut[M](c.w)
+	c.out = newOutbox[M](c.w)
 	c.in = newStamped[M](c.w.LocalCount())
 }
 
@@ -60,16 +62,12 @@ func (c *CombinedMessage[M]) Serialize(dst int, buf *ser.Buffer) {
 	c.out.drain(dst, buf, c.codec)
 }
 
-// Deserialize implements engine.Channel.
+// Deserialize implements engine.Channel: a checked update frame,
+// merged through the Combiner.
 func (c *CombinedMessage[M]) Deserialize(src int, buf *ser.Buffer) {
-	n := int(buf.ReadUvarint())
-	e := int32(c.w.Superstep())
-	for i := 0; i < n; i++ {
-		li := int(buf.ReadUvarint())
-		m := c.codec.Decode(buf)
-		c.in.merge(li, m, e, c.combine.Combine)
-		c.w.ActivateLocal(li)
-	}
+	c.rx.reset()
+	idx, vals := c.rx.readLast(buf, c.codec, buf.ReadUvarint(), uint32(len(c.in.val)))
+	deliver(c.w, c.combine, &c.in, int32(c.w.Superstep()), idx, vals)
 }
 
 // Again implements engine.Channel.

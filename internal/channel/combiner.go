@@ -25,8 +25,8 @@ import (
 // to run over: frag.ScatterPlan (Fig. 5) lays every destination's
 // sources out as one run before the values exist, frag.PushPlan (Fig. 7)
 // every vertex's neighbours as one row of table indices. The other
-// combining channels learn their destinations one Send at a time and
-// call Combine per message.
+// combining channels stage one Send at a time through Combine and hand
+// each decoded update frame they receive to merge.
 //
 // The loops must equal the sequences of Combine calls they stand for,
 // bit for bit, which is why they are not open to callers: Sum and Min

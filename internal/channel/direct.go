@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"slices"
+
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -14,19 +16,17 @@ type DirectMessage[M any] struct {
 	w     *engine.Worker
 	codec ser.Codec[M]
 
-	// outgoing staging, one slice per destination worker; destinations
-	// are staged as their dense local index on the owning worker, which
-	// is also the wire encoding.
-	out [][]outMsg[M]
-	// inbox: per local vertex, filled during exchange, consumed next
-	// superstep; touched tracks which slots to clear lazily.
-	inbox   [][]M
-	touched []int
-}
-
-type outMsg[M any] struct {
-	dst int32 // local index on the destination worker
-	m   M
+	// out[d] stages the messages for worker d, destinations as their
+	// local index there — an update section as it goes on the wire.
+	out []updates[M]
+	// rx collects a round's incoming frames in arrival order — source
+	// worker, then frame order — until Again groups them by receiver:
+	// vertex li's messages are inbox[off[li]:off[li+1]], readable in the
+	// superstep after inboxStep.
+	rx        updates[M]
+	off       []uint64
+	inbox     []M
+	inboxStep int32
 }
 
 // NewDirectMessage creates and registers a DirectMessage channel.
@@ -41,57 +41,62 @@ func NewDirectMessage[M any](w *engine.Worker, codec ser.Codec[M]) *DirectMessag
 // addresses (Frag().Neighbors); a destination known only by id is
 // Worker.Addr(id).
 func (c *DirectMessage[M]) Send(a frag.Addr, m M) {
-	o := a.Worker()
-	c.out[o] = append(c.out[o], outMsg[M]{dst: int32(a.Local()), m: m})
+	o := &c.out[a.Worker()]
+	o.idx = append(o.idx, a.Local())
+	o.vals = append(o.vals, m)
 }
 
 // Messages returns the messages delivered to local vertex li in the
-// previous superstep. The slice is valid only during the current compute
-// call.
-func (c *DirectMessage[M]) Messages(li int) []M { return c.inbox[li] }
+// previous superstep, in the order of their source workers and, from
+// one source, of their sends. The slice is valid only during the
+// current compute call.
+func (c *DirectMessage[M]) Messages(li int) []M {
+	if c.inboxStep != int32(c.w.Superstep()-1) {
+		return nil
+	}
+	return c.inbox[c.off[li]:c.off[li+1]]
+}
 
 // Initialize implements engine.Channel.
 func (c *DirectMessage[M]) Initialize() {
-	c.out = make([][]outMsg[M], c.w.NumWorkers())
-	c.inbox = make([][]M, c.w.LocalCount())
+	c.out = make([]updates[M], c.w.NumWorkers())
+	c.off = make([]uint64, c.w.LocalCount()+2)
+	c.inboxStep = -1
 }
 
-// AfterCompute implements engine.Channel: the inbox the vertices just
-// read is retired.
-func (c *DirectMessage[M]) AfterCompute() {
-	for _, li := range c.touched {
-		c.inbox[li] = c.inbox[li][:0]
-	}
-	c.touched = c.touched[:0]
-}
+// AfterCompute implements engine.Channel: the inbox is stamped, not cleared.
+func (c *DirectMessage[M]) AfterCompute() {}
 
 // Serialize implements engine.Channel.
 func (c *DirectMessage[M]) Serialize(dst int, buf *ser.Buffer) {
-	msgs := c.out[dst]
-	if len(msgs) == 0 {
+	o := &c.out[dst]
+	if len(o.idx) == 0 {
 		return
 	}
-	buf.WriteUvarint(uint64(len(msgs)))
-	for _, om := range msgs {
-		buf.WriteUvarint(uint64(om.dst))
-		c.codec.Encode(buf, om.m)
-	}
-	c.out[dst] = msgs[:0]
+	buf.WriteUvarint(uint64(len(o.idx)))
+	writeUpdates(buf, c.codec, o.idx, o.vals)
+	o.reset()
 }
 
-// Deserialize implements engine.Channel.
+// Deserialize implements engine.Channel: a checked frame joins rx.
 func (c *DirectMessage[M]) Deserialize(src int, buf *ser.Buffer) {
-	n := int(buf.ReadUvarint())
-	for i := 0; i < n; i++ {
-		li := int(buf.ReadUvarint())
-		m := c.codec.Decode(buf)
-		if len(c.inbox[li]) == 0 {
-			c.touched = append(c.touched, li)
-		}
-		c.inbox[li] = append(c.inbox[li], m)
-		c.w.ActivateLocal(li)
+	idx, _ := c.rx.readLast(buf, c.codec, buf.ReadUvarint(), uint32(c.w.LocalCount()))
+	for _, li := range idx {
+		c.w.ActivateLocal(int(li))
 	}
 }
 
-// Again implements engine.Channel: one round is always enough.
-func (c *DirectMessage[M]) Again() bool { return false }
+// Again implements engine.Channel: one round is always enough, so
+// frames arrive in a superstep's first round only, and that round's
+// Again groups them into the inbox. Again also runs after the later
+// rounds of a superstep other channels prolong, which find nothing to
+// group and leave the inbox as it is.
+func (c *DirectMessage[M]) Again() bool {
+	if n := len(c.rx.idx); n > 0 {
+		c.inbox = slices.Grow(c.inbox[:0], n)[:n]
+		groupBy(c.off, c.inbox, c.rx.idx, c.rx.vals)
+		c.inboxStep = int32(c.w.Superstep())
+		c.rx.reset()
+	}
+	return false
+}

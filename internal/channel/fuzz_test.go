@@ -69,7 +69,7 @@ func FuzzScatterFrames(f *testing.F) {
 			}
 		}
 		for li, e := range recv.in.epoch {
-			if e != 0 && !listed[li] {
+			if e >= 0 && !listed[li] { // stamped by a frame
 				t.Fatalf("value delivered to unlisted local %d", li)
 			}
 		}
@@ -190,6 +190,82 @@ func FuzzPropagationFrames(f *testing.F) {
 		for li, v := range want {
 			if got, _ := recv.RawValue(li); got != v {
 				t.Fatalf("local %d holds %d, the frames say %d", li, got, v)
+			}
+		}
+	})
+}
+
+// FuzzUpdateFrames pins the wire-surface contract of the update-frame
+// receivers — DirectMessage, CombinedMessage and Mirror, each of which
+// gets the same frames (the input is cut into up to four length-prefixed
+// frames, one per superstep): the job either fails with a worker error
+// or every vertex reads exactly what the frames addressed to it — in
+// frame order from DirectMessage, as a sum from CombinedMessage — and
+// every Mirror fan-out entry is a vertex the worker hosts. A runtime
+// error is a finding.
+func FuzzUpdateFrames(f *testing.F) {
+	hello := []byte{mirrorFrameHandshake, 1, 2, 0, 3}
+	f.Add(script(slices.Concat(uvarints(3, 1, 0, 1), u32le(7, 8, 9)), slices.Concat(uvarints(1, 3), u32le(5))))
+	f.Add(script(hello, slices.Concat([]byte{mirrorFrameBroadcast}, u32le(1), uvarints(0), u32le(5), uvarints(2, 2, 3), u32le(7, 1))))
+	f.Add(script(slices.Concat(uvarints(2, 0, 4), u32le(7, 8))))
+	f.Add(script(slices.Concat([]byte{mirrorFrameHandshake}, uvarints(1<<33), []byte{1, 1, 0, 0})))
+	f.Add(script(slices.Concat([]byte{mirrorFrameBroadcast}, u32le(0), uvarints(1, 2), u32le(7), []byte{0})))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := cutScript(data)
+		finding := func(err error) bool {
+			if err != nil && strings.Contains(err.Error(), "runtime error") {
+				t.Fatalf("frame reached an unchecked access: %v", err)
+			}
+			return err != nil
+		}
+		// what superstep s+2 must read: frames[s] decoded (observe runs
+		// in the job's goroutines, so a mismatch is an Errorf)
+		want := func(s int) (msgs [4][]uint32, sum [4]uint32) {
+			if s >= 0 && s < len(frames) {
+				for _, p := range decodePropFrame(t, ser.Uint32Codec{}, frames[s]) {
+					msgs[p.li] = append(msgs[p.li], p.v)
+					sum[p.li] += p.v
+				}
+			}
+			return msgs, sum
+		}
+
+		_, err := runRogueInto(frames, func(w *engine.Worker) *DirectMessage[uint32] {
+			return NewDirectMessage[uint32](w, ser.Uint32Codec{})
+		}, func(w *engine.Worker, c *DirectMessage[uint32], li int) {
+			if msgs, _ := want(w.Superstep() - 2); !slices.Equal(c.Messages(li), msgs[li]) {
+				t.Errorf("superstep %d: local %d read %v, the frames say %v", w.Superstep(), li, c.Messages(li), msgs[li])
+			}
+		})
+		if finding(err) {
+			return
+		}
+		_, err = runRogueInto(frames, func(w *engine.Worker) *CombinedMessage[uint32] {
+			return NewCombinedMessage[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
+		}, func(w *engine.Worker, c *CombinedMessage[uint32], li int) {
+			msgs, sum := want(w.Superstep() - 2)
+			if got, has := c.Message(li); has != (msgs[li] != nil) || got != sum[li] {
+				t.Errorf("superstep %d: local %d read %d (%v), the frames say %v", w.Superstep(), li, got, has, msgs[li])
+			}
+		})
+		if finding(err) {
+			return
+		}
+		recv, err := runRogueInto(frames, func(w *engine.Worker) *Mirror[uint32] {
+			return NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 2)
+		}, nil)
+		if finding(err) {
+			return
+		}
+		for _, tables := range recv.fanout {
+			for _, lst := range tables {
+				for _, li := range lst {
+					if li >= 4 {
+						t.Fatalf("accepted fan-out table %v", tables)
+					}
+				}
 			}
 		}
 	})

@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"fmt"
+
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -45,18 +47,17 @@ type Mirror[M any] struct {
 	// handshake read (owner, local) without the partition
 	bySrc    []frag.Addr
 	srcStart []uint64 // len n+1
-	// hubs: local vertices with degree >= threshold
-	hubSlot []int32 // local vertex -> hub slot or -1
-	hubLi   []int32 // hub slot -> local vertex
-	// dstHubs[d] lists the hub slots mirrored on worker d in ascending
-	// slot order; a hub's position in this list is its wire ordinal for
-	// frames sent to d (fixed by the handshake frame, which enumerates
-	// hubs in the same order).
-	dstHubs [][]int32
+	// dstHubs[d] lists the hubs (local vertices of degree >= threshold)
+	// with a neighbor on worker d, ascending; a hub's position in this
+	// list is its wire ordinal for frames sent to d (fixed by the
+	// handshake frame, which enumerates hubs in the same order).
+	dstHubs [][]uint32
 
 	// low-degree staging: dense per-destination-worker slots
-	low        denseOut[M]
+	low        outbox[M]
 	stagedStep int32 // superstep whose low-degree staging pass has run
+	// frame holds the sections of the frame being sent or received
+	frame updates[M]
 
 	// receiver side: fanout[src][ordinal] -> local neighbor indices
 	fanout [][][]int32
@@ -118,37 +119,29 @@ func (c *Mirror[M]) Initialize() {
 }
 
 func (c *Mirror[M]) prepare() {
-	n := c.w.LocalCount()
-	m := c.w.NumWorkers()
-	c.srcStart, c.bySrc = c.building.csr(n)
+	c.srcStart, c.bySrc = c.building.csr(c.w.LocalCount())
 	c.building = edgeReg{}
-
-	c.hubSlot = make([]int32, n)
-	c.dstHubs = make([][]int32, m)
-	seen := make([]bool, m)
-	for li := 0; li < n; li++ {
-		c.hubSlot[li] = -1
-		deg := int(c.srcStart[li+1] - c.srcStart[li])
-		if deg < c.threshold {
+	c.dstHubs = make([][]uint32, c.w.NumWorkers())
+	for li := range c.w.LocalCount() {
+		if !c.isHub(li) {
 			continue
 		}
-		slot := int32(len(c.hubLi))
-		c.hubSlot[li] = slot
-		c.hubLi = append(c.hubLi, int32(li))
-		for i := range seen {
-			seen[i] = false
-		}
-		for _, a := range c.bySrc[c.srcStart[li]:c.srcStart[li+1]] {
-			if o := a.Worker(); !seen[o] {
-				seen[o] = true
-				c.dstHubs[o] = append(c.dstHubs[o], slot)
+		for _, a := range c.edges(li) {
+			if hubs := c.dstHubs[a.Worker()]; len(hubs) == 0 || hubs[len(hubs)-1] != uint32(li) {
+				c.dstHubs[a.Worker()] = append(hubs, uint32(li))
 			}
 		}
 	}
-	c.low = newDenseOut[M](c.w)
+	c.low = newOutbox[M](c.w)
 	c.prepared = true
 	c.handshake = true
 }
+
+// edges returns local vertex li's registered destinations.
+func (c *Mirror[M]) edges(li int) []frag.Addr { return c.bySrc[c.srcStart[li]:c.srcStart[li+1]] }
+
+// isHub reports whether local vertex li's degree makes it a hub.
+func (c *Mirror[M]) isHub(li int) bool { return len(c.edges(li)) >= c.threshold }
 
 // AfterCompute implements engine.Channel.
 func (c *Mirror[M]) AfterCompute() {
@@ -161,25 +154,23 @@ func (c *Mirror[M]) AfterCompute() {
 // vertices: one linear scan over the sorted edge list, combining into
 // dense per-destination slots.
 func (c *Mirror[M]) stageLowDegree(e int32) {
-	for li, slot := range c.hubSlot {
-		if slot >= 0 {
-			continue
-		}
+	for li := range len(c.srcStart) - 1 {
 		v, ok := c.srcVal.get(li, e)
-		if !ok {
+		if !ok || c.isHub(li) {
 			continue
 		}
-		for p := c.srcStart[li]; p < c.srcStart[li+1]; p++ {
-			a := c.bySrc[p]
-			c.low.stage(a.Worker(), a.Local(), v, c.combine.Combine)
+		for _, a := range c.edges(li) {
+			c.low.stage(a.Worker(), a.Local(), v, e, c.combine.Combine)
 		}
 	}
 }
 
 // Serialize implements engine.Channel. The handshake frame ships each
-// hub's per-worker neighbor lists (as local indices on the receiver);
-// broadcast frames ship one (hub ordinal, value) per mirrored hub plus
-// combined low-degree messages as (localIndex, value) pairs.
+// hub's neighbor list on dst as a count and an update section without
+// values; a broadcast frame is two update sections: the mirrored hubs
+// that set a value, by ordinal behind a fixed 4-byte count, then the
+// combined low-degree messages behind a uvarint count, omitted when
+// empty.
 func (c *Mirror[M]) Serialize(dst int, buf *ser.Buffer) {
 	if !c.prepared {
 		return
@@ -188,22 +179,15 @@ func (c *Mirror[M]) Serialize(dst int, buf *ser.Buffer) {
 		hubs := c.dstHubs[dst]
 		buf.WriteUint8(mirrorFrameHandshake)
 		buf.WriteUvarint(uint64(len(hubs)))
-		for _, slot := range hubs {
-			li := c.hubLi[slot]
-			seg := c.srcStart[li]
-			end := c.srcStart[li+1]
-			cnt := 0
-			for p := seg; p < end; p++ {
-				if c.bySrc[p].Worker() == dst {
-					cnt++
+		for _, li := range hubs {
+			c.frame.reset()
+			for _, a := range c.edges(int(li)) {
+				if a.Worker() == dst {
+					c.frame.idx = append(c.frame.idx, a.Local())
 				}
 			}
-			buf.WriteUvarint(uint64(cnt))
-			for p := seg; p < end; p++ {
-				if a := c.bySrc[p]; a.Worker() == dst {
-					buf.WriteUvarint(uint64(a.Local()))
-				}
-			}
+			buf.WriteUvarint(uint64(len(c.frame.idx)))
+			writeUpdates(buf, c.codec, c.frame.idx, nil)
 		}
 		return
 	}
@@ -216,62 +200,55 @@ func (c *Mirror[M]) Serialize(dst int, buf *ser.Buffer) {
 		c.stagedStep = e
 	}
 	buf.WriteUint8(mirrorFrameBroadcast)
-	// section 1: hub broadcasts, referenced by per-(src,dst) ordinal
-	hubPos := buf.Len()
-	buf.WriteUint32(0)
-	hubs := uint32(0)
-	for ord, slot := range c.dstHubs[dst] {
-		v, ok := c.srcVal.get(int(c.hubLi[slot]), e)
-		if !ok {
-			continue
+	c.frame.reset()
+	for ord, li := range c.dstHubs[dst] {
+		if v, ok := c.srcVal.get(int(li), e); ok {
+			c.frame.idx = append(c.frame.idx, uint32(ord))
+			c.frame.vals = append(c.frame.vals, v)
 		}
-		buf.WriteUvarint(uint64(ord))
-		c.codec.Encode(buf, v)
-		hubs++
 	}
-	buf.PatchUint32(hubPos, hubs)
-	// section 2: combined low-degree messages
+	buf.WriteUint32(uint32(len(c.frame.idx)))
+	writeUpdates(buf, c.codec, c.frame.idx, c.frame.vals)
 	c.low.drain(dst, buf, c.codec)
 }
 
 // Deserialize implements engine.Channel: dispatch on the frame tag.
+// Frames are checked before they are used: every count against the
+// bytes left, every local index against this worker's vertices, every
+// hub ordinal against the handshake table of src, and no frame may
+// carry bytes beyond its last section.
 func (c *Mirror[M]) Deserialize(src int, buf *ser.Buffer) {
+	locals := uint32(len(c.in.val))
 	switch buf.ReadUint8() {
 	case mirrorFrameHandshake:
-		hubs := int(buf.ReadUvarint())
-		tables := make([][]int32, hubs)
-		for i := 0; i < hubs; i++ {
-			n := int(buf.ReadUvarint())
-			lst := make([]int32, n)
-			for j := 0; j < n; j++ {
-				lst[j] = int32(buf.ReadUvarint())
+		tables := make([][]int32, readLen(buf))
+		for i := range tables {
+			tables[i] = make([]int32, readLen(buf))
+			for j := range tables[i] {
+				li := buf.ReadUvarint()
+				if li >= uint64(locals) {
+					panic(fmt.Sprintf("channel: Mirror: hub %d fans out to local %d, worker hosts %d vertices", i, li, locals))
+				}
+				tables[i][j] = int32(li)
 			}
-			tables[i] = lst
 		}
+		readDone(buf)
 		c.fanout[src] = tables
 	case mirrorFrameBroadcast:
 		e := int32(c.w.Superstep())
-		deliver := func(li int32, m M) {
-			c.in.merge(int(li), m, e, c.combine.Combine)
-			c.w.ActivateLocal(int(li))
-		}
-		hubs := int(buf.ReadUint32())
-		for i := 0; i < hubs; i++ {
-			ord := int(buf.ReadUvarint())
-			m := c.codec.Decode(buf)
+		c.frame.reset()
+		ords, vals := c.frame.read(buf, c.codec, uint64(buf.ReadUint32()), uint32(len(c.fanout[src])))
+		for k, ord := range ords {
 			for _, li := range c.fanout[src][ord] {
-				deliver(li, m)
+				c.in.merge(int(li), vals[k], e, c.combine.Combine)
+				c.w.ActivateLocal(int(li))
 			}
 		}
 		if buf.Remaining() == 0 {
 			return // no low-degree section this frame
 		}
-		n := int(buf.ReadUvarint())
-		for i := 0; i < n; i++ {
-			li := int32(buf.ReadUvarint())
-			m := c.codec.Decode(buf)
-			deliver(li, m)
-		}
+		idx, vals := c.frame.readLast(buf, c.codec, buf.ReadUvarint(), locals)
+		deliver(c.w, c.combine, &c.in, e, idx, vals)
 	default:
 		panic("channel: Mirror: unknown frame tag")
 	}

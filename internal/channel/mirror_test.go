@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -168,4 +170,73 @@ func TestMirrorComposesWithOtherChannels(t *testing.T) {
 			}
 		}
 	})
+}
+
+func runRogueMirror(frames [][]byte) (*Mirror[uint32], error) {
+	return runRogueInto(frames, func(w *engine.Worker) *Mirror[uint32] {
+		return NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 2)
+	}, nil)
+}
+
+// Mirror frames are checked before they are used: a count larger than
+// the bytes left (a handshake frame of ten bytes once claimed 2^33 hubs
+// and sized a 206 GB table from it, which no recover survives), a hub
+// ordinal past the sender's handshake table, a local index the worker
+// does not host and bytes past the frame's end all fail the job with a
+// worker error naming the channel and the source.
+func TestMirrorRejectsHostileFrames(t *testing.T) {
+	// hub 0 of worker 0 fans out to locals 0 and 3 of worker 1
+	hello := []byte{mirrorFrameHandshake, 1, 2, 0, 3}
+	bcast := func(hubs uint32, rest ...[]byte) []byte {
+		return slices.Concat(append([]byte{mirrorFrameBroadcast}, u32le(hubs)...), slices.Concat(rest...))
+	}
+	huge := slices.Concat([]byte{mirrorFrameHandshake}, uvarints(1<<33), []byte{1, 1, 0, 0})
+	if len(huge) != 10 {
+		t.Fatalf("huge handshake is %d bytes", len(huge))
+	}
+	cases := []struct {
+		name   string
+		frames [][]byte
+		want   string
+	}{
+		{"handshake claims 2^33 hubs", [][]byte{huge}, "8589934592 entries claimed, 4 bytes remain"},
+		{"handshake list longer than the frame", [][]byte{{mirrorFrameHandshake, 1, 9, 0}}, "9 entries claimed"},
+		{"handshake index >= LocalCount", [][]byte{{mirrorFrameHandshake, 1, 1, 4}}, "hub 0 fans out to local 4"},
+		{"handshake trailing byte", [][]byte{append(slices.Clone(hello), 0)}, "1 trailing bytes"},
+		{"ordinal past the handshake table", [][]byte{hello, bcast(1, uvarints(1), u32le(5))}, "update 0 addresses local 1, receiver has 1"},
+		{"hub before any handshake", [][]byte{bcast(1, uvarints(0), u32le(5))}, "update 0 addresses local 0, receiver has 0"},
+		{"hub count beyond the bytes", [][]byte{hello, bcast(1 << 30)}, "1073741824 entries claimed"},
+		{"low-degree index >= LocalCount", [][]byte{bcast(0, uvarints(2, 1, 4), u32le(5, 6))}, "update 1 addresses local 4"},
+		{"low-degree values one short", [][]byte{bcast(0, uvarints(2, 1, 2), u32le(5))}, "underflow"},
+		{"trailing bytes", [][]byte{hello, bcast(1, uvarints(0), u32le(5), uvarints(1, 2), u32le(7), []byte{0})}, "1 bytes beyond the values of 1 updates"},
+		{"unknown tag", [][]byte{{7}}, "unknown frame tag"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := runRogueMirror(tc.frames)
+			if err == nil {
+				t.Fatal("hostile frame was accepted")
+			}
+			for _, s := range []string{tc.want, "Mirror", "from worker 0"} {
+				if !strings.Contains(err.Error(), s) {
+					t.Errorf("error %q does not mention %q", err, s)
+				}
+			}
+			if strings.Contains(err.Error(), "runtime error") {
+				t.Errorf("frame reached an unchecked access: %v", err)
+			}
+		})
+	}
+
+	// the well-formed script fans the hub out along the handshake table
+	// and merges the low-degree section on top
+	recv, err := runRogueMirror([][]byte{hello, bcast(1, uvarints(0), u32le(5), uvarints(2, 2, 3), u32le(7, 1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, want := range []uint32{5, 0, 7, 6} {
+		if got, _ := recv.in.get(li, 2); got != want {
+			t.Errorf("local %d holds %d want %d", li, got, want)
+		}
+	}
 }

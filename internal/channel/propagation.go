@@ -50,9 +50,8 @@ import (
 // rounds and supersteps are those of a channel that ships every staged
 // update; frames can only lose pairs.
 //
-// Wire format: a frame is the number of updates, their destination
-// local indices (uvarint each, in the order the slots were first
-// staged), then the values as one slice.
+// Wire format: an update frame (writeUpdates) behind a uvarint count,
+// the slots in the order they were first staged.
 type Propagation[M comparable] struct {
 	w         *engine.Worker
 	codec     ser.Codec[M]
@@ -73,11 +72,10 @@ type Propagation[M comparable] struct {
 	pushState[M]
 	head int // FIFO cursor into queue
 
-	// idx and vals hold one frame's indices and values between the codec
-	// and the kernels, on either side, and vals a weighted row's
-	// transformed values; both are sized when the plan is known.
-	idx  []uint32
-	vals []M
+	// frame holds one frame's indices and values between the codec and
+	// the kernels, on either side, and its vals a weighted row's
+	// transformed values; setPlan sizes both for the plan.
+	frame updates[M]
 
 	propagatedThisRound bool
 	finalEpoch          int32 // superstep whose propagation has converged
@@ -257,8 +255,8 @@ func (c *Propagation[M]) setPlan(p *frag.PushPlan) {
 			most = max(most, int(p.Off[li+1]-p.Off[li]))
 		}
 	}
-	if len(c.vals) < most {
-		c.vals = make([]M, most)
+	if cap(c.frame.idx) < most || cap(c.frame.vals) < most {
+		c.frame = updates[M]{idx: make([]uint32, most), vals: make([]M, most)}
 	}
 	if total := n + p.Slots(); cap(c.val) < total {
 		c.val = append(make([]M, 0, total), c.val[:n]...)
@@ -310,8 +308,6 @@ func (c *Propagation[M]) Initialize() {
 	c.locals = uint32(n)
 	c.val = make([]M, n)
 	c.st = make([]uint8, n)
-	c.idx = make([]uint32, n)
-	c.vals = make([]M, n)
 	c.out = make([][]uint32, c.w.NumWorkers())
 	c.finalEpoch = -1
 	if c.plan != nil {
@@ -377,7 +373,7 @@ func (c *Propagation[M]) propagateLocal() {
 		absorb := c.combine.absorb
 		for li, ok := c.pop(); ok; li, ok = c.pop() {
 			v, lo, hi := c.val[li], p.Off[li], p.Off[li+1]
-			vals := c.vals[:hi-lo]
+			vals := c.frame.vals[:hi-lo]
 			for i, wt := range p.W[lo:hi] {
 				vals[i] = c.transform(v, wt)
 			}
@@ -398,42 +394,27 @@ func (c *Propagation[M]) Serialize(dst int, buf *ser.Buffer) {
 	if len(staged) == 0 {
 		return
 	}
-	buf.WriteUvarint(uint64(len(staged)))
-	vals := c.vals[:len(staged)]
+	idx, vals := c.frame.idx[:len(staged)], c.frame.vals[:len(staged)]
 	for k, t := range staged {
-		buf.WriteUvarint(uint64(c.plan.SlotLocal[t-c.locals]))
-		vals[k] = c.val[t]
+		idx[k], vals[k] = c.plan.SlotLocal[t-c.locals], c.val[t]
 		c.st[t] = pvHas
 	}
-	ser.EncodeSlice(buf, c.codec, vals)
+	buf.WriteUvarint(uint64(len(staged)))
+	writeUpdates(buf, c.codec, idx, vals)
 	c.out[dst] = staged[:0]
 }
 
-// Deserialize implements engine.Channel: apply remote updates, which may
-// refill the queue. Frames that arrived over a socket are untrusted: one
-// that claims more updates than it has bytes or this worker has
-// vertices, names a vertex this worker does not host or carries bytes
-// beyond its values panics before anything is applied or allocated, and
-// the engine reports that as a worker error naming this channel and
-// src. A worker that registered no edges still owns destinations, so a
-// frame for a channel without a plan is applied like any other.
+// Deserialize implements engine.Channel: apply a checked update frame,
+// which may refill the queue. A peer ships each slot once a frame, so
+// more updates than this worker has vertices are rejected too. A worker
+// without edges still owns destinations and applies frames as usual.
 func (c *Propagation[M]) Deserialize(src int, buf *ser.Buffer) {
 	n := buf.ReadUvarint()
-	if n > uint64(buf.Remaining()) || n > uint64(c.locals) {
+	if n > uint64(c.locals) {
 		panic(fmt.Sprintf("channel: Propagation: frame of %d updates in %d bytes, worker hosts %d vertices", n, buf.Remaining(), c.locals))
 	}
-	idx, vals := c.idx[:n], c.vals[:n]
-	for k := range idx {
-		li := buf.ReadUvarint()
-		if li >= uint64(c.locals) {
-			panic(fmt.Sprintf("channel: Propagation: update %d addresses local %d, worker hosts %d vertices", k, li, c.locals))
-		}
-		idx[k] = uint32(li)
-	}
-	ser.DecodeSlice(buf, c.codec, vals)
-	if rest := buf.Remaining(); rest != 0 {
-		panic(fmt.Sprintf("channel: Propagation: %d bytes beyond the values of %d updates", rest, n))
-	}
+	c.frame.reset()
+	idx, vals := c.frame.readLast(buf, c.codec, n, c.locals)
 	c.combine.absorb(&c.pushState, idx, vals)
 }
 

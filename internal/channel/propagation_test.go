@@ -597,7 +597,7 @@ func TestPropagationRejectsHostileFrames(t *testing.T) {
 // A checkpoint records that the channel adopted its fragment's plan, not
 // the adjacency: on an RMAT graph of scale 12 the records of a WCC-style
 // job are under a quarter of what they were when every one carried its
-// worker's CSR (offsets and packed addresses through saveInts, as the
+// worker's CSR (offsets and packed addresses as varints, as the
 // channel used to write them). A registered, weighted topology travels
 // as its registrations. Both restore to the clean run's values from
 // every cut.
@@ -665,9 +665,9 @@ func TestPropagationCheckpointSavesAdoptionNotAdjacency(t *testing.T) {
 				offsets[li+1] = offsets[li] + int32(f.OutDegree(li))
 			}
 			var csr ser.Buffer
-			saveInts(&csr, offsets)
-			saveInts(&csr, f.Adj())
-			saveInts(&csr, f.AllWeights())
+			ckpt.SaveSlice(&csr, i32s, offsets)
+			ckpt.SaveSlice(&csr, addrs, f.Adj())
+			ckpt.SaveSlice(&csr, i32s, f.AllWeights())
 			adjacency += csr.Len()
 		}
 		if 4*records >= records+adjacency {

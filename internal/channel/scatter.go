@@ -284,10 +284,7 @@ func (c *ScatterCombine[M]) Deserialize(src int, buf *ser.Buffer) {
 	if flags&scFramePartial == 0 {
 		in := c.vals[:len(tab)]
 		ser.DecodeSlice(buf, c.codec, in)
-		c.combine.merge(c.in.val, c.in.epoch, e, tab, in)
-		for _, li := range tab {
-			c.w.ActivateLocal(int(li))
-		}
+		deliver(c.w, c.combine, &c.in, e, tab, in)
 	} else {
 		var presence uint8
 		for k, li := range tab {

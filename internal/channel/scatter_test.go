@@ -137,20 +137,33 @@ func (r *rogueSender) Again() bool {
 // worker 1's real ScatterCombine[uint32] receives the scripted frames,
 // and returns the job error and the receiving channel.
 func runRogue(frames [][]byte) (*ScatterCombine[uint32], error) {
-	var recv *ScatterCombine[uint32]
+	return runRogueInto(frames, func(w *engine.Worker) *ScatterCombine[uint32] {
+		return NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
+	}, nil)
+}
+
+// runRogueInto is runRogue for the channel recv registers on worker 1:
+// frames[r] reaches it in superstep r+1, and observe, when set, visits
+// every local vertex of worker 1 in every superstep up to the one after
+// the last frame's.
+func runRogueInto[C engine.Channel](frames [][]byte, recv func(w *engine.Worker) C, observe func(w *engine.Worker, c C, li int)) (C, error) {
+	var c C
 	_, err := engine.Run(engine.Config{Part: partition.MustHash(8, 2), MaxSupersteps: 20}, func(w *engine.Worker) {
 		if w.WorkerID() == 0 {
 			w.Register(&rogueSender{frames: frames, perStep: 1})
 		} else {
-			recv = NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
+			c = recv(w)
 		}
 		w.Compute = func(li int) {
+			if observe != nil && w.WorkerID() == 1 {
+				observe(w, c, li)
+			}
 			if w.Superstep() > len(frames) {
 				w.VoteToHalt()
 			}
 		}
 	})
-	return recv, err
+	return c, err
 }
 
 func u32le(vs ...uint32) []byte {

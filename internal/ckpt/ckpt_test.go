@@ -1,9 +1,12 @@
 package ckpt
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ser"
@@ -260,4 +263,28 @@ func FuzzRecordDecode(f *testing.F) {
 			t.Fatalf("round-trip mismatch:\n%+v\n%+v", rec, again)
 		}
 	})
+}
+
+// AppendSlice appends what SaveSlice wrote and checks the claimed length
+// against the bytes left before it grows anything.
+func TestAppendSlice(t *testing.T) {
+	codec := ser.VarintCodec[int32]{}
+	buf := ser.NewBuffer(16)
+	SaveSlice(buf, codec, []int32{-1, 300, 7})
+	SaveSlice(buf, codec, nil)
+	if got := AppendSlice(buf, codec, []int32{5}); !slices.Equal(got, []int32{5, -1, 300, 7}) {
+		t.Errorf("appended %v", got)
+	}
+	if got := AppendSlice(buf, codec, nil); got != nil || buf.Remaining() != 0 {
+		t.Errorf("empty slice came back as %v with %d bytes left", got, buf.Remaining())
+	}
+	hostile := ser.NewBuffer(16)
+	hostile.WriteUvarint(1 << 40)
+	hostile.WriteVarint(1)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1099511627776 entries, 1 bytes remain") {
+			t.Errorf("hostile length: recovered %v", r)
+		}
+	}()
+	AppendSlice(hostile, codec, nil)
 }

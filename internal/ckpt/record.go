@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ser"
 )
@@ -152,4 +153,20 @@ func LoadSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) {
 		panic(fmt.Sprintf("ckpt: state slice length %d, checkpoint has %d", len(s), n))
 	}
 	ser.DecodeSlice(buf, c, s)
+}
+
+// AppendSlice decodes a sequence written by SaveSlice and appends it to
+// s, for state whose length the job's shape does not fix (registered
+// edges, pending lists). The length is checked against the bytes left —
+// every value of c must take at least one — so a corrupt length cannot
+// force a large allocation.
+func AppendSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) []T {
+	n := buf.ReadUvarint()
+	if n > uint64(buf.Remaining()) {
+		panic(fmt.Sprintf("ckpt: state slice of %d entries, %d bytes remain", n, buf.Remaining()))
+	}
+	k := len(s)
+	s = slices.Grow(s, int(n))[:k+int(n)]
+	ser.DecodeSlice(buf, c, s[k:])
+	return s
 }

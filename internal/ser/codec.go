@@ -112,11 +112,24 @@ func (Uint64Codec) DecodeSlice(b *Buffer, out []uint64) {
 	}
 }
 
-// Int64Codec encodes int64 values as zig-zag varints.
-type Int64Codec struct{}
+// Integer is the set of types VarintCodec encodes.
+type Integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 |
+		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
+}
 
-func (Int64Codec) Encode(b *Buffer, v int64) { b.WriteVarint(v) }
-func (Int64Codec) Decode(b *Buffer) int64    { return b.ReadVarint() }
+// VarintCodec encodes integers as zig-zag varints, so small magnitudes
+// of either sign take few bytes — the codec of integer tables in
+// checkpoint blobs (local indices, offsets, packed addresses, -1 for
+// none). An unsigned value past the int64 range round-trips through its
+// two's complement.
+type VarintCodec[T Integer] struct{}
+
+func (VarintCodec[T]) Encode(b *Buffer, v T) { b.WriteVarint(int64(v)) }
+func (VarintCodec[T]) Decode(b *Buffer) T    { return T(b.ReadVarint()) }
+
+// Int64Codec encodes int64 values as zig-zag varints.
+type Int64Codec = VarintCodec[int64]
 
 // Float64Codec encodes float64 values fixed-width.
 type Float64Codec struct{}

@@ -29,6 +29,9 @@ func TestBuiltinCodecs(t *testing.T) {
 	roundtrip[float32](t, Float32Codec{}, -0.25)
 	roundtrip[bool](t, BoolCodec{}, true)
 	roundtrip[bool](t, BoolCodec{}, false)
+	roundtrip[int32](t, VarintCodec[int32]{}, -1)
+	roundtrip[uint32](t, VarintCodec[uint32]{}, 0xFFFFFFFF)
+	roundtrip[uint64](t, VarintCodec[uint64]{}, 1<<63|5)
 }
 
 func TestPairCodec(t *testing.T) {

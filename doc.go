@@ -13,9 +13,9 @@
 //
 // Both engines run on one superstep driver, internal/bsp: the paper's
 // Fig. 4 loop written once — set-up crossings, compute phase,
-// checkpoint cut, exchange rounds, certifying crossing, termination —
-// with cancellation, error joining and the Observer and Checkpoint seams
-// wired there. The channel engine and the Pregel baseline supply only
+// exchange rounds (the checkpoint cut after round 1's serialize),
+// termination — with cancellation, error joining and the Observer and
+// Checkpoint seams wired there. The channel engine and the Pregel baseline supply only
 // their compute loop, what a round carries and whether another round is
 // wanted, so Tables IV-VII compare the two on communication alone. Both
 // engines' Config and algorithms.Options are the driver's run
@@ -144,8 +144,9 @@
 // — exchange-round again-flags, has-active flags, stop votes — inside
 // one reduce word (barrier.Vote), so no engine or channel code reads
 // another worker's memory and a superstep costs two crossings per
-// exchange round, termination included; only a superstep that cuts a
-// checkpoint crosses once more, to certify records already written.
+// exchange round, termination and checkpoints included: a checkpoint
+// is written before round 1's flush, so that round's crossing proves
+// every worker's record durable.
 // The in-process implementations keep the zero-copy buffer matrix and
 // the atomic sense-reversing barrier; internal/netcomm implements the
 // same contract as length-prefixed frames over TCP/Unix sockets in a

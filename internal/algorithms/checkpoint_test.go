@@ -3,11 +3,14 @@ package algorithms
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/comm"
 	"repro/internal/frag"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
@@ -152,10 +155,11 @@ type keepAll struct{ ckpt.Store }
 
 // TestCheckpointRestoreAcrossScatterHandshake restores the two jobs
 // that adopt the fragment scatter plan from every cut of the run: the
-// cut at superstep 1 sits before the round that carries the destination
-// lists (replay must rebuild them from the saved frames), the cut at
-// superstep 2 is the first whose record must carry them, and the rest
-// are mid-run. The adopted plan itself is never in the record: the
+// cut at superstep 1 sits before the flush of the round that carries
+// the destination lists (the record's outgoing buffers hold them, and
+// the restored round must deliver them), the cut at superstep 2 is the
+// first whose record must carry the received lists, and the rest are
+// mid-run. The adopted plan itself is never in the record: the
 // restoring job adopts it again from its fragments.
 func TestCheckpointRestoreAcrossScatterHandshake(t *testing.T) {
 	directed := graph.SocialRMAT(10, 16, 42)
@@ -213,6 +217,76 @@ func TestCheckpointRestoreAcrossScatterHandshake(t *testing.T) {
 					t.Fatalf("restore from superstep %d: %v", s, err)
 				}
 				sameResult(t, fmt.Sprintf("restored from superstep %d/%d", s, latest), want, res)
+			}
+		})
+	}
+}
+
+// TestCheckpointRestoreSendsWhatCleanRunSends restores from every cut
+// and holds the restored run's traffic to the clean run's. Every
+// deterministic field of every superstep sample after the cut — bytes
+// and frames both ways, per-channel bytes, rounds, active vertices —
+// must be equal. The cut superstep itself is not sampled, so its share
+// is checked at the fabric: the restored run must carry exactly the
+// bytes and rounds the clean run's samples add up to from the cut on,
+// which a restore that resent a superset of some frame would exceed.
+func TestCheckpointRestoreSendsWhatCleanRunSends(t *testing.T) {
+	directed := graph.SocialRMAT(8, 6, 42)
+	undirected := graph.Undirectify(directed)
+	for _, tc := range []struct {
+		alg     string
+		eng     Engine
+		variant string
+		g       *graph.Graph
+	}{
+		{"pagerank", EngineChannel, "scatter", directed},
+		{"pagerank", EngineChannel, "mirror", directed},
+		{"sv", EngineChannel, "both", undirected},
+		{"wcc", EngineChannel, "propagation", undirected},
+		{"scc", EngineChannel, "propagation", directed},
+		{"sv", EnginePregel, "reqresp", undirected},
+	} {
+		t.Run(fmt.Sprintf("%s/%s/%s", tc.alg, tc.eng, tc.variant), func(t *testing.T) {
+			const m = 4
+			spec, _ := Lookup(tc.alg)
+			part := partition.MustHash(tc.g.NumVertices(), m)
+			params := Params{Iterations: 10}
+			run := func(hook *ckpt.Hook) (*Result, []obs.SuperstepSample, comm.Stats) {
+				t.Helper()
+				tr, fab := obs.NewTrace(m), comm.NewInProc(m, comm.CostModel{})
+				res, err := spec.Run(tc.eng, tc.variant, tc.g, Options{Part: part, Fabric: fab, Observer: tr, Checkpoint: hook}, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samples := tr.Samples()
+				for i := range samples {
+					samples[i].ComputeNS, samples[i].BarrierWaitNS = 0, 0
+				}
+				return res, samples, fab.Stats()
+			}
+			want, clean, _ := run(nil)
+			store := keepAll{ckpt.NewDir(t.TempDir())}
+			run(&ckpt.Hook{Store: store, Job: "t", Interval: 1})
+			for s := 1; s <= want.Metrics.Supersteps; s++ {
+				res, got, stats := run(&ckpt.Hook{Store: store, Job: "t", Restore: s})
+				sameResult(t, fmt.Sprintf("restored from superstep %d", s), want, res)
+				var bytes, rounds int64
+				for _, smp := range clean {
+					if smp.Superstep < s {
+						continue
+					}
+					bytes += smp.BytesSent
+					if smp.Worker == 0 {
+						rounds += int64(smp.Rounds)
+					}
+				}
+				if sent := stats.NetworkBytes + stats.LocalBytes; sent != bytes || stats.Rounds != rounds {
+					t.Fatalf("restored from superstep %d: %d bytes in %d rounds, clean run %d in %d", s, sent, stats.Rounds, bytes, rounds)
+				}
+				after := slices.DeleteFunc(slices.Clone(clean), func(smp obs.SuperstepSample) bool { return smp.Superstep <= s })
+				if !slices.EqualFunc(got, after, func(a, b obs.SuperstepSample) bool { return reflect.DeepEqual(a, b) }) {
+					t.Fatalf("restored from superstep %d: samples differ from the clean run's", s)
+				}
 			}
 		})
 	}

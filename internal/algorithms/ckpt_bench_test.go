@@ -12,7 +12,8 @@ import (
 // seam disabled (must cost nothing next to a pre-checkpoint build — the
 // pinned channel microbenchmarks gate the engine hot path) and with a
 // checkpoint cut every 1 and every 4 supersteps, which prices the full
-// record encode + frame tee + store write against job runtime.
+// record (state plus round 1's outgoing buffers), its encode and the
+// store write against job runtime.
 
 func benchCheckpoint(b *testing.B, eng Engine, interval int) {
 	b.Helper()

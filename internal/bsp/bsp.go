@@ -22,14 +22,15 @@
 // work beyond a per-phase branch.
 //
 // Env.Checkpoint is the fault-tolerance seam: when active, each worker
-// cuts a ckpt.Record at the barrier-aligned point after compute and
-// before the superstep's first exchange round (core state, the
-// algorithm's Save closure, the engine's own state), tees the raw
-// incoming bytes of every round into it, and persists it before crossing
-// one more, certifying AllReduce that only checkpoint supersteps pay —
-// so a checkpoint is either durable on every worker or ignored on every
-// worker. Restore replays the saved rounds through the engine's normal
-// decode path, making a resumed run bit-identical to an undisturbed one.
+// cuts a ckpt.Record after round 1 of a due superstep has serialized,
+// before that round's flush — core state, the algorithm's Save closure,
+// the engine's own state and the M outgoing buffers the round just
+// wrote, which are every message compute staged — and persists it
+// there. Round 1's barrier crossing is then every worker's proof that
+// all peers' records are durable, so a checkpoint costs no crossing of
+// its own. Restore applies the record, writes the saved buffers back
+// into the fabric and enters the same exchange loop at round 1's flush,
+// making a resumed run bit-identical to an undisturbed one.
 package bsp
 
 import (
@@ -120,9 +121,10 @@ type Program interface {
 	Decoding() any
 	// Again ends a round: it reports whether this worker wants another.
 	Again() bool
-	// SaveState adds the engine's own state to a checkpoint cut;
-	// RestoreState checks a record against the engine's shape and
-	// applies that state before the cut superstep's rounds are replayed.
+	// SaveState adds the engine's own state to a checkpoint cut, made
+	// after round 1's Serialize; RestoreState checks a record against
+	// the engine's shape and applies that state before the restored
+	// superstep flushes round 1.
 	SaveState(rec *ckpt.Record)
 	RestoreState(rec *ckpt.Record) error
 }
@@ -254,26 +256,26 @@ func (c *Core) supersteps() error {
 	if p.Initialize() && !j.bar.Wait() {
 		return errAborted
 	}
+	// A fresh job goes on to superstep 1; a restoring one first finishes
+	// its record's superstep, whose last round votes like any other. The
+	// restored superstep is not a sample of this run.
+	vote := barrier.Vote(false, true, false)
 	if ck.Active() && ck.Restore > 0 {
-		done, err := c.restore(ck)
-		if err != nil {
+		if err := c.restore(ck); err != nil {
 			return c.errorf("restore checkpoint %d: %w", ck.Restore, err)
 		}
-		if done {
-			// the restored superstep was the job's last: its termination
-			// reduce, re-crossed by restore, said stop
-			return nil
+		var err error
+		if vote, err = c.rounds(); err != nil {
+			return err
 		}
 	}
-	// observation starts here: a restore's replayed rounds are not
-	// samples of this run
 	c.obsOn = j.env.Observer != nil
 	maxSteps := j.env.MaxSupersteps
 	if maxSteps == 0 {
 		maxSteps = 10000
 	}
 
-	for {
+	for !barrier.Terminated(vote) {
 		c.superstep++
 		if c.superstep > maxSteps {
 			return fmt.Errorf("%s: exceeded MaxSupersteps=%d", j.name, maxSteps)
@@ -288,85 +290,54 @@ func (c *Core) supersteps() error {
 		if c.obsOn {
 			c.smp.ComputeNS = time.Since(stepStart).Nanoseconds()
 		}
-
-		// Checkpoint cut: all workers sit between compute and the first
-		// exchange round of the same superstep (the previous barrier
-		// crossing aligned them), so the snapshot plus the superstep's
-		// teed incoming frames form a globally consistent cut. The probe
-		// fires here either way — the deterministic fault-injection point.
+		// the deterministic fault-injection point, checkpointing or not
 		ck.FireProbe(c.id, c.superstep)
-		if ck.ShouldSave(c.superstep) {
-			c.ckptRec = c.cut()
-		}
-		vote, err := c.exchange()
-		if err != nil {
-			return err
-		}
 
-		// A superstep that cut a checkpoint publishes the record and then
-		// crosses once more: that crossing is every worker's proof that
-		// all peers' records for this superstep are durable, so
-		// LatestComplete can trust any superstep the job moved past. The
-		// record cannot ride the last round's crossing — it would certify
-		// records not yet written — and a restore re-enters the loop by
-		// re-crossing this same reduce.
-		if rec := c.ckptRec; rec != nil {
-			c.ckptRec = nil
-			rec.Rounds = c.round
-			buf := ser.NewBuffer(4096)
-			rec.Encode(buf)
-			if err := ck.Store.Put(ck.Job, c.superstep, c.id, buf.Bytes()); err != nil {
+		// Exchange (paper Fig. 4 lines 6-14): round 1 always runs. A due
+		// checkpoint is cut once it has serialized, before anything is
+		// flushed — the previous crossing aligned every worker at the end
+		// of the same compute phase — so round 1's first crossing comes
+		// after every worker's Put.
+		c.round = 1
+		c.serialize()
+		if ck.ShouldSave(c.superstep) {
+			if err := c.save(ck); err != nil {
 				return c.errorf("checkpoint superstep %d: %w", c.superstep, err)
 			}
 			ck.AfterSave(c.superstep)
-			var ok bool
-			if vote, ok = c.timedAllReduce(c.termVote()); !ok {
-				return errAborted
-			}
+		}
+		var err error
+		if vote, err = c.rounds(); err != nil {
+			return err
 		}
 		if c.obsOn {
 			j.env.Observer.ObserveSuperstep(c.smp)
 		}
-		if barrier.Terminated(vote) {
-			return nil
-		}
 	}
+	return nil
 }
 
-// exchange runs the superstep's exchange rounds (paper Fig. 4 lines
-// 6-14): every superstep has at least one, and rounds continue while any
-// worker asks again. Two barrier crossings per round: the plain wait
-// after Flush proves all sends are published, and the AllReduce after
-// the decode proves all inputs were consumed, which makes Release safe.
-// That reduce carries the again-flags and the termination vote in one
-// word (barrier.Vote), so the last round's crossing also decides whether
-// the job is over; exchange returns it.
-func (c *Core) exchange() (uint64, error) {
+// rounds finishes the round whose buffers are serialized and runs the
+// rounds after it while any worker asks again. Two barrier crossings per
+// round: the plain wait after Flush proves all sends are published, and
+// the AllReduce after the decode proves all inputs were consumed, which
+// makes Release safe. That reduce carries the again-flags and the
+// termination vote in one word (barrier.Vote), so the last round's
+// crossing also decides whether the job is over; rounds returns it.
+func (c *Core) rounds() (uint64, error) {
 	j, p, ep := c.job, c.prog, c.ep
-	m := c.NumWorkers()
 	maxRounds := j.env.MaxRoundsPerStep
 	if maxRounds == 0 {
 		maxRounds = 1_000_000
 	}
-	for c.round = 1; ; c.round++ {
-		if c.round > maxRounds {
-			return 0, fmt.Errorf("%s: superstep %d exceeded MaxRoundsPerStep=%d", j.name, c.superstep, maxRounds)
-		}
-		for dst := 0; dst < m; dst++ {
-			buf := ep.Out(dst)
-			mark := buf.Len()
-			p.Serialize(dst, buf)
-			if c.obsOn {
-				c.smp.BytesSent += int64(buf.Len() - mark)
-			}
-		}
+	for {
 		if err := ep.Flush(); err != nil {
 			return 0, c.errorf("%w", err)
 		}
 		if !c.timedWait() { // all sends published
 			return 0, errAborted
 		}
-		for src := 0; src < m; src++ {
+		for src := 0; src < c.NumWorkers(); src++ {
 			if err := c.deserialize(src); err != nil {
 				return 0, err
 			}
@@ -381,6 +352,23 @@ func (c *Core) exchange() (uint64, error) {
 				c.smp.Rounds = c.round
 			}
 			return vote, nil
+		}
+		if c.round++; c.round > maxRounds {
+			return 0, fmt.Errorf("%s: superstep %d exceeded MaxRoundsPerStep=%d", j.name, c.superstep, maxRounds)
+		}
+		c.serialize()
+	}
+}
+
+// serialize writes the round's buffer for every worker, this one
+// included.
+func (c *Core) serialize() {
+	for dst := 0; dst < c.NumWorkers(); dst++ {
+		buf := c.ep.Out(dst)
+		mark := buf.Len()
+		c.prog.Serialize(dst, buf)
+		if c.obsOn {
+			c.smp.BytesSent += int64(buf.Len() - mark)
 		}
 	}
 }
@@ -402,23 +390,10 @@ func (c *Core) deserialize(src int) (err error) {
 		}
 	}()
 	in := c.ep.In(src)
-	if c.ckptRec != nil {
-		// checkpoint tee: retain this round's raw incoming bytes
-		// (loopback included) before any decode consumes them, so a
-		// restore can replay the round without the fabric
-		c.ckptRec.Frames = append(c.ckptRec.Frames, append([]byte(nil), in.Unread()...))
-	}
 	if c.obsOn {
 		c.smp.BytesRecv += int64(in.Remaining())
 	}
 	return c.prog.Deserialize(src, in)
-}
-
-// termVote is this worker's termination post outside an exchange round:
-// the certifying crossing of a checkpoint superstep and its re-crossing
-// on restore.
-func (c *Core) termVote() uint64 {
-	return barrier.Vote(false, c.activeCount > 0, c.halt)
 }
 
 // timedWait crosses the shared barrier, attributing the blocked time to

@@ -1,7 +1,6 @@
 package bsp
 
 import (
-	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/frag"
 	"repro/internal/graph"
@@ -30,11 +29,9 @@ type Core struct {
 	round       int
 	halt        bool // RequestStop was called on this worker
 
-	// checkpoint closures (Worker.Checkpoint) and the record being
-	// assembled while the cut superstep's exchange rounds run.
+	// checkpoint closures (Worker.Checkpoint)
 	ckptSave    func(buf *ser.Buffer)
 	ckptRestore func(buf *ser.Buffer)
-	ckptRec     *ckpt.Record
 
 	// superstep trace collection (Env.Observer); obsOn gates every trace
 	// statement so the disabled path costs one branch per phase.
@@ -122,7 +119,7 @@ func (c *Core) RequestStop() { c.halt = true }
 // per-worker vertex state (local order) to the buffer, restore reads the
 // same encoding back into the already-allocated state. Both run at the
 // barrier-aligned cut point, so they see state exactly as it stands
-// between compute and the exchange rounds. Required when
+// after compute, once round 1 has serialized. Required when
 // Env.Checkpoint has a store; a no-op otherwise.
 func (c *Core) Checkpoint(save, restore func(buf *ser.Buffer)) {
 	c.ckptSave, c.ckptRestore = save, restore

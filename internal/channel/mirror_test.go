@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/engine"
+	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/ser"
@@ -237,6 +239,130 @@ func TestMirrorRejectsHostileFrames(t *testing.T) {
 	for li, want := range []uint32{5, 0, 7, 6} {
 		if got, _ := recv.in.get(li, 2); got != want {
 			t.Errorf("local %d holds %d want %d", li, got, want)
+		}
+	}
+}
+
+// TestMirrorRejectsHostileCheckpoint restores a PageRank-style Mirror
+// job from checksum-valid records whose Mirror state was altered after
+// the cut. A restored table flows straight into the next Serialize,
+// which runs outside any recover, so every table is checked against the
+// job's shape at restore: each case must fail the job with an error, not
+// kill the process. The unaltered state, re-saved the same way, must
+// restore to the clean run's ranks — from the registration superstep's
+// cut too, whose second round broadcasts values the record carries.
+func TestMirrorRejectsHostileCheckpoint(t *testing.T) {
+	g := graph.SocialRMAT(9, 8, 42)
+	fs := frag.Build(g, partition.MustHash(g.NumVertices(), 4))
+	var mirrors [4]*Mirror[float64]
+	run := func(hook *ckpt.Hook) ([]float64, error) {
+		ranks := make([]float64, g.NumVertices())
+		_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: 20, Checkpoint: hook}, func(w *engine.Worker) {
+			f := w.Frag()
+			pr := make([]float64, w.LocalCount())
+			w.Checkpoint(
+				func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Float64Codec{}, pr) },
+				func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Float64Codec{}, pr) },
+			)
+			msg := NewMirror[float64](w, ser.Float64Codec{}, Sum[float64](), 16)
+			mirrors[w.WorkerID()] = msg
+			w.Compute = func(li int) {
+				if w.Superstep() == 1 {
+					for _, a := range f.Neighbors(li) {
+						msg.AddAddr(a)
+					}
+					pr[li] = 1
+				} else {
+					sum, _ := msg.Message(li)
+					pr[li] = 0.15 + 0.85*sum
+				}
+				ranks[w.GlobalID(li)] = pr[li]
+				if w.Superstep() > 5 {
+					w.VoteToHalt()
+				} else if deg := f.OutDegree(li); deg > 0 {
+					msg.SetMessage(pr[li] / float64(deg))
+				}
+			}
+		})
+		return ranks, err
+	}
+	want, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := keepAllCuts{ckpt.NewDir(t.TempDir())}
+	if got, err := run(&ckpt.Hook{Store: cuts, Job: "t", Interval: 1}); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("checkpointing run: %v", err)
+	}
+	// m holds worker 0's Mirror; restoring a record's blob into it and
+	// saving it again gives the blob with one table altered
+	m := mirrors[0]
+	locals := m.w.LocalCount()
+	restoreFrom := func(cut int, alter func()) ([]float64, error) {
+		data, err := cuts.Get("t", cut, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ckpt.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RestoreState(ser.FromBytes(rec.Channels[0]))
+		alter()
+		var blob ser.Buffer
+		m.SaveState(&blob)
+		rec.Channels[0] = blob.Bytes()
+		var enc ser.Buffer
+		rec.Encode(&enc)
+		store := ckpt.NewDir(t.TempDir())
+		for w := range mirrors {
+			if w == 0 {
+				data = enc.Bytes()
+			} else if data, err = cuts.Get("t", cut, w); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put("t", cut, w, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return run(&ckpt.Hook{Store: store, Job: "t", Restore: cut})
+	}
+	for _, cut := range []int{1, 3} {
+		if got, err := restoreFrom(cut, func() {}); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("unaltered cut %d: %v", cut, err)
+		}
+	}
+	hubs, fan := 0, -1
+	for d, lst := range m.dstHubs {
+		if len(lst) > len(m.dstHubs[hubs]) {
+			hubs = d
+		}
+		if len(m.fanout[d]) > 0 && len(m.fanout[d][0]) > 0 {
+			fan = d
+		}
+	}
+	if len(m.dstHubs[hubs]) < 2 || fan < 0 || m.srcStart[2] == m.srcStart[len(m.srcStart)-1] {
+		t.Fatal("the graph gives worker 0 too few hubs for the cases")
+	}
+	for name, alter := range map[string]func(){
+		"srcStart shifted by 2^20": func() {
+			for i := range m.srcStart {
+				m.srcStart[i] += 1 << 20
+			}
+		},
+		"srcStart one entry short":              func() { m.srcStart = m.srcStart[:locals] },
+		"srcStart decreases":                    func() { m.srcStart[1] = m.srcStart[len(m.srcStart)-1] },
+		"srcStart ends short of bySrc":          func() { m.bySrc = append(m.bySrc, m.bySrc[0]) },
+		"bySrc names a vertex past its owner's": func() { m.bySrc[0] = frag.Pack(1, uint32(fs.Frag(1).LocalCount())) },
+		"bySrc names a worker past M":           func() { m.bySrc[0] = frag.Pack(4, 0) },
+		"dstHubs one list short":                func() { m.dstHubs = m.dstHubs[:3] },
+		"dstHubs not ascending":                 func() { slices.Reverse(m.dstHubs[hubs]) },
+		"dstHubs past the locals":               func() { m.dstHubs[hubs] = append(m.dstHubs[hubs], uint32(locals)) },
+		"fanout entry negative":                 func() { m.fanout[fan][0][0] = -1 },
+		"fanout entry past the locals":          func() { m.fanout[fan][0][0] = int32(locals) },
+	} {
+		if _, err := restoreFrom(3, alter); err == nil || !strings.Contains(err.Error(), "restore checkpoint 3") {
+			t.Errorf("%s: restore returned %v, want a restore error", name, err)
 		}
 	}
 }

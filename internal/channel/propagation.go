@@ -240,7 +240,7 @@ func (c *Propagation[M]) UseFragment(f *frag.Fragment) {
 
 // setPlan installs the topology and sizes the kernel state for it:
 // everything a round touches exists from here on, whether the next thing
-// to run is a propagation or a checkpoint restore's replay.
+// to run is a propagation or a checkpoint restore's values and rounds.
 func (c *Propagation[M]) setPlan(p *frag.PushPlan) {
 	c.plan = p
 	if c.val == nil {

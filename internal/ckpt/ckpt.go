@@ -6,18 +6,20 @@
 // to restore from.
 //
 // The cut is barrier-aligned: every worker snapshots its state at the
-// same program point of the same superstep — after the compute phase and
-// the channels' AfterCompute, before the first exchange round — and the
-// record additionally captures the raw incoming frame bytes of every
-// exchange round of that superstep. A restore replays those rounds
-// locally (serialize into a discard buffer to drain the staged outboxes,
-// then feed the saved frames through the normal deserialize path), which
-// reconstructs every piece of derived state — inboxes, responses,
-// aggregates — bit for bit without re-running compute or touching the
-// fabric. The record is durable before the worker crosses the barrier
-// that ends a checkpoint superstep (one crossing past its last exchange
-// round), so a checkpoint either exists on all workers or
-// is ignored on all workers (Store.LatestComplete only reports supersteps
+// same program point of the same superstep — after round 1 of its
+// exchange has serialized, before that round's flush — and the record
+// carries what that round is about to send: the M outgoing buffers,
+// which hold every message the superstep's compute staged. That is
+// Pregel's checkpoint, vertex state plus the messages in flight
+// (Malewicz et al., SIGMOD 2010, §4.2), with no log of rounds. A
+// restore applies the state, writes the saved buffers back into the
+// fabric's outgoing buffers and enters the driver's one exchange loop
+// at round 1's flush, over the live fabric, so the cut superstep's
+// rounds run again exactly as they first ran. The record is durable
+// before the worker flushes, and round 1's barrier crossing is
+// therefore every worker's proof that all peers' records of the
+// superstep exist: a checkpoint either exists on all workers or is
+// ignored on all workers (Store.LatestComplete only reports supersteps
 // with every worker's record present and intact). Saving also prunes:
 // a successful cut at superstep s discards records below s-Interval
 // (Hook.AfterSave), bounding the store at roughly two cuts of state
@@ -60,9 +62,11 @@ type Hook struct {
 	// 0 never saves (restore-only hooks use this).
 	Interval int
 	// Restore, when > 0, makes every worker load the record for this
-	// superstep before superstep Restore+1 runs. 0 starts fresh.
+	// superstep and finish that superstep's exchange rounds from it
+	// before superstep Restore+1 runs. 0 starts fresh.
 	Restore int
-	// Probe, if non-nil, is called at every worker's cut point with
+	// Probe, if non-nil, is called on every worker after each
+	// superstep's compute phase, before round 1 serializes, with
 	// (worker id, superstep) — the deterministic fault-injection seam.
 	Probe func(worker, superstep int)
 }
@@ -81,15 +85,15 @@ type Pruner interface {
 func (h *Hook) Active() bool { return h != nil && h.Store != nil }
 
 // AfterSave discards checkpoints made obsolete by this worker's
-// successful save at superstep s. The cut is published before the
-// superstep's certifying barrier and the exchange rounds of s are
-// themselves barriers, so by the time any worker saves s every worker
-// has durably saved the previous due superstep s-Interval: everything
-// below that is dead weight. Keeping s-Interval (not just s) matters
-// because s itself is not complete yet — a peer can still die before
-// its own Put. Without pruning a long job accumulates one checkpoint
-// per due superstep, so disk usage would grow with job length instead
-// of being bounded by two cuts of state size.
+// successful save at superstep s. Every worker publishes its cut before
+// the first barrier crossing of the cut superstep, so by the time any
+// worker saves s every worker has durably saved the previous due
+// superstep s-Interval: everything below that is dead weight. Keeping
+// s-Interval (not just s) matters because s itself is not complete yet
+// — a peer can still die before its own Put. Without pruning a long
+// job accumulates one checkpoint per due superstep, so disk usage would
+// grow with job length instead of being bounded by two cuts of state
+// size.
 func (h *Hook) AfterSave(s int) {
 	if !h.Active() || h.Interval <= 0 {
 		return

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -183,8 +184,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		Algo:      []byte("algo state"),
 		Engine:    []byte{1, 2, 3},
 		Channels:  [][]byte{[]byte("ch0"), nil, []byte("ch2")},
-		Rounds:    2,
-		Frames:    [][]byte{[]byte("r0s0"), []byte("r0s1"), []byte("r1s0"), []byte("r1s1")},
+		Out:       [][]byte{[]byte("to0"), nil, []byte("to2")},
 	}
 	buf := ser.NewBuffer(256)
 	rec.Encode(buf)
@@ -195,11 +195,11 @@ func TestRecordRoundTrip(t *testing.T) {
 	if got.Superstep != rec.Superstep || got.Halt != rec.Halt ||
 		!reflect.DeepEqual(got.Active, rec.Active) ||
 		string(got.Algo) != string(rec.Algo) || string(got.Engine) != string(rec.Engine) ||
-		got.Rounds != rec.Rounds || len(got.Channels) != 3 || len(got.Frames) != 4 {
+		len(got.Channels) != 3 || len(got.Out) != 3 {
 		t.Fatalf("round-trip mismatch: %+v vs %+v", got, rec)
 	}
-	if string(got.Frames[2]) != "r1s0" {
-		t.Fatalf("frame order broken: %q", got.Frames[2])
+	if string(got.Out[2]) != "to2" || len(got.Out[1]) != 0 {
+		t.Fatalf("outgoing buffer order broken: %q", got.Out)
 	}
 }
 
@@ -215,18 +215,25 @@ func TestRecordDecodeRejectsHostileInput(t *testing.T) {
 	huge.WriteBool(false)
 	huge.WriteUvarint(1 << 40)
 	cases["huge bitmap"] = huge.Bytes()
-	// frame count not divisible by rounds
-	bad := ser.NewBuffer(64)
-	(&Record{Superstep: 1, Rounds: 2, Frames: [][]byte{{1}, {2}, {3}}}).Encode(bad)
-	cases["ragged frames"] = bad.Bytes()
+	// an outgoing-buffer count beyond the bytes left: the encoding of
+	// a record without buffers, its zero count replaced by 2^40
+	none := ser.NewBuffer(64)
+	(&Record{Superstep: 1}).Encode(none)
+	cases["huge out count"] = binary.AppendUvarint(slices.Clip(none.Bytes()[:none.Len()-1]), 1<<40)
 	// trailing garbage after a valid record
 	ok := ser.NewBuffer(64)
-	(&Record{Superstep: 1}).Encode(ok)
+	(&Record{Superstep: 1, Out: [][]byte{{1}, {2}}}).Encode(ok)
 	cases["trailing bytes"] = append(append([]byte(nil), ok.Bytes()...), 0x00)
+	// a record under the previous format's magic
+	old := append([]byte("CKP1"), ok.Bytes()[4:]...)
+	cases["CKP1 record"] = old
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: expected decode error", name)
 		}
+	}
+	if _, err := Decode(old); err == nil || !strings.Contains(err.Error(), `"CKP1"`) {
+		t.Errorf("a CKP1 record must be refused by name, got %v", err)
 	}
 }
 
@@ -240,8 +247,7 @@ func FuzzRecordDecode(f *testing.F) {
 		Active:    []bool{true, false, true},
 		Algo:      []byte("s"),
 		Channels:  [][]byte{{9}},
-		Rounds:    1,
-		Frames:    [][]byte{{1}, {2}},
+		Out:       [][]byte{{1}, {2}},
 	}).Encode(seed)
 	f.Add(seed.Bytes())
 	empty := ser.NewBuffer(16)

@@ -9,18 +9,19 @@ import (
 
 // recordMagic versions the record encoding itself (the Dir store's file
 // header versions the container).
-const recordMagic = uint32(0x31504B43) // "CKP1"
+const recordMagic = uint32(0x32504B43) // "CKP2"
 
-// Record is one worker's checkpoint: the full replayable cut of one
-// superstep. Superstep/Halt/Active plus the Algo blob capture the state
-// at the cut point (post-compute, pre-exchange); Channels carries each
+// Record is one worker's checkpoint: its state and its messages in
+// flight at the cut of one superstep, which sits after round 1's
+// serialize and before that round's flush. Superstep/Halt/Active plus
+// the Algo blob capture the vertex state there; Channels carries each
 // registered channel's private state in registration order (empty blob
 // for stateless channels); Engine carries engine-private residue (the
 // pregel engine's per-vertex request stamps; empty for the channel
-// engine); Frames holds the raw incoming exchange bytes of the
-// superstep, Rounds*M entries in round-major, source-worker-minor order
-// (loopback included), which a restore replays through the normal
-// deserialize path.
+// engine); Out holds the M buffers round 1 just serialized, indexed by
+// destination worker (loopback included) — every message compute
+// staged, in the engine's own wire format — which a restore writes back
+// into the fabric's outgoing buffers before it flushes the round.
 type Record struct {
 	Superstep int
 	Halt      bool
@@ -28,8 +29,7 @@ type Record struct {
 	Algo      []byte
 	Engine    []byte
 	Channels  [][]byte
-	Rounds    int
-	Frames    [][]byte
+	Out       [][]byte
 }
 
 // Encode appends the record to buf.
@@ -57,10 +57,9 @@ func (r *Record) Encode(buf *ser.Buffer) {
 	for _, c := range r.Channels {
 		buf.WriteBytes(c)
 	}
-	buf.WriteUvarint(uint64(r.Rounds))
-	buf.WriteUvarint(uint64(len(r.Frames)))
-	for _, f := range r.Frames {
-		buf.WriteBytes(f)
+	buf.WriteUvarint(uint64(len(r.Out)))
+	for _, o := range r.Out {
+		buf.WriteBytes(o)
 	}
 }
 
@@ -76,8 +75,10 @@ func Decode(data []byte) (rec *Record, err error) {
 		}
 	}()
 	b := ser.FromBytes(data)
-	if b.Remaining() < 4 || b.ReadUint32() != recordMagic {
-		return nil, fmt.Errorf("ckpt: bad record magic")
+	if len(data) < 4 || b.ReadUint32() != recordMagic {
+		// an older format (CKP1 logged every round's incoming frames) or
+		// no record at all
+		return nil, fmt.Errorf("ckpt: record magic %q, this build reads \"CKP2\"", data[:min(4, len(data))])
 	}
 	rec = &Record{
 		Superstep: int(b.ReadUvarint()),
@@ -108,17 +109,13 @@ func Decode(data []byte) (rec *Record, err error) {
 	for i := range rec.Channels {
 		rec.Channels[i] = checkedBytes(b)
 	}
-	rec.Rounds = int(b.ReadUvarint())
-	nf := int(b.ReadUvarint())
-	if nf < 0 || nf > b.Remaining() {
-		return nil, fmt.Errorf("ckpt: %d frames claimed, %d bytes remain", nf, b.Remaining())
+	no := int(b.ReadUvarint())
+	if no < 0 || no > b.Remaining() {
+		return nil, fmt.Errorf("ckpt: %d outgoing buffers claimed, %d bytes remain", no, b.Remaining())
 	}
-	if rec.Rounds < 0 || (nf > 0 && (rec.Rounds == 0 || nf%rec.Rounds != 0)) {
-		return nil, fmt.Errorf("ckpt: %d frames do not cover %d rounds", nf, rec.Rounds)
-	}
-	rec.Frames = make([][]byte, nf)
-	for i := range rec.Frames {
-		rec.Frames[i] = checkedBytes(b)
+	rec.Out = make([][]byte, no)
+	for i := range rec.Out {
+		rec.Out[i] = checkedBytes(b)
 	}
 	if b.Remaining() != 0 {
 		return nil, fmt.Errorf("ckpt: %d trailing bytes after record", b.Remaining())

@@ -62,14 +62,15 @@ type Channel interface {
 }
 
 // StatefulChannel is the optional interface a channel implements when it
-// carries state across supersteps that a replay cannot reconstruct
-// (registered topology, handshake tables, pending request lists).
-// SaveState is called at the checkpoint cut (after AfterCompute, before
-// the first exchange round); RestoreState is called after Initialize on
-// a restoring worker, before the cut superstep's rounds are replayed.
-// Channels whose cross-superstep state is rebuilt by replaying the cut
-// superstep's incoming frames (inbox slots, aggregator results) need not
-// implement it.
+// carries state across supersteps (registered topology, handshake
+// tables, pending request lists, propagated values). SaveState is
+// called at the checkpoint cut, after round 1's Serialize and before
+// its flush; RestoreState is called after Initialize on a restoring
+// worker, before the restored superstep flushes round 1. What compute
+// staged is already in round 1's serialized buffers, which the record
+// carries for every channel, so a channel whose state between
+// supersteps is only its inbox and outbox (DirectMessage,
+// CombinedMessage, Aggregator) need not implement it.
 type StatefulChannel interface {
 	Channel
 	SaveState(buf *ser.Buffer)

@@ -106,11 +106,12 @@ func (p program[M, R, A]) Decoding() any { return nil }
 
 func (p program[M, R, A]) Again() bool { return p.Round() < p.rounds }
 
-// SaveState records the engine-private residue that the cut superstep's
-// replay cannot rebuild — the per-vertex request stamps, which were
-// written by Request calls during compute. Everything else (inboxes,
-// asked lists, responses, aggregator gather) is rebuilt by replaying the
-// saved frames.
+// SaveState records the engine-private state that round 1's outgoing
+// buffers do not carry — the per-vertex request stamps, which were
+// written by Request calls during compute and index next superstep's
+// responses. The staged messages, requests and aggregator partial are
+// in those buffers; inboxes, asked lists, responses and the aggregator
+// gather are what the restored rounds deliver.
 func (p program[M, R, A]) SaveState(rec *ckpt.Record) {
 	if p.cfg.Responder == nil {
 		return
@@ -127,8 +128,8 @@ func (p program[M, R, A]) SaveState(rec *ckpt.Record) {
 
 func (p program[M, R, A]) RestoreState(rec *ckpt.Record) error {
 	w, cfg := p.Worker, p.cfg
-	if len(rec.Channels) != 0 || rec.Rounds != w.rounds {
-		return fmt.Errorf("record does not match job shape (%d channels, %d rounds)", len(rec.Channels), rec.Rounds)
+	if len(rec.Channels) != 0 {
+		return fmt.Errorf("record does not match job shape (%d channels)", len(rec.Channels))
 	}
 	if cfg.Responder != nil {
 		eng := ser.FromBytes(rec.Engine)
@@ -146,7 +147,7 @@ func (p program[M, R, A]) RestoreState(rec *ckpt.Record) error {
 	}
 	if cfg.AggCombine != nil {
 		// afterCompute ran before the live cut, so the gather side starts
-		// the rounds zeroed.
+		// the restored rounds zeroed.
 		w.aggGathered = cfg.AggZero
 		w.aggGathSet = false
 	}

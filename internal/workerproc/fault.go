@@ -12,9 +12,10 @@ import (
 
 // FaultSpec describes one deterministic injected fault for the recovery
 // tests and the chaos CI job. It fires at the checkpoint probe of the
-// named worker's superstep — the barrier-aligned cut point both engines
-// share — so a given (kind, worker, superstep) triple reproduces the
-// same failure on every run regardless of scheduling.
+// named worker's superstep — the point after compute, before round 1
+// serializes, that both engines share — so a given (kind, worker,
+// superstep) triple reproduces the same failure on every run regardless
+// of scheduling.
 type FaultSpec struct {
 	// Kind is the failure mode:
 	//
@@ -24,14 +25,14 @@ type FaultSpec struct {
 	//	        fails mid-exchange while the process lives)
 	//	stall — park the worker forever (the failure only a wall-clock
 	//	        watchdog can detect)
-	//	slow  — sleep slowDelay at the cut point of every superstep from
+	//	slow  — sleep slowDelay at the probe point of every superstep from
 	//	        S on (not a failure: a deterministic straggler for the
 	//	        diagnosis tests — every other worker accumulates barrier
 	//	        wait blaming this one)
 	Kind string
 	// Worker is the job-wide worker id that suffers the fault.
 	Worker int
-	// Superstep is the superstep whose cut point triggers it.
+	// Superstep is the superstep whose probe point triggers it.
 	Superstep int
 }
 

@@ -111,7 +111,14 @@
 // target, so the traversal of Fig. 7 is the Combiner's relax loop (push
 // one value along one vertex's row) and a received frame its absorb
 // loop (apply a block of index/value pairs; a weighted row after its
-// edge transform is one too), over a native compare with Min. A slot
+// edge transform is one too), over a native compare with Min. A plan of
+// an unweighted edge set whose local part is symmetric also carries its
+// local components (Blogel's blocks) and each component's deduplicated
+// slots; with Min's spread kernel and no transform a round then settles
+// a component at once — every member takes the fold of the component's
+// seeds and the fold is staged once per slot — and walks rows only for a
+// component where a member that is no seed holds a value the fold would
+// not move. Directed and weighted plans walk rows. A slot
 // keeps what it last staged until the superstep ends, so an update that
 // would not change it is not sent again (sound while values move by
 // Combine alone, i.e. until the next compute phase, where SetValue may

@@ -243,6 +243,7 @@ func TestCheckpointRestoreSendsWhatCleanRunSends(t *testing.T) {
 		{"pagerank", EngineChannel, "mirror", directed},
 		{"sv", EngineChannel, "both", undirected},
 		{"wcc", EngineChannel, "propagation", undirected},
+		{"wcc", EngineChannel, "blogel", undirected},
 		{"scc", EngineChannel, "propagation", directed},
 		{"sv", EnginePregel, "reqresp", undirected},
 	} {

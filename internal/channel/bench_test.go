@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -248,19 +247,21 @@ func BenchmarkPropagationPath(b *testing.B) {
 // workload (rmat:scale=14,ef=16,seed=7, undirected,
 // partition.Hash(·, 4), push plans built as on a cached view) and
 // returns a function that runs one job of the given number of
-// supersteps on it: in every superstep every vertex seeds its own id
-// again — SetValue raises the labels back, the send filter starts over —
-// and the adopted fragment plan carries them to the component minima in
-// five rounds.
-func propagationFragmentJob(tb testing.TB) func(steps int, cmb func() Combiner[uint32]) {
+// supersteps on it and returns the traversal work of all four workers:
+// in every superstep every vertex seeds its own id again — SetValue
+// raises the labels back, the send filter starts over — and the adopted
+// fragment plan carries them to the component minima in five rounds.
+func propagationFragmentJob(tb testing.TB) func(steps int, cmb func() Combiner[uint32]) propWork {
 	g := graph.Undirectify(graph.RMAT(14, 16, 7, graph.RMATOptions{NoSelfLoops: true}))
 	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
 	for w := 0; w < microWorkers; w++ {
 		fs.Frag(w).PushPlan()
 	}
-	return func(steps int, cmb func() Combiner[uint32]) {
+	props := make([]*Propagation[uint32], microWorkers)
+	return func(steps int, cmb func() Combiner[uint32]) propWork {
 		_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: steps + 1}, func(w *engine.Worker) {
 			prop := NewPropagation[uint32](w, ser.Uint32Codec{}, cmb())
+			props[w.WorkerID()] = prop
 			w.Compute = func(li int) {
 				if w.Superstep() > steps {
 					w.VoteToHalt()
@@ -275,38 +276,56 @@ func propagationFragmentJob(tb testing.TB) func(steps int, cmb func() Combiner[u
 		if err != nil {
 			tb.Fatal(err)
 		}
+		var sum propWork
+		for _, p := range props {
+			sum.rows, sum.slots, sum.members = sum.rows+p.work.rows, sum.slots+p.work.slots, sum.members+p.work.members
+		}
+		return sum
 	}
 }
 
 // BenchmarkPropagationFragment: one op is one full WCC convergence of
 // all four workers of propagationFragmentJob, the engine's rounds
 // included; worker 0 owns over half of the edges and is every round's
-// critical path. ns/edge-visit divides by the number of row entries the
-// relax kernel walked in one convergence, counted in an untimed pass.
-// Setup allocations amortize over b.N; TestPropagationSteadyStateZeroAlloc
-// holds the steady state to none.
+// critical path. entries/op counts the row entries the row walk and the
+// component-slot entries the component round visited, members/op the
+// member values the component round settled: exact counters of the
+// traversal's work, which ns/op only estimates. Setup allocations
+// amortize over b.N; TestPropagationSteadyStateZeroAlloc holds the
+// steady state to none.
 func BenchmarkPropagationFragment(b *testing.B) {
 	converge := propagationFragmentJob(b)
-	var visits atomic.Int64
-	converge(1, func() Combiner[uint32] {
-		cmb := Min[uint32]()
-		relax := cmb.relax
-		cmb.relax = func(s *pushState[uint32], v uint32, row []uint32) {
-			visits.Add(int64(len(row)))
-			relax(s, v, row)
-		}
-		return cmb
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	converge(b.N, Min[uint32])
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(visits.Load()), "ns/edge-visit")
+	work := converge(b.N, Min[uint32])
+	b.ReportMetric(float64(work.rows+work.slots)/float64(b.N), "entries/op")
+	b.ReportMetric(float64(work.members)/float64(b.N), "members/op")
+}
+
+// TestPropagationComponentRoundEntries pins the component round's work
+// on propagationFragmentJob's graph under hash placement: one WCC
+// convergence visits at most 100 000 entries, where the row walk alone —
+// the round of a combiner without a spread kernel — visits every row
+// entry it pushes along, 639 267 of them.
+func TestPropagationComponentRoundEntries(t *testing.T) {
+	converge := propagationFragmentJob(t)
+	work := converge(1, Min[uint32])
+	walk := converge(1, func() Combiner[uint32] { return CombinerFunc(func(x, y uint32) uint32 { return min(x, y) }) })
+	t.Logf("component round: %d row entries, %d component-slot entries, %d members; row walk: %d row entries",
+		work.rows, work.slots, work.members, walk.rows)
+	if entries := work.rows + work.slots; entries > 100_000 || work.members == 0 {
+		t.Errorf("a convergence visits %d entries and settles %d members; want at most 100 000 entries through the component round",
+			entries, work.members)
+	}
+	if walk.slots != 0 || walk.members != 0 || walk.rows != 639_267 {
+		t.Errorf("the row walk visits %d row entries (want 639 267) and %d component entries (want none)", walk.rows, walk.slots+walk.members)
+	}
 }
 
 // TestPropagationSteadyStateZeroAlloc pins the allocation-free claim of
-// the plan path: queue, staging lists and frame scratch are reused from
-// one convergence to the next, so ten more convergences allocate
-// nothing more.
+// the plan path: queue, staging lists, component state and frame scratch
+// are reused from one convergence to the next, so ten more convergences
+// allocate nothing more.
 func TestPropagationSteadyStateZeroAlloc(t *testing.T) {
 	converge := propagationFragmentJob(t)
 	allocs := func(steps int) float64 {

@@ -58,6 +58,14 @@ type Combiner[M any] struct {
 	// them from Combine for a combiner that leaves them nil.
 	relax  func(s *pushState[M], v M, row []uint32)
 	absorb func(s *pushState[M], idx []uint32, in []M)
+	// spread is Propagation's component round over a plan with local
+	// components: it settles the components of seeds it can — each
+	// member takes the fold of the component's seeds, the members whose
+	// value that changed are woken and the fold goes to the component's
+	// slots through the send filter — and returns the seeds of the
+	// others, for relax, in seeds' own array. Min brings one; a combiner
+	// without one always walks the rows.
+	spread func(s *pushState[M], seeds []uint32) []uint32
 }
 
 // Number is the set of types Sum adds natively.
@@ -127,7 +135,7 @@ func mergeSum[M Number](val []M, epoch []int32, e int32, idx []uint32, in []M) {
 // Min returns the minimum combiner (the built-in min: a NaN wins).
 func Min[M cmp.Ordered]() Combiner[M] {
 	return Combiner[M]{Combine: func(x, y M) M { return min(x, y) }, fold: foldMin[M], merge: mergeMin[M],
-		relax: relaxMin[M], absorb: absorbMin[M]}
+		relax: relaxMin[M], absorb: absorbMin[M], spread: spreadMin[M]}
 }
 
 func foldMin[M cmp.Ordered](out, val []M, src []uint32, groups []frag.ScatterGroup) {
@@ -208,6 +216,92 @@ func absorbMin[M cmp.Ordered](s *pushState[M], idx []uint32, in []M) {
 		s.moved(t)
 	}
 }
+
+// spreadMin is Min's component round: relaxMin's fixpoint over a
+// symmetric, unweighted plan, a component at a time. A row walk from a
+// component's seeds leaves every member at their minimum, the fold,
+// unless a member that is no seed holds a value the fold does not move
+// (changed's rule, so a NaN is such a value for any fold but a NaN):
+// the walk stops there without passing that value on.
+func spreadMin[M cmp.Ordered](s *pushState[M], seeds []uint32) []uint32 {
+	p, val := s.plan, s.val
+	for _, li := range seeds {
+		s.wake(li) // a seed keeps pvListed until its component settles
+		k := p.Comp[li]
+		if s.seeds[k] == 0 {
+			s.fold[k] = val[li]
+			s.dirty = append(s.dirty, k)
+		} else {
+			s.fold[k] = min(s.fold[k], val[li])
+		}
+		s.seeds[k]++
+	}
+	failed := false
+	for _, k := range s.dirty {
+		if !settleMin(s, k) {
+			s.cst[k], failed = cFailed, true
+		}
+		s.seeds[k] = 0
+	}
+	return s.unsettled(seeds, failed)
+}
+
+// settleMin settles component k at its fold, if no member that is no
+// seed holds a value the fold does not move, and reports whether it did.
+// An even component whose other members hold a value above the fold, or
+// one whose every member is a seed, passes without a look at its
+// members; any other is checked member by member first.
+func settleMin[M cmp.Ordered](s *pushState[M], k uint32) bool {
+	p, val, st, f := s.plan, s.val, s.st, s.fold[k]
+	members := p.Member[p.MemberOff[k]:p.MemberOff[k+1]]
+	if int(s.seeds[k]) < len(members) && (s.cst[k]&cEven == 0 || !above(s.even[k], f)) {
+		for _, m := range members {
+			if st[m]&(pvHas|pvListed) == pvHas && !above(val[m], f) {
+				return false
+			}
+		}
+	}
+	for _, m := range members {
+		nv := f
+		if old := val[m]; st[m]&pvHas != 0 {
+			if nv = min(old, f); !changed(old, nv) {
+				st[m] = pvHas
+				continue
+			}
+		}
+		val[m], st[m] = nv, pvHas
+		s.core.ActivateLocal(int(m))
+	}
+	s.even[k], s.cst[k] = f, cEven
+	// the slots ascend, so their owners do: d follows them, and end is
+	// where d's slots end
+	slots := p.CompSlot[p.CompSlotOff[k]:p.CompSlotOff[k+1]]
+	d, end := 0, p.SlotOff[1]
+	for _, sl := range slots {
+		for sl >= end {
+			d++
+			end = p.SlotOff[d+1]
+		}
+		t := s.locals + sl
+		nv := f
+		if old := val[t]; st[t]&pvHas != 0 {
+			if nv = min(old, f); !changed(old, nv) {
+				continue
+			}
+		}
+		val[t] = nv
+		if st[t]&pvListed == 0 {
+			s.out[d] = append(s.out[d], t)
+		}
+		st[t] = pvHas | pvListed
+	}
+	s.work.members += len(members)
+	s.work.slots += len(slots)
+	return true
+}
+
+// above reports whether folding f into v moves v, by changed's rule.
+func above[M cmp.Ordered](v, f M) bool { return changed(v, min(v, f)) }
 
 // CombinerFunc adapts a plain function to a Combiner, for message types
 // and operations Sum and Min do not cover (a struct-valued candidate, a

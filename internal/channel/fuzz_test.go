@@ -149,9 +149,13 @@ func realPropFrames[M cmp.Ordered](f *testing.F, codec ser.Codec[M], transform f
 // is cut into up to four length-prefixed frames, one per superstep), the
 // job either fails with a worker error or every vertex holds the minimum
 // of its own seed and the values the frames addressed to it — never an
-// out-of-range access, never a value from a rejected frame's prefix.
-// Seeded with the frames of real WCC (fixed-width values) and SSSP
-// (varint values) propagations.
+// out-of-range access, never a value from a rejected frame's prefix. The
+// receiver runs twice, without a topology and with its vertices on a
+// ring, where the component round spreads each accepted update to all
+// four and every vertex holds the minimum of everything. Seeded with the
+// frames of real WCC (fixed-width values) and SSSP (varint values)
+// propagations, and with updates that lower the settled ring's value in
+// one superstep and again in the next.
 func FuzzPropagationFrames(f *testing.F) {
 	wcc := realPropFrames(f, ser.Uint32Codec{}, nil, func(id graph.VertexID) (uint32, bool) { return id, true })
 	sssp := realPropFrames(f, ser.Int64Codec{}, func(d int64, w int32) int64 { return d + int64(w) },
@@ -162,34 +166,46 @@ func FuzzPropagationFrames(f *testing.F) {
 	f.Add(script(wcc[:4]...))
 	f.Add(script(sssp[:4]...))
 	f.Add(script(slices.Concat(uvarints(2, 0, 2), u32le(7, 8)), slices.Concat(uvarints(1, 3), u32le(5))))
+	f.Add(script(slices.Concat(uvarints(1, 2), u32le(50)), slices.Concat(uvarints(2, 1, 3), u32le(60, 40))))
 	f.Add(script(slices.Concat(uvarints(200, 0, 2), u32le(7, 8))))
 	f.Add(script(slices.Concat(uvarints(1, 4), u32le(1))))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := cutScript(data)
-		recv, err := runRoguePropagation(frames, false)
-		if err != nil {
-			if strings.Contains(err.Error(), "runtime error") {
-				t.Fatalf("frame reached an unchecked access: %v", err)
-			}
-			return
-		}
-		want := []uint32{100, 101, 102, 103}
-		for _, fr := range frames {
-			if len(fr) == 0 {
-				continue // the engine drops an empty frame
-			}
-			for _, p := range decodePropFrame(t, ser.Uint32Codec{}, fr) {
-				if int(p.li) >= len(want) {
-					t.Fatalf("accepted an update for local %d", p.li)
+		for _, edges := range []bool{false, true} {
+			recv, err := runRoguePropagation(frames, edges)
+			if err != nil {
+				if strings.Contains(err.Error(), "runtime error") {
+					t.Fatalf("edges=%v: frame reached an unchecked access: %v", edges, err)
 				}
-				want[p.li] = min(want[p.li], p.v)
+				continue
 			}
-		}
-		for li, v := range want {
-			if got, _ := recv.RawValue(li); got != v {
-				t.Fatalf("local %d holds %d, the frames say %d", li, got, v)
+			want := []uint32{100, 101, 102, 103}
+			for _, fr := range frames {
+				if len(fr) == 0 {
+					continue // the engine drops an empty frame
+				}
+				for _, p := range decodePropFrame(t, ser.Uint32Codec{}, fr) {
+					if int(p.li) >= len(want) {
+						t.Fatalf("edges=%v: accepted an update for local %d", edges, p.li)
+					}
+					want[p.li] = min(want[p.li], p.v)
+				}
+			}
+			if edges {
+				lowest := slices.Min(want)
+				for li := range want {
+					want[li] = lowest
+				}
+			}
+			for li, v := range want {
+				if got, _ := recv.RawValue(li); got != v {
+					t.Fatalf("edges=%v: local %d holds %d, the frames say %d", edges, li, got, v)
+				}
+			}
+			if edges && recv.work.members == 0 {
+				t.Fatal("the ring's values were not settled by the component round")
 			}
 		}
 	})

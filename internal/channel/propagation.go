@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 
+	"repro/internal/bsp"
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -12,10 +13,10 @@ import (
 // (paper §IV-C3, Fig. 7). Vertices register their adjacency and an
 // initial value; the channel then propagates values along edges to a
 // global fixpoint *within a single superstep*, using as many exchange
-// rounds as needed: each worker runs a BFS-like traversal over its local
-// subgraph to quiescence, ships the updates for remote vertices, applies
-// incoming remote updates, and repeats. This is the simplified GAS model
-// combined with block-level computation that the paper credits for the
+// rounds as needed: each worker propagates over its local subgraph to
+// quiescence, ships the updates for remote vertices, applies incoming
+// remote updates, and repeats. This is the simplified GAS model combined
+// with block-level computation that the paper credits for the
 // convergence speedup of WCC and Min-Label SCC (Tables V and VII) —
 // without requiring the user to write a Blogel-style block program.
 //
@@ -31,11 +32,35 @@ import (
 // (UseFragment) or one the same builder makes of the AddAddr
 // registrations — and on one table of values indexed by the plan's
 // targets: the local vertices first, then one entry per distinct remote
-// neighbour (slot). Pushing a vertex's value is the Combiner's relax
-// loop over the vertex's row, applying a received frame is its absorb
-// loop; a weighted push transforms the row's values first and is an
-// absorb as well. Neither loop decodes an address, branches on an owner
-// or, with Min, calls a function per edge.
+// neighbour (slot). A round's local traversal has two forms.
+//
+// The component round is the block-level one. A plan from an unweighted
+// edge set whose local part is symmetric (an undirected graph, under any
+// placement) carries its local components — Blogel's blocks — and with
+// an idempotent combiner and no transform, every member of a component
+// ends the round at one value: the fold of the component's seeds, the
+// vertices whose value was set or moved since the last round. So the
+// round folds the seeds per component and settles each component at
+// once: every member takes the fold, the members whose value moved are
+// woken, and the fold is staged once on each slot the component reaches
+// (frag.PushPlan's component → slot table). It is exact only when no
+// member outside the seeds holds a value the fold would not move — such
+// a member stops a walk without passing its own value on — so a
+// component with one, which only a SetValue above the rest of its
+// component leaves behind, goes through the row walk instead. The Combiner's spread kernel runs the
+// round; Min brings one.
+//
+// The row walk is the label-correcting worklist over every row entry,
+// and the only form for a directed plan (Min-Label SCC), a weighted one
+// (SSSP) and a combiner without a spread kernel (CombinerFunc). Pushing a
+// vertex's value is the Combiner's relax loop over the vertex's row,
+// applying a received frame is its absorb loop; a weighted push
+// transforms the row's values first and is an absorb as well. Neither
+// loop decodes an address, branches on an owner or, with Min, calls a
+// function per edge. A directed plan could be condensed into its local
+// strongly connected components the same way, but its components are
+// not the blocks a round settles in one step: values flow between them
+// in one direction only, a topological pass per round.
 //
 // A slot keeps the last value staged for its neighbour until the
 // superstep ends, and that is a send filter: an update m with
@@ -48,7 +73,8 @@ import (
 // compute phase to the next — SetValue, the one thing that can raise a
 // value, runs in compute — so AfterCompute forgets every slot. Values,
 // rounds and supersteps are those of a channel that ships every staged
-// update; frames can only lose pairs.
+// update; frames can only lose pairs, and the two forms of the round
+// stage the same slots with the same values, in another order.
 //
 // Wire format: an update frame (writeUpdates) behind a uvarint count,
 // the slots in the order they were first staged.
@@ -105,7 +131,31 @@ type pushState[M any] struct {
 	out [][]uint32
 	// plan is the topology, nil until edges are adopted or registered.
 	plan *frag.PushPlan
+	// core wakes the vertices whose value a kernel moved.
+	core *bsp.Core
+
+	// The component round's state, sized by setPlan for a plan with
+	// components. For component k, fold[k] folds the values of its
+	// seeds[k] seeds this round, and while cst[k]&cEven is set every
+	// member that is no seed holds even[k]. dirty lists the components
+	// with seeds, in first-seeded order.
+	fold, even []M
+	seeds      []uint32
+	cst        []uint8
+	dirty      []uint32
+
+	work propWork
 }
+
+// propWork counts the traversal work of a Propagation: the row entries
+// the row walk visits and the component-slot entries the component round
+// visits, and the member values the component round settles.
+type propWork struct{ rows, slots, members int }
+
+const (
+	cEven   = 1 << iota // every member that is no seed holds even[k]
+	cFailed             // the component goes through the row walk this round
+)
 
 const (
 	pvHas    = 1 << iota // the target holds a value
@@ -126,6 +176,37 @@ func (s *pushState[M]) moved(t uint32) {
 		d := s.plan.SlotOwner(t - s.locals)
 		s.out[d] = append(s.out[d], t)
 	}
+}
+
+// wake activates local vertex li if a kernel moved its value since it
+// last computed.
+func (s *pushState[M]) wake(li uint32) {
+	if s.st[li]&pvWake != 0 {
+		s.core.ActivateLocal(int(li))
+		s.st[li] &^= pvWake
+	}
+}
+
+// unsettled ends a component round: it returns the seeds of the
+// components the round failed to settle, in seeds' own array, and marks
+// those components uneven — the row walk they go through leaves their
+// members at values of its own.
+func (s *pushState[M]) unsettled(seeds []uint32, failed bool) []uint32 {
+	rest := seeds[:0]
+	if failed {
+		for _, li := range seeds {
+			if s.cst[s.plan.Comp[li]] == cFailed {
+				rest = append(rest, li)
+			}
+		}
+		for _, k := range s.dirty {
+			if s.cst[k] == cFailed {
+				s.cst[k] = 0
+			}
+		}
+	}
+	s.dirty = s.dirty[:0]
+	return rest
 }
 
 // changed is the propagation's stopping rule: combining moved old to nv.
@@ -264,6 +345,16 @@ func (c *Propagation[M]) setPlan(p *frag.PushPlan) {
 	}
 	c.val, c.st = c.val[:n+p.Slots()], c.st[:n+p.Slots()]
 	clear(c.st[n:])
+	if k := p.Components(); p.Comp != nil && c.combine.spread != nil {
+		if cap(c.cst) < k {
+			c.fold, c.even = make([]M, k), make([]M, k)
+			c.seeds, c.cst, c.dirty = make([]uint32, k), make([]uint8, k), make([]uint32, 0, k)
+		}
+		// no component is known even: values may predate the plan
+		c.fold, c.even, c.seeds, c.cst = c.fold[:k], c.even[:k], c.seeds[:k], c.cst[:k]
+		clear(c.seeds)
+		clear(c.cst)
+	}
 }
 
 // SetValue sets the current vertex's value and marks it as a propagation
@@ -309,6 +400,7 @@ func (c *Propagation[M]) Initialize() {
 	c.val = make([]M, n)
 	c.st = make([]uint8, n)
 	c.out = make([][]uint32, c.w.NumWorkers())
+	c.core = &c.w.Core
 	c.finalEpoch = -1
 	if c.plan != nil {
 		c.setPlan(c.plan)
@@ -346,18 +438,17 @@ func (c *Propagation[M]) pop() (li uint32, ok bool) {
 		n := copy(c.queue, c.queue[c.head:])
 		c.queue, c.head = c.queue[:n], 0
 	}
-	if c.st[li]&pvWake != 0 {
-		c.w.ActivateLocal(int(li))
-	}
+	c.wake(li)
 	c.st[li] = pvHas
 	return li, true
 }
 
-// propagateLocal drains the queue, pushing values along local edges
-// directly and staging remote updates — the worker-local BFS-like
-// traversal of Fig. 7. FIFO order: a LIFO stack is dramatically slower
-// here — label-correcting with a stack revisits vertices pathologically
-// often on low-diameter graphs.
+// propagateLocal runs the round's local traversal of Fig. 7: the
+// component round over the seeds when the plan and the combiner allow
+// it, then the row walk over what is left in the queue, pushing values
+// along local edges directly and staging remote updates. The walk is
+// FIFO: a LIFO stack is dramatically slower here — label-correcting with
+// a stack revisits vertices pathologically often on low-diameter graphs.
 func (c *Propagation[M]) propagateLocal() {
 	s, p := &c.pushState, c.plan
 	switch {
@@ -365,14 +456,23 @@ func (c *Propagation[M]) propagateLocal() {
 		for _, ok := c.pop(); ok; _, ok = c.pop() {
 		}
 	case c.transform == nil:
+		if p.Comp != nil && c.combine.spread != nil {
+			// the seeds of the components it could not settle, moved to
+			// the front: the queue keeps its array
+			c.queue = append(c.queue[:0], c.combine.spread(s, c.queue[c.head:])...)
+			c.head = 0
+		}
 		relax := c.combine.relax
 		for li, ok := c.pop(); ok; li, ok = c.pop() {
-			relax(s, c.val[li], p.Row[p.Off[li]:p.Off[li+1]])
+			row := p.Row[p.Off[li]:p.Off[li+1]]
+			c.work.rows += len(row)
+			relax(s, c.val[li], row)
 		}
 	default:
 		absorb := c.combine.absorb
 		for li, ok := c.pop(); ok; li, ok = c.pop() {
 			v, lo, hi := c.val[li], p.Off[li], p.Off[li+1]
+			c.work.rows += int(hi - lo)
 			vals := c.frame.vals[:hi-lo]
 			for i, wt := range p.W[lo:hi] {
 				vals[i] = c.transform(v, wt)
@@ -429,10 +529,7 @@ func (c *Propagation[M]) Again() bool {
 	pending := c.queue[c.head:]
 	if c.blockCentric {
 		for _, li := range pending {
-			if c.st[li]&pvWake != 0 {
-				c.w.ActivateLocal(int(li))
-				c.st[li] &^= pvWake
-			}
+			c.wake(li)
 		}
 		return false
 	}

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -36,8 +37,10 @@ type propRound[M comparable] struct {
 // job in turn: per edge an address to decode, an owner to branch on, a
 // transform to test for and a Combine to call; remote updates combined
 // per destination and all of them shipped, round after round; "changed"
-// is plain inequality. The channel must agree with it on everything but
-// the updates its send filter proves redundant.
+// is plain inequality, but for a NaN that stays a NaN (same). Every
+// vertex pushes along every edge, however its value moved. The channel
+// must agree with it on everything but the updates its send filter
+// proves redundant.
 type refPropagation[M comparable] struct {
 	fs        *frag.Fragments
 	combine   func(M, M) M
@@ -78,7 +81,7 @@ func (r *refPropagation[M]) setValue(w int, li uint32, m M) {
 func (r *refPropagation[M]) apply(w int, li uint32, m M) {
 	if r.has[w][li] {
 		nv := r.combine(r.val[w][li], m)
-		if nv == r.val[w][li] {
+		if same(nv, r.val[w][li]) {
 			return
 		}
 		m = nv
@@ -188,6 +191,9 @@ func (p *propTap[M]) Again() bool {
 	return p.Propagation.Again()
 }
 
+// same is equality with every NaN equal to every other.
+func same[M comparable](a, b M) bool { return a == b || a != a && b != b }
+
 // decodePropFrame reads a frame back: count, indices, values.
 func decodePropFrame[M comparable](t *testing.T, codec ser.Codec[M], frame []byte) []propPair[M] {
 	t.Helper()
@@ -220,10 +226,11 @@ type propCase[M comparable] struct {
 }
 
 // checkAgainstReference runs the case on the channel and on the
-// reference and returns the payload bytes each shipped. Every vertex
-// votes to halt in every superstep, so which vertices compute from
-// superstep 2 on is exactly which ones the channel woke.
-func checkAgainstReference[M comparable](t *testing.T, name string, fs *frag.Fragments, tc propCase[M]) (got, want int) {
+// reference and returns the payload bytes each shipped and the traversal
+// work of the channel's workers. Every vertex votes to halt in every
+// superstep, so which vertices compute from superstep 2 on is exactly
+// which ones the channel woke.
+func checkAgainstReference[M comparable](t *testing.T, name string, fs *frag.Fragments, tc propCase[M]) (got, want int, work propWork) {
 	t.Helper()
 	m := fs.NumWorkers()
 	const maxSteps = 12
@@ -294,7 +301,7 @@ func checkAgainstReference[M comparable](t *testing.T, name string, fs *frag.Fra
 				if tap.gotVal[at] == nil {
 					t.Fatalf("%s: superstep %d ended before round %d of %d", name, step, r+1, len(rounds))
 				}
-				if !slices.Equal(tap.gotHas[at], round.has[w]) || !slices.Equal(tap.gotVal[at], round.val[w]) {
+				if !slices.Equal(tap.gotHas[at], round.has[w]) || !slices.EqualFunc(tap.gotVal[at], round.val[w], same[M]) {
 					t.Fatalf("%s: superstep %d round %d: worker %d holds\n%v\n%v\nthe reference\n%v\n%v", name, step, r+1, w, tap.gotVal[at], tap.gotHas[at], round.val[w], round.has[w])
 				}
 				for d := 0; d < m; d++ {
@@ -320,7 +327,7 @@ func checkAgainstReference[M comparable](t *testing.T, name string, fs *frag.Fra
 						t.Fatalf("%s: superstep %d round %d: frame %d->%d carries no update", name, step, r+1, w, d)
 					}
 					for _, p := range pairs {
-						if v, ok := sent[p.li]; !ok || v != p.v || seen[p.li] {
+						if v, ok := sent[p.li]; !ok || !same(v, p.v) || seen[p.li] {
 							t.Fatalf("%s: superstep %d round %d: frame %d->%d carries (%d, %v), the reference frame %v", name, step, r+1, w, d, p.li, p.v, round.frames[w][d])
 						}
 						seen[p.li] = true
@@ -337,7 +344,10 @@ func checkAgainstReference[M comparable](t *testing.T, name string, fs *frag.Fra
 	if met.Supersteps != step-1 {
 		t.Fatalf("%s: %d supersteps, the reference %d", name, met.Supersteps, step-1)
 	}
-	return got, want
+	for _, tap := range taps {
+		work.rows, work.slots, work.members = work.rows+tap.work.rows, work.slots+tap.work.slots, work.members+tap.work.members
+	}
+	return got, want, work
 }
 
 // label is a struct-valued message for the CombinerFunc case: the
@@ -349,15 +359,18 @@ type label struct {
 
 // The channel against the algorithm it replaced (refPropagation), on
 // random graphs under both placements and 1, 3 and 4 workers, for the
-// native Min kernels, the weighted path over them, and the kernels
-// derived from a CombinerFunc over a struct, through an adopted fragment
-// plan and through registrations. Superstep 1 seeds; in supersteps 2 and
-// 3 half of the vertices the channel woke raise their value, which only
-// SetValue can do and which the send filter must not outlive. Vertex
-// values after every round, the number of rounds and supersteps, and
-// the set of vertices woken must equal the reference's; every update
-// shipped must be one the reference shipped in the same frame, and the
-// bytes may only be fewer.
+// native Min kernels — over uint32 and over float64 with NaN seeds — the
+// weighted path over them, and the kernels derived from a CombinerFunc
+// over a struct, through an adopted fragment plan and through
+// registrations. Superstep 1 seeds; in supersteps 2 and 3 half of the
+// vertices the channel woke raise their value, which only SetValue can
+// do and which the send filter must not outlive. Vertex values after
+// every round, the number of rounds and supersteps, and the set of
+// vertices woken must equal the reference's; every update shipped must
+// be one the reference shipped in the same frame, and the bytes may only
+// be fewer. The undirected Min jobs must have run the component round,
+// and the row walk for the components the raised values leave uneven;
+// the other jobs the row walk alone.
 func TestPropagationMatchesScalarReference(t *testing.T) {
 	und := graph.Undirectify(graph.RMAT(8, 4, 31, graph.RMATOptions{NoSelfLoops: true}))
 	road := graph.RMAT(8, 5, 32, graph.RMATOptions{NoSelfLoops: true, Weighted: true, MaxWeight: 40})
@@ -376,7 +389,8 @@ func TestPropagationMatchesScalarReference(t *testing.T) {
 					name := fmt.Sprintf("%d workers/%s/registered=%v", workers, pname, register)
 					var got, want int
 					if g == und {
-						got, want = checkAgainstReference(t, "min-u32/"+name, fs, propCase[uint32]{
+						var u32, nan, fn propWork
+						got, want, u32 = checkAgainstReference(t, "min-u32/"+name, fs, propCase[uint32]{
 							codec: ser.Uint32Codec{}, combine: Min[uint32](), register: register,
 							seed: func(step int, id graph.VertexID, cur uint32, has bool) (uint32, bool) {
 								if step == 1 {
@@ -385,7 +399,21 @@ func TestPropagationMatchesScalarReference(t *testing.T) {
 								return cur + 1000 + id%7, raises(step, id)
 							},
 						})
-						g2, w2 := checkAgainstReference(t, "func-struct/"+name, fs, propCase[label]{
+						g2, w2, nan := checkAgainstReference(t, "min-f64-nan/"+name, fs, propCase[float64]{
+							codec: ser.Float64Codec{}, combine: Min[float64](), register: register,
+							seed: func(step int, id graph.VertexID, cur float64, has bool) (float64, bool) {
+								switch {
+								case step == 1 && id%37 == 5:
+									return math.NaN(), true
+								case step == 1:
+									return float64(id), true
+								case id%4 == 1: // a NaN again, or a NaN where there was a number
+									return math.NaN(), raises(step, id)
+								}
+								return cur + 1000, raises(step, id)
+							},
+						})
+						g3, w3, fn := checkAgainstReference(t, "func-struct/"+name, fs, propCase[label]{
 							codec: ser.FuncCodec[label]{
 								Enc: func(b *ser.Buffer, v label) { b.WriteUvarint(uint64(v.key)); b.WriteUvarint(uint64(v.tag)) },
 								Dec: func(b *ser.Buffer) label { return label{uint32(b.ReadUvarint()), uint16(b.ReadUvarint())} },
@@ -404,9 +432,19 @@ func TestPropagationMatchesScalarReference(t *testing.T) {
 								return label{cur.key + 50, cur.tag}, raises(step, id)
 							},
 						})
-						got, want = got+g2, want+w2
+						got, want = got+g2+g3, want+w2+w3
+						for kind, work := range map[string]propWork{"min-u32": u32, "min-f64-nan": nan} {
+							if work.members == 0 || work.slots == 0 && workers > 1 || work.rows == 0 {
+								t.Errorf("%s/%s: the component round settled %d members over %d slot entries, the row walk visited %d entries: one of them did not run",
+									kind, name, work.members, work.slots, work.rows)
+							}
+						}
+						if fn.members+fn.slots != 0 {
+							t.Errorf("func-struct/%s: a combiner without a spread kernel ran the component round", name)
+						}
 					} else {
-						got, want = checkAgainstReference(t, "min-i64-weighted/"+name, fs, propCase[int64]{
+						var work propWork
+						got, want, work = checkAgainstReference(t, "min-i64-weighted/"+name, fs, propCase[int64]{
 							codec: ser.Int64Codec{}, combine: Min[int64](), register: register,
 							transform: func(d int64, w int32) int64 { return d + int64(w) },
 							seed: func(step int, id graph.VertexID, cur int64, has bool) (int64, bool) {
@@ -416,6 +454,9 @@ func TestPropagationMatchesScalarReference(t *testing.T) {
 								return cur + 60, raises(step, id)
 							},
 						})
+						if work.members+work.slots != 0 {
+							t.Errorf("min-i64-weighted/%s: a weighted plan ran the component round", name)
+						}
 					}
 					if got > want {
 						t.Errorf("%s: %d payload bytes, the reference ships %d", name, got, want)
@@ -497,11 +538,65 @@ func TestPropagationNaNTerminates(t *testing.T) {
 	}
 }
 
+// A NaN fold moves every member that holds a number (the built-in min
+// lets the NaN win), so by changed's rule those members are above it and
+// the component settles without a walk; a plain f < v would call them
+// below it and walk the rows. On one worker, a path 0-1-2-3 and a pair
+// 4-5: superstep 1 seeds the ids, superstep 2 seeds a NaN at vertex 2 of
+// the even path. Both rounds must settle whole components, the NaN must
+// reach the path and wake the members it moved, and no row be walked.
+func TestPropagationComponentRoundNaNFold(t *testing.T) {
+	var prop *Propagation[float64]
+	got := make([]float64, 6)
+	woke := make(map[graph.VertexID]bool)
+	_, err := engine.Run(engine.Config{Part: partition.MustHash(6, 1), MaxSupersteps: 10}, func(w *engine.Worker) {
+		prop = NewPropagation[float64](w, ser.Float64Codec{}, Min[float64]())
+		w.Compute = func(li int) {
+			id := w.GlobalID(li)
+			switch w.Superstep() {
+			case 1:
+				for _, v := range []graph.VertexID{id - 1, id + 1} {
+					if v < 6 && v/4 == id/4 { // id-1 wraps below 0
+						prop.AddAddr(w.Addr(v))
+					}
+				}
+				prop.SetValue(float64(id))
+			case 2:
+				if id == 2 {
+					prop.SetValue(math.NaN())
+				}
+			case 3:
+				woke[id] = true
+			}
+			got[id], _ = prop.RawValue(li)
+			w.VoteToHalt()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prop.plan.Components() != 2 {
+		t.Fatalf("the plan has %d components, want 2", prop.plan.Components())
+	}
+	for id, want := range []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), 4, 4} {
+		if !same(got[id], want) {
+			t.Errorf("vertex %d holds %v, want %v", id, got[id], want)
+		}
+	}
+	if want := map[graph.VertexID]bool{0: true, 1: true, 3: true}; !maps.Equal(woke, want) {
+		t.Errorf("superstep 3 computes %v, want the members the NaN moved %v", woke, want)
+	}
+	if prop.work.rows != 0 || prop.work.members != 10 {
+		t.Errorf("the row walk visited %d entries and the component round settled %d members; want 0 and 10", prop.work.rows, prop.work.members)
+	}
+}
+
 // runRoguePropagation runs a 2-worker job over 8 vertices (4 per
-// worker) in which worker 1's real Propagation[uint32] — with the edges
-// registered when edges is set, without a topology otherwise — receives
-// one scripted frame per superstep, and returns the job error and the
-// receiving channel.
+// worker) in which worker 1's real Propagation[uint32] — with a ring of
+// its 4 vertices registered both ways when edges is set, one component
+// that every frame's updates reach through the component round, without
+// a topology otherwise — receives one scripted frame per superstep, and
+// returns the job error and the receiving channel.
 func runRoguePropagation(frames [][]byte, edges bool) (*Propagation[uint32], error) {
 	var recv *Propagation[uint32]
 	_, err := engine.Run(engine.Config{Part: partition.MustHash(8, 2), MaxSupersteps: 20}, func(w *engine.Worker) {
@@ -513,7 +608,8 @@ func runRoguePropagation(frames [][]byte, edges bool) (*Propagation[uint32], err
 		w.Compute = func(li int) {
 			if w.WorkerID() == 1 && w.Superstep() == 1 {
 				if edges {
-					recv.AddAddr(frag.Pack(1, uint32(li+1)%4)) // a local ring
+					recv.AddAddr(frag.Pack(1, uint32(li+1)%4))
+					recv.AddAddr(frag.Pack(1, uint32(li+3)%4))
 				}
 				recv.SetValue(100 + uint32(li))
 			}

@@ -405,10 +405,14 @@ func reweighted(g *graph.Graph, weighted bool) *graph.Graph {
 // partition the edges into local and remote pushes in adjacency order;
 // slots are dense, grouped by owner and strictly ascending by local
 // index within one, with none for the worker itself; the weights stay
-// parallel; the build is deterministic, cached and charged once; Bytes
-// counts every word the plan adds to the fragment; and the builder makes
-// the same plan of the same edges registered one at a time, in any
-// vertex order, however often it is reused.
+// parallel; an unweighted plan has local components exactly when its
+// local part is symmetric, and then they are checkLocalComponents'; the
+// build is deterministic, cached and charged once; Bytes counts every
+// word the plan adds to the fragment, component tables included; and the
+// builder makes the same plan of the same edges registered one at a
+// time, in any vertex order, however often it is reused. Undirected
+// graphs — an undirected R-MAT, the grid, the star — get components
+// under greedy placement as under hash, the directed R-MAT does not.
 func TestPushPlanLayoutProperties(t *testing.T) {
 	star := make([]graph.Edge, 0, 400)
 	for v := 1; v <= 200; v++ {
@@ -417,6 +421,9 @@ func TestPushPlanLayoutProperties(t *testing.T) {
 	graphs := testGraphs()
 	graphs["star"] = graph.FromEdges(201, star, false)
 	graphs["empty"] = graph.FromEdges(9, nil, false)
+	graphs["rmat-undirected"] = graph.Undirectify(graphs["rmat"])
+	undirected := map[string]bool{"rmat-undirected": true, "grid": true, "star": true, "empty": true}
+	asymmetric := 0 // unweighted directed R-MAT plans without components
 	for gname, base := range graphs {
 		for _, weighted := range []bool{false, true} {
 			g := reweighted(base, weighted)
@@ -478,7 +485,18 @@ func TestPushPlanLayoutProperties(t *testing.T) {
 						if slices.Contains(used, false) {
 							t.Fatalf("%s: a slot no edge lands on", name)
 						}
-						if plan.Bytes() != int64(4*(len(plan.Row)+len(plan.SlotLocal)+len(plan.SlotOff))) {
+						switch symmetric := localSymmetric(f); {
+						case (plan.Comp != nil) != (symmetric && !weighted):
+							t.Fatalf("%s: components %v, local part symmetric %v", name, plan.Comp != nil, symmetric)
+						case undirected[gname] && !symmetric:
+							t.Fatalf("%s: an undirected graph's local part is not symmetric", name)
+						case plan.Comp != nil:
+							checkLocalComponents(t, name, f, plan)
+						case gname == "rmat" && !weighted:
+							asymmetric++
+						}
+						tables := len(plan.Comp) + len(plan.MemberOff) + len(plan.Member) + len(plan.CompSlotOff) + len(plan.CompSlot)
+						if plan.Bytes() != int64(4*(len(plan.Row)+len(plan.SlotLocal)+len(plan.SlotOff)+tables)) {
 							t.Fatalf("%s: Bytes() = %d", name, plan.Bytes())
 						}
 
@@ -504,6 +522,92 @@ func TestPushPlanLayoutProperties(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	if asymmetric == 0 {
+		t.Error("every directed R-MAT plan got components: the symmetry check was not exercised")
+	}
+}
+
+// localSymmetric reports whether every edge between two of f's local
+// vertices has its reverse, from a set of the local edges.
+func localSymmetric(f *Fragment) bool {
+	w := f.WorkerID()
+	edges := make(map[[2]uint32]bool)
+	for li := 0; li < f.LocalCount(); li++ {
+		for _, a := range f.Neighbors(li) {
+			if a.Worker() == w {
+				edges[[2]uint32{uint32(li), a.Local()}] = true
+			}
+		}
+	}
+	for e := range edges {
+		if !edges[[2]uint32{e[1], e[0]}] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkLocalComponents checks a plan's component tables against a
+// breadth-first search of f's local subgraph: components numbered by
+// their smallest member, members ascending, and each component's slots
+// the deduplicated union of its members' remote targets, ascending.
+func checkLocalComponents(t *testing.T, name string, f *Fragment, plan *PushPlan) {
+	t.Helper()
+	n := f.LocalCount()
+	comp := make([]int, n)
+	for li := range comp {
+		comp[li] = -1
+	}
+	var members [][]uint32
+	for root := 0; root < n; root++ {
+		if comp[root] >= 0 {
+			continue
+		}
+		k := len(members)
+		comp[root] = k
+		queue := []int{root}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, a := range f.Neighbors(u) {
+				if a.Worker() == f.WorkerID() && comp[a.Local()] < 0 {
+					comp[a.Local()] = k
+					queue = append(queue, int(a.Local()))
+				}
+			}
+		}
+		members = append(members, nil)
+	}
+	for li, k := range comp {
+		members[k] = append(members[k], uint32(li))
+	}
+	if plan.Components() != len(members) || len(plan.Comp) != n || len(plan.Member) != n || len(plan.CompSlotOff) != len(members)+1 ||
+		int(plan.CompSlotOff[len(members)]) != len(plan.CompSlot) {
+		t.Fatalf("%s: %d components over %d members, %d slot offsets; the search finds %d over %d", name,
+			plan.Components(), len(plan.Member), len(plan.CompSlotOff), len(members), n)
+	}
+	for k, want := range members {
+		got := plan.Member[plan.MemberOff[k]:plan.MemberOff[k+1]]
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: component %d has members %v, the search %v", name, k, got, want)
+		}
+		var slots []uint32
+		for _, li := range want {
+			if plan.Comp[li] != uint32(k) {
+				t.Fatalf("%s: local %d is in component %d, the search puts it in %d", name, li, plan.Comp[li], k)
+			}
+			for _, tg := range plan.Row[plan.Off[li]:plan.Off[li+1]] {
+				if tg >= plan.Locals {
+					slots = append(slots, tg-plan.Locals)
+				}
+			}
+		}
+		slices.Sort(slots)
+		slots = slices.Compact(slots)
+		if got := plan.CompSlot[plan.CompSlotOff[k]:plan.CompSlotOff[k+1]]; !slices.Equal(got, slots) && len(got)+len(slots) > 0 {
+			t.Fatalf("%s: component %d has slots %v, its members reach %v", name, k, got, slots)
 		}
 	}
 }

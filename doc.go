@@ -12,7 +12,7 @@
 // sub-benchmarks, and the harness tests assert every claim.
 //
 // Both engines run on one superstep driver, internal/bsp: the paper's
-// Fig. 4 loop written once — set-up crossings, compute phase,
+// Fig. 4 loop written once — the set-up crossing, compute phase,
 // exchange rounds (the checkpoint cut after round 1's serialize),
 // termination — with cancellation, error joining and the Observer and
 // Checkpoint seams wired there. The channel engine and the Pregel baseline supply only

@@ -105,9 +105,11 @@ type Program interface {
 	// algorithm's setup function; it reports what setup left missing
 	// or inconsistent.
 	Setup() error
-	// Initialize runs after every worker finished Setup; it reports
-	// whether its work needs one more crossing before superstep 1.
-	Initialize() bool
+	// Initialize runs after every worker finished Setup, and superstep
+	// 1 follows it without a crossing: what it prepares is the
+	// worker's own, and nothing passes between workers before round
+	// 1's flush.
+	Initialize()
 	// Compute runs the compute phase over the active vertices and the
 	// engine's after-compute hook.
 	Compute()
@@ -253,9 +255,7 @@ func (c *Core) supersteps() error {
 	if !j.bar.Wait() { // every worker finished setup
 		return errAborted
 	}
-	if p.Initialize() && !j.bar.Wait() {
-		return errAborted
-	}
+	p.Initialize()
 	// A fresh job goes on to superstep 1; a restoring one first finishes
 	// its record's superstep, whose last round votes like any other. The
 	// restored superstep is not a sample of this run.

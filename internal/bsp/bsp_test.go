@@ -54,7 +54,7 @@ func (p *script) Setup() error {
 	return nil
 }
 
-func (p *script) Initialize() bool { return false }
+func (p *script) Initialize() {}
 
 func (p *script) Compute() {
 	s := p.Superstep()

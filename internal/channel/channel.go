@@ -131,9 +131,7 @@ func readDone(buf *ser.Buffer) {
 
 // writeUpdates appends an update section: idx as uvarints, then vals.
 func writeUpdates[M any](buf *ser.Buffer, codec ser.Codec[M], idx []uint32, vals []M) {
-	for _, li := range idx {
-		buf.WriteUvarint(uint64(li))
-	}
+	buf.WriteUvarints(idx)
 	ser.EncodeSlice(buf, codec, vals)
 }
 
@@ -155,12 +153,11 @@ func (u *updates[M]) read(buf *ser.Buffer, codec ser.Codec[M], n uint64, bound u
 	u.idx = slices.Grow(u.idx, m)[:k+m]
 	u.vals = slices.Grow(u.vals, m)[:k+m]
 	idx, vals := u.idx[k:], u.vals[k:]
-	for i := range idx {
-		li := buf.ReadUvarint()
-		if li >= uint64(bound) {
+	buf.ReadUvarints(idx)
+	for i, li := range idx {
+		if li >= bound {
 			panic(fmt.Sprintf("channel: update %d addresses local %d, receiver has %d", i, li, bound))
 		}
-		idx[i] = uint32(li)
 	}
 	ser.DecodeSlice(buf, codec, vals)
 	return idx, vals

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/engine"
@@ -329,7 +330,12 @@ func (c *Propagation[M]) setPlan(p *frag.PushPlan) {
 	}
 	n, most := int(c.locals), int(c.locals)
 	for d := 0; d+1 < len(p.SlotOff); d++ {
-		most = max(most, int(p.SlotOff[d+1]-p.SlotOff[d]))
+		// d's staging list holds each of its slots at most once
+		slots := int(p.SlotOff[d+1] - p.SlotOff[d])
+		most = max(most, slots)
+		if cap(c.out[d]) < slots {
+			c.out[d] = slices.Grow(c.out[d], slots-len(c.out[d]))
+		}
 	}
 	if c.transform != nil {
 		for li := 0; li < n; li++ {
@@ -399,6 +405,7 @@ func (c *Propagation[M]) Initialize() {
 	c.locals = uint32(n)
 	c.val = make([]M, n)
 	c.st = make([]uint8, n)
+	c.queue = make([]uint32, 0, n)
 	c.out = make([][]uint32, c.w.NumWorkers())
 	c.core = &c.w.Core
 	c.finalEpoch = -1

@@ -42,7 +42,9 @@ import (
 // the C++ system hides inside its superstep driver; channels use it to
 // retire the inbox the vertices just consumed and to stage the outbox.
 type Channel interface {
-	// Initialize is called once on every worker before superstep 1.
+	// Initialize is called once on every worker before superstep 1,
+	// which follows without a barrier crossing: it prepares the
+	// worker's own state only.
 	Initialize()
 	// AfterCompute is called after the worker finishes its local compute
 	// calls, before the first exchange round of the superstep.
@@ -160,14 +162,11 @@ func (w *Worker) computeActive(lo, hi int) {
 	}
 }
 
-// Initialize initializes every channel; every worker's channels are
-// initialized before any superstep begins, so the driver crosses once
-// more.
-func (p program) Initialize() bool {
+// Initialize initializes every channel.
+func (p program) Initialize() {
 	for _, c := range p.channels {
 		c.Initialize()
 	}
-	return true
 }
 
 func (p program) Compute() {

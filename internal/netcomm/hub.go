@@ -83,6 +83,8 @@ type Hub struct {
 	results  map[int][]byte    // range-lo worker id -> result blob
 	resultAt map[int]time.Time // range-lo worker id -> blob arrival time
 	settled  []bool            // per worker id
+	nIn      int               // workers whose result has arrived
+	allIn    chan struct{}     // closed once nIn reaches m
 	errs     []error           // synthesized transport failures
 	aborted  bool
 	reason   string // why the job aborted, for processes that join afterwards
@@ -128,6 +130,7 @@ func NewHub(m int, cost comm.CostModel, ln net.Listener) *Hub {
 		results:  make(map[int][]byte),
 		resultAt: make(map[int]time.Time),
 		settled:  make([]bool, m),
+		allIn:    make(chan struct{}),
 	}
 	h.cond = sync.NewCond(&h.mu)
 	go h.acceptLoop()
@@ -324,6 +327,11 @@ func (h *Hub) pump(hc *hubConn) error {
 			h.mu.Lock()
 			h.results[hc.lo] = blob
 			h.resultAt[hc.lo] = time.Now()
+			if !hc.gotResult {
+				if h.nIn += hc.hi - hc.lo + 1; h.nIn == h.m {
+					close(h.allIn)
+				}
+			}
 			hc.gotResult = true
 			for w := hc.lo; w <= hc.hi; w++ {
 				h.settled[w] = true
@@ -700,6 +708,11 @@ func (h *Hub) WaitResults(timeout time.Duration) ([][]byte, []error, error) {
 		h.cond.Wait()
 	}
 }
+
+// ResultsIn is closed once every worker's result has arrived, so a
+// caller can start on the results while it waits for something else;
+// WaitResults is still what collects them.
+func (h *Hub) ResultsIn() <-chan struct{} { return h.allIn }
 
 // SetLogger directs the hub's lifecycle events (joins, lost
 // connections, aborts) to l. The default logger discards them. Call

@@ -58,7 +58,7 @@ func (p program[M, R, A]) Setup() error {
 	return nil
 }
 
-func (p program[M, R, A]) Initialize() bool { return false }
+func (p program[M, R, A]) Initialize() {}
 
 func (p program[M, R, A]) Compute() {
 	w := p.Worker

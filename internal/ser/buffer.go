@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Buffer is an append-only byte buffer with a read cursor. It is the unit
@@ -80,6 +81,28 @@ func (b *Buffer) WriteUint64(v uint64) {
 // WriteUvarint appends v using unsigned LEB128.
 func (b *Buffer) WriteUvarint(v uint64) {
 	b.data = binary.AppendUvarint(b.data, v)
+}
+
+// WriteUvarints appends every value of vs as WriteUvarint would, with
+// one size check for all of them.
+func (b *Buffer) WriteUvarints(vs []uint32) {
+	size := 0
+	for _, v := range vs {
+		size += (bits.Len32(v|1) + 6) / 7
+	}
+	p, k := b.Extend(size), 0
+	for _, v := range vs {
+		switch {
+		case v < 1<<7:
+			p[k] = byte(v)
+			k++
+		case v < 1<<14:
+			p[k], p[k+1] = byte(v)|0x80, byte(v>>7)
+			k += 2
+		default:
+			k += binary.PutUvarint(p[k:], uint64(v))
+		}
+	}
 }
 
 // WriteVarint appends v using zig-zag LEB128.
@@ -156,6 +179,32 @@ func (b *Buffer) ReadUvarint() uint64 {
 	}
 	b.pos += n
 	return v
+}
+
+// ReadUvarints fills out with the next len(out) uvarints, each read as
+// ReadUvarint would; one that is invalid or above math.MaxUint32 panics.
+func (b *Buffer) ReadUvarints(out []uint32) {
+	data, pos := b.data, b.pos
+	for i := range out {
+		if pos+1 < len(data) {
+			if b0 := data[pos]; b0 < 0x80 {
+				out[i] = uint32(b0)
+				pos++
+				continue
+			} else if b1 := data[pos+1]; b1 < 0x80 {
+				out[i] = uint32(b0&0x7f) | uint32(b1)<<7
+				pos += 2
+				continue
+			}
+		}
+		v, n := binary.Uvarint(data[pos:])
+		if n <= 0 || v > math.MaxUint32 {
+			panic("ser: invalid uvarint")
+		}
+		out[i] = uint32(v)
+		pos += n
+	}
+	b.pos = pos
 }
 
 // ReadVarint consumes a zig-zag LEB128 value.

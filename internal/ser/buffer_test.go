@@ -64,6 +64,56 @@ func TestBufferVarints(t *testing.T) {
 	}
 }
 
+// The bulk uvarint calls write the bytes WriteUvarint writes, one value
+// at a time, and read them back; values past 32 bits, truncated streams
+// and unterminated values are rejected.
+func TestBufferUvarintsMatchOneAtATime(t *testing.T) {
+	f := func(vs []uint32, shift uint8) bool {
+		for i := range vs {
+			vs[i] >>= shift % 32 // every encoded width, 1 to 5 bytes
+		}
+		one, bulk := NewBuffer(0), NewBuffer(0)
+		one.WriteUint8(9)
+		bulk.WriteUint8(9)
+		for _, v := range vs {
+			one.WriteUvarint(uint64(v))
+		}
+		bulk.WriteUvarints(vs)
+		if string(one.Bytes()) != string(bulk.Bytes()) {
+			return false
+		}
+		bulk.ReadUint8()
+		got := make([]uint32, len(vs))
+		bulk.ReadUvarints(got)
+		for i := range vs {
+			if got[i] != vs[i] {
+				return false
+			}
+		}
+		return bulk.Remaining() == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		stream []byte
+		n      int
+	}{
+		"past 32 bits": {[]byte{0x80, 0x80, 0x80, 0x80, 0x10}, 1},
+		"truncated":    {[]byte{0x05, 0x80}, 2},
+		"empty":        {nil, 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ReadUvarints did not panic", name)
+				}
+			}()
+			FromBytes(tc.stream).ReadUvarints(make([]uint32, tc.n))
+		}()
+	}
+}
+
 func TestBufferBytesAndString(t *testing.T) {
 	b := NewBuffer(0)
 	b.WriteBytes([]byte{1, 2, 3})

@@ -427,12 +427,21 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		defer wallTimer.Stop()
 	}
 
-	wg.Wait()
-	close(procsDone)
-
-	// Every member either shipped its result before acking or made the
-	// hub abort, so this settles as soon as the hub has read what is
-	// already in its socket buffers; the deadline is only a backstop.
+	acked := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(acked)
+	}()
+	// A member ships its result before it acks, so the results are
+	// usually all in while the acks are still on their way: they are
+	// merged meanwhile. Once every member is idle or dead instead, each
+	// either shipped its result or made the hub abort, so this settles
+	// as soon as the hub has read what is already in its socket buffers;
+	// the deadline is only a backstop.
+	select {
+	case <-hub.ResultsIn():
+	case <-acked:
+	}
 	blobs, hubErrs, werr := hub.WaitResults(resultTimeout)
 	if werr != nil {
 		hubErrs = append(hubErrs, werr)
@@ -448,6 +457,10 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		}
 		partials = append(partials, pr)
 	}
+	res, minSteps, mergeErr := mergePartials(spec.Part, partials, spec.Flows)
+	<-acked
+	close(procsDone)
+
 	errs = append(errs, hubErrs...)
 	for i, mb := range members {
 		workers := fmt.Sprintf("%d-%d", ranges[i][0], ranges[i][1])
@@ -469,7 +482,6 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		}
 	}
 
-	res, minSteps, mergeErr := mergePartials(spec.Part, partials, spec.Flows)
 	if mergeErr != nil {
 		errs = append(errs, mergeErr)
 	}

@@ -31,7 +31,7 @@ func TestWorkerExitsWhenControlChannelEnds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	mb, err := p.spawn()
+	mb, err := p.spawn(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +53,41 @@ func TestWorkerExitsWhenControlChannelEnds(t *testing.T) {
 	}
 	if pids := p.Processes(); len(pids) != 0 {
 		t.Errorf("pool still tracks %v", pids)
+	}
+}
+
+// A party's processes compute at the same time, so each is started on
+// its share of the host's cores — unless the pool's own environment
+// names GOMAXPROCS, which its workers then inherit.
+func TestWorkerGetsItsShareOfCores(t *testing.T) {
+	if os.Getenv("GOMAXPROCS") != "" {
+		t.Skip("GOMAXPROCS is set here: workers inherit it")
+	}
+	if got, want := cpuShare(1<<20), 1; got != want {
+		t.Errorf("cpuShare of a party larger than the host = %d, want %d", got, want)
+	}
+	p, err := NewPool(os.Args[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	mb, err := p.spawn(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		mb.ctl.Close()
+		<-mb.exited
+	}()
+	// the environment reads empty until the exec has replaced the image
+	var env []byte
+	for deadline := time.Now().Add(5 * time.Second); len(env) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if env, err = os.ReadFile(filepath.Join("/proc", strconv.Itoa(mb.pid), "environ")); err != nil {
+			t.Skipf("no /proc environ: %v", err)
+		}
+	}
+	if !bytes.Contains(append([]byte{0}, env...), []byte("\x00GOMAXPROCS=3\x00")) {
+		t.Errorf("worker environment %q lacks GOMAXPROCS=3", bytes.ReplaceAll(env, []byte{0}, []byte(" ")))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -194,7 +195,7 @@ func (pt *party) ensure(p *Pool) error {
 		if mb != nil && !mb.dead() {
 			continue
 		}
-		mb, err := p.spawn()
+		mb, err := p.spawn(cpuShare(len(pt.members)))
 		if err != nil {
 			return fmt.Errorf("workerproc: spawn graphworker %d: %w", i, err)
 		}
@@ -261,12 +262,22 @@ func (mb *member) dead() bool {
 
 func (mb *member) kill() { _ = mb.cmd.Process.Kill() } // fails only if already reaped
 
-// spawn starts one worker and the goroutine that owns its lifetime: it
-// forwards acks until the process closes its side, reaps it, and only
-// then marks the member exited.
-func (p *Pool) spawn() (*member, error) {
+// cpuShare is the GOMAXPROCS of each process of an n-process party.
+// The party's processes compute at the same time, so each gets its
+// share of the host's cores rather than all of them: on two cores, two
+// workers that each keep two threads busy only preempt each other.
+func cpuShare(n int) int { return max(1, runtime.NumCPU()/n) }
+
+// spawn starts one worker, scheduling on cpus cores unless the pool's
+// own environment sets GOMAXPROCS, and the goroutine that owns its
+// lifetime: it forwards acks until the process closes its side, reaps
+// it, and only then marks the member exited.
+func (p *Pool) spawn(cpus int) (*member, error) {
 	cmd := exec.Command(p.bin)
 	cmd.Env = append(os.Environ(), ChildEnv+"=1")
+	if os.Getenv("GOMAXPROCS") == "" {
+		cmd.Env = append(cmd.Env, "GOMAXPROCS="+strconv.Itoa(cpus))
+	}
 	ctl, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err

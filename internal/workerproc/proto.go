@@ -25,6 +25,7 @@ package workerproc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algorithms"
@@ -46,7 +47,8 @@ const (
 // encodePartial serializes one process's share of a run: the hosted
 // worker range, the run error (empty string = success), the superstep
 // count its workers reached, and — on success — the hosted workers'
-// slices of the result arrays followed by their share of the flow
+// slices of the result arrays, in (worker, local index) order as
+// mergePartials reads them back, followed by their share of the flow
 // matrix. Error partials carry no values and no flows — an aborted
 // attempt contributes nothing, so recovery never double-counts. The
 // superstep samples are not here: they reached the hub ahead of the
@@ -64,16 +66,24 @@ func encodePartial(buf *ser.Buffer, part *partition.Partition, lo, hi int,
 	switch res.Kind() {
 	case "labels":
 		buf.WriteUint8(kindLabels)
-		forHosted(part, lo, hi, func(v graph.VertexID) { buf.WriteUvarint(uint64(res.Labels[v])) })
+		writeIDs(buf, part, lo, hi, res.Labels)
 	case "ranks":
 		buf.WriteUint8(kindRanks)
-		forHosted(part, lo, hi, func(v graph.VertexID) { buf.WriteFloat64(res.Ranks[v]) })
+		for w := lo; w <= hi; w++ {
+			for _, v := range part.Locals(w) {
+				buf.WriteFloat64(res.Ranks[v])
+			}
+		}
 	case "dists":
 		buf.WriteUint8(kindDists)
-		forHosted(part, lo, hi, func(v graph.VertexID) { buf.WriteVarint(res.Dists[v]) })
+		for w := lo; w <= hi; w++ {
+			for _, v := range part.Locals(w) {
+				buf.WriteVarint(res.Dists[v])
+			}
+		}
 	case "msf":
 		buf.WriteUint8(kindMSF)
-		forHosted(part, lo, hi, func(v graph.VertexID) { buf.WriteUvarint(uint64(res.MSF.Comp[v])) })
+		writeIDs(buf, part, lo, hi, res.MSF.Comp)
 		buf.WriteVarint(res.MSF.Weight)
 		buf.WriteUvarint(uint64(len(res.MSF.Edges)))
 		for _, e := range res.MSF.Edges {
@@ -83,6 +93,31 @@ func encodePartial(buf *ser.Buffer, part *partition.Partition, lo, hi int,
 		}
 	}
 	encodeFlows(buf, flows)
+}
+
+// writeIDs writes ids[v] for the hosted workers' vertices, a worker's
+// local index order at a time, as uvarints; readIDs reads them back.
+func writeIDs(buf *ser.Buffer, part *partition.Partition, lo, hi int, ids []graph.VertexID) {
+	var row []uint32
+	for w := lo; w <= hi; w++ {
+		row = row[:0]
+		for _, v := range part.Locals(w) {
+			row = append(row, ids[v])
+		}
+		buf.WriteUvarints(row)
+	}
+}
+
+func readIDs(b *ser.Buffer, part *partition.Partition, lo, hi int, ids []graph.VertexID) {
+	var row []uint32
+	for w := lo; w <= hi; w++ {
+		locals := part.Locals(w)
+		row = slices.Grow(row[:0], len(locals))[:len(locals)]
+		b.ReadUvarints(row)
+		for i, v := range locals {
+			ids[v] = row[i]
+		}
+	}
 }
 
 // encodeFlows appends the flow-matrix section: data plane, worker
@@ -203,17 +238,6 @@ func count(b *ser.Buffer) int {
 		panic(fmt.Sprintf("count %d exceeds the %d bytes left", n, b.Remaining()))
 	}
 	return int(n)
-}
-
-// forHosted visits the hosted workers' vertices in (worker, local
-// index) order — the canonical order both encode and decode share.
-func forHosted(part *partition.Partition, lo, hi int, f func(v graph.VertexID)) {
-	for w := lo; w <= hi; w++ {
-		n := part.LocalCount(w)
-		for li := 0; li < n; li++ {
-			f(part.GlobalID(w, li))
-		}
-	}
 }
 
 // partial is one decoded process report.
@@ -340,18 +364,24 @@ func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAc
 					err = fmt.Errorf("workerproc: corrupt partial result from workers %d-%d: %v", p.lo, p.hi, r)
 				}
 			}()
-			forHosted(part, p.lo, p.hi, func(v graph.VertexID) {
-				switch kind {
-				case kindLabels:
-					res.Labels[v] = graph.VertexID(b.ReadUvarint())
-				case kindRanks:
-					res.Ranks[v] = b.ReadFloat64()
-				case kindDists:
-					res.Dists[v] = b.ReadVarint()
-				case kindMSF:
-					res.MSF.Comp[v] = graph.VertexID(b.ReadUvarint())
+			switch kind {
+			case kindLabels:
+				readIDs(b, part, p.lo, p.hi, res.Labels)
+			case kindRanks:
+				for w := p.lo; w <= p.hi; w++ {
+					for _, v := range part.Locals(w) {
+						res.Ranks[v] = b.ReadFloat64()
+					}
 				}
-			})
+			case kindDists:
+				for w := p.lo; w <= p.hi; w++ {
+					for _, v := range part.Locals(w) {
+						res.Dists[v] = b.ReadVarint()
+					}
+				}
+			case kindMSF:
+				readIDs(b, part, p.lo, p.hi, res.MSF.Comp)
+			}
 			if kind == kindMSF {
 				res.MSF.Weight += b.ReadVarint()
 				ne := count(b)

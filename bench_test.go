@@ -1,11 +1,12 @@
 package repro
 
-// The paper's tables as benchmarks (§V), plus two ablations. Every
-// Table and AblationMirrorChannel sub-benchmark is an entry of
-// harness.Entries run at harness.ScaleBench; each reports, besides
-// ns/op, the simulated distributed runtime (sim-ms/op: wall time +
-// modeled network time), the network volume (msgMB/op) and the
-// superstep count (steps/op), the columns of the paper's tables:
+// The paper's tables as benchmarks (§V), plus the Mirror channel's
+// ablation. Every Table and AblationMirrorChannel sub-benchmark is an
+// entry of harness.Entries run at harness.ScaleBench; each reports,
+// besides wall ns/op, three exact columns: the modeled network time of
+// the paper's cluster (model-ms/op: per exchange round 1 ms plus the
+// busiest worker's off-worker bytes at 750 Mbps), the network volume
+// (msgMB/op) and the superstep count (steps/op):
 //
 //	go test -run '^$' -bench 'Table[4-7]' .
 //
@@ -13,7 +14,7 @@ package repro
 //	BenchmarkTable5/*   — Table V   (the three optimized channels)
 //	BenchmarkTable6/*   — Table VI  (S-V channel combinations)
 //	BenchmarkTable7/*   — Table VII (Min-Label SCC)
-//	BenchmarkAblation*  — the Mirror channel; the cost model's share
+//	BenchmarkAblationMirrorChannel/* — the Mirror channel
 
 import (
 	"net"
@@ -25,13 +26,9 @@ import (
 	"time"
 
 	"repro/internal/algorithms"
-	"repro/internal/channel"
 	"repro/internal/comm"
-	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/netcomm"
-	"repro/internal/ser"
 )
 
 var (
@@ -40,7 +37,7 @@ var (
 )
 
 func report(b *testing.B, m algorithms.Metrics) {
-	b.ReportMetric(float64(m.SimTime.Milliseconds()), "sim-ms/op")
+	b.ReportMetric(float64(m.Model)/1e6, "model-ms/op")
 	b.ReportMetric(float64(m.NetBytes)/1e6, "msgMB/op")
 	b.ReportMetric(float64(m.Supersteps), "steps/op")
 }
@@ -74,56 +71,6 @@ func BenchmarkTable5(b *testing.B)                { benchEntries(b, "Table5") }
 func BenchmarkTable6(b *testing.B)                { benchEntries(b, "Table6") }
 func BenchmarkTable7(b *testing.B)                { benchEntries(b, "Table7") }
 func BenchmarkAblationMirrorChannel(b *testing.B) { benchEntries(b, "AblationMirrorChannel") }
-
-// BenchmarkAblationCostModel shows the raw in-process wall time next to
-// the simulated distributed time for one representative workload, so
-// readers can see how much of the reported runtime is modeled network.
-func BenchmarkAblationCostModel(b *testing.B) {
-	g := benchDatasets().Facebook
-	p := harness.HashPart(g)
-	for _, t := range []struct {
-		name string
-		cost comm.CostModel
-	}{
-		{"750Mbps", comm.CostModel{}},
-		{"10Gbps", comm.CostModel{BytesPerSecond: 1.25e9}},
-	} {
-		cost := t.cost
-		b.Run(t.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fab := comm.NewInProc(p.NumWorkers(), cost)
-				m, err := engine.Run(engine.Config{Part: p, Fabric: fab, MaxSupersteps: 200000}, neighborSum(g))
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, algorithms.Metrics{SimTime: m.SimTime(), NetBytes: m.Comm.NetworkBytes, Supersteps: m.Supersteps})
-			}
-		})
-	}
-}
-
-// neighborSum builds a neighborhood-scatter kernel for the cost-model
-// ablation: 10 supersteps in which every vertex sends its value to its
-// out-neighbors over a summing CombinedMessage.
-func neighborSum(g *graph.Graph) func(w *engine.Worker) {
-	return func(w *engine.Worker) {
-		vals := make([]float64, w.LocalCount())
-		msg := channel.NewCombinedMessage[float64](w, ser.Float64Codec{}, channel.Sum[float64]())
-		w.Compute = func(li int) {
-			if w.Superstep() == 1 {
-				vals[li] = 1
-			}
-			if w.Superstep() <= 10 {
-				for _, v := range g.Neighbors(w.GlobalID(li)) {
-					msg.Send(w.Addr(v), vals[li])
-				}
-			} else {
-				w.VoteToHalt()
-			}
-		}
-	}
-}
 
 // --- Distributed exchange over the hub relay ---
 

@@ -158,9 +158,12 @@
 // the atomic sense-reversing barrier; internal/netcomm implements the
 // same contract as length-prefixed frames over TCP/Unix sockets in a
 // star around a hub that routes frames, releases barrier crossings
-// with the aggregated reduce value, charges the simulated cost model
-// from the flush reports the arrivals carry, and turns a dropped
-// connection into a job-wide barrier abort. On that star a process
+// with the aggregated reduce value and turns a dropped connection into a
+// job-wide barrier abort. Neither fabric counts anything: the superstep
+// driver counts a job's bytes, rounds and flows once, just before each
+// worker's flush, and derives the modeled network time of the paper's
+// cluster (1 ms per exchange round plus the busiest worker's bytes at
+// 750 Mbps) from the same counts. On that star a process
 // makes one gathered write per barrier crossing — Flush only queues
 // frames, and the process's last local arrival writes them with the
 // queued superstep samples and the arrival itself — frames between
@@ -193,9 +196,8 @@
 //
 // Observability reaches below the superstep trace to the flow level.
 // Every job accumulates an obs.FlowAccum — a dense (src, dst) matrix
-// recorded lock-free at the fabrics' flush seam (in-process: the
-// exchanger's FinishSerialize; sockets: the client's Flush), plus
-// per-process relay stats on the hub — served as the flows section of
+// recorded lock-free by the driver at the flush seam both fabrics
+// share, plus per-process relay stats on the hub — served as the flows section of
 // GET /v1/jobs/{id}/report with an identical shape on both fabrics.
 // Worker processes ship their matrix share piggybacked on the result
 // blobs, and only a successful attempt contributes, so recovery never

@@ -49,7 +49,7 @@ func main() {
 
 	fmt.Printf("S-V on %d vertices / %d edges: %d components, largest %d\n",
 		g.NumVertices(), g.NumEdges(), len(distinct), largest)
-	fmt.Printf("%-34s %12s %12s %8s\n", "program", "runtime", "msg(MB)", "steps")
+	fmt.Printf("%-34s %12s %12s %8s\n", "program", "net model", "msg(MB)", "steps")
 	for _, r := range []struct {
 		name string
 		m    algorithms.Metrics
@@ -58,9 +58,9 @@ func main() {
 		{"reqresp + scatter-combine", mBoth},
 	} {
 		fmt.Printf("%-34s %12v %12.2f %8d\n", r.name,
-			r.m.SimTime.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
+			r.m.Model.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
 	}
-	fmt.Printf("\ncomposition speedup: %.2fx runtime, %.2fx message volume\n",
-		mBasic.SimTime.Seconds()/mBoth.SimTime.Seconds(),
+	fmt.Printf("\ncomposition speedup: %.2fx modeled network time, %.2fx message volume\n",
+		mBasic.Model.Seconds()/mBoth.Model.Seconds(),
 		float64(mBasic.NetBytes)/float64(mBoth.NetBytes))
 }

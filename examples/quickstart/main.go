@@ -79,8 +79,8 @@ func main() {
 
 	fmt.Printf("PageRank over %d vertices / %d edges finished in %d supersteps\n",
 		g.NumVertices(), g.NumEdges(), met.Supersteps)
-	fmt.Printf("network volume: %.2f MB, simulated distributed runtime: %v\n",
-		float64(met.Comm.NetworkBytes)/1e6, met.SimTime().Round(1000))
+	fmt.Printf("network volume: %.2f MB, modeled network time: %v\n",
+		float64(met.NetBytes)/1e6, met.Model.Round(1000))
 	fmt.Println("top 5 vertices:")
 	for _, r := range top[:5] {
 		fmt.Printf("  vertex %6d  rank %.6f\n", r.id, r.pr)

@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("Min-Label SCC on %d vertices / %d edges (verified against Tarjan)\n",
 		g.NumVertices(), g.NumEdges())
 	fmt.Printf("%d SCCs, largest has %d vertices\n\n", len(counts), largest)
-	fmt.Printf("%-28s %12s %12s %8s\n", "program", "runtime", "msg(MB)", "steps")
+	fmt.Printf("%-28s %12s %12s %8s\n", "program", "net model", "msg(MB)", "steps")
 	for _, r := range []struct {
 		name string
 		m    algorithms.Metrics
@@ -67,9 +67,9 @@ func main() {
 		{"propagation channel", mProp},
 	} {
 		fmt.Printf("%-28s %12v %12.2f %8d\n", r.name,
-			r.m.SimTime.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
+			r.m.Model.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
 	}
-	fmt.Printf("\npropagation speedup: %.2fx runtime, %.1fx fewer supersteps\n",
-		mBasic.SimTime.Seconds()/mProp.SimTime.Seconds(),
+	fmt.Printf("\npropagation speedup: %.2fx modeled network time, %.1fx fewer supersteps\n",
+		mBasic.Model.Seconds()/mProp.Model.Seconds(),
 		float64(mBasic.Supersteps)/float64(mProp.Supersteps))
 }

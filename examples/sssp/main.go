@@ -54,7 +54,7 @@ func main() {
 
 	fmt.Printf("SSSP on %d-vertex grid (verified against Dijkstra)\n", g.NumVertices())
 	fmt.Printf("reached %d vertices, eccentricity %d\n\n", reached, far)
-	fmt.Printf("%-28s %12s %12s %8s\n", "program", "runtime", "msg(MB)", "steps")
+	fmt.Printf("%-28s %12s %12s %8s\n", "program", "net model", "msg(MB)", "steps")
 	for _, r := range []struct {
 		name string
 		m    algorithms.Metrics
@@ -63,6 +63,6 @@ func main() {
 		{"weighted propagation", prop.Metrics},
 	} {
 		fmt.Printf("%-28s %12v %12.2f %8d\n", r.name,
-			r.m.SimTime.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
+			r.m.Model.Round(1000), float64(r.m.NetBytes)/1e6, r.m.Supersteps)
 	}
 }

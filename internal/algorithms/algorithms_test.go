@@ -295,9 +295,9 @@ func TestPointerJumpReqRespFewerSupersteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mPRR.Comm.NetworkBytes <= mRR.Comm.NetworkBytes {
+	if mPRR.NetBytes <= mRR.NetBytes {
 		t.Errorf("pregel reqresp bytes %d <= channel reqresp bytes %d",
-			mPRR.Comm.NetworkBytes, mRR.Comm.NetworkBytes)
+			mPRR.NetBytes, mRR.NetBytes)
 	}
 }
 
@@ -392,11 +392,11 @@ func TestSVMessageReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mChan.Comm.NetworkBytes >= mPregel.Comm.NetworkBytes {
-		t.Errorf("channel bytes %d >= pregel bytes %d", mChan.Comm.NetworkBytes, mPregel.Comm.NetworkBytes)
+	if mChan.NetBytes >= mPregel.NetBytes {
+		t.Errorf("channel bytes %d >= pregel bytes %d", mChan.NetBytes, mPregel.NetBytes)
 	}
-	if mBoth.Comm.NetworkBytes >= mChan.Comm.NetworkBytes {
-		t.Errorf("composed bytes %d >= basic channel bytes %d", mBoth.Comm.NetworkBytes, mChan.Comm.NetworkBytes)
+	if mBoth.NetBytes >= mChan.NetBytes {
+		t.Errorf("composed bytes %d >= basic channel bytes %d", mBoth.NetBytes, mChan.NetBytes)
 	}
 }
 

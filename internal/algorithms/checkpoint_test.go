@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
-	"repro/internal/comm"
 	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -252,10 +251,10 @@ func TestCheckpointRestoreSendsWhatCleanRunSends(t *testing.T) {
 			spec, _ := Lookup(tc.alg)
 			part := partition.MustHash(tc.g.NumVertices(), m)
 			params := Params{Iterations: 10}
-			run := func(hook *ckpt.Hook) (*Result, []obs.SuperstepSample, comm.Stats) {
+			run := func(hook *ckpt.Hook) (*Result, []obs.SuperstepSample) {
 				t.Helper()
-				tr, fab := obs.NewTrace(m), comm.NewInProc(m, comm.CostModel{})
-				res, err := spec.Run(tc.eng, tc.variant, tc.g, Options{Part: part, Fabric: fab, Observer: tr, Checkpoint: hook}, params)
+				tr := obs.NewTrace(m)
+				res, err := spec.Run(tc.eng, tc.variant, tc.g, Options{Part: part, Observer: tr, Checkpoint: hook}, params)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,13 +262,13 @@ func TestCheckpointRestoreSendsWhatCleanRunSends(t *testing.T) {
 				for i := range samples {
 					samples[i].ComputeNS, samples[i].BarrierWaitNS = 0, 0
 				}
-				return res, samples, fab.Stats()
+				return res, samples
 			}
-			want, clean, _ := run(nil)
+			want, clean := run(nil)
 			store := keepAll{ckpt.NewDir(t.TempDir())}
 			run(&ckpt.Hook{Store: store, Job: "t", Interval: 1})
 			for s := 1; s <= want.Metrics.Supersteps; s++ {
-				res, got, stats := run(&ckpt.Hook{Store: store, Job: "t", Restore: s})
+				res, got := run(&ckpt.Hook{Store: store, Job: "t", Restore: s})
 				sameResult(t, fmt.Sprintf("restored from superstep %d", s), want, res)
 				var bytes, rounds int64
 				for _, smp := range clean {
@@ -281,8 +280,8 @@ func TestCheckpointRestoreSendsWhatCleanRunSends(t *testing.T) {
 						rounds += int64(smp.Rounds)
 					}
 				}
-				if sent := stats.NetworkBytes + stats.LocalBytes; sent != bytes || stats.Rounds != rounds {
-					t.Fatalf("restored from superstep %d: %d bytes in %d rounds, clean run %d in %d", s, sent, stats.Rounds, bytes, rounds)
+				if sent := res.Metrics.NetBytes + res.Metrics.LocalBytes; sent != bytes || res.Metrics.Rounds != rounds {
+					t.Fatalf("restored from superstep %d: %d bytes in %d rounds, clean run %d in %d", s, sent, res.Metrics.Rounds, bytes, rounds)
 				}
 				after := slices.DeleteFunc(slices.Clone(clean), func(smp obs.SuperstepSample) bool { return smp.Superstep <= s })
 				if !slices.EqualFunc(got, after, func(a, b obs.SuperstepSample) bool { return reflect.DeepEqual(a, b) }) {

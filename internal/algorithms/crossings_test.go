@@ -90,7 +90,7 @@ func TestSuperstepCrossings(t *testing.T) {
 				checkRoots(t, name, plain.Labels, seq.ConnectedComponents(tc.g))
 			}
 
-			fab := &countingFabric{InProc: comm.NewInProc(m, comm.CostModel{})}
+			fab := &countingFabric{InProc: comm.NewInProc(m)}
 			opts := Options{Part: part, Fabric: fab}
 			if tc.ckptEvery > 0 {
 				opts.Checkpoint = &ckpt.Hook{Store: ckpt.NewDir(t.TempDir()), Job: "t", Interval: tc.ckptEvery}

@@ -54,11 +54,16 @@ type Metrics struct {
 	Engine     Engine        `json:"engine"`
 	Supersteps int           `json:"supersteps"`
 	NetBytes   int64         `json:"net_bytes"`
-	SimTime    time.Duration `json:"sim_time_ns"`
 	WallTime   time.Duration `json:"wall_time_ns"`
-	// Rounds is the total number of exchange rounds the fabric ran
+	// LocalBytes counts loopback bytes (a worker to itself).
+	LocalBytes int64 `json:"local_bytes,omitempty"`
+	// Rounds is the total number of exchange rounds the job ran
 	// (every round is one flush/deliver cycle across all workers).
 	Rounds int64 `json:"rounds,omitempty"`
+	// Model is the modeled network time of the paper's cluster
+	// (bsp.Metrics.Model). Only a job whose workers share one process
+	// has it; a distributed job leaves it out.
+	Model time.Duration `json:"model_ns,omitempty"`
 	// HeapAllocDelta is the number of heap bytes allocated while the
 	// run was in flight, filled by the job manager from the cumulative
 	// runtime/metrics counter /gc/heap/allocs:bytes read before and
@@ -83,8 +88,8 @@ type Metrics struct {
 }
 
 func metricsOf(m bsp.Metrics) Metrics {
-	return Metrics{Supersteps: m.Supersteps, NetBytes: m.Comm.NetworkBytes,
-		Rounds: m.Comm.Rounds, SimTime: m.SimTime(), WallTime: m.WallTime}
+	return Metrics{Supersteps: m.Supersteps, NetBytes: m.NetBytes, WallTime: m.WallTime,
+		LocalBytes: m.LocalBytes, Rounds: m.Rounds, Model: m.Model}
 }
 
 // Result is the normalized output of a registry run: exactly one of the

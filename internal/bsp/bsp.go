@@ -11,6 +11,14 @@
 // baseline differ only there, so their communication is what Tables
 // IV–VII compare.
 //
+// The driver is also the one place a job's traffic is counted: just
+// before each round's Flush, every worker totals its outgoing buffers
+// into network and loopback bytes, one exchange round and that round's
+// off-worker volume, and feeds Env.Flows the (src, dst) cells. Run adds
+// up its workers' counts and charges the modeled network time
+// (comm.RoundTime) with each round's busiest worker. A fabric only moves
+// the bytes, so the figures do not depend on which one carried them.
+//
 // Env.Observer is the telemetry seam: when set, every worker emits one
 // obs.SuperstepSample per superstep — compute time, barrier-wait time
 // (on the socket fabric it includes the process's one write per
@@ -76,6 +84,10 @@ type Env struct {
 	// Observer, if non-nil, receives one obs.SuperstepSample per
 	// (worker, superstep). Nil disables all collection.
 	Observer obs.Observer
+	// Flows, if non-nil, receives one Record per non-empty (src, dst)
+	// buffer a local worker flushes: this process's rows of the job's
+	// flow matrix. Nil costs one branch per destination.
+	Flows *obs.FlowAccum
 	// Checkpoint, if non-nil with a store, snapshots every worker's state
 	// at the barrier-aligned cut every Interval supersteps and, on
 	// Restore > 0, resumes from the saved superstep instead of starting
@@ -84,16 +96,23 @@ type Env struct {
 	Checkpoint *ckpt.Hook
 }
 
-// Metrics summarizes a finished run. SimTime adds the simulated network
-// time from the fabric's cost model to the measured wall time.
+// Metrics summarizes a finished run: the traffic of the local workers,
+// counted at their flushes, and the job's wall time.
 type Metrics struct {
 	Supersteps int
-	Comm       comm.Stats
-	WallTime   time.Duration
+	// NetBytes counts bytes sent between distinct workers; LocalBytes
+	// the loopback bytes (worker to itself). The paper's "message (GB)"
+	// columns count network traffic.
+	NetBytes, LocalBytes int64
+	// Rounds counts buffer-exchange rounds (≥ 1 per superstep).
+	Rounds int64
+	// Model is the modeled network time of the paper's cluster: Σ over
+	// rounds of comm.RoundTime(the busiest worker's off-worker bytes).
+	// Exact when this process hosts every worker; zero otherwise, since
+	// a round's busiest worker may live elsewhere.
+	Model    time.Duration
+	WallTime time.Duration
 }
-
-// SimTime returns wall time plus simulated network time.
-func (m Metrics) SimTime() time.Duration { return m.WallTime + m.Comm.SimNetTime }
 
 // Program is one worker's engine: the part of a superstep that differs
 // between the channel engine and the Pregel baseline. The driver calls
@@ -149,8 +168,7 @@ var errAborted = barrier.ErrAborted
 // no vertex is active on any worker, when a worker calls RequestStop, or
 // when MaxSupersteps is hit (reported as an error). With a distributed
 // fabric hosting a subset of the workers, Run executes that subset and
-// its Metrics cover this process's view (cumulative for the fabric when
-// one fabric is shared across several Runs).
+// its Metrics cover that subset.
 func Run(env Env, name string, newProgram func() Program) (Metrics, error) {
 	if env.Part == nil && env.Frags != nil {
 		env.Part = env.Frags.Part
@@ -166,7 +184,7 @@ func Run(env Env, name string, newProgram func() Program) (Metrics, error) {
 	m := env.Part.NumWorkers()
 	fab := env.Fabric
 	if fab == nil {
-		fab = comm.NewInProc(m, comm.CostModel{})
+		fab = comm.NewInProc(m)
 	}
 	if fab.NumWorkers() != m {
 		return Metrics{}, fmt.Errorf("%s: fabric has %d workers, partition has %d", name, fab.NumWorkers(), m)
@@ -205,7 +223,8 @@ func Run(env Env, name string, newProgram func() Program) (Metrics, error) {
 	for _, c := range workers[1:] {
 		minStep = min(minStep, c.superstep)
 	}
-	met := Metrics{Supersteps: minStep, Comm: fab.Stats(), WallTime: time.Since(start)}
+	met := Metrics{Supersteps: minStep, WallTime: time.Since(start)}
+	met.total(workers, len(workers) == m)
 	err := barrier.JoinErrors(errs)
 	if cancelled() && err == nil {
 		// all workers unwound through the aborted barrier (their abort
@@ -218,6 +237,26 @@ func Run(env Env, name string, newProgram func() Program) (Metrics, error) {
 		err = errAborted
 	}
 	return met, err
+}
+
+// total adds up the workers' traffic. A round is counted once every
+// worker flushed it; with model set, each such round is charged its
+// busiest worker's volume.
+func (met *Metrics) total(workers []*Core, model bool) {
+	rounds := len(workers[0].roundNet)
+	for _, c := range workers {
+		met.NetBytes += c.netBytes
+		met.LocalBytes += c.localBytes
+		rounds = min(rounds, len(c.roundNet))
+	}
+	met.Rounds = int64(rounds)
+	for r := 0; model && r < rounds; r++ {
+		var busiest int64
+		for _, c := range workers {
+			busiest = max(busiest, c.roundNet[r])
+		}
+		met.Model += comm.RoundTime(busiest)
+	}
 }
 
 // run executes the worker loop; a worker that fails aborts the shared
@@ -331,6 +370,7 @@ func (c *Core) rounds() (uint64, error) {
 		maxRounds = 1_000_000
 	}
 	for {
+		c.count()
 		if err := ep.Flush(); err != nil {
 			return 0, c.errorf("%w", err)
 		}
@@ -371,6 +411,28 @@ func (c *Core) serialize() {
 			c.smp.BytesSent += int64(buf.Len() - mark)
 		}
 	}
+}
+
+// count accounts the round's outgoing buffers, about to be flushed.
+func (c *Core) count() {
+	var net int64
+	flows := c.job.env.Flows
+	for dst := 0; dst < c.NumWorkers(); dst++ {
+		n := int64(c.ep.Out(dst).Len())
+		if n == 0 {
+			continue
+		}
+		if dst == c.id {
+			c.localBytes += n
+		} else {
+			net += n
+		}
+		if flows != nil {
+			flows.Record(c.id, dst, n)
+		}
+	}
+	c.netBytes += net
+	c.roundNet = append(c.roundNet, net)
 }
 
 // deserialize hands the round's buffer from src to the engine. Buffers

@@ -136,7 +136,7 @@ func (b countingBarrier) AllReduce(v uint64) (uint64, bool) {
 func runScript(t *testing.T, hook *ckpt.Hook) (*scriptJob, Metrics, error) {
 	t.Helper()
 	job := &scriptJob{hook: hook}
-	fab := countingFabric{comm.NewInProc(scriptWorkers, comm.CostModel{}), &job.crossings}
+	fab := countingFabric{comm.NewInProc(scriptWorkers), &job.crossings}
 	env := Env{Part: partition.MustHash(scriptVertices, scriptWorkers), Fabric: fab, Checkpoint: hook}
 	met, err := Run(env, "script", func() Program { return &script{job: job} })
 	return job, met, err
@@ -173,14 +173,14 @@ func TestCheckpointPutPrecedesRoundOneCrossing(t *testing.T) {
 	if msg := saved.uncertified.Load(); msg != nil {
 		t.Fatal(msg)
 	}
-	if smet.Supersteps != scriptSteps+1 || smet.Comm.Rounds <= int64(smet.Supersteps) {
-		t.Fatalf("%d supersteps in %d rounds: the script is meant to run %d, some of several rounds", smet.Supersteps, smet.Comm.Rounds, scriptSteps+1)
+	if smet.Supersteps != scriptSteps+1 || smet.Rounds <= int64(smet.Supersteps) {
+		t.Fatalf("%d supersteps in %d rounds: the script is meant to run %d, some of several rounds", smet.Supersteps, smet.Rounds, scriptSteps+1)
 	}
 	if saved.final != clean.final || !slices.Equal(saved.trace[0], clean.trace[0]) {
 		t.Fatal("checkpointing changed the run")
 	}
-	if got, want := saved.crossings.Load(), clean.crossings.Load(); got != want || want != scriptWorkers*(1+2*met.Comm.Rounds) {
-		t.Fatalf("%d crossings checkpointing, %d clean; want set-up + 2 per round = %d", got, want, scriptWorkers*(1+2*met.Comm.Rounds))
+	if got, want := saved.crossings.Load(), clean.crossings.Load(); got != want || want != scriptWorkers*(1+2*met.Rounds) {
+		t.Fatalf("%d crossings checkpointing, %d clean; want set-up + 2 per round = %d", got, want, scriptWorkers*(1+2*met.Rounds))
 	}
 	if s, err := hook.Store.LatestComplete("t", scriptWorkers); err != nil || s != smet.Supersteps {
 		t.Fatalf("latest complete cut %d, %v; want %d", s, err, smet.Supersteps)

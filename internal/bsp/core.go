@@ -33,6 +33,11 @@ type Core struct {
 	ckptSave    func(buf *ser.Buffer)
 	ckptRestore func(buf *ser.Buffer)
 
+	// traffic this worker flushed: bytes to other workers and to itself,
+	// and the off-worker bytes of each round (Core.count)
+	netBytes, localBytes int64
+	roundNet             []int64
+
 	// superstep trace collection (Env.Observer); obsOn gates every trace
 	// statement so the disabled path costs one branch per phase.
 	obsOn bool

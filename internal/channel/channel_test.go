@@ -313,7 +313,7 @@ func TestScatterCombineMessageBytesBelowDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return met.Comm.NetworkBytes
+		return met.NetBytes
 	}
 	direct := runBytes(false)
 	scatter := runBytes(true)
@@ -380,8 +380,8 @@ func TestRequestRespondDedup(t *testing.T) {
 	}
 	// requests: 3 remote workers × (count varint + 4B id) ≈ 15B;
 	// responses: 3 × (varint + 4B) ≈ 15B. Anything near n×8 means no dedup.
-	if met.Comm.NetworkBytes > 60 {
-		t.Errorf("dedup missing: %d network bytes", met.Comm.NetworkBytes)
+	if met.NetBytes > 60 {
+		t.Errorf("dedup missing: %d network bytes", met.NetBytes)
 	}
 }
 

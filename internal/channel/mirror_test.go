@@ -135,7 +135,7 @@ func TestMirrorReducesHubBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return met.Comm.NetworkBytes
+		return met.NetBytes
 	}
 	mirrored := run(4)     // hub qualifies
 	perEdge := run(10_000) // nothing qualifies

@@ -3,7 +3,6 @@ package channel
 import (
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -60,12 +59,7 @@ func benchRunFlows(b *testing.B, flows *obs.FlowAccum, setup func(w *engine.Work
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fab := comm.NewInProc(microWorkers, comm.CostModel{})
-		if flows != nil {
-			flows.SetPlane("inproc")
-			fab.Exchanger().SetFlows(flows)
-		}
-		if _, err := engine.Run(engine.Config{Part: part, MaxSupersteps: 100, Fabric: fab}, setup); err != nil {
+		if _, err := engine.Run(engine.Config{Part: part, MaxSupersteps: 100, Flows: flows}, setup); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,33 +5,8 @@ import (
 	"time"
 )
 
-func TestExchangerAccounting(t *testing.T) {
-	e := NewExchanger(3, CostModel{})
-	// worker 0 sends 4 bytes to 1, 8 to 2, 2 to itself
-	e.Out(0, 1).WriteUint32(1)
-	e.Out(0, 2).WriteUint64(1)
-	e.Out(0, 0).WriteUint8(1)
-	e.Out(0, 0).WriteUint8(2)
-	e.FinishSerialize(0)
-	e.FinishSerialize(1)
-	e.FinishSerialize(2)
-	s := e.Stats()
-	if s.NetworkBytes != 12 {
-		t.Errorf("net=%d want 12", s.NetworkBytes)
-	}
-	if s.LocalBytes != 2 {
-		t.Errorf("local=%d want 2", s.LocalBytes)
-	}
-	if s.Rounds != 1 {
-		t.Errorf("rounds=%d", s.Rounds)
-	}
-	if s.SimNetTime <= 0 {
-		t.Errorf("simnet=%v", s.SimNetTime)
-	}
-}
-
 func TestExchangerInOutAliasing(t *testing.T) {
-	e := NewExchanger(2, CostModel{})
+	e := NewExchanger(2)
 	e.Out(0, 1).WriteUint32(99)
 	in := e.In(1, 0)
 	if got := in.ReadUint32(); got != 99 {
@@ -40,7 +15,7 @@ func TestExchangerInOutAliasing(t *testing.T) {
 }
 
 func TestResetRow(t *testing.T) {
-	e := NewExchanger(2, CostModel{})
+	e := NewExchanger(2)
 	e.Out(0, 1).WriteUint32(5)
 	e.ResetRow(0)
 	if e.Out(0, 1).Len() != 0 {
@@ -49,97 +24,71 @@ func TestResetRow(t *testing.T) {
 }
 
 func TestShrinkPolicyReclaimsBurstCapacity(t *testing.T) {
-	e := NewExchanger(2, CostModel{})
-	e.SetShrinkPolicy(ShrinkPolicy{CheckEvery: 8, MinRetain: 1 << 12, Slack: 4})
-	// burst round: grow 0->1 far past MinRetain
-	big := make([]byte, 1<<20)
-	e.Out(0, 1).WriteBytes(big)
+	e := NewExchanger(2)
+	// burst round: grow 0->1 far past shrinkMinRetain
+	e.Out(0, 1).Extend(1 << 20)
 	e.ResetRow(0)
 	if c := e.Out(0, 1).Cap(); c < 1<<20 {
 		t.Fatalf("burst did not grow the buffer: cap=%d", c)
 	}
 	// steady state: tiny rounds across two check windows (the first
 	// window still contains the burst peak)
-	for r := 0; r < 16; r++ {
+	for r := 0; r < 2*shrinkEvery; r++ {
 		e.Out(0, 1).WriteUint32(1)
 		e.ResetRow(0)
 	}
 	if c := e.Out(0, 1).Cap(); c >= 1<<20 {
 		t.Errorf("burst capacity retained: cap=%d", c)
 	}
-	if s := e.Stats(); s.ShrunkBuffers == 0 {
-		t.Errorf("ShrunkBuffers=0 want >0")
-	}
 }
 
 func TestShrinkPolicyKeepsHotBuffers(t *testing.T) {
-	e := NewExchanger(2, CostModel{})
-	e.SetShrinkPolicy(ShrinkPolicy{CheckEvery: 4, MinRetain: 1 << 10, Slack: 4})
-	payload := make([]byte, 1<<16)
-	for r := 0; r < 12; r++ {
-		e.Out(0, 1).WriteBytes(payload)
+	e := NewExchanger(3)
+	const hot = 4 * shrinkMinRetain
+	// 0->1 carries a large frame every round; 0->2 bursts once to the
+	// retained minimum and then idles
+	e.Out(0, 2).Extend(shrinkMinRetain)
+	for r := 0; r < 3*shrinkEvery; r++ {
+		e.Out(0, 1).Extend(hot)
 		e.ResetRow(0)
 	}
 	// the buffer is used at full capacity every round: it must keep it
-	if c := e.Out(0, 1).Cap(); c < 1<<16 {
+	if c := e.Out(0, 1).Cap(); c < hot {
 		t.Errorf("hot buffer was shrunk: cap=%d", c)
 	}
-	// a disabled policy never shrinks
-	d := NewExchanger(2, CostModel{})
-	d.SetShrinkPolicy(ShrinkPolicy{CheckEvery: -1})
-	d.Out(0, 1).WriteBytes(make([]byte, 1<<20))
-	for r := 0; r < 256; r++ {
-		d.ResetRow(0)
-	}
-	if c := d.Out(0, 1).Cap(); c < 1<<20 {
-		t.Errorf("disabled policy shrank: cap=%d", c)
+	// a buffer no larger than the retained minimum is never shrunk
+	if c := e.Out(0, 2).Cap(); c < shrinkMinRetain {
+		t.Errorf("buffer at the retained minimum was shrunk: cap=%d", c)
 	}
 }
 
 func TestCostModelRoundTime(t *testing.T) {
-	c := CostModel{BytesPerSecond: 1000, RoundLatency: time.Millisecond}
-	got := c.RoundTime(500)
-	want := time.Millisecond + 500*time.Millisecond
-	if got != want {
+	if got := RoundTime(0); got != time.Millisecond {
+		t.Errorf("an empty round costs %v, want the 1ms latency", got)
+	}
+	// one second of the paper's 750 Mbps link
+	if got, want := RoundTime(750e6/8), time.Millisecond+time.Second; got != want {
 		t.Errorf("got %v want %v", got, want)
 	}
-	// defaults fill in
-	var d CostModel
-	if d.RoundTime(0) != time.Millisecond {
-		t.Errorf("default latency wrong: %v", d.RoundTime(0))
-	}
 }
 
-func TestCostChargesBusiestWorker(t *testing.T) {
-	cost := CostModel{BytesPerSecond: 100, RoundLatency: 0}
-	e := NewExchanger(2, cost)
-	e.Out(0, 1).WriteUint64(0) // 8 bytes
-	e.Out(1, 0).WriteUint32(0) // 4 bytes
-	e.FinishSerialize(0)
-	e.FinishSerialize(1)
-	s := e.Stats()
-	// busiest worker sent 8 bytes at 100 B/s = 80ms... plus default latency
-	// (RoundLatency 0 selects the default 1ms)
-	want := time.Millisecond + 80*time.Millisecond
-	if s.SimNetTime != want {
-		t.Errorf("simnet=%v want %v", s.SimNetTime, want)
-	}
-}
-
+// Every round's buffers reach their reader, and Release empties them
+// for the next.
 func TestMultipleRounds(t *testing.T) {
-	e := NewExchanger(2, CostModel{})
+	f := NewInProc(2)
+	send, recv := f.Endpoint(0), f.Endpoint(1)
 	for r := 0; r < 3; r++ {
-		e.Out(0, 1).WriteUint32(uint32(r))
-		e.FinishSerialize(0)
-		e.FinishSerialize(1)
-		e.ResetRow(0)
-		e.ResetRow(1)
-	}
-	s := e.Stats()
-	if s.Rounds != 3 {
-		t.Errorf("rounds=%d", s.Rounds)
-	}
-	if s.NetworkBytes != 12 {
-		t.Errorf("net=%d", s.NetworkBytes)
+		send.Out(1).WriteUint32(uint32(r))
+		if err := send.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		in := recv.In(0)
+		if in.Len() != 4 || in.ReadUint32() != uint32(r) {
+			t.Fatalf("round %d: read %d bytes", r, in.Len())
+		}
+		send.Release()
+		if n := send.Out(1).Len(); n != 0 {
+			t.Fatalf("round %d: %d bytes left after Release", r, n)
+		}
 	}
 }

@@ -40,10 +40,6 @@ type Fabric interface {
 	// local workers (and, for distributed fabrics, coordinated with the
 	// remote processes over the control connection).
 	Barrier() barrier.Barrier
-	// Stats returns the communication statistics accumulated so far.
-	// For distributed fabrics the process-local view covers only
-	// locally observable traffic; job-wide totals live on the hub.
-	Stats() Stats
 	// Close releases transport resources. Engines do not call it — the
 	// fabric's owner does, after every Run sharing it has returned.
 	Close() error
@@ -55,7 +51,7 @@ type Endpoint interface {
 	// Out returns the outgoing staging buffer for dst this round.
 	Out(dst int) *ser.Buffer
 	// Flush publishes the round's outgoing buffers. Neither fabric does
-	// I/O here (in-process: accounting only, the buffers are shared;
+	// I/O here (in-process: nothing at all, the buffers are shared;
 	// socket: the frames are queued and reach the wire with the
 	// process's arrival at the next crossing, so a transport failure
 	// surfaces there, as an aborted barrier). An error returned here
@@ -77,10 +73,11 @@ type InProc struct {
 	eps []inprocEndpoint
 }
 
-// NewInProc creates the in-process fabric for m workers.
-func NewInProc(m int, cost CostModel) *InProc {
+// NewInProc creates the in-process fabric for m workers. The CostModel
+// argument is ignored: ROADMAP direction 4(d) deletes it.
+func NewInProc(m int, _ ...CostModel) *InProc {
 	f := &InProc{
-		ex:  NewExchanger(m, cost),
+		ex:  NewExchanger(m),
 		bar: barrier.New(m),
 		loc: make([]int, m),
 		eps: make([]inprocEndpoint, m),
@@ -91,10 +88,6 @@ func NewInProc(m int, cost CostModel) *InProc {
 	}
 	return f
 }
-
-// Exchanger exposes the underlying buffer matrix (for policy tweaks
-// like SetShrinkPolicy).
-func (f *InProc) Exchanger() *Exchanger { return f.ex }
 
 // NumWorkers implements Fabric.
 func (f *InProc) NumWorkers() int { return f.ex.NumWorkers() }
@@ -108,9 +101,6 @@ func (f *InProc) Endpoint(id int) Endpoint { return &f.eps[id] }
 // Barrier implements Fabric.
 func (f *InProc) Barrier() barrier.Barrier { return f.bar }
 
-// Stats implements Fabric.
-func (f *InProc) Stats() Stats { return f.ex.Stats() }
-
 // Close implements Fabric. The in-process fabric holds no external
 // resources.
 func (f *InProc) Close() error { return nil }
@@ -121,6 +111,6 @@ type inprocEndpoint struct {
 }
 
 func (e *inprocEndpoint) Out(dst int) *ser.Buffer { return e.ex.Out(e.id, dst) }
-func (e *inprocEndpoint) Flush() error            { e.ex.FinishSerialize(e.id); return nil }
+func (e *inprocEndpoint) Flush() error            { return nil }
 func (e *inprocEndpoint) In(src int) *ser.Buffer  { return e.ex.In(e.id, src) }
 func (e *inprocEndpoint) Release()                { e.ex.ResetRow(e.id) }

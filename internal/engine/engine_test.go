@@ -121,7 +121,7 @@ func TestEngineTokenRing(t *testing.T) {
 	if met.Supersteps < n {
 		t.Errorf("supersteps=%d want >= %d", met.Supersteps, n)
 	}
-	if met.Comm.NetworkBytes == 0 {
+	if met.NetBytes == 0 {
 		t.Errorf("no network bytes recorded")
 	}
 }
@@ -266,9 +266,8 @@ func TestEngineSingleWorker(t *testing.T) {
 	if got != 7 {
 		t.Errorf("loopback value %d", got)
 	}
-	s := met.Comm
-	if s.LocalBytes == 0 || s.NetworkBytes != 0 {
-		t.Errorf("loopback accounting: local=%d net=%d", s.LocalBytes, s.NetworkBytes)
+	if met.LocalBytes == 0 || met.NetBytes != 0 {
+		t.Errorf("loopback accounting: local=%d net=%d", met.LocalBytes, met.NetBytes)
 	}
 }
 
@@ -313,19 +312,10 @@ func TestEngineNullChannelsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met.Comm.NetworkBytes != 0 {
-		t.Errorf("null channels sent %d bytes", met.Comm.NetworkBytes)
+	if met.NetBytes != 0 {
+		t.Errorf("null channels sent %d bytes", met.NetBytes)
 	}
-	if met.Comm.Rounds == 0 {
+	if met.Rounds == 0 {
 		t.Errorf("expected at least one round")
-	}
-}
-
-func TestMetricsSimTime(t *testing.T) {
-	m := Metrics{}
-	m.WallTime = 5
-	m.Comm.SimNetTime = 7
-	if m.SimTime() != 12 {
-		t.Errorf("SimTime=%v", m.SimTime())
 	}
 }

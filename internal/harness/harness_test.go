@@ -88,8 +88,11 @@ func checkTable(t *testing.T, table string, want int) {
 		}
 	}
 	value := func(m Metric, r Row) int64 {
-		if m == Supersteps {
+		switch m {
+		case Supersteps:
 			return int64(r.Supersteps)
+		case Model:
+			return int64(r.Model)
 		}
 		return r.NetBytes
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/barrier"
 	"repro/internal/catalog"
-	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/workerproc"
@@ -598,15 +597,9 @@ func (m *Manager) execute(j *job) (*algorithms.Result, error) {
 			return nil, err
 		}
 	} else {
-		// the in-process fabric is built here (instead of inside the
-		// engine) so the job's flow accumulator can attach to its
-		// exchanger; multi-phase algorithms share it across phases just
-		// like the distributed path shares one socket fabric
-		fab := comm.NewInProc(view.Part.NumWorkers(), comm.CostModel{})
 		flows.SetPlane("inproc")
-		fab.Exchanger().SetFlows(flows)
 		opts := algorithms.Options{Part: view.Part, Frags: view.Frags,
-			MaxSupersteps: maxSteps, Cancel: j.cancel, Observer: tr, Fabric: fab}
+			MaxSupersteps: maxSteps, Cancel: j.cancel, Observer: tr, Flows: flows}
 		before := heapAllocBytes()
 		res, err = j.spec.Run(j.eng, j.req.Variant, g, opts, j.req.Params)
 		if err != nil {

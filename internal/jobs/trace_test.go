@@ -2,6 +2,7 @@ package jobs_test
 
 import (
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,13 +38,14 @@ func runTraced(t *testing.T, mgr *jobs.Manager, req jobs.Request) (*jobs.Report,
 // whether its workers are goroutines over shared memory or graphworker
 // subprocesses over the socket fabric. Deterministic fields — active
 // vertices, bytes, frames, rounds, channel breakdown — must match
-// exactly; only the time attributions may differ.
+// exactly; only the time attributions may differ. The job's traffic is
+// counted once, by the superstep driver above either fabric, so its
+// network bytes, rounds and every flow-matrix cell match too.
 func TestTraceShapeParityAcrossFabrics(t *testing.T) {
 	req := jobs.Request{Algorithm: "wcc", Dataset: "rmat"}
 
-	inprocMgr, cat := distributedManagerProcs(t, 0)
-	inprocRep, _ := runTraced(t, inprocMgr, req)
-	_ = cat
+	inprocMgr, _ := distributedManagerProcs(t, 0)
+	inprocRep, inprocFinal := runTraced(t, inprocMgr, req)
 
 	distMgr, _ := distributedManagerProcs(t, 2)
 	distRep, distFinal := runTraced(t, distMgr, req)
@@ -86,6 +88,22 @@ func TestTraceShapeParityAcrossFabrics(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	x, y := inprocFinal.Metrics, distFinal.Metrics
+	if x.NetBytes != y.NetBytes || x.LocalBytes != y.LocalBytes || x.Rounds != y.Rounds || x.NetBytes == 0 {
+		t.Errorf("traffic: in-proc %d net / %d local bytes in %d rounds, distributed %d / %d in %d",
+			x.NetBytes, x.LocalBytes, x.Rounds, y.NetBytes, y.LocalBytes, y.Rounds)
+	}
+	if x.Model == 0 || y.Model != 0 {
+		t.Errorf("model: in-proc %v, distributed %v; only the in-process job has one", x.Model, y.Model)
+	}
+	xf, yf := inprocRep.Flows, distRep.Flows
+	if len(xf.Flows) == 0 || !slices.Equal(xf.Flows, yf.Flows) {
+		t.Errorf("flow cells differ:\n in-proc %+v\n distributed %+v", xf.Flows, yf.Flows)
+	}
+	if xf.Plane != "inproc" || yf.Plane != "hub" {
+		t.Errorf("planes %q and %q, want inproc and hub", xf.Plane, yf.Plane)
 	}
 
 	// distributed jobs additionally record per-worker wall times

@@ -29,7 +29,7 @@ func FuzzWireHeader(f *testing.F) {
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	batch := msg(kSamples, 0, 1, []byte("sample"))
 	batch = append(batch, msg(kFrame, 0, 2, bytes.Repeat([]byte{7}, 300))...)
-	batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8+reportLen))...)
+	batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8))...)
 	f.Add(batch)
 	f.Add(append(batch, 99, 0, 0, 0, 0, 0, 0, 0, 0)) // hostile header behind a legal batch
 	for _, k := range retiredKinds {

@@ -39,17 +39,16 @@ func DataPlaneStats() (hubBufferedBytes int64) { return hubBuffered.Load() }
 // connection per worker process, routes data frames between them
 // (staged in the destination's buffered writer, flushed once per batch
 // the source's pump read), runs the distributed barrier (counting
-// arrivals, broadcasting releases with the AllReduce aggregate), charges
-// the simulated cost model from the flush reports the arrivals carry,
-// and collects each process's result blob.
+// arrivals, broadcasting releases with the AllReduce aggregate) and
+// collects each process's result blob. What it counts is its own work:
+// the frames it relayed (DataBytes, RelayStats).
 // A connection that drops before delivering its result is a worker
 // failure: the hub aborts the job so every other process unwinds
 // instead of waiting on a barrier the dead worker will never reach.
 type Hub struct {
-	m    int
-	cost comm.CostModel
-	ln   net.Listener
-	log  *slog.Logger
+	m   int
+	ln  net.Listener
+	log *slog.Logger
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals joins, results, and state changes
@@ -68,15 +67,6 @@ type Hub struct {
 	// dataBytes counts frame payload bytes relayed through the hub —
 	// the job's cross-process exchange volume.
 	dataBytes int64
-
-	// round accounting, from the flush reports arrivals carry: a crossing
-	// that carried any closes an exchange round when it releases
-	reported bool
-	roundMax int64
-	netBytes int64
-	locBytes int64
-	rounds   int64
-	simNet   time.Duration
 
 	// completion state: a worker is settled once its connection
 	// delivered a result or was declared lost.
@@ -118,11 +108,11 @@ type hubConn struct {
 
 // NewHub creates a hub for an m-worker job and starts serving on ln
 // (closing ln stops the accept loop; the caller owns ln's lifetime via
-// Hub.Close).
-func NewHub(m int, cost comm.CostModel, ln net.Listener) *Hub {
+// Hub.Close). The CostModel argument is ignored: ROADMAP direction 4(d)
+// deletes it.
+func NewHub(m int, _ comm.CostModel, ln net.Listener) *Hub {
 	h := &Hub{
 		m:        m,
-		cost:     cost,
 		ln:       ln,
 		log:      slog.New(slog.DiscardHandler),
 		hosts:    make([]*hubConn, m),
@@ -291,7 +281,7 @@ func (h *Hub) pump(hc *hubConn) error {
 		case kArrive:
 			// A process arrives for exactly the workers it hosts, or it
 			// could release a crossing its peers never reached.
-			if int(a) != hc.hi-hc.lo+1 || (n != 8 && n != 8+reportLen) {
+			if int(a) != hc.hi-hc.lo+1 || n != 8 {
 				return fmt.Errorf("bad arrival: %d workers, %d-byte payload", a, n)
 			}
 			p, err := rd.payload(n)
@@ -383,8 +373,8 @@ func (h *Hub) RelayStats() []obs.RelayStat {
 }
 
 // DataBytes returns the frame payload bytes relayed through the hub so
-// far: the job's cross-process exchange volume — Stats().NetworkBytes
-// less what co-hosted workers sent each other, which stays inside their
+// far: the job's cross-process exchange volume — its network bytes less
+// what co-hosted workers sent each other, which stays inside their
 // process.
 func (h *Hub) DataBytes() int64 {
 	h.mu.Lock()
@@ -550,27 +540,15 @@ func (h *Hub) targetLost(target *hubConn, err error) {
 	h.mu.Unlock()
 }
 
-// arrive counts one process's arrival of count workers, payload p, and
-// folds in the flush report p may carry; the M-th arrival releases the
-// crossing, closing the exchange round if the crossing carried reports.
+// arrive counts one process's arrival of count workers with value sum
+// p; the M-th arrival releases the crossing.
 func (h *Hub) arrive(count int, p []byte) {
 	h.mu.Lock()
 	h.arrived += count
 	h.accum += binary.LittleEndian.Uint64(p)
-	if len(p) > 8 {
-		h.netBytes += int64(binary.LittleEndian.Uint64(p[8:]))
-		h.locBytes += int64(binary.LittleEndian.Uint64(p[16:]))
-		h.roundMax = max(h.roundMax, int64(binary.LittleEndian.Uint64(p[24:])))
-		h.reported = true
-	}
 	if h.arrived < h.m {
 		h.mu.Unlock()
 		return
-	}
-	if h.reported {
-		h.rounds++
-		h.simNet += h.cost.RoundTime(h.roundMax)
-		h.reported, h.roundMax = false, 0
 	}
 	h.arrived = 0
 	agg := h.accum
@@ -733,19 +711,6 @@ func (h *Hub) ResultTimes() map[int]time.Time {
 		out[lo] = t
 	}
 	return out
-}
-
-// Stats returns the job-wide communication statistics observed by the
-// hub.
-func (h *Hub) Stats() comm.Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return comm.Stats{
-		NetworkBytes: h.netBytes,
-		LocalBytes:   h.locBytes,
-		Rounds:       h.rounds,
-		SimNetTime:   h.simNet,
-	}
 }
 
 // Close shuts the hub down: the listener stops accepting and every

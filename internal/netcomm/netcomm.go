@@ -9,8 +9,9 @@
 // message-based distributed barrier (a process's arrival folds its
 // workers' AllReduce contributions; the hub releases a crossing by
 // broadcasting the aggregate once all M workers arrived), abort/cancel,
-// the per-round flush report the cost model is charged from, and each
-// process's opaque result blob.
+// and each process's opaque result blob. Like the in-process fabric it
+// counts nothing: a job's bytes, rounds and flows are counted by the
+// superstep driver (internal/bsp), above the Fabric seam.
 //
 // The data plane — one frame per (src, dst) pair per exchange round,
 // empty buffers skipped on the wire — rides the same star: the hub
@@ -19,10 +20,9 @@
 // for workers in other processes (frames for a worker of its own
 // process are staged in memory and never leave it), and the process's
 // last local arrival writes the queued frames, any queued samples and
-// the arrival itself — carrying the round's folded flush report — in one
-// gathered write. The hub coalesces too: each connection has one
-// buffered writer, and forwards are staged in the destination's and
-// flushed once per batch the pump read. Ordering makes delivery
+// the arrival itself in one gathered write. The hub coalesces too: each
+// connection has one buffered writer, and forwards are staged in the
+// destination's and flushed once per batch the pump read. Ordering makes delivery
 // implicit: a process's frames precede its arrival on its stream, the
 // hub stages them in a destination's writer before that destination's
 // release (one writer, one lock, flushed with the release at the
@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/barrier"
 	"repro/internal/comm"
-	"repro/internal/obs"
 	"repro/internal/ser"
 )
 
@@ -57,16 +56,12 @@ import (
 const (
 	kHello   = 1 // worker→hub: a,b = inclusive hosted worker range
 	kFrame   = 2 // worker↔hub: a = src worker, b = dst worker, payload = round buffer
-	kArrive  = 3 // worker→hub: a = hosted worker count, payload = value sum (8) [+ flush report (reportLen)]
+	kArrive  = 3 // worker→hub: a = hosted worker count, payload = value sum (8)
 	kRelease = 4 // hub→worker: payload = crossing aggregate (8)
 	kAbort   = 5 // either way: payload = reason string
 	kResult  = 6 // worker→hub: a,b = worker range, payload = opaque result blob
 	kSamples = 7 // worker→hub: a,b = worker range, payload = encoded in-flight superstep samples (see Client.SendSamples)
 )
-
-// reportLen is the length of the flush report an arrival carries after
-// its sum once its workers flushed: Σ net, Σ local and max net bytes.
-const reportLen = 24
 
 // Data-plane names accepted by Config.DataPlane and
 // workerproc.JobSpec.DataPlane. Every one of them runs the hub relay.
@@ -160,23 +155,12 @@ type Client struct {
 
 	// wmu serializes writes on the hub connection and guards what waits
 	// for the next one: the frames Flush queued (headers and the workers'
-	// out buffers, in place; the vector is reused), the samples
-	// SendSamples queued, and — once a worker flushed — the round's flush
-	// report for the next arrival. Every write is one gathered write of
-	// all of it. The local stats counters live under it too.
+	// out buffers, in place; the vector is reused) and the samples
+	// SendSamples queued. Every write is one gathered write of all of it.
 	wmu     sync.Mutex
 	frames  net.Buffers
 	samples []byte
-	flushed bool
-	report  [3]int64 // Σ net, Σ local, max net bytes
-	arrival [headerLen + 8 + reportLen]byte
-
-	netBytes  int64
-	locBytes  int64
-	rounds    int64
-	peerBytes []int64 // per destination worker id
-
-	flows *obs.FlowAccum // optional flow matrix, fed at the flush seam
+	arrival [headerLen + 8]byte
 
 	bar *wireBarrier
 	eps []*clientEndpoint
@@ -197,10 +181,6 @@ type Config struct {
 	//
 	// Deprecated: ROADMAP direction 4(d) deletes it.
 	DataPlane string
-	// Flows, if non-nil, receives one Record per non-empty (src, dst)
-	// flush from this process's hosted workers — the per-flow half of
-	// the job's flow matrix. Nil costs one branch per destination.
-	Flows *obs.FlowAccum
 }
 
 // Dial connects to a hub at addr over network ("tcp" or "unix") and
@@ -225,10 +205,7 @@ func DialConfig(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netcomm: dial hub: %w", err)
 	}
-	c := &Client{m: m, lo: lo, hi: hi, conn: conn, peerBytes: make([]int64, m), flows: cfg.Flows}
-	if c.flows != nil {
-		c.flows.SetPlane("hub")
-	}
+	c := &Client{m: m, lo: lo, hi: hi, conn: conn}
 	c.bar = &wireBarrier{c: c, k: hi - lo + 1}
 	c.bar.cond = sync.NewCond(&c.bar.mu)
 	c.eps = make([]*clientEndpoint, hi-lo+1)
@@ -237,7 +214,6 @@ func DialConfig(cfg Config) (*Client, error) {
 			out:     make([]*ser.Buffer, m),
 			deliver: make([]*ser.Buffer, m),
 			pending: make([]*ser.Buffer, m),
-			sent:    make([]int64, m),
 			hdrs:    make([]byte, m*headerLen),
 		}
 		for d := 0; d < m; d++ {
@@ -281,20 +257,13 @@ func (c *Client) write(msgs ...[]byte) error {
 
 // arrive makes this process's one write of a barrier crossing: the
 // queued frames and samples, then the arrival of its k workers with
-// their value sum and, when they flushed since their previous crossing,
-// the round's folded flush report.
+// their value sum.
 func (c *Client) arrive(k int, sum uint64) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	msg := binary.LittleEndian.AppendUint64(c.arrival[:headerLen], sum)
-	if c.flushed {
-		for _, v := range c.report {
-			msg = binary.LittleEndian.AppendUint64(msg, uint64(v))
-		}
-		c.flushed, c.report = false, [3]int64{}
-	}
-	putHeader(msg, kArrive, uint16(k), 0, len(msg)-headerLen)
-	return c.write(msg)
+	putHeader(c.arrival[:], kArrive, uint16(k), 0, 8)
+	binary.LittleEndian.PutUint64(c.arrival[headerLen:], sum)
+	return c.write(c.arrival[:])
 }
 
 // readLoop demuxes the hub connection: frames are staged into the
@@ -404,20 +373,6 @@ func (c *Client) Endpoint(id int) comm.Endpoint { return c.eps[id-c.lo] }
 // Barrier implements comm.Fabric.
 func (c *Client) Barrier() barrier.Barrier { return c.bar }
 
-// Stats implements comm.Fabric: the process-local view (bytes this
-// process sent, split per destination worker; simulated network time
-// lives on the hub's cost model).
-func (c *Client) Stats() comm.Stats {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return comm.Stats{
-		NetworkBytes: c.netBytes,
-		LocalBytes:   c.locBytes,
-		Rounds:       c.rounds,
-		PeerBytes:    append([]int64(nil), c.peerBytes...),
-	}
-}
-
 // Close implements comm.Fabric: it closes the hub connection.
 func (c *Client) Close() error {
 	c.cmu.Lock()
@@ -436,7 +391,6 @@ type clientEndpoint struct {
 	id int
 
 	out   []*ser.Buffer
-	sent  []int64  // per-flush per-dst byte scratch
 	batch [][]byte // per-flush scratch: the frames Flush queues on the client
 	hdrs  []byte   // backing for the queued frames' headers, one slot per dst
 
@@ -462,27 +416,15 @@ func (ep *clientEndpoint) Out(dst int) *ser.Buffer { return ep.out[dst] }
 // non-empty off-worker buffer becomes one frame. A co-hosted
 // destination's is staged in-process. A remote one's is queued on the
 // client, header and buffer in place, for the process's write at the
-// next crossing, and its byte counts join the round's flush report
-// there. The report counts co-hosted bytes like any others: round
-// accounting and the simulated cost model live on the hub. The loopback
-// buffer stays local (zero-copy, as in the in-process fabric).
+// next crossing. The loopback buffer stays local (zero-copy, as in the
+// in-process fabric).
 func (ep *clientEndpoint) Flush() error {
 	c := ep.c
-	var netB, locB int64
 	batch := ep.batch[:0]
 	for dst := 0; dst < c.m; dst++ {
 		b := ep.out[dst]
 		n := b.Len()
-		if c.flows != nil && n > 0 {
-			c.flows.Record(ep.id, dst, int64(n))
-		}
-		if dst == ep.id {
-			locB += int64(n)
-			continue
-		}
-		netB += int64(n)
-		ep.sent[dst] = int64(n)
-		if n == 0 {
+		if dst == ep.id || n == 0 {
 			continue
 		}
 		if dst >= c.lo && dst <= c.hi {
@@ -499,18 +441,6 @@ func (ep *clientEndpoint) Flush() error {
 	ep.mu.Unlock()
 	c.wmu.Lock()
 	c.frames = append(c.frames, batch...)
-	c.flushed = true
-	c.report[0] += netB
-	c.report[1] += locB
-	c.report[2] = max(c.report[2], netB)
-	c.netBytes += netB
-	c.locBytes += locB
-	for dst, n := range ep.sent {
-		c.peerBytes[dst] += n
-	}
-	if ep.id == c.lo {
-		c.rounds++
-	}
 	c.wmu.Unlock()
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/netcomm"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/seq"
 	"repro/internal/ser"
@@ -132,29 +133,76 @@ func TestSocketFabricWCCMatchesOracle(t *testing.T) {
 	}
 }
 
-// Hub stats must account the traffic the in-process Exchanger would:
-// off-worker bytes as network bytes, loopback as local, with rounds
-// counted per flush.
+// The driver counts a job's traffic above the fabric, so the socket
+// fabric's run counts what the in-process run does, and the hub relays
+// exactly the network bytes that cross processes: those less what
+// co-hosted workers sent each other, read off the flow matrix.
 func TestSocketFabricHubStats(t *testing.T) {
+	const m = 4
 	g := graph.Undirectify(graph.RMAT(7, 4, 3, graph.RMATOptions{NoSelfLoops: true}))
-	hub, clients := startFabric(t, 2)
-	part := partition.MustHash(g.NumVertices(), 2)
+	part := partition.MustHash(g.NumVertices(), m)
 	frags := frag.Build(g, part)
+	wcc, _ := algorithms.Lookup("wcc")
+	run := func(fab comm.Fabric, flows *obs.FlowAccum) algorithms.Metrics {
+		o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: fab, Flows: flows}
+		res, err := wcc.Run(algorithms.EngineChannel, algorithms.DefaultVariant, g, o, algorithms.Params{})
+		if err != nil {
+			t.Error(err)
+			return algorithms.Metrics{}
+		}
+		return res.Metrics
+	}
+	want := run(nil, nil)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := netcomm.NewHub(m, comm.CostModel{}, ln)
+	t.Cleanup(hub.Close)
+	clients := make([]*netcomm.Client, 2)
+	for i := range clients {
+		c, err := netcomm.Dial("tcp", ln.Addr().String(), 2*i, 2*i+1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	if err := hub.WaitJoined(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	flows := obs.NewFlowAccum(m)
+	procs := make([]algorithms.Metrics, len(clients))
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i, c := range clients {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i]}
-			if _, err := wcc.Run(algorithms.EngineChannel, algorithms.DefaultVariant, g, o, algorithms.Params{}); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i)
+			procs[i] = run(c, flows)
+		}()
 	}
 	wg.Wait()
-	st := hub.Stats()
-	if st.NetworkBytes == 0 || st.LocalBytes == 0 || st.Rounds == 0 || st.SimNetTime == 0 {
-		t.Fatalf("hub stats missing traffic: %+v", st)
+	var got algorithms.Metrics
+	for _, p := range procs {
+		got.NetBytes += p.NetBytes
+		got.LocalBytes += p.LocalBytes
+		if p.Rounds != want.Rounds || p.Model != 0 {
+			t.Errorf("a process counted %d rounds and a %v model, want %d and none", p.Rounds, p.Model, want.Rounds)
+		}
+	}
+	if got.NetBytes != want.NetBytes || got.LocalBytes != want.LocalBytes || want.NetBytes == 0 || want.LocalBytes == 0 {
+		t.Fatalf("processes counted %d network and %d loopback bytes, the in-process run %d and %d",
+			got.NetBytes, got.LocalBytes, want.NetBytes, want.LocalBytes)
+	}
+	var coHosted int64
+	for _, f := range flows.Matrix().Flows {
+		if f.Src != f.Dst && f.Src/2 == f.Dst/2 {
+			coHosted += f.Bytes
+		}
+	}
+	if db := hub.DataBytes(); db != got.NetBytes-coHosted || coHosted == 0 {
+		t.Errorf("hub relayed %d bytes, want the %d network bytes less the %d co-hosted", db, got.NetBytes, coHosted)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/frag"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/seq"
 )
@@ -182,21 +183,22 @@ func TestHubPlaneOneWritePerFlush(t *testing.T) {
 	if got, max := ln.writes.Load(), int64(procs*rounds+procs*rounds*2); got > max {
 		t.Errorf("the hub made %d writes, want at most %d: one per relayed arrival, one per release", got, max)
 	}
+	var sent int64
 	for r := 0; r < rounds; r++ {
 		for src := 0; src < m; src++ {
 			for dst := 0; dst < m; dst++ {
-				if src != dst && src/2 == dst/2 {
+				if src == dst {
+					continue
+				}
+				sent += int64(size(r, src, dst))
+				if src/2 == dst/2 {
 					coHosted += int64(size(r, src, dst))
 				}
 			}
 		}
 	}
-	st := hub.Stats()
-	if st.Rounds != rounds {
-		t.Errorf("hub counted %d rounds, want %d", st.Rounds, rounds)
-	}
-	if got, want := hub.DataBytes(), st.NetworkBytes-coHosted; got != want || coHosted == 0 {
-		t.Errorf("hub relayed %d bytes, want the %d accounted less the %d co-hosted = %d", got, st.NetworkBytes, coHosted, want)
+	if got, want := hub.DataBytes(), sent-coHosted; got != want || coHosted == 0 {
+		t.Errorf("hub relayed %d bytes, want the %d sent less the %d co-hosted = %d", got, sent, coHosted, want)
 	}
 	var relayed int64
 	for _, rs := range hub.RelayStats() {
@@ -275,9 +277,9 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 			// Worker 1's job as a byte stream: the hello glued to the
 			// set-up crossing's arrival (frames may only flow once a
 			// release has proved the whole party joined); then per round
-			// a sample, a frame for worker 0 and the arrival carrying the
-			// flush report, and — paced by the hub's releases, as a real
-			// worker is — the second arrival.
+			// a sample, a frame for worker 0 and the arrival, and — paced
+			// by the hub's releases, as a real worker is — the second
+			// arrival.
 			const rounds = 3
 			frame := func(r int) []byte {
 				p := make([]byte, 5000+r)
@@ -286,7 +288,6 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 			}
 			scripted := make(chan error, 1)
 			go func() {
-				var report [8 + reportLen]byte
 				var zero [8]byte
 				in := bufio.NewReader(raw)
 				hello := append(msg(kHello, 1, 1, nil), msg(kArrive, 1, 0, zero[:])...)
@@ -300,11 +301,9 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 				}
 				var next []byte
 				for r := 0; r < rounds; r++ {
-					binary.LittleEndian.PutUint64(report[8:], uint64(len(frame(r))))  // Σ net
-					binary.LittleEndian.PutUint64(report[24:], uint64(len(frame(r)))) // max net
 					next = append(next, msg(kSamples, 1, 1, []byte("smp"))...)
 					next = append(next, msg(kFrame, 1, 0, frame(r))...)
-					next = append(next, msg(kArrive, 1, 0, report[:])...)
+					next = append(next, msg(kArrive, 1, 0, zero[:])...)
 					for _, part := range [][]byte{next, msg(kArrive, 1, 0, zero[:])} {
 						if err := writeChunked(raw, part, chunk); err != nil {
 							scripted <- err
@@ -352,8 +351,12 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 			if got := samples.Load(); got != rounds {
 				t.Errorf("%d samples decoded, want %d", got, rounds)
 			}
-			if st := hub.Stats(); st.Rounds != rounds || hub.DataBytes() != st.NetworkBytes {
-				t.Errorf("hub accounted %+v, relayed %d bytes", st, hub.DataBytes())
+			var sent int64
+			for r := 0; r < rounds; r++ {
+				sent += int64(len(frame(r)))
+			}
+			if got := hub.DataBytes(); got != sent {
+				t.Errorf("hub relayed %d bytes, the scripted worker sent %d", got, sent)
 			}
 		})
 	}
@@ -464,7 +467,10 @@ func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 	for _, k := range retiredKinds {
 		hostile = append(hostile, row{msg(k, 1, 0, make([]byte, 8)), false})
 	}
-	hostile = append(hostile, row{msg(kArrive, 1, 0, make([]byte, 16)), true}) // neither a bare sum nor a sum and a report
+	hostile = append(hostile,
+		row{msg(kArrive, 1, 0, make([]byte, 16)), true}, // not a bare sum
+		row{msg(kArrive, 1, 0, make([]byte, 32)), true}, // a sum and the retired 24-byte flush report
+	)
 	for i, bad := range hostile {
 		t.Run(fmt.Sprint("hub/", i), func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -592,7 +598,7 @@ func TestMsgReaderInPlacePayloads(t *testing.T) {
 			hubBuffered.Add(-int64(len(m.buf) - connBufSize))
 		})
 	}
-	arrival := msg(kArrive, 1, 0, make([]byte, 8+reportLen))
+	arrival := msg(kArrive, 1, 0, make([]byte, 8))
 	for cut := 1; cut < len(arrival); cut++ {
 		m := msgReader{conn: bytes.NewReader(arrival[:cut]), buf: make([]byte, connBufSize)}
 		_, _, _, n, err := m.header()
@@ -638,9 +644,9 @@ func dialParty(t *testing.T, network, plane string, m, procs int) (*Hub, []*Clie
 }
 
 // The hub relays every byte that leaves a process: its counter tracks
-// the whole exchange volume with one worker per process, and the volume
-// less what co-hosted workers sent each other — which never touches a
-// socket — with two.
+// the job's network bytes with one worker per process, and those less
+// what co-hosted workers sent each other — which never touches a socket,
+// and the flow matrix shows — with two.
 func TestHubPlaneRelaysDataBytes(t *testing.T) {
 	g := graph.Undirectify(graph.RMAT(7, 4, 3, graph.RMATOptions{NoSelfLoops: true}))
 	want := seq.ConnectedComponents(g)
@@ -650,19 +656,20 @@ func TestHubPlaneRelaysDataBytes(t *testing.T) {
 			hub, clients := dialParty(t, "tcp", DataPlaneHub, tc.m, tc.procs)
 			part := partition.MustHash(g.NumVertices(), tc.m)
 			frags := frag.Build(g, part)
-			partials := make([][]graph.VertexID, tc.procs)
+			flows := obs.NewFlowAccum(tc.m)
+			partials := make([]*algorithms.Result, tc.procs)
 			var wg sync.WaitGroup
 			for i := range clients {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i]}
+					o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: clients[i], Flows: flows}
 					res, err := wcc.Run(algorithms.EngineChannel, algorithms.DefaultVariant, g, o, algorithms.Params{})
 					if err != nil {
 						t.Errorf("process %d: %v", i, err)
 						return
 					}
-					partials[i] = res.Labels
+					partials[i] = res
 				}(i)
 			}
 			wg.Wait()
@@ -671,23 +678,24 @@ func TestHubPlaneRelaysDataBytes(t *testing.T) {
 			}
 			per := tc.m / tc.procs
 			for v := range want {
-				if got := partials[part.Owner(graph.VertexID(v))/per][v]; got != want[v] {
+				if got := partials[part.Owner(graph.VertexID(v))/per].Labels[v]; got != want[v] {
 					t.Fatalf("vertex %d: got %d want %d", v, got, want[v])
 				}
 			}
-			var coHosted int64
-			for i, c := range clients {
-				for dst, b := range c.Stats().PeerBytes {
-					if dst/per == i {
-						coHosted += b
-					}
+			var net, coHosted int64
+			for _, res := range partials {
+				net += res.Metrics.NetBytes
+			}
+			for _, f := range flows.Matrix().Flows {
+				if f.Src != f.Dst && f.Src/per == f.Dst/per {
+					coHosted += f.Bytes
 				}
 			}
 			if (coHosted != 0) != (per > 1) {
 				t.Fatalf("%d co-hosted bytes with %d workers per process", coHosted, per)
 			}
-			if db, net := hub.DataBytes(), hub.Stats().NetworkBytes; db != net-coHosted {
-				t.Errorf("hub relayed %d data bytes, flush reports accounted %d of which %d co-hosted — the difference should be what it relayed", db, net, coHosted)
+			if db := hub.DataBytes(); db != net-coHosted {
+				t.Errorf("hub relayed %d data bytes, the processes counted %d of which %d co-hosted — the difference should be what it relayed", db, net, coHosted)
 			} else if db == 0 {
 				t.Error("hub relayed no data bytes")
 			}

@@ -221,8 +221,8 @@ func TestReqRespReplyCarriesIDs(t *testing.T) {
 	}
 	// 3 remote workers: requests ~ (1+4)B each, replies (varint + 4+4)B
 	// each: replies must dominate requests
-	if met.Comm.NetworkBytes < 3*(5+9) {
-		t.Errorf("unexpectedly small wire traffic: %d", met.Comm.NetworkBytes)
+	if met.NetBytes < 3*(5+9) {
+		t.Errorf("unexpectedly small wire traffic: %d", met.NetBytes)
 	}
 }
 
@@ -264,7 +264,7 @@ func TestGhostModeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got, met.Comm.NetworkBytes
+		return got, met.NetBytes
 	}
 
 	basic, basicBytes := run(0)

@@ -63,7 +63,6 @@ type JobSpec struct {
 	Params    algorithms.Params
 
 	MaxSupersteps int
-	Cost          comm.CostModel
 
 	// Cancel, if non-nil, aborts the job when closed: the hub abort
 	// propagates over every control connection, workers unwind and
@@ -315,7 +314,7 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		return nil, false, false, fmt.Errorf("workerproc: listen: %w", err)
 	}
 	d.addr = addr
-	hub := netcomm.NewHub(d.m, spec.Cost, ln)
+	hub := netcomm.NewHub(d.m, comm.CostModel{}, ln)
 	defer hub.Close()
 	hub.SetLogger(log)
 	if spec.Trace != nil {
@@ -457,7 +456,7 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		}
 		partials = append(partials, pr)
 	}
-	res, minSteps, mergeErr := mergePartials(spec.Part, partials, spec.Flows)
+	res, mergeErr := mergePartials(spec.Part, partials, spec.Flows)
 	<-acked
 	close(procsDone)
 
@@ -537,15 +536,8 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 			spec.Flows.AddRelay(r)
 		}
 	}
-	hubStats := hub.Stats()
-	res.Metrics = algorithms.Metrics{
-		Engine:     d.engine,
-		Supersteps: minSteps,
-		NetBytes:   hubStats.NetworkBytes,
-		Rounds:     hubStats.Rounds,
-		WallTime:   time.Since(start),
-		SimTime:    time.Since(start) + hubStats.SimNetTime,
-	}
+	res.Metrics.Engine = d.engine
+	res.Metrics.WallTime = time.Since(start)
 	// Per-worker wall time as the coordinator saw it: job start to the
 	// arrival of the result blob covering that worker. The spread across
 	// workers is the job-level straggler skew.
@@ -561,8 +553,8 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		}
 	}
 	res.Metrics.WorkerWall = wall
-	log.Debug("job merged", "supersteps", minSteps,
-		"net_bytes", hubStats.NetworkBytes, "rounds", hubStats.Rounds)
+	log.Debug("job merged", "supersteps", res.Metrics.Supersteps,
+		"net_bytes", res.Metrics.NetBytes, "rounds", res.Metrics.Rounds)
 	return res, true, false, nil
 }
 

@@ -265,11 +265,10 @@ func FuzzPartial(f *testing.F) {
 			return nil, err
 		}
 		flows := obs.NewFlowAccum(part.NumWorkers())
-		res, steps, err := mergePartials(part, []partial{p}, flows)
+		res, err := mergePartials(part, []partial{p}, flows)
 		if err != nil {
 			return nil, err
 		}
-		res.Metrics.Supersteps = steps
 		buf := ser.NewBuffer(256)
 		encodePartial(buf, part, p.lo, p.hi, res, flows.Matrix(), nil)
 		return buf.Bytes(), nil
@@ -282,7 +281,7 @@ func FuzzPartial(f *testing.F) {
 		encodePartial(buf, part, 0, 1, res, flows, runErr)
 		return buf.Bytes()
 	}
-	steps := algorithms.Metrics{Supersteps: 7}
+	steps := algorithms.Metrics{Supersteps: 7, NetBytes: 1 << 40, LocalBytes: 12, Rounds: 9}
 	for _, res := range []*algorithms.Result{
 		{Labels: []graph.VertexID{5, 4, 3, 2, 1, 0}, Metrics: steps},
 		{Ranks: []float64{0.5, 0, -1, math.Inf(1), 1e-300, 3}, Metrics: steps},
@@ -303,6 +302,7 @@ func FuzzPartial(f *testing.F) {
 	huge.WriteUvarint(1)
 	huge.WriteString("")
 	huge.WriteUvarint(3)
+	huge.WriteUvarints([]uint32{40, 2, 3}) // net, local bytes, rounds
 	huge.WriteUint8(kindMSF)
 	for v := 0; v < part.NumVertices(); v++ {
 		huge.WriteUvarint(0)
@@ -316,6 +316,22 @@ func FuzzPartial(f *testing.F) {
 		f.Fatal("an MSF partial claiming 2^40 edges was accepted")
 	}
 	f.Add(huge.Bytes())
+	// a labels partial whose network total would wrap negative
+	wrap := ser.NewBuffer(64)
+	wrap.WriteUvarint(0)
+	wrap.WriteUvarint(1)
+	wrap.WriteString("")
+	wrap.WriteUvarint(3)
+	wrap.WriteUvarint(math.MaxUint64)
+	wrap.WriteUvarints([]uint32{2, 3})
+	wrap.WriteUint8(kindLabels)
+	wrap.WriteUvarints(make([]uint32, part.LocalCount(0)))
+	wrap.WriteUvarints(make([]uint32, part.LocalCount(1)))
+	encodeFlows(wrap, nil)
+	if _, err := reencode(wrap.Bytes()); err == nil {
+		f.Fatal("a partial whose network total wraps negative was accepted")
+	}
+	f.Add(wrap.Bytes())
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		once, err := reencode(blob)
 		if err != nil {

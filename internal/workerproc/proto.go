@@ -25,6 +25,7 @@ package workerproc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -46,8 +47,9 @@ const (
 
 // encodePartial serializes one process's share of a run: the hosted
 // worker range, the run error (empty string = success), the superstep
-// count its workers reached, and — on success — the hosted workers'
-// slices of the result arrays, in (worker, local index) order as
+// count its workers reached, and — on success — the process's traffic
+// totals (network bytes, loopback bytes, exchange rounds), the hosted
+// workers' slices of the result arrays, in (worker, local index) order as
 // mergePartials reads them back, followed by their share of the flow
 // matrix. Error partials carry no values and no flows — an aborted
 // attempt contributes nothing, so recovery never double-counts. The
@@ -63,6 +65,9 @@ func encodePartial(buf *ser.Buffer, part *partition.Partition, lo, hi int,
 	}
 	buf.WriteString("")
 	buf.WriteUvarint(uint64(res.Metrics.Supersteps))
+	buf.WriteUvarint(uint64(res.Metrics.NetBytes))
+	buf.WriteUvarint(uint64(res.Metrics.LocalBytes))
+	buf.WriteUvarint(uint64(res.Metrics.Rounds))
 	switch res.Kind() {
 	case "labels":
 		buf.WriteUint8(kindLabels)
@@ -240,13 +245,25 @@ func count(b *ser.Buffer) int {
 	return int(n)
 }
 
+// total reads a traffic total: any size a process can have counted,
+// but never one that wraps negative. It panics like count.
+func total(b *ser.Buffer) int64 {
+	n := b.ReadUvarint()
+	if n > math.MaxInt64 {
+		panic(fmt.Sprintf("total %d overflows", n))
+	}
+	return int64(n)
+}
+
 // partial is one decoded process report.
 type partial struct {
 	lo, hi     int
 	err        error
 	supersteps int
-	kind       uint8
-	decode     *ser.Buffer // positioned at the value stream
+	// the process's traffic: network and loopback bytes, rounds
+	netBytes, localBytes, rounds int64
+	kind                         uint8
+	decode                       *ser.Buffer // positioned at the value stream
 }
 
 // decodePartial parses one result blob.
@@ -268,6 +285,7 @@ func decodePartial(blob []byte) (p partial, err error) {
 		return p, nil
 	}
 	p.supersteps = int(b.ReadUvarint())
+	p.netBytes, p.localBytes, p.rounds = total(b), total(b), total(b)
 	p.kind = b.ReadUint8()
 	if p.kind > kindMSF {
 		return partial{}, fmt.Errorf("workerproc: bad result kind %d from workers %d-%d", p.kind, p.lo, p.hi)
@@ -293,22 +311,24 @@ func reportedError(msg string) error {
 }
 
 // mergePartials assembles the per-process partial results into one
-// global Result under part. It returns the merged result, the minimum
-// superstep any worker reached, and the joined worker errors (nil when
-// every process succeeded). Blobs must cover every worker exactly once;
+// global Result under part. It returns the merged result — its Metrics
+// carrying the minimum superstep any worker reached, the processes'
+// summed bytes and their round count — and the joined worker errors (nil
+// when every process succeeded). Blobs must cover every worker exactly once;
 // a missing range is reported as an error (its workers died before
 // reporting — the transport error carries the detail). When flows is
 // non-nil, each blob's flow section is merged into it, reassembling the
 // job-wide flow matrix from the per-process shares.
-func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAccum) (*algorithms.Result, int, error) {
+func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAccum) (*algorithms.Result, error) {
 	m := part.NumWorkers()
 	covered := make([]bool, m)
 	var errs []error
+	var met algorithms.Metrics
 	minSteps := -1
 	kind := uint8(255)
 	for _, p := range blobs {
 		if p.hi >= m {
-			return nil, 0, fmt.Errorf("workerproc: result blob for workers %d-%d of %d", p.lo, p.hi, m)
+			return nil, fmt.Errorf("workerproc: result blob for workers %d-%d of %d", p.lo, p.hi, m)
 		}
 		for w := p.lo; w <= p.hi; w++ {
 			covered[w] = true
@@ -320,10 +340,14 @@ func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAc
 		if minSteps < 0 || p.supersteps < minSteps {
 			minSteps = p.supersteps
 		}
+		// every process runs every round: the job's count is any one's
+		met.NetBytes += p.netBytes
+		met.LocalBytes += p.localBytes
+		met.Rounds = max(met.Rounds, p.rounds)
 		if kind == 255 {
 			kind = p.kind
 		} else if kind != p.kind {
-			return nil, 0, fmt.Errorf("workerproc: result kind mismatch across workers (%d vs %d)", kind, p.kind)
+			return nil, fmt.Errorf("workerproc: result kind mismatch across workers (%d vs %d)", kind, p.kind)
 		}
 	}
 	for w, ok := range covered {
@@ -338,11 +362,12 @@ func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAc
 		if err == nil {
 			err = barrier.ErrAborted
 		}
-		return nil, 0, err
+		return nil, err
 	}
 
 	n := part.NumVertices()
-	res := &algorithms.Result{}
+	met.Supersteps = minSteps
+	res := &algorithms.Result{Metrics: met}
 	switch kind {
 	case kindLabels:
 		res.Labels = make([]graph.VertexID, n)
@@ -401,11 +426,8 @@ func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAc
 			return nil
 		}()
 		if werr != nil {
-			return nil, 0, werr
+			return nil, werr
 		}
 	}
-	if minSteps < 0 {
-		minSteps = 0
-	}
-	return res, minSteps, nil
+	return res, nil
 }

@@ -146,12 +146,9 @@ func (w *worker) run(d *descriptor) ack {
 	var flows *obs.FlowAccum
 	if d.flows {
 		flows = obs.NewFlowAccum(d.m)
+		flows.SetPlane("hub")
 	}
-	client, err := netcomm.DialConfig(netcomm.Config{
-		Network: d.network, Addr: d.addr,
-		Lo: d.lo, Hi: d.hi, M: d.m,
-		Flows: flows,
-	})
+	client, err := netcomm.Dial(d.network, d.addr, d.lo, d.hi, d.m)
 	if err != nil {
 		log.Error("joining the job failed", "err", err)
 		a.err = err.Error()
@@ -164,6 +161,7 @@ func (w *worker) run(d *descriptor) ack {
 		Frags:         v.frags,
 		MaxSupersteps: d.maxSupersteps,
 		Fabric:        client,
+		Flows:         flows,
 	}
 	if d.ckptDir != "" || d.fault != nil {
 		hook := &ckpt.Hook{Job: d.ckptJob, Interval: d.ckptInterval, Restore: d.restore}

@@ -29,7 +29,7 @@
 #
 # Each entry in "results" holds the benchmark name (GOMAXPROCS suffix
 # stripped), iterations, ns/op, and every auxiliary metric the benchmark
-# reports (sim-ms/op, msgMB/op, steps/op, B/op, allocs/op, ...).
+# reports (model-ms/op, msgMB/op, steps/op, B/op, allocs/op, ...).
 # Successive snapshots (BENCH_0.json, BENCH_1.json, ...) form the
 # benchmark trajectory of the repo; compare any two with e.g.
 #   tools/bench.sh --check BENCH_1.json BENCH_2.json

@@ -157,9 +157,10 @@
 // The in-process implementations keep the zero-copy buffer matrix and
 // the atomic sense-reversing barrier; internal/netcomm implements the
 // same contract as length-prefixed frames over TCP/Unix sockets in a
-// star around a hub that routes frames, releases barrier crossings
-// with the aggregated reduce value and turns a dropped connection into a
-// job-wide barrier abort. Neither fabric counts anything: the superstep
+// star around a hub that routes frames, relays each process's barrier
+// arrival to every other process — each process counts the arrivals
+// and decides a crossing, and its reduce value, itself — and turns a
+// dropped connection into a job-wide barrier abort. Neither fabric counts anything: the superstep
 // driver counts a job's bytes, rounds and flows once, just before each
 // worker's flush, and derives the modeled network time of the paper's
 // cluster (1 ms per exchange round plus the busiest worker's bytes at
@@ -168,7 +169,9 @@
 // frames, and the process's last local arrival writes them with the
 // queued superstep samples and the arrival itself — frames between
 // workers of one process never leave it, and the hub coalesces its
-// relay writes per batch it read. cmd/graphworker (internal/workerproc) is the worker process,
+// relay writes per batch it read, an arrival behind the frames its
+// sender wrote before it, so the last process to arrive at a crossing
+// finds it complete without a round trip to the hub. cmd/graphworker (internal/workerproc) is the worker process,
 // and it is warm: graphd -worker-procs N keeps a pool of them, a job
 // borrows a party of N, and each process outlives the job. A worker
 // takes no flags — a job arrives as one length-prefixed, defensively
@@ -189,8 +192,8 @@
 // slot while the survivors re-join from the checkpoint).
 //
 // The hub is the socket fabric's one data plane, as Fig. 2 asks: one
-// binary buffer per (src, dst) pair per round, delivered before the
-// round's release. It needs no flow control: the round protocol keeps
+// binary buffer per (src, dst) pair per round, delivered ahead of its
+// sender's arrival at the round's crossing. It needs no flow control: the round protocol keeps
 // every sender within one round of its slowest receiver, so a
 // receiver never holds more than one round's frames.
 //

@@ -11,7 +11,7 @@ import (
 
 // retiredKinds are the kind numbers the wire no longer uses: every
 // reader must reject a header carrying one as an unknown kind.
-var retiredKinds = []uint8{8, 9, 10, 11, 12, 13, 14, 15}
+var retiredKinds = []uint8{4, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // Both ends of a hub connection parse messages through a buffered
 // reader over whatever the socket hands them: the client's read loop
@@ -24,7 +24,7 @@ func FuzzWireHeader(f *testing.F) {
 	var valid [headerLen]byte
 	valid[0] = kFrame
 	f.Add(valid[:])
-	valid[0] = kRelease
+	valid[0] = kArrive
 	f.Add(append(valid[:], 1, 2, 3))
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	batch := msg(kSamples, 0, 1, []byte("sample"))
@@ -32,6 +32,9 @@ func FuzzWireHeader(f *testing.F) {
 	batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8))...)
 	f.Add(batch)
 	f.Add(append(batch, 99, 0, 0, 0, 0, 0, 0, 0, 0)) // hostile header behind a legal batch
+	relay := msg(kFrame, 1, 0, bytes.Repeat([]byte{5}, 40))
+	relay = append(relay, msg(kArrive, 2, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0})...)
+	f.Add(relay) // what the hub stages for a client: a peer's frame, then its relayed arrival
 	for _, k := range retiredKinds {
 		f.Add(append(msg(kFrame, 0, 1, []byte("x")), msg(k, 0, 1, make([]byte, 8))...))
 	}
@@ -50,7 +53,7 @@ func FuzzWireHeader(f *testing.F) {
 				if err != nil {
 					return hs, err.Error()
 				}
-				if kind < kHello || kind > kSamples {
+				if !knownKind(kind) {
 					t.Fatalf("accepted unknown kind %d", kind)
 				}
 				if n < 0 || n > maxPayload {

@@ -1,7 +1,6 @@
 package netcomm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -38,9 +37,10 @@ func DataPlaneStats() (hubBufferedBytes int64) { return hubBuffered.Load() }
 // Hub is the coordinator side of the socket fabric: it accepts one
 // connection per worker process, routes data frames between them
 // (staged in the destination's buffered writer, flushed once per batch
-// the source's pump read), runs the distributed barrier (counting
-// arrivals, broadcasting releases with the AllReduce aggregate) and
-// collects each process's result blob. What it counts is its own work:
+// the source's pump read), relays each barrier arrival to every other
+// process behind the frames that preceded it (the processes count the
+// arrivals and decide each crossing themselves) and collects each
+// process's result blob. What it counts is its own work:
 // the frames it relayed (DataBytes, RelayStats).
 // A connection that drops before delivering its result is a worker
 // failure: the hub aborts the job so every other process unwinds
@@ -53,16 +53,18 @@ type Hub struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signals joins, results, and state changes
 	hosts    []*hubConn // per worker id: the connection hosting it
+	joined   int        // workers registered
 	conns    map[*hubConn]bool
 	allConns []*hubConn // every connection ever registered (relay stats outlive pump exit)
+
+	// early keeps the arrivals read before all m workers joined, to be
+	// replayed to each process that registers later; once the party is
+	// whole it is dropped.
+	early []earlyArrival
 
 	// samplesFn, when set (OnSamples, before workers join), receives
 	// each kSamples payload a worker ships mid-run.
 	samplesFn func(payload []byte)
-
-	// barrier state
-	arrived int
-	accum   uint64
 
 	// dataBytes counts frame payload bytes relayed through the hub —
 	// the job's cross-process exchange volume.
@@ -81,6 +83,13 @@ type Hub struct {
 	closed   bool
 }
 
+// earlyArrival is an arrival the hub read before the whole party
+// joined: a process has one at most, at the set-up crossing.
+type earlyArrival struct {
+	from *hubConn
+	sum  [8]byte
+}
+
 type hubConn struct {
 	conn      net.Conn
 	rd        msgReader // the pump's read side
@@ -88,7 +97,7 @@ type hubConn struct {
 	gotResult bool
 
 	// Every write to the worker goes through wbuf under wmu — forwards
-	// staged by other connections' pumps, releases, aborts — so the
+	// and arrivals staged by other connections' pumps, aborts — so the
 	// stream carries them in the order they were written here, whoever
 	// flushes. werr is the first write error; the connection is dead
 	// from then on.
@@ -169,10 +178,27 @@ func (h *Hub) serveConn(conn net.Conn) {
 	}
 	h.conns[hc] = true
 	h.allConns = append(h.allConns, hc)
+	h.joined += hc.hi - hc.lo + 1
+	// Replay the arrivals kept so far. It happens under h.mu, as the
+	// keeping does (Hub.arrival), so every arrival reaches this process
+	// exactly once: replayed here or relayed by its sender's pump. No one
+	// else can stage on hc before h.mu is released, so the arrivals are
+	// only appended here; the flush below writes them.
+	hc.wmu.Lock()
+	for _, e := range h.early {
+		hc.wbuf = append(appendHeader(hc.wbuf, kArrive, uint16(e.from.hi-e.from.lo+1), uint16(e.from.lo), len(e.sum)), e.sum[:]...)
+	}
+	hc.wmu.Unlock()
+	if h.joined == h.m {
+		h.early = nil
+	}
 	aborted, reason := h.aborted, h.reason
 	h.cond.Broadcast()
 	h.mu.Unlock()
 	h.log.Debug("worker joined", "workers", fmt.Sprintf("%d-%d", hc.lo, hc.hi))
+	if err := hc.flush(); err != nil {
+		h.targetLost(hc, err)
+	}
 	if aborted {
 		// the abort broadcast went out before this process connected: tell
 		// it directly, or it would wait on a barrier nobody else reaches
@@ -215,8 +241,8 @@ func (h *Hub) pump(hc *hubConn) error {
 	// dirty holds the connections with forwards staged since the last
 	// flush; staged counts the frames among them and stagedAt sums the
 	// instants (since epoch) their payload reads began, which is all the
-	// residency total needs.
-	var dirty []*hubConn
+	// residency total needs. peers is the arrival relay's scratch.
+	var dirty, peers []*hubConn
 	var staged, stagedAt int64
 	epoch := time.Now()
 	flush := func() {
@@ -269,18 +295,14 @@ func (h *Hub) pump(hc *hubConn) error {
 			if to == nil {
 				return fmt.Errorf("frame for unjoined worker %d", dst)
 			}
-			if err := to.stage(kFrame, a, b, p); err != nil {
-				h.targetLost(to, err)
-			} else if !slices.Contains(dirty, to) {
-				dirty = append(dirty, to)
-			}
+			dirty = h.forward(to, dirty, kFrame, a, b, p)
 			hc.relayBytes.Add(int64(n))
 			hc.relayFrames.Add(1)
 			staged++
 			stagedAt += int64(t0)
 		case kArrive:
 			// A process arrives for exactly the workers it hosts, or it
-			// could release a crossing its peers never reached.
+			// could complete a crossing its peers never reached.
 			if int(a) != hc.hi-hc.lo+1 || n != 8 {
 				return fmt.Errorf("bad arrival: %d workers, %d-byte payload", a, n)
 			}
@@ -288,7 +310,14 @@ func (h *Hub) pump(hc *hubConn) error {
 			if err != nil {
 				return err
 			}
-			h.arrive(int(a), p)
+			if peers, err = h.arrival(hc, p, peers[:0]); err != nil {
+				return err
+			}
+			// Staged behind the frames this process sent each peer, so
+			// the relayed arrival proves them delivered.
+			for _, to := range peers {
+				dirty = h.forward(to, dirty, kArrive, a, uint16(hc.lo), p)
+			}
 		case kAbort:
 			reason, err := rd.payload(n)
 			if err != nil {
@@ -517,7 +546,7 @@ func (hc *hubConn) flushLocked() error {
 }
 
 // send writes one message through at once, behind anything staged
-// before it: releases and aborts must not wait for a pump's next flush.
+// before it: an abort must not wait for a pump's next flush.
 func (hc *hubConn) send(kind uint8, a, b uint16, payload []byte) error {
 	hc.wmu.Lock()
 	defer hc.wmu.Unlock()
@@ -540,29 +569,43 @@ func (h *Hub) targetLost(target *hubConn, err error) {
 	h.mu.Unlock()
 }
 
-// arrive counts one process's arrival of count workers with value sum
-// p; the M-th arrival releases the crossing.
-func (h *Hub) arrive(count int, p []byte) {
+// forward stages one message on to and returns dirty with to in it; a
+// failed stage is to's failure, not the sender's.
+func (h *Hub) forward(to *hubConn, dirty []*hubConn, kind uint8, a, b uint16, p []byte) []*hubConn {
+	if err := to.stage(kind, a, b, p); err != nil {
+		h.targetLost(to, err)
+		return dirty
+	}
+	if !slices.Contains(dirty, to) {
+		dirty = append(dirty, to)
+	}
+	return dirty
+}
+
+// arrival appends to peers the connections hc's arrival with value sum
+// p is relayed to: every other one registered. Until the whole party
+// has joined it also keeps the arrival for the processes still to
+// register, in the same critical section, so each gets it exactly once.
+// A process cannot arrive twice before then — it cannot finish the
+// set-up crossing without everyone's arrival — so a second arrival is
+// an error.
+func (h *Hub) arrival(hc *hubConn, p []byte, peers []*hubConn) ([]*hubConn, error) {
 	h.mu.Lock()
-	h.arrived += count
-	h.accum += binary.LittleEndian.Uint64(p)
-	if h.arrived < h.m {
-		h.mu.Unlock()
-		return
+	defer h.mu.Unlock()
+	if h.joined < h.m {
+		for _, e := range h.early {
+			if e.from == hc {
+				return peers, fmt.Errorf("workers %d-%d arrived twice before the party joined", hc.lo, hc.hi)
+			}
+		}
+		h.early = append(h.early, earlyArrival{from: hc, sum: [8]byte(p)})
 	}
-	h.arrived = 0
-	agg := h.accum
-	h.accum = 0
-	conns := make([]*hubConn, 0, len(h.conns))
-	for hc := range h.conns {
-		conns = append(conns, hc)
+	for to := range h.conns {
+		if to != hc {
+			peers = append(peers, to)
+		}
 	}
-	h.mu.Unlock()
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], agg)
-	for _, hc := range conns {
-		_ = hc.send(kRelease, 0, 0, v[:])
-	}
+	return peers, nil
 }
 
 // Abort aborts the job: every connected process's barrier is released
@@ -619,20 +662,14 @@ func (h *Hub) WaitJoined(timeout time.Duration) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for {
-		joined := 0
-		for _, hc := range h.hosts {
-			if hc != nil {
-				joined++
-			}
-		}
-		if joined == h.m {
+		if h.joined == h.m {
 			return nil
 		}
 		if h.aborted {
 			return fmt.Errorf("netcomm: job aborted while waiting for workers")
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("netcomm: %d of %d workers joined within %v", joined, h.m, timeout)
+			return fmt.Errorf("netcomm: %d of %d workers joined within %v", h.joined, h.m, timeout)
 		}
 		h.cond.Wait()
 	}

@@ -6,12 +6,16 @@
 //
 // The control plane is a star: every worker process holds one
 // connection to a Hub (the job coordinator) carrying join, the
-// message-based distributed barrier (a process's arrival folds its
-// workers' AllReduce contributions; the hub releases a crossing by
-// broadcasting the aggregate once all M workers arrived), abort/cancel,
-// and each process's opaque result blob. Like the in-process fabric it
-// counts nothing: a job's bytes, rounds and flows are counted by the
-// superstep driver (internal/bsp), above the Fabric seam.
+// message-based distributed barrier, abort/cancel, and each process's
+// opaque result blob. The hub does not decide barrier crossings: it
+// relays each process's arrival (its workers' folded AllReduce
+// contribution) to every other process, and each process counts the
+// arrivals of a crossing itself — a dissemination barrier over the
+// star. A crossing is complete once its arrivals speak for all M
+// workers, and its reduce value is their sum, the same in every
+// process. Like the in-process fabric it counts nothing: a job's bytes,
+// rounds and flows are counted by the superstep driver (internal/bsp),
+// above the Fabric seam.
 //
 // The data plane — one frame per (src, dst) pair per exchange round,
 // empty buffers skipped on the wire — rides the same star: the hub
@@ -22,12 +26,19 @@
 // last local arrival writes the queued frames, any queued samples and
 // the arrival itself in one gathered write. The hub coalesces too: each
 // connection has one buffered writer, and forwards are staged in the
-// destination's and flushed once per batch the pump read. Ordering makes delivery
-// implicit: a process's frames precede its arrival on its stream, the
-// hub stages them in a destination's writer before that destination's
-// release (one writer, one lock, flushed with the release at the
-// latest), so when a client observes the post-flush release, every frame
-// of the round is already staged — no per-frame acks.
+// destination's and flushed once per batch the pump read. Ordering
+// makes delivery implicit: a process's frames precede its arrival on
+// its stream, and the hub stages both, in that order, in each
+// destination's one writer — so a relayed arrival proves its sender's
+// frames are already in the receiver's pending buffers, and a process
+// that has seen every other process's arrival holds the whole round:
+// no per-frame acks, and the last process to arrive leaves the crossing
+// without waiting on the hub. Arrivals the hub reads before the whole
+// party has joined are kept (a process has one at most: it cannot
+// finish the set-up crossing before every process has arrived at it)
+// and replayed to each process that registers later. A process hosting
+// all M workers completes every crossing by itself and writes no
+// arrival.
 //
 // Receive memory needs no window: the engines' round protocol (Flush,
 // crossing, In, crossing, Release) keeps every sender at most one round
@@ -56,12 +67,17 @@ import (
 const (
 	kHello   = 1 // worker→hub: a,b = inclusive hosted worker range
 	kFrame   = 2 // worker↔hub: a = src worker, b = dst worker, payload = round buffer
-	kArrive  = 3 // worker→hub: a = hosted worker count, payload = value sum (8)
-	kRelease = 4 // hub→worker: payload = crossing aggregate (8)
+	kArrive  = 3 // worker↔hub: a = hosted worker count, payload = value sum (8); relayed: b = the sender's first worker
 	kAbort   = 5 // either way: payload = reason string
 	kResult  = 6 // worker→hub: a,b = worker range, payload = opaque result blob
 	kSamples = 7 // worker→hub: a,b = worker range, payload = encoded in-flight superstep samples (see Client.SendSamples)
 )
+
+// knownKind reports whether kind is one of the wire's message kinds;
+// 4 and 8–15 are retired numbers, unknown like any other.
+func knownKind(kind uint8) bool {
+	return kind >= kHello && kind <= kSamples && kind != 4
+}
 
 // Data-plane names accepted by Config.DataPlane and
 // workerproc.JobSpec.DataPlane. Every one of them runs the hub relay.
@@ -136,7 +152,7 @@ func parseHeader(hdr []byte) (kind uint8, a, b uint16, n int, err error) {
 	a = binary.LittleEndian.Uint16(hdr[1:])
 	b = binary.LittleEndian.Uint16(hdr[3:])
 	n = int(binary.LittleEndian.Uint32(hdr[5:]))
-	if kind < kHello || kind > kSamples {
+	if !knownKind(kind) {
 		return 0, 0, 0, 0, fmt.Errorf("netcomm: unknown message kind %d", kind)
 	}
 	if n > maxPayload {
@@ -147,7 +163,8 @@ func parseHeader(hdr []byte) (kind uint8, a, b uint16, n int, err error) {
 
 // Client is the worker-process side of the socket fabric. It hosts a
 // contiguous range of the job's workers and implements comm.Fabric for
-// them; its Barrier is the wire barrier coordinated by the hub.
+// them; its Barrier is the wire barrier, which counts the arrivals the
+// hub relays.
 type Client struct {
 	m      int
 	lo, hi int
@@ -206,7 +223,7 @@ func DialConfig(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("netcomm: dial hub: %w", err)
 	}
 	c := &Client{m: m, lo: lo, hi: hi, conn: conn}
-	c.bar = &wireBarrier{c: c, k: hi - lo + 1}
+	c.bar = &wireBarrier{c: c, k: hi - lo + 1, seen: make([]uint64, m)}
 	c.bar.cond = sync.NewCond(&c.bar.mu)
 	c.eps = make([]*clientEndpoint, hi-lo+1)
 	for i := range c.eps {
@@ -257,20 +274,27 @@ func (c *Client) write(msgs ...[]byte) error {
 
 // arrive makes this process's one write of a barrier crossing: the
 // queued frames and samples, then the arrival of its k workers with
-// their value sum.
+// their value sum. A process hosting every worker has no one to tell:
+// it writes only samples, if any are queued.
 func (c *Client) arrive(k int, sum uint64) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if k == c.m {
+		if len(c.samples) == 0 {
+			return nil
+		}
+		return c.write()
+	}
 	putHeader(c.arrival[:], kArrive, uint16(k), 0, 8)
 	binary.LittleEndian.PutUint64(c.arrival[headerLen:], sum)
 	return c.write(c.arrival[:])
 }
 
 // readLoop demuxes the hub connection: frames are staged into the
-// destination endpoint's pending buffers, releases advance the wire
-// barrier, aborts release everything.
+// destination endpoint's pending buffers, relayed arrivals advance the
+// wire barrier, aborts release everything.
 func (c *Client) readLoop() {
-	// Reads go through one buffer: a round's small frames and the release
+	// Reads go through one buffer: a round's small frames and the arrival
 	// that follows them usually arrive in a single read. Nothing here may
 	// assume a read ends on a message boundary.
 	br := bufio.NewReaderSize(c.conn, clientReadBuf)
@@ -300,13 +324,20 @@ func (c *Client) readLoop() {
 				c.bar.abortLocal(fmt.Errorf("netcomm: truncated frame: %w", err))
 				return
 			}
-		case kRelease:
+		case kArrive:
 			var v [8]byte
-			if _, err := io.ReadFull(br, v[:]); err != nil {
-				c.bar.abortLocal(fmt.Errorf("netcomm: truncated release: %w", err))
+			if n != len(v) {
+				c.bar.abortLocal(fmt.Errorf("netcomm: relayed arrival with a %d-byte payload", n))
 				return
 			}
-			c.bar.release(binary.LittleEndian.Uint64(v[:]))
+			if _, err := io.ReadFull(br, v[:]); err != nil {
+				c.bar.abortLocal(fmt.Errorf("netcomm: truncated arrival: %w", err))
+				return
+			}
+			if err := c.bar.relayed(int(b), int(a), binary.LittleEndian.Uint64(v[:])); err != nil {
+				c.bar.abortLocal(err)
+				return
+			}
 		case kAbort:
 			reason := make([]byte, n)
 			io.ReadFull(br, reason)
@@ -384,8 +415,9 @@ func (c *Client) Close() error {
 // clientEndpoint is one hosted worker's handle. Incoming frames are
 // double-buffered: the reader goroutine stages into pending, and the
 // first In call after a Flush swaps pending into deliver — at that
-// point the post-flush release has been observed, so the round's frames
-// are complete, and no peer can be past its next flush yet.
+// point the post-flush crossing is complete, every other process's
+// arrival read behind its frames, so the round's frames are complete,
+// and no peer can be past its next flush yet.
 type clientEndpoint struct {
 	c  *Client
 	id int
@@ -446,7 +478,7 @@ func (ep *clientEndpoint) Flush() error {
 }
 
 // In implements comm.Endpoint. The pre-swap frames are complete by
-// ordering: the release followed them on the same stream.
+// ordering: each sender's arrival followed them on the same stream.
 func (ep *clientEndpoint) In(src int) *ser.Buffer {
 	if src == ep.id {
 		return ep.out[ep.id]
@@ -475,25 +507,40 @@ func (ep *clientEndpoint) Release() {
 	}
 }
 
-// wireBarrier is the client half of the distributed barrier: local
-// workers fold their arrivals into one kArrive message, made by the last
-// of them to arrive (Client.arrive); the hub's
-// kRelease (carrying the job-wide AllReduce aggregate) advances the
-// release counter and wakes the waiters of that crossing.
+// wireBarrier is the client half of the distributed barrier, and the
+// whole of its decision: local workers fold their arrivals into one
+// kArrive message, made by the last of them to arrive (Client.arrive),
+// and the crossing is complete once this process's arrival and the ones
+// the hub relayed from the others speak for all M workers. No process
+// can be more than one crossing ahead of another — finishing a crossing
+// takes everyone's arrival at it — so two slots, by crossing parity,
+// hold every crossing in progress.
 type wireBarrier struct {
 	c    *Client
 	k    int // local party size
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	gen      uint64 // local crossings fully arrived
-	arrived  int    // local arrivals of the current crossing
-	acc      uint64 // local value sum of the current crossing
-	released uint64 // releases observed
-	vals     [8]uint64
+	gen      uint64      // crossings this process has arrived at
+	arrived  int         // local arrivals of the current crossing
+	acc      uint64      // local value sum of the current crossing
+	released uint64      // crossings complete
+	value    uint64      // the reduce value of the last crossing complete
+	slots    [2]crossing // crossings released and released+1, by parity
+	seen     []uint64    // per first worker of another process: its arrivals relayed so far
 
 	aborted  bool
 	abortErr error
+}
+
+// crossing sums the arrivals of one barrier crossing: in records this
+// process's, others counts the workers of the other processes that
+// arrived. It is complete with in set and others at M less the local
+// party.
+type crossing struct {
+	in     bool
+	others int
+	sum    uint64
 }
 
 // Wait implements barrier.Barrier.
@@ -512,17 +559,18 @@ func (b *wireBarrier) AllReduce(v uint64) (uint64, bool) {
 	gen := b.gen
 	b.acc += v
 	b.arrived++
-	var sendAcc uint64
-	sendNow := false
-	if b.arrived == b.k {
-		sendNow, sendAcc = true, b.acc
-		b.arrived = 0
-		b.acc = 0
+	sum, last := b.acc, b.arrived == b.k
+	if last {
+		b.arrived, b.acc = 0, 0
 		b.gen++
+		s := &b.slots[gen&1]
+		s.in = true
+		s.sum += sum
+		b.settle()
 	}
 	b.mu.Unlock()
-	if sendNow {
-		if err := b.c.arrive(b.k, sendAcc); err != nil {
+	if last {
+		if err := b.c.arrive(b.k, sum); err != nil {
 			b.abortLocal(fmt.Errorf("netcomm: send arrive: %w", err))
 			return 0, false
 		}
@@ -531,19 +579,50 @@ func (b *wireBarrier) AllReduce(v uint64) (uint64, bool) {
 	for b.released <= gen && !b.aborted {
 		b.cond.Wait()
 	}
-	val := b.vals[(gen+1)&7]
+	val := b.value
 	ok := !b.aborted
 	b.mu.Unlock()
 	return val, ok
 }
 
-// release records a crossing release from the hub.
-func (b *wireBarrier) release(v uint64) {
+// relayed records another process's arrival, relayed by the hub: count
+// workers from first on, with value sum v. The hub has checked neither
+// the range nor the crossing, so a relay is refused that names this
+// process or a range past the job, that would overfill its crossing, or
+// whose crossing is already complete or not yet reached by this process
+// (a peer cannot leave a crossing before this process arrives at it).
+func (b *wireBarrier) relayed(first, count int, v uint64) error {
+	c := b.c
+	if count == 0 || first+count > c.m || first <= c.hi && first+count > c.lo {
+		return fmt.Errorf("netcomm: relayed arrival names workers %d-%d", first, first+count-1)
+	}
 	b.mu.Lock()
-	b.released++
-	b.vals[b.released&7] = v
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	gen := b.seen[first]
+	if gen > b.gen || gen < b.released {
+		return fmt.Errorf("netcomm: workers %d-%d arrived at crossing %d, this process is between %d and %d", first, first+count-1, gen, b.released, b.gen)
+	}
+	s := &b.slots[gen&1]
+	if s.others+count > c.m-b.k {
+		return fmt.Errorf("netcomm: relayed arrival of workers %d-%d puts crossing %d past %d workers", first, first+count-1, gen, c.m)
+	}
+	b.seen[first]++
+	s.others += count
+	s.sum += v
+	b.settle()
+	return nil
+}
+
+// settle releases the current crossing if it is complete. Only it can
+// be: this process arrives at the next one after it is released. The
+// caller holds mu.
+func (b *wireBarrier) settle() {
+	if s := &b.slots[b.released&1]; s.in && s.others == b.c.m-b.k {
+		b.value = s.sum
+		*s = crossing{}
+		b.released++
+		b.cond.Broadcast()
+	}
 }
 
 // abortLocal marks the barrier aborted (first reason wins) and wakes
@@ -559,7 +638,7 @@ func (b *wireBarrier) abortLocal(err error) {
 }
 
 // Abort implements barrier.Barrier: a local worker failed. The hub is
-// told (best effort) so it can release every other process.
+// told (best effort) so it can abort every other process.
 func (b *wireBarrier) Abort() {
 	b.abortLocal(fmt.Errorf("netcomm: aborted by local worker"))
 	_ = b.c.send(kAbort, 0, 0, []byte("worker failure"))

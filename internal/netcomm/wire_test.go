@@ -31,11 +31,12 @@ import (
 )
 
 // countingListener counts the conn-level reads (that returned data) and
-// writes of every connection it accepts. The hub writes each flush of a
-// buffered writer as one Write, so the count is exact on that side.
+// writes of every connection it accepts, and the bytes read. The hub
+// writes each flush of a buffered writer as one Write, so the count is
+// exact on that side.
 type countingListener struct {
 	net.Listener
-	reads, writes atomic.Int64
+	reads, writes, bytesRead atomic.Int64
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
@@ -55,6 +56,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.l.reads.Add(1)
+		c.l.bytesRead.Add(int64(n))
 	}
 	return n, err
 }
@@ -177,11 +179,11 @@ func TestHubPlaneOneWritePerFlush(t *testing.T) {
 	if got, want := samplesSeen.Load(), int64(m*rounds*2+procs); got != want {
 		t.Errorf("%d of %d samples reached OnSamples by the time the results were in", got, want)
 	}
-	// A pump relays what one client write carried with at most one write
-	// per destination process (here: one, for the post-flush arrival's
-	// frames), and each crossing's release is one write per process.
-	if got, max := ln.writes.Load(), int64(procs*rounds+procs*rounds*2); got > max {
-		t.Errorf("the hub made %d writes, want at most %d: one per relayed arrival, one per release", got, max)
+	// A pump relays what one client write carried — frames, then the
+	// arrival behind them — with at most one write per destination
+	// process, and the hub writes nothing else.
+	if got, max := ln.writes.Load(), int64(procs*rounds*2); got > max {
+		t.Errorf("the hub made %d writes, want at most %d: one per relayed arrival", got, max)
 	}
 	var sent int64
 	for r := 0; r < rounds; r++ {
@@ -275,11 +277,11 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 			}
 			t.Cleanup(func() { raw.Close() })
 			// Worker 1's job as a byte stream: the hello glued to the
-			// set-up crossing's arrival (frames may only flow once a
-			// release has proved the whole party joined); then per round
+			// set-up crossing's arrival (frames may only flow once the
+			// crossing has proved the whole party joined); then per round
 			// a sample, a frame for worker 0 and the arrival, and — paced
-			// by the hub's releases, as a real worker is — the second
-			// arrival.
+			// by worker 0's arrivals the hub relays, as a real worker is —
+			// the second arrival.
 			const rounds = 3
 			frame := func(r int) []byte {
 				p := make([]byte, 5000+r)
@@ -295,7 +297,7 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 					scripted <- err
 					return
 				}
-				if err := awaitKind(in, kRelease); err != nil {
+				if err := awaitKind(in, kArrive); err != nil {
 					scripted <- err
 					return
 				}
@@ -309,7 +311,7 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 							scripted <- err
 							return
 						}
-						if err := awaitKind(in, kRelease); err != nil {
+						if err := awaitKind(in, kArrive); err != nil {
 							scripted <- err
 							return
 						}
@@ -388,16 +390,17 @@ func dialScriptedHub(t *testing.T, m int) (*Client, net.Conn, *bufio.Reader) {
 	return c, hubSide, in
 }
 
-// The client's read loop is buffered the same way: frames and releases
-// that arrive chopped at arbitrary boundaries must stage and release
-// exactly as message-aligned ones do.
+// The client's read loop is buffered the same way: frames and relayed
+// arrivals that arrive chopped at arbitrary boundaries must stage and
+// complete crossings exactly as message-aligned ones do.
 func TestHubPlaneClientDecodesChunkedStream(t *testing.T) {
 	for _, chunk := range []int{1, 3, 7, 1000, 1 << 20} {
 		t.Run(fmt.Sprint(chunk), func(t *testing.T) {
 			c, hubSide, in := dialScriptedHub(t, 3)
 
 			// Per round, once the client has arrived: the two remote
-			// workers' frames and the release behind them.
+			// workers' frames and their arrivals behind them, whose values
+			// and the client's 1 sum to 40+r.
 			const rounds = 3
 			frame := func(r, src int) []byte {
 				p := make([]byte, 3000*src+r)
@@ -411,11 +414,13 @@ func TestHubPlaneClientDecodesChunkedStream(t *testing.T) {
 						scripted <- err
 						return
 					}
-					var agg [8]byte
-					binary.LittleEndian.PutUint64(agg[:], uint64(40+r))
+					var v1, v2 [8]byte
+					binary.LittleEndian.PutUint64(v1[:], uint64(20+r))
+					binary.LittleEndian.PutUint64(v2[:], 19)
 					batch := msg(kFrame, 1, 0, frame(r, 1))
 					batch = append(batch, msg(kFrame, 2, 0, frame(r, 2))...)
-					batch = append(batch, msg(kRelease, 0, 0, agg[:])...)
+					batch = append(batch, msg(kArrive, 1, 1, v1[:])...)
+					batch = append(batch, msg(kArrive, 1, 2, v2[:])...)
 					if err := writeChunked(hubSide, batch, chunk); err != nil {
 						scripted <- err
 						return
@@ -431,7 +436,7 @@ func TestHubPlaneClientDecodesChunkedStream(t *testing.T) {
 				}
 				sum, ok := bar.AllReduce(1)
 				if !ok || sum != uint64(40+r) {
-					t.Fatalf("round %d: release carried %d (ok=%v), want %d: %v", r, sum, ok, 40+r, c.Err())
+					t.Fatalf("round %d: the crossing reduced to %d (ok=%v), want %d: %v", r, sum, ok, 40+r, c.Err())
 				}
 				for src := 1; src <= 2; src++ {
 					if got := ep.In(src).Unread(); !bytes.Equal(got, frame(r, src)) {
@@ -451,8 +456,9 @@ func TestHubPlaneClientDecodesChunkedStream(t *testing.T) {
 // the reader already buffered: the hub must drop that worker's
 // connection and fail the job, the client must abort its barrier, and
 // neither may act on the declared length. A retired kind number is as
-// unknown to both as any other. Arrivals and frame routes are checks
-// only the hub makes: workers send them.
+// unknown to both as any other. The rows for arrivals and frame routes
+// are what the hub checks of a worker; TestClientRejectsHostileRelayedArrival
+// has the client's checks of the arrivals the hub relays.
 func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 	type row struct {
 		msg     []byte
@@ -508,10 +514,10 @@ func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 		}
 		t.Run(fmt.Sprint("client/", i), func(t *testing.T) {
 			c, hubSide, _ := dialScriptedHub(t, 2)
-			var agg [8]byte
 			batch := msg(kFrame, 1, 0, []byte("fine"))
 			batch = append(batch, bad.msg...)
-			batch = append(batch, msg(kRelease, 0, 0, agg[:])...)
+			batch = append(batch, msg(kArrive, 1, 1, make([]byte, 8))...) // worker 1's arrival: completes the crossing
+
 			if _, err := hubSide.Write(batch); err != nil {
 				t.Fatal(err)
 			}
@@ -522,6 +528,223 @@ func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 				t.Fatal("the client recorded no transport error")
 			}
 		})
+	}
+}
+
+// The hub relays arrivals without checking their ranges or crossings,
+// so the client must: a relayed arrival that is malformed, speaks for
+// this process's own workers or for none, overfills a crossing, or is
+// for a crossing this process is not at must abort the barrier with a
+// transport error — never release it, hang or panic. The client hosts
+// worker 0 of 3. Where a batch could be misread as completing the
+// crossing, it is built so that it would be: a check that let the bad
+// arrival through would show as a release, not as a later error.
+func TestClientRejectsHostileRelayedArrival(t *testing.T) {
+	arrive := func(count, first uint16) []byte { return msg(kArrive, count, first, make([]byte, 8)) }
+	// waitAborted runs one crossing of c and fails unless it aborts.
+	waitAborted := func(t *testing.T, c *Client) {
+		t.Helper()
+		done := make(chan bool, 1)
+		go func() { done <- c.Barrier().Wait() }()
+		select {
+		case ok := <-done:
+			if ok {
+				t.Fatal("the barrier released past a hostile relayed arrival")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the barrier hung on a hostile relayed arrival")
+		}
+		if c.Err() == nil {
+			t.Fatal("the client recorded no transport error")
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []byte
+	}{
+		{"short payload", append(msg(kArrive, 1, 1, make([]byte, 4)), arrive(1, 2)...)},
+		{"long payload", msg(kArrive, 1, 1, append(make([]byte, 8), arrive(1, 2)...))}, // read as 8 bytes, the rest would be worker 2's arrival
+		{"own range", append(arrive(1, 0), arrive(1, 1)...)},
+		{"overlapping own range", arrive(2, 0)},
+		{"range past the job", arrive(2, 2)},
+		{"no workers", append(arrive(0, 2), arrive(2, 1)...)},
+		{"past M workers", append(arrive(1, 2), arrive(2, 1)...)},
+		{"two crossings ahead", append(append(arrive(1, 1), arrive(1, 1)...), arrive(1, 1)...)},
+		{"retired kind 4", append(msg(4, 0, 0, make([]byte, 8)), arrive(2, 1)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, hubSide, _ := dialScriptedHub(t, 3)
+			if _, err := hubSide.Write(tc.batch); err != nil {
+				t.Fatal(err)
+			}
+			waitAborted(t, c)
+		})
+	}
+	t.Run("crossing already complete", func(t *testing.T) {
+		c, hubSide, _ := dialScriptedHub(t, 3)
+		if _, err := hubSide.Write(arrive(2, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Barrier().Wait() {
+			t.Fatalf("workers 1-2 and the client did not complete the crossing: %v", c.Err())
+		}
+		if _, err := hubSide.Write(arrive(1, 2)); err != nil { // worker 2 again, at crossing 0
+			t.Fatal(err)
+		}
+		waitAborted(t, c)
+	})
+}
+
+// A process that joins after its peers have arrived at the set-up
+// crossing gets their arrivals replayed by the hub, so every process
+// completes each crossing with the same reduce value; the hub forgets
+// what it kept once the party is whole. Before that, no process can
+// arrive twice, and one that does loses its connection.
+func TestWireBarrierReplaysEarlyArrivals(t *testing.T) {
+	const m, crossings = 3, 4
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(m, comm.CostModel{}, ln)
+	t.Cleanup(hub.Close)
+	kept := func() int {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		return len(hub.early)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < m; w++ {
+		c, err := Dial("tcp", ln.Addr().String(), w, w, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 1; r <= crossings; r++ {
+				got, ok := c.Barrier().AllReduce(uint64(r * (w + 1)))
+				if want := uint64(r * m * (m + 1) / 2); !ok || got != want {
+					t.Errorf("worker %d crossing %d: reduced to %d (ok=%v), want %d: %v", w, r, got, ok, want, c.Err())
+					return
+				}
+			}
+		}()
+		if w == m-1 {
+			break
+		}
+		// the next process dials only once the hub holds this one's arrival
+		deadline := time.Now().Add(5 * time.Second)
+		for kept() != w+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("the hub keeps %d early arrivals, want %d", kept(), w+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor(t, &wg, "the party's crossings")
+	if n := kept(); n != 0 {
+		t.Errorf("the hub still keeps %d early arrivals after the party joined", n)
+	}
+
+	t.Run("second early arrival", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub := NewHub(2, comm.CostModel{}, ln)
+		t.Cleanup(hub.Close)
+		raw, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { raw.Close() })
+		batch := msg(kHello, 1, 1, nil)
+		batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8))...)
+		batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8))...)
+		if _, err := raw.Write(batch); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, raw); err != nil {
+			t.Fatalf("the hub kept the connection open: %v", err)
+		}
+		_, errs, err := hub.WaitResults(5 * time.Second)
+		if err != nil || len(errs) == 0 || !errors.Is(errs[0], ErrWorkerLost) {
+			t.Fatalf("hub errors %v, %v; want the worker declared lost", errs, err)
+		}
+	})
+}
+
+// A process hosting every worker of the job completes each crossing by
+// itself: across many crossings the hub reads nothing from it but its
+// hello, a queued sample batch (which still goes out with the next
+// crossing) and its result, and every AllReduce still sums both
+// workers' values.
+func TestWireBarrierSingleProcessWritesNoArrivals(t *testing.T) {
+	const m, crossings = 2, 20
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	hub := NewHub(m, comm.CostModel{}, ln)
+	t.Cleanup(hub.Close)
+	samples := make(chan struct{}, 1)
+	hub.OnSamples(func([]byte) { samples <- struct{}{} })
+	c, err := Dial("tcp", inner.Addr().String(), 0, m-1, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := hub.WaitJoined(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < m; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 1; r <= crossings; r++ {
+				if w == 0 && r == crossings {
+					c.SendSamples([]byte("smp"))
+				}
+				if got, ok := c.Barrier().AllReduce(uint64(r * (w + 1))); !ok || got != uint64(3*r) {
+					t.Errorf("worker %d crossing %d: reduced to %d (ok=%v), want %d", w, r, got, ok, 3*r)
+					return
+				}
+			}
+		}()
+	}
+	waitFor(t, &wg, "the single process's crossings")
+	select {
+	case <-samples:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sample batch queued before the last crossing never reached the hub")
+	}
+	if err := c.SendResult([]byte("done")); err != nil {
+		t.Fatal(err)
+	}
+	if _, errs, err := hub.WaitResults(5 * time.Second); err != nil || len(errs) != 0 {
+		t.Fatalf("results: %v %v", err, errs)
+	}
+	want := len(msg(kHello, 0, 1, nil)) + len(msg(kSamples, 0, 1, []byte("smp"))) + len(msg(kResult, 0, 1, []byte("done")))
+	if got := ln.bytesRead.Load(); got != int64(want) {
+		t.Errorf("the hub read %d bytes, want %d: the hello, the sample batch and the result, no arrival", got, want)
+	}
+}
+
+// waitFor waits for wg, failing the test instead of hanging on a
+// barrier that never releases.
+func waitFor(t *testing.T, wg *sync.WaitGroup, what string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s hung", what)
 	}
 }
 

@@ -400,6 +400,119 @@ func TestSVMessageReduction(t *testing.T) {
 	}
 }
 
+// rootsMixed is a weighted undirected graph of 75 vertices: 24 isolated
+// ones, a star whose center 34 is neither its smallest nor its largest
+// id (leaves 24-33 and 35-44), and the path 45-46-...-74.
+func rootsMixed() *graph.Graph {
+	var edges []graph.Edge
+	add := func(u, v graph.VertexID, w int32) {
+		edges = append(edges, graph.Edge{Src: u, Dst: v, Weight: w}, graph.Edge{Src: v, Dst: u, Weight: w})
+	}
+	for leaf := graph.VertexID(24); leaf <= 44; leaf++ {
+		if leaf != 34 {
+			add(34, leaf, int32(leaf%7)+1)
+		}
+	}
+	for u := graph.VertexID(45); u < 74; u++ {
+		add(u, u+1, int32(u*5%11)+1)
+	}
+	g := graph.FromEdges(75, edges, true)
+	g.Undirected = true
+	return g
+}
+
+// A vertex that is its own parent knows its grandparent, so no S-V
+// variant fetches D[D[u]] for a root and no Boruvka pointer chase asks a
+// vertex with cur[u] = u. The results stay the oracles' and the network
+// bytes stay those recorded before roots stopped asking: a root's fetch
+// never left its worker. On an edgeless graph every vertex is a root
+// throughout, so nothing is requested at all — no request channel
+// carries a byte, the traffic does not grow with the vertex count, and
+// the RequestRespond variants run one exchange round per superstep.
+func TestRootsSkipPointerFetch(t *testing.T) {
+	mixed := rootsMixed()
+	sv, _ := Lookup("sv")
+	for _, tc := range []struct {
+		eng      Engine
+		variant  string
+		reqChans []int // the grandparent fetch's channel ids; the baseline has one stream
+		rr       bool  // the fetch goes through RequestRespond
+		netBytes int64 // on rootsMixed at 4 workers
+	}{
+		{EngineChannel, "basic", []int{1, 2}, false, 5925},
+		{EngineChannel, "reqresp", []int{1}, true, 4520},
+		{EngineChannel, "scatter", []int{1, 2}, false, 5473},
+		{EngineChannel, "both", []int{1}, true, 4068},
+		{EnginePregel, "basic", nil, false, 9543},
+		{EnginePregel, "reqresp", nil, false, 6325},
+	} {
+		name := "sv/" + string(tc.eng) + "/" + tc.variant
+		res, err := sv.Run(tc.eng, tc.variant, mixed, hashOpts(mixed), Params{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkRoots(t, name, res.Labels, seq.ConnectedComponents(mixed))
+		if res.Metrics.NetBytes != tc.netBytes {
+			t.Errorf("%s: %d network bytes, want %d", name, res.Metrics.NetBytes, tc.netBytes)
+		}
+
+		var traffic []int64
+		for _, n := range []int{32, 256} {
+			g := graph.FromEdges(n, nil, false)
+			g.Undirected = true
+			tr := obs.NewTrace(testWorkers)
+			opts := hashOpts(g)
+			opts.Observer = tr
+			res, err := sv.Run(tc.eng, tc.variant, g, opts, Params{})
+			if err != nil {
+				t.Fatalf("%s, %d isolated vertices: %v", name, n, err)
+			}
+			checkRoots(t, name, res.Labels, seq.ConnectedComponents(g))
+			m := res.Metrics
+			traffic = append(traffic, m.NetBytes+m.LocalBytes)
+			for _, s := range tr.Samples() {
+				for _, c := range tc.reqChans {
+					if ch := s.Channels[c]; ch != (obs.ChannelSample{}) {
+						t.Errorf("%s, %d isolated vertices: worker %d superstep %d request channel %d carried %+v", name, n, s.Worker, s.Superstep, c, ch)
+					}
+				}
+			}
+			if tc.rr && m.Rounds != int64(m.Supersteps) {
+				t.Errorf("%s, %d isolated vertices: %d rounds in %d supersteps", name, n, m.Rounds, m.Supersteps)
+			}
+		}
+		if traffic[0] != traffic[1] {
+			t.Errorf("%s: an edgeless job sends %d bytes at 32 vertices, %d at 256", name, traffic[0], traffic[1])
+		}
+	}
+
+	wantW, wantCnt := seq.MSFWeight(mixed)
+	wantCC := seq.ConnectedComponents(mixed)
+	msf, _ := Lookup("msf")
+	for _, tc := range []struct {
+		eng Engine
+		// on rootsMixed at 4 workers; the loopback bytes were 4108 and
+		// 19595 while the chase's roots still asked themselves
+		netBytes, localBytes int64
+	}{
+		{EngineChannel, 6792, 2106},
+		{EnginePregel, 27367, 6386},
+	} {
+		name := "msf/" + string(tc.eng)
+		res, err := msf.Run(tc.eng, "basic", mixed, hashOpts(mixed), Params{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.MSF.Weight != wantW || len(res.MSF.Edges) != wantCnt {
+			t.Errorf("%s: weight=%d count=%d want %d %d", name, res.MSF.Weight, len(res.MSF.Edges), wantW, wantCnt)
+		}
+		checkForest(t, name, mixed, *res.MSF, wantCC)
+		if m := res.Metrics; m.NetBytes != tc.netBytes || m.LocalBytes != tc.localBytes {
+			t.Errorf("%s: %d network and %d loopback bytes, want %d and %d", name, m.NetBytes, m.LocalBytes, tc.netBytes, tc.localBytes)
+		}
+	}
+}
+
 // --- SSSP ---
 
 func TestSSSPMatchesDijkstra(t *testing.T) {

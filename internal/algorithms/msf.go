@@ -18,7 +18,9 @@ import (
 // pairs, candidates are 4-word edges, and the pointer chase is a
 // request-respond conversation — in Pregel they all share one fat
 // tagged type (msf_pregel.go), while the channel version gives each its
-// own channel.
+// own channel. Only vertices off the top of the component forest chase:
+// a vertex with cur[u] = u would be answered cur[u], so it sends no
+// request, as pointerjump.go's roots halt at superstep 1.
 //
 // MSFResult carries the selected forest edges and their total weight.
 type MSFResult struct {
@@ -268,7 +270,7 @@ func msfChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error)
 				w.VoteToHalt()
 				return
 			}
-			id := w.GlobalID(li)
+			id := f.GlobalID(li)
 			step := w.Superstep()
 			if step == 1 {
 				comp[li] = id
@@ -334,19 +336,24 @@ func msfChannel(g *graph.Graph, opts Options) (MSFResult, engine.Metrics, error)
 						edgeStates[w.WorkerID()] = append(edgeStates[w.WorkerID()], e)
 					}
 				}
-				// everyone initializes the pointer chase
+				// everyone initializes the pointer chase; a forest root
+				// (cur[u] = u) has nothing to chase
 				if id == comp[li] {
 					cur[li] = droot[li]
 				} else {
 					cur[li] = comp[li]
 				}
-				rrJump.Request(w.Addr(cur[li]))
+				if cur[li] != id {
+					rrJump.Request(w.Addr(cur[li]))
+				}
 			case msfJump:
 				if nc, ok := rrJump.Respond(); ok && graph.VertexID(nc) != cur[li] {
 					cur[li] = nc
 					jumpAgg.Add(1)
 				}
-				rrJump.Request(w.Addr(cur[li]))
+				if cur[li] != id {
+					rrJump.Request(w.Addr(cur[li]))
+				}
 			}
 		}
 	})

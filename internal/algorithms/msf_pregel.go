@@ -12,7 +12,9 @@ import (
 // candidate edge — so every broadcast pair, every request and every
 // one-word reply pays the full fat encoding, and no combiner can be
 // used. Request/reply conversations additionally cost two supersteps
-// each instead of the channel version's one.
+// each instead of the channel version's one. As in msf.go, a vertex
+// with cur[u] = u sends no msfMJReq: it would be answered cur[u] by
+// itself (pointerjump.go's roots likewise halt at superstep 1).
 
 type msfMTag = uint8
 
@@ -157,7 +159,7 @@ func msfPregel(g *graph.Graph, opts Options) (MSFResult, pregel.Metrics, error) 
 				w.VoteToHalt()
 				return
 			}
-			id := w.GlobalID(li)
+			id := f.GlobalID(li)
 			if w.Superstep() == 1 {
 				comp[li] = id
 				cur[li] = id
@@ -240,7 +242,9 @@ func msfPregel(g *graph.Graph, opts Options) (MSFResult, pregel.Metrics, error) 
 				} else {
 					cur[li] = comp[li]
 				}
-				w.Send(cur[li], msfMMsg{Tag: msfMJReq, A: uint32(id)})
+				if cur[li] != id {
+					w.Send(cur[li], msfMMsg{Tag: msfMJReq, A: uint32(id)})
+				}
 			case msfPJServe:
 				for _, m := range msgs {
 					if m.Tag == msfMJReq {
@@ -254,7 +258,9 @@ func msfPregel(g *graph.Graph, opts Options) (MSFResult, pregel.Metrics, error) 
 						w.Aggregate(msfPAgg{Jump: 1})
 					}
 				}
-				w.Send(cur[li], msfMMsg{Tag: msfMJReq, A: uint32(id)})
+				if cur[li] != id {
+					w.Send(cur[li], msfMMsg{Tag: msfMJReq, A: uint32(id)})
+				}
 			}
 		}
 	})

@@ -38,10 +38,16 @@ import (
 // Iteration schedule (3 supersteps per iteration when fetching D[D[u]]
 // through the RequestRespond channel, 4 with standard channels):
 //
-//	A: broadcast D[u] to neighbors; issue the grandparent fetch
+//	A: broadcast D[u] to neighbors; non-roots issue the grandparent
+//	   fetch — a root (D[u] = u) already knows D[D[u]] = u, so it asks
+//	   nothing, as pointerjump.go's roots halt at superstep 1
 //	(B': with standard channels, parents answer pending fetches)
-//	B: read t = min neighbor D and gp = D[D[u]]; tree-merge or jump
+//	B: read t = min neighbor D and gp = D[D[u]] (D[u] for a root);
+//	   tree-merge or jump
 //	C: roots apply the minimum merge target; convergence aggregator
+//
+// In iteration 1 every vertex is a root, so no worker fetches and the
+// RequestRespond variants skip that superstep's respond round.
 func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool) ([]graph.VertexID, engine.Metrics, error) {
 	part := opts.Part
 	states := make([][]graph.VertexID, part.NumWorkers())
@@ -117,7 +123,7 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 			step := w.Superstep()
 			if step == 1 {
 				for li := lo; li < hi; li++ {
-					d[li] = w.GlobalID(li)
+					d[li] = f.GlobalID(li)
 				}
 			}
 			switch (step - 1) % period {
@@ -138,11 +144,15 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 					}
 				}
 				for li := lo; li < hi; li++ {
+					id := f.GlobalID(li)
+					if d[li] == id {
+						continue // a root is its own grandparent
+					}
 					w.SetCurrent(li)
 					if useReqResp {
 						rr.Request(w.Addr(d[li]))
 					} else {
-						reqCh.Send(w.Addr(d[li]), w.GlobalID(li))
+						reqCh.Send(w.Addr(d[li]), id)
 					}
 				}
 			case 1:
@@ -150,7 +160,10 @@ func svChannelVariant(g *graph.Graph, opts Options, useReqResp, useScatter bool)
 					// B: full merge/jump decision
 					for li := lo; li < hi; li++ {
 						w.SetCurrent(li)
-						gp, _ := rr.Respond()
+						gp, ok := rr.Respond()
+						if !ok { // a root fetched nothing: D[D[u]] = D[u]
+							gp = d[li]
+						}
 						t, hasT := svNeighborMin(bcastSC, bcastCM, li)
 						svDecide(w, li, d, changed, gp, t, hasT, mc)
 					}

@@ -22,6 +22,11 @@ import (
 // two kinds occupy disjoint supersteps and both want min-combining, so
 // a bare uint32 message with a min combiner works (program 1 of
 // Table VI).
+//
+// In both modes only non-roots fetch D[D[u]]: a root (D[u] = u) is its
+// own grandparent and takes gp = D[u] without a request, as
+// pointerjump.go's roots halt at superstep 1 instead of asking
+// themselves.
 
 // svTag distinguishes message kinds in the monolithic type.
 type svTag = uint8
@@ -81,13 +86,13 @@ func svPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, e
 			},
 		)
 		w.Compute = func(li int, msgs []svMsg) {
-			id := w.GlobalID(li)
+			id := f.GlobalID(li)
 			step := w.Superstep()
 			if step == 1 {
 				d[li] = id
 			}
 			switch (step - 1) % 4 {
-			case 0: // A: broadcast + grandparent request
+			case 0: // A: broadcast + grandparent request (non-roots)
 				if step > 1 && !w.AggResult() {
 					w.VoteToHalt()
 					w.RequestStop()
@@ -96,7 +101,9 @@ func svPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, e
 				for _, a := range f.Neighbors(li) {
 					w.SendAddr(a, svMsg{Tag: svBcast, Val: d[li]})
 				}
-				w.Send(d[li], svMsg{Tag: svReq, Val: id})
+				if d[li] != id {
+					w.Send(d[li], svMsg{Tag: svReq, Val: id})
+				}
 			case 1: // B': serve requests, buffer the neighborhood min
 				t := uint32(0xFFFFFFFF)
 				for _, m := range msgs {
@@ -110,7 +117,7 @@ func svPregel(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Metrics, e
 					}
 				}
 				tmin[li] = t
-			case 2: // B: decide
+			case 2: // B: decide; a root got no reply and keeps gp = D[u]
 				gp := d[li]
 				for _, m := range msgs {
 					if m.Tag == svRep {
@@ -175,7 +182,7 @@ func svPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Met
 			},
 		)
 		w.Compute = func(li int, msgs []uint32) {
-			id := w.GlobalID(li)
+			id := f.GlobalID(li)
 			step := w.Superstep()
 			if step == 1 {
 				d[li] = id
@@ -190,10 +197,12 @@ func svPregelReqResp(g *graph.Graph, opts Options) ([]graph.VertexID, pregel.Met
 				for _, a := range f.Neighbors(li) {
 					w.SendAddr(a, d[li])
 				}
-				w.Request(d[li])
+				if d[li] != id {
+					w.Request(d[li])
+				}
 			case 1: // B
 				gp, ok := w.Resp()
-				if !ok {
+				if !ok { // a root fetched nothing: D[D[u]] = D[u]
 					gp = d[li]
 				}
 				hasT := len(msgs) > 0

@@ -85,7 +85,7 @@ func saveAddrLists(buf *ser.Buffer, lists [][]frag.Addr) {
 // existing per-vertex list capacity. Runs under the engine's restore
 // recover: shape mismatches panic into worker errors.
 func loadAddrLists(buf *ser.Buffer, lists [][]frag.Addr) {
-	if n := int(buf.ReadUvarint()); n != len(lists) {
+	if n := buf.ReadUvarint(); n != uint64(len(lists)) {
 		panic("algorithms: checkpoint address table does not match vertex count")
 	}
 	for i := range lists {

@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"math"
+
 	"repro/internal/channel"
 	"repro/internal/ckpt"
 	"repro/internal/engine"
@@ -155,7 +157,7 @@ func msfLoadCore(buf *ser.Buffer, comp, cur, droot []graph.VertexID, pend []msfC
 	ckpt.LoadSlice(buf, vidCodec, comp)
 	ckpt.LoadSlice(buf, vidCodec, cur)
 	ckpt.LoadSlice(buf, vidCodec, droot)
-	if n := int(buf.ReadUvarint()); n != len(pend) {
+	if n := buf.ReadUvarint(); n != uint64(len(pend)) {
 		panic("algorithms: msf checkpoint candidate table does not match vertex count")
 	}
 	for i := range pend {
@@ -164,11 +166,11 @@ func msfLoadCore(buf *ser.Buffer, comp, cur, droot []graph.VertexID, pend []msfC
 			pend[i] = msfCandMsg{W: int32(buf.ReadVarint()), U: buf.ReadUint32(), V: buf.ReadUint32(), C2: buf.ReadUint32(), Valid: true}
 		}
 	}
-	if n := int(buf.ReadUvarint()); n != len(nbrComp) {
+	if n := buf.ReadUvarint(); n != uint64(len(nbrComp)) {
 		panic("algorithms: msf checkpoint neighbor table does not match vertex count")
 	}
 	for i := range nbrComp {
-		k := int(buf.ReadUvarint())
+		k := buf.ReadCount(math.MaxInt)
 		if k == 0 {
 			nbrComp[i] = nil
 			continue
@@ -180,7 +182,7 @@ func msfLoadCore(buf *ser.Buffer, comp, cur, droot []graph.VertexID, pend []msfC
 		}
 		nbrComp[i] = nc
 	}
-	ne := int(buf.ReadUvarint())
+	ne := buf.ReadCount(math.MaxInt)
 	var edges []graph.Edge
 	for j := 0; j < ne; j++ {
 		edges = append(edges, graph.Edge{Src: buf.ReadUint32(), Dst: buf.ReadUint32(), Weight: int32(buf.ReadVarint())})

@@ -436,26 +436,25 @@ func (c *Core) count() {
 }
 
 // deserialize hands the round's buffer from src to the engine. Buffers
-// that arrived over a socket are untrusted: the recover turns a decode
+// that arrived over a socket are untrusted: ser.Decode turns a decode
 // that panics on corrupt content into a worker error naming what was
 // being decoded and the source, so a bad frame fails the job with a
 // diagnostic instead of killing the process (and every co-hosted worker
 // with it).
-func (c *Core) deserialize(src int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			what := ""
-			if d := c.prog.Decoding(); d != nil {
-				what = fmt.Sprintf(" for %T", d)
-			}
-			err = c.errorf("corrupt frame content%s from worker %d: %v", what, src, r)
-		}
-	}()
+func (c *Core) deserialize(src int) error {
 	in := c.ep.In(src)
 	if c.obsOn {
 		c.smp.BytesRecv += int64(in.Remaining())
 	}
-	return c.prog.Deserialize(src, in)
+	var err error
+	if perr := ser.Decode(func() { err = c.prog.Deserialize(src, in) }); perr != nil {
+		what := ""
+		if d := c.prog.Decoding(); d != nil {
+			what = fmt.Sprintf(" for %T", d)
+		}
+		return c.errorf("corrupt frame content%s from worker %d: %v", what, src, perr)
+	}
+	return err
 }
 
 // timedWait crosses the shared barrier, attributing the blocked time to

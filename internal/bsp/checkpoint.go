@@ -36,12 +36,7 @@ func (c *Core) save(ck *ckpt.Hook) error {
 // and the caller resumes the superstep at that round's flush. The
 // record crossed disk and process boundaries, so panics of the restore
 // closures on hostile content surface as errors.
-func (c *Core) restore(hook *ckpt.Hook) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("corrupt checkpoint state: %v", r)
-		}
-	}()
+func (c *Core) restore(hook *ckpt.Hook) error {
 	data, err := hook.Store.Get(hook.Job, hook.Restore, c.id)
 	if err != nil {
 		return err
@@ -66,8 +61,13 @@ func (c *Core) restore(hook *ckpt.Hook) (err error) {
 			c.activeCount++
 		}
 	}
-	c.ckptRestore(ser.FromBytes(rec.Algo))
-	if err := c.prog.RestoreState(rec); err != nil {
+	if perr := ser.Decode(func() {
+		c.ckptRestore(ser.FromBytes(rec.Algo))
+		err = c.prog.RestoreState(rec)
+	}); perr != nil {
+		return fmt.Errorf("corrupt checkpoint state: %v", perr)
+	}
+	if err != nil {
 		return err
 	}
 	c.round = 1

@@ -103,19 +103,6 @@ func groupBy[T any](off []uint64, out []T, key []uint32, val []T) []uint64 {
 	return off[:len(off)-1]
 }
 
-// readLen reads a uvarint entry count, checked by countIn.
-func readLen(buf *ser.Buffer) int { return countIn(buf, buf.ReadUvarint()) }
-
-// countIn returns n if buf has n bytes left (an entry takes at least
-// one) and panics if not: frames and checkpoint blobs are untrusted, and
-// the engine's recover turns these readers' panics into worker errors.
-func countIn(buf *ser.Buffer, n uint64) int {
-	if n > uint64(buf.Remaining()) {
-		panic(fmt.Sprintf("channel: %d entries claimed, %d bytes remain", n, buf.Remaining()))
-	}
-	return int(n)
-}
-
 // readDone panics if buf has bytes left after a frame or blob's end.
 func readDone(buf *ser.Buffer) {
 	if n := buf.Remaining(); n != 0 {
@@ -144,12 +131,12 @@ type updates[M any] struct {
 
 func (u *updates[M]) reset() { u.idx, u.vals = u.idx[:0], u.vals[:0] }
 
-// read appends the section of n updates at the front of buf and returns
-// it. A count larger than the bytes left, an index not below bound or a
-// value past the end panics, and the engine reports that as a worker
-// error naming the channel and the source.
-func (u *updates[M]) read(buf *ser.Buffer, codec ser.Codec[M], n uint64, bound uint32) ([]uint32, []M) {
-	k, m := len(u.idx), countIn(buf, n)
+// read appends the section of m updates at the front of buf and returns
+// it; m was bounded when it was read (ReadCount or a narrower check). An
+// index not below bound or a value past the end panics, and the engine
+// reports that as a worker error naming the channel and the source.
+func (u *updates[M]) read(buf *ser.Buffer, codec ser.Codec[M], m int, bound uint32) ([]uint32, []M) {
+	k := len(u.idx)
 	u.idx = slices.Grow(u.idx, m)[:k+m]
 	u.vals = slices.Grow(u.vals, m)[:k+m]
 	idx, vals := u.idx[k:], u.vals[k:]
@@ -165,10 +152,10 @@ func (u *updates[M]) read(buf *ser.Buffer, codec ser.Codec[M], n uint64, bound u
 
 // readLast is read for the section that ends the frame: bytes beyond
 // its values panic as well.
-func (u *updates[M]) readLast(buf *ser.Buffer, codec ser.Codec[M], n uint64, bound uint32) ([]uint32, []M) {
-	idx, vals := u.read(buf, codec, n, bound)
+func (u *updates[M]) readLast(buf *ser.Buffer, codec ser.Codec[M], m int, bound uint32) ([]uint32, []M) {
+	idx, vals := u.read(buf, codec, m, bound)
 	if rest := buf.Remaining(); rest != 0 {
-		panic(fmt.Sprintf("channel: %d bytes beyond the values of %d updates", rest, n))
+		panic(fmt.Sprintf("channel: %d bytes beyond the values of %d updates", rest, m))
 	}
 	return idx, vals
 }

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/ckpt"
@@ -203,11 +204,11 @@ func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 	locals := c.w.LocalCount()
 	c.prepared = buf.ReadBool()
 	c.setEpoch = int32(buf.ReadVarint())
-	if n := readLen(buf); n != len(c.fanout) {
+	if n := buf.ReadUvarint(); n != uint64(len(c.fanout)) {
 		panic(fmt.Sprintf("channel: checkpoint has %d fan-out tables, job has %d workers", n, len(c.fanout)))
 	}
 	for src := range c.fanout {
-		tables := make([][]int32, readLen(buf))
+		tables := make([][]int32, buf.ReadCount(math.MaxInt))
 		for i := range tables {
 			tables[i] = ckpt.AppendSlice(buf, i32s, nil)
 			for _, li := range tables[i] {
@@ -231,7 +232,7 @@ func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 				panic(fmt.Sprintf("channel: checkpoint edge %d addresses local %d of worker %d outside the partition", i, a.Local(), o))
 			}
 		}
-		if n := readLen(buf); n != len(c.fanout) {
+		if n := buf.ReadUvarint(); n != uint64(len(c.fanout)) {
 			panic(fmt.Sprintf("channel: checkpoint has %d hub lists, job has %d workers", n, len(c.fanout)))
 		}
 		c.dstHubs = make([][]uint32, len(c.fanout))
@@ -274,7 +275,7 @@ func (c *RequestRespond[R]) SaveState(buf *ser.Buffer) {
 func (c *RequestRespond[R]) RestoreState(buf *ser.Buffer) {
 	ckpt.LoadSlice(buf, addrs, c.at.val)
 	ckpt.LoadSlice(buf, i32s, c.at.epoch)
-	if n := readLen(buf); n != len(c.pending) {
+	if n := buf.ReadUvarint(); n != uint64(len(c.pending)) {
 		panic(fmt.Sprintf("channel: checkpoint has %d pending lists, job has %d workers", n, len(c.pending)))
 	}
 	for o := range c.pending {

@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"math"
+
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -66,7 +68,7 @@ func (c *CombinedMessage[M]) Serialize(dst int, buf *ser.Buffer) {
 // merged through the Combiner.
 func (c *CombinedMessage[M]) Deserialize(src int, buf *ser.Buffer) {
 	c.rx.reset()
-	idx, vals := c.rx.readLast(buf, c.codec, buf.ReadUvarint(), uint32(len(c.in.val)))
+	idx, vals := c.rx.readLast(buf, c.codec, buf.ReadCount(math.MaxInt), uint32(len(c.in.val)))
 	deliver(c.w, c.combine, &c.in, int32(c.w.Superstep()), idx, vals)
 }
 

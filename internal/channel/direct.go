@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/engine"
@@ -80,7 +81,7 @@ func (c *DirectMessage[M]) Serialize(dst int, buf *ser.Buffer) {
 
 // Deserialize implements engine.Channel: a checked frame joins rx.
 func (c *DirectMessage[M]) Deserialize(src int, buf *ser.Buffer) {
-	idx, _ := c.rx.readLast(buf, c.codec, buf.ReadUvarint(), uint32(c.w.LocalCount()))
+	idx, _ := c.rx.readLast(buf, c.codec, buf.ReadCount(math.MaxInt), uint32(c.w.LocalCount()))
 	for _, li := range idx {
 		c.w.ActivateLocal(int(li))
 	}

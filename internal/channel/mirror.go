@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/engine"
 	"repro/internal/frag"
@@ -221,9 +222,9 @@ func (c *Mirror[M]) Deserialize(src int, buf *ser.Buffer) {
 	locals := uint32(len(c.in.val))
 	switch buf.ReadUint8() {
 	case mirrorFrameHandshake:
-		tables := make([][]int32, readLen(buf))
+		tables := make([][]int32, buf.ReadCount(math.MaxInt))
 		for i := range tables {
-			tables[i] = make([]int32, readLen(buf))
+			tables[i] = make([]int32, buf.ReadCount(math.MaxInt))
 			for j := range tables[i] {
 				li := buf.ReadUvarint()
 				if li >= uint64(locals) {
@@ -237,7 +238,13 @@ func (c *Mirror[M]) Deserialize(src int, buf *ser.Buffer) {
 	case mirrorFrameBroadcast:
 		e := int32(c.w.Superstep())
 		c.frame.reset()
-		ords, vals := c.frame.read(buf, c.codec, uint64(buf.ReadUint32()), uint32(len(c.fanout[src])))
+		// the one fixed-width count of any frame: ReadCount reads
+		// uvarints, so its bound is checked here
+		n := int(buf.ReadUint32())
+		if n > buf.Remaining() {
+			panic(fmt.Sprintf("channel: Mirror: %d entries claimed, %d bytes remain", n, buf.Remaining()))
+		}
+		ords, vals := c.frame.read(buf, c.codec, n, uint32(len(c.fanout[src])))
 		for k, ord := range ords {
 			for _, li := range c.fanout[src][ord] {
 				c.in.merge(int(li), vals[k], e, c.combine.Combine)
@@ -247,7 +254,7 @@ func (c *Mirror[M]) Deserialize(src int, buf *ser.Buffer) {
 		if buf.Remaining() == 0 {
 			return // no low-degree section this frame
 		}
-		idx, vals := c.frame.readLast(buf, c.codec, buf.ReadUvarint(), locals)
+		idx, vals := c.frame.readLast(buf, c.codec, buf.ReadCount(math.MaxInt), locals)
 		deliver(c.w, c.combine, &c.in, e, idx, vals)
 	default:
 		panic("channel: Mirror: unknown frame tag")

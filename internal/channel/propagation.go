@@ -521,7 +521,7 @@ func (c *Propagation[M]) Deserialize(src int, buf *ser.Buffer) {
 		panic(fmt.Sprintf("channel: Propagation: frame of %d updates in %d bytes, worker hosts %d vertices", n, buf.Remaining(), c.locals))
 	}
 	c.frame.reset()
-	idx, vals := c.frame.readLast(buf, c.codec, n, c.locals)
+	idx, vals := c.frame.readLast(buf, c.codec, int(n), c.locals)
 	c.combine.absorb(&c.pushState, idx, vals)
 }
 

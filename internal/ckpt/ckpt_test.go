@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -232,6 +233,12 @@ func TestRecordDecodeRejectsHostileInput(t *testing.T) {
 			t.Errorf("%s: expected decode error", name)
 		}
 	}
+	// a bitmap of 2^63-1 vertices: its byte count must not wrap past
+	// the bound and leave the allocation to the runtime
+	maxBitmap := binary.AppendUvarint(slices.Clip(huge.Bytes()[:6]), math.MaxInt64)
+	if _, err := Decode(maxBitmap); err == nil || !strings.Contains(err.Error(), "ckpt: active bitmap claims 9223372036854775807 vertices, 0 bytes remain") {
+		t.Errorf("a bitmap of 2^63-1 vertices: got %v", err)
+	}
 	if _, err := Decode(old); err == nil || !strings.Contains(err.Error(), `"CKP1"`) {
 		t.Errorf("a CKP1 record must be refused by name, got %v", err)
 	}
@@ -288,7 +295,7 @@ func TestAppendSlice(t *testing.T) {
 	hostile.WriteUvarint(1 << 40)
 	hostile.WriteVarint(1)
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1099511627776 entries, 1 bytes remain") {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1099511627776 entries claimed, 1 bytes remain") {
 			t.Errorf("hostile length: recovered %v", r)
 		}
 	}()

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/ser"
@@ -69,51 +70,46 @@ func (r *Record) Encode(buf *ser.Buffer) {
 // panics surface as errors — hostile headers cannot OOM or crash the
 // caller.
 func Decode(data []byte) (rec *Record, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("ckpt: corrupt record: %v", r)
-		}
-	}()
+	if perr := ser.Decode(func() { rec, err = decode(data) }); perr != nil {
+		return nil, fmt.Errorf("ckpt: corrupt record: %v", perr)
+	}
+	return rec, err
+}
+
+func decode(data []byte) (*Record, error) {
 	b := ser.FromBytes(data)
 	if len(data) < 4 || b.ReadUint32() != recordMagic {
 		// an older format (CKP1 logged every round's incoming frames) or
 		// no record at all
 		return nil, fmt.Errorf("ckpt: record magic %q, this build reads \"CKP2\"", data[:min(4, len(data))])
 	}
-	rec = &Record{
-		Superstep: int(b.ReadUvarint()),
+	rec := &Record{
+		Superstep: b.ReadIndex(math.MaxInt),
 		Halt:      b.ReadBool(),
 	}
-	if rec.Superstep <= 0 {
+	if rec.Superstep == 0 {
 		return nil, fmt.Errorf("ckpt: bad superstep %d", rec.Superstep)
 	}
-	n := int(b.ReadUvarint())
-	nbytes := (n + 7) / 8
-	if n < 0 || nbytes > b.Remaining() {
+	// eight vertices share a byte of the bitmap, so its count is bounded
+	// here rather than by ReadCount
+	n := b.ReadUvarint()
+	if n > 8*uint64(b.Remaining()) {
 		return nil, fmt.Errorf("ckpt: active bitmap claims %d vertices, %d bytes remain", n, b.Remaining())
 	}
 	rec.Active = make([]bool, n)
-	for i := 0; i < n; i += 8 {
+	for i := 0; i < len(rec.Active); i += 8 {
 		bits := b.ReadUint8()
-		for j := 0; j < 8 && i+j < n; j++ {
+		for j := 0; j < 8 && i+j < len(rec.Active); j++ {
 			rec.Active[i+j] = bits&(1<<j) != 0
 		}
 	}
 	rec.Algo = checkedBytes(b)
 	rec.Engine = checkedBytes(b)
-	nc := int(b.ReadUvarint())
-	if nc < 0 || nc > b.Remaining() {
-		return nil, fmt.Errorf("ckpt: %d channel blobs claimed, %d bytes remain", nc, b.Remaining())
-	}
-	rec.Channels = make([][]byte, nc)
+	rec.Channels = make([][]byte, b.ReadCount(math.MaxInt))
 	for i := range rec.Channels {
 		rec.Channels[i] = checkedBytes(b)
 	}
-	no := int(b.ReadUvarint())
-	if no < 0 || no > b.Remaining() {
-		return nil, fmt.Errorf("ckpt: %d outgoing buffers claimed, %d bytes remain", no, b.Remaining())
-	}
-	rec.Out = make([][]byte, no)
+	rec.Out = make([][]byte, b.ReadCount(math.MaxInt))
 	for i := range rec.Out {
 		rec.Out[i] = checkedBytes(b)
 	}
@@ -145,8 +141,7 @@ func SaveSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) {
 // job shape. Restore paths run under a recover, so the panic surfaces
 // as a worker error, not a crash.
 func LoadSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) {
-	n := int(buf.ReadUvarint())
-	if n != len(s) {
+	if n := buf.ReadUvarint(); n != uint64(len(s)) {
 		panic(fmt.Sprintf("ckpt: state slice length %d, checkpoint has %d", len(s), n))
 	}
 	ser.DecodeSlice(buf, c, s)
@@ -154,16 +149,12 @@ func LoadSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) {
 
 // AppendSlice decodes a sequence written by SaveSlice and appends it to
 // s, for state whose length the job's shape does not fix (registered
-// edges, pending lists). The length is checked against the bytes left —
-// every value of c must take at least one — so a corrupt length cannot
-// force a large allocation.
+// edges, pending lists). The length is a ReadCount — every value of c
+// must take at least one byte — so a corrupt length cannot force a
+// large allocation.
 func AppendSlice[T any](buf *ser.Buffer, c ser.Codec[T], s []T) []T {
-	n := buf.ReadUvarint()
-	if n > uint64(buf.Remaining()) {
-		panic(fmt.Sprintf("ckpt: state slice of %d entries, %d bytes remain", n, buf.Remaining()))
-	}
-	k := len(s)
-	s = slices.Grow(s, int(n))[:k+int(n)]
+	n, k := buf.ReadCount(math.MaxInt), len(s)
+	s = slices.Grow(s, n)[:k+n]
 	ser.DecodeSlice(buf, c, s[k:])
 	return s
 }

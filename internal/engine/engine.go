@@ -96,9 +96,9 @@ type Worker struct {
 	channels []Channel
 	chActive []bool
 	decoding Channel // whose Deserialize ran last, for the corrupt-frame report
-	// sub is the one reusable frame view of the receive loop; NextFrame
-	// re-points it at each incoming frame body, so the steady-state
-	// decode path performs no allocation.
+	// sub is the one reusable frame view of the receive loop;
+	// ReadFrameInto re-points it at each incoming frame body, so the
+	// steady-state decode path performs no allocation.
 	sub ser.Buffer
 
 	// Compute is invoked once per active local vertex per superstep
@@ -204,24 +204,16 @@ func (p program) Serialize(dst int, buf *ser.Buffer) {
 	}
 }
 
-// Deserialize dispatches src's frame stream to the channels. The
-// envelope layer returns errors on a malformed stream; a channel that
-// panics on its frame's content is reported by the driver, naming the
-// channel (Decoding).
+// Deserialize dispatches src's frame stream to the channels. A
+// malformed envelope or a channel that panics on its frame's content
+// is reported by the driver's ser.Decode, naming the channel (Decoding)
+// when the panic came from one.
 func (p program) Deserialize(src int, in *ser.Buffer) error {
 	s, sub := p.Sample(), &p.sub
 	for in.Remaining() > 0 {
-		ci64, err := in.NextUvarint()
-		if err != nil {
-			return fmt.Errorf("engine: worker %d: bad frame stream from worker %d: %w", p.WorkerID(), src, err)
-		}
-		ci := int(ci64)
-		if ci < 0 || ci >= len(p.channels) {
-			return fmt.Errorf("engine: worker %d: bad channel id %d from worker %d", p.WorkerID(), ci, src)
-		}
-		if err := in.NextFrame(sub); err != nil {
-			return fmt.Errorf("engine: worker %d: bad frame from worker %d: %w", p.WorkerID(), src, err)
-		}
+		p.decoding = nil // a bad envelope is no channel's fault
+		ci := in.ReadIndex(len(p.channels))
+		in.ReadFrameInto(sub)
 		if s != nil {
 			s.FramesRecv++
 			s.Channels[ci].BytesRecv += int64(sub.Remaining())

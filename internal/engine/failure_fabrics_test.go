@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -297,4 +298,81 @@ func TestBothFabricsCorruptPayloadFailsNotPanics(t *testing.T) {
 			t.Fatalf("expected corrupt-frame error, got %v", err)
 		}
 	})
+}
+
+// TestEngineRejectsHostileFrameStream runs worker 1 of a 2-worker job
+// over the socket fabric while worker 0 is a scripted peer that sends it
+// one hand-made round-1 stream of (channel id, frame) envelopes. A
+// channel id past the registry, a dangling uvarint, a truncated frame
+// header and a frame length past the stream must each fail the job with
+// a worker error from worker 0 — never take the process down — on their
+// own and after a good frame, where the report must not blame the
+// channel that decoded that frame.
+func TestEngineRejectsHostileFrameStream(t *testing.T) {
+	good := []byte{0, 1, 0, 0, 0, 9} // channel 0, a 1-byte frame
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"channel id past the registry", []byte{1, 0, 0, 0, 0}, "index 1 claimed, must be below 1"},
+		{"dangling uvarint", []byte{0x80}, "invalid uvarint"},
+		{"truncated frame header", []byte{0, 1, 0}, "buffer underflow: need 4 bytes, have 2"},
+		{"frame length past the stream", []byte{0, 100, 0, 0, 0, 9}, "buffer underflow: need 100 bytes, have 1"},
+	} {
+		for _, after := range []bool{false, true} {
+			name, stream := tc.name, tc.stream
+			if after {
+				name, stream = tc.name+" after a good frame", append(slices.Clip(good), stream...)
+			}
+			t.Run(name, func(t *testing.T) {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				hub := netcomm.NewHub(2, comm.CostModel{}, ln)
+				defer hub.Close()
+				var clients [2]*netcomm.Client
+				for i := range clients {
+					if clients[i], err = netcomm.Dial("tcp", ln.Addr().String(), i, i, 2); err != nil {
+						t.Fatal(err)
+					}
+					defer clients[i].Close()
+				}
+				if err := hub.WaitJoined(10 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := Run(Config{Part: partition.MustHash(4, 2), Fabric: clients[1]}, func(w *Worker) {
+						w.Register(nullChannel{})
+						w.Compute = func(li int) { w.VoteToHalt() }
+					})
+					done <- err
+				}()
+
+				ep, bar := clients[0].Endpoint(0), clients[0].Barrier()
+				if !bar.Wait() { // every worker finished setup
+					t.Fatal("set-up crossing aborted")
+				}
+				copy(ep.Out(1).Extend(len(stream)), stream)
+				if err := ep.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				bar.Wait()
+				if _, ok := bar.AllReduce(0); ok {
+					t.Fatal("the scripted round was accepted")
+				}
+				select {
+				case err = <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("worker 1 hung")
+				}
+				if err == nil || !strings.Contains(err.Error(), "engine: worker 1: corrupt frame content from worker 0: ser: ") ||
+					!strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("got %v, want a worker 1 error from worker 0 naming no channel and containing %q", err, tc.want)
+				}
+			})
+		}
+	}
 }

@@ -143,7 +143,7 @@ func TestHubPlaneOneWritePerFlush(t *testing.T) {
 					}
 					want := make([]byte, size(r, src, w))
 					framePattern(want, r, src, w)
-					if got := ep.In(src).Unread(); !bytes.Equal(got, want) {
+					if got := ep.In(src).Bytes(); !bytes.Equal(got, want) {
 						t.Errorf("worker %d round %d: frame from %d is %d bytes, want %d, or differs", w, r, src, len(got), len(want))
 						return
 					}
@@ -332,7 +332,7 @@ func TestHubPlaneHubDecodesChunkedStream(t *testing.T) {
 				if !bar.Wait() {
 					t.Fatalf("round %d: barrier aborted: %v", r, c0.Err())
 				}
-				if got := ep.In(1).Unread(); !bytes.Equal(got, frame(r)) {
+				if got := ep.In(1).Bytes(); !bytes.Equal(got, frame(r)) {
 					t.Fatalf("round %d: %d bytes from the scripted worker, want %d, or they differ", r, len(got), len(frame(r)))
 				}
 				if !bar.Wait() {
@@ -439,7 +439,7 @@ func TestHubPlaneClientDecodesChunkedStream(t *testing.T) {
 					t.Fatalf("round %d: the crossing reduced to %d (ok=%v), want %d: %v", r, sum, ok, 40+r, c.Err())
 				}
 				for src := 1; src <= 2; src++ {
-					if got := ep.In(src).Unread(); !bytes.Equal(got, frame(r, src)) {
+					if got := ep.In(src).Bytes(); !bytes.Equal(got, frame(r, src)) {
 						t.Fatalf("round %d: %d bytes from worker %d, want %d, or they differ", r, len(got), src, len(frame(r, src)))
 					}
 				}
@@ -969,7 +969,7 @@ func TestHubPlaneFlushAloneWritesNothing(t *testing.T) {
 	}
 	want := make([]byte, frame)
 	framePattern(want, 0, 0, 1)
-	if got := rep.In(0).Unread(); !bytes.Equal(got, want) {
+	if got := rep.In(0).Bytes(); !bytes.Equal(got, want) {
 		t.Errorf("the peer received %d bytes, want the %d-byte frame", len(got), frame)
 	}
 }
@@ -1015,7 +1015,7 @@ func TestHubPlanePendingBoundedByOneRound(t *testing.T) {
 				}
 				want := make([]byte, size(r, src))
 				framePattern(want, r, src, w)
-				if got := ep.In(src).Unread(); !bytes.Equal(got, want) {
+				if got := ep.In(src).Bytes(); !bytes.Equal(got, want) {
 					t.Errorf("worker %d round %d: frame from %d differs", w, r, src)
 					return
 				}

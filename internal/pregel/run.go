@@ -3,6 +3,7 @@ package pregel
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ckpt"
@@ -257,7 +258,7 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 	cfg := w.cfg
 	// messages: the wire dense id is the local index — delivery is a
 	// direct array write, no partition lookup
-	nmsg := int(buf.ReadUvarint())
+	nmsg := buf.ReadCount(math.MaxInt)
 	for i := 0; i < nmsg; i++ {
 		li := buf.ReadUint32()
 		msg := cfg.MsgCodec.Decode(buf)
@@ -265,7 +266,7 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 	}
 	// ghost broadcasts
 	if cfg.GhostThreshold > 0 {
-		ng := int(buf.ReadUvarint())
+		ng := buf.ReadCount(math.MaxInt)
 		for i := 0; i < ng; i++ {
 			hub := buf.ReadUint32()
 			msg := cfg.MsgCodec.Decode(buf)
@@ -276,7 +277,7 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 	}
 	// requests
 	if cfg.Responder != nil {
-		nr := int(buf.ReadUvarint())
+		nr := buf.ReadCount(math.MaxInt)
 		lis := w.asked[src][:0]
 		for i := 0; i < nr; i++ {
 			lis = append(lis, buf.ReadUint32())
@@ -318,7 +319,7 @@ func (w *Worker[M, R, A]) serializeRound2(dst int, buf *ser.Buffer) {
 func (w *Worker[M, R, A]) deserializeRound2(src int, buf *ser.Buffer) {
 	cfg := w.cfg
 	if cfg.Responder != nil {
-		nr := int(buf.ReadUvarint())
+		nr := buf.ReadCount(math.MaxInt)
 		for i := 0; i < nr; i++ {
 			li := buf.ReadUint32()
 			v := cfg.RespCodec.Decode(buf)

@@ -49,11 +49,6 @@ func (b *Buffer) Remaining() int { return len(b.data) - b.pos }
 // Bytes returns the underlying byte slice (written portion).
 func (b *Buffer) Bytes() []byte { return b.data }
 
-// Unread returns the not-yet-consumed portion of the buffer without
-// advancing the cursor. The slice aliases the buffer's storage; callers
-// that retain it (e.g. the checkpoint frame tee) must copy.
-func (b *Buffer) Unread() []byte { return b.data[b.pos:] }
-
 // Reset discards contents and rewinds the cursor, retaining capacity.
 func (b *Buffer) Reset() {
 	b.data = b.data[:0]
@@ -113,11 +108,6 @@ func (b *Buffer) WriteVarint(v int64) {
 // WriteFloat64 appends the IEEE-754 bits of v.
 func (b *Buffer) WriteFloat64(v float64) {
 	b.WriteUint64(math.Float64bits(v))
-}
-
-// WriteFloat32 appends the IEEE-754 bits of v.
-func (b *Buffer) WriteFloat32(v float32) {
-	b.WriteUint32(math.Float32bits(v))
 }
 
 // WriteBool appends a single byte 0 or 1.
@@ -207,6 +197,34 @@ func (b *Buffer) ReadUvarints(out []uint32) {
 	b.pos = pos
 }
 
+// ReadCount consumes a uvarint count of entries that each take at least
+// one of the bytes that follow, and returns it once it is bounded: a
+// count above the bytes left or above limit panics. Every count read off
+// the wire or a checkpoint goes through here (or ReadIndex) before
+// anything is sized or looped by it, so a hostile count can neither
+// wrap negative nor force a large allocation.
+func (b *Buffer) ReadCount(limit int) int {
+	n := b.ReadUvarint()
+	if n > uint64(b.Remaining()) {
+		panic(fmt.Sprintf("ser: %d entries claimed, %d bytes remain", n, b.Remaining()))
+	}
+	if int(n) > limit {
+		panic(fmt.Sprintf("ser: %d entries claimed, at most %d allowed, %d bytes remain", n, limit, b.Remaining()))
+	}
+	return int(n)
+}
+
+// ReadIndex consumes a uvarint that must be below n — an index into n
+// entries; with n = math.MaxInt, any non-negative int — and panics
+// otherwise.
+func (b *Buffer) ReadIndex(n int) int {
+	v := b.ReadUvarint()
+	if v >= uint64(max(n, 0)) {
+		panic(fmt.Sprintf("ser: index %d claimed, must be below %d, %d bytes remain", v, n, b.Remaining()))
+	}
+	return int(v)
+}
+
 // ReadVarint consumes a zig-zag LEB128 value.
 func (b *Buffer) ReadVarint() int64 {
 	v, n := binary.Varint(b.data[b.pos:])
@@ -220,11 +238,6 @@ func (b *Buffer) ReadVarint() int64 {
 // ReadFloat64 consumes an IEEE-754 double.
 func (b *Buffer) ReadFloat64() float64 {
 	return math.Float64frombits(b.ReadUint64())
-}
-
-// ReadFloat32 consumes an IEEE-754 float.
-func (b *Buffer) ReadFloat32() float32 {
-	return math.Float32frombits(b.ReadUint32())
 }
 
 // ReadBool consumes one byte and reports whether it is nonzero.
@@ -244,7 +257,7 @@ func (b *Buffer) next(n int) []byte {
 // ReadBytes consumes a length-prefixed byte slice. The returned slice
 // aliases the buffer's storage.
 func (b *Buffer) ReadBytes() []byte {
-	return b.next(int(b.ReadUvarint()))
+	return b.next(b.ReadCount(math.MaxInt))
 }
 
 // ReadString consumes a length-prefixed string.
@@ -267,16 +280,6 @@ func (b *Buffer) EndFrame(off int) {
 	binary.LittleEndian.PutUint32(b.data[off:], uint32(n))
 }
 
-// PatchUint32 overwrites the 4 bytes at offset off with v. The offset
-// must point at a previously written fixed-width slot (e.g. a count
-// placeholder).
-func (b *Buffer) PatchUint32(off int, v uint32) {
-	if off < 0 || off+4 > len(b.data) {
-		panic("ser: bad patch offset")
-	}
-	binary.LittleEndian.PutUint32(b.data[off:], v)
-}
-
 // Truncate discards everything written after offset n. Used to roll back
 // an empty frame (a channel that had nothing to send).
 func (b *Buffer) Truncate(n int) {
@@ -289,57 +292,18 @@ func (b *Buffer) Truncate(n int) {
 	}
 }
 
-// ReadFrame consumes a frame header and returns a sub-buffer over the
-// frame body, advancing this buffer past it. The sub-buffer aliases the
-// underlying storage. Hot loops should prefer ReadFrameInto, which
-// reuses a caller-owned sub-buffer instead of allocating one per frame.
-func (b *Buffer) ReadFrame() *Buffer {
-	sub := &Buffer{}
-	b.ReadFrameInto(sub)
-	return sub
-}
-
 // ReadFrameInto consumes a frame header and points sub at the frame
 // body, advancing this buffer past it. sub aliases the underlying
 // storage and is valid until the next write to b; its previous contents
 // are discarded. Reusing one sub-buffer across frames keeps the decode
-// path allocation-free.
+// path allocation-free. A header or body past the end panics like every
+// read; Decode turns that into an error at a trust boundary.
 func (b *Buffer) ReadFrameInto(sub *Buffer) {
 	n := int(b.ReadUint32())
 	b.need(n)
 	sub.data = b.data[b.pos : b.pos+n]
 	sub.pos = 0
 	b.pos += n
-}
-
-// NextFrame is the error-returning variant of ReadFrameInto for wire
-// boundaries: bytes that arrived over a socket are not trusted, so a
-// truncated header or a frame length exceeding the remaining bytes
-// returns an error instead of panicking.
-func (b *Buffer) NextFrame(sub *Buffer) error {
-	if b.Remaining() < 4 {
-		return fmt.Errorf("ser: truncated frame header: %d bytes remain", b.Remaining())
-	}
-	n := int(binary.LittleEndian.Uint32(b.data[b.pos:]))
-	if n > b.Remaining()-4 {
-		return fmt.Errorf("ser: frame length %d exceeds %d remaining bytes", n, b.Remaining()-4)
-	}
-	b.pos += 4
-	sub.data = b.data[b.pos : b.pos+n]
-	sub.pos = 0
-	b.pos += n
-	return nil
-}
-
-// NextUvarint is the error-returning variant of ReadUvarint for wire
-// boundaries.
-func (b *Buffer) NextUvarint() (uint64, error) {
-	v, n := binary.Uvarint(b.data[b.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("ser: invalid uvarint at offset %d", b.pos)
-	}
-	b.pos += n
-	return v, nil
 }
 
 // Extend appends n uninitialized bytes and returns the slice covering
@@ -354,4 +318,21 @@ func (b *Buffer) Extend(n int) []byte {
 	}
 	b.data = b.data[:off+n]
 	return b.data[off:]
+}
+
+// Decode runs fn, which decodes bytes that crossed a trust boundary — a
+// socket, a process, a disk — and returns what fn panicked with as an
+// error, or nil. The reads above panic on hostile input (a read past the
+// end, a count or index out of bounds) and so do the decoders' own
+// checks; Decode is the one place the module turns those panics into
+// errors, and each caller words the error for its boundary. fn returns
+// its results through the variables it captures.
+func Decode(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	fn()
+	return nil
 }

@@ -2,6 +2,7 @@ package ser
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +13,6 @@ func TestBufferRoundtripFixed(t *testing.T) {
 	b.WriteUint32(0xDEADBEEF)
 	b.WriteUint64(1 << 60)
 	b.WriteFloat64(3.25)
-	b.WriteFloat32(-1.5)
 	b.WriteBool(true)
 	b.WriteBool(false)
 	if got := b.ReadUint8(); got != 7 {
@@ -26,9 +26,6 @@ func TestBufferRoundtripFixed(t *testing.T) {
 	}
 	if got := b.ReadFloat64(); got != 3.25 {
 		t.Errorf("float64: got %v", got)
-	}
-	if got := b.ReadFloat32(); got != -1.5 {
-		t.Errorf("float32: got %v", got)
 	}
 	if got := b.ReadBool(); !got {
 		t.Errorf("bool: got %v", got)
@@ -168,18 +165,19 @@ func TestBufferFrames(t *testing.T) {
 	b.WriteUint8(9)
 	b.EndFrame(off3)
 
-	f1 := b.ReadFrame()
+	var f1, f2, f3 Buffer
+	b.ReadFrameInto(&f1)
 	if f1.Len() != 8 {
 		t.Fatalf("frame1 len=%d", f1.Len())
 	}
 	if f1.ReadUint32() != 11 || f1.ReadUint32() != 22 {
 		t.Errorf("frame1 contents wrong")
 	}
-	f2 := b.ReadFrame()
+	b.ReadFrameInto(&f2)
 	if f2.Len() != 0 {
 		t.Errorf("frame2 len=%d", f2.Len())
 	}
-	f3 := b.ReadFrame()
+	b.ReadFrameInto(&f3)
 	if f3.ReadUint8() != 9 {
 		t.Errorf("frame3 contents wrong")
 	}
@@ -202,20 +200,6 @@ func TestBufferTruncate(t *testing.T) {
 	}
 }
 
-func TestBufferPatchUint32(t *testing.T) {
-	b := NewBuffer(16)
-	pos := b.Len()
-	b.WriteUint32(0)
-	b.WriteUint32(77)
-	b.PatchUint32(pos, 123)
-	if got := b.ReadUint32(); got != 123 {
-		t.Errorf("patched: got %d", got)
-	}
-	if got := b.ReadUint32(); got != 77 {
-		t.Errorf("unpatched: got %d", got)
-	}
-}
-
 func TestBufferUnderflowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -225,6 +209,58 @@ func TestBufferUnderflowPanics(t *testing.T) {
 	b := NewBuffer(4)
 	b.WriteUint8(1)
 	_ = b.ReadUint32()
+}
+
+// ReadCount bounds a count by the bytes left and by the caller's
+// limit, ReadIndex an index by the caller's bound; both panic with the
+// claimed value and the bytes left, and never return a negative int.
+func TestBufferReadCountAndIndex(t *testing.T) {
+	b := NewBuffer(16)
+	b.WriteUvarint(2)
+	b.WriteUvarint(3)
+	b.WriteUint8(0)
+	if got := b.ReadCount(2); got != 2 {
+		t.Fatalf("count: got %d", got)
+	}
+	if got := b.ReadIndex(4); got != 3 {
+		t.Fatalf("index: got %d", got)
+	}
+	for name, tc := range map[string]struct {
+		claim uint64
+		read  func(*Buffer)
+		want  string
+	}{
+		"count past the bytes": {1 << 40, func(b *Buffer) { b.ReadCount(math.MaxInt) }, "1099511627776 entries claimed, 1 bytes remain"},
+		"count past max":       {1, func(b *Buffer) { b.ReadCount(0) }, "1 entries claimed, at most 0 allowed, 1 bytes remain"},
+		"index at its bound":   {1 << 40, func(b *Buffer) { b.ReadIndex(1 << 40) }, "index 1099511627776 claimed, must be below 1099511627776, 1 bytes remain"},
+		"2^64-1 as a count":    {math.MaxUint64, func(b *Buffer) { b.ReadCount(math.MaxInt) }, "18446744073709551615 entries claimed"},
+		"2^64-1 as an index":   {math.MaxUint64, func(b *Buffer) { b.ReadIndex(math.MaxInt) }, "index 18446744073709551615 claimed"},
+	} {
+		b := NewBuffer(16)
+		b.WriteUvarint(tc.claim)
+		b.WriteUint8(0)
+		if err := Decode(func() { tc.read(b) }); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// Decode returns what its function panicked with as an error, nil when
+// it returns normally, and costs no allocation then.
+func TestDecode(t *testing.T) {
+	if err := Decode(func() { FromBytes([]byte{0x80}).ReadUvarint() }); err == nil || err.Error() != "ser: invalid uvarint" {
+		t.Fatalf("panic came back as %v", err)
+	}
+	b, got := FromBytes([]byte{1, 7}), 0
+	if err := Decode(func() { got = b.ReadCount(1) }); err != nil || got != 1 {
+		t.Fatalf("clean decode: %d, %v", got, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.Rewind()
+		_ = Decode(func() { got = int(b.ReadUint8()) })
+	}); allocs != 0 {
+		t.Fatalf("Decode allocates %.0f times per call", allocs)
+	}
 }
 
 func TestBufferTruncateBadOffsetPanics(t *testing.T) {
@@ -282,8 +318,9 @@ func TestBufferFramesProperty(t *testing.T) {
 			b.data = append(b.data, body...)
 			b.EndFrame(off)
 		}
+		var sub Buffer
 		for _, body := range bodies {
-			sub := b.ReadFrame()
+			b.ReadFrameInto(&sub)
 			if sub.Len() != len(body) {
 				return false
 			}

@@ -92,26 +92,6 @@ func (Uint32Codec) DecodeSlice(b *Buffer, out []uint32) {
 	}
 }
 
-// Uint64Codec encodes uint64 values fixed-width.
-type Uint64Codec struct{}
-
-func (Uint64Codec) Encode(b *Buffer, v uint64) { b.WriteUint64(v) }
-func (Uint64Codec) Decode(b *Buffer) uint64    { return b.ReadUint64() }
-
-func (Uint64Codec) EncodeSlice(b *Buffer, vs []uint64) {
-	p := b.Extend(8 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(p[8*i:], v)
-	}
-}
-
-func (Uint64Codec) DecodeSlice(b *Buffer, out []uint64) {
-	p := b.next(8 * len(out))
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(p[8*i:])
-	}
-}
-
 // Integer is the set of types VarintCodec encodes.
 type Integer interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
@@ -151,26 +131,6 @@ func (Float64Codec) DecodeSlice(b *Buffer, out []float64) {
 	}
 }
 
-// Float32Codec encodes float32 values fixed-width.
-type Float32Codec struct{}
-
-func (Float32Codec) Encode(b *Buffer, v float32) { b.WriteFloat32(v) }
-func (Float32Codec) Decode(b *Buffer) float32    { return b.ReadFloat32() }
-
-func (Float32Codec) EncodeSlice(b *Buffer, vs []float32) {
-	p := b.Extend(4 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v))
-	}
-}
-
-func (Float32Codec) DecodeSlice(b *Buffer, out []float32) {
-	p := b.next(4 * len(out))
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-}
-
 // BoolCodec encodes bool values as one byte.
 type BoolCodec struct{}
 
@@ -192,37 +152,4 @@ func (BoolCodec) DecodeSlice(b *Buffer, out []bool) {
 	for i := range out {
 		out[i] = p[i] != 0
 	}
-}
-
-// Pair holds two values; PairCodec composes two codecs. Used for e.g.
-// (distance, parent) messages in weighted algorithms.
-type Pair[A, B any] struct {
-	First  A
-	Second B
-}
-
-// PairCodec encodes a Pair by concatenating its element encodings.
-type PairCodec[A, B any] struct {
-	A Codec[A]
-	B Codec[B]
-}
-
-func (c PairCodec[A, B]) Encode(b *Buffer, v Pair[A, B]) {
-	c.A.Encode(b, v.First)
-	c.B.Encode(b, v.Second)
-}
-
-func (c PairCodec[A, B]) Decode(b *Buffer) Pair[A, B] {
-	a := c.A.Decode(b)
-	s := c.B.Decode(b)
-	return Pair[A, B]{First: a, Second: s}
-}
-
-// SizeOf returns the encoded size of v under codec c. Used by channels
-// that need the size of one message ahead of writing (e.g. for capacity
-// planning); it encodes into a scratch buffer.
-func SizeOf[T any](c Codec[T], v T) int {
-	var b Buffer
-	c.Encode(&b, v)
-	return b.Len()
 }

@@ -1,14 +1,16 @@
 package ser
 
 import (
+	"math"
 	"testing"
 )
 
 // FuzzFrameStream pins the wire-surface contract of the frame layer:
 // the engine's receive loop parses (channel-id uvarint, length-prefixed
-// frame)* streams arriving from sockets with NextUvarint/NextFrame, and
-// arbitrary bytes must always yield an error or a clean parse — never a
-// panic, never a frame view extending past the stream.
+// frame)* streams arriving from sockets with ReadIndex and
+// ReadFrameInto under Decode, and arbitrary bytes must always yield an
+// error or a clean parse — never an escaped panic, never a frame view
+// extending past the stream.
 func FuzzFrameStream(f *testing.F) {
 	// a valid two-frame stream
 	valid := NewBuffer(64)
@@ -29,10 +31,10 @@ func FuzzFrameStream(f *testing.F) {
 		var sub Buffer
 		for b.Remaining() > 0 {
 			before := b.Remaining()
-			if _, err := b.NextUvarint(); err != nil {
-				return
-			}
-			if err := b.NextFrame(&sub); err != nil {
+			if err := Decode(func() {
+				b.ReadIndex(math.MaxInt)
+				b.ReadFrameInto(&sub)
+			}); err != nil {
 				return
 			}
 			if sub.Remaining() > b.Len() {
@@ -43,51 +45,4 @@ func FuzzFrameStream(f *testing.F) {
 			}
 		}
 	})
-}
-
-// The error-returning reads must agree with the panicking fast-path
-// reads on well-formed input.
-func TestNextFrameMatchesReadFrameInto(t *testing.T) {
-	b := NewBuffer(64)
-	b.WriteUvarint(7)
-	fr := b.BeginFrame()
-	b.WriteString("payload")
-	b.EndFrame(fr)
-
-	fast := FromBytes(append([]byte(nil), b.Bytes()...))
-	var fastSub Buffer
-	if got := fast.ReadUvarint(); got != 7 {
-		t.Fatalf("fast channel id %d", got)
-	}
-	fast.ReadFrameInto(&fastSub)
-
-	safe := FromBytes(append([]byte(nil), b.Bytes()...))
-	var safeSub Buffer
-	id, err := safe.NextUvarint()
-	if err != nil || id != 7 {
-		t.Fatalf("NextUvarint: %d %v", id, err)
-	}
-	if err := safe.NextFrame(&safeSub); err != nil {
-		t.Fatal(err)
-	}
-	if fastSub.Remaining() != safeSub.Remaining() || safeSub.ReadString() != "payload" {
-		t.Fatal("NextFrame disagrees with ReadFrameInto")
-	}
-}
-
-// Truncated frames error instead of panicking.
-func TestNextFrameTruncated(t *testing.T) {
-	b := NewBuffer(16)
-	b.WriteUint32(100) // frame claims 100 bytes; none follow
-	var sub Buffer
-	if err := b.NextFrame(&sub); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-	short := FromBytes([]byte{1, 2})
-	if err := short.NextFrame(&sub); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-	if _, err := FromBytes([]byte{0x80}).NextUvarint(); err == nil {
-		t.Fatal("dangling uvarint accepted")
-	}
 }

@@ -322,8 +322,9 @@ func (p *Pool) runAttempt(pt *party, spec JobSpec, d descriptor, log *slog.Logge
 		// workers ship them, so step-completion hooks fire mid-run (and
 		// keep firing across recovery attempts)
 		hub.OnSamples(func(p []byte) {
-			defer func() { recover() }() // malformed live batch: drop it
-			decodeSamples(ser.FromBytes(p), spec.Trace)
+			if err := ser.Decode(func() { decodeSamples(ser.FromBytes(p), spec.Trace) }); err != nil {
+				log.Warn("dropped a malformed live sample batch", "bytes", len(p), "err", err)
+			}
 		})
 	}
 

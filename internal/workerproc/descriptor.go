@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/algorithms"
@@ -117,42 +118,37 @@ func (d *descriptor) encode() []byte {
 // length), every enum is checked against what this binary implements,
 // and anything malformed is an error, never a panic.
 func decodeDescriptor(p []byte) (d *descriptor, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d, err = nil, fmt.Errorf("workerproc: corrupt job descriptor: %v", r)
-		}
-	}()
 	b := ser.FromBytes(p)
-	// counts are vetted before they narrow to int, so a hostile 2^63
-	// cannot wrap negative and slip past a lower-bound check
-	count := func(what string) int {
-		v := b.ReadUvarint()
-		if v > 1<<31-1 {
-			panic(fmt.Sprintf("%s %d out of range", what, v))
+	d = &descriptor{}
+	var engine, fault string
+	var source uint64
+	if perr := ser.Decode(func() {
+		// numbers are bounded before they narrow to int, so a hostile
+		// 2^63 cannot wrap negative and slip past a lower-bound check
+		signed := func(what string) int {
+			v := b.ReadVarint()
+			if v != int64(int32(v)) {
+				panic(fmt.Sprintf("%s %d out of range", what, v))
+			}
+			return int(v)
 		}
-		return int(v)
+		d.seq = b.ReadUvarint()
+		d.network, d.addr = b.ReadString(), b.ReadString()
+		d.snapshot, d.placement = b.ReadString(), b.ReadString()
+		d.lo, d.hi, d.m = b.ReadIndex(math.MaxInt32), b.ReadIndex(math.MaxInt32), b.ReadIndex(math.MaxInt32)
+		d.algorithm = b.ReadString()
+		engine = b.ReadString()
+		d.variant = b.ReadString()
+		d.params.Iterations = signed("iterations")
+		source = b.ReadUvarint()
+		d.maxSupersteps = signed("superstep cap")
+		d.trace, d.flows = b.ReadBool(), b.ReadBool()
+		d.ckptDir, d.ckptJob = b.ReadString(), b.ReadString()
+		d.ckptInterval, d.restore = b.ReadIndex(math.MaxInt32), b.ReadIndex(math.MaxInt32)
+		fault = b.ReadString()
+	}); perr != nil {
+		return nil, fmt.Errorf("workerproc: corrupt job descriptor: %v", perr)
 	}
-	d = &descriptor{seq: b.ReadUvarint()}
-	d.network, d.addr = b.ReadString(), b.ReadString()
-	d.snapshot, d.placement = b.ReadString(), b.ReadString()
-	d.lo, d.hi, d.m = count("worker range start"), count("worker range end"), count("worker count")
-	d.algorithm = b.ReadString()
-	engine := b.ReadString()
-	d.variant = b.ReadString()
-	signed := func(what string) int {
-		v := b.ReadVarint()
-		if v != int64(int32(v)) {
-			panic(fmt.Sprintf("%s %d out of range", what, v))
-		}
-		return int(v)
-	}
-	d.params.Iterations = signed("iterations")
-	source := b.ReadUvarint()
-	d.maxSupersteps = signed("superstep cap")
-	d.trace, d.flows = b.ReadBool(), b.ReadBool()
-	d.ckptDir, d.ckptJob = b.ReadString(), b.ReadString()
-	d.ckptInterval, d.restore = count("checkpoint interval"), count("restore superstep")
-	fault := b.ReadString()
 	if b.Remaining() != 0 {
 		return nil, fmt.Errorf("workerproc: job descriptor has %d trailing bytes", b.Remaining())
 	}
@@ -223,13 +219,12 @@ func (a ack) encode() []byte {
 }
 
 func decodeAck(p []byte) (a ack, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("workerproc: corrupt worker ack: %v", r)
-		}
-	}()
-	b := ser.FromBytes(p)
-	a = ack{seq: b.ReadUvarint(), cached: b.ReadBool(),
-		load: time.Duration(b.ReadVarint()), err: b.ReadString()}
+	if perr := ser.Decode(func() {
+		b := ser.FromBytes(p)
+		a = ack{seq: b.ReadUvarint(), cached: b.ReadBool(),
+			load: time.Duration(b.ReadVarint()), err: b.ReadString()}
+	}); perr != nil {
+		return ack{}, fmt.Errorf("workerproc: corrupt worker ack: %v", perr)
+	}
 	return a, nil
 }

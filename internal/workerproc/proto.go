@@ -156,19 +156,19 @@ func encodeFlows(buf *ser.Buffer, m *obs.FlowMatrix) {
 // decodeFlows reads the flow section written by encodeFlows and merges
 // it into acc (acc nil: the section is consumed and discarded).
 func decodeFlows(b *ser.Buffer, acc *obs.FlowAccum) {
-	m := &obs.FlowMatrix{Plane: b.ReadString(), Workers: int(b.ReadUvarint())}
-	nf := count(b)
+	m := &obs.FlowMatrix{Plane: b.ReadString(), Workers: b.ReadIndex(math.MaxInt)}
+	nf := b.ReadCount(math.MaxInt)
 	for i := 0; i < nf; i++ {
 		m.Flows = append(m.Flows, obs.FlowStat{
-			Src: int(b.ReadUvarint()), Dst: int(b.ReadUvarint()),
+			Src: b.ReadIndex(math.MaxInt), Dst: b.ReadIndex(math.MaxInt),
 			Bytes: b.ReadVarint(), Frames: b.ReadVarint(),
 			Rounds: b.ReadVarint(), MaxFrame: b.ReadVarint(),
 		})
 	}
-	nr := count(b)
+	nr := b.ReadCount(math.MaxInt)
 	for i := 0; i < nr; i++ {
 		m.Relays = append(m.Relays, obs.RelayStat{
-			Lo: int(b.ReadUvarint()), Hi: int(b.ReadUvarint()),
+			Lo: b.ReadIndex(math.MaxInt), Hi: b.ReadIndex(math.MaxInt),
 			Bytes: b.ReadVarint(), Frames: b.ReadVarint(), ResidencyNS: b.ReadVarint(),
 		})
 	}
@@ -206,20 +206,20 @@ func encodeSamples(buf *ser.Buffer, samples []obs.SuperstepSample) {
 // decodeSamples reads a batch written by encodeSamples and feeds every
 // sample to tr.
 func decodeSamples(b *ser.Buffer, tr *obs.Trace) {
-	n := count(b)
+	n := b.ReadCount(math.MaxInt)
 	for i := 0; i < n; i++ {
 		var s obs.SuperstepSample
-		s.Worker = int(b.ReadUvarint())
-		s.Superstep = int(b.ReadUvarint())
+		s.Worker = b.ReadIndex(math.MaxInt)
+		s.Superstep = b.ReadIndex(math.MaxInt)
 		s.ActiveVertices = b.ReadVarint()
-		s.Rounds = int(b.ReadUvarint())
+		s.Rounds = b.ReadIndex(math.MaxInt)
 		s.ComputeNS = b.ReadVarint()
 		s.BarrierWaitNS = b.ReadVarint()
 		s.BytesSent = b.ReadVarint()
 		s.FramesSent = b.ReadVarint()
 		s.BytesRecv = b.ReadVarint()
 		s.FramesRecv = b.ReadVarint()
-		if nc := count(b); nc > 0 {
+		if nc := b.ReadCount(math.MaxInt); nc > 0 {
 			s.Channels = make([]obs.ChannelSample, nc)
 			for ci := range s.Channels {
 				c := &s.Channels[ci]
@@ -233,28 +233,6 @@ func decodeSamples(b *ser.Buffer, tr *obs.Trace) {
 	}
 }
 
-// count reads an item count, vetted against the bytes left (every item
-// takes at least one): a hostile count can neither wrap negative nor
-// size an allocation past the blob. It panics like the ser reads it
-// sits among; the decoders recover.
-func count(b *ser.Buffer) int {
-	n := b.ReadUvarint()
-	if n > uint64(b.Remaining()) {
-		panic(fmt.Sprintf("count %d exceeds the %d bytes left", n, b.Remaining()))
-	}
-	return int(n)
-}
-
-// total reads a traffic total: any size a process can have counted,
-// but never one that wraps negative. It panics like count.
-func total(b *ser.Buffer) int64 {
-	n := b.ReadUvarint()
-	if n > math.MaxInt64 {
-		panic(fmt.Sprintf("total %d overflows", n))
-	}
-	return int64(n)
-}
-
 // partial is one decoded process report.
 type partial struct {
 	lo, hi     int
@@ -266,26 +244,31 @@ type partial struct {
 	decode                       *ser.Buffer // positioned at the value stream
 }
 
-// decodePartial parses one result blob.
+// decodePartial parses one result blob. The blob crossed a process
+// boundary: a malformed value stream surfaces as an error, not a panic.
 func decodePartial(blob []byte) (p partial, err error) {
-	defer func() {
-		// the blob crossed a process boundary: a malformed value stream
-		// surfaces as an error, not a panic
-		if r := recover(); r != nil {
-			err = fmt.Errorf("workerproc: corrupt partial result: %v", r)
-		}
-	}()
+	if perr := ser.Decode(func() { p, err = readPartial(blob) }); perr != nil {
+		return partial{}, fmt.Errorf("workerproc: corrupt partial result: %v", perr)
+	}
+	return p, err
+}
+
+func readPartial(blob []byte) (partial, error) {
 	b := ser.FromBytes(blob)
-	p = partial{lo: int(b.ReadUvarint()), hi: int(b.ReadUvarint())}
-	if p.lo < 0 || p.hi < p.lo {
+	p := partial{lo: b.ReadIndex(math.MaxInt), hi: b.ReadIndex(math.MaxInt)}
+	if p.hi < p.lo {
 		return partial{}, fmt.Errorf("workerproc: bad worker range %d-%d in result blob", p.lo, p.hi)
 	}
 	if msg := b.ReadString(); msg != "" {
 		p.err = reportedError(msg)
 		return p, nil
 	}
-	p.supersteps = int(b.ReadUvarint())
-	p.netBytes, p.localBytes, p.rounds = total(b), total(b), total(b)
+	p.supersteps = b.ReadIndex(math.MaxInt)
+	// traffic totals: any size a process can have counted, but never
+	// one that wraps negative
+	p.netBytes = int64(b.ReadIndex(math.MaxInt))
+	p.localBytes = int64(b.ReadIndex(math.MaxInt))
+	p.rounds = int64(b.ReadIndex(math.MaxInt))
 	p.kind = b.ReadUint8()
 	if p.kind > kindMSF {
 		return partial{}, fmt.Errorf("workerproc: bad result kind %d from workers %d-%d", p.kind, p.lo, p.hi)
@@ -383,12 +366,7 @@ func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAc
 			continue
 		}
 		b := p.decode
-		werr := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("workerproc: corrupt partial result from workers %d-%d: %v", p.lo, p.hi, r)
-				}
-			}()
+		if perr := ser.Decode(func() {
 			switch kind {
 			case kindLabels:
 				readIDs(b, part, p.lo, p.hi, res.Labels)
@@ -409,7 +387,7 @@ func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAc
 			}
 			if kind == kindMSF {
 				res.MSF.Weight += b.ReadVarint()
-				ne := count(b)
+				ne := b.ReadCount(math.MaxInt)
 				for i := 0; i < ne; i++ {
 					e := graph.Edge{
 						Src: graph.VertexID(b.ReadUvarint()),
@@ -420,13 +398,11 @@ func mergePartials(part *partition.Partition, blobs []partial, flows *obs.FlowAc
 				}
 			}
 			decodeFlows(b, flows)
-			if b.Remaining() != 0 {
-				return fmt.Errorf("workerproc: %d trailing bytes in the result from workers %d-%d", b.Remaining(), p.lo, p.hi)
-			}
-			return nil
-		}()
-		if werr != nil {
-			return nil, werr
+		}); perr != nil {
+			return nil, fmt.Errorf("workerproc: corrupt partial result from workers %d-%d: %v", p.lo, p.hi, perr)
+		}
+		if b.Remaining() != 0 {
+			return nil, fmt.Errorf("workerproc: %d trailing bytes in the result from workers %d-%d", b.Remaining(), p.lo, p.hi)
 		}
 	}
 	return res, nil

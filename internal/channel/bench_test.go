@@ -251,16 +251,16 @@ func BenchmarkPropagationPath(b *testing.B) {
 // in every superstep every vertex seeds its own id again — SetValue
 // raises the labels back, the send filter starts over — and the adopted
 // fragment plan carries them to the component minima in five rounds.
-func propagationFragmentJob(tb testing.TB) func(steps int, cmb func() Combiner[uint32]) propWork {
+func propagationFragmentJob(tb testing.TB) func(steps int) propWork {
 	g := graph.Undirectify(graph.RMAT(14, 16, 7, graph.RMATOptions{NoSelfLoops: true}))
 	fs := frag.Build(g, partition.MustHash(g.NumVertices(), microWorkers))
 	for w := 0; w < microWorkers; w++ {
 		fs.Frag(w).PushPlan()
 	}
 	props := make([]*Propagation[uint32], microWorkers)
-	return func(steps int, cmb func() Combiner[uint32]) propWork {
+	return func(steps int) propWork {
 		_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: steps + 1}, func(w *engine.Worker) {
-			prop := NewPropagation[uint32](w, ser.Uint32Codec{}, cmb())
+			prop := NewPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
 			props[w.WorkerID()] = prop
 			w.Compute = func(li int) {
 				if w.Superstep() > steps {
@@ -297,28 +297,21 @@ func BenchmarkPropagationFragment(b *testing.B) {
 	converge := propagationFragmentJob(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	work := converge(b.N, Min[uint32])
+	work := converge(b.N)
 	b.ReportMetric(float64(work.rows+work.slots)/float64(b.N), "entries/op")
 	b.ReportMetric(float64(work.members)/float64(b.N), "members/op")
 }
 
 // TestPropagationComponentRoundEntries pins the component round's work
 // on propagationFragmentJob's graph under hash placement: one WCC
-// convergence visits at most 100 000 entries, where the row walk alone —
-// the round of a combiner without a spread kernel — visits every row
-// entry it pushes along, 639 267 of them.
+// convergence visits at most 100 000 entries, where a row walk alone
+// visited every row entry it pushed along, 639 267 of them.
 func TestPropagationComponentRoundEntries(t *testing.T) {
-	converge := propagationFragmentJob(t)
-	work := converge(1, Min[uint32])
-	walk := converge(1, func() Combiner[uint32] { return CombinerFunc(func(x, y uint32) uint32 { return min(x, y) }) })
-	t.Logf("component round: %d row entries, %d component-slot entries, %d members; row walk: %d row entries",
-		work.rows, work.slots, work.members, walk.rows)
+	work := propagationFragmentJob(t)(1)
+	t.Logf("component round: %d row entries, %d component-slot entries, %d members", work.rows, work.slots, work.members)
 	if entries := work.rows + work.slots; entries > 100_000 || work.members == 0 {
 		t.Errorf("a convergence visits %d entries and settles %d members; want at most 100 000 entries through the component round",
 			entries, work.members)
-	}
-	if walk.slots != 0 || walk.members != 0 || walk.rows != 639_267 {
-		t.Errorf("the row walk visits %d row entries (want 639 267) and %d component entries (want none)", walk.rows, walk.slots+walk.members)
 	}
 }
 
@@ -329,7 +322,7 @@ func TestPropagationComponentRoundEntries(t *testing.T) {
 func TestPropagationSteadyStateZeroAlloc(t *testing.T) {
 	converge := propagationFragmentJob(t)
 	allocs := func(steps int) float64 {
-		return testing.AllocsPerRun(3, func() { converge(steps, Min[uint32]) })
+		return testing.AllocsPerRun(3, func() { converge(steps) })
 	}
 	if short, long := allocs(3), allocs(13); long-short >= 10 {
 		t.Errorf("a job of 3 convergences allocates %.0f times, one of 13 %.0f: the steady state is not allocation-free", short, long)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/engine"
 	"repro/internal/frag"
+	"repro/internal/partition"
 	"repro/internal/ser"
 )
 
@@ -48,6 +49,23 @@ var (
 	i32s  ser.VarintCodec[int32]
 	addrs ser.VarintCodec[frag.Addr]
 )
+
+// checkEdges panics unless every restored edge is one of the job's: each
+// source in src (which may be nil) below locals, each destination a
+// vertex of part, not just of the graph — the push plan builder would
+// take a local past its owner's range for a vertex of the next worker.
+func checkEdges(part *partition.Partition, locals int, src []uint32, dst []frag.Addr) {
+	for i, a := range dst {
+		if o := a.Worker(); o >= part.NumWorkers() || int(a.Local()) >= part.LocalCount(o) {
+			panic(fmt.Sprintf("channel: checkpoint edge %d addresses local %d of worker %d outside the partition", i, a.Local(), o))
+		}
+	}
+	for i, li := range src {
+		if int(li) >= locals {
+			panic(fmt.Sprintf("channel: checkpoint edge %d leaves local %d, worker hosts %d vertices", i, li, locals))
+		}
+	}
+}
 
 // SaveState implements engine.StatefulChannel. An adopted plan belongs
 // to the fragment and is adopted again by the restoring job's setup, so
@@ -138,6 +156,7 @@ func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 	if len(c.reg.src) != len(c.reg.addr) || len(c.regW) != weights || adopted && len(c.reg.addr) > 0 {
 		panic("channel: checkpoint edge registrations do not match the job's Propagation")
 	}
+	checkEdges(c.w.Part(), int(c.locals), c.reg.src, c.reg.addr)
 	switch {
 	case adopted:
 		if c.w.Frag() == nil {
@@ -227,11 +246,7 @@ func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
 		if start := c.srcStart; len(start) != locals+1 || start[0] != 0 || start[locals] != uint64(len(c.bySrc)) || !slices.IsSorted(start) {
 			panic(fmt.Sprintf("channel: checkpoint edge offsets are no CSR of %d edges over %d vertices", len(c.bySrc), locals))
 		}
-		for i, a := range c.bySrc {
-			if o := a.Worker(); o >= len(c.fanout) || int(a.Local()) >= c.w.Part().LocalCount(o) {
-				panic(fmt.Sprintf("channel: checkpoint edge %d addresses local %d of worker %d outside the partition", i, a.Local(), o))
-			}
-		}
+		checkEdges(c.w.Part(), locals, nil, c.bySrc)
 		if n := buf.ReadUvarint(); n != uint64(len(c.fanout)) {
 			panic(fmt.Sprintf("channel: checkpoint has %d hub lists, job has %d workers", n, len(c.fanout)))
 		}

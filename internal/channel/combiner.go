@@ -30,10 +30,11 @@ import (
 //
 // The loops must equal the sequences of Combine calls they stand for,
 // bit for bit, which is why they are not open to callers: Sum and Min
-// are the built-in operations, and CombinerFunc derives the loops of any
-// other operation or message type from a plain function. Combine is a
-// plain function value, so the baseline engine's func-typed
-// Config.Combiner takes it as it is.
+// are the built-in operations, and CombinerFunc derives the fold and the
+// merge of any other operation or message type from a plain function.
+// Propagation takes only a combiner with its own relax, absorb and spread
+// loops, which is Min. Combine is a plain function value, so the
+// baseline engine's func-typed Config.Combiner takes it as it is.
 type Combiner[M any] struct {
 	// Combine merges two values.
 	Combine func(M, M) M
@@ -54,8 +55,7 @@ type Combiner[M any] struct {
 	// transformed values. Either way a target without a value takes the
 	// incoming one, a target with one takes Combine(held, incoming), and
 	// a target whose value that changed (see changed) goes on its work
-	// list through pushState.moved. Min brings both; Propagation derives
-	// them from Combine for a combiner that leaves them nil.
+	// list through pushState.moved. Min brings both.
 	relax  func(s *pushState[M], v M, row []uint32)
 	absorb func(s *pushState[M], idx []uint32, in []M)
 	// spread is Propagation's component round over a plan with local
@@ -63,8 +63,7 @@ type Combiner[M any] struct {
 	// member takes the fold of the component's seeds, the members whose
 	// value that changed are woken and the fold goes to the component's
 	// slots through the send filter — and returns the seeds of the
-	// others, for relax, in seeds' own array. Min brings one; a combiner
-	// without one always walks the rows.
+	// others, for relax, in seeds' own array. Min brings one.
 	spread func(s *pushState[M], seeds []uint32) []uint32
 }
 
@@ -186,7 +185,7 @@ func mergeMin[M cmp.Ordered](val []M, epoch []int32, e int32, idx []uint32, in [
 	}
 }
 
-// relaxMin and absorbMin are relaxWith and absorbWith over a native
+// relaxMin and absorbMin are Min's relax and absorb, over a native
 // compare: the traversal of a WCC, SSSP or Min-Label propagation calls
 // no function per edge.
 func relaxMin[M cmp.Ordered](s *pushState[M], v M, row []uint32) {

@@ -23,7 +23,9 @@ import (
 //
 // The combiner h must be commutative, associative and idempotent, as in
 // the paper's model: the new vertex value is h(old, incoming), and
-// propagation stops at vertices whose value did not change.
+// propagation stops at vertices whose value did not change. It is Min,
+// the combiner that brings the traversal kernels: the constructors panic
+// on any other.
 //
 // Weighted edges are supported through an optional edge transform
 // f(value, weight) applied before combining (the full model of Fig. 7;
@@ -48,16 +50,15 @@ import (
 // member outside the seeds holds a value the fold would not move — such
 // a member stops a walk without passing its own value on — so a
 // component with one, which only a SetValue above the rest of its
-// component leaves behind, goes through the row walk instead. The Combiner's spread kernel runs the
-// round; Min brings one.
+// component leaves behind, goes through the row walk instead. The
+// Combiner's spread kernel runs the round.
 //
 // The row walk is the label-correcting worklist over every row entry,
-// and the only form for a directed plan (Min-Label SCC), a weighted one
-// (SSSP) and a combiner without a spread kernel (CombinerFunc). Pushing a
-// vertex's value is the Combiner's relax loop over the vertex's row,
-// applying a received frame is its absorb loop; a weighted push
-// transforms the row's values first and is an absorb as well. Neither
-// loop decodes an address, branches on an owner or, with Min, calls a
+// and the only form for a directed plan (Min-Label SCC) and a weighted
+// one (SSSP). Pushing a vertex's value is the Combiner's relax loop over
+// the vertex's row, applying a received frame is its absorb loop; a
+// weighted push transforms the row's values first and is an absorb as
+// well. Neither loop decodes an address, branches on an owner or calls a
 // function per edge. A directed plan could be condensed into its local
 // strongly connected components the same way, but its components are
 // not the blocks a round settles in one step: values flow between them
@@ -82,7 +83,7 @@ import (
 type Propagation[M comparable] struct {
 	w         *engine.Worker
 	codec     ser.Codec[M]
-	combine   Combiner[M]               // Initialize fills in missing kernels
+	combine   Combiner[M]               // Min: it brings relax, absorb and spread
 	transform func(m M, weight int32) M // nil for unweighted
 
 	// The topology (pushState.plan) is the fragment's plan (adopted) or
@@ -219,42 +220,12 @@ func changed[M comparable](old, nv M) bool {
 	return nv != old && (nv == nv || old == old)
 }
 
-// relaxWith and absorbWith are the kernels of a combiner that has none
-// of its own (CombinerFunc, Sum): one call of f per edge. They live here
-// rather than on the Combiner because the stopping rule needs a
-// comparable M, which Combiner does not ask for.
-func relaxWith[M comparable](f func(M, M) M) func(s *pushState[M], v M, row []uint32) {
-	return func(s *pushState[M], v M, row []uint32) {
-		for _, t := range row {
-			nv := v
-			if s.st[t]&pvHas != 0 {
-				if nv = f(s.val[t], v); !changed(s.val[t], nv) {
-					continue
-				}
-			}
-			s.val[t] = nv
-			s.moved(t)
-		}
-	}
-}
-
-func absorbWith[M comparable](f func(M, M) M) func(s *pushState[M], idx []uint32, in []M) {
-	return func(s *pushState[M], idx []uint32, in []M) {
-		for k, t := range idx {
-			nv := in[k]
-			if s.st[t]&pvHas != 0 {
-				if nv = f(s.val[t], nv); !changed(s.val[t], nv) {
-					continue
-				}
-			}
-			s.val[t] = nv
-			s.moved(t)
-		}
-	}
-}
-
-// NewPropagation creates and registers an unweighted Propagation channel.
+// NewPropagation creates and registers an unweighted Propagation
+// channel. The combiner must be Min.
 func NewPropagation[M comparable](w *engine.Worker, codec ser.Codec[M], combine Combiner[M]) *Propagation[M] {
+	if combine.relax == nil { // Min sets relax, absorb and spread together
+		panic("channel: Propagation takes the Min combiner, which brings its traversal kernels")
+	}
 	c := &Propagation[M]{w: w, codec: codec, combine: combine}
 	w.Register(c)
 	return c
@@ -351,7 +322,7 @@ func (c *Propagation[M]) setPlan(p *frag.PushPlan) {
 	}
 	c.val, c.st = c.val[:n+p.Slots()], c.st[:n+p.Slots()]
 	clear(c.st[n:])
-	if k := p.Components(); p.Comp != nil && c.combine.spread != nil {
+	if k := p.Components(); p.Comp != nil {
 		if cap(c.cst) < k {
 			c.fold, c.even = make([]M, k), make([]M, k)
 			c.seeds, c.cst, c.dirty = make([]uint32, k), make([]uint8, k), make([]uint32, 0, k)
@@ -398,9 +369,6 @@ func (c *Propagation[M]) RawValue(li int) (M, bool) {
 
 // Initialize implements engine.Channel.
 func (c *Propagation[M]) Initialize() {
-	if c.combine.relax == nil {
-		c.combine.relax, c.combine.absorb = relaxWith(c.combine.Combine), absorbWith(c.combine.Combine)
-	}
 	n := c.w.LocalCount()
 	c.locals = uint32(n)
 	c.val = make([]M, n)
@@ -451,8 +419,8 @@ func (c *Propagation[M]) pop() (li uint32, ok bool) {
 }
 
 // propagateLocal runs the round's local traversal of Fig. 7: the
-// component round over the seeds when the plan and the combiner allow
-// it, then the row walk over what is left in the queue, pushing values
+// component round over the seeds when the plan has components, then the
+// row walk over what is left in the queue, pushing values
 // along local edges directly and staging remote updates. The walk is
 // FIFO: a LIFO stack is dramatically slower here — label-correcting with
 // a stack revisits vertices pathologically often on low-diameter graphs.
@@ -463,7 +431,7 @@ func (c *Propagation[M]) propagateLocal() {
 		for _, ok := c.pop(); ok; _, ok = c.pop() {
 		}
 	case c.transform == nil:
-		if p.Comp != nil && c.combine.spread != nil {
+		if p.Comp != nil {
 			// the seeds of the components it could not settle, moved to
 			// the front: the queue keeps its array
 			c.queue = append(c.queue[:0], c.combine.spread(s, c.queue[c.head:])...)

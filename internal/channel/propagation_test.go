@@ -350,27 +350,19 @@ func checkAgainstReference[M comparable](t *testing.T, name string, fs *frag.Fra
 	return got, want, work
 }
 
-// label is a struct-valued message for the CombinerFunc case: the
-// smaller key wins, the smaller tag among equal keys.
-type label struct {
-	key uint32
-	tag uint16
-}
-
 // The channel against the algorithm it replaced (refPropagation), on
 // random graphs under both placements and 1, 3 and 4 workers, for the
-// native Min kernels — over uint32 and over float64 with NaN seeds — the
-// weighted path over them, and the kernels derived from a CombinerFunc
-// over a struct, through an adopted fragment plan and through
+// Min kernels — over uint32 and over float64 with NaN seeds — and the
+// weighted path over them, through an adopted fragment plan and through
 // registrations. Superstep 1 seeds; in supersteps 2 and 3 half of the
 // vertices the channel woke raise their value, which only SetValue can
 // do and which the send filter must not outlive. Vertex values after
 // every round, the number of rounds and supersteps, and the set of
 // vertices woken must equal the reference's; every update shipped must
 // be one the reference shipped in the same frame, and the bytes may only
-// be fewer. The undirected Min jobs must have run the component round,
-// and the row walk for the components the raised values leave uneven;
-// the other jobs the row walk alone.
+// be fewer. The undirected jobs must have run the component round, and
+// the row walk for the components the raised values leave uneven; the
+// weighted jobs the row walk alone.
 func TestPropagationMatchesScalarReference(t *testing.T) {
 	und := graph.Undirectify(graph.RMAT(8, 4, 31, graph.RMATOptions{NoSelfLoops: true}))
 	road := graph.RMAT(8, 5, 32, graph.RMATOptions{NoSelfLoops: true, Weighted: true, MaxWeight: 40})
@@ -389,7 +381,7 @@ func TestPropagationMatchesScalarReference(t *testing.T) {
 					name := fmt.Sprintf("%d workers/%s/registered=%v", workers, pname, register)
 					var got, want int
 					if g == und {
-						var u32, nan, fn propWork
+						var u32, nan propWork
 						got, want, u32 = checkAgainstReference(t, "min-u32/"+name, fs, propCase[uint32]{
 							codec: ser.Uint32Codec{}, combine: Min[uint32](), register: register,
 							seed: func(step int, id graph.VertexID, cur uint32, has bool) (uint32, bool) {
@@ -413,34 +405,12 @@ func TestPropagationMatchesScalarReference(t *testing.T) {
 								return cur + 1000, raises(step, id)
 							},
 						})
-						g3, w3, fn := checkAgainstReference(t, "func-struct/"+name, fs, propCase[label]{
-							codec: ser.FuncCodec[label]{
-								Enc: func(b *ser.Buffer, v label) { b.WriteUvarint(uint64(v.key)); b.WriteUvarint(uint64(v.tag)) },
-								Dec: func(b *ser.Buffer) label { return label{uint32(b.ReadUvarint()), uint16(b.ReadUvarint())} },
-							},
-							combine: CombinerFunc(func(a, b label) label {
-								if b.key < a.key || b.key == a.key && b.tag < a.tag {
-									return b
-								}
-								return a
-							}),
-							register: register,
-							seed: func(step int, id graph.VertexID, cur label, has bool) (label, bool) {
-								if step == 1 {
-									return label{id / 4, uint16(id % 4)}, true
-								}
-								return label{cur.key + 50, cur.tag}, raises(step, id)
-							},
-						})
-						got, want = got+g2+g3, want+w2+w3
+						got, want = got+g2, want+w2
 						for kind, work := range map[string]propWork{"min-u32": u32, "min-f64-nan": nan} {
 							if work.members == 0 || work.slots == 0 && workers > 1 || work.rows == 0 {
 								t.Errorf("%s/%s: the component round settled %d members over %d slot entries, the row walk visited %d entries: one of them did not run",
 									kind, name, work.members, work.slots, work.rows)
 							}
-						}
-						if fn.members+fn.slots != 0 {
-							t.Errorf("func-struct/%s: a combiner without a spread kernel ran the component round", name)
 						}
 					} else {
 						var work propWork
@@ -468,6 +438,32 @@ func TestPropagationMatchesScalarReference(t *testing.T) {
 	}
 	if saved == 0 {
 		t.Error("the send filter never held an update back: it was not exercised")
+	}
+}
+
+// Propagation runs on Min's own kernels alone: each constructor refuses
+// any other combiner when it is called, before the channel exists, with
+// a panic that names Min.
+func TestPropagationTakesOnlyMin(t *testing.T) {
+	add := func(d uint32, wt int32) uint32 { return d + uint32(wt) }
+	for name, combine := range map[string]Combiner[uint32]{
+		"Sum":          Sum[uint32](),
+		"CombinerFunc": CombinerFunc(func(a, b uint32) uint32 { return min(a, b) }),
+	} {
+		for ctor, build := range map[string]func(){
+			"NewPropagation":         func() { NewPropagation(nil, ser.Uint32Codec{}, combine) },
+			"NewWeightedPropagation": func() { NewWeightedPropagation(nil, ser.Uint32Codec{}, combine, add) },
+			"NewBlockPropagation":    func() { NewBlockPropagation(nil, ser.Uint32Codec{}, combine) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); !strings.Contains(fmt.Sprint(r), "Min") {
+						t.Errorf("%s with %s: recovered %v, want a panic naming Min", ctor, name, r)
+					}
+				}()
+				build()
+			}()
+		}
 	}
 }
 
@@ -768,6 +764,110 @@ func TestPropagationCheckpointSavesAdoptionNotAdjacency(t *testing.T) {
 		}
 		if 4*records >= records+adjacency {
 			t.Errorf("superstep 1's records hold %d bytes; with the adjacency in them they held %d", records, records+adjacency)
+		}
+	}
+}
+
+// TestPropagationRejectsHostileCheckpoint restores a WCC-style job whose
+// topology is registered, not adopted, from checksum-valid records whose
+// Propagation registrations were altered after the cut. The restore
+// rebuilds the plan from them through a table indexed by an owner's base
+// plus a local index, where a local past its owner's range is silently a
+// vertex of the next worker, so each case must fail the job with a
+// restore error naming the edge. The unaltered state, re-saved the same
+// way, must restore to the clean run's values.
+func TestPropagationRejectsHostileCheckpoint(t *testing.T) {
+	g := graph.SocialRMAT(9, 8, 42)
+	fs := frag.Build(g, partition.MustHash(g.NumVertices(), 4))
+	const steps = 3 // seed, raise, raise; superstep 4 reads
+	var props [4]*Propagation[uint32]
+	run := func(hook *ckpt.Hook) ([]uint32, error) {
+		out := make([]uint32, g.NumVertices())
+		_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: 10, Checkpoint: hook}, func(w *engine.Worker) {
+			f := w.Frag()
+			w.Checkpoint(func(*ser.Buffer) {}, func(*ser.Buffer) {})
+			prop := NewPropagation[uint32](w, ser.Uint32Codec{}, Min[uint32]())
+			props[w.WorkerID()] = prop
+			w.Compute = func(li int) {
+				id, step := w.GlobalID(li), w.Superstep()
+				cur, _ := prop.RawValue(li)
+				switch {
+				case step == 1:
+					for _, a := range f.Neighbors(li) {
+						prop.AddAddr(a)
+					}
+					prop.SetValue(id)
+				case step <= steps && (int(id)+step)%3 == 0:
+					prop.SetValue(cur + 1000)
+				}
+				out[id], _ = prop.RawValue(li)
+				if step > steps {
+					w.VoteToHalt()
+				}
+			}
+		})
+		return out, err
+	}
+	want, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := keepAllCuts{ckpt.NewDir(t.TempDir())}
+	if got, err := run(&ckpt.Hook{Store: cuts, Job: "t", Interval: 1}); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("checkpointing run: %v", err)
+	}
+	// p holds worker 0's Propagation; restoring a record's blob into it
+	// and saving it again gives the blob with one registration altered
+	p := props[0]
+	restoreFrom := func(cut int, alter func()) ([]uint32, error) {
+		data, err := cuts.Get("t", cut, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ckpt.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.RestoreState(ser.FromBytes(rec.Channels[0]))
+		alter()
+		var blob ser.Buffer
+		p.SaveState(&blob)
+		rec.Channels[0] = blob.Bytes()
+		var enc ser.Buffer
+		rec.Encode(&enc)
+		store := ckpt.NewDir(t.TempDir())
+		for w := range props {
+			if w == 0 {
+				data = enc.Bytes()
+			} else if data, err = cuts.Get("t", cut, w); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put("t", cut, w, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return run(&ckpt.Hook{Store: store, Job: "t", Restore: cut})
+	}
+	for _, cut := range []int{1, 3} {
+		if got, err := restoreFrom(cut, func() {}); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("unaltered cut %d: %v", cut, err)
+		}
+	}
+	if len(p.reg.addr) == 0 {
+		t.Fatal("worker 0 registered no edges")
+	}
+	for _, tc := range []struct {
+		name  string
+		alter func()
+		want  string
+	}{
+		{"a vertex past its owner's range", func() { p.reg.addr[0] = frag.Pack(0, uint32(fs.Frag(0).LocalCount())) }, "outside the partition"},
+		{"a worker past M", func() { p.reg.addr[0] = frag.Pack(4, 0) }, "outside the partition"},
+		{"a source past the locals", func() { p.reg.src[0] = uint32(fs.Frag(0).LocalCount()) }, "edge 0 leaves local"},
+	} {
+		_, err := restoreFrom(3, tc.alter)
+		if err == nil || !strings.Contains(err.Error(), "restore checkpoint 3") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restore returned %v, want a restore error mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }

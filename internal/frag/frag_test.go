@@ -406,13 +406,19 @@ func reweighted(g *graph.Graph, weighted bool) *graph.Graph {
 // slots are dense, grouped by owner and strictly ascending by local
 // index within one, with none for the worker itself; the weights stay
 // parallel; an unweighted plan has local components exactly when its
-// local part is symmetric, and then they are checkLocalComponents'; the
-// build is deterministic, cached and charged once; Bytes counts every
-// word the plan adds to the fragment, component tables included; and the
-// builder makes the same plan of the same edges registered one at a
-// time, in any vertex order, however often it is reused. Undirected
-// graphs — an undirected R-MAT, the grid, the star — get components
-// under greedy placement as under hash, the directed R-MAT does not.
+// local part is symmetric, and then they are checkLocalComponents'; a
+// builder transposes an unweighted plan only when each local vertex has
+// as many local edges in as out, and a plan that passes that count still
+// has to pass the symmetry check; the build is deterministic, cached and
+// charged once; Bytes counts every word the plan adds to the fragment,
+// component tables included; and the builder makes the same plan of the
+// same edges registered one at a time, in any vertex order, however
+// often it is reused. Undirected graphs — an undirected R-MAT, the grid,
+// the star — get components under greedy placement as under hash; the
+// directed R-MAT does not, and neither do 84 directed 4-cycles, v → v+84
+// mod 336, whose local part under hash placement is whole cycles: every
+// local vertex has one local edge in and one out, and none has its
+// reverse.
 func TestPushPlanLayoutProperties(t *testing.T) {
 	star := make([]graph.Edge, 0, 400)
 	for v := 1; v <= 200; v++ {
@@ -422,8 +428,15 @@ func TestPushPlanLayoutProperties(t *testing.T) {
 	graphs["star"] = graph.FromEdges(201, star, false)
 	graphs["empty"] = graph.FromEdges(9, nil, false)
 	graphs["rmat-undirected"] = graph.Undirectify(graphs["rmat"])
+	cycles := make([]graph.Edge, 336)
+	for v := range cycles {
+		cycles[v] = graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 84) % 336)}
+	}
+	graphs["cycles"] = graph.FromEdges(336, cycles, false)
 	undirected := map[string]bool{"rmat-undirected": true, "grid": true, "star": true, "empty": true}
-	asymmetric := 0 // unweighted directed R-MAT plans without components
+	// unweighted directed R-MAT plans rejected by the count, and cycle
+	// plans that pass the count and fail the symmetry check
+	unbalanced, balancedAsymmetric := 0, 0
 	for gname, base := range graphs {
 		for _, weighted := range []bool{false, true} {
 			g := reweighted(base, weighted)
@@ -485,15 +498,23 @@ func TestPushPlanLayoutProperties(t *testing.T) {
 						if slices.Contains(used, false) {
 							t.Fatalf("%s: a slot no edge lands on", name)
 						}
-						switch symmetric := localSymmetric(f); {
+						var fresh PushBuilder
+						fresh.buildCSR(new(PushPlan), w, p, f.offsets, f.adj, f.weights)
+						switch symmetric, balanced := localSymmetric(f); {
 						case (plan.Comp != nil) != (symmetric && !weighted):
 							t.Fatalf("%s: components %v, local part symmetric %v", name, plan.Comp != nil, symmetric)
+						case (fresh.in != nil) != (balanced && !weighted):
+							t.Fatalf("%s: transposed %v, as many local edges in as out %v", name, fresh.in != nil, balanced)
 						case undirected[gname] && !symmetric:
 							t.Fatalf("%s: an undirected graph's local part is not symmetric", name)
+						case gname == "cycles" && plan.Comp != nil:
+							t.Fatalf("%s: directed cycles got components", name)
 						case plan.Comp != nil:
 							checkLocalComponents(t, name, f, plan)
-						case gname == "rmat" && !weighted:
-							asymmetric++
+						case gname == "rmat" && !weighted && !balanced:
+							unbalanced++
+						case gname == "cycles" && !weighted && balanced:
+							balancedAsymmetric++
 						}
 						tables := len(plan.Comp) + len(plan.MemberOff) + len(plan.Member) + len(plan.CompSlotOff) + len(plan.CompSlot)
 						if plan.Bytes() != int64(4*(len(plan.Row)+len(plan.SlotLocal)+len(plan.SlotOff)+tables)) {
@@ -524,29 +545,36 @@ func TestPushPlanLayoutProperties(t *testing.T) {
 			}
 		}
 	}
-	if asymmetric == 0 {
-		t.Error("every directed R-MAT plan got components: the symmetry check was not exercised")
+	if unbalanced == 0 || balancedAsymmetric == 0 {
+		t.Errorf("%d directed R-MAT plans were rejected by the count and %d cycle plans by the symmetry check: one of them was not exercised",
+			unbalanced, balancedAsymmetric)
 	}
 }
 
-// localSymmetric reports whether every edge between two of f's local
-// vertices has its reverse, from a set of the local edges.
-func localSymmetric(f *Fragment) bool {
+// localSymmetric reports, from a set of f's local edges and their
+// counts, whether f's local part is symmetric — every edge between two
+// local vertices has its reverse, and it is balanced — and whether it is
+// balanced: every local vertex has as many local edges in as out.
+func localSymmetric(f *Fragment) (symmetric, balanced bool) {
 	w := f.WorkerID()
 	edges := make(map[[2]uint32]bool)
+	degree := make([]int, f.LocalCount()) // local in-degree less local out-degree
 	for li := 0; li < f.LocalCount(); li++ {
 		for _, a := range f.Neighbors(li) {
 			if a.Worker() == w {
 				edges[[2]uint32{uint32(li), a.Local()}] = true
+				degree[a.Local()]++
+				degree[li]--
 			}
 		}
 	}
+	balanced = !slices.ContainsFunc(degree, func(d int) bool { return d != 0 })
 	for e := range edges {
 		if !edges[[2]uint32{e[1], e[0]}] {
-			return false
+			return false, balanced
 		}
 	}
-	return true
+	return balanced, balanced
 }
 
 // checkLocalComponents checks a plan's component tables against a

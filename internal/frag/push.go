@@ -1,6 +1,10 @@
 package frag
 
-import "repro/internal/partition"
+import (
+	"slices"
+
+	"repro/internal/partition"
+)
 
 // PushPlan is the pre-calculation of the propagation channel (paper
 // §IV-C3, Fig. 7): one edge set resolved, before any value exists, into
@@ -19,8 +23,9 @@ import "repro/internal/partition"
 // one range and the wire index of a slot is one lookup.
 //
 // An unweighted edge set whose local part is symmetric — every edge
-// between two local vertices has its reverse, as on an undirected view
-// under any placement — also gets its local components: the connected
+// between two local vertices has its reverse, and every local vertex as
+// many local edges in as out, as on an undirected view under any
+// placement — also gets its local components: the connected
 // pieces of the local subgraph, which Blogel calls blocks. A traversal
 // with an idempotent combiner and no edge transform leaves every member
 // of a component at one value, so it can keep one value per component
@@ -87,24 +92,25 @@ func (p *PushPlan) Bytes() int64 {
 }
 
 // PushBuilder builds PushPlans in two passes over the edges: the first
-// marks the distinct neighbours, a scan of the marks numbers the remote
-// ones, and the second writes every target at its final place, so every
-// array is allocated at its exact size. An unweighted plan's rows are
-// then transposed for the symmetry check and the component tables
-// (components). A builder keeps its mark table — one word per vertex of
-// the graph — and the transpose between builds, and Build reuses the
-// arrays of the plan it is handed: a channel that registers a new edge
-// set every few supersteps (Min-Label SCC) rebuilds its rows, slots and
-// transpose without allocating.
+// counts the edges into every vertex and the local edges out of every
+// local vertex, a scan of the counts numbers the remote neighbours, and
+// the second writes every target at its final place, so every array is
+// allocated at its exact size. Only an unweighted plan whose local
+// vertices have as many local edges in as out, as a symmetric local part
+// has, is transposed — in the second pass — for the symmetry check and
+// the component tables. A builder keeps its count table (a word per
+// vertex of the graph) and the transpose, and Build reuses the arrays of
+// the plan it is handed: a channel that registers a new edge set every
+// few supersteps (Min-Label SCC) rebuilds its plan without allocating.
 type PushBuilder struct {
-	// target[base[d]+l] is 0, then 1 for a marked neighbour l of worker d,
-	// then its target; all zero again when a build returns. base has one
+	// target[base[d]+l] counts the edges into vertex l of worker d, then
+	// holds its target; all zero again when a build returns. base has one
 	// entry per worker plus one.
 	target []uint32
 	base   []uint32
-	// scratch of the component tables: the transpose's offsets and
-	// sources, a stamp per target and a cursor per component
-	inOff, in, stamp, cur []uint32
+	// the transpose's offsets and sources, and scratch: a count of local
+	// out-edges per local vertex, then a cursor per component
+	inOff, in, cur []uint32
 }
 
 // sized returns s with length n, in its own array when that is large
@@ -116,43 +122,62 @@ func sized[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// begin sizes the mark table on first use; a builder serves one
-// partition.
-func (b *PushBuilder) begin(part *partition.Partition) {
-	if b.base != nil {
-		return
+// begin sizes the count table on first use — a builder serves one
+// partition — and zeroes the out-edge counts of worker me's vertices.
+func (b *PushBuilder) begin(part *partition.Partition, me int) {
+	if b.base == nil {
+		b.base = make([]uint32, part.NumWorkers()+1)
+		for d := 0; d < part.NumWorkers(); d++ {
+			b.base[d+1] = b.base[d] + uint32(part.LocalCount(d))
+		}
+		b.target = make([]uint32, part.NumVertices())
 	}
-	b.base = make([]uint32, part.NumWorkers()+1)
-	for d := 0; d < part.NumWorkers(); d++ {
-		b.base[d+1] = b.base[d] + uint32(part.LocalCount(d))
-	}
-	b.target = make([]uint32, part.NumVertices())
+	b.cur = sized(b.cur, part.LocalCount(me))
+	clear(b.cur)
 }
 
-// mark notes every neighbour among dst, the worker's own included: the
-// passes over the edges do not branch on the owner, which on a cut graph
-// is a coin toss per edge.
-func (b *PushBuilder) mark(dst []Addr) {
-	for _, a := range dst {
-		b.target[b.base[a.Worker()]+a.Local()] = 1
+// count notes one more edge into a, the worker's own vertices included,
+// and returns 1 if a is a vertex of worker me, 0 if not: the caller adds
+// it to the local out-edges of the edge's source. Neither branches on the
+// owner, which on a cut graph is a coin toss per edge.
+func (b *PushBuilder) count(me int, a Addr) uint32 {
+	b.target[b.base[a.Worker()]+a.Local()]++
+	local := uint32(0)
+	if a.Worker() == me {
+		local = 1
 	}
+	return local
 }
 
-// number turns the marks into targets — a vertex of worker me is its own
-// target, a marked vertex of another worker gets the next slot — and
-// fills the slot tables.
-func (b *PushBuilder) number(p *PushPlan, me int) {
+// number turns the counts into targets — a vertex of worker me is its own
+// target, a counted vertex of another worker gets the next slot — and
+// fills the slot tables. It reports whether the plan keeps a transpose,
+// which it does when it is unweighted and the counts of each local
+// vertex's edges in and out agree, and then sizes the transpose and sums
+// its offsets from the counts, two entries up as in Build.
+func (b *PushBuilder) number(p *PushPlan, me int, weighted bool, edges int) bool {
 	m := len(b.base) - 1
-	slots := 0
-	for _, marked := range b.target {
-		slots += int(marked)
-	}
 	own := b.target[b.base[me]:b.base[me+1]]
-	for l, marked := range own {
-		slots -= int(marked)
+	n := uint32(len(own))
+	keep := !weighted && slices.Equal(own, b.cur)
+	slots := 0
+	for _, c := range b.target {
+		slots += int(min(c, 1))
+	}
+	for _, c := range own {
+		slots -= int(min(c, 1))
+	}
+	if keep {
+		b.inOff, b.in = sized(b.inOff, int(n)+slots+2), sized(b.in, edges)
+		b.inOff[0], b.inOff[1] = 0, 0
+	}
+	for l, c := range own {
+		if keep {
+			b.inOff[l+2] = b.inOff[l+1] + c
+		}
 		own[l] = uint32(l)
 	}
-	p.Locals = uint32(len(own))
+	p.Locals = n
 	p.SlotOff = sized(p.SlotOff, m+1)
 	p.SlotLocal = sized(p.SlotLocal, slots)
 	s := uint32(0)
@@ -161,31 +186,31 @@ func (b *PushBuilder) number(p *PushPlan, me int) {
 		if d == me {
 			continue
 		}
-		marks := b.target[b.base[d]:b.base[d+1]]
-		for l, marked := range marks {
-			if marked != 0 {
-				marks[l] = p.Locals + s
+		counts := b.target[b.base[d]:b.base[d+1]]
+		for l, c := range counts {
+			if c != 0 {
+				if keep {
+					b.inOff[n+s+2] = b.inOff[n+s+1] + c
+				}
+				counts[l] = n + s
 				p.SlotLocal[s] = uint32(l)
 				s++
 			}
 		}
 	}
 	p.SlotOff[m] = s
+	return keep
 }
 
-// targetOf returns the numbered target of an edge into a.
-func (b *PushBuilder) targetOf(a Addr) uint32 {
-	return b.target[b.base[a.Worker()]+a.Local()]
-}
-
-// end clears the table number left behind.
-func (b *PushBuilder) end(p *PushPlan, me int) {
-	clear(b.target[b.base[me]:b.base[me+1]])
-	for d := 0; d+1 < len(b.base); d++ {
-		marks := b.target[b.base[d]:]
-		for _, l := range p.SlotLocal[p.SlotOff[d]:p.SlotOff[d+1]] {
-			marks[l] = 0
-		}
+// place writes the target of an edge from local vertex u to a at
+// row[at] and, when the build keeps a transpose, u among the target's
+// sources.
+func (b *PushBuilder) place(row []uint32, at uint64, u uint32, a Addr, keep bool) {
+	t := b.target[b.base[a.Worker()]+a.Local()]
+	row[at] = t
+	if keep {
+		b.in[b.inOff[t+1]] = u
+		b.inOff[t+1]++
 	}
 }
 
@@ -196,20 +221,20 @@ func (b *PushBuilder) end(p *PushPlan, me int) {
 // fragment path derives for the same edges; p's arrays are overwritten
 // where they are large enough, so p must not be a fragment's plan.
 func (b *PushBuilder) Build(p *PushPlan, me int, part *partition.Partition, src []uint32, dst []Addr, w []int32) {
-	b.begin(part)
+	b.begin(part, me)
 	n := part.LocalCount(me)
 	// counts go two entries up, so after the prefix sum off[s+1] is s's
 	// fill cursor and the fill leaves it at s's end
 	off := sized(p.Off, n+2)
 	clear(off)
-	for _, s := range src {
-		off[s+2]++
+	for i, a := range dst {
+		off[src[i]+2]++
+		b.cur[src[i]] += b.count(me, a)
 	}
-	b.mark(dst)
 	for i := 2; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	b.number(p, me)
+	keep := b.number(p, me, w != nil, len(dst))
 	p.Row = sized(p.Row, len(dst))
 	if w != nil {
 		p.W = sized(p.W, len(dst))
@@ -219,72 +244,63 @@ func (b *PushBuilder) Build(p *PushPlan, me int, part *partition.Partition, src 
 	for i, a := range dst {
 		at := off[src[i]+1]
 		off[src[i]+1]++
-		p.Row[at] = b.targetOf(a)
+		b.place(p.Row, at, src[i], a, keep)
 		if w != nil {
 			p.W[at] = w[i]
 		}
 	}
 	p.Off = off[:n+1]
-	b.end(p, me)
-	b.components(p)
+	b.finish(p, me, keep)
 }
 
 // buildCSR is Build over edges already grouped by source. The plan
 // shares offsets and w.
 func (b *PushBuilder) buildCSR(p *PushPlan, me int, part *partition.Partition, offsets []uint64, adj []Addr, w []int32) {
-	b.begin(part)
-	b.mark(adj)
-	b.number(p, me)
+	b.begin(part, me)
+	n := uint32(len(offsets) - 1)
+	for u := range n {
+		local := uint32(0)
+		for _, a := range adj[offsets[u]:offsets[u+1]] {
+			local += b.count(me, a)
+		}
+		b.cur[u] = local
+	}
+	keep := b.number(p, me, w != nil, len(adj))
 	p.Off, p.W = offsets, w
 	p.Row = sized(p.Row, len(adj))
-	for i, a := range adj {
-		p.Row[i] = b.targetOf(a)
+	for u := range n {
+		for i := offsets[u]; i < offsets[u+1]; i++ {
+			b.place(p.Row, i, u, adj[i], keep)
+		}
 	}
-	b.end(p, me)
-	b.components(p)
+	b.finish(p, me, keep)
 }
 
-// components fills in p's component tables, or sets them nil when p is
-// weighted or its local part is not symmetric. It transposes the rows —
-// every target's sources, a slot's as well as a vertex's, so no pass
-// tests a target for being local, which on a cut graph is a coin toss
-// per edge — and runs the rest over the transpose: the check, a
+// finish clears the table number left behind and fills in p's component
+// tables, or sets them nil when the build kept no transpose or the
+// transpose shows a local part that is not symmetric. All of it runs over
+// the transpose — every target's sources, a slot's as well as a
+// vertex's, so no pass tests a target for being local: the check, a
 // breadth-first search over the vertices' sources, and the component →
 // slot table read slot by slot.
-func (b *PushBuilder) components(p *PushPlan) {
-	if p.W == nil {
-		b.transpose(p)
-		if symmetric(p, b.inOff, b.in, b.stamp) {
-			b.localComponents(p)
-			b.componentSlots(p)
-			return
+func (b *PushBuilder) finish(p *PushPlan, me int, keep bool) {
+	clear(b.target[b.base[me]:b.base[me+1]])
+	for d := 0; d+1 < len(b.base); d++ {
+		marks := b.target[b.base[d]:]
+		for _, l := range p.SlotLocal[p.SlotOff[d]:p.SlotOff[d+1]] {
+			marks[l] = 0
 		}
 	}
-	p.Comp, p.MemberOff, p.Member, p.CompSlotOff, p.CompSlot = nil, nil, nil, nil, nil
-}
-
-// transpose leaves the sources of target t in b.in[b.inOff[t]:b.inOff[t+1]],
-// ascending, and b.stamp cleared over the targets.
-func (b *PushBuilder) transpose(p *PushPlan) {
-	all := int(p.Locals) + p.Slots()
-	// counts go two entries up, as in Build
-	off := sized(b.inOff, all+2)
-	clear(off)
-	for _, t := range p.Row {
-		off[t+2]++
+	// the table is zero again and has a word for every target, which
+	// the checks stamp; only local vertices are stamped
+	stamp := b.target[:int(p.Locals)+p.Slots()]
+	if keep && symmetric(p, b.inOff, b.in, stamp) {
+		b.localComponents(p)
+		b.componentSlots(p, stamp)
+	} else {
+		p.Comp, p.MemberOff, p.Member, p.CompSlotOff, p.CompSlot = nil, nil, nil, nil, nil
 	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	in := sized(b.in, len(p.Row))
-	for u := range p.Locals {
-		for _, t := range p.Row[p.Off[u]:p.Off[u+1]] {
-			in[off[t+1]] = u
-			off[t+1]++
-		}
-	}
-	b.inOff, b.in, b.stamp = off, in, sized(b.stamp, all)
-	clear(b.stamp)
+	clear(stamp[:p.Locals])
 }
 
 // localComponents numbers p's local components breadth-first from each
@@ -335,12 +351,12 @@ func (b *PushBuilder) localComponents(p *PushPlan) {
 // pass over the sources keeps each slot's components, once, in place of
 // its sources and counts them; a second pass over what it kept writes
 // the table.
-func (b *PushBuilder) componentSlots(p *PushPlan) {
+func (b *PushBuilder) componentSlots(p *PushPlan, stamp []uint32) {
 	n, all, off, in := p.Locals, p.Locals+uint32(p.Slots()), b.inOff, b.in
 	k := uint32(p.Components())
 	slotOff := sized(p.CompSlotOff, int(k)+1)
 	clear(slotOff)
-	stamp := b.stamp[:k]
+	stamp = stamp[:k]
 	clear(stamp)
 	kept, lo := off[n], off[n]
 	for s := range all - n {
@@ -371,7 +387,7 @@ func (b *PushBuilder) componentSlots(p *PushPlan) {
 }
 
 // symmetric reports whether every edge between two of p's local
-// vertices has its reverse, given transpose's tables: whether each local
+// vertices has its reverse, given the transpose: whether each local
 // target of a vertex's row is among the vertex's own sources. A vertex
 // stamps its sources, and the local entries of its row that find their
 // stamp are counted; the part is symmetric when that count reaches the

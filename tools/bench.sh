@@ -126,7 +126,7 @@ if [ "${1:-}" = "--check" ]; then
   delta "$old" "$new" check && exit 0 || exit 1
 fi
 
-REGEX="${1:-^(BenchmarkTable[4-7]|BenchmarkDirectMessageRing|BenchmarkCombinedMessageFanIn|BenchmarkScatterCombineRing|BenchmarkScatterCombineFragment|BenchmarkScatterCombineFragmentValues|BenchmarkCombinerFold|BenchmarkAggregatorSum|BenchmarkRequestRespondHub|BenchmarkPropagationPath|BenchmarkPropagationFragment|BenchmarkMirrorHubBroadcast|BenchmarkLiveIngest|BenchmarkLiveCompact|BenchmarkLivePinRelease|BenchmarkTraceObserverOff|BenchmarkTraceObserverOn|BenchmarkFlowStatsOff|BenchmarkFlowStatsOn|BenchmarkCheckpoint|BenchmarkDistributedExchange|BenchmarkRMAT|BenchmarkUndirectify)$}"
+REGEX="${1:-^(BenchmarkTable[4-7]|BenchmarkDirectMessageRing|BenchmarkCombinedMessageFanIn|BenchmarkScatterCombineRing|BenchmarkScatterCombineFragment|BenchmarkScatterCombineFragmentValues|BenchmarkCombinerFold|BenchmarkAggregatorSum|BenchmarkRequestRespondHub|BenchmarkPropagationPath|BenchmarkPropagationFragment|BenchmarkMirrorHubBroadcast|BenchmarkLiveIngest|BenchmarkLiveCompact|BenchmarkLivePinRelease|BenchmarkTraceObserverOff|BenchmarkTraceObserverOn|BenchmarkFlowStatsOff|BenchmarkFlowStatsOn|BenchmarkCheckpoint|BenchmarkDistributedExchange|BenchmarkRMAT|BenchmarkUndirectify|BenchmarkPushPlanBuild)$}"
 BENCHTIME="${BENCHTIME:-20x}"
 COUNT="${COUNT:-5}"
 
@@ -142,8 +142,8 @@ fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "running: go test -run=NONE -bench \"$REGEX\" -benchtime=$BENCHTIME -count=$COUNT . ./internal/channel ./internal/live ./internal/algorithms ./internal/graph" >&2
-go test -run=NONE -bench "$REGEX" -benchtime="$BENCHTIME" -count="$COUNT" . ./internal/channel ./internal/live ./internal/algorithms ./internal/graph | tee "$raw" >&2
+echo "running: go test -run=NONE -bench \"$REGEX\" -benchtime=$BENCHTIME -count=$COUNT . ./internal/channel ./internal/live ./internal/algorithms ./internal/graph ./internal/frag" >&2
+go test -run=NONE -bench "$REGEX" -benchtime="$BENCHTIME" -count="$COUNT" . ./internal/channel ./internal/live ./internal/algorithms ./internal/graph ./internal/frag | tee "$raw" >&2
 
 awk -v benchtime="$BENCHTIME" -v count="$COUNT" -v regex="$REGEX" '
 BEGIN {

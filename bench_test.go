@@ -1,7 +1,6 @@
 package repro
 
-// The paper's tables as benchmarks (§V), plus the Mirror channel's
-// ablation. Every Table and AblationMirrorChannel sub-benchmark is an
+// The paper's tables as benchmarks (§V). Every Table sub-benchmark is an
 // entry of harness.Entries run at harness.ScaleBench; each reports,
 // besides wall ns/op, three exact columns: the modeled network time of
 // the paper's cluster (model-ms/op: per exchange round 1 ms plus the
@@ -14,7 +13,6 @@ package repro
 //	BenchmarkTable5/*   — Table V   (the three optimized channels)
 //	BenchmarkTable6/*   — Table VI  (S-V channel combinations)
 //	BenchmarkTable7/*   — Table VII (Min-Label SCC)
-//	BenchmarkAblationMirrorChannel/* — the Mirror channel
 
 import (
 	"net"
@@ -66,11 +64,10 @@ func benchEntries(b *testing.B, bench string) {
 	}
 }
 
-func BenchmarkTable4(b *testing.B)                { benchEntries(b, "Table4") }
-func BenchmarkTable5(b *testing.B)                { benchEntries(b, "Table5") }
-func BenchmarkTable6(b *testing.B)                { benchEntries(b, "Table6") }
-func BenchmarkTable7(b *testing.B)                { benchEntries(b, "Table7") }
-func BenchmarkAblationMirrorChannel(b *testing.B) { benchEntries(b, "AblationMirrorChannel") }
+func BenchmarkTable4(b *testing.B) { benchEntries(b, "Table4") }
+func BenchmarkTable5(b *testing.B) { benchEntries(b, "Table5") }
+func BenchmarkTable6(b *testing.B) { benchEntries(b, "Table6") }
+func BenchmarkTable7(b *testing.B) { benchEntries(b, "Table7") }
 
 // --- Distributed exchange over the hub relay ---
 

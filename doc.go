@@ -52,7 +52,7 @@
 // that index, and receivers index straight into flat slices — no hash
 // map is touched on any per-superstep send or receive path. The
 // channels that address values to vertices (DirectMessage,
-// CombinedMessage, Mirror, Propagation) share one update frame — a
+// CombinedMessage, Propagation) share one update frame — a
 // count, the local indices as uvarints, then the values as one slice —
 // and one checked reader for it. Staging slots are stamped with the
 // superstep that wrote them rather than cleared, frame decoding reuses
@@ -101,9 +101,9 @@
 // in bulk — the fold needs each destination's sources laid out as a run
 // before the values exist, which is Fig. 5's pre-calculation — so the
 // channels that learn destinations one Send at a time (CombinedMessage,
-// Mirror, Aggregator) take the same Combiner and stage through its
-// Combine per message; CombinedMessage and Mirror merge each update frame
-// they receive through its indexed merge loop, as ScatterCombine does. Propagation has a pre-calculation of its own, cached on the
+// Aggregator) take the same Combiner and stage through its Combine per
+// message; CombinedMessage merges each update frame it receives through
+// its indexed merge loop, as ScatterCombine does. Propagation has a pre-calculation of its own, cached on the
 // fragment beside the scatter plan: the push plan (frag.PushPlan) holds
 // one target per edge — a local neighbour's index, or a dense slot that
 // stands for one distinct remote neighbour — and the channel keeps

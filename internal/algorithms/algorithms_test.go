@@ -65,12 +65,6 @@ func TestPageRankVariantsMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPageRank(t, "ghost", got4, want)
-
-	got5, _, err := pageRankMirror(g, hashOpts(g), iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPageRank(t, "mirror", got5, want)
 }
 
 // pageRankScalarFold is pageRankScatter written as plain loops with one

@@ -239,7 +239,6 @@ func TestCheckpointRestoreSendsWhatCleanRunSends(t *testing.T) {
 		g       *graph.Graph
 	}{
 		{"pagerank", EngineChannel, "scatter", directed},
-		{"pagerank", EngineChannel, "mirror", directed},
 		{"sv", EngineChannel, "both", undirected},
 		{"wcc", EngineChannel, "propagation", undirected},
 		{"wcc", EngineChannel, "blogel", undirected},

@@ -18,7 +18,7 @@ import (
 //	pageRankPregel         — baseline engine, sum combiner
 //	pageRankPregelGhost    — baseline engine, ghost/mirroring mode
 
-// The three channel-engine variants compute in range form: every vertex
+// Both channel-engine variants compute in range form: every vertex
 // is active until the last superstep, so the worker's whole range is one
 // call per superstep — a rank pass that reads the inbox, then a scatter
 // pass (Ligra's vertexMap in dense mode). Each pass runs in ascending
@@ -116,59 +116,6 @@ func pageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, e
 			for li := lo; li < hi; li++ {
 				if deg := f.OutDegree(li); deg > 0 {
 					share[li] = pr[li] / float64(deg)
-				} else {
-					sink.add(pr[li])
-				}
-			}
-			sink.flush(agg)
-		}
-	})
-	return gather(part, states), met, err
-}
-
-// pageRankMirror runs PageRank with the Mirror extension channel
-// (sender-side combining for hubs, threshold 16) — ghost mode as a
-// composable channel rather than an engine switch.
-func pageRankMirror(g *graph.Graph, opts Options, iterations int) ([]float64, engine.Metrics, error) {
-	part := opts.Part
-	states := make([][]float64, part.NumWorkers())
-	met, err := engine.Run(withFrags(opts, g), func(w *engine.Worker) {
-		f := w.Frag()
-		pr := make([]float64, w.LocalCount())
-		states[w.WorkerID()] = pr
-		w.Checkpoint(
-			func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Float64Codec{}, pr) },
-			func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Float64Codec{}, pr) },
-		)
-		msg := channel.NewMirror[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 16)
-		agg := channel.NewAggregator[float64](w, ser.Float64Codec{}, channel.Sum[float64](), 0)
-		n := float64(w.NumVertices())
-		teleport := 0.15 / n
-		w.ComputeRange = func(lo, hi int) {
-			if w.Superstep() == 1 {
-				for li := lo; li < hi; li++ {
-					pr[li] = 1.0 / n
-					w.SetCurrent(li)
-					for _, a := range f.Neighbors(li) {
-						msg.AddAddr(a)
-					}
-				}
-			} else {
-				s := agg.Result() / n
-				for li := lo; li < hi; li++ {
-					sum, _ := msg.Message(li)
-					pr[li] = teleport + 0.85*(sum+s)
-				}
-			}
-			if w.Superstep() > iterations {
-				haltRange(w, lo, hi)
-				return
-			}
-			var sink sinkMass
-			for li := lo; li < hi; li++ {
-				if deg := f.OutDegree(li); deg > 0 {
-					w.SetCurrent(li)
-					msg.SetMessage(pr[li] / float64(deg))
 				} else {
 					sink.add(pr[li])
 				}

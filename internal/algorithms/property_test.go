@@ -481,7 +481,6 @@ func TestFragmentEquivalenceSweep(t *testing.T) {
 				}
 				for name, run := range map[string]func() ([]float64, error){
 					"pr-scatter": func() ([]float64, error) { v, _, e := pageRankScatter(rmatD, o, iters); return v, e },
-					"pr-mirror":  func() ([]float64, error) { v, _, e := pageRankMirror(rmatD, o, iters); return v, e },
 					"pr-pregel":  func() ([]float64, error) { v, _, e := pageRankPregel(rmatD, o, iters); return v, e },
 					"pr-ghost":   func() ([]float64, error) { v, _, e := pageRankPregelGhost(rmatD, o, iters); return v, e },
 				} {

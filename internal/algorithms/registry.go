@@ -251,7 +251,6 @@ var registry = map[string]*Spec{
 			EngineChannel: {
 				DefaultVariant: ranks(pageRankChannel),
 				"scatter":      ranks(pageRankScatter),
-				"mirror":       ranks(pageRankMirror),
 			},
 			EnginePregel: {
 				DefaultVariant: ranks(pageRankPregel),

@@ -1,7 +1,10 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -55,8 +58,15 @@ func TestRegistryRunErrors(t *testing.T) {
 	if _, err := spec.Run("gpu", "", g, regOpts(g), Params{}); err == nil {
 		t.Fatal("expected unknown-engine error")
 	}
-	if _, err := spec.Run(EngineChannel, "warp", g, regOpts(g), Params{}); err == nil {
-		t.Fatal("expected unknown-variant error")
+	for _, tc := range []struct{ alg, variant string }{
+		{"wcc", "warp"},
+		{"pagerank", "mirror"},
+	} {
+		spec, _ := Lookup(tc.alg)
+		_, err := spec.Run(EngineChannel, tc.variant, g, regOpts(g), Params{})
+		if want := fmt.Sprintf("%s/channel has no variant %q", tc.alg, tc.variant); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s/%s: got %v, want the unknown-variant error %q", tc.alg, tc.variant, err, want)
+		}
 	}
 	if _, err := ParseEngine("gpu"); err == nil {
 		t.Fatal("expected parse error")
@@ -71,6 +81,9 @@ func TestRegistryRunMatchesOracles(t *testing.T) {
 
 	// pagerank through the registry on both engines vs the sequential oracle
 	pr, _ := Lookup("pagerank")
+	if vs := pr.Variants(EngineChannel); !slices.Equal(vs, []string{DefaultVariant, "scatter"}) {
+		t.Fatalf("pagerank channel variants %v, want [%s scatter]", vs, DefaultVariant)
+	}
 	want := seq.PageRank(und, 20)
 	for _, eng := range []Engine{EngineChannel, EnginePregel} {
 		res, err := pr.Run(eng, "", und, regOpts(und), Params{Iterations: 20})

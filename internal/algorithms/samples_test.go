@@ -43,7 +43,6 @@ func sampleTable(t *testing.T) string {
 		{"pagerank", EnginePregel, "basic", directed},
 		{"sv", EnginePregel, "reqresp", undirected},
 		{"pagerank", EngineChannel, "basic", directed},
-		{"pagerank", EngineChannel, "mirror", directed},
 		{"sv", EngineChannel, "basic", undirected},
 		{"sv", EngineChannel, "reqresp", undirected},
 		{"sv", EngineChannel, "scatter", undirected},

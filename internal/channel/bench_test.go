@@ -329,27 +329,6 @@ func TestPropagationSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkMirrorHubBroadcast(b *testing.B) {
-	benchRun(b, func(w *engine.Worker) {
-		mr := NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 16)
-		w.Compute = func(li int) {
-			id := w.GlobalID(li)
-			if w.Superstep() == 1 && id < 8 {
-				for v := uint32(0); v < microVertices; v += 4 {
-					mr.AddAddr(w.Addr(v))
-				}
-			}
-			if w.Superstep() <= microSteps {
-				if id < 8 {
-					mr.SetMessage(id)
-				}
-			} else {
-				w.VoteToHalt()
-			}
-		}
-	})
-}
-
 // directRingJob runs BenchmarkDirectMessageRing's job on a ring of n
 // vertices: microSteps supersteps in which every vertex sends its id to
 // its successor.

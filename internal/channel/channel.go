@@ -111,10 +111,9 @@ func readDone(buf *ser.Buffer) {
 }
 
 // The update frame is the wire format of every channel that addresses
-// values to the receiver's vertices — DirectMessage, CombinedMessage,
-// both sections of Mirror's broadcast and Propagation: a count in the
-// caller's width, the local indices as uvarints, then the values as one
-// ser.EncodeSlice (one call for a fixed-width codec).
+// values to the receiver's vertices — DirectMessage, CombinedMessage and
+// Propagation: a uvarint count, the local indices as uvarints, then the
+// values as one ser.EncodeSlice (one call for a fixed-width codec).
 
 // writeUpdates appends an update section: idx as uvarints, then vals.
 func writeUpdates[M any](buf *ser.Buffer, codec ser.Codec[M], idx []uint32, vals []M) {
@@ -131,11 +130,12 @@ type updates[M any] struct {
 
 func (u *updates[M]) reset() { u.idx, u.vals = u.idx[:0], u.vals[:0] }
 
-// read appends the section of m updates at the front of buf and returns
-// it; m was bounded when it was read (ReadCount or a narrower check). An
-// index not below bound or a value past the end panics, and the engine
-// reports that as a worker error naming the channel and the source.
-func (u *updates[M]) read(buf *ser.Buffer, codec ser.Codec[M], m int, bound uint32) ([]uint32, []M) {
+// readLast appends the section of m updates that ends the frame at the
+// front of buf and returns it; m was bounded when it was read (ReadCount
+// or a narrower check). An index not below bound, a value past the end
+// or bytes beyond the values panic, and the engine reports that as a
+// worker error naming the channel and the source.
+func (u *updates[M]) readLast(buf *ser.Buffer, codec ser.Codec[M], m int, bound uint32) ([]uint32, []M) {
 	k := len(u.idx)
 	u.idx = slices.Grow(u.idx, m)[:k+m]
 	u.vals = slices.Grow(u.vals, m)[:k+m]
@@ -147,13 +147,6 @@ func (u *updates[M]) read(buf *ser.Buffer, codec ser.Codec[M], m int, bound uint
 		}
 	}
 	ser.DecodeSlice(buf, codec, vals)
-	return idx, vals
-}
-
-// readLast is read for the section that ends the frame: bytes beyond
-// its values panic as well.
-func (u *updates[M]) readLast(buf *ser.Buffer, codec ser.Codec[M], m int, bound uint32) ([]uint32, []M) {
-	idx, vals := u.read(buf, codec, m, bound)
 	if rest := buf.Remaining(); rest != 0 {
 		panic(fmt.Sprintf("channel: %d bytes beyond the values of %d updates", rest, m))
 	}

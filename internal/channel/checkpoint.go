@@ -2,8 +2,6 @@ package channel
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/engine"
@@ -20,7 +18,6 @@ import (
 var (
 	_ engine.StatefulChannel = (*ScatterCombine[int])(nil)
 	_ engine.StatefulChannel = (*Propagation[int])(nil)
-	_ engine.StatefulChannel = (*Mirror[int])(nil)
 	_ engine.StatefulChannel = (*RequestRespond[int])(nil)
 )
 
@@ -34,7 +31,7 @@ var (
 // is produced again when a restore resumes the superstep at round 1's
 // flush over the live fabric. A channel therefore persists what the
 // rounds read and the buffers do not hold: topology registered during
-// an earlier superstep's compute (edge lists, mirror fan-out tables),
+// an earlier superstep's compute (edge lists, destination tables),
 // requester state written by compute itself, and what a later round of
 // the cut superstep sends.
 //
@@ -51,9 +48,9 @@ var (
 )
 
 // checkEdges panics unless every restored edge is one of the job's: each
-// source in src (which may be nil) below locals, each destination a
-// vertex of part, not just of the graph — the push plan builder would
-// take a local past its owner's range for a vertex of the next worker.
+// source in src below locals, each destination a vertex of part, not
+// just of the graph — the push plan builder would take a local past its
+// owner's range for a vertex of the next worker.
 func checkEdges(part *partition.Partition, locals int, src []uint32, dst []frag.Addr) {
 	for i, a := range dst {
 		if o := a.Worker(); o >= part.NumWorkers() || int(a.Local()) >= part.LocalCount(o) {
@@ -179,93 +176,6 @@ func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 		}
 	}
 	c.finalEpoch = int32(buf.ReadVarint())
-	readDone(buf)
-}
-
-// SaveState implements engine.StatefulChannel: sender-side tables built
-// by prepare (grouped edges, per-destination hub lists) and the
-// receiver-side fan-out tables, which arrive in handshake frames of the
-// registration superstep. If the cut superstep IS the registration
-// superstep, handshake is still true: round 1 carries the handshake, the
-// restored round rebuilds the fan-out tables (saved empty), and round 2
-// broadcasts the values compute set, which are saved with it.
-func (c *Mirror[M]) SaveState(buf *ser.Buffer) {
-	buf.WriteBool(c.prepared)
-	buf.WriteVarint(int64(c.setEpoch))
-	buf.WriteUvarint(uint64(len(c.fanout)))
-	for _, tables := range c.fanout {
-		buf.WriteUvarint(uint64(len(tables)))
-		for _, lst := range tables {
-			ckpt.SaveSlice(buf, i32s, lst)
-		}
-	}
-	if !c.prepared {
-		return
-	}
-	buf.WriteBool(c.handshake)
-	ckpt.SaveSlice(buf, ser.VarintCodec[uint64]{}, c.srcStart)
-	ckpt.SaveSlice(buf, addrs, c.bySrc)
-	buf.WriteUvarint(uint64(len(c.dstHubs)))
-	for _, hubs := range c.dstHubs {
-		ckpt.SaveSlice(buf, u32s, hubs)
-	}
-	buf.WriteVarint(int64(c.stagedStep))
-	if c.handshake {
-		ckpt.SaveSlice(buf, c.codec, c.srcVal.val)
-		ckpt.SaveSlice(buf, i32s, c.srcVal.epoch)
-	}
-}
-
-// RestoreState implements engine.StatefulChannel. The tables are
-// checked against the job's shape before anything indexes with them:
-// the restored superstep's next Serialize runs outside any recover.
-func (c *Mirror[M]) RestoreState(buf *ser.Buffer) {
-	locals := c.w.LocalCount()
-	c.prepared = buf.ReadBool()
-	c.setEpoch = int32(buf.ReadVarint())
-	if n := buf.ReadUvarint(); n != uint64(len(c.fanout)) {
-		panic(fmt.Sprintf("channel: checkpoint has %d fan-out tables, job has %d workers", n, len(c.fanout)))
-	}
-	for src := range c.fanout {
-		tables := make([][]int32, buf.ReadCount(math.MaxInt))
-		for i := range tables {
-			tables[i] = ckpt.AppendSlice(buf, i32s, nil)
-			for _, li := range tables[i] {
-				if li < 0 || int(li) >= locals {
-					panic(fmt.Sprintf("channel: checkpoint fans hub %d of worker %d out to local %d, worker hosts %d vertices", i, src, li, locals))
-				}
-			}
-		}
-		c.fanout[src] = tables
-	}
-	c.building = edgeReg{}
-	if c.prepared {
-		c.handshake = buf.ReadBool()
-		c.srcStart = ckpt.AppendSlice(buf, ser.VarintCodec[uint64]{}, nil)
-		c.bySrc = ckpt.AppendSlice(buf, addrs, nil)
-		if start := c.srcStart; len(start) != locals+1 || start[0] != 0 || start[locals] != uint64(len(c.bySrc)) || !slices.IsSorted(start) {
-			panic(fmt.Sprintf("channel: checkpoint edge offsets are no CSR of %d edges over %d vertices", len(c.bySrc), locals))
-		}
-		checkEdges(c.w.Part(), locals, nil, c.bySrc)
-		if n := buf.ReadUvarint(); n != uint64(len(c.fanout)) {
-			panic(fmt.Sprintf("channel: checkpoint has %d hub lists, job has %d workers", n, len(c.fanout)))
-		}
-		c.dstHubs = make([][]uint32, len(c.fanout))
-		for d := range c.dstHubs {
-			c.dstHubs[d] = ckpt.AppendSlice(buf, u32s, nil)
-			for k, li := range c.dstHubs[d] {
-				if int(li) >= locals || k > 0 && li <= c.dstHubs[d][k-1] {
-					panic(fmt.Sprintf("channel: checkpoint hub list for worker %d is not ascending below %d vertices at entry %d", d, locals, k))
-				}
-			}
-		}
-		c.stagedStep = int32(buf.ReadVarint())
-		c.low = newOutbox[M](c.w)
-		if c.handshake {
-			ckpt.LoadSlice(buf, c.codec, c.srcVal.val)
-			ckpt.LoadSlice(buf, i32s, c.srcVal.epoch)
-		}
-	}
 	readDone(buf)
 }
 

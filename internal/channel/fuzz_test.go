@@ -212,20 +212,16 @@ func FuzzPropagationFrames(f *testing.F) {
 }
 
 // FuzzUpdateFrames pins the wire-surface contract of the update-frame
-// receivers — DirectMessage, CombinedMessage and Mirror, each of which
-// gets the same frames (the input is cut into up to four length-prefixed
-// frames, one per superstep): the job either fails with a worker error
-// or every vertex reads exactly what the frames addressed to it — in
-// frame order from DirectMessage, as a sum from CombinedMessage — and
-// every Mirror fan-out entry is a vertex the worker hosts. A runtime
-// error is a finding.
+// receivers — DirectMessage and CombinedMessage, each of which gets the
+// same frames (the input is cut into up to four length-prefixed frames,
+// one per superstep): the job either fails with a worker error or every
+// vertex reads exactly what the frames addressed to it — in frame order
+// from DirectMessage, as a sum from CombinedMessage. A runtime error is
+// a finding.
 func FuzzUpdateFrames(f *testing.F) {
-	hello := []byte{mirrorFrameHandshake, 1, 2, 0, 3}
 	f.Add(script(slices.Concat(uvarints(3, 1, 0, 1), u32le(7, 8, 9)), slices.Concat(uvarints(1, 3), u32le(5))))
-	f.Add(script(hello, slices.Concat([]byte{mirrorFrameBroadcast}, u32le(1), uvarints(0), u32le(5), uvarints(2, 2, 3), u32le(7, 1))))
 	f.Add(script(slices.Concat(uvarints(2, 0, 4), u32le(7, 8))))
-	f.Add(script(slices.Concat([]byte{mirrorFrameHandshake}, uvarints(1<<33), []byte{1, 1, 0, 0})))
-	f.Add(script(slices.Concat([]byte{mirrorFrameBroadcast}, u32le(0), uvarints(1, 2), u32le(7), []byte{0})))
+	f.Add(script(slices.Concat(uvarints(1<<33), []byte{1, 1, 0, 0})))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -266,23 +262,6 @@ func FuzzUpdateFrames(f *testing.F) {
 				t.Errorf("superstep %d: local %d read %d (%v), the frames say %v", w.Superstep(), li, got, has, msgs[li])
 			}
 		})
-		if finding(err) {
-			return
-		}
-		recv, err := runRogueInto(frames, func(w *engine.Worker) *Mirror[uint32] {
-			return NewMirror[uint32](w, ser.Uint32Codec{}, Sum[uint32](), 2)
-		}, nil)
-		if finding(err) {
-			return
-		}
-		for _, tables := range recv.fanout {
-			for _, lst := range tables {
-				for _, li := range lst {
-					if li >= 4 {
-						t.Fatalf("accepted fan-out table %v", tables)
-					}
-				}
-			}
-		}
+		finding(err)
 	})
 }

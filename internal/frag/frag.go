@@ -6,8 +6,8 @@
 // The paper's architecture (Fig. 2) is shared-nothing — each worker owns
 // its vertices and exchanges binary buffers — but handing every worker
 // the global CSR plus the global Owner()/LocalIndex() arrays costs two
-// dependent random-array lookups per edge in every scatter, propagation
-// and mirror loop. A Fragment pays those lookups exactly once, at build
+// dependent random-array lookups per edge in every scatter and
+// propagation loop. A Fragment pays those lookups exactly once, at build
 // time; from then on a superstep's neighbor iteration is a sequential
 // scan of packed addresses that channels consume without ever touching
 // the global graph or the partition. This also makes each worker's

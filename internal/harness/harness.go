@@ -20,7 +20,7 @@ type Row struct {
 }
 
 // Entry is one row of the paper's tables: its table ("4", "5-scatter",
-// "5-reqresp", "5-prop", "6", "7" or "ablation") and label there, its
+// "5-reqresp", "5-prop", "6" or "7") and label there, its
 // root sub-benchmark path without "Benchmark" ("" for none), and what it
 // runs: algorithm, engine, variant, dataset (by paper name), placement
 // (hash, or greedy for the paper's "(P)") and, for PageRank, Iters.
@@ -104,10 +104,6 @@ var Entries = []Entry{
 	{"7", "1-pregel(basic)", "Table7/partitioned/1-pregel-basic", "scc", prg, "basic", "Wikipedia", local, 0},
 	{"7", "2-channel(basic)", "Table7/partitioned/2-channel-basic", "scc", chn, "basic", "Wikipedia", local, 0},
 	{"7", "3-channel(prop.)", "Table7/partitioned/3-channel-prop", "scc", chn, "propagation", "Wikipedia", local, 0},
-	// no table: the Mirror channel against ghost mode and the scatter channel
-	{"ablation", "channel(mirror)", "AblationMirrorChannel/mirror-channel", "pagerank", chn, "mirror", "Wikipedia", hash, 10},
-	{"ablation", "pregel(ghost)", "AblationMirrorChannel/pregel-ghost-mode", "pagerank", prg, "ghost", "Wikipedia", hash, 10},
-	{"ablation", "channel(scatter)", "AblationMirrorChannel/scatter-channel", "pagerank", chn, "scatter", "Wikipedia", hash, 10},
 }
 
 // Metric is what a claim compares.

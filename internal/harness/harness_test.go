@@ -28,8 +28,7 @@ func keyOf(e Entry) entryKey { return entryKey{e.Table, e.Program, e.Dataset, e.
 
 // TestPaperClaims checks that Entries and Claims fit together: every row
 // is unique, every table is checked by a table test, and every claim
-// compares two rows present on the same datasets. It runs the entries no
-// table test covers.
+// compares two rows present on the same datasets.
 func TestPaperClaims(t *testing.T) {
 	rows := map[entryKey]bool{}
 	for _, e := range Entries {
@@ -58,16 +57,9 @@ func TestPaperClaims(t *testing.T) {
 			t.Errorf("table %s has no %s row", c.Table, c.Opt)
 		}
 	}
-	unchecked := map[string]int{}
 	for _, e := range Entries {
 		if !tables[e.Table] {
-			unchecked[e.Table]++
-		}
-	}
-	d := Load(ScaleTest)
-	for table, n := range unchecked {
-		if got := len(Run(d, table)); got != n {
-			t.Errorf("table %s: %d rows, want %d", table, got, n)
+			t.Errorf("entry %v is on table %s, which no table test checks", keyOf(e), e.Table)
 		}
 	}
 }

@@ -56,6 +56,14 @@ type Hub struct {
 	joined   int        // workers registered
 	conns    map[*hubConn]bool
 	allConns []*hubConn // every connection ever registered (relay stats outlive pump exit)
+	// open holds every accepted connection until its serveConn returns,
+	// registered or not: Close closes them all, so a peer that never
+	// says hello cannot keep Close waiting.
+	open map[net.Conn]bool
+	// wg counts the goroutines the hub started — the accept loop, one
+	// serveConn per accepted connection and abort broadcasts — so Close
+	// returns only once each has released what it holds.
+	wg sync.WaitGroup
 
 	// early keeps the arrivals read before all m workers joined, to be
 	// replayed to each process that registers later; once the party is
@@ -126,22 +134,34 @@ func NewHub(m int, _ comm.CostModel, ln net.Listener) *Hub {
 		log:      slog.New(slog.DiscardHandler),
 		hosts:    make([]*hubConn, m),
 		conns:    make(map[*hubConn]bool),
+		open:     make(map[net.Conn]bool),
 		results:  make(map[int][]byte),
 		resultAt: make(map[int]time.Time),
 		settled:  make([]bool, m),
 		allIn:    make(chan struct{}),
 	}
 	h.cond = sync.NewCond(&h.mu)
+	h.wg.Add(1)
 	go h.acceptLoop()
 	return h
 }
 
 func (h *Hub) acceptLoop() {
+	defer h.wg.Done()
 	for {
 		conn, err := h.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		h.mu.Lock()
+		if h.closed {
+			h.mu.Unlock()
+			conn.Close()
+			return
+		}
+		h.open[conn] = true
+		h.wg.Add(1)
+		h.mu.Unlock()
 		go h.serveConn(conn)
 	}
 }
@@ -149,6 +169,12 @@ func (h *Hub) acceptLoop() {
 // serveConn registers a worker process (hello) and then pumps its
 // messages until the connection ends.
 func (h *Hub) serveConn(conn net.Conn) {
+	defer func() {
+		h.mu.Lock()
+		delete(h.open, conn)
+		h.mu.Unlock()
+		h.wg.Done()
+	}()
 	// The reader exists before the hello is read: a worker's hello and
 	// its first messages can share one read.
 	hc := &hubConn{conn: conn,
@@ -622,19 +648,25 @@ func (h *Hub) Abort(reason string) {
 // block the broadcast while h.mu is held and wedge the whole hub —
 // including the WaitResults deadline, whose wakeup needs h.mu too. A
 // write deadline bounds the goroutine against such a worker; its
-// connection is doomed regardless.
+// connection is doomed regardless. A closed hub sends nothing: Close
+// closes every connection.
 func (h *Hub) abortLocked(reason string) {
 	if h.aborted {
 		return
 	}
 	h.aborted, h.reason = true, reason
 	h.log.Warn("job aborted", "reason", reason)
+	h.cond.Broadcast()
+	if h.closed {
+		return
+	}
 	conns := make([]*hubConn, 0, len(h.conns))
 	for hc := range h.conns {
 		conns = append(conns, hc)
 	}
-	h.cond.Broadcast()
+	h.wg.Add(1)
 	go func() {
+		defer h.wg.Done()
 		for _, hc := range conns {
 			hc.wmu.Lock()
 			hc.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
@@ -750,18 +782,21 @@ func (h *Hub) ResultTimes() map[int]time.Time {
 	return out
 }
 
-// Close shuts the hub down: the listener stops accepting and every
-// connection is closed.
+// Close shuts the hub down: the listener stops accepting, every
+// accepted connection is closed, and Close returns once every goroutine
+// the hub started has exited, its connection buffers released from the
+// gauge.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed = true
-	conns := make([]*hubConn, 0, len(h.conns))
-	for hc := range h.conns {
-		conns = append(conns, hc)
+	conns := make([]net.Conn, 0, len(h.open))
+	for conn := range h.open {
+		conns = append(conns, conn)
 	}
 	h.mu.Unlock()
 	h.ln.Close()
-	for _, hc := range conns {
-		hc.conn.Close()
+	for _, conn := range conns {
+		conn.Close()
 	}
+	h.wg.Wait()
 }

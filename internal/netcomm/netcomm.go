@@ -184,6 +184,8 @@ type Client struct {
 
 	cmu    sync.Mutex
 	closed bool
+	// reading counts readLoop, which Close waits for.
+	reading sync.WaitGroup
 }
 
 // Config selects how a worker process joins a job.
@@ -244,6 +246,7 @@ func DialConfig(cfg Config) (*Client, error) {
 		c.Close()
 		return nil, err
 	}
+	c.reading.Add(1)
 	go c.readLoop()
 	return c, nil
 }
@@ -294,6 +297,7 @@ func (c *Client) arrive(k int, sum uint64) error {
 // destination endpoint's pending buffers, relayed arrivals advance the
 // wire barrier, aborts release everything.
 func (c *Client) readLoop() {
+	defer c.reading.Done()
 	// Reads go through one buffer: a round's small frames and the arrival
 	// that follows them usually arrive in a single read. Nothing here may
 	// assume a read ends on a message boundary.
@@ -404,12 +408,15 @@ func (c *Client) Endpoint(id int) comm.Endpoint { return c.eps[id-c.lo] }
 // Barrier implements comm.Fabric.
 func (c *Client) Barrier() barrier.Barrier { return c.bar }
 
-// Close implements comm.Fabric: it closes the hub connection.
+// Close implements comm.Fabric: it closes the hub connection and
+// returns once the read loop has exited.
 func (c *Client) Close() error {
 	c.cmu.Lock()
 	c.closed = true
 	c.cmu.Unlock()
-	return c.conn.Close()
+	err := c.conn.Close()
+	c.reading.Wait()
+	return err
 }
 
 // clientEndpoint is one hosted worker's handle. Incoming frames are

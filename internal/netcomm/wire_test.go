@@ -834,6 +834,50 @@ func TestMsgReaderInPlacePayloads(t *testing.T) {
 	}
 }
 
+// Hub.Close returns only once every connection's goroutine has exited
+// and released its buffers from the gauge: a registered worker's, and
+// that of a peer that connected but never said hello, which is in no
+// routing table.
+func TestHubCloseReleasesEveryConnection(t *testing.T) {
+	start := DataPlaneStats()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(1, comm.CostModel{}, ln)
+	c, err := Dial("tcp", ln.Addr().String(), 0, 0, 1)
+	if err != nil {
+		hub.Close()
+		t.Fatal(err)
+	}
+	defer c.Close()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		hub.Close()
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := hub.WaitJoined(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// the silent peer is being served once its buffers are on the gauge
+	for deadline := time.Now().Add(5 * time.Second); DataPlaneStats() != start+4*connBufSize; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("gauge at %d, want %d with two connections served", DataPlaneStats(), start+4*connBufSize)
+		}
+	}
+	closed := make(chan struct{})
+	go func() { hub.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Hub.Close did not return")
+	}
+	if got := DataPlaneStats(); got != start {
+		t.Fatalf("gauge at %d when Close returned, %d before the hub", got, start)
+	}
+}
+
 // dialParty brings up a hub plus procs clients hosting m workers in
 // contiguous ranges over network ("tcp" or "unix"), co-hosting workers
 // when procs < m, every client dialed with the given DataPlane name.

@@ -37,7 +37,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PIN_REGEX="${PIN_REGEX:-^Benchmark(DirectMessageRing|CombinedMessageFanIn|ScatterCombineRing|ScatterCombineFragment|ScatterCombineFragmentValues|AggregatorSum|RequestRespondHub|PropagationPath|PropagationFragment|MirrorHubBroadcast|LiveIngest|LiveCompact|LivePinRelease|TraceObserverOff|FlowStatsOff|DistributedExchange/(hub|hub-2x2)|RMAT|Undirectify)$}"
+PIN_REGEX="${PIN_REGEX:-^Benchmark(DirectMessageRing|CombinedMessageFanIn|ScatterCombineRing|ScatterCombineFragment|ScatterCombineFragmentValues|AggregatorSum|RequestRespondHub|PropagationPath|PropagationFragment|LiveIngest|LiveCompact|LivePinRelease|TraceObserverOff|FlowStatsOff|DistributedExchange/(hub|hub-2x2)|RMAT|Undirectify)$}"
 MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-20}"
 
 # latest_snapshots prints the two highest-numbered BENCH_<n>.json files
@@ -126,7 +126,7 @@ if [ "${1:-}" = "--check" ]; then
   delta "$old" "$new" check && exit 0 || exit 1
 fi
 
-REGEX="${1:-^(BenchmarkTable[4-7]|BenchmarkDirectMessageRing|BenchmarkCombinedMessageFanIn|BenchmarkScatterCombineRing|BenchmarkScatterCombineFragment|BenchmarkScatterCombineFragmentValues|BenchmarkCombinerFold|BenchmarkAggregatorSum|BenchmarkRequestRespondHub|BenchmarkPropagationPath|BenchmarkPropagationFragment|BenchmarkMirrorHubBroadcast|BenchmarkLiveIngest|BenchmarkLiveCompact|BenchmarkLivePinRelease|BenchmarkTraceObserverOff|BenchmarkTraceObserverOn|BenchmarkFlowStatsOff|BenchmarkFlowStatsOn|BenchmarkCheckpoint|BenchmarkDistributedExchange|BenchmarkRMAT|BenchmarkUndirectify|BenchmarkPushPlanBuild)$}"
+REGEX="${1:-^(BenchmarkTable[4-7]|BenchmarkDirectMessageRing|BenchmarkCombinedMessageFanIn|BenchmarkScatterCombineRing|BenchmarkScatterCombineFragment|BenchmarkScatterCombineFragmentValues|BenchmarkCombinerFold|BenchmarkAggregatorSum|BenchmarkRequestRespondHub|BenchmarkPropagationPath|BenchmarkPropagationFragment|BenchmarkLiveIngest|BenchmarkLiveCompact|BenchmarkLivePinRelease|BenchmarkTraceObserverOff|BenchmarkTraceObserverOn|BenchmarkFlowStatsOff|BenchmarkFlowStatsOn|BenchmarkCheckpoint|BenchmarkDistributedExchange|BenchmarkRMAT|BenchmarkUndirectify|BenchmarkPushPlanBuild)$}"
 BENCHTIME="${BENCHTIME:-20x}"
 COUNT="${COUNT:-5}"
 

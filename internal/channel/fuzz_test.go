@@ -223,6 +223,8 @@ func FuzzUpdateFrames(f *testing.F) {
 	f.Add(script(slices.Concat(uvarints(2, 0, 4), u32le(7, 8))))
 	f.Add(script(slices.Concat(uvarints(1<<33), []byte{1, 1, 0, 0})))
 	f.Add([]byte{})
+	f.Add(script(slices.Concat(uvarints(2, 1, 2), u32le(5))))
+	f.Add(script(slices.Concat(uvarints(1, 2), u32le(7), []byte{0})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := cutScript(data)

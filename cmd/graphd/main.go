@@ -38,7 +38,7 @@
 // (default: the graphworker binary next to graphd).
 //
 // A dataset spec is either a file path (text edge list, or a binary
-// snapshot written by graph.WriteBinary; "<path>.bin" siblings are
+// snapshot written by graph.WriteSnapshot; "<path>.bin" siblings are
 // preferred) or a generator expression such as
 // "gen:rmat:scale=14,ef=10,seed=1" — see catalog.ParseGen. A "live:"
 // prefix registers the dataset mutable: edge batches may be POSTed to

@@ -50,7 +50,10 @@
 // gives every vertex a (owner, localIndex) pair), the combining channels
 // stage outgoing messages in flat per-destination-worker slots keyed by
 // that index, and receivers index straight into flat slices — no hash
-// map is touched on any per-superstep send or receive path. The
+// map is touched on any per-superstep send or receive path. The Pregel
+// baseline stages and delivers through the same slot types
+// (internal/bsp), so the two engines differ in their message format and
+// combiner scope, not in a data structure. The
 // channels that address values to vertices (DirectMessage,
 // CombinedMessage, Propagation) share one update frame — a
 // count, the local indices as uvarints, then the values as one slice —

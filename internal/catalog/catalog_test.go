@@ -153,7 +153,7 @@ func TestFileLoadPrefersBinarySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := graph.WriteBinaryFile(el+graph.SnapshotExt, g); err != nil {
+	if err := graph.WriteSnapshotFile(el+graph.SnapshotExt, g, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -179,7 +179,7 @@ func TestFileLoadPrefersBinarySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Close()
-	if err := graph.WriteBinaryFile(stale+graph.SnapshotExt, g); err != nil {
+	if err := graph.WriteSnapshotFile(stale+graph.SnapshotExt, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-time.Hour)

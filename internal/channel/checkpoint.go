@@ -96,7 +96,7 @@ func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
 	if c.handshaken && c.plan == nil {
 		panic("channel: checkpoint is past the ScatterCombine handshake but the job has no plan")
 	}
-	locals := uint32(len(c.in.val))
+	locals := uint32(len(c.in.Val))
 	for src := range c.tab {
 		c.tab[src] = ckpt.AppendSlice(buf, u32s, nil)
 		for _, li := range c.tab[src] {
@@ -187,8 +187,8 @@ func (c *Propagation[M]) RestoreState(buf *ser.Buffer) {
 // through one compute phase, and the response side (asked, resp,
 // gotResp, respEpoch) is filled again by the restored rounds.
 func (c *RequestRespond[R]) SaveState(buf *ser.Buffer) {
-	ckpt.SaveSlice(buf, addrs, c.at.val)
-	ckpt.SaveSlice(buf, i32s, c.at.epoch)
+	ckpt.SaveSlice(buf, addrs, c.at.Val)
+	ckpt.SaveSlice(buf, i32s, c.at.Epoch)
 	buf.WriteUvarint(uint64(len(c.pending)))
 	for _, lst := range c.pending {
 		ckpt.SaveSlice(buf, u32s, lst)
@@ -198,8 +198,8 @@ func (c *RequestRespond[R]) SaveState(buf *ser.Buffer) {
 
 // RestoreState implements engine.StatefulChannel.
 func (c *RequestRespond[R]) RestoreState(buf *ser.Buffer) {
-	ckpt.LoadSlice(buf, addrs, c.at.val)
-	ckpt.LoadSlice(buf, i32s, c.at.epoch)
+	ckpt.LoadSlice(buf, addrs, c.at.Val)
+	ckpt.LoadSlice(buf, i32s, c.at.Epoch)
 	if n := buf.ReadUvarint(); n != uint64(len(c.pending)) {
 		panic(fmt.Sprintf("channel: checkpoint has %d pending lists, job has %d workers", n, len(c.pending)))
 	}
@@ -208,8 +208,8 @@ func (c *RequestRespond[R]) RestoreState(buf *ser.Buffer) {
 	}
 	// the cut superstep's stamps are what the next compute indexes the
 	// responses with: they must point into the lists just loaded
-	for li, at := range c.at.val {
-		if c.at.epoch[li] != int32(c.w.Superstep()) {
+	for li, at := range c.at.Val {
+		if c.at.Epoch[li] != int32(c.w.Superstep()) {
 			continue
 		}
 		if o := at.Worker(); o >= len(c.pending) || int(at.Local()) >= len(c.pending[o]) {

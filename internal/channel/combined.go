@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 
+	"repro/internal/bsp"
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -22,12 +23,12 @@ type CombinedMessage[M any] struct {
 	combine Combiner[M]
 
 	// sender-side combining: dense per-destination-worker slots
-	out outbox[M]
+	out bsp.Outbox[M]
 	// receiver side: dense slot per local vertex, epoch-stamped with the
 	// superstep whose exchange wrote it (readable in the next superstep);
 	// rx holds the frame being merged.
-	in stamped[M]
-	rx updates[M]
+	in bsp.Stamped[M]
+	rx bsp.Updates[M]
 }
 
 // NewCombinedMessage creates and registers a CombinedMessage channel.
@@ -40,19 +41,19 @@ func NewCombinedMessage[M any](w *engine.Worker, codec ser.Codec[M], combine Com
 // Send sends m to the vertex at packed address a, combining with any
 // message already staged for it on this worker.
 func (c *CombinedMessage[M]) Send(a frag.Addr, m M) {
-	c.out.stage(a.Worker(), a.Local(), m, int32(c.w.Superstep()), c.combine.Combine)
+	c.out.Stage(a.Worker(), a.Local(), m, int32(c.w.Superstep()), c.combine.Combine)
 }
 
 // Message returns the combined message delivered to local vertex li in
 // the previous superstep, and whether any message arrived.
 func (c *CombinedMessage[M]) Message(li int) (M, bool) {
-	return c.in.get(li, int32(c.w.Superstep()-1))
+	return c.in.Get(li, int32(c.w.Superstep()-1))
 }
 
 // Initialize implements engine.Channel.
 func (c *CombinedMessage[M]) Initialize() {
-	c.out = newOutbox[M](c.w)
-	c.in = newStamped[M](c.w.LocalCount())
+	c.out = bsp.NewOutbox[M](c.w.Part())
+	c.in = bsp.NewStamped[M](c.w.LocalCount())
 }
 
 // AfterCompute implements engine.Channel. Nothing to do: epoch stamps
@@ -61,14 +62,17 @@ func (c *CombinedMessage[M]) AfterCompute() {}
 
 // Serialize implements engine.Channel.
 func (c *CombinedMessage[M]) Serialize(dst int, buf *ser.Buffer) {
-	c.out.drain(dst, buf, c.codec)
+	if idx, vals := c.out.Drain(dst); len(idx) > 0 {
+		buf.WriteUvarint(uint64(len(idx)))
+		writeUpdates(buf, c.codec, idx, vals)
+	}
 }
 
 // Deserialize implements engine.Channel: a checked update frame,
 // merged through the Combiner.
 func (c *CombinedMessage[M]) Deserialize(src int, buf *ser.Buffer) {
-	c.rx.reset()
-	idx, vals := c.rx.readLast(buf, c.codec, buf.ReadCount(math.MaxInt), uint32(len(c.in.val)))
+	c.rx.Reset()
+	idx, vals := readLast(&c.rx, buf, c.codec, buf.ReadCount(math.MaxInt), uint32(len(c.in.Val)))
 	deliver(c.w, c.combine, &c.in, int32(c.w.Superstep()), idx, vals)
 }
 

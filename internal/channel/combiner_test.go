@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/frag"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -111,7 +112,7 @@ func kernelSegments() []segment {
 
 // checkKernels holds the fold and merge loops of c against the sequences of scalar
 // Combine calls they stand for: a left fold over each run in combine
-// order, and stamped.merge per delivered value. same compares results
+// order, and Stamped.Merge per delivered value. same compares results
 // (bit patterns for floats: a sum that associates differently is a
 // different answer).
 func checkKernels[M any](t *testing.T, segs []segment, name string, c Combiner[M], gen func(*rand.Rand) M, same func(a, b M) bool) {
@@ -138,29 +139,29 @@ func checkKernels[M any](t *testing.T, segs []segment, name string, c Combiner[M
 		// everywhere and epoch-fresh ones in every third slot
 		const epoch = 5
 		slots := 2*len(got) + 1
-		kernel, scalar := newStamped[M](slots), newStamped[M](slots)
+		kernel, scalar := bsp.NewStamped[M](slots), bsp.NewStamped[M](slots)
 		for li := 0; li < slots; li++ {
 			v, e := gen(rng), int32(epoch-1-li%2)
 			if li%3 == 0 {
 				e = epoch
 			}
-			kernel.set(li, v, e)
-			scalar.set(li, v, e)
+			kernel.Set(li, v, e)
+			scalar.Set(li, v, e)
 		}
 		idx := make([]uint32, len(got))
 		for k := range idx {
 			idx[k] = uint32(2*k + rng.Intn(2))
 		}
 		for round := 0; round < 2; round++ {
-			c.merge(kernel.val, kernel.epoch, epoch, idx, got)
+			c.merge(kernel.Val, kernel.Epoch, epoch, idx, got)
 			for k, li := range idx {
-				scalar.merge(int(li), got[k], epoch, c.Combine)
+				scalar.Merge(int(li), got[k], epoch, c.Combine)
 			}
 		}
 		for li := 0; li < slots; li++ {
-			if kernel.epoch[li] != scalar.epoch[li] || !same(kernel.val[li], scalar.val[li]) {
-				t.Fatalf("%s, %s: merge slot %d = (%v, epoch %d), stamped.merge (%v, epoch %d)", name, seg.name, li,
-					kernel.val[li], kernel.epoch[li], scalar.val[li], scalar.epoch[li])
+			if kernel.Epoch[li] != scalar.Epoch[li] || !same(kernel.Val[li], scalar.Val[li]) {
+				t.Fatalf("%s, %s: merge slot %d = (%v, epoch %d), Stamped.Merge (%v, epoch %d)", name, seg.name, li,
+					kernel.Val[li], kernel.Epoch[li], scalar.Val[li], scalar.Epoch[li])
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package channel
 
 import (
 	"math"
-	"slices"
 
+	"repro/internal/bsp"
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -19,15 +19,10 @@ type DirectMessage[M any] struct {
 
 	// out[d] stages the messages for worker d, destinations as their
 	// local index there — an update section as it goes on the wire.
-	out []updates[M]
-	// rx collects a round's incoming frames in arrival order — source
-	// worker, then frame order — until Again groups them by receiver:
-	// vertex li's messages are inbox[off[li]:off[li+1]], readable in the
-	// superstep after inboxStep.
-	rx        updates[M]
-	off       []uint64
-	inbox     []M
-	inboxStep int32
+	out []bsp.Updates[M]
+	// in collects a round's incoming frames in arrival order — source
+	// worker, then frame order — until Again groups them by receiver.
+	in bsp.Inbox[M]
 }
 
 // NewDirectMessage creates and registers a DirectMessage channel.
@@ -42,9 +37,7 @@ func NewDirectMessage[M any](w *engine.Worker, codec ser.Codec[M]) *DirectMessag
 // addresses (Frag().Neighbors); a destination known only by id is
 // Worker.Addr(id).
 func (c *DirectMessage[M]) Send(a frag.Addr, m M) {
-	o := &c.out[a.Worker()]
-	o.idx = append(o.idx, a.Local())
-	o.vals = append(o.vals, m)
+	c.out[a.Worker()].Add(a.Local(), m)
 }
 
 // Messages returns the messages delivered to local vertex li in the
@@ -52,17 +45,13 @@ func (c *DirectMessage[M]) Send(a frag.Addr, m M) {
 // one source, of their sends. The slice is valid only during the
 // current compute call.
 func (c *DirectMessage[M]) Messages(li int) []M {
-	if c.inboxStep != int32(c.w.Superstep()-1) {
-		return nil
-	}
-	return c.inbox[c.off[li]:c.off[li+1]]
+	return c.in.Messages(li, int32(c.w.Superstep()-1))
 }
 
 // Initialize implements engine.Channel.
 func (c *DirectMessage[M]) Initialize() {
-	c.out = make([]updates[M], c.w.NumWorkers())
-	c.off = make([]uint64, c.w.LocalCount()+2)
-	c.inboxStep = -1
+	c.out = make([]bsp.Updates[M], c.w.NumWorkers())
+	c.in = bsp.NewInbox[M](c.w.LocalCount())
 }
 
 // AfterCompute implements engine.Channel: the inbox is stamped, not cleared.
@@ -71,17 +60,17 @@ func (c *DirectMessage[M]) AfterCompute() {}
 // Serialize implements engine.Channel.
 func (c *DirectMessage[M]) Serialize(dst int, buf *ser.Buffer) {
 	o := &c.out[dst]
-	if len(o.idx) == 0 {
+	if len(o.Idx) == 0 {
 		return
 	}
-	buf.WriteUvarint(uint64(len(o.idx)))
-	writeUpdates(buf, c.codec, o.idx, o.vals)
-	o.reset()
+	buf.WriteUvarint(uint64(len(o.Idx)))
+	writeUpdates(buf, c.codec, o.Idx, o.Vals)
+	o.Reset()
 }
 
 // Deserialize implements engine.Channel: a checked frame joins rx.
 func (c *DirectMessage[M]) Deserialize(src int, buf *ser.Buffer) {
-	idx, _ := c.rx.readLast(buf, c.codec, buf.ReadCount(math.MaxInt), uint32(c.w.LocalCount()))
+	idx, _ := readLast(&c.in.Rx, buf, c.codec, buf.ReadCount(math.MaxInt), uint32(c.w.LocalCount()))
 	for _, li := range idx {
 		c.w.ActivateLocal(int(li))
 	}
@@ -93,11 +82,6 @@ func (c *DirectMessage[M]) Deserialize(src int, buf *ser.Buffer) {
 // rounds of a superstep other channels prolong, which find nothing to
 // group and leave the inbox as it is.
 func (c *DirectMessage[M]) Again() bool {
-	if n := len(c.rx.idx); n > 0 {
-		c.inbox = slices.Grow(c.inbox[:0], n)[:n]
-		groupBy(c.off, c.inbox, c.rx.idx, c.rx.vals)
-		c.inboxStep = int32(c.w.Superstep())
-		c.rx.reset()
-	}
+	c.in.Group(int32(c.w.Superstep()))
 	return false
 }

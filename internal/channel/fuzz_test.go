@@ -56,7 +56,7 @@ func FuzzScatterFrames(f *testing.F) {
 			}
 			return
 		}
-		listed := make([]bool, len(recv.in.val))
+		listed := make([]bool, len(recv.in.Val))
 		for src, tab := range recv.tab {
 			if src != 0 && tab != nil {
 				t.Fatalf("destination list from silent worker %d", src)
@@ -68,7 +68,7 @@ func FuzzScatterFrames(f *testing.F) {
 				listed[li] = true
 			}
 		}
-		for li, e := range recv.in.epoch {
+		for li, e := range recv.in.Epoch {
 			if e >= 0 && !listed[li] { // stamped by a frame
 				t.Fatalf("value delivered to unlisted local %d", li)
 			}

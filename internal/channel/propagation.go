@@ -103,7 +103,7 @@ type Propagation[M comparable] struct {
 	// frame holds one frame's indices and values between the codec and
 	// the kernels, on either side, and its vals a weighted row's
 	// transformed values; setPlan sizes both for the plan.
-	frame updates[M]
+	frame bsp.Updates[M]
 
 	propagatedThisRound bool
 	finalEpoch          int32 // superstep whose propagation has converged
@@ -313,8 +313,8 @@ func (c *Propagation[M]) setPlan(p *frag.PushPlan) {
 			most = max(most, int(p.Off[li+1]-p.Off[li]))
 		}
 	}
-	if cap(c.frame.idx) < most || cap(c.frame.vals) < most {
-		c.frame = updates[M]{idx: make([]uint32, most), vals: make([]M, most)}
+	if cap(c.frame.Idx) < most || cap(c.frame.Vals) < most {
+		c.frame = bsp.Updates[M]{Idx: make([]uint32, most), Vals: make([]M, most)}
 	}
 	if total := n + p.Slots(); cap(c.val) < total {
 		c.val = append(make([]M, 0, total), c.val[:n]...)
@@ -448,7 +448,7 @@ func (c *Propagation[M]) propagateLocal() {
 		for li, ok := c.pop(); ok; li, ok = c.pop() {
 			v, lo, hi := c.val[li], p.Off[li], p.Off[li+1]
 			c.work.rows += int(hi - lo)
-			vals := c.frame.vals[:hi-lo]
+			vals := c.frame.Vals[:hi-lo]
 			for i, wt := range p.W[lo:hi] {
 				vals[i] = c.transform(v, wt)
 			}
@@ -469,7 +469,7 @@ func (c *Propagation[M]) Serialize(dst int, buf *ser.Buffer) {
 	if len(staged) == 0 {
 		return
 	}
-	idx, vals := c.frame.idx[:len(staged)], c.frame.vals[:len(staged)]
+	idx, vals := c.frame.Idx[:len(staged)], c.frame.Vals[:len(staged)]
 	for k, t := range staged {
 		idx[k], vals[k] = c.plan.SlotLocal[t-c.locals], c.val[t]
 		c.st[t] = pvHas
@@ -488,8 +488,8 @@ func (c *Propagation[M]) Deserialize(src int, buf *ser.Buffer) {
 	if n > uint64(c.locals) {
 		panic(fmt.Sprintf("channel: Propagation: frame of %d updates in %d bytes, worker hosts %d vertices", n, buf.Remaining(), c.locals))
 	}
-	c.frame.reset()
-	idx, vals := c.frame.readLast(buf, c.codec, int(n), c.locals)
+	c.frame.Reset()
+	idx, vals := readLast(&c.frame, buf, c.codec, int(n), c.locals)
 	c.combine.absorb(&c.pushState, idx, vals)
 }
 

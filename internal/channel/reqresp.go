@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/bsp"
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -44,11 +45,11 @@ type RequestRespond[R any] struct {
 	// superstep's values readable through compute. slot and staging form
 	// a sparse set: local index l of worker o is staged iff
 	// staging[o][slot[o][l]] == l, so slots are never cleared or stamped.
-	slot      [][]uint32         // per owner worker: remote local index -> position in staging
-	staging   [][]uint32         // per owner worker: unique requested local indices, first-touch order
-	pending   [][]uint32         // per owner worker: the request lists of this superstep's rounds
-	at        stamped[frag.Addr] // per local vertex: (owner, position) of what it asked for
-	resp      [][]R              // per owner worker: values aligned with the request list
+	slot      [][]uint32             // per owner worker: remote local index -> position in staging
+	staging   [][]uint32             // per owner worker: unique requested local indices, first-touch order
+	pending   [][]uint32             // per owner worker: the request lists of this superstep's rounds
+	at        bsp.Stamped[frag.Addr] // per local vertex: (owner, position) of what it asked for
+	resp      [][]R                  // per owner worker: values aligned with the request list
 	gotResp   []bool
 	respEpoch int32 // superstep whose responses are stored
 
@@ -86,14 +87,14 @@ func (c *RequestRespond[R]) Request(a frag.Addr) {
 		c.slot[o][l] = pos
 		c.staging[o] = append(lst, l)
 	}
-	c.at.set(c.w.CurrentLocal(), frag.Pack(o, pos), int32(c.w.Superstep()))
+	c.at.Set(c.w.CurrentLocal(), frag.Pack(o, pos), int32(c.w.Superstep()))
 }
 
 // Respond returns the value for the destination the current vertex
 // requested in the previous superstep.
 func (c *RequestRespond[R]) Respond() (R, bool) {
 	prev := int32(c.w.Superstep() - 1)
-	at, ok := c.at.get(c.w.CurrentLocal(), prev)
+	at, ok := c.at.Get(c.w.CurrentLocal(), prev)
 	if !ok || c.respEpoch != prev || !c.gotResp[at.Worker()] {
 		var zero R
 		return zero, false
@@ -110,7 +111,7 @@ func (c *RequestRespond[R]) Initialize() {
 	}
 	c.staging = make([][]uint32, m)
 	c.pending = make([][]uint32, m)
-	c.at = newStamped[frag.Addr](c.w.LocalCount())
+	c.at = bsp.NewStamped[frag.Addr](c.w.LocalCount())
 	c.resp = make([][]R, m)
 	c.gotResp = make([]bool, m)
 	c.asked = make([][]int32, m)

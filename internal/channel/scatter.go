@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 
+	"repro/internal/bsp"
 	"repro/internal/engine"
 	"repro/internal/frag"
 	"repro/internal/ser"
@@ -59,7 +60,7 @@ type ScatterCombine[M any] struct {
 	reg  edgeReg // AddAddr registrations; non-empty iff plan is private
 
 	// per-superstep source values, epoch-stamped by SetMessage
-	srcVal stamped[M]
+	srcVal bsp.Stamped[M]
 	// setEpoch is the superstep of the latest SetMessage; supersteps in
 	// which no local vertex scatters skip the plan scan entirely (in a
 	// multi-phase algorithm like S-V most supersteps do not scatter).
@@ -77,7 +78,7 @@ type ScatterCombine[M any] struct {
 	// receiver side: tab[src] is the destination list worker src's
 	// frames are ordered by; in is the dense slot per local vertex
 	tab [][]uint32
-	in  stamped[M]
+	in  bsp.Stamped[M]
 
 	// vals holds one frame's values between the Combiner and the codec,
 	// on either side; have marks the destinations of a partial frame that
@@ -126,7 +127,7 @@ func (c *ScatterCombine[M]) AddAddr(a frag.Addr) {
 // SetMessage sends nothing.
 func (c *ScatterCombine[M]) SetMessage(m M) {
 	c.setEpoch = int32(c.w.Superstep())
-	c.srcVal.set(c.w.CurrentLocal(), m, c.setEpoch)
+	c.srcVal.Set(c.w.CurrentLocal(), m, c.setEpoch)
 }
 
 // Values returns the source values, one slot per local vertex, for a
@@ -139,19 +140,19 @@ func (c *ScatterCombine[M]) SetMessage(m M) {
 func (c *ScatterCombine[M]) Values() []M {
 	c.setEpoch = int32(c.w.Superstep())
 	c.valuesEpoch = c.setEpoch
-	return c.srcVal.val
+	return c.srcVal.Val
 }
 
 // Message returns the combined value delivered to local vertex li in the
 // previous superstep.
 func (c *ScatterCombine[M]) Message(li int) (M, bool) {
-	return c.in.get(li, int32(c.w.Superstep()-1))
+	return c.in.Get(li, int32(c.w.Superstep()-1))
 }
 
 // Initialize implements engine.Channel.
 func (c *ScatterCombine[M]) Initialize() {
-	c.srcVal = newStamped[M](c.w.LocalCount())
-	c.in = newStamped[M](c.w.LocalCount())
+	c.srcVal = bsp.NewStamped[M](c.w.LocalCount())
+	c.in = bsp.NewStamped[M](c.w.LocalCount())
 	c.tab = make([][]uint32, c.w.NumWorkers())
 	most := 0
 	for d := range c.tab {
@@ -181,7 +182,7 @@ func (c *ScatterCombine[M]) AfterCompute() {
 	c.dense = c.plan != nil && c.setEpoch == e
 	if c.dense && c.valuesEpoch != e {
 		for _, s := range c.plan.Sources {
-			if c.srcVal.epoch[s] != e {
+			if c.srcVal.Epoch[s] != e {
 				c.dense = false
 				break
 			}
@@ -220,14 +221,14 @@ func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 	}
 	out := c.vals[:len(seg.Dst)]
 	if c.dense {
-		c.combine.fold(out, c.srcVal.val, seg.Src, seg.Groups)
+		c.combine.fold(out, c.srcVal.Val, seg.Src, seg.Groups)
 		ser.EncodeSlice(buf, c.codec, out)
 		return
 	}
 	// the fold's walk over the lane layout, one fresh check per edge
 	have := c.have[:len(seg.Dst)]
 	clear(have)
-	val, fresh, i := c.srcVal.val, c.srcVal.epoch, 0
+	val, fresh, i := c.srcVal.Val, c.srcVal.Epoch, 0
 	for gi := range seg.Groups {
 		g := &seg.Groups[gi]
 		j := uint32(0)
@@ -294,7 +295,7 @@ func (c *ScatterCombine[M]) Deserialize(src int, buf *ser.Buffer) {
 			if presence>>(k&7)&1 == 0 {
 				continue
 			}
-			c.in.merge(int(li), c.codec.Decode(buf), e, c.combine.Combine)
+			c.in.Merge(int(li), c.codec.Decode(buf), e, c.combine.Combine)
 			c.w.ActivateLocal(int(li))
 		}
 	}
@@ -309,7 +310,7 @@ func (c *ScatterCombine[M]) readTable(src int, buf *ser.Buffer) {
 	if c.tab[src] != nil {
 		panic("channel: ScatterCombine: second destination list")
 	}
-	locals := uint64(len(c.in.val))
+	locals := uint64(len(c.in.Val))
 	n := buf.ReadUvarint()
 	if n == 0 || n > locals {
 		panic(fmt.Sprintf("channel: ScatterCombine: destination list of %d entries, worker hosts %d vertices", n, locals))

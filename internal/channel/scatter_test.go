@@ -228,8 +228,8 @@ func TestScatterCombineRejectsHostileFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for li, want := range []uint32{3, 0, 9, 0} {
-		if recv.in.val[li] != want {
-			t.Errorf("local %d holds %d want %d", li, recv.in.val[li], want)
+		if recv.in.Val[li] != want {
+			t.Errorf("local %d holds %d want %d", li, recv.in.Val[li], want)
 		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 //	  workers uint32
 //	  owner   n x uint16
 //
-// Version-1 snapshots remain readable; WriteBinary without placements
+// Version-1 snapshots remain readable; WriteSnapshot without placements
 // still writes version 1, so older readers keep working.
 
 const (
@@ -68,11 +68,6 @@ func capHint(n uint64) uint64 {
 		return limit
 	}
 	return n
-}
-
-// WriteBinary writes g as a version-1 binary CSR snapshot.
-func WriteBinary(w io.Writer, g *Graph) error {
-	return WriteSnapshot(w, g, nil)
 }
 
 // WriteSnapshot writes g as a binary snapshot, embedding the given
@@ -157,13 +152,6 @@ func WriteSnapshot(w io.Writer, g *Graph, placements []Placement) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadBinary parses a snapshot written by WriteBinary/WriteSnapshot,
-// dropping any embedded placements.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	g, _, err := ReadSnapshot(r)
-	return g, err
 }
 
 // ReadSnapshot parses a snapshot and returns the graph plus any
@@ -268,11 +256,6 @@ func ReadSnapshot(r io.Reader) (*Graph, []Placement, error) {
 	return g, placements, nil
 }
 
-// WriteBinaryFile writes a snapshot to path atomically (tmp + rename).
-func WriteBinaryFile(path string, g *Graph) error {
-	return WriteSnapshotFile(path, g, nil)
-}
-
 // WriteSnapshotFile writes a snapshot with embedded placements to path
 // atomically (tmp + rename).
 func WriteSnapshotFile(path string, g *Graph, placements []Placement) error {
@@ -291,12 +274,6 @@ func WriteSnapshotFile(path string, g *Graph, placements []Placement) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// ReadBinaryFile reads a snapshot from path, dropping placements.
-func ReadBinaryFile(path string) (*Graph, error) {
-	g, _, err := ReadSnapshotFile(path)
-	return g, err
 }
 
 // ReadSnapshotFile reads a snapshot plus embedded placements from path.

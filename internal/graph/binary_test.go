@@ -50,10 +50,10 @@ func TestBinaryRoundtrip(t *testing.T) {
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WriteBinary(&buf, g); err != nil {
+			if err := WriteSnapshot(&buf, g, nil); err != nil {
 				t.Fatal(err)
 			}
-			g2, err := ReadBinary(&buf)
+			g2, _, err := ReadSnapshot(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,10 +65,10 @@ func TestBinaryRoundtrip(t *testing.T) {
 func TestBinaryFileRoundtrip(t *testing.T) {
 	g := RMAT(5, 4, 11, RMATOptions{Weighted: true, MaxWeight: 100})
 	path := filepath.Join(t.TempDir(), "g"+SnapshotExt)
-	if err := WriteBinaryFile(path, g); err != nil {
+	if err := WriteSnapshotFile(path, g, nil); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinaryFile(path)
+	g2, _, err := ReadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBinaryFileRoundtrip(t *testing.T) {
 func TestBinaryRejectsCorrupt(t *testing.T) {
 	g := RMAT(5, 4, 11, RMATOptions{})
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := WriteSnapshot(&buf, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -94,7 +94,7 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
 				t.Fatal("expected error")
 			}
 		})
@@ -108,7 +108,7 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 	for i := 12; i < 20; i++ {
 		hostile[i] = 0xff // n
 	}
-	if _, err := ReadBinary(bytes.NewReader(hostile)); err == nil ||
+	if _, _, err := ReadSnapshot(bytes.NewReader(hostile)); err == nil ||
 		!strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("hostile header: got %v", err)
 	}
@@ -119,14 +119,14 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		bad[adjStart+i] = 0xff
 	}
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil ||
+	if _, _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("expected out-of-range error, got %v", err)
 	}
 }
 
-// Version-2 snapshots carry named placements; they must round-trip and
-// version-1 readers of the same data (ReadBinary) must still work.
+// Version-2 snapshots carry named placements; they must round-trip, and
+// a reader that wants only the graph must still get it.
 func TestSnapshotPlacementsRoundTrip(t *testing.T) {
 	g := Grid(6, 7, 9, 3)
 	n := g.NumVertices()
@@ -164,10 +164,10 @@ func TestSnapshotPlacementsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// the graph-only reader tolerates (and drops) the placement section
-	g3, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	// a graph-only caller drops the placement section
+	g3, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil || g3.NumVertices() != n {
-		t.Fatalf("ReadBinary on v2 snapshot: %v", err)
+		t.Fatalf("ReadSnapshot on v2 snapshot: %v", err)
 	}
 	// no placements -> version-1 bytes -> ReadSnapshot returns nil
 	var v1 bytes.Buffer

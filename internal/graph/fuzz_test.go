@@ -59,7 +59,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err := WriteSnapshot(&rt, g, nil); err != nil {
 			t.Fatalf("round-trip write: %v", err)
 		}
-		if _, err := ReadBinary(bytes.NewReader(rt.Bytes())); err != nil {
+		if _, _, err := ReadSnapshot(bytes.NewReader(rt.Bytes())); err != nil {
 			t.Fatalf("round-trip read: %v", err)
 		}
 	})

@@ -1,11 +1,14 @@
 // Package pregel implements the baseline the paper compares against: a
 // classic Pregel engine with a monolithic message-passing interface, in
-// the style of Pregel+, on the same superstep driver as the channel
-// engine (internal/bsp) — so the two differ in what a round carries and
-// nothing else. One global message type serves every communication in
-// the program (the root cause of the problems §II-B describes), a single
-// optional global combiner applies to all messages or none, and two
-// optional special modes extend the engine the way Pregel+ does:
+// the style of Pregel+. It runs on the same superstep driver as the
+// channel engine and stages and delivers through the same slot types
+// (internal/bsp), so the two are measured on what the model fixes and
+// nothing else: its message format — one global message type serves
+// every communication in the program (the root cause of the problems
+// §II-B describes), each message tagged with its destination as a fixed
+// uint32 — and its combiner scope — a single optional global combiner
+// applies to all messages or none (§V-B1). Two optional special modes
+// extend the engine the way Pregel+ does:
 //
 //   - reqresp mode: vertices may request an attribute of any vertex;
 //     requests are merged per worker, but — as in Pregel+ and unlike the
@@ -20,10 +23,11 @@
 // The wire protocol is fixed by the configuration: round 1 carries
 // messages, ghost broadcasts, requests and aggregator partials; round 2
 // (present iff reqresp or an aggregator is configured) carries responses
-// and the aggregator result. Superstep samples carry whole-buffer byte
-// counts, one frame per buffer, and no per-channel breakdown, since a
-// monolithic stream has no channels to attribute to; checkpoint records
-// carry the per-vertex request stamps of reqresp mode.
+// and the aggregator result. Every index read off a peer's buffer is
+// checked before use. Superstep samples carry whole-buffer byte counts,
+// one frame per buffer, and no per-channel breakdown, since a monolithic
+// stream has no channels to attribute to; checkpoint records carry the
+// per-vertex request stamps of reqresp mode.
 package pregel
 
 import (
@@ -79,35 +83,28 @@ type Worker[M, R, A any] struct {
 	// with the combined/collected messages from the previous superstep.
 	Compute func(li int, msgs []M)
 
-	// outgoing message staging. Destinations are staged pre-resolved as
-	// their dense local index on the owning worker (also the wire
-	// encoding — one fixed uint32 per message, exactly the bytes the
-	// global-id format used). Combining still stages through a hash map:
-	// that is the monolithic baseline of §V-B1 the dense channels are
-	// measured against.
-	outDirect [][]dmsg[M]    // basic mode: per dst worker
-	outComb   []map[uint32]M // combiner mode: per dst worker, keyed by local index
-	outGhost  [][]dmsg[M]    // ghost broadcasts: per dst worker (dst = hub id)
+	// outgoing staging. Destinations are staged pre-resolved as their
+	// dense local index on the owning worker, which is also what the
+	// wire carries.
+	out   []bsp.Updates[M] // basic mode: per dst worker
+	comb  bsp.Outbox[M]    // combiner mode: per dst worker, first-touch order
+	ghost []bsp.Updates[M] // ghost broadcasts: per dst worker, Idx = hub id
 	// ghost tables
 	hubWorkers [][]int32                  // per local hub slot: worker ids with mirrors
 	hubSlot    []int32                    // per local vertex: index into hubWorkers or -1
 	ghostAdj   map[graph.VertexID][]int32 // hub id -> local neighbor indices on this worker
 
-	// inbox (delivered last superstep)
-	inboxList [][]M
-	touched   []int
-	inComb    []M
-	inCombSet []int32 // epoch stamps
-	scratch   []M
+	// delivered last superstep: with a combiner, one value per vertex;
+	// without, round 1's messages in arrival order (source worker, then
+	// send order), grouped by receiver in Again
+	in    bsp.Stamped[M]
+	inbox bsp.Inbox[M]
 
-	// reqresp state: requests held as local indices on the responder
-	// (resolved once in Request), responses keyed the same way
-	reqStaging [][]uint32
-	reqPending [][]uint32
-	asked      [][]uint32
-	respVals   []map[uint32]R
-	reqOf      []frag.Addr
-	reqEpoch   []int32
+	// reqresp state
+	at    bsp.Stamped[frag.Addr] // per local vertex: what it requested, when
+	req   bsp.Outbox[struct{}]   // requests per responder, deduplicated
+	asked [][]uint32             // per requester: local indices it asked for
+	resp  []bsp.Stamped[R]       // per responder: its responses, by local index
 
 	// aggregator state
 	aggCurr     A
@@ -115,13 +112,6 @@ type Worker[M, R, A any] struct {
 	aggResult   A
 	aggGathered A
 	aggGathSet  bool
-}
-
-// dmsg is one staged message; dst is a pre-resolved local index on the
-// destination worker (or a hub's global id on the ghost path).
-type dmsg[M any] struct {
-	dst uint32
-	m   M
 }
 
 // Run executes a baseline job. setup is called once per worker to
@@ -161,17 +151,11 @@ func (w *Worker[M, R, A]) Send(dst graph.VertexID, m M) {
 // SendAddr sends m to the vertex at packed address a, delivered next
 // superstep.
 func (w *Worker[M, R, A]) SendAddr(a frag.Addr, m M) {
-	o := a.Worker()
-	li := a.Local()
 	if w.cfg.Combiner != nil {
-		if old, ok := w.outComb[o][li]; ok {
-			w.outComb[o][li] = w.cfg.Combiner(old, m)
-		} else {
-			w.outComb[o][li] = m
-		}
+		w.comb.Stage(a.Worker(), a.Local(), m, int32(w.Superstep()), w.cfg.Combiner)
 		return
 	}
-	w.outDirect[o] = append(w.outDirect[o], dmsg[M]{dst: li, m: m})
+	w.out[a.Worker()].Add(a.Local(), m)
 }
 
 // SendToNbrs broadcasts m along the out-edges of the current vertex.
@@ -185,7 +169,7 @@ func (w *Worker[M, R, A]) SendToNbrs(m M) {
 	if slot := w.hubSlot; slot != nil && slot[cur] >= 0 {
 		id := uint32(w.GlobalID(cur))
 		for _, wk := range w.hubWorkers[slot[cur]] {
-			w.outGhost[wk] = append(w.outGhost[wk], dmsg[M]{dst: id, m: m})
+			w.ghost[wk].Add(id, m)
 		}
 		return
 	}
@@ -200,31 +184,24 @@ func (w *Worker[M, R, A]) Request(dst graph.VertexID) {
 	if w.cfg.Responder == nil {
 		panic("pregel: Request requires Config.Responder")
 	}
-	a, cur := w.Addr(dst), w.CurrentLocal()
-	w.reqOf[cur] = a
-	w.reqEpoch[cur] = int32(w.Superstep())
-	w.reqStaging[a.Worker()] = append(w.reqStaging[a.Worker()], a.Local())
+	a, e := w.Addr(dst), int32(w.Superstep())
+	w.at.Set(w.CurrentLocal(), a, e)
+	w.req.Stage(a.Worker(), a.Local(), struct{}{}, e, repeat)
 }
+
+// repeat combines a repeated request into the staged one: requests
+// carry no value, the slot's stamp is the dedup.
+func repeat(a, _ struct{}) struct{} { return a }
 
 // Resp returns the response for the destination the current vertex
 // requested in the previous superstep.
 func (w *Worker[M, R, A]) Resp() (R, bool) {
-	var zero R
-	cur := w.CurrentLocal()
-	if w.reqEpoch[cur] != int32(w.Superstep()-1) {
-		return zero, false
+	prev := int32(w.Superstep() - 1)
+	if a, ok := w.at.Get(w.CurrentLocal(), prev); ok {
+		return w.resp[a.Worker()].Get(int(a.Local()), prev)
 	}
-	a := w.reqOf[cur]
-	v, ok := w.respVals[a.Worker()][a.Local()]
-	return v, ok
-}
-
-// RespFor returns the response for an explicit destination requested in
-// the previous superstep by any vertex of this worker.
-func (w *Worker[M, R, A]) RespFor(dst graph.VertexID) (R, bool) {
-	a := w.Addr(dst)
-	v, ok := w.respVals[a.Worker()][a.Local()]
-	return v, ok
+	var zero R
+	return zero, false
 }
 
 // Aggregate contributes a to this superstep's aggregation.
@@ -233,11 +210,9 @@ func (w *Worker[M, R, A]) Aggregate(a A) {
 		panic("pregel: Aggregate requires Config.AggCombine")
 	}
 	if w.aggCurrSet {
-		w.aggCurr = w.cfg.AggCombine(w.aggCurr, a)
-	} else {
-		w.aggCurr = a
-		w.aggCurrSet = true
+		a = w.cfg.AggCombine(w.aggCurr, a)
 	}
+	w.aggCurr, w.aggCurrSet = a, true
 }
 
 // AggResult returns the aggregate of the previous superstep.

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -433,29 +434,59 @@ func TestPregelCancelMidRun(t *testing.T) {
 	}
 }
 
-// A peer's round buffer must be consumed exactly: worker 1 runs the real
-// baseline over the socket fabric while worker 0 is a scripted peer that
-// sends it one hand-made round-1 buffer. Bytes left over after the
-// round's format and a buffer cut short inside a message must each fail
-// the job with a worker error naming the source — never be dropped
+// A peer's round buffer must be consumed exactly and may address only
+// what exists: worker 1 runs the real baseline over the socket fabric
+// while worker 0 is a scripted peer that sends it one hand-made round-1
+// buffer. Bytes left over after the round's format, a buffer cut short
+// inside a message, an index past the vertices worker 1 hosts and a
+// ghost broadcast of a vertex with no mirror there must each fail the
+// job with a worker error naming the source — never be dropped
 // silently, never take the process down.
 func TestPregelRejectsTrailingAndShortFrames(t *testing.T) {
+	reqresp := func(cfg *Config[uint32, uint32, noRR]) {
+		cfg.RespCodec = ser.Uint32Codec{}
+		cfg.Responder = func(w *Worker[uint32, uint32, noRR], li int) uint32 {
+			return make([]uint32, w.LocalCount())[li] // indexes vertex state, as algorithms do
+		}
+	}
+	ghost := func(cfg *Config[uint32, uint32, noRR]) {
+		// vertex 0 is a hub with neighbors on both workers
+		cfg.GhostThreshold = 2
+		cfg.Adjacency = graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}}, false)
+	}
 	for _, tc := range []struct {
 		name  string
+		mode  func(*Config[uint32, uint32, noRR])
 		frame func(b *ser.Buffer)
 		want  string
 	}{
-		{"trailing", func(b *ser.Buffer) {
+		{"trailing", nil, func(b *ser.Buffer) {
 			b.WriteUvarint(0) // no messages, then two bytes the format has no place for
 			b.WriteUint8(0xde)
 			b.WriteUint8(0xad)
 		}, "2 trailing bytes in round 1 from worker 0"},
-		{"short", func(b *ser.Buffer) {
+		{"short", nil, func(b *ser.Buffer) {
 			b.WriteUvarint(1) // one message: its local index, then half its value
 			b.WriteUint32(0)
 			b.WriteUint8(7)
 			b.WriteUint8(0)
 		}, "corrupt frame content from worker 0"},
+		{"message-index", nil, func(b *ser.Buffer) {
+			b.WriteUvarint(1) // one message to local index 1000 of a 2-vertex worker
+			b.WriteUint32(1000)
+			b.WriteUint32(7)
+		}, "message for local index 1000, worker hosts 2 vertices"},
+		{"request-index", reqresp, func(b *ser.Buffer) {
+			b.WriteUvarint(0) // no messages, one request for local index 1000
+			b.WriteUvarint(1)
+			b.WriteUint32(1000)
+		}, "request for local index 1000, worker hosts 2 vertices"},
+		{"unknown-hub", ghost, func(b *ser.Buffer) {
+			b.WriteUvarint(0) // no messages, one ghost broadcast of vertex 3, no hub
+			b.WriteUvarint(1)
+			b.WriteUint32(3)
+			b.WriteUint32(7)
+		}, "ghost broadcast of vertex 3, which has no mirror here"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -476,9 +507,14 @@ func TestPregelRejectsTrailingAndShortFrames(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			go func() {
-				cfg := basicCfg(4, 2)
-				cfg.Fabric = clients[1]
-				_, err := Run(cfg, func(w *Worker[uint32, noRR, noRR]) {
+				cfg := Config[uint32, uint32, noRR]{
+					Env:      bsp.Env{Part: partition.MustHash(4, 2), Fabric: clients[1]},
+					MsgCodec: ser.Uint32Codec{},
+				}
+				if tc.mode != nil {
+					tc.mode(&cfg)
+				}
+				_, err := Run(cfg, func(w *Worker[uint32, uint32, noRR]) {
 					w.Compute = func(li int, msgs []uint32) { w.VoteToHalt() }
 				})
 				done <- err
@@ -507,4 +543,75 @@ func TestPregelRejectsTrailingAndShortFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A combiner job's buffers are the same bytes run after run: staging
+// keeps each destination's entries in first-touch order, so nothing on
+// the wire depends on hash-map iteration.
+func TestPregelFramesAreDeterministic(t *testing.T) {
+	g := graph.SocialRMAT(9, 8, 3)
+	run := func() [][][]byte {
+		fab := &recorder{Fabric: comm.NewInProc(4), sent: make([][][]byte, 4)}
+		cfg := Config[float64, noRR, noRR]{
+			Env:       bsp.Env{Part: partition.MustHash(g.NumVertices(), 4), Fabric: fab},
+			MsgCodec:  ser.Float64Codec{},
+			Combiner:  func(a, b float64) float64 { return a + b },
+			Adjacency: g,
+		}
+		_, err := Run(cfg, func(w *Worker[float64, noRR, noRR]) {
+			rank := make([]float64, w.LocalCount())
+			w.Compute = func(li int, msgs []float64) {
+				rank[li] = 0.15
+				if len(msgs) > 0 {
+					rank[li] += 0.85 * msgs[0]
+				}
+				if w.Superstep() == 5 {
+					w.VoteToHalt()
+					return
+				}
+				if d := w.Frag().OutDegree(li); d > 0 {
+					w.SendToNbrs(rank[li] / float64(d))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fab.sent
+	}
+	first, second := run(), run()
+	for id := range first {
+		if len(first[id]) != len(second[id]) {
+			t.Fatalf("worker %d flushed %d buffers, then %d", id, len(first[id]), len(second[id]))
+		}
+		for k := range first[id] {
+			if !bytes.Equal(first[id][k], second[id][k]) {
+				t.Fatalf("worker %d: buffer %d differs between two runs of one job", id, k)
+			}
+		}
+	}
+}
+
+// recorder is an in-process fabric that keeps a copy of every buffer
+// each worker flushes, in flush and then destination order.
+type recorder struct {
+	comm.Fabric
+	sent [][][]byte
+}
+
+func (r *recorder) Endpoint(id int) comm.Endpoint {
+	return recEndpoint{r.Fabric.Endpoint(id), r.NumWorkers(), &r.sent[id]}
+}
+
+type recEndpoint struct {
+	comm.Endpoint
+	m    int
+	sent *[][]byte
+}
+
+func (e recEndpoint) Flush() error {
+	for dst := 0; dst < e.m; dst++ {
+		*e.sent = append(*e.sent, bytes.Clone(e.Out(dst).Bytes()))
+	}
+	return e.Endpoint.Flush()
 }

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
+	"repro/internal/bsp"
 	"repro/internal/ckpt"
 	"repro/internal/frag"
 	"repro/internal/graph"
@@ -19,29 +19,22 @@ type program[M, R, A any] struct{ *Worker[M, R, A] }
 func (p program[M, R, A]) Setup() error {
 	w, cfg := p.Worker, p.cfg
 	m, n := w.NumWorkers(), w.LocalCount()
-	w.outDirect = make([][]dmsg[M], m)
-	w.outComb = make([]map[uint32]M, m)
-	for i := range w.outComb {
-		w.outComb[i] = make(map[uint32]M)
-	}
 	if cfg.Combiner != nil {
-		w.inComb = make([]M, n)
-		w.inCombSet = make([]int32, n)
-		w.scratch = make([]M, 1)
+		w.comb = bsp.NewOutbox[M](w.Part())
+		w.in = bsp.NewStamped[M](n)
 	} else {
-		w.inboxList = make([][]M, n)
+		w.out = make([]bsp.Updates[M], m)
+		w.inbox = bsp.NewInbox[M](n)
 	}
 	w.rounds = 1
 	if cfg.Responder != nil {
-		w.reqStaging = make([][]uint32, m)
-		w.reqPending = make([][]uint32, m)
+		w.at = bsp.NewStamped[frag.Addr](n)
+		w.req = bsp.NewOutbox[struct{}](w.Part())
 		w.asked = make([][]uint32, m)
-		w.respVals = make([]map[uint32]R, m)
-		for i := range w.respVals {
-			w.respVals[i] = make(map[uint32]R)
+		w.resp = make([]bsp.Stamped[R], m)
+		for o := range w.resp {
+			w.resp[o] = bsp.NewStamped[R](w.Part().LocalCount(o))
 		}
-		w.reqOf = make([]frag.Addr, n)
-		w.reqEpoch = make([]int32, n)
 		w.rounds = 2
 	}
 	if cfg.AggCombine != nil {
@@ -50,7 +43,7 @@ func (p program[M, R, A]) Setup() error {
 	w.aggResult = cfg.AggZero
 	if cfg.GhostThreshold > 0 {
 		w.buildGhostTables()
-		w.outGhost = make([][]dmsg[M], m)
+		w.ghost = make([]bsp.Updates[M], m)
 	}
 	w.setup(w)
 	if w.Compute == nil {
@@ -70,7 +63,9 @@ func (p program[M, R, A]) Compute() {
 		}
 	}
 	w.SetCurrent(-1)
-	w.afterCompute()
+	if w.cfg.AggCombine != nil { // a fresh gather for this superstep's partials
+		w.aggGathered, w.aggGathSet = w.cfg.AggZero, false
+	}
 }
 
 func (p program[M, R, A]) Serialize(dst int, buf *ser.Buffer) {
@@ -105,7 +100,12 @@ func (p program[M, R, A]) Deserialize(src int, in *ser.Buffer) error {
 
 func (p program[M, R, A]) Decoding() any { return nil }
 
-func (p program[M, R, A]) Again() bool { return p.Round() < p.rounds }
+// Again groups the messages round 1 delivered without a combiner into
+// the inbox; later rounds deliver none.
+func (p program[M, R, A]) Again() bool {
+	p.inbox.Group(int32(p.Superstep()))
+	return p.Round() < p.rounds
+}
 
 // SaveState records the engine-private state that round 1's outgoing
 // buffers do not carry — the per-vertex request stamps, which were
@@ -118,12 +118,8 @@ func (p program[M, R, A]) SaveState(rec *ckpt.Record) {
 		return
 	}
 	buf := ser.NewBuffer(4096)
-	for _, a := range p.reqOf {
-		buf.WriteUvarint(uint64(a))
-	}
-	for _, e := range p.reqEpoch {
-		buf.WriteVarint(int64(e))
-	}
+	ckpt.SaveSlice(buf, ser.VarintCodec[frag.Addr]{}, p.at.Val)
+	ckpt.SaveSlice(buf, ser.VarintCodec[int32]{}, p.at.Epoch)
 	rec.Engine = append([]byte(nil), buf.Bytes()...)
 }
 
@@ -134,109 +130,80 @@ func (p program[M, R, A]) RestoreState(rec *ckpt.Record) error {
 	}
 	if cfg.Responder != nil {
 		eng := ser.FromBytes(rec.Engine)
-		for li := range w.reqOf {
-			w.reqOf[li] = frag.Addr(eng.ReadUvarint())
-		}
-		for li := range w.reqEpoch {
-			w.reqEpoch[li] = int32(eng.ReadVarint())
-		}
+		ckpt.LoadSlice(eng, ser.VarintCodec[frag.Addr]{}, w.at.Val)
+		ckpt.LoadSlice(eng, ser.VarintCodec[int32]{}, w.at.Epoch)
 		if eng.Remaining() != 0 {
 			return fmt.Errorf("record engine blob has %d trailing bytes", eng.Remaining())
+		}
+		// the next compute reads the cut superstep's requests as
+		// indices into the responses
+		for li, a := range w.at.Val {
+			if w.at.Epoch[li] == int32(rec.Superstep) &&
+				(a.Worker() >= w.NumWorkers() || int(a.Local()) >= w.Part().LocalCount(a.Worker())) {
+				return fmt.Errorf("record has vertex %d requesting local %d of worker %d, outside the job", li, a.Local(), a.Worker())
+			}
 		}
 	} else if len(rec.Engine) != 0 {
 		return fmt.Errorf("record carries engine state but no Responder is configured")
 	}
 	if cfg.AggCombine != nil {
-		// afterCompute ran before the live cut, so the gather side starts
+		// Compute reset it before the live cut, so the gather side starts
 		// the restored rounds zeroed.
-		w.aggGathered = cfg.AggZero
-		w.aggGathSet = false
+		w.aggGathered, w.aggGathSet = cfg.AggZero, false
 	}
 	return nil
 }
 
 // messagesFor returns the messages delivered to li last superstep.
 func (w *Worker[M, R, A]) messagesFor(li int) []M {
+	prev := int32(w.Superstep() - 1)
 	if w.cfg.Combiner != nil {
-		if w.inCombSet[li] == int32(w.Superstep()-1) {
-			w.scratch[0] = w.inComb[li]
-			return w.scratch[:1]
+		if w.in.Epoch[li] == prev {
+			return w.in.Val[li : li+1 : li+1]
 		}
 		return nil
 	}
-	return w.inboxList[li]
+	return w.inbox.Messages(li, prev)
 }
 
-// afterCompute retires consumed inboxes and dedups requests.
-func (w *Worker[M, R, A]) afterCompute() {
-	if w.cfg.Combiner == nil {
-		for _, li := range w.touched {
-			w.inboxList[li] = w.inboxList[li][:0]
-		}
-		w.touched = w.touched[:0]
+// writeMsgs writes a message section: a uvarint count, then each
+// message as its destination — one fixed uint32, Pregel+'s id-tagged
+// format and the byte count the channels are compared to — and its
+// value.
+func writeMsgs[M any](buf *ser.Buffer, codec ser.Codec[M], idx []uint32, vals []M) {
+	buf.WriteUvarint(uint64(len(idx)))
+	for k, li := range idx {
+		buf.WriteUint32(li)
+		codec.Encode(buf, vals[k])
 	}
-	if w.cfg.Responder != nil {
-		for o := range w.reqStaging {
-			w.reqPending[o], w.reqStaging[o] = w.reqStaging[o], w.reqPending[o][:0]
-			for k := range w.respVals[o] {
-				delete(w.respVals[o], k)
-			}
-			w.asked[o] = w.asked[o][:0]
-			lst := w.reqPending[o]
-			if len(lst) == 0 {
-				continue
-			}
-			sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-			k := 1
-			for i := 1; i < len(lst); i++ {
-				if lst[i] != lst[i-1] {
-					lst[k] = lst[i]
-					k++
-				}
-			}
-			w.reqPending[o] = lst[:k]
-		}
+}
+
+// local checks an index read off src's buffer against the n vertices it
+// addresses: what passes is used as an index after Deserialize returns,
+// outside the driver's recover.
+func local(li uint32, n int, what string) int {
+	if int(li) >= n {
+		panic(fmt.Sprintf("pregel: %s for local index %d, worker hosts %d vertices", what, li, n))
 	}
-	if w.cfg.AggCombine != nil {
-		w.aggGathered = w.cfg.AggZero
-		w.aggGathSet = false
-	}
+	return int(li)
 }
 
 func (w *Worker[M, R, A]) serializeRound1(dst int, buf *ser.Buffer) {
 	cfg := w.cfg
-	// messages: one fixed uint32 dense id per message (Pregel+'s
-	// id-tagged format — the byte count the channels are compared to)
 	if cfg.Combiner != nil {
-		staged := w.outComb[dst]
-		buf.WriteUvarint(uint64(len(staged)))
-		for li, msg := range staged {
-			buf.WriteUint32(li)
-			cfg.MsgCodec.Encode(buf, msg)
-			delete(staged, li)
-		}
+		idx, vals := w.comb.Drain(dst)
+		writeMsgs(buf, cfg.MsgCodec, idx, vals)
 	} else {
-		staged := w.outDirect[dst]
-		buf.WriteUvarint(uint64(len(staged)))
-		for _, dm := range staged {
-			buf.WriteUint32(dm.dst)
-			cfg.MsgCodec.Encode(buf, dm.m)
-		}
-		w.outDirect[dst] = staged[:0]
+		writeMsgs(buf, cfg.MsgCodec, w.out[dst].Idx, w.out[dst].Vals)
+		w.out[dst].Reset()
 	}
-	// ghost broadcasts
 	if cfg.GhostThreshold > 0 {
-		staged := w.outGhost[dst]
-		buf.WriteUvarint(uint64(len(staged)))
-		for _, dm := range staged {
-			buf.WriteUint32(dm.dst)
-			cfg.MsgCodec.Encode(buf, dm.m)
-		}
-		w.outGhost[dst] = staged[:0]
+		writeMsgs(buf, cfg.MsgCodec, w.ghost[dst].Idx, w.ghost[dst].Vals)
+		w.ghost[dst].Reset()
 	}
-	// requests
+	// requests, deduplicated as they were staged
 	if cfg.Responder != nil {
-		lst := w.reqPending[dst]
+		lst, _ := w.req.Drain(dst)
 		buf.WriteUvarint(uint64(len(lst)))
 		for _, li := range lst {
 			buf.WriteUint32(li)
@@ -249,28 +216,31 @@ func (w *Worker[M, R, A]) serializeRound1(dst int, buf *ser.Buffer) {
 		if w.aggCurrSet {
 			cfg.AggCodec.Encode(buf, w.aggCurr)
 		}
-		w.aggCurr = cfg.AggZero
-		w.aggCurrSet = false
+		w.aggCurr, w.aggCurrSet = cfg.AggZero, false
 	}
 }
 
 func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 	cfg := w.cfg
+	n := w.LocalCount()
 	// messages: the wire dense id is the local index — delivery is a
 	// direct array write, no partition lookup
 	nmsg := buf.ReadCount(math.MaxInt)
 	for i := 0; i < nmsg; i++ {
-		li := buf.ReadUint32()
-		msg := cfg.MsgCodec.Decode(buf)
-		w.deliver(int(li), msg)
+		li := local(buf.ReadUint32(), n, "message")
+		w.deliver(li, cfg.MsgCodec.Decode(buf))
 	}
 	// ghost broadcasts
 	if cfg.GhostThreshold > 0 {
 		ng := buf.ReadCount(math.MaxInt)
 		for i := 0; i < ng; i++ {
 			hub := buf.ReadUint32()
+			adj, ok := w.ghostAdj[hub]
+			if !ok {
+				panic(fmt.Sprintf("pregel: ghost broadcast of vertex %d, which has no mirror here", hub))
+			}
 			msg := cfg.MsgCodec.Decode(buf)
-			for _, li := range w.ghostAdj[hub] {
+			for _, li := range adj {
 				w.deliver(int(li), msg)
 			}
 		}
@@ -280,7 +250,7 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 		nr := buf.ReadCount(math.MaxInt)
 		lis := w.asked[src][:0]
 		for i := 0; i < nr; i++ {
-			lis = append(lis, buf.ReadUint32())
+			lis = append(lis, uint32(local(buf.ReadUint32(), n, "request")))
 		}
 		w.asked[src] = lis
 	}
@@ -289,11 +259,9 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 		if buf.ReadBool() {
 			v := cfg.AggCodec.Decode(buf)
 			if w.aggGathSet {
-				w.aggGathered = cfg.AggCombine(w.aggGathered, v)
-			} else {
-				w.aggGathered = v
-				w.aggGathSet = true
+				v = cfg.AggCombine(w.aggGathered, v)
 			}
+			w.aggGathered, w.aggGathSet = v, true
 		}
 	}
 }
@@ -319,11 +287,11 @@ func (w *Worker[M, R, A]) serializeRound2(dst int, buf *ser.Buffer) {
 func (w *Worker[M, R, A]) deserializeRound2(src int, buf *ser.Buffer) {
 	cfg := w.cfg
 	if cfg.Responder != nil {
+		resp, e := &w.resp[src], int32(w.Superstep())
 		nr := buf.ReadCount(math.MaxInt)
 		for i := 0; i < nr; i++ {
-			li := buf.ReadUint32()
-			v := cfg.RespCodec.Decode(buf)
-			w.respVals[src][li] = v
+			li := local(buf.ReadUint32(), len(resp.Val), "response")
+			resp.Set(li, cfg.RespCodec.Decode(buf), e)
 		}
 	}
 	if cfg.AggCombine != nil && src == 0 {
@@ -334,18 +302,9 @@ func (w *Worker[M, R, A]) deserializeRound2(src int, buf *ser.Buffer) {
 // deliver routes one incoming message to local vertex li.
 func (w *Worker[M, R, A]) deliver(li int, msg M) {
 	if w.cfg.Combiner != nil {
-		e := int32(w.Superstep())
-		if w.inCombSet[li] == e {
-			w.inComb[li] = w.cfg.Combiner(w.inComb[li], msg)
-		} else {
-			w.inComb[li] = msg
-			w.inCombSet[li] = e
-		}
+		w.in.Merge(li, msg, int32(w.Superstep()), w.cfg.Combiner)
 	} else {
-		if len(w.inboxList[li]) == 0 {
-			w.touched = append(w.touched, li)
-		}
-		w.inboxList[li] = append(w.inboxList[li], msg)
+		w.inbox.Rx.Add(uint32(li), msg)
 	}
 	w.ActivateLocal(li)
 }

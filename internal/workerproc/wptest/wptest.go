@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/workerproc"
 )
 
@@ -24,7 +25,8 @@ var Pool *workerproc.Pool
 // binary itself with workerproc.ChildEnv set, so no separate binary has
 // to be built first — and otherwise runs the tests with Pool open. When
 // they are done it closes Pool and fails the binary if any worker
-// process, of Pool or of any other pool a test made, is still there.
+// process, of Pool or of any other pool a test made, is still there, or
+// if leakcheck.Check finds a goroutine of this module's code.
 func Main(m *testing.M) {
 	if os.Getenv(workerproc.ChildEnv) != "" {
 		os.Exit(workerproc.Main(os.Stdin, os.Stdout, os.Stderr))
@@ -43,6 +45,10 @@ func Main(m *testing.M) {
 				p.Kill()
 			}
 		}
+		code = 1
+	}
+	if err := leakcheck.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		code = 1
 	}
 	os.Exit(code)

@@ -104,8 +104,8 @@
 // in bulk — the fold needs each destination's sources laid out as a run
 // before the values exist, which is Fig. 5's pre-calculation — so the
 // channels that learn destinations one Send at a time (CombinedMessage,
-// Aggregator) take the same Combiner and stage through its Combine per
-// message; CombinedMessage merges each update frame it receives through
+// and the driver's Aggregator) take the same Combiner and stage through
+// its Combine per message; CombinedMessage merges each update frame it receives through
 // its indexed merge loop, as ScatterCombine does. Propagation has a pre-calculation of its own, cached on the
 // fragment beside the scatter plan: the push plan (frag.PushPlan) holds
 // one target per edge — a local neighbour's index, or a dense slot that
@@ -153,7 +153,9 @@
 // comm.Fabric interface (per-worker endpoints: serialize into Out,
 // Flush, read In, Release) carries the data plane and barrier.Barrier
 // (Wait + AllReduce, a crossing that also sums one 64-bit word from
-// every worker) the control plane; the engines ship their shared state
+// every worker, + Gather, one that hands every worker every worker's
+// aggregator post, at round 1's post-flush crossing) the control plane;
+// the engines ship their shared state
 // — exchange-round again-flags, has-active flags, stop votes — inside
 // one reduce word (barrier.Vote), so no engine or channel code reads
 // another worker's memory and a superstep costs two crossings per

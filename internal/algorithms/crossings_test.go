@@ -39,6 +39,11 @@ func (b countingBarrier) AllReduce(v uint64) (uint64, bool) {
 	return b.Barrier.AllReduce(v)
 }
 
+func (b countingBarrier) Gather(id int, post []byte) ([][]byte, bool) {
+	b.calls.Add(1)
+	return b.Barrier.Gather(id, post)
+}
+
 // TestSuperstepCrossings pins what a superstep costs in barrier
 // crossings — on a socket fabric each one is a round trip to the hub:
 // two per exchange round (sends published, inputs consumed), nothing
@@ -66,7 +71,7 @@ func TestSuperstepCrossings(t *testing.T) {
 		{"pagerank", EngineChannel, "scatter", directed, 1, 0},
 		{"wcc", EngineChannel, "propagation", undirected, 0, 0},
 		{"sv", EngineChannel, "both", undirected, 0, 0},
-		{"pagerank", EnginePregel, "basic", directed, 2, 0}, // dangling-mass aggregator: a second round
+		{"pagerank", EnginePregel, "basic", directed, 1, 0},
 		{"wcc", EnginePregel, "basic", undirected, 1, 0},
 		{"sv", EnginePregel, "reqresp", undirected, 2, 0},
 		{"sv", EngineChannel, "both", undirected, 0, 2},

@@ -130,7 +130,7 @@ func pageRankScatter(g *graph.Graph, opts Options, iterations int) ([]float64, e
 // index — the order per-vertex Aggregator.Add calls would combine them
 // in — and hands the fold over in one Add, so the aggregator sees the
 // same sum bit for bit. A range without dead ends adds nothing, and the
-// worker sends no aggregator frame.
+// worker posts "absent" at the gather.
 type sinkMass struct {
 	sum  float64
 	some bool

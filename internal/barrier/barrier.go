@@ -7,6 +7,11 @@
 // all workers arrive together costs a handful of atomic operations and
 // no mutex hand-offs.
 //
+// A crossing comes in three kinds: a plain Wait, an AllReduce that sums
+// one word per party, and a Gather that hands every party every party's
+// byte post — the driver's aggregator partials, carried by round 1's
+// post-flush crossing so aggregation costs neither a frame nor a round.
+//
 // Barrier is an interface so the synchronization can leave the address
 // space: internal/netcomm implements it as a message-based distributed
 // barrier over the socket fabric's control connection, with the same
@@ -57,6 +62,14 @@ type Barrier interface {
 	// returns (0, false) once the barrier is aborted. Engines encode OR
 	// as 0/1 posts and pack multiple small fields into the one word.
 	AllReduce(v uint64) (uint64, bool)
+	// Gather is a crossing that also collects: party id (its worker id,
+	// each party posting under its own) posts post, nil for "absent"
+	// (which an empty post is not), and receives every party's post for
+	// this crossing, indexed by party. The posts are read-only and stay
+	// valid until the crossing after this one completes, so a poster
+	// must leave its slice untouched until then. It returns (nil, false)
+	// once the barrier is aborted.
+	Gather(id int, post []byte) ([][]byte, bool)
 	// Abort permanently releases the barrier: every waiter currently
 	// blocked observes the release, and all subsequent crossings fail
 	// without blocking.
@@ -137,14 +150,20 @@ type Shared struct {
 	// crossing g posts into acc[g&1] while the last arriver of g clears
 	// acc[(g+1)&1] before releasing, so consecutive crossings never
 	// share a slot.
-	acc  [2]atomic.Uint64
-	mu   sync.Mutex
-	cond *sync.Cond
+	acc [2]atomic.Uint64
+	// posts holds the Gather posts, by crossing parity and then party.
+	// Each party writes only its own entry, and one of crossing g is
+	// next written at g+2, which no party enters before every party
+	// has arrived at g+1 — done reading g's posts — so a poster's slice
+	// is handed out as is, with no copy and no clearing.
+	posts [2][][]byte
+	mu    sync.Mutex
+	cond  *sync.Cond
 }
 
 // New creates an in-process barrier for n parties.
 func New(n int) *Shared {
-	b := &Shared{n: int32(n)}
+	b := &Shared{n: int32(n), posts: [2][][]byte{make([][]byte, n), make([][]byte, n)}}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -183,6 +202,24 @@ func (b *Shared) AllReduce(v uint64) (uint64, bool) {
 	}
 	ok := b.await(gen)
 	return slot.Load(), ok
+}
+
+// Gather implements Barrier.
+func (b *Shared) Gather(id int, post []byte) ([][]byte, bool) {
+	if b.aborted.Load() {
+		return nil, false
+	}
+	gen := b.gen.Load()
+	posts := b.posts[gen&1]
+	posts[id] = post
+	if b.arrived.Add(1) == b.n {
+		b.release(gen)
+		return posts, !b.aborted.Load()
+	}
+	if !b.await(gen) {
+		return nil, false
+	}
+	return posts, true
 }
 
 // release is the last arriver's duty: reset the counter and the next

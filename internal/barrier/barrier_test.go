@@ -114,8 +114,8 @@ func TestBarrierAllReduceSums(t *testing.T) {
 	}
 }
 
-// Wait and AllReduce crossings interleave (the engines alternate them
-// every exchange round).
+// Wait, AllReduce and Gather crossings interleave (the engines alternate
+// the first two every exchange round, and gather at round 1's first).
 func TestBarrierMixedCrossings(t *testing.T) {
 	const n, rounds = 3, 100
 	b := New(n)
@@ -134,6 +134,27 @@ func TestBarrierMixedCrossings(t *testing.T) {
 				if !ok || got != n {
 					bad <- fmt.Sprintf("round %d: sum=%d ok=%v want %d", r, got, ok, n)
 					return
+				}
+				// two gathers back to back: each hands out every party's
+				// post of its own crossing, party 0 absent in odd ones
+				for g := 0; g < 2; g++ {
+					post := func(q int) []byte {
+						if q == 0 && g == 1 {
+							return nil
+						}
+						return []byte{byte(q), byte(r), byte(g)}
+					}
+					posts, ok := b.Gather(p, post(p))
+					if !ok || len(posts) != n {
+						bad <- fmt.Sprintf("round %d gather %d: %d posts, ok=%v", r, g, len(posts), ok)
+						return
+					}
+					for q, got := range posts {
+						if want := post(q); (got == nil) != (want == nil) || string(got) != string(want) {
+							bad <- fmt.Sprintf("round %d gather %d: party %d posted %v, want %v", r, g, q, got, want)
+							return
+						}
+					}
 				}
 			}
 		}(p)

@@ -11,13 +11,21 @@
 // baseline differ only there, so their communication is what Tables
 // IV–VII compare.
 //
+// Aggregation is the driver's too, one mechanism for both engines
+// (Aggregator): the partials a worker's vertices added ride round 1's
+// post-flush crossing as a gather, and each worker folds all of them in
+// worker order before round 1 decodes, so the result is ready for the
+// next superstep without a frame or a round of its own.
+//
 // The driver is also the one place a job's traffic is counted: just
 // before each round's Flush, every worker totals its outgoing buffers
 // into network and loopback bytes, one exchange round and that round's
-// off-worker volume, and feeds Env.Flows the (src, dst) cells. Run adds
-// up its workers' counts and charges the modeled network time
-// (comm.RoundTime) with each round's busiest worker. A fabric only moves
-// the bytes, so the figures do not depend on which one carried them.
+// off-worker volume, and feeds Env.Flows the (src, dst) cells; a job
+// with aggregators charges each worker its post and the results on top
+// (Core.gather). Run adds up its workers' counts and charges the modeled
+// network time (comm.RoundTime) with each round's busiest worker. A
+// fabric only moves the bytes, so the figures do not depend on which
+// one carried them.
 //
 // Env.Observer is the telemetry seam: when set, every worker emits one
 // obs.SuperstepSample per superstep — compute time, barrier-wait time
@@ -32,8 +40,9 @@
 // Env.Checkpoint is the fault-tolerance seam: when active, each worker
 // cuts a ckpt.Record after round 1 of a due superstep has serialized,
 // before that round's flush — core state, the algorithm's Save closure,
-// the engine's own state and the M outgoing buffers the round just
-// wrote, which are every message compute staged — and persists it
+// the engine's own state, the M outgoing buffers the round just wrote,
+// which are every message compute staged, and the aggregator post its
+// crossing is about to gather — and persists it
 // there. Round 1's barrier crossing is then every worker's proof that
 // all peers' records are durable, so a checkpoint costs no crossing of
 // its own. Restore applies the record, writes the saved buffers back
@@ -339,6 +348,7 @@ func (c *Core) supersteps() error {
 		// after every worker's Put.
 		c.round = 1
 		c.serialize()
+		c.encodePost()
 		if ck.ShouldSave(c.superstep) {
 			if err := c.save(ck); err != nil {
 				return c.errorf("checkpoint superstep %d: %w", c.superstep, err)
@@ -358,7 +368,8 @@ func (c *Core) supersteps() error {
 
 // rounds finishes the round whose buffers are serialized and runs the
 // rounds after it while any worker asks again. Two barrier crossings per
-// round: the plain wait after Flush proves all sends are published, and
+// round: the wait after Flush proves all sends are published (in round
+// 1 of a job with aggregators it also gathers their partials), and
 // the AllReduce after the decode proves all inputs were consumed, which
 // makes Release safe. That reduce carries the again-flags and the
 // termination vote in one word (barrier.Vote), so the last round's
@@ -374,7 +385,9 @@ func (c *Core) rounds() (uint64, error) {
 		if err := ep.Flush(); err != nil {
 			return 0, c.errorf("%w", err)
 		}
-		if !c.timedWait() { // all sends published
+		if ok, err := c.crossFlushed(); err != nil {
+			return 0, err
+		} else if !ok { // all sends published
 			return 0, errAborted
 		}
 		for src := 0; src < c.NumWorkers(); src++ {
@@ -455,6 +468,24 @@ func (c *Core) deserialize(src int) error {
 		return c.errorf("corrupt frame content%s from worker %d: %v", what, src, perr)
 	}
 	return err
+}
+
+// crossFlushed crosses the barrier after a round's flush: round 1 of a
+// job with aggregators gathers their partials there, every other round
+// waits.
+func (c *Core) crossFlushed() (bool, error) {
+	if c.round != 1 || len(c.aggs) == 0 {
+		return c.timedWait(), nil
+	}
+	var t0 time.Time
+	if c.obsOn {
+		t0 = time.Now()
+	}
+	ok, err := c.gather()
+	if c.obsOn {
+		c.smp.BarrierWaitNS += time.Since(t0).Nanoseconds()
+	}
+	return ok, err
 }
 
 // timedWait crosses the shared barrier, attributing the blocked time to

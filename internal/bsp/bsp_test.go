@@ -35,18 +35,22 @@ type scriptJob struct {
 }
 
 // script is a scripted Program: one number of state per worker, folded
-// from what every peer sent in every round. Each superstep lasts a
-// number of rounds only one worker asks for, and what is sent depends on
-// the state, so a restore that loses a byte of state or of a message in
-// flight shows in the trace or the final values.
+// from what every peer sent in every round and from an aggregate of
+// what some workers added. Each superstep lasts a number of rounds only
+// one worker asks for, and what is sent depends on the state, so a
+// restore that loses a byte of state, of a message in flight or of an
+// aggregator partial pending at the cut shows in the trace or the final
+// values.
 type script struct {
 	Core
 	job *scriptJob
 	val int64 // the vertex state (the Save closure's)
 	sum int64 // what this superstep's rounds delivered
+	agg *Aggregator[int64]
 }
 
 func (p *script) Setup() error {
+	p.agg = NewAggregator(&p.Core, ser.VarintCodec[int64]{}, func(a, b int64) int64 { return a*3 + b }, -1)
 	p.Checkpoint(
 		func(buf *ser.Buffer) { buf.WriteVarint(p.val) },
 		func(buf *ser.Buffer) { p.val = buf.ReadVarint() },
@@ -59,8 +63,11 @@ func (p *script) Initialize() {}
 func (p *script) Compute() {
 	s := p.Superstep()
 	p.job.trace[p.WorkerID()] = append(p.job.trace[p.WorkerID()], fmt.Sprintf("compute %d", s))
-	p.val = p.val*31 + p.sum + int64(p.WorkerID())
+	p.val = p.val*31 + p.sum + int64(p.WorkerID()) + p.agg.Result()
 	p.sum = 0
+	if (s+p.WorkerID())%3 != 0 {
+		p.agg.Add(p.val % 1000)
+	}
 	if s > scriptSteps {
 		for li := range p.LocalCount() {
 			p.DeactivateLocal(li)
@@ -130,6 +137,11 @@ func (b countingBarrier) Wait() bool {
 func (b countingBarrier) AllReduce(v uint64) (uint64, bool) {
 	b.calls.Add(1)
 	return b.Barrier.AllReduce(v)
+}
+
+func (b countingBarrier) Gather(id int, post []byte) ([][]byte, bool) {
+	b.calls.Add(1)
+	return b.Barrier.Gather(id, post)
 }
 
 // runScript runs the scripted job under hook (nil: no checkpointing).

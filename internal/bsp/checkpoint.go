@@ -9,14 +9,15 @@ import (
 
 // save cuts this worker's record after round 1's serialize — superstep,
 // halt vote, active bitmap, the algorithm's vertex state (Save closure),
-// the engine's own state and the buffers the round is about to flush —
-// and stores it.
+// the engine's own state, the buffers the round is about to flush and
+// the aggregator post its crossing is about to gather — and stores it.
 func (c *Core) save(ck *ckpt.Hook) error {
 	rec := &ckpt.Record{
 		Superstep: c.superstep,
 		Halt:      c.halt,
 		Active:    c.active,
 		Out:       make([][]byte, c.NumWorkers()),
+		Agg:       c.post,
 	}
 	algo := ser.NewBuffer(4096)
 	c.ckptSave(algo)
@@ -30,10 +31,11 @@ func (c *Core) save(ck *ckpt.Hook) error {
 	return ck.Store.Put(ck.Job, c.superstep, c.id, buf.Bytes())
 }
 
-// restore loads this worker's record for hook.Restore, applies it and
-// writes the saved buffers into the endpoint's outgoing buffers: the
-// worker then stands where the cut found it, with round 1 serialized,
-// and the caller resumes the superstep at that round's flush. The
+// restore loads this worker's record for hook.Restore, applies it,
+// writes the saved buffers into the endpoint's outgoing buffers and
+// takes the saved aggregator post up again: the worker then stands where
+// the cut found it, with round 1 serialized, and the caller resumes the
+// superstep at that round's flush. The
 // record crossed disk and process boundaries, so panics of the restore
 // closures on hostile content surface as errors.
 func (c *Core) restore(hook *ckpt.Hook) error {
@@ -48,9 +50,9 @@ func (c *Core) restore(hook *ckpt.Hook) error {
 	if rec.Superstep != hook.Restore {
 		return fmt.Errorf("record is for superstep %d", rec.Superstep)
 	}
-	if len(rec.Active) != c.LocalCount() || len(rec.Out) != c.NumWorkers() {
-		return fmt.Errorf("record does not match job shape (%d vertices, %d outgoing buffers)",
-			len(rec.Active), len(rec.Out))
+	if len(rec.Active) != c.LocalCount() || len(rec.Out) != c.NumWorkers() || rec.Agg != nil && len(c.aggs) == 0 {
+		return fmt.Errorf("record does not match job shape (%d vertices, %d outgoing buffers, %d aggregators for a post of %d bytes)",
+			len(rec.Active), len(rec.Out), len(c.aggs), len(rec.Agg))
 	}
 	c.superstep = rec.Superstep
 	c.halt = rec.Halt
@@ -71,6 +73,7 @@ func (c *Core) restore(hook *ckpt.Hook) error {
 		return err
 	}
 	c.round = 1
+	c.post = rec.Agg
 	for dst, out := range rec.Out {
 		copy(c.ep.Out(dst).Extend(len(out)), out)
 	}

@@ -29,6 +29,15 @@ type Core struct {
 	round       int
 	halt        bool // RequestStop was called on this worker
 
+	// the aggregators registered on this worker (NewAggregator), this
+	// superstep's post of their partials (nil: absent; it aliases
+	// postBuf and stays untouched until the next superstep's compute)
+	// and the scratch their results are encoded into for the charge
+	aggs       []aggregator
+	post       []byte
+	postBuf    ser.Buffer
+	aggScratch ser.Buffer
+
 	// checkpoint closures (Worker.Checkpoint)
 	ckptSave    func(buf *ser.Buffer)
 	ckptRestore func(buf *ser.Buffer)

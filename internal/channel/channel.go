@@ -7,6 +7,11 @@
 // optimizations coexist in one program (the paper's core contribution,
 // demonstrated on S-V in §III-C).
 //
+// Aggregator is the exception: it is the superstep driver's aggregator,
+// shared with the Pregel baseline, and registers on the worker's core
+// instead of as an exchange channel — its partials ride round 1's
+// barrier crossing, not a frame.
+//
 // All channels are generic over the message type, taking a ser.Codec for
 // wire encoding; combining channels additionally take a Combiner (Sum,
 // Min, or CombinerFunc around a custom function). The two channels with

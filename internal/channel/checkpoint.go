@@ -11,10 +11,10 @@ import (
 )
 
 // The optimized channels carry cross-superstep state and participate in
-// checkpoints; the standard channels (DirectMessage, CombinedMessage,
-// Aggregator) hold nothing between supersteps but what round 1's
-// serialized buffers carry and the restored rounds deliver, and stay
-// stateless.
+// checkpoints; the standard channels (DirectMessage, CombinedMessage)
+// hold nothing between supersteps but what round 1's serialized buffers
+// carry and the restored rounds deliver, and stay stateless. (The
+// Aggregator's partials are the driver's: the record carries its post.)
 var (
 	_ engine.StatefulChannel = (*ScatterCombine[int])(nil)
 	_ engine.StatefulChannel = (*Propagation[int])(nil)

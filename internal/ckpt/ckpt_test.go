@@ -202,6 +202,15 @@ func TestRecordRoundTrip(t *testing.T) {
 	if string(got.Out[2]) != "to2" || len(got.Out[1]) != 0 {
 		t.Fatalf("outgoing buffer order broken: %q", got.Out)
 	}
+	// the aggregator post: absent, empty and not, each kept apart
+	for _, post := range [][]byte{nil, {}, {1, 8}} {
+		buf.Reset()
+		(&Record{Superstep: 1, Agg: post}).Encode(buf)
+		got, err := Decode(buf.Bytes())
+		if err != nil || (got.Agg == nil) != (post == nil) || string(got.Agg) != string(post) {
+			t.Fatalf("post %v came back as %v (%v)", post, got.Agg, err)
+		}
+	}
 }
 
 func TestRecordDecodeRejectsHostileInput(t *testing.T) {
@@ -217,10 +226,13 @@ func TestRecordDecodeRejectsHostileInput(t *testing.T) {
 	huge.WriteUvarint(1 << 40)
 	cases["huge bitmap"] = huge.Bytes()
 	// an outgoing-buffer count beyond the bytes left: the encoding of
-	// a record without buffers, its zero count replaced by 2^40
+	// a record without buffers or post, its zero count replaced by 2^40
 	none := ser.NewBuffer(64)
 	(&Record{Superstep: 1}).Encode(none)
-	cases["huge out count"] = binary.AppendUvarint(slices.Clip(none.Bytes()[:none.Len()-1]), 1<<40)
+	cases["huge out count"] = append(binary.AppendUvarint(slices.Clip(none.Bytes()[:none.Len()-2]), 1<<40), 0)
+	// an aggregator post whose length runs past the record: its
+	// "absent" byte replaced by a present post of 5 bytes, 1 there
+	cases["post past the end"] = append(slices.Clip(none.Bytes()[:none.Len()-1]), 1, 5, 'x')
 	// trailing garbage after a valid record
 	ok := ser.NewBuffer(64)
 	(&Record{Superstep: 1, Out: [][]byte{{1}, {2}}}).Encode(ok)
@@ -255,8 +267,13 @@ func FuzzRecordDecode(f *testing.F) {
 		Algo:      []byte("s"),
 		Channels:  [][]byte{{9}},
 		Out:       [][]byte{{1}, {2}},
+		Agg:       []byte{1, 7},
 	}).Encode(seed)
 	f.Add(seed.Bytes())
+	// an empty post, which is not an absent one
+	emptyPost := ser.NewBuffer(16)
+	(&Record{Superstep: 2, Agg: []byte{}}).Encode(emptyPost)
+	f.Add(emptyPost.Bytes())
 	empty := ser.NewBuffer(16)
 	(&Record{Superstep: 1}).Encode(empty)
 	f.Add(empty.Bytes())

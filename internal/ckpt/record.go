@@ -10,7 +10,7 @@ import (
 
 // recordMagic versions the record encoding itself (the Dir store's file
 // header versions the container).
-const recordMagic = uint32(0x32504B43) // "CKP2"
+const recordMagic = uint32(0x33504B43) // "CKP3"
 
 // Record is one worker's checkpoint: its state and its messages in
 // flight at the cut of one superstep, which sits after round 1's
@@ -22,7 +22,9 @@ const recordMagic = uint32(0x32504B43) // "CKP2"
 // engine); Out holds the M buffers round 1 just serialized, indexed by
 // destination worker (loopback included) — every message compute
 // staged, in the engine's own wire format — which a restore writes back
-// into the fabric's outgoing buffers before it flushes the round.
+// into the fabric's outgoing buffers before it flushes the round; Agg
+// is the worker's aggregator post, which that round's crossing gathers
+// (nil: the worker posts "absent", which an empty post is not).
 type Record struct {
 	Superstep int
 	Halt      bool
@@ -31,6 +33,7 @@ type Record struct {
 	Engine    []byte
 	Channels  [][]byte
 	Out       [][]byte
+	Agg       []byte
 }
 
 // Encode appends the record to buf.
@@ -62,6 +65,10 @@ func (r *Record) Encode(buf *ser.Buffer) {
 	for _, o := range r.Out {
 		buf.WriteBytes(o)
 	}
+	buf.WriteBool(r.Agg != nil)
+	if r.Agg != nil {
+		buf.WriteBytes(r.Agg)
+	}
 }
 
 // Decode parses a record. The input crossed a process (and disk)
@@ -79,9 +86,9 @@ func Decode(data []byte) (rec *Record, err error) {
 func decode(data []byte) (*Record, error) {
 	b := ser.FromBytes(data)
 	if len(data) < 4 || b.ReadUint32() != recordMagic {
-		// an older format (CKP1 logged every round's incoming frames) or
-		// no record at all
-		return nil, fmt.Errorf("ckpt: record magic %q, this build reads \"CKP2\"", data[:min(4, len(data))])
+		// an older format (CKP1 logged every round's incoming frames, CKP2
+		// carried no aggregator post) or no record at all
+		return nil, fmt.Errorf("ckpt: record magic %q, this build reads \"CKP3\"", data[:min(4, len(data))])
 	}
 	rec := &Record{
 		Superstep: b.ReadIndex(math.MaxInt),
@@ -112,6 +119,9 @@ func decode(data []byte) (*Record, error) {
 	rec.Out = make([][]byte, b.ReadCount(math.MaxInt))
 	for i := range rec.Out {
 		rec.Out[i] = checkedBytes(b)
+	}
+	if b.ReadBool() {
+		rec.Agg = append([]byte{}, b.ReadBytes()...)
 	}
 	if b.Remaining() != 0 {
 		return nil, fmt.Errorf("ckpt: %d trailing bytes after record", b.Remaining())

@@ -18,11 +18,15 @@ import (
 //
 //	serialize into Out(dst) for every dst  (dst == own id is loopback)
 //	Flush()                                 publish the round
-//	Barrier().Wait()                        all sends published
+//	Barrier().Wait() / Gather(...)          all sends published
 //	read In(src) for every src              deliver
 //	Barrier().Wait() / AllReduce(...)       all inputs consumed
 //	Release()                               recycle the round's buffers
 //
+// The superstep driver makes round 1's post-flush crossing a Gather
+// when the job has aggregators: the posts ride the crossing, not the
+// buffers, and the post-deliver crossing that follows proves every
+// party has read them, as it proves every buffer read.
 // In(src) is valid only between the post-flush crossing and the next
 // crossing; Release may only be called after the post-deliver crossing
 // (which proves every peer is done reading this worker's buffers).

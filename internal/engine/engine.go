@@ -72,7 +72,7 @@ type Channel interface {
 // staged is already in round 1's serialized buffers, which the record
 // carries for every channel, so a channel whose state between
 // supersteps is only its inbox and outbox (DirectMessage,
-// CombinedMessage, Aggregator) need not implement it.
+// CombinedMessage) need not implement it.
 type StatefulChannel interface {
 	Channel
 	SaveState(buf *ser.Buffer)

@@ -116,13 +116,19 @@ func eachCase(t *testing.T, newCase func(eng string) (Config, job), check func(t
 }
 
 // pw is the baseline worker of these scenarios: uint32 messages and a
-// sum aggregator, which gives every superstep a second round.
+// sum aggregator, whose partials ride round 1's crossing.
 type pw = pregel.Worker[uint32, struct{}, uint32]
 
 func runPregel(env Config, codec ser.Codec[uint32], setup func(w *pw)) (Metrics, error) {
 	return pregel.Run(pregel.Config[uint32, struct{}, uint32]{Env: env, MsgCodec: codec,
 		AggCombine: func(a, b uint32) uint32 { return a + b }, AggCodec: ser.Uint32Codec{}}, setup)
 }
+
+// noBytes encodes struct{} as nothing.
+type noBytes struct{}
+
+func (noBytes) Encode(*ser.Buffer, struct{}) {}
+func (noBytes) Decode(*ser.Buffer) struct{}  { return struct{}{} }
 
 // jobOf picks a scenario's job on the named engine.
 func jobOf(eng string, channel func(w *Worker), baseline func(w *pw)) job {
@@ -133,20 +139,23 @@ func jobOf(eng string, channel func(w *Worker), baseline func(w *pw)) job {
 }
 
 // A worker that never stops asking for rounds must trip MaxRoundsPerStep:
-// a stuck channel on the channel engine, the aggregator's second round
+// a stuck channel on the channel engine, the responder's second round
 // against a cap of one on the baseline.
 func TestBothFabricsStuckChannelAborts(t *testing.T) {
 	eachCase(t, func(eng string) (Config, job) {
 		env := Config{Part: partition.MustHash(4, 2), MaxRoundsPerStep: 50}
 		if eng == "pregel" {
 			env.MaxRoundsPerStep = 1
+			return env, func(env Config) (Metrics, error) {
+				return pregel.Run(pregel.Config[uint32, struct{}, uint32]{Env: env, MsgCodec: ser.Uint32Codec{},
+					Responder: func(*pw, int) struct{} { return struct{}{} }, RespCodec: noBytes{}},
+					func(w *pw) { w.Compute = func(li int, _ []uint32) { w.VoteToHalt() } })
+			}
 		}
 		return env, jobOf(eng, func(w *Worker) {
 			w.Register(stuckChannel{})
 			w.Compute = func(li int) { w.VoteToHalt() }
-		}, func(w *pw) {
-			w.Compute = func(li int, _ []uint32) { w.VoteToHalt() }
-		})
+		}, nil)
 	}, func(t *testing.T, _ Metrics, err error) {
 		if err == nil || !strings.Contains(err.Error(), "MaxRoundsPerStep") {
 			t.Fatalf("expected MaxRoundsPerStep error, got %v", err)

@@ -34,28 +34,32 @@ type Datasets struct {
 }
 
 // Load generates all datasets at the given scale (deterministic seeds).
-func Load(s Scale) *Datasets {
+func Load(s Scale) *Datasets { return load(s, 0) }
+
+// load generates the datasets with every generator seed moved by
+// offset: the same shapes, other draws.
+func load(s Scale, offset int64) *Datasets {
 	if s == ScaleTest {
 		return &Datasets{
-			Wiki:     graph.RMAT(9, 6, 101, graph.RMATOptions{NoSelfLoops: true}),
-			WebUK:    graph.RMAT(10, 8, 102, graph.RMATOptions{NoSelfLoops: true}),
-			Facebook: graph.SocialRMAT(9, 2, 103),
-			Twitter:  graph.SocialRMAT(8, 12, 104),
+			Wiki:     graph.RMAT(9, 6, 101+offset, graph.RMATOptions{NoSelfLoops: true}),
+			WebUK:    graph.RMAT(10, 8, 102+offset, graph.RMATOptions{NoSelfLoops: true}),
+			Facebook: graph.SocialRMAT(9, 2, 103+offset),
+			Twitter:  graph.SocialRMAT(8, 12, 104+offset),
 			Chain:    graph.Chain(2000),
-			Tree:     graph.RandomTree(2000, 105),
-			Road:     graph.Grid(40, 40, 1000, 106),
-			RMATW:    graph.Undirectify(graph.RMAT(8, 8, 107, graph.RMATOptions{Weighted: true, MaxWeight: 1000, NoSelfLoops: true})),
+			Tree:     graph.RandomTree(2000, 105+offset),
+			Road:     graph.Grid(40, 40, 1000, 106+offset),
+			RMATW:    graph.Undirectify(graph.RMAT(8, 8, 107+offset, graph.RMATOptions{Weighted: true, MaxWeight: 1000, NoSelfLoops: true})),
 		}
 	}
 	return &Datasets{
-		Wiki:     graph.RMAT(11, 8, 101, graph.RMATOptions{NoSelfLoops: true}),
-		WebUK:    graph.RMAT(12, 10, 102, graph.RMATOptions{NoSelfLoops: true}),
-		Facebook: graph.SocialRMAT(11, 2, 103),
-		Twitter:  graph.SocialRMAT(10, 16, 104),
+		Wiki:     graph.RMAT(11, 8, 101+offset, graph.RMATOptions{NoSelfLoops: true}),
+		WebUK:    graph.RMAT(12, 10, 102+offset, graph.RMATOptions{NoSelfLoops: true}),
+		Facebook: graph.SocialRMAT(11, 2, 103+offset),
+		Twitter:  graph.SocialRMAT(10, 16, 104+offset),
 		Chain:    graph.Chain(20000),
-		Tree:     graph.RandomTree(20000, 105),
-		Road:     graph.Grid(80, 80, 1000, 106),
-		RMATW:    graph.Undirectify(graph.RMAT(10, 8, 107, graph.RMATOptions{Weighted: true, MaxWeight: 1000, NoSelfLoops: true})),
+		Tree:     graph.RandomTree(20000, 105+offset),
+		Road:     graph.Grid(80, 80, 1000, 106+offset),
+		RMATW:    graph.Undirectify(graph.RMAT(10, 8, 107+offset, graph.RMATOptions{Weighted: true, MaxWeight: 1000, NoSelfLoops: true})),
 	}
 }
 
@@ -69,7 +73,8 @@ func (d *Datasets) byName(name string) *graph.Graph {
 	return g
 }
 
-// Workers is the simulated cluster size: the paper's 8 nodes.
+// Workers is the simulated cluster size: the paper's 8 nodes, and a
+// Runner's unless it is told otherwise.
 const Workers = 8
 
 // HashPart returns the default hash partition for g.

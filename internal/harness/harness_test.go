@@ -1,6 +1,9 @@
 package harness
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The table tests run every entry of their table at test scale — together
 // the end-to-end integration test of the whole reproduction pipeline —
@@ -67,14 +70,29 @@ func TestPaperClaims(t *testing.T) {
 // checkTable runs table, expecting want rows, and asserts its claims.
 func checkTable(t *testing.T, table string, want int) {
 	t.Helper()
-	rows := Run(Load(ScaleTest), table)
+	d := Load(ScaleTest)
+	rows := Run(d, table)
 	if len(rows) != want {
 		t.Fatalf("table %s: %d rows, want %d", table, len(rows), want)
 	}
+	violated, unasserted := violations(d, table, rows, Workers)
+	for _, v := range violated {
+		t.Error(v)
+	}
+	for _, u := range unasserted {
+		t.Error("at the paper's worker count:", u)
+	}
+}
+
+// violations checks every claim on table ("" for all) against rows, the
+// rows of its entries in order, run on d with workers workers. It
+// describes each comparison that fails and each one a claim's scale
+// bound leaves unasserted.
+func violations(d *Datasets, table string, rows []Row, workers int) (violated, unasserted []string) {
 	var entries []Entry
 	byKey := map[entryKey]Row{}
 	for _, e := range Entries {
-		if e.Table == table {
+		if table == "" || e.Table == table {
 			byKey[keyOf(e)] = rows[len(entries)]
 			entries = append(entries, e)
 		}
@@ -89,23 +107,51 @@ func checkTable(t *testing.T, table string, want int) {
 		return r.NetBytes
 	}
 	for _, c := range Claims {
-		if c.Table != table {
+		if table != "" && c.Table != table {
 			continue
 		}
 		for _, e := range entries {
-			if e.Program != c.Opt {
+			if e.Table != c.Table || e.Program != c.Opt {
 				continue
 			}
 			base := keyOf(e)
 			base.program = c.Base
 			b, ok := byKey[base]
 			if !ok {
-				t.Fatalf("table %s has no %s row on %s/%s", table, c.Base, e.Dataset, e.Place)
+				violated = append(violated, fmt.Sprintf("table %s has no %s row on %s/%s", c.Table, c.Base, e.Dataset, e.Place))
+				continue
 			}
 			opt := byKey[keyOf(e)]
-			if value(c.Metric, opt) >= value(c.Metric, b) {
-				t.Errorf("table %s on %s: %s %s %d >= %s %d", table, opt.Dataset,
-					c.Opt, c.Metric, value(c.Metric, opt), c.Base, value(c.Metric, b))
+			what := fmt.Sprintf("table %s on %s at %d workers: %s %s %d vs %s %d", c.Table, opt.Dataset,
+				workers, c.Opt, c.Metric, value(c.Metric, opt), c.Base, value(c.Metric, b))
+			if per := d.byName(e.Dataset).NumVertices() / workers; per < c.MinPerWorker {
+				unasserted = append(unasserted, fmt.Sprintf("%s: %d vertices per worker, the claim holds from %d", what, per, c.MinPerWorker))
+			} else if value(c.Metric, opt) >= value(c.Metric, b) {
+				violated = append(violated, what)
+			}
+		}
+	}
+	return violated, unasserted
+}
+
+// TestClaimsAcrossWorkers asserts every claim beyond the paper's eight
+// workers: at 4, 16 and 32, on the test-scale datasets and on a second
+// draw of them. Aggregator partials that rode the round buffers as
+// frames of their own once broke channel(basic) < pregel(basic) at 16
+// and 32 workers on the hash-placed web graphs. A comparison below its
+// claim's scale bound is logged with both values, not dropped.
+func TestClaimsAcrossWorkers(t *testing.T) {
+	for _, offset := range []int64{0, 1000} {
+		d := load(ScaleTest, offset)
+		for _, m := range []int{4, 16, 32} {
+			r := NewRunner(d)
+			r.Workers = m
+			violated, unasserted := violations(d, "", r.Run(""), m)
+			for _, v := range violated {
+				t.Errorf("seed offset %d: %s", offset, v)
+			}
+			for _, u := range unasserted {
+				t.Logf("seed offset %d: not asserted: %s", offset, u)
 			}
 		}
 	}

@@ -92,7 +92,8 @@ type Hub struct {
 }
 
 // earlyArrival is an arrival the hub read before the whole party
-// joined: a process has one at most, at the set-up crossing.
+// joined: a process has one at most, at the set-up crossing, which is
+// plain — its payload is the sum alone.
 type earlyArrival struct {
 	from *hubConn
 	sum  [8]byte
@@ -328,8 +329,9 @@ func (h *Hub) pump(hc *hubConn) error {
 			stagedAt += int64(t0)
 		case kArrive:
 			// A process arrives for exactly the workers it hosts, or it
-			// could complete a crossing its peers never reached.
-			if int(a) != hc.hi-hc.lo+1 || n != 8 {
+			// could complete a crossing its peers never reached. Past the
+			// sum, the payload is the receivers' to check.
+			if int(a) != hc.hi-hc.lo+1 || n < 8 {
 				return fmt.Errorf("bad arrival: %d workers, %d-byte payload", a, n)
 			}
 			p, err := rd.payload(n)
@@ -614,7 +616,7 @@ func (h *Hub) forward(to *hubConn, dirty []*hubConn, kind uint8, a, b uint16, p 
 // register, in the same critical section, so each gets it exactly once.
 // A process cannot arrive twice before then — it cannot finish the
 // set-up crossing without everyone's arrival — so a second arrival is
-// an error.
+// an error, and so is one with posts: the set-up crossing gathers none.
 func (h *Hub) arrival(hc *hubConn, p []byte, peers []*hubConn) ([]*hubConn, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -623,6 +625,9 @@ func (h *Hub) arrival(hc *hubConn, p []byte, peers []*hubConn) ([]*hubConn, erro
 			if e.from == hc {
 				return peers, fmt.Errorf("workers %d-%d arrived twice before the party joined", hc.lo, hc.hi)
 			}
+		}
+		if len(p) != 8 {
+			return peers, fmt.Errorf("workers %d-%d arrived with a %d-byte payload before the party joined", hc.lo, hc.hi, len(p))
 		}
 		h.early = append(h.early, earlyArrival{from: hc, sum: [8]byte(p)})
 	}

@@ -63,11 +63,16 @@ import (
 //
 //	kind uint8 | a uint16 | b uint16 | n uint32 | payload [n]byte
 //
-// little-endian; the meaning of a and b depends on the kind.
+// little-endian; the meaning of a and b depends on the kind. An
+// arrival's payload is the 8-byte sum of its workers' AllReduce posts;
+// at a Gather crossing each hosted worker's post follows, in worker
+// order, as a part: a 0 byte for "absent", or a 1 byte and the post
+// behind a uvarint length. A client checks the parts against the
+// crossing's kind once the crossing completes.
 const (
 	kHello   = 1 // worker→hub: a,b = inclusive hosted worker range
 	kFrame   = 2 // worker↔hub: a = src worker, b = dst worker, payload = round buffer
-	kArrive  = 3 // worker↔hub: a = hosted worker count, payload = value sum (8); relayed: b = the sender's first worker
+	kArrive  = 3 // worker↔hub: a = hosted worker count, payload = value sum (8), then on a gather crossing one part per hosted worker; relayed: b = the sender's first worker
 	kAbort   = 5 // either way: payload = reason string
 	kResult  = 6 // worker→hub: a,b = worker range, payload = opaque result blob
 	kSamples = 7 // worker→hub: a,b = worker range, payload = encoded in-flight superstep samples (see Client.SendSamples)
@@ -177,7 +182,7 @@ type Client struct {
 	wmu     sync.Mutex
 	frames  net.Buffers
 	samples []byte
-	arrival [headerLen + 8]byte
+	arrival []byte
 
 	bar *wireBarrier
 	eps []*clientEndpoint
@@ -225,7 +230,8 @@ func DialConfig(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("netcomm: dial hub: %w", err)
 	}
 	c := &Client{m: m, lo: lo, hi: hi, conn: conn}
-	c.bar = &wireBarrier{c: c, k: hi - lo + 1, seen: make([]uint64, m)}
+	c.bar = &wireBarrier{c: c, k: hi - lo + 1, seen: make([]uint64, m),
+		posts: [2][][]byte{make([][]byte, m), make([][]byte, m)}}
 	c.bar.cond = sync.NewCond(&c.bar.mu)
 	c.eps = make([]*clientEndpoint, hi-lo+1)
 	for i := range c.eps {
@@ -277,9 +283,10 @@ func (c *Client) write(msgs ...[]byte) error {
 
 // arrive makes this process's one write of a barrier crossing: the
 // queued frames and samples, then the arrival of its k workers with
-// their value sum. A process hosting every worker has no one to tell:
-// it writes only samples, if any are queued.
-func (c *Client) arrive(k int, sum uint64) error {
+// their value sum and, at a Gather crossing, their k posts. A process
+// hosting every worker has no one to tell: it writes only samples, if
+// any are queued.
+func (c *Client) arrive(k int, sum uint64, posts [][]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if k == c.m {
@@ -288,9 +295,40 @@ func (c *Client) arrive(k int, sum uint64) error {
 		}
 		return c.write()
 	}
-	putHeader(c.arrival[:], kArrive, uint16(k), 0, 8)
-	binary.LittleEndian.PutUint64(c.arrival[headerLen:], sum)
-	return c.write(c.arrival[:])
+	buf := ser.FromBytes(append(c.arrival[:0], make([]byte, headerLen)...))
+	buf.WriteUint64(sum)
+	for _, p := range posts {
+		if buf.WriteBool(p != nil); p != nil {
+			buf.WriteBytes(p)
+		}
+	}
+	c.arrival = buf.Bytes()
+	putHeader(c.arrival, kArrive, uint16(k), 0, buf.Len()-headerLen)
+	return c.write(c.arrival)
+}
+
+// readParts reads the count parts that follow an arrival's sum in p:
+// nil for a plain arrival, otherwise one post per worker, nil where it
+// is absent. The posts alias p.
+func readParts(p []byte, count int) (posts [][]byte, err error) {
+	if len(p) == 0 {
+		return nil, nil
+	}
+	in := ser.FromBytes(p)
+	if err := ser.Decode(func() {
+		posts = make([][]byte, count)
+		for i := range posts {
+			if in.ReadBool() {
+				posts[i] = in.ReadBytes()
+			}
+		}
+		if in.Remaining() != 0 {
+			panic(fmt.Sprintf("%d bytes past the parts", in.Remaining()))
+		}
+	}); err != nil {
+		return nil, fmt.Errorf("netcomm: relayed arrival of %d workers: %v", count, err)
+	}
+	return posts, nil
 }
 
 // readLoop demuxes the hub connection: frames are staged into the
@@ -329,16 +367,23 @@ func (c *Client) readLoop() {
 				return
 			}
 		case kArrive:
+			// a plain arrival is read into v; one with posts into memory
+			// of its own, which the posts alias until the crossing after
+			// next
 			var v [8]byte
-			if n != len(v) {
+			if n < len(v) {
 				c.bar.abortLocal(fmt.Errorf("netcomm: relayed arrival with a %d-byte payload", n))
 				return
 			}
-			if _, err := io.ReadFull(br, v[:]); err != nil {
+			p := v[:]
+			if n > len(v) {
+				p = make([]byte, n)
+			}
+			if _, err := io.ReadFull(br, p); err != nil {
 				c.bar.abortLocal(fmt.Errorf("netcomm: truncated arrival: %w", err))
 				return
 			}
-			if err := c.bar.relayed(int(b), int(a), binary.LittleEndian.Uint64(v[:])); err != nil {
+			if err := c.bar.relayed(int(b), int(a), binary.LittleEndian.Uint64(p), p[len(v):]); err != nil {
 				c.bar.abortLocal(err)
 				return
 			}
@@ -521,7 +566,9 @@ func (ep *clientEndpoint) Release() {
 // the hub relayed from the others speak for all M workers. No process
 // can be more than one crossing ahead of another — finishing a crossing
 // takes everyone's arrival at it — so two slots, by crossing parity,
-// hold every crossing in progress.
+// hold every crossing in progress, and two post tables hold the posts
+// of a Gather crossing until every local worker has arrived at the
+// next one, done reading them.
 type wireBarrier struct {
 	c    *Client
 	k    int // local party size
@@ -534,6 +581,7 @@ type wireBarrier struct {
 	released uint64      // crossings complete
 	value    uint64      // the reduce value of the last crossing complete
 	slots    [2]crossing // crossings released and released+1, by parity
+	posts    [2][][]byte // Gather posts by crossing parity, then worker
 	seen     []uint64    // per first worker of another process: its arrivals relayed so far
 
 	aborted  bool
@@ -541,29 +589,47 @@ type wireBarrier struct {
 }
 
 // crossing sums the arrivals of one barrier crossing: in records this
-// process's, others counts the workers of the other processes that
-// arrived. It is complete with in set and others at M less the local
-// party.
+// process's and gather its kind, others counts the workers of the other
+// processes that arrived and posted those of them whose arrival
+// carried posts. It is complete with in set and others at M less the
+// local party.
 type crossing struct {
-	in     bool
-	others int
-	sum    uint64
+	in, gather     bool
+	others, posted int
+	sum            uint64
 }
 
 // Wait implements barrier.Barrier.
 func (b *wireBarrier) Wait() bool {
-	_, ok := b.AllReduce(0)
+	_, _, ok := b.cross(0, -1, nil)
 	return ok
 }
 
 // AllReduce implements barrier.Barrier.
 func (b *wireBarrier) AllReduce(v uint64) (uint64, bool) {
+	sum, _, ok := b.cross(v, -1, nil)
+	return sum, ok
+}
+
+// Gather implements barrier.Barrier.
+func (b *wireBarrier) Gather(id int, post []byte) ([][]byte, bool) {
+	_, posts, ok := b.cross(0, id, post)
+	return posts, ok
+}
+
+// cross is one local worker's arrival: a Gather when id >= 0, with
+// post for worker id.
+func (b *wireBarrier) cross(v uint64, id int, post []byte) (uint64, [][]byte, bool) {
 	b.mu.Lock()
 	if b.aborted {
 		b.mu.Unlock()
-		return 0, false
+		return 0, nil, false
 	}
 	gen := b.gen
+	posts := b.posts[gen&1]
+	if id >= 0 {
+		posts[id] = post
+	}
 	b.acc += v
 	b.arrived++
 	sum, last := b.acc, b.arrived == b.k
@@ -571,15 +637,19 @@ func (b *wireBarrier) AllReduce(v uint64) (uint64, bool) {
 		b.arrived, b.acc = 0, 0
 		b.gen++
 		s := &b.slots[gen&1]
-		s.in = true
+		s.in, s.gather = true, id >= 0
 		s.sum += sum
 		b.settle()
 	}
 	b.mu.Unlock()
 	if last {
-		if err := b.c.arrive(b.k, sum); err != nil {
+		var mine [][]byte
+		if id >= 0 {
+			mine = posts[b.c.lo : b.c.hi+1]
+		}
+		if err := b.c.arrive(b.k, sum, mine); err != nil {
 			b.abortLocal(fmt.Errorf("netcomm: send arrive: %w", err))
-			return 0, false
+			return 0, nil, false
 		}
 	}
 	b.mu.Lock()
@@ -589,19 +659,29 @@ func (b *wireBarrier) AllReduce(v uint64) (uint64, bool) {
 	val := b.value
 	ok := !b.aborted
 	b.mu.Unlock()
-	return val, ok
+	if !ok {
+		return 0, nil, false
+	}
+	return val, posts, true
 }
 
 // relayed records another process's arrival, relayed by the hub: count
-// workers from first on, with value sum v. The hub has checked neither
-// the range nor the crossing, so a relay is refused that names this
-// process or a range past the job, that would overfill its crossing, or
-// whose crossing is already complete or not yet reached by this process
-// (a peer cannot leave a crossing before this process arrives at it).
-func (b *wireBarrier) relayed(first, count int, v uint64) error {
+// workers from first on, with value sum v and the parts that followed
+// it. The hub has checked neither the range, the parts nor the
+// crossing, so a relay is refused that names this process or a range
+// past the job, whose parts are not one per worker, that would overfill
+// its crossing, or whose crossing is already complete or not yet
+// reached by this process (a peer cannot leave a crossing before this
+// process arrives at it); whether it should have carried parts is
+// settled when the crossing completes.
+func (b *wireBarrier) relayed(first, count int, v uint64, parts []byte) error {
 	c := b.c
 	if count == 0 || first+count > c.m || first <= c.hi && first+count > c.lo {
 		return fmt.Errorf("netcomm: relayed arrival names workers %d-%d", first, first+count-1)
+	}
+	posts, err := readParts(parts, count)
+	if err != nil {
+		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -616,32 +696,51 @@ func (b *wireBarrier) relayed(first, count int, v uint64) error {
 	b.seen[first]++
 	s.others += count
 	s.sum += v
+	if posts != nil {
+		s.posted += count
+		copy(b.posts[gen&1][first:], posts)
+	}
 	b.settle()
 	return nil
 }
 
-// settle releases the current crossing if it is complete. Only it can
-// be: this process arrives at the next one after it is released. The
-// caller holds mu.
+// settle releases the current crossing if it is complete — only it can
+// be: this process arrives at the next one after it is released — or
+// aborts the barrier if the posts of its arrivals do not fit its kind.
+// The caller holds mu.
 func (b *wireBarrier) settle() {
-	if s := &b.slots[b.released&1]; s.in && s.others == b.c.m-b.k {
-		b.value = s.sum
-		*s = crossing{}
-		b.released++
-		b.cond.Broadcast()
+	s := &b.slots[b.released&1]
+	if !s.in || s.others != b.c.m-b.k {
+		return
 	}
+	want := 0
+	if s.gather {
+		want = s.others
+	}
+	if s.posted != want {
+		b.abortLocked(fmt.Errorf("netcomm: %d of the %d other workers arrived with posts at crossing %d, want %d", s.posted, s.others, b.released, want))
+		return
+	}
+	b.value = s.sum
+	*s = crossing{}
+	b.released++
+	b.cond.Broadcast()
 }
 
 // abortLocal marks the barrier aborted (first reason wins) and wakes
 // every waiter.
 func (b *wireBarrier) abortLocal(err error) {
 	b.mu.Lock()
+	b.abortLocked(err)
+	b.mu.Unlock()
+}
+
+func (b *wireBarrier) abortLocked(err error) {
 	if !b.aborted {
 		b.aborted = true
 		b.abortErr = err
 	}
 	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // Abort implements barrier.Barrier: a local worker failed. The hub is

@@ -136,73 +136,96 @@ func TestSocketFabricWCCMatchesOracle(t *testing.T) {
 // The driver counts a job's traffic above the fabric, so the socket
 // fabric's run counts what the in-process run does, and the hub relays
 // exactly the network bytes that cross processes: those less what
-// co-hosted workers sent each other, read off the flow matrix.
+// co-hosted workers sent each other, read off the flow matrix, and less
+// the aggregate charge, which rides the barrier crossing and is in no
+// flow cell. PageRank's one float aggregator charges each worker its
+// post (9 bytes, or none when it added nothing) and the 8-byte result
+// per superstep; WCC registers none.
 func TestSocketFabricHubStats(t *testing.T) {
 	const m = 4
 	g := graph.Undirectify(graph.RMAT(7, 4, 3, graph.RMATOptions{NoSelfLoops: true}))
 	part := partition.MustHash(g.NumVertices(), m)
 	frags := frag.Build(g, part)
-	wcc, _ := algorithms.Lookup("wcc")
-	run := func(fab comm.Fabric, flows *obs.FlowAccum) algorithms.Metrics {
-		o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: fab, Flows: flows}
-		res, err := wcc.Run(algorithms.EngineChannel, algorithms.DefaultVariant, g, o, algorithms.Params{})
-		if err != nil {
-			t.Error(err)
-			return algorithms.Metrics{}
-		}
-		return res.Metrics
-	}
-	want := run(nil, nil)
+	for _, tc := range []struct {
+		alg, variant string
+		agg          bool
+	}{
+		{"wcc", algorithms.DefaultVariant, false},
+		{"pagerank", "basic", true},
+	} {
+		t.Run(tc.alg, func(t *testing.T) {
+			spec, _ := algorithms.Lookup(tc.alg)
+			run := func(fab comm.Fabric, flows *obs.FlowAccum) algorithms.Metrics {
+				o := algorithms.Options{Part: part, Frags: frags, MaxSupersteps: 100000, Fabric: fab, Flows: flows}
+				res, err := spec.Run(algorithms.EngineChannel, tc.variant, g, o, algorithms.Params{Iterations: 10})
+				if err != nil {
+					t.Error(err)
+					return algorithms.Metrics{}
+				}
+				return res.Metrics
+			}
+			want := run(nil, nil)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := netcomm.NewHub(m, comm.CostModel{}, ln)
-	t.Cleanup(hub.Close)
-	clients := make([]*netcomm.Client, 2)
-	for i := range clients {
-		c, err := netcomm.Dial("tcp", ln.Addr().String(), 2*i, 2*i+1, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		clients[i] = c
-	}
-	if err := hub.WaitJoined(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	flows := obs.NewFlowAccum(m)
-	procs := make([]algorithms.Metrics, len(clients))
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			procs[i] = run(c, flows)
-		}()
-	}
-	wg.Wait()
-	var got algorithms.Metrics
-	for _, p := range procs {
-		got.NetBytes += p.NetBytes
-		got.LocalBytes += p.LocalBytes
-		if p.Rounds != want.Rounds || p.Model != 0 {
-			t.Errorf("a process counted %d rounds and a %v model, want %d and none", p.Rounds, p.Model, want.Rounds)
-		}
-	}
-	if got.NetBytes != want.NetBytes || got.LocalBytes != want.LocalBytes || want.NetBytes == 0 || want.LocalBytes == 0 {
-		t.Fatalf("processes counted %d network and %d loopback bytes, the in-process run %d and %d",
-			got.NetBytes, got.LocalBytes, want.NetBytes, want.LocalBytes)
-	}
-	var coHosted int64
-	for _, f := range flows.Matrix().Flows {
-		if f.Src != f.Dst && f.Src/2 == f.Dst/2 {
-			coHosted += f.Bytes
-		}
-	}
-	if db := hub.DataBytes(); db != got.NetBytes-coHosted || coHosted == 0 {
-		t.Errorf("hub relayed %d bytes, want the %d network bytes less the %d co-hosted", db, got.NetBytes, coHosted)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hub := netcomm.NewHub(m, comm.CostModel{}, ln)
+			t.Cleanup(hub.Close)
+			clients := make([]*netcomm.Client, 2)
+			for i := range clients {
+				c, err := netcomm.Dial("tcp", ln.Addr().String(), 2*i, 2*i+1, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				clients[i] = c
+			}
+			if err := hub.WaitJoined(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			flows := obs.NewFlowAccum(m)
+			procs := make([]algorithms.Metrics, len(clients))
+			var wg sync.WaitGroup
+			for i, c := range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					procs[i] = run(c, flows)
+				}()
+			}
+			wg.Wait()
+			var got algorithms.Metrics
+			for _, p := range procs {
+				got.NetBytes += p.NetBytes
+				got.LocalBytes += p.LocalBytes
+				if p.Rounds != want.Rounds || p.Model != 0 {
+					t.Errorf("a process counted %d rounds and a %v model, want %d and none", p.Rounds, p.Model, want.Rounds)
+				}
+			}
+			if got.NetBytes != want.NetBytes || got.LocalBytes != want.LocalBytes || want.NetBytes == 0 || want.LocalBytes == 0 {
+				t.Fatalf("processes counted %d network and %d loopback bytes, the in-process run %d and %d",
+					got.NetBytes, got.LocalBytes, want.NetBytes, want.LocalBytes)
+			}
+			var coHosted, offWorker int64
+			for _, f := range flows.Matrix().Flows {
+				if f.Src != f.Dst {
+					offWorker += f.Bytes
+					if f.Src/2 == f.Dst/2 {
+						coHosted += f.Bytes
+					}
+				}
+			}
+			charge := got.NetBytes - offWorker
+			steps := int64(m * want.Supersteps)
+			if tc.agg && (charge < 8*steps || charge > 17*steps) || !tc.agg && charge != 0 {
+				t.Errorf("an aggregate charge of %d bytes in %d worker supersteps", charge, steps)
+			}
+			if db := hub.DataBytes(); db != got.NetBytes-coHosted-charge || coHosted == 0 {
+				t.Errorf("hub relayed %d bytes, want the %d network bytes less the %d co-hosted and the %d charged for aggregates",
+					db, got.NetBytes, coHosted, charge)
+			}
+		})
 	}
 }
 

@@ -531,21 +531,35 @@ func TestHubPlaneHostileHeaderInsideBatch(t *testing.T) {
 	}
 }
 
-// The hub relays arrivals without checking their ranges or crossings,
-// so the client must: a relayed arrival that is malformed, speaks for
-// this process's own workers or for none, overfills a crossing, or is
-// for a crossing this process is not at must abort the barrier with a
-// transport error — never release it, hang or panic. The client hosts
-// worker 0 of 3. Where a batch could be misread as completing the
+// The hub relays arrivals without checking their ranges, posts or
+// crossings, so the client must: a relayed arrival that is malformed,
+// speaks for this process's own workers or for none, carries parts it
+// cannot account for, overfills a crossing, or is for a crossing this
+// process is not at must abort the barrier with a transport error —
+// never release it, hang or panic. So must a crossing whose arrivals
+// carry posts when it is plain, or none when it gathers. The client
+// hosts worker 0 of 3. Where a batch could be misread as completing the
 // crossing, it is built so that it would be: a check that let the bad
 // arrival through would show as a release, not as a later error.
 func TestClientRejectsHostileRelayedArrival(t *testing.T) {
 	arrive := func(count, first uint16) []byte { return msg(kArrive, count, first, make([]byte, 8)) }
-	// waitAborted runs one crossing of c and fails unless it aborts.
-	waitAborted := func(t *testing.T, c *Client) {
+	// posting is an arrival whose sum is followed by parts.
+	posting := func(count, first uint16, parts ...byte) []byte {
+		return msg(kArrive, count, first, append(make([]byte, 8), parts...))
+	}
+	// waitAborted runs one crossing of c, a Gather if gather is set, and
+	// fails unless it aborts.
+	waitAborted := func(t *testing.T, c *Client, gather bool) {
 		t.Helper()
 		done := make(chan bool, 1)
-		go func() { done <- c.Barrier().Wait() }()
+		go func() {
+			if gather {
+				_, ok := c.Barrier().Gather(0, nil)
+				done <- ok
+				return
+			}
+			done <- c.Barrier().Wait()
+		}()
 		select {
 		case ok := <-done:
 			if ok {
@@ -559,27 +573,46 @@ func TestClientRejectsHostileRelayedArrival(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name  string
-		batch []byte
+		name   string
+		batch  []byte
+		gather bool
 	}{
-		{"short payload", append(msg(kArrive, 1, 1, make([]byte, 4)), arrive(1, 2)...)},
-		{"long payload", msg(kArrive, 1, 1, append(make([]byte, 8), arrive(1, 2)...))}, // read as 8 bytes, the rest would be worker 2's arrival
-		{"own range", append(arrive(1, 0), arrive(1, 1)...)},
-		{"overlapping own range", arrive(2, 0)},
-		{"range past the job", arrive(2, 2)},
-		{"no workers", append(arrive(0, 2), arrive(2, 1)...)},
-		{"past M workers", append(arrive(1, 2), arrive(2, 1)...)},
-		{"two crossings ahead", append(append(arrive(1, 1), arrive(1, 1)...), arrive(1, 1)...)},
-		{"retired kind 4", append(msg(4, 0, 0, make([]byte, 8)), arrive(2, 1)...)},
+		{"short payload", append(msg(kArrive, 1, 1, make([]byte, 4)), arrive(1, 2)...), false},
+		{"long payload", msg(kArrive, 1, 1, append(make([]byte, 8), arrive(1, 2)...)), false}, // the rest would be worker 2's arrival
+		{"own range", append(arrive(1, 0), arrive(1, 1)...), false},
+		{"overlapping own range", arrive(2, 0), false},
+		{"range past the job", arrive(2, 2), false},
+		{"no workers", append(arrive(0, 2), arrive(2, 1)...), false},
+		{"past M workers", append(arrive(1, 2), arrive(2, 1)...), false},
+		{"two crossings ahead", append(append(arrive(1, 1), arrive(1, 1)...), arrive(1, 1)...), false},
+		{"retired kind 4", append(msg(4, 0, 0, make([]byte, 8)), arrive(2, 1)...), false},
+		{"parts on a plain crossing", append(posting(1, 1, 0), arrive(1, 2)...), false},
+		{"no parts on a gather crossing", append(arrive(1, 1), arrive(1, 2)...), true},
+		{"fewer parts than workers", posting(2, 1, 0), true},
+		{"more parts than workers", append(posting(1, 1, 0, 0), posting(1, 2, 0)...), true},
+		{"part length past the payload", append(posting(1, 1, 1, 5, 'x'), posting(1, 2, 0)...), true},
+		{"trailing bytes after the parts", append(posting(1, 1, 1, 1, 'x', 7), posting(1, 2, 0)...), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, hubSide, _ := dialScriptedHub(t, 3)
 			if _, err := hubSide.Write(tc.batch); err != nil {
 				t.Fatal(err)
 			}
-			waitAborted(t, c)
+			waitAborted(t, c, tc.gather)
 		})
 	}
+	t.Run("posts delivered", func(t *testing.T) {
+		// worker 1 posts "ab", worker 2 is absent and worker 0 posts an
+		// empty post, which is not absent
+		c, hubSide, _ := dialScriptedHub(t, 3)
+		if _, err := hubSide.Write(append(posting(1, 1, 1, 2, 'a', 'b'), posting(1, 2, 0)...)); err != nil {
+			t.Fatal(err)
+		}
+		posts, ok := c.Barrier().Gather(0, []byte{})
+		if !ok || len(posts) != 3 || posts[0] == nil || len(posts[0]) != 0 || string(posts[1]) != "ab" || posts[2] != nil {
+			t.Fatalf("gathered %q (ok=%v): %v", posts, ok, c.Err())
+		}
+	})
 	t.Run("crossing already complete", func(t *testing.T) {
 		c, hubSide, _ := dialScriptedHub(t, 3)
 		if _, err := hubSide.Write(arrive(2, 1)); err != nil {
@@ -591,7 +624,7 @@ func TestClientRejectsHostileRelayedArrival(t *testing.T) {
 		if _, err := hubSide.Write(arrive(1, 2)); err != nil { // worker 2 again, at crossing 0
 			t.Fatal(err)
 		}
-		waitAborted(t, c)
+		waitAborted(t, c, false)
 	})
 }
 
@@ -648,33 +681,37 @@ func TestWireBarrierReplaysEarlyArrivals(t *testing.T) {
 		t.Errorf("the hub still keeps %d early arrivals after the party joined", n)
 	}
 
-	t.Run("second early arrival", func(t *testing.T) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		hub := NewHub(2, comm.CostModel{}, ln)
-		t.Cleanup(hub.Close)
-		raw, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { raw.Close() })
-		batch := msg(kHello, 1, 1, nil)
-		batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8))...)
-		batch = append(batch, msg(kArrive, 1, 0, make([]byte, 8))...)
-		if _, err := raw.Write(batch); err != nil {
-			t.Fatal(err)
-		}
-		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := io.Copy(io.Discard, raw); err != nil {
-			t.Fatalf("the hub kept the connection open: %v", err)
-		}
-		_, errs, err := hub.WaitResults(5 * time.Second)
-		if err != nil || len(errs) == 0 || !errors.Is(errs[0], ErrWorkerLost) {
-			t.Fatalf("hub errors %v, %v; want the worker declared lost", errs, err)
-		}
-	})
+	// a second early arrival, or one longer than the set-up crossing's
+	// sum, drops the connection
+	for name, arrivals := range map[string][]byte{
+		"second early arrival":     append(msg(kArrive, 1, 0, make([]byte, 8)), msg(kArrive, 1, 0, make([]byte, 8))...),
+		"early arrival with posts": msg(kArrive, 1, 0, make([]byte, 9)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hub := NewHub(2, comm.CostModel{}, ln)
+			t.Cleanup(hub.Close)
+			raw, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { raw.Close() })
+			if _, err := raw.Write(append(msg(kHello, 1, 1, nil), arrivals...)); err != nil {
+				t.Fatal(err)
+			}
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := io.Copy(io.Discard, raw); err != nil {
+				t.Fatalf("the hub kept the connection open: %v", err)
+			}
+			_, errs, err := hub.WaitResults(5 * time.Second)
+			if err != nil || len(errs) == 0 || !errors.Is(errs[0], ErrWorkerLost) {
+				t.Fatalf("hub errors %v, %v; want the worker declared lost", errs, err)
+			}
+		})
+	}
 }
 
 // A process hosting every worker of the job completes each crossing by

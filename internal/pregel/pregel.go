@@ -21,9 +21,10 @@
 //     combining, §V-B1).
 //
 // The wire protocol is fixed by the configuration: round 1 carries
-// messages, ghost broadcasts, requests and aggregator partials; round 2
-// (present iff reqresp or an aggregator is configured) carries responses
-// and the aggregator result. Every index read off a peer's buffer is
+// messages, ghost broadcasts and requests; round 2 (present iff reqresp
+// is configured) carries responses. The aggregator is the driver's
+// (bsp.Aggregator), as the channel engine's is: its partials ride round
+// 1's barrier crossing, in neither round. Every index read off a peer's buffer is
 // checked before use. Superstep samples carry whole-buffer byte counts,
 // one frame per buffer, and no per-channel breakdown, since a monolithic
 // stream has no channels to attribute to; checkpoint records carry the
@@ -75,9 +76,8 @@ type Metrics = bsp.Metrics
 // Worker is the per-node handle passed to the algorithm.
 type Worker[M, R, A any] struct {
 	bsp.Core
-	cfg    *Config[M, R, A]
-	setup  func(*Worker[M, R, A])
-	rounds int // exchange rounds per superstep: 1, or 2 with reqresp or an aggregator
+	cfg   *Config[M, R, A]
+	setup func(*Worker[M, R, A])
 
 	// Compute is invoked for every active local vertex each superstep
 	// with the combined/collected messages from the previous superstep.
@@ -106,12 +106,7 @@ type Worker[M, R, A any] struct {
 	asked [][]uint32             // per requester: local indices it asked for
 	resp  []bsp.Stamped[R]       // per responder: its responses, by local index
 
-	// aggregator state
-	aggCurr     A
-	aggCurrSet  bool
-	aggResult   A
-	aggGathered A
-	aggGathSet  bool
+	agg *bsp.Aggregator[A] // with Config.AggCombine
 }
 
 // Run executes a baseline job. setup is called once per worker to
@@ -206,14 +201,16 @@ func (w *Worker[M, R, A]) Resp() (R, bool) {
 
 // Aggregate contributes a to this superstep's aggregation.
 func (w *Worker[M, R, A]) Aggregate(a A) {
-	if w.cfg.AggCombine == nil {
+	if w.agg == nil {
 		panic("pregel: Aggregate requires Config.AggCombine")
 	}
-	if w.aggCurrSet {
-		a = w.cfg.AggCombine(w.aggCurr, a)
-	}
-	w.aggCurr, w.aggCurrSet = a, true
+	w.agg.Add(a)
 }
 
 // AggResult returns the aggregate of the previous superstep.
-func (w *Worker[M, R, A]) AggResult() A { return w.aggResult }
+func (w *Worker[M, R, A]) AggResult() A {
+	if w.agg == nil {
+		return w.cfg.AggZero
+	}
+	return w.agg.Result()
+}

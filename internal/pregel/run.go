@@ -26,7 +26,6 @@ func (p program[M, R, A]) Setup() error {
 		w.out = make([]bsp.Updates[M], m)
 		w.inbox = bsp.NewInbox[M](n)
 	}
-	w.rounds = 1
 	if cfg.Responder != nil {
 		w.at = bsp.NewStamped[frag.Addr](n)
 		w.req = bsp.NewOutbox[struct{}](w.Part())
@@ -35,12 +34,10 @@ func (p program[M, R, A]) Setup() error {
 		for o := range w.resp {
 			w.resp[o] = bsp.NewStamped[R](w.Part().LocalCount(o))
 		}
-		w.rounds = 2
 	}
 	if cfg.AggCombine != nil {
-		w.rounds = 2
+		w.agg = bsp.NewAggregator(&w.Core, cfg.AggCodec, cfg.AggCombine, cfg.AggZero)
 	}
-	w.aggResult = cfg.AggZero
 	if cfg.GhostThreshold > 0 {
 		w.buildGhostTables()
 		w.ghost = make([]bsp.Updates[M], m)
@@ -63,9 +60,6 @@ func (p program[M, R, A]) Compute() {
 		}
 	}
 	w.SetCurrent(-1)
-	if w.cfg.AggCombine != nil { // a fresh gather for this superstep's partials
-		w.aggGathered, w.aggGathSet = w.cfg.AggZero, false
-	}
 }
 
 func (p program[M, R, A]) Serialize(dst int, buf *ser.Buffer) {
@@ -101,18 +95,18 @@ func (p program[M, R, A]) Deserialize(src int, in *ser.Buffer) error {
 func (p program[M, R, A]) Decoding() any { return nil }
 
 // Again groups the messages round 1 delivered without a combiner into
-// the inbox; later rounds deliver none.
+// the inbox; round 2, which delivers none, runs with reqresp only.
 func (p program[M, R, A]) Again() bool {
 	p.inbox.Group(int32(p.Superstep()))
-	return p.Round() < p.rounds
+	return p.Round() == 1 && p.cfg.Responder != nil
 }
 
 // SaveState records the engine-private state that round 1's outgoing
 // buffers do not carry — the per-vertex request stamps, which were
 // written by Request calls during compute and index next superstep's
-// responses. The staged messages, requests and aggregator partial are
-// in those buffers; inboxes, asked lists, responses and the aggregator
-// gather are what the restored rounds deliver.
+// responses. The staged messages and requests are in those buffers;
+// inboxes, asked lists and responses are what the restored rounds
+// deliver.
 func (p program[M, R, A]) SaveState(rec *ckpt.Record) {
 	if p.cfg.Responder == nil {
 		return
@@ -145,11 +139,6 @@ func (p program[M, R, A]) RestoreState(rec *ckpt.Record) error {
 		}
 	} else if len(rec.Engine) != 0 {
 		return fmt.Errorf("record carries engine state but no Responder is configured")
-	}
-	if cfg.AggCombine != nil {
-		// Compute reset it before the live cut, so the gather side starts
-		// the restored rounds zeroed.
-		w.aggGathered, w.aggGathSet = cfg.AggZero, false
 	}
 	return nil
 }
@@ -209,15 +198,6 @@ func (w *Worker[M, R, A]) serializeRound1(dst int, buf *ser.Buffer) {
 			buf.WriteUint32(li)
 		}
 	}
-	// aggregator partial (to worker 0 only); the partial is consumed by
-	// serializing it — the next superstep starts a fresh aggregation
-	if cfg.AggCombine != nil && dst == 0 {
-		buf.WriteBool(w.aggCurrSet)
-		if w.aggCurrSet {
-			cfg.AggCodec.Encode(buf, w.aggCurr)
-		}
-		w.aggCurr, w.aggCurrSet = cfg.AggZero, false
-	}
 }
 
 func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
@@ -254,48 +234,29 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 		}
 		w.asked[src] = lis
 	}
-	// aggregator partial (worker 0 only receives)
-	if cfg.AggCombine != nil && w.WorkerID() == 0 {
-		if buf.ReadBool() {
-			v := cfg.AggCodec.Decode(buf)
-			if w.aggGathSet {
-				v = cfg.AggCombine(w.aggGathered, v)
-			}
-			w.aggGathered, w.aggGathSet = v, true
-		}
-	}
 }
 
+// serializeRound2 writes the responses to dst's requests in Pregel+'s
+// reply format: (vertex id, value) pairs — the (dense) id is
+// retransmitted with every response, which is the constant reply-size
+// overhead §V-B2 measures.
 func (w *Worker[M, R, A]) serializeRound2(dst int, buf *ser.Buffer) {
 	cfg := w.cfg
-	if cfg.Responder != nil {
-		lis := w.asked[dst]
-		buf.WriteUvarint(uint64(len(lis)))
-		// Pregel+ reply format: (vertex id, value) pairs — the (dense) id
-		// is retransmitted with every response, which is the constant
-		// reply-size overhead §V-B2 measures.
-		for _, li := range lis {
-			buf.WriteUint32(li)
-			cfg.RespCodec.Encode(buf, cfg.Responder(w, int(li)))
-		}
-	}
-	if cfg.AggCombine != nil && w.WorkerID() == 0 {
-		cfg.AggCodec.Encode(buf, w.aggGathered)
+	lis := w.asked[dst]
+	buf.WriteUvarint(uint64(len(lis)))
+	for _, li := range lis {
+		buf.WriteUint32(li)
+		cfg.RespCodec.Encode(buf, cfg.Responder(w, int(li)))
 	}
 }
 
 func (w *Worker[M, R, A]) deserializeRound2(src int, buf *ser.Buffer) {
 	cfg := w.cfg
-	if cfg.Responder != nil {
-		resp, e := &w.resp[src], int32(w.Superstep())
-		nr := buf.ReadCount(math.MaxInt)
-		for i := 0; i < nr; i++ {
-			li := local(buf.ReadUint32(), len(resp.Val), "response")
-			resp.Set(li, cfg.RespCodec.Decode(buf), e)
-		}
-	}
-	if cfg.AggCombine != nil && src == 0 {
-		w.aggResult = cfg.AggCodec.Decode(buf)
+	resp, e := &w.resp[src], int32(w.Superstep())
+	nr := buf.ReadCount(math.MaxInt)
+	for i := 0; i < nr; i++ {
+		li := local(buf.ReadUint32(), len(resp.Val), "response")
+		resp.Set(li, cfg.RespCodec.Decode(buf), e)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 
 // goldenSamplesFile holds the sample table this test compares against,
 // recorded from the engines as they stood before both were put on the
-// shared superstep driver.
+// shared superstep driver and recorded again when aggregator partials
+// left the round buffers for round 1's barrier crossing (frames and
+// bytes moved; results and the other rounds did not).
 const goldenSamplesFile = "testdata/superstep_samples.golden"
 
 // sampleTable runs each case at 4 workers in-process and renders the

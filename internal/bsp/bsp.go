@@ -11,11 +11,8 @@
 // baseline differ only there, so their communication is what Tables
 // IV–VII compare.
 //
-// Aggregation is the driver's too, one mechanism for both engines
-// (Aggregator): the partials a worker's vertices added ride round 1's
-// post-flush crossing as a gather, and each worker folds all of them in
-// worker order before round 1 decodes, so the result is ready for the
-// next superstep without a frame or a round of its own.
+// Aggregation is the driver's too, one mechanism for both engines: see
+// Aggregator.
 //
 // The driver is also the one place a job's traffic is counted: just
 // before each round's Flush, every worker totals its outgoing buffers

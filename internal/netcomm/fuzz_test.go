@@ -35,6 +35,8 @@ func FuzzWireHeader(f *testing.F) {
 	relay := msg(kFrame, 1, 0, bytes.Repeat([]byte{5}, 40))
 	relay = append(relay, msg(kArrive, 2, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0})...)
 	f.Add(relay) // what the hub stages for a client: a peer's frame, then its relayed arrival
+	// a gather arrival: two posts, one absent
+	f.Add(msg(kArrive, 2, 1, append(make([]byte, 8), 1, 2, 'a', 'b', 0)))
 	for _, k := range retiredKinds {
 		f.Add(append(msg(kFrame, 0, 1, []byte("x")), msg(k, 0, 1, make([]byte, 8))...))
 	}

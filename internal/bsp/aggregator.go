@@ -115,7 +115,7 @@ func (c *Core) encodePost() {
 // (it is both), but not in the flow matrix, which holds the round
 // buffers.
 func (c *Core) gather() (bool, error) {
-	posts, ok := c.job.bar.Gather(c.id, c.post)
+	posts, ok := c.timedGather()
 	if !ok {
 		return false, nil
 	}

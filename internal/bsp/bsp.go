@@ -474,15 +474,7 @@ func (c *Core) crossFlushed() (bool, error) {
 	if c.round != 1 || len(c.aggs) == 0 {
 		return c.timedWait(), nil
 	}
-	var t0 time.Time
-	if c.obsOn {
-		t0 = time.Now()
-	}
-	ok, err := c.gather()
-	if c.obsOn {
-		c.smp.BarrierWaitNS += time.Since(t0).Nanoseconds()
-	}
-	return ok, err
+	return c.gather()
 }
 
 // timedWait crosses the shared barrier, attributing the blocked time to
@@ -495,6 +487,18 @@ func (c *Core) timedWait() bool {
 	ok := c.job.bar.Wait()
 	c.smp.BarrierWaitNS += time.Since(t0).Nanoseconds()
 	return ok
+}
+
+// timedGather mirrors timedWait for round 1's gather of this worker's
+// aggregator post.
+func (c *Core) timedGather() ([][]byte, bool) {
+	if !c.obsOn {
+		return c.job.bar.Gather(c.id, c.post)
+	}
+	t0 := time.Now()
+	posts, ok := c.job.bar.Gather(c.id, c.post)
+	c.smp.BarrierWaitNS += time.Since(t0).Nanoseconds()
+	return posts, ok
 }
 
 // timedAllReduce mirrors timedWait for the reducing crossings.

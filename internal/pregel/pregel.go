@@ -93,6 +93,10 @@ type Worker[M, R, A any] struct {
 	hubWorkers [][]int32                  // per local hub slot: worker ids with mirrors
 	hubSlot    []int32                    // per local vertex: index into hubWorkers or -1
 	ghostAdj   map[graph.VertexID][]int32 // hub id -> local neighbor indices on this worker
+	// per worker: a hub here has mirrors there (ghostTo), a hub there has
+	// mirrors here (ghostFrom) — where round 1's buffers carry a ghost
+	// section
+	ghostTo, ghostFrom []bool
 
 	// delivered last superstep: with a combiner, one value per vertex;
 	// without, round 1's messages in arrival order (source worker, then

@@ -186,7 +186,7 @@ func (w *Worker[M, R, A]) serializeRound1(dst int, buf *ser.Buffer) {
 		writeMsgs(buf, cfg.MsgCodec, w.out[dst].Idx, w.out[dst].Vals)
 		w.out[dst].Reset()
 	}
-	if cfg.GhostThreshold > 0 {
+	if cfg.GhostThreshold > 0 && w.ghostTo[dst] {
 		writeMsgs(buf, cfg.MsgCodec, w.ghost[dst].Idx, w.ghost[dst].Vals)
 		w.ghost[dst].Reset()
 	}
@@ -210,8 +210,8 @@ func (w *Worker[M, R, A]) deserializeRound1(src int, buf *ser.Buffer) {
 		li := local(buf.ReadUint32(), n, "message")
 		w.deliver(li, cfg.MsgCodec.Decode(buf))
 	}
-	// ghost broadcasts
-	if cfg.GhostThreshold > 0 {
+	// ghost broadcasts, from a worker whose hubs mirror here
+	if cfg.GhostThreshold > 0 && w.ghostFrom[src] {
 		ng := buf.ReadCount(math.MaxInt)
 		for i := 0; i < ng; i++ {
 			hub := buf.ReadUint32()
@@ -272,7 +272,9 @@ func (w *Worker[M, R, A]) deliver(li int, msg M) {
 
 // buildGhostTables precomputes, for each hub vertex (degree >=
 // threshold), the set of workers holding mirrors, and on the receiving
-// side the hub's local neighbor lists. In the real system this is a
+// side the hub's local neighbor lists; both sides of a worker pair
+// derive from them whether its round-1 buffers carry a ghost section
+// (and its count) at all. In the real system this is a
 // preprocessing exchange; here both sides are derived from the
 // pre-resolved fragments (every fragment is readable by every worker in
 // this in-process simulation), charging only the (real) CPU time.
@@ -285,6 +287,7 @@ func (w *Worker[M, R, A]) buildGhostTables() {
 		w.hubSlot[i] = -1
 	}
 	w.ghostAdj = make(map[graph.VertexID][]int32)
+	w.ghostTo, w.ghostFrom = make([]bool, w.NumWorkers()), make([]bool, w.NumWorkers())
 	// own hubs: worker lists, from the fragment's packed adjacency
 	seen := make([]bool, w.NumWorkers())
 	for li := 0; li < n; li++ {
@@ -299,6 +302,7 @@ func (w *Worker[M, R, A]) buildGhostTables() {
 			if o := a.Worker(); !seen[o] {
 				seen[o] = true
 				lst = append(lst, int32(o))
+				w.ghostTo[o] = true
 			}
 		}
 		w.hubSlot[li] = int32(len(w.hubWorkers))
@@ -315,6 +319,7 @@ func (w *Worker[M, R, A]) buildGhostTables() {
 			for _, a := range fo.Neighbors(li) {
 				if a.Worker() == w.WorkerID() {
 					w.ghostAdj[hub] = append(w.ghostAdj[hub], int32(a.Local()))
+					w.ghostFrom[o] = true
 				}
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/ser"
 )
 
 // sameResult compares two runs' payloads for bit-identical equality —
@@ -159,15 +160,22 @@ type keepAll struct{ ckpt.Store }
 // the restored round must deliver them), the cut at superstep 2 is the
 // first whose record must carry the received lists, and the rest are
 // mid-run. The adopted plan itself is never in the record: the
-// restoring job adopts it again from its fragments.
+// restoring job adopts it again from its fragments. What the record
+// does carry per stream is the values of its last dense frame, one per
+// listed destination (width bytes each, the scatter codec's), which
+// delta frames are decoded against: S-V's later cuts must have sent
+// some and restore from them to the clean result, PageRank's frames
+// must all be dense.
 func TestCheckpointRestoreAcrossScatterHandshake(t *testing.T) {
 	directed := graph.SocialRMAT(10, 16, 42)
 	for _, tc := range []struct {
 		alg, variant string
 		g            *graph.Graph
+		width        int
+		delta        bool
 	}{
-		{"pagerank", "scatter", directed},
-		{"sv", "both", graph.Undirectify(directed)},
+		{"pagerank", "scatter", directed, 8, false},
+		{"sv", "both", graph.Undirectify(directed), 4, true},
 	} {
 		t.Run(tc.alg+"/"+tc.variant, func(t *testing.T) {
 			spec, _ := Lookup(tc.alg)
@@ -191,7 +199,9 @@ func TestCheckpointRestoreAcrossScatterHandshake(t *testing.T) {
 			if err != nil || latest < 4 {
 				t.Fatalf("latest complete cut %d, %v", latest, err)
 			}
+			deltaCuts := 0
 			for s := 1; s <= latest; s++ {
+				delta := 0
 				for w := 0; w < part.NumWorkers(); w++ {
 					data, err := store.Get("t", s, w)
 					if err != nil {
@@ -201,10 +211,16 @@ func TestCheckpointRestoreAcrossScatterHandshake(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					delta += deltaFrames(t, rec)
 					// both jobs register the ScatterCombine first; two
-					// varints per edge was the floor of the old record
-					if blob, edges := len(rec.Channels[0]), frags.Frag(w).NumEdges(); blob >= edges {
-						t.Fatalf("cut %d worker %d: %d bytes of ScatterCombine state for %d edges — the plan leaked into the record", s, w, blob, edges)
+					// varints per edge was the floor of the old record,
+					// beyond the last frames' values
+					listed := 0
+					for o := 0; o < part.NumWorkers(); o++ {
+						listed += len(frags.Frag(w).ScatterPlan().To[o].Dst) + len(frags.Frag(o).ScatterPlan().To[w].Dst)
+					}
+					if blob, edges := len(rec.Channels[0]), frags.Frag(w).NumEdges(); blob-tc.width*listed >= edges {
+						t.Fatalf("cut %d worker %d: %d bytes of ScatterCombine state for %d edges and %d last values — the plan leaked into the record", s, w, blob, edges, listed)
 					}
 				}
 				// restore on fresh fragments, as a respawned worker would
@@ -216,9 +232,34 @@ func TestCheckpointRestoreAcrossScatterHandshake(t *testing.T) {
 					t.Fatalf("restore from superstep %d: %v", s, err)
 				}
 				sameResult(t, fmt.Sprintf("restored from superstep %d/%d", s, latest), want, res)
+				if delta > 0 {
+					deltaCuts++
+				}
+			}
+			if tc.delta != (deltaCuts > 0) {
+				t.Errorf("%d of %d cuts carry delta frames", deltaCuts, latest)
 			}
 		})
 	}
+}
+
+// deltaFrames counts the ScatterCombine frames in rec's round buffers
+// that are delta frames: the channel is registered first (id 0), and a
+// delta frame's flags byte has bit 2 set (see channel.ScatterCombine).
+func deltaFrames(t *testing.T, rec *ckpt.Record) int {
+	t.Helper()
+	n := 0
+	for _, out := range rec.Out {
+		buf, frame := ser.FromBytes(out), new(ser.Buffer)
+		for buf.Remaining() > 0 {
+			ci := buf.ReadUvarint()
+			buf.ReadFrameInto(frame)
+			if ci == 0 && frame.ReadUint8()&(1<<2) != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestCheckpointRestoreSendsWhatCleanRunSends restores from every cut

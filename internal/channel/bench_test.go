@@ -85,8 +85,9 @@ func BenchmarkScatterCombineRing(b *testing.B) {
 // which every vertex of an RMAT graph scatters along the adopted
 // fragment plan (built before the clock starts, as on a cached view):
 // the steady state of PageRankScatter — gather-reduce, values-only
-// frames, indexed store — with nothing else in the superstep. Setup
-// allocations amortize over b.N, so allocs/op must read 0.
+// frames, indexed store — with nothing else in the superstep. Every
+// value changes every superstep, as ranks do, so every frame is dense.
+// Setup allocations amortize over b.N, so allocs/op must read 0.
 func BenchmarkScatterCombineFragment(b *testing.B) {
 	benchScatterFragment(b, func(w *engine.Worker, ch *ScatterCombine[float64]) {
 		w.Compute = func(li int) {
@@ -94,7 +95,7 @@ func BenchmarkScatterCombineFragment(b *testing.B) {
 				w.VoteToHalt()
 				return
 			}
-			ch.SetMessage(float64(li))
+			ch.SetMessage(float64(li + w.Superstep()))
 		}
 	})
 }
@@ -114,7 +115,32 @@ func BenchmarkScatterCombineFragmentValues(b *testing.B) {
 			}
 			vals := ch.Values()
 			for li := lo; li < hi; li++ {
+				vals[li] = float64(li + w.Superstep())
+			}
+		}
+	})
+}
+
+// BenchmarkScatterCombineFragmentDelta is the range program in which
+// one source in 64 changes its value each superstep, as pointers do in
+// S-V's later supersteps: the destinations none of them reach keep
+// their sums, so the frames are delta frames — the bitmap and the sums
+// that moved. allocs/op must read 0.
+func BenchmarkScatterCombineFragmentDelta(b *testing.B) {
+	benchScatterFragment(b, func(w *engine.Worker, ch *ScatterCombine[float64]) {
+		w.ComputeRange = func(lo, hi int) {
+			if w.Superstep() > b.N {
+				for li := lo; li < hi; li++ {
+					w.DeactivateLocal(li)
+				}
+				return
+			}
+			vals := ch.Values()
+			for li := lo; li < hi; li++ {
 				vals[li] = float64(li)
+				if li%64 == 0 {
+					vals[li] += float64(w.Superstep())
+				}
 			}
 		}
 	})
@@ -130,7 +156,7 @@ func benchScatterFragment(b *testing.B, install func(w *engine.Worker, ch *Scatt
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	_, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
+	m, err := engine.Run(engine.Config{Frags: fs, MaxSupersteps: b.N + 1}, func(w *engine.Worker) {
 		ch := NewScatterCombine[float64](w, ser.Float64Codec{}, Sum[float64]())
 		ch.UseFragment(w.Frag())
 		install(w, ch)
@@ -139,6 +165,7 @@ func benchScatterFragment(b *testing.B, install func(w *engine.Worker, ch *Scatt
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+	b.ReportMetric(float64(m.NetBytes)/float64(b.N), "netB/op")
 }
 
 // BenchmarkCombinerFold is the fold kernel alone, once over every
@@ -175,15 +202,20 @@ func benchFold[M Number](b *testing.B, f *frag.Fragment, c Combiner[M]) {
 }
 
 // TestScatterSteadyStateZeroAlloc pins the allocation-free claim of the
-// plan path: no per-superstep edge list, sort scratch or frame table.
+// plan path: no per-superstep edge list, sort scratch or frame table,
+// and no buffer for a delta frame's bitmap or changed values — whose
+// steady state must also send fewer bytes than the dense one.
 func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed test")
 	}
-	for name, bench := range map[string]func(*testing.B){
-		"SetMessage": BenchmarkScatterCombineFragment,
-		"Values":     BenchmarkScatterCombineFragmentValues,
-	} {
+	wire := map[string]float64{}
+	for _, name := range []string{"SetMessage", "Values", "Delta"} {
+		bench := map[string]func(*testing.B){
+			"SetMessage": BenchmarkScatterCombineFragment,
+			"Values":     BenchmarkScatterCombineFragmentValues,
+			"Delta":      BenchmarkScatterCombineFragmentDelta,
+		}[name]
 		res := testing.Benchmark(bench)
 		if res.N < 500 {
 			// the job's ~200 setup allocations are not amortized to zero (a
@@ -193,6 +225,10 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 		if a := res.AllocsPerOp(); a > 0 {
 			t.Errorf("%s: steady-state scatter allocates %d allocs/superstep, want 0", name, a)
 		}
+		wire[name] = res.Extra["netB/op"]
+	}
+	if wire["Delta"] >= wire["Values"]*3/4 {
+		t.Errorf("delta steady state sends %.0f B/superstep, the dense one %.0f", wire["Delta"], wire["Values"])
 	}
 }
 

@@ -71,7 +71,12 @@ func checkEdges(part *partition.Partition, locals int, src []uint32, dst []frag.
 // saved as its AddAddr registrations and rebuilt. The channel sends in
 // round 1 only, so the source values it combined are in the record's
 // buffers, and the receive side is epoch-stamped and refilled by the
-// restored round.
+// restored round. What delta frames are encoded and decoded against is
+// saved too: per destination the sender's state (the values of its last
+// dense frame, as of the cut superstep's frames in the record, and its
+// diff back-off), and per source the values of the last dense frame
+// received, which the restored round's frames are a change against. An
+// empty slice is a stream without a dense frame.
 func (c *ScatterCombine[M]) SaveState(buf *ser.Buffer) {
 	buf.WriteVarint(int64(c.setEpoch))
 	buf.WriteBool(c.handshaken)
@@ -79,6 +84,14 @@ func (c *ScatterCombine[M]) SaveState(buf *ser.Buffer) {
 	ckpt.SaveSlice(buf, addrs, c.reg.addr)
 	for _, tab := range c.tab {
 		ckpt.SaveSlice(buf, u32s, tab)
+	}
+	if c.width > 0 {
+		for d, st := range c.sent {
+			ckpt.SaveSlice(buf, c.codec, st.last)
+			buf.WriteUint8(st.dull)
+			buf.WriteUint8(st.skip)
+			ckpt.SaveSlice(buf, c.codec, c.last[d])
+		}
 	}
 }
 
@@ -105,7 +118,34 @@ func (c *ScatterCombine[M]) RestoreState(buf *ser.Buffer) {
 			}
 		}
 	}
+	if c.width > 0 {
+		for w := range c.sent {
+			sent := 0
+			if c.plan != nil {
+				sent = len(c.plan.To[w].Dst)
+			}
+			st := scSent[M]{last: c.loadLast(buf, "sent to", w, sent), dull: buf.ReadUint8(), skip: buf.ReadUint8()}
+			if st.dull > 8 || st.skip > scMaxSkip || st.skip > 0 && st.last == nil {
+				panic(fmt.Sprintf("channel: checkpoint has a delta back-off of %d/%d toward worker %d", st.dull, st.skip, w))
+			}
+			c.sent[w] = st
+			c.last[w] = c.loadLast(buf, "received from", w, len(c.tab[w]))
+		}
+	}
 	readDone(buf)
+}
+
+// loadLast reads the values of one stream's last dense frame: nil when
+// the stream has carried none, else one per destination of its list, n.
+func (c *ScatterCombine[M]) loadLast(buf *ser.Buffer, dir string, w, n int) []M {
+	vals := ckpt.AppendSlice(buf, c.codec, nil)
+	if len(vals) == 0 {
+		return nil
+	}
+	if len(vals) != n {
+		panic(fmt.Sprintf("channel: checkpoint has %d values last %s worker %d, whose list has %d destinations", len(vals), dir, w, n))
+	}
+	return vals
 }
 
 // SaveState implements engine.StatefulChannel: the topology and the

@@ -34,13 +34,20 @@ func cutScript(data []byte) [][]byte {
 
 // FuzzScatterFrames pins the wire-surface contract of the ScatterCombine
 // receiver: whatever frame sequence a peer sends (the input is cut into
-// up to four length-prefixed frames, one per superstep), the job either
-// fails with a worker error or every accepted destination list is
-// strictly ascending and inside the worker's vertex range and values
-// landed only on listed destinations — never an out-of-range access.
+// up to four length-prefixed frames, one per superstep; frames may be
+// dense, partial or delta), the job either fails with a worker error or
+// every accepted destination list is strictly ascending and inside the
+// worker's vertex range, the last dense values kept for delta frames
+// match it in length, and values landed only on listed destinations —
+// never an out-of-range access.
 func FuzzScatterFrames(f *testing.F) {
 	hello := slices.Concat([]byte{scFrameTable, 2, 0, 2}, u32le(10, 20))
 	f.Add(script(hello, slices.Concat([]byte{0}, u32le(3, 4)), slices.Concat([]byte{scFramePartial, 0b10}, u32le(9))))
+	f.Add(script(hello, slices.Concat([]byte{0}, u32le(3, 4)), slices.Concat([]byte{scFramePartial, 0b10}, u32le(9)), slices.Concat([]byte{scFrameDelta, 0b01}, u32le(5))))
+	f.Add(script(hello, []byte{scFrameDelta, 0}, slices.Concat([]byte{scFrameDelta, 0b11}, u32le(1, 2))))
+	f.Add(script(slices.Concat([]byte{scFrameTable | scFramePartial, 3, 0, 1, 1, 0b101}, u32le(1, 2)), slices.Concat([]byte{scFrameDelta, 0b010}, u32le(7))))
+	f.Add(script(hello, []byte{scFrameDelta, 0b100}))
+	f.Add(script(hello, slices.Concat([]byte{scFrameDelta | scFramePartial, 0b01}, u32le(5))))
 	f.Add(script(hello, hello))
 	f.Add(script(slices.Concat([]byte{0}, u32le(1, 2))))
 	f.Add(script(slices.Concat([]byte{scFrameTable, 1, 4}, u32le(1))))
@@ -60,6 +67,9 @@ func FuzzScatterFrames(f *testing.F) {
 		for src, tab := range recv.tab {
 			if src != 0 && tab != nil {
 				t.Fatalf("destination list from silent worker %d", src)
+			}
+			if last := recv.last[src]; last != nil && len(last) != len(tab) {
+				t.Fatalf("%d last values kept for a list of %d", len(last), len(tab))
 			}
 			for k, li := range tab {
 				if int(li) >= len(listed) || k > 0 && li <= tab[k-1] {

@@ -2,6 +2,8 @@ package channel
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/engine"
@@ -41,16 +43,37 @@ import (
 // silent takes the presence-byte path: the same walk over the groups,
 // one freshness check and at most one Combine per edge.
 //
-// Wire format: because the destination set never changes, the sender
-// ships each destination worker its ascending destination-index list
-// once, in the frame of the first superstep in which any local vertex
-// scatters; from then on a frame is a flags byte followed by one
-// combined value per listed destination, in list order. In a superstep
-// where some source vertex stayed silent a destination may have
-// received nothing, so each group of eight destinations is preceded by
-// a presence byte and absent values are omitted. Identifiers therefore
+// Wire format. This comment is the format's one description. Because
+// the destination set never changes, the sender ships each destination
+// worker its ascending destination-index list once, in the frame of the
+// first superstep in which any local vertex scatters, so identifiers
 // cross the wire once per job instead of once per value — the source of
-// both the runtime gain and the message-size reduction in Table V.
+// both the runtime gain and the message-size reduction in Table V. A
+// frame is a flags byte, then:
+//
+//   - with scFrameTable, the list: a uvarint length n and n uvarint
+//     gaps between ascending local indices (the first from 0);
+//   - on a dense superstep, one combined value per listed destination,
+//     in list order;
+//   - with scFramePartial, in a superstep where some source stayed
+//     silent, the same values with each group of eight destinations
+//     preceded by a presence byte (bit k&7 for destination k) and the
+//     absent values omitted;
+//   - with scFrameDelta, a dense superstep's values as a change against
+//     the last dense frame of this (source, destination) stream: a
+//     ⌈n/8⌉-byte bitmap of the slots whose encoding changed
+//     (ser.UpdateSlice; padding bits clear), then the changed values in
+//     list order. An unset bit means the slot carries the value it
+//     carried last time, so the receiver, which keeps each stream's
+//     last values, merges all n slots exactly as from a dense frame.
+//
+// The sender takes the delta form when the codec has a fixed width and
+// the form is smaller than the values (static pointers in S-V's later
+// supersteps; never PageRank's ranks, which nearly all change). The
+// handshake frame and a stream's first dense frame are plain dense
+// ones, and partial frames neither read nor update the last values.
+// This is delta caching (Gonzalez et al., PowerGraph, OSDI 2012) done
+// by the channel, below the algorithm.
 type ScatterCombine[M any] struct {
 	w       *engine.Worker
 	codec   ser.Codec[M]
@@ -81,16 +104,41 @@ type ScatterCombine[M any] struct {
 	in  bsp.Stamped[M]
 
 	// vals holds one frame's values between the Combiner and the codec,
-	// on either side; have marks the destinations of a partial frame that
-	// received one. No segment or destination list is longer than the
-	// largest worker's vertex count, so they are sized once.
+	// on either side (a delta frame's changed ones, compacted); have
+	// marks the destinations of a partial frame that received one. No
+	// segment or destination list is longer than the largest worker's
+	// vertex count, so they are sized once.
 	vals []M
 	have []bool
+
+	// delta frames, when the codec has a fixed width (else width is 0
+	// and the slices stay nil): the sender's state per destination
+	// worker, and per source worker the values of its last dense frame
+	// in tab[src]'s order (nil before the first)
+	width int
+	sent  []scSent[M]
+	last  [][]M
 }
+
+// scSent is the sender's side of one delta stream. last holds the
+// values of the stream's last dense frame, nil before the first. A
+// stream whose values nearly all change every superstep, as PageRank's
+// ranks do, would pay the diff for nothing; so after dull consecutive
+// diffs that chose the dense form, the next 2^(dull-1)-1 dense frames
+// (at most scMaxSkip) skip it — skip counts them down, and last is
+// brought up to date by the last of them. Partial frames count for
+// nothing.
+type scSent[M any] struct {
+	last       []M
+	dull, skip uint8
+}
+
+const scMaxSkip = 15
 
 const (
 	scFrameTable   = 1 << 0 // the destination list precedes the values
 	scFramePartial = 1 << 1 // presence bytes are interleaved with the values
+	scFrameDelta   = 1 << 2 // a changed-slot bitmap precedes the changed values
 )
 
 // NewScatterCombine creates and registers a ScatterCombine channel.
@@ -160,6 +208,10 @@ func (c *ScatterCombine[M]) Initialize() {
 	}
 	c.vals = make([]M, most)
 	c.have = make([]bool, most)
+	if c.width = ser.FixedWidth(c.codec); c.width > 0 {
+		c.sent = make([]scSent[M], c.w.NumWorkers())
+		c.last = make([][]M, c.w.NumWorkers())
+	}
 }
 
 // buildPrivatePlan turns the AddAddr registrations into a plan with the
@@ -222,7 +274,9 @@ func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 	out := c.vals[:len(seg.Dst)]
 	if c.dense {
 		c.combine.fold(out, c.srcVal.Val, seg.Src, seg.Groups)
-		ser.EncodeSlice(buf, c.codec, out)
+		if c.width == 0 || !c.encodeDelta(&c.sent[dst], buf, mark, out) {
+			ser.EncodeSlice(buf, c.codec, out)
+		}
 		return
 	}
 	// the fold's walk over the lane layout, one fresh check per edge
@@ -265,14 +319,58 @@ func (c *ScatterCombine[M]) Serialize(dst int, buf *ser.Buffer) {
 	}
 }
 
+// encodeDelta writes the dense frame of values out, whose flags byte
+// is at mark, as a delta frame against st.last when the stream has
+// carried a dense frame and the changed values with their bitmap take
+// fewer bytes than all of them, and reports whether it did. Either way
+// st.last holds out afterwards, unless the frame skips the diff.
+func (c *ScatterCombine[M]) encodeDelta(st *scSent[M], buf *ser.Buffer, mark int, out []M) bool {
+	switch {
+	case st.last == nil:
+		st.last = slices.Clone(out)
+		return false
+	case st.skip > 0:
+		if st.skip--; st.skip == 0 {
+			copy(st.last, out)
+		}
+		return false
+	}
+	n, at := len(out), buf.Len()
+	changed := buf.Extend((n + 7) >> 3)
+	if k := ser.UpdateSlice(c.codec, changed, st.last, out); len(changed)+k*c.width >= n*c.width {
+		buf.Truncate(at)
+		st.dull = min(st.dull+1, 8)
+		st.skip = uint8(min(1<<(st.dull-1)-1, scMaxSkip))
+		return false
+	}
+	st.dull = 0
+	buf.Bytes()[mark] |= scFrameDelta
+	k := 0 // the changed values move to the front of out, in order
+	for i, m := range changed {
+		for ; m != 0; m &= m - 1 {
+			out[k] = out[i<<3|bits.TrailingZeros8(m)]
+			k++
+		}
+	}
+	ser.EncodeSlice(buf, c.codec, out[:k])
+	return true
+}
+
 // Deserialize implements engine.Channel. Frames that arrived over a
 // socket are untrusted: anything that disagrees with the handshaken
 // destination list panics, which the engine reports as a worker error
 // naming this channel and src.
 func (c *ScatterCombine[M]) Deserialize(src int, buf *ser.Buffer) {
 	flags := buf.ReadUint8()
-	if flags&^(scFrameTable|scFramePartial) != 0 {
+	known := uint8(scFrameTable | scFramePartial)
+	if c.width > 0 {
+		known |= scFrameDelta
+	}
+	if flags&^known != 0 {
 		panic(fmt.Sprintf("channel: ScatterCombine: unknown frame flags %#x", flags))
+	}
+	if flags&(scFrameDelta|scFramePartial) == scFrameDelta|scFramePartial {
+		panic("channel: ScatterCombine: delta and partial flags on one frame")
 	}
 	if flags&scFrameTable != 0 {
 		c.readTable(src, buf)
@@ -282,11 +380,34 @@ func (c *ScatterCombine[M]) Deserialize(src int, buf *ser.Buffer) {
 		panic("channel: ScatterCombine: values before any destination list")
 	}
 	e := int32(c.w.Superstep())
-	if flags&scFramePartial == 0 {
+	switch {
+	case flags&scFrameDelta != 0:
+		last := c.last[src]
+		if last == nil {
+			panic("channel: ScatterCombine: delta frame before any dense frame")
+		}
+		changed, k := buf.ReadBitmap(len(tab))
+		in := c.vals[:k]
+		ser.DecodeSlice(buf, c.codec, in)
+		k = 0
+		for i, m := range changed {
+			for ; m != 0; m &= m - 1 {
+				last[i<<3|bits.TrailingZeros8(m)] = in[k]
+				k++
+			}
+		}
+		deliver(c.w, c.combine, &c.in, e, tab, last)
+	case flags&scFramePartial == 0:
 		in := c.vals[:len(tab)]
+		if c.width > 0 {
+			if c.last[src] == nil {
+				c.last[src] = make([]M, len(tab))
+			}
+			in = c.last[src]
+		}
 		ser.DecodeSlice(buf, c.codec, in)
 		deliver(c.w, c.combine, &c.in, e, tab, in)
-	} else {
+	default:
 		var presence uint8
 		for k, li := range tab {
 			if k&7 == 0 {

@@ -204,6 +204,14 @@ func TestScatterCombineRejectsHostileFrames(t *testing.T) {
 		{"second handshake", [][]byte{hello, hello}, "second destination list"},
 		{"values before any handshake", [][]byte{slices.Concat([]byte{0}, u32le(1, 2))}, "values before any destination list"},
 		{"unknown flags", [][]byte{slices.Concat([]byte{0x80}, u32le(1))}, "unknown frame flags"},
+		// delta frames: a bitmap over the list, then the changed values
+		{"delta before any dense frame", [][]byte{slices.Concat([]byte{scFrameTable | scFramePartial, 2, 0, 2, 0b01}, u32le(10)), slices.Concat([]byte{scFrameDelta, 0b01}, u32le(5))}, "delta frame before any dense frame"},
+		{"delta in the handshake frame", [][]byte{slices.Concat([]byte{scFrameTable | scFrameDelta, 2, 0, 2, 0b01}, u32le(5))}, "delta frame before any dense frame"},
+		{"bitmap shorter than the list", [][]byte{hello, {scFrameDelta}}, "underflow"},
+		{"padding bit set", [][]byte{hello, {scFrameDelta, 0b100}}, "padding bit set"},
+		{"delta and partial flags together", [][]byte{hello, slices.Concat([]byte{scFrameDelta | scFramePartial, 0b01}, u32le(5))}, "delta and partial flags"},
+		{"changed values short", [][]byte{hello, slices.Concat([]byte{scFrameDelta, 0b11}, u32le(5))}, "underflow"},
+		{"bytes after the changed values", [][]byte{hello, slices.Concat([]byte{scFrameDelta, 0b01}, u32le(5, 6))}, "4 bytes beyond the values of 2 handshaken destinations"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,15 +230,39 @@ func TestScatterCombineRejectsHostileFrames(t *testing.T) {
 		})
 	}
 
-	// the well-formed script is accepted and lands where the list says
-	recv, err := runRogue([][]byte{hello, slices.Concat([]byte{0}, u32le(3, 4)), slices.Concat([]byte{scFramePartial, 0b10}, u32le(9))})
+	// a codec of varying width has no delta form: the flag is unknown
+	_, err := runRogueInto([][]byte{{scFrameTable, 1, 0, 2}, {scFrameDelta, 0b1, 4}}, func(w *engine.Worker) *ScatterCombine[int64] {
+		return NewScatterCombine[int64](w, ser.Int64Codec{}, Sum[int64]())
+	}, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown frame flags 0x4") {
+		t.Errorf("delta frame to a varint ScatterCombine: %v", err)
+	}
+
+	// the well-formed script is accepted and lands where the list says:
+	// the delta frame changes local 0 against the last dense frame (3, 4)
+	// — the partial frame between them does not count — and so delivers
+	// 5 and 4 to both listed locals
+	var got [][]uint32
+	recv, err := runRogueInto([][]byte{hello, slices.Concat([]byte{0}, u32le(3, 4)), slices.Concat([]byte{scFramePartial, 0b10}, u32le(9)), slices.Concat([]byte{scFrameDelta, 0b01}, u32le(5))},
+		func(w *engine.Worker) *ScatterCombine[uint32] {
+			return NewScatterCombine[uint32](w, ser.Uint32Codec{}, Sum[uint32]())
+		}, func(w *engine.Worker, c *ScatterCombine[uint32], li int) {
+			if li == 0 {
+				got = append(got, nil)
+			}
+			if m, ok := c.Message(li); ok {
+				got[len(got)-1] = append(got[len(got)-1], uint32(li), m)
+			}
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for li, want := range []uint32{3, 0, 9, 0} {
-		if recv.in.Val[li] != want {
-			t.Errorf("local %d holds %d want %d", li, recv.in.Val[li], want)
-		}
+	want := [][]uint32{nil, {0, 10, 2, 20}, {0, 3, 2, 4}, {2, 9}, {0, 5, 2, 4}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("delivered (local, value) per superstep %v, want %v", got, want)
+	}
+	if !slices.Equal(recv.last[0], []uint32{5, 4}) {
+		t.Errorf("last dense values from worker 0 %v, want [5 4]", recv.last[0])
 	}
 }
 
@@ -280,6 +312,86 @@ func TestScatterCombinePrivatePlanCheckpointRestore(t *testing.T) {
 	for s := 1; s <= steps; s++ {
 		if got := run(&ckpt.Hook{Store: store, Job: "t", Restore: s}); !slices.Equal(got, want) {
 			t.Fatalf("restored from superstep %d: %v want %v", s, got, want)
+		}
+	}
+}
+
+// A cut anywhere in a job whose frames go dense, then back off the
+// diff, then turn delta restores the delta state of both ends: every
+// frame serialized after the cut is the clean run's, byte for byte. The
+// values all change through superstep 5 and none change afterwards, so
+// the clean run diffs at 2, 3 and 5 (dense each time), skips the diff at
+// 4 and 6-8, and sends only a bitmap at 9; a restore that forgot the
+// back-off would send one earlier.
+func TestScatterCombineDeltaCheckpointRestore(t *testing.T) {
+	const n, steps = 40, 9
+	part := partition.MustHash(n, 3)
+	run := func(hook *ckpt.Hook) ([]*frameTap, []float64) {
+		taps := make([]*frameTap, part.NumWorkers())
+		out := make([]float64, n)
+		_, err := engine.Run(engine.Config{Part: part, MaxSupersteps: 20, Checkpoint: hook}, func(w *engine.Worker) {
+			acc := make([]float64, w.LocalCount())
+			w.Checkpoint(
+				func(buf *ser.Buffer) { ckpt.SaveSlice(buf, ser.Float64Codec{}, acc) },
+				func(buf *ser.Buffer) { ckpt.LoadSlice(buf, ser.Float64Codec{}, acc) },
+			)
+			sc := &ScatterCombine[float64]{w: w, codec: ser.Float64Codec{}, combine: Sum[float64]()}
+			taps[w.WorkerID()] = &frameTap{ScatterCombine: sc, frames: make(map[int][][]byte)}
+			w.Register(taps[w.WorkerID()])
+			w.Compute = func(li int) {
+				id, step := w.GlobalID(li), w.Superstep()
+				if step == 1 {
+					sc.AddAddr(w.Addr((id + 1) % n))
+					sc.AddAddr(w.Addr((id + 13) % n))
+				}
+				if m, ok := sc.Message(li); ok {
+					acc[li] = acc[li]*3 + m
+				}
+				out[id] = acc[li]
+				if step > steps {
+					w.VoteToHalt()
+				} else if step <= 5 {
+					sc.SetMessage(float64(int(id) + step))
+				} else {
+					sc.SetMessage(float64(id))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return taps, out
+	}
+	want, wantOut := run(nil)
+	deltas := 0
+	for step := 1; step <= steps; step++ {
+		for _, frame := range want[0].frames[step] {
+			if len(frame) > 0 && frame[0]&scFrameDelta != 0 {
+				if step != steps {
+					t.Errorf("delta frame at superstep %d", step)
+				}
+				deltas++
+			}
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("the clean run sent no delta frame")
+	}
+	store := ckpt.NewDir(t.TempDir())
+	if _, got := run(&ckpt.Hook{Store: keepAllCuts{store}, Job: "t", Interval: 1}); !slices.Equal(got, wantOut) {
+		t.Fatal("checkpointing changed the result")
+	}
+	for cut := 1; cut <= steps; cut++ {
+		got, gotOut := run(&ckpt.Hook{Store: store, Job: "t", Restore: cut})
+		if !slices.Equal(gotOut, wantOut) {
+			t.Fatalf("restored from superstep %d: %v want %v", cut, gotOut, wantOut)
+		}
+		for w := range got {
+			for step := cut + 1; step <= steps; step++ {
+				if !reflect.DeepEqual(got[w].frames[step], want[w].frames[step]) {
+					t.Fatalf("restored from superstep %d: worker %d's frames of superstep %d differ from the clean run's", cut, w, step)
+				}
+			}
 		}
 	}
 }

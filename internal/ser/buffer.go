@@ -254,6 +254,21 @@ func (b *Buffer) next(n int) []byte {
 	return p
 }
 
+// ReadBitmap consumes the ⌈n/8⌉-byte bitmap of n slots UpdateSlice
+// writes and returns it, aliasing the buffer's storage, with the number
+// of bits set. A set bit past slot n-1 panics: a well-formed bitmap
+// leaves its padding clear.
+func (b *Buffer) ReadBitmap(n int) (m []byte, set int) {
+	m = b.next((n + 7) >> 3)
+	if n&7 != 0 && m[len(m)-1]>>(n&7) != 0 {
+		panic(fmt.Sprintf("ser: bitmap of %d slots has a padding bit set", n))
+	}
+	for _, x := range m {
+		set += bits.OnesCount8(x)
+	}
+	return m, set
+}
+
 // ReadBytes consumes a length-prefixed byte slice. The returned slice
 // aliases the buffer's storage.
 func (b *Buffer) ReadBytes() []byte {

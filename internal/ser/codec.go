@@ -3,6 +3,7 @@ package ser
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // Codec describes how a message value of type T is encoded into and
@@ -60,6 +61,87 @@ func DecodeSlice[T any](b *Buffer, c Codec[T], out []T) {
 	}
 }
 
+// fixedCodec is a codec whose every value encodes to Width bytes — the
+// built-in fixed-width codecs. UpdateSlice is its bulk change detector;
+// see the function of that name.
+type fixedCodec[T any] interface {
+	Width() int
+	UpdateSlice(changed []byte, last, cur []T) int
+}
+
+// FixedWidth returns the encoded width of every value of c, or 0 when
+// c's values may differ in width: a codec that reports one also detects
+// changed slots in bulk (UpdateSlice).
+func FixedWidth[T any](c Codec[T]) int {
+	if fc, ok := c.(fixedCodec[T]); ok {
+		return fc.Width()
+	}
+	return 0
+}
+
+// UpdateSlice copies cur into last, which is as long, and marks in the
+// bitmap changed the slots whose value in cur encodes differently from
+// the one last held — byte for byte, so -0 and +0, or two NaNs of
+// different bits, differ — returning their number. changed holds
+// ⌈len(cur)/8⌉ bytes, bit k&7 of byte k>>3 for slot k, and its bits past
+// len(cur) come out clear. A ScatterCombine delta frame is this bitmap
+// followed by the changed values. c must have a FixedWidth.
+func UpdateSlice[T any](c Codec[T], changed []byte, last, cur []T) int {
+	return c.(fixedCodec[T]).UpdateSlice(changed, last, cur)
+}
+
+// updateEq is UpdateSlice for the types whose encoding is a function of
+// == equality. Eight slots make one bitmap byte, compared through array
+// pointers so that no comparison is bounds-checked or branched on.
+func updateEq[T comparable](changed []byte, last, cur []T) int {
+	last, changed = last[:len(cur)], changed[:(len(cur)+7)>>3]
+	n := 0
+	for i := range changed {
+		if len(cur)-i*8 < 8 {
+			var m uint8
+			for j, v := range cur[i*8:] {
+				if v != last[i*8+j] {
+					m |= 1 << j
+				}
+				last[i*8+j] = v
+			}
+			changed[i] = m
+			n += bits.OnesCount8(m)
+			break
+		}
+		c, l := (*[8]T)(cur[i*8:]), (*[8]T)(last[i*8:])
+		var m uint8
+		if c[0] != l[0] {
+			m |= 1
+		}
+		if c[1] != l[1] {
+			m |= 2
+		}
+		if c[2] != l[2] {
+			m |= 4
+		}
+		if c[3] != l[3] {
+			m |= 8
+		}
+		if c[4] != l[4] {
+			m |= 16
+		}
+		if c[5] != l[5] {
+			m |= 32
+		}
+		if c[6] != l[6] {
+			m |= 64
+		}
+		if c[7] != l[7] {
+			m |= 128
+		}
+		*l = *c
+		changed[i] = m
+		n += bits.OnesCount8(m)
+	}
+	return n
+}
+
 // FuncCodec adapts a pair of functions to a Codec.
 type FuncCodec[T any] struct {
 	Enc func(b *Buffer, v T)
@@ -77,6 +159,12 @@ type Uint32Codec struct{}
 
 func (Uint32Codec) Encode(b *Buffer, v uint32) { b.WriteUint32(v) }
 func (Uint32Codec) Decode(b *Buffer) uint32    { return b.ReadUint32() }
+
+func (Uint32Codec) Width() int { return 4 }
+
+func (Uint32Codec) UpdateSlice(changed []byte, last, cur []uint32) int {
+	return updateEq(changed, last, cur)
+}
 
 func (Uint32Codec) EncodeSlice(b *Buffer, vs []uint32) {
 	p := b.Extend(4 * len(vs))
@@ -117,6 +205,59 @@ type Float64Codec struct{}
 func (Float64Codec) Encode(b *Buffer, v float64) { b.WriteFloat64(v) }
 func (Float64Codec) Decode(b *Buffer) float64    { return b.ReadFloat64() }
 
+func (Float64Codec) Width() int { return 8 }
+
+// UpdateSlice compares bit patterns, not values: -0 and +0 differ, and
+// a NaN equals only the same NaN.
+func (Float64Codec) UpdateSlice(changed []byte, last, cur []float64) int {
+	last, changed = last[:len(cur)], changed[:(len(cur)+7)>>3]
+	n := 0
+	for i := range changed {
+		if len(cur)-i*8 < 8 {
+			var m uint8
+			for j, v := range cur[i*8:] {
+				if math.Float64bits(v) != math.Float64bits(last[i*8+j]) {
+					m |= 1 << j
+				}
+				last[i*8+j] = v
+			}
+			changed[i] = m
+			n += bits.OnesCount8(m)
+			break
+		}
+		c, l := (*[8]float64)(cur[i*8:]), (*[8]float64)(last[i*8:])
+		var m uint8
+		if math.Float64bits(c[0]) != math.Float64bits(l[0]) {
+			m |= 1
+		}
+		if math.Float64bits(c[1]) != math.Float64bits(l[1]) {
+			m |= 2
+		}
+		if math.Float64bits(c[2]) != math.Float64bits(l[2]) {
+			m |= 4
+		}
+		if math.Float64bits(c[3]) != math.Float64bits(l[3]) {
+			m |= 8
+		}
+		if math.Float64bits(c[4]) != math.Float64bits(l[4]) {
+			m |= 16
+		}
+		if math.Float64bits(c[5]) != math.Float64bits(l[5]) {
+			m |= 32
+		}
+		if math.Float64bits(c[6]) != math.Float64bits(l[6]) {
+			m |= 64
+		}
+		if math.Float64bits(c[7]) != math.Float64bits(l[7]) {
+			m |= 128
+		}
+		*l = *c
+		changed[i] = m
+		n += bits.OnesCount8(m)
+	}
+	return n
+}
+
 func (Float64Codec) EncodeSlice(b *Buffer, vs []float64) {
 	p := b.Extend(8 * len(vs))
 	for i, v := range vs {
@@ -136,6 +277,12 @@ type BoolCodec struct{}
 
 func (BoolCodec) Encode(b *Buffer, v bool) { b.WriteBool(v) }
 func (BoolCodec) Decode(b *Buffer) bool    { return b.ReadBool() }
+
+func (BoolCodec) Width() int { return 1 }
+
+func (BoolCodec) UpdateSlice(changed []byte, last, cur []bool) int {
+	return updateEq(changed, last, cur)
+}
 
 func (BoolCodec) EncodeSlice(b *Buffer, vs []bool) {
 	p := b.Extend(len(vs))

@@ -2,6 +2,7 @@ package ser
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -113,5 +114,111 @@ func TestSliceCodecMatchesPerValueCodec(t *testing.T) {
 			Enc: func(b *Buffer, v int64) { b.WriteVarint(v) },
 			Dec: func(b *Buffer) int64 { return b.ReadVarint() },
 		}, i64)
+	}
+}
+
+// diffMatchesBytes checks UpdateSlice of c against the encodings it
+// stands for: a slot is marked exactly when Encode writes different
+// bytes for its two values, the bits past the slots come out clear
+// whatever the bitmap held, the count is the number marked, every value
+// takes FixedWidth bytes, and last ends up encoding as cur does.
+func diffMatchesBytes[T any](t *testing.T, c Codec[T], prev, cur []T) {
+	t.Helper()
+	changed := bytes.Repeat([]byte{0xFF}, (len(cur)+7)/8)
+	last := slices.Clone(prev)
+	n := UpdateSlice(c, changed, last, cur)
+	a, b := NewBuffer(0), NewBuffer(0)
+	EncodeSlice(a, c, last)
+	EncodeSlice(b, c, cur)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("%T: UpdateSlice left last encoding as % x, cur as % x", c, a.Bytes(), b.Bytes())
+	}
+	want := 0
+	for k := range cur {
+		a, b := NewBuffer(0), NewBuffer(0)
+		c.Encode(a, prev[k])
+		c.Encode(b, cur[k])
+		if a.Len() != FixedWidth(c) || b.Len() != FixedWidth(c) {
+			t.Fatalf("%T: values of %d and %d bytes, FixedWidth %d", c, a.Len(), b.Len(), FixedWidth(c))
+		}
+		diff := !bytes.Equal(a.Bytes(), b.Bytes())
+		if diff {
+			want++
+		}
+		if got := changed[k>>3]>>(k&7)&1 == 1; got != diff {
+			t.Fatalf("%T: slot %d (%v -> %v) marked %v, encodings differ: %v", c, k, prev[k], cur[k], got, diff)
+		}
+	}
+	if n != want {
+		t.Fatalf("%T: DiffSlice counted %d changed slots, %d differ", c, n, want)
+	}
+	if len(cur)&7 != 0 && changed[len(changed)-1]>>(len(cur)&7) != 0 {
+		t.Fatalf("%T: padding bits set in %08b", c, changed[len(changed)-1])
+	}
+}
+
+func TestUpdateSliceMatchesEncodedBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	nan1, nan2 := math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0x7FF8000000000002)
+	for _, n := range []int{0, 1, 7, 8, 9, 1000} {
+		u32p, u32c := make([]uint32, n), make([]uint32, n)
+		f64p, f64c := make([]float64, n), make([]float64, n)
+		bp, bc := make([]bool, n), make([]bool, n)
+		for i := 0; i < n; i++ {
+			u32p[i], f64p[i], bp[i] = rng.Uint32()%4, float64(rng.Intn(4)), rng.Intn(2) == 1
+			u32c[i], f64c[i], bc[i] = u32p[i], f64p[i], bp[i]
+			if rng.Intn(2) == 0 {
+				u32c[i], f64c[i], bc[i] = rng.Uint32()%4, float64(rng.Intn(4)), rng.Intn(2) == 1
+			}
+		}
+		// equal as values, different as bytes; the same NaN twice
+		specials := [][2]float64{{0, math.Copysign(0, -1)}, {nan1, nan2}, {nan1, nan1}, {math.Inf(1), math.Inf(1)}}
+		for i, sp := range specials {
+			if i < n {
+				f64p[i], f64c[i] = sp[0], sp[1]
+			}
+		}
+		diffMatchesBytes[uint32](t, Uint32Codec{}, u32p, u32c)
+		diffMatchesBytes[float64](t, Float64Codec{}, f64p, f64c)
+		diffMatchesBytes[bool](t, BoolCodec{}, bp, bc)
+	}
+	if FixedWidth[int64](Int64Codec{}) != 0 || FixedWidth[int](FuncCodec[int]{}) != 0 {
+		t.Error("a varint or function codec reports a fixed width")
+	}
+}
+
+func TestReadBitmap(t *testing.T) {
+	m, set := FromBytes([]byte{0b1011, 0x01, 0xEE}).ReadBitmap(9)
+	if !bytes.Equal(m, []byte{0b1011, 0x01}) || set != 4 {
+		t.Fatalf("ReadBitmap(9) = % x, %d set", m, set)
+	}
+	for _, tc := range []struct {
+		data []byte
+		n    int
+	}{{[]byte{0x01, 0x02}, 9}, {[]byte{0x80}, 7}, {[]byte{0xFF}, 9}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ReadBitmap(%d) of % x did not panic", tc.n, tc.data)
+				}
+			}()
+			FromBytes(tc.data).ReadBitmap(tc.n)
+		}()
+	}
+}
+
+// BenchmarkUpdateSlice is the change detector over one ScatterCombine
+// frame's worth of values, every one of them changed.
+func BenchmarkUpdateSlice(b *testing.B) {
+	const n = 4096
+	last, cur, changed := make([]float64, n), make([]float64, n), make([]byte, n/8)
+	for i := range cur {
+		cur[i] = float64(i)
+	}
+	b.SetBytes(8 * n)
+	for i := 0; i < b.N; i++ {
+		cur[0] = float64(i)
+		UpdateSlice[float64](Float64Codec{}, changed, last, cur)
+		last[1] = -1
 	}
 }

@@ -82,9 +82,9 @@
 // column, which is the order the fold kernels read them in.
 // ScatterCombine.UseFragment adopts it zero-copy, a superstep is one
 // gather-reduce over the plan, and the wire carries each destination
-// list once (first scattering superstep) and values only afterwards,
-// with presence bytes in supersteps where some source stayed silent;
-// AddAddr builds the same plan privately for custom edge sets. The
+// list once and values only afterwards (ScatterCombine's doc comment
+// holds the format); AddAddr builds the same plan privately for custom
+// edge sets. The
 // gather-reduce itself belongs to the combiner, not to the channel: the
 // paper's C++ templates inline the user's combiner into that scan, Go
 // generics instantiate per memory layout and leave a func-typed

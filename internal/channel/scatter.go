@@ -69,9 +69,10 @@ import (
 //
 // The sender takes the delta form when the codec has a fixed width and
 // the form is smaller than the values (static pointers in S-V's later
-// supersteps; never PageRank's ranks, which nearly all change). The
-// handshake frame and a stream's first dense frame are plain dense
-// ones, and partial frames neither read nor update the last values.
+// supersteps; never PageRank's ranks, which nearly all change, so it
+// soon stops looking: see scSent). The handshake frame and a stream's
+// first dense frame are plain dense ones, and partial frames neither
+// read nor update the last values.
 // This is delta caching (Gonzalez et al., PowerGraph, OSDI 2012) done
 // by the channel, below the algorithm.
 type ScatterCombine[M any] struct {

@@ -91,54 +91,21 @@ func UpdateSlice[T any](c Codec[T], changed []byte, last, cur []T) int {
 }
 
 // updateEq is UpdateSlice for the types whose encoding is a function of
-// == equality. Eight slots make one bitmap byte, compared through array
-// pointers so that no comparison is bounds-checked or branched on.
+// == equality.
 func updateEq[T comparable](changed []byte, last, cur []T) int {
 	last, changed = last[:len(cur)], changed[:(len(cur)+7)>>3]
 	n := 0
 	for i := range changed {
-		if len(cur)-i*8 < 8 {
-			var m uint8
-			for j, v := range cur[i*8:] {
-				if v != last[i*8+j] {
-					m |= 1 << j
-				}
-				last[i*8+j] = v
-			}
-			changed[i] = m
-			n += bits.OnesCount8(m)
-			break
-		}
-		c, l := (*[8]T)(cur[i*8:]), (*[8]T)(last[i*8:])
 		var m uint8
-		if c[0] != l[0] {
-			m |= 1
+		for j, v := range cur[i*8 : min(i*8+8, len(cur))] {
+			if v != last[i*8+j] {
+				m |= 1 << j
+			}
 		}
-		if c[1] != l[1] {
-			m |= 2
-		}
-		if c[2] != l[2] {
-			m |= 4
-		}
-		if c[3] != l[3] {
-			m |= 8
-		}
-		if c[4] != l[4] {
-			m |= 16
-		}
-		if c[5] != l[5] {
-			m |= 32
-		}
-		if c[6] != l[6] {
-			m |= 64
-		}
-		if c[7] != l[7] {
-			m |= 128
-		}
-		*l = *c
 		changed[i] = m
 		n += bits.OnesCount8(m)
 	}
+	copy(last, cur)
 	return n
 }
 
@@ -213,48 +180,16 @@ func (Float64Codec) UpdateSlice(changed []byte, last, cur []float64) int {
 	last, changed = last[:len(cur)], changed[:(len(cur)+7)>>3]
 	n := 0
 	for i := range changed {
-		if len(cur)-i*8 < 8 {
-			var m uint8
-			for j, v := range cur[i*8:] {
-				if math.Float64bits(v) != math.Float64bits(last[i*8+j]) {
-					m |= 1 << j
-				}
-				last[i*8+j] = v
-			}
-			changed[i] = m
-			n += bits.OnesCount8(m)
-			break
-		}
-		c, l := (*[8]float64)(cur[i*8:]), (*[8]float64)(last[i*8:])
 		var m uint8
-		if math.Float64bits(c[0]) != math.Float64bits(l[0]) {
-			m |= 1
+		for j, v := range cur[i*8 : min(i*8+8, len(cur))] {
+			if math.Float64bits(v) != math.Float64bits(last[i*8+j]) {
+				m |= 1 << j
+			}
 		}
-		if math.Float64bits(c[1]) != math.Float64bits(l[1]) {
-			m |= 2
-		}
-		if math.Float64bits(c[2]) != math.Float64bits(l[2]) {
-			m |= 4
-		}
-		if math.Float64bits(c[3]) != math.Float64bits(l[3]) {
-			m |= 8
-		}
-		if math.Float64bits(c[4]) != math.Float64bits(l[4]) {
-			m |= 16
-		}
-		if math.Float64bits(c[5]) != math.Float64bits(l[5]) {
-			m |= 32
-		}
-		if math.Float64bits(c[6]) != math.Float64bits(l[6]) {
-			m |= 64
-		}
-		if math.Float64bits(c[7]) != math.Float64bits(l[7]) {
-			m |= 128
-		}
-		*l = *c
 		changed[i] = m
 		n += bits.OnesCount8(m)
 	}
+	copy(last, cur)
 	return n
 }
 

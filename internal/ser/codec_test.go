@@ -206,19 +206,3 @@ func TestReadBitmap(t *testing.T) {
 		}()
 	}
 }
-
-// BenchmarkUpdateSlice is the change detector over one ScatterCombine
-// frame's worth of values, every one of them changed.
-func BenchmarkUpdateSlice(b *testing.B) {
-	const n = 4096
-	last, cur, changed := make([]float64, n), make([]float64, n), make([]byte, n/8)
-	for i := range cur {
-		cur[i] = float64(i)
-	}
-	b.SetBytes(8 * n)
-	for i := 0; i < b.N; i++ {
-		cur[0] = float64(i)
-		UpdateSlice[float64](Float64Codec{}, changed, last, cur)
-		last[1] = -1
-	}
-}
